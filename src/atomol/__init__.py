@@ -23,11 +23,8 @@ from .model import (
     bloch_vector,
     canonical_from_amplitudes,
     effective_energy,
-    full_canonical_rhs,
-    gp_rhs,
     params_from_gamma,
     reduce_bare_params,
-    reduced_rhs,
 )
 from .integrate import (
     IntegratorConfig,
@@ -69,8 +66,8 @@ __all__ = [
     "__version__",
     "Amplitudes", "BareParams", "BlochVector", "CanonicalState", "Params",
     "PoleError", "ReducedParams", "amplitudes_from_canonical", "bloch_vector",
-    "canonical_from_amplitudes", "effective_energy", "full_canonical_rhs",
-    "gp_rhs", "params_from_gamma", "reduce_bare_params", "reduced_rhs",
+    "canonical_from_amplitudes", "effective_energy", "params_from_gamma",
+    "reduce_bare_params",
     "IntegratorConfig", "PoleEvent", "StepUnderflowError", "Trajectory",
     "evolve", "evolve_canonical", "evolve_reduced",
     "CubicCoefficients", "FixedPoint", "boundary_fixed_point", "classify",

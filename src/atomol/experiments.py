@@ -13,7 +13,7 @@ available through the integrator for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,9 +23,8 @@ from .integrate import (
     IntegratorConfig,
     PoleEvent,
     ReducedTrajectory,
+    _solve,
     evolve_reduced,
-    solve_adaptive,
-    solve_fixed,
 )
 from .model import Params, ReducedParams, unit_norm_deriv
 
@@ -50,6 +49,10 @@ class SweepProtocol:
     r_max: float = 5.0
 
     def __post_init__(self):
+        for name in ("beta", "t_span", "r_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.beta == 0.0:
             raise ValueError("sweeping rate beta must be nonzero")
         if self.t_span is not None and not self.t_span > 0:
@@ -131,13 +134,7 @@ def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
             return np.array([da, db])
 
     y0 = np.array([a0, b0], dtype=complex)
-    if cfg.method == "rk4":
-        times, states, _ = solve_fixed(f, 0.0, y0, t_final, cfg.dt,
-                                       record_every=cfg.record_every)
-    else:
-        times, states, _ = solve_adaptive(f, 0.0, y0, t_final,
-                                          rtol=cfg.rtol, atol=cfg.atol,
-                                          record_every=cfg.record_every)
+    times, states, _ = _solve(f, 0.0, y0, replace(cfg, t_final=t_final))
     return times, states
 
 
@@ -229,12 +226,7 @@ def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
     """
     if ic_grid is None:
         ic_grid = default_ic_grid()
-    if cfg is None:
-        cfg = IntegratorConfig(t_final=t_span)
-    elif cfg.t_final != t_span:
-        cfg = IntegratorConfig(method=cfg.method, rtol=cfg.rtol,
-                               atol=cfg.atol, dt=cfg.dt, t_final=t_span,
-                               record_every=cfg.record_every)
+    cfg = replace(cfg or IntegratorConfig(), t_final=t_span)
     trajectories = [evolve_reduced(s0, theta0, q, cfg)
                     for s0, theta0 in ic_grid]
     return PhasePortrait(trajectories=trajectories,

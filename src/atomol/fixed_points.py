@@ -96,24 +96,6 @@ def cubic_coefficients(q: ReducedParams) -> CubicCoefficients:
     )
 
 
-def eliminated_phase_polynomial(q: ReducedParams, s):
-    """Independent derivation of the fixed-point cubic.
-
-    Eliminates theta between the stationarity conditions through
-    sin^2 + cos^2 = 1 and clears denominators:
-
-        4 Om^2 (1-3S)^2 - G^2 (1-S)(1-3S)^2 - 64 (CS-R)^2 (1-S).
-
-    Must agree with cubic_coefficients (same polynomial, different
-    algebraic route); kept separate as a cross-check oracle.
-    """
-    s = np.asarray(s, dtype=float)
-    one_m3s2 = (1.0 - 3.0 * s) ** 2
-    return (4.0 * q.omega ** 2 * one_m3s2
-            - q.gamma ** 2 * (1.0 - s) * one_m3s2
-            - 64.0 * (q.c * s - q.r) ** 2 * (1.0 - s))
-
-
 def _newton_polish(cc: CubicCoefficients, x: float, iters: int = 50) -> float:
     """Plain Newton refinement of a simple real root."""
     best, best_val = x, abs(cc.evaluate(x))
@@ -303,10 +285,8 @@ def _polish_point(s: float, theta: float, q: ReducedParams,
     return best
 
 
-def interior_fixed_points(q: ReducedParams,
-                          residual_tol: float = RESIDUAL_TOL,
-                          eps_pole: float = EPS_POLE) -> list[FixedPoint]:
-    """All validated fixed points with -1 < S < 1.
+def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
+    """Interior fixed points, and whether their census is degenerate.
 
     Candidate S values are the real cubic roots; the phase is recovered
     from the sine condition with the cosine branch fixed by the
@@ -314,16 +294,30 @@ def interior_fixed_points(q: ReducedParams,
     (S = 1/3 with C S = R) both phase branches are returned.  Every
     candidate is polished on the raw vector field and must pass the
     residual gate, which rejects spurious squaring roots.
+
+    The census is degenerate when it sits on a bifurcation of the root
+    structure: a root at the S = -1 boundary, a double root in (-1, 1)
+    that does not carry exactly two phase points (a fold; on the
+    vacuous-phase line a double root carries two regular points), or a
+    double root where the two phase points coincide (|sin theta| = 1,
+    a phase-envelope touch).
     """
     if not q.omega > 0:
         raise ValueError("interior fixed points require omega > 0")
     cc = cubic_coefficients(q)
+    scale = max(abs(cc.c3), abs(cc.c2), abs(cc.c1), abs(cc.c0), 1e-300)
+    degenerate = abs(cc.evaluate(-1.0)) <= 1e-9 * scale
+    folds = []  # (S, unclipped sin theta) of the double roots in (-1, 1)
     points: list[FixedPoint] = []
     for s_root, mult in real_cubic_roots(cc):
-        if not (-1.0 + BOUNDARY_MARGIN < s_root < 1.0 - eps_pole):
+        if not -1.0 < s_root < 1.0:
             continue
         root1ms = math.sqrt(1.0 - s_root)
         sin_c = -q.gamma * root1ms / (2.0 * q.omega)
+        if mult > 1:
+            folds.append((s_root, sin_c))
+        if not (-1.0 + BOUNDARY_MARGIN < s_root < 1.0 - EPS_POLE):
+            continue
         if abs(sin_c) > 1.0 + 1e-9:
             continue
         sin_c = min(1.0, max(-1.0, sin_c))
@@ -342,7 +336,7 @@ def interior_fixed_points(q: ReducedParams,
         for theta_c in candidates:
             s_fp, theta_fp = _polish_point(s_root, theta_c, q)
             res = residual(s_fp, theta_fp, q)
-            if res >= residual_tol:
+            if res >= RESIDUAL_TOL:
                 continue
             theta_fp = float(wrap_angle(theta_fp))
             if any(abs(p.s - s_fp) < 1e-7
@@ -356,7 +350,28 @@ def interior_fixed_points(q: ReducedParams,
                 on_boundary=False, multiplicity=mult,
             ))
     points.sort(key=lambda p: (p.s, p.theta))
-    return points
+    for s_root, sin_c in folds:
+        n_here = sum(1 for p in points if abs(p.s - s_root) < 1e-6)
+        if n_here != 2 or 1.0 - abs(sin_c) <= 1e-9:
+            degenerate = True
+    return points, degenerate
+
+
+def interior_fixed_points(q: ReducedParams) -> list[FixedPoint]:
+    """All validated fixed points with -1 < S < 1 (see interior_census)."""
+    return interior_census(q)[0]
+
+
+def _boundary_cos(q: ReducedParams) -> float:
+    """cos(theta) of the S = -1 fixed point; it exists iff |cos| <= 1."""
+    if not q.omega > 0:
+        raise ValueError("boundary fixed point requires omega > 0")
+    return -math.sqrt(2.0) * (q.c + q.r) / q.omega
+
+
+def has_boundary_fixed_point(q: ReducedParams) -> bool:
+    """Whether the S = -1 family has a fixed point: |sqrt2 (C+R)| <= Omega."""
+    return abs(_boundary_cos(q)) <= 1.0
 
 
 def boundary_fixed_point(q: ReducedParams) -> FixedPoint | None:
@@ -368,9 +383,7 @@ def boundary_fixed_point(q: ReducedParams) -> FixedPoint | None:
     (same partial derivatives, one-sided in p >= 0) where the Jacobian
     is lower triangular with real eigenvalues.
     """
-    if not q.omega > 0:
-        raise ValueError("boundary fixed point requires omega > 0")
-    x = -math.sqrt(2.0) * (q.c + q.r) / q.omega
+    x = _boundary_cos(q)
     if abs(x) > 1.0:
         return None
     theta = math.acos(x)
@@ -389,51 +402,15 @@ def all_fixed_points(q: ReducedParams) -> list[FixedPoint]:
     return points
 
 
-def _threshold_by_bisection(c: float, r: float, omega: float) -> float | None:
-    """Locate the Gamma where the cubic gains a root at S = -1.
-
-    The cubic's value at S = -1 is monotone decreasing in Gamma^2, so
-    plain bisection on Gamma >= 0 brackets the sign change.
-    """
-
-    def value_at_minus1(gamma):
-        cc = cubic_coefficients(ReducedParams(c=c, omega=omega, r=r,
-                                              gamma=gamma))
-        return cc.evaluate(-1.0)
-
-    lo, hi = 0.0, 1.0
-    if value_at_minus1(lo) < 0.0:
-        return None
-    while value_at_minus1(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if value_at_minus1(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def threshold_gamma(c: float, r: float, omega: float) -> float | None:
     """Decoherence rate at which a root reaches the S = -1 boundary.
 
     Closed form sqrt(2 Omega^2 - 4 (C+R)^2) when the radicand is
-    non-negative, absent otherwise; cross-checked against bisection on
-    the cubic's boundary value (the two routes must agree to 1e-6).
+    non-negative, absent otherwise.
     """
     if not omega > 0:
         raise ValueError("threshold requires omega > 0")
     radicand = 2.0 * omega * omega - 4.0 * (c + r) ** 2
     if radicand < 0.0:
         return None
-    closed = math.sqrt(radicand)
-    bisected = _threshold_by_bisection(c, r, omega)
-    if bisected is None or abs(closed - bisected) > 1e-6:
-        raise AssertionError(
-            f"threshold routes disagree: closed={closed!r} bisection={bisected!r}")
-    return closed
+    return math.sqrt(radicand)

@@ -25,6 +25,7 @@ from .model import (
     CanonicalState,
     Params,
     ReducedParams,
+    canonical_deriv,
     derived_quantities,
     gp_deriv,
     reduced_deriv,
@@ -79,6 +80,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("rtol", "atol", "dt", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("rtol and atol must be > 0")
         if not self.dt > 0:
@@ -355,6 +359,27 @@ def _guarded_reduced_f(c, omega, r, gamma):
     return f
 
 
+def _solve_to_pole(f, y0: np.ndarray, cfg: IntegratorConfig, eps_pole: float):
+    """Solve from y0 = (S, theta, ...) under the S = 1 pole guard.
+
+    Returns (times, states, PoleEvent or None); S reaching 1 - eps_pole
+    halts the solve with a pole event.
+    """
+    if not abs(y0[0]) <= 1.0 - eps_pole:
+        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {y0[0]}")
+    s_max = 1.0 - eps_pole
+
+    def pole(t, y):
+        return y[0] - s_max
+
+    times, states, hit = _solve(f, 0.0, y0, cfg, event=pole)
+    event = None
+    if hit is not None:
+        t_ev, y_ev = hit
+        event = PoleEvent(time=t_ev, s=float(y_ev[0]), theta=float(y_ev[1]))
+    return times, states, event
+
+
 def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    eps_pole: float = EPS_POLE) -> ReducedTrajectory:
@@ -363,20 +388,9 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     Halts with a pole event (recorded, not fatal) if S reaches
     1 - eps_pole.
     """
-    if not abs(s0) <= 1.0 - eps_pole:
-        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {s0}")
-    s_max = 1.0 - eps_pole
     f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
-
-    def pole(t, y):
-        return y[0] - s_max
-
-    times, states, hit = _solve(f, 0.0, np.array([s0, theta0], dtype=float),
-                                cfg, event=pole)
-    event = None
-    if hit is not None:
-        t_ev, y_ev = hit
-        event = PoleEvent(time=t_ev, s=float(y_ev[0]), theta=float(y_ev[1]))
+    times, states, event = _solve_to_pole(
+        f, np.array([s0, theta0], dtype=float), cfg, eps_pole)
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                              params=q, pole_event=event)
 
@@ -385,28 +399,17 @@ def evolve_canonical(c0: CanonicalState, p: Params,
                      cfg: IntegratorConfig = IntegratorConfig(),
                      eps_pole: float = EPS_POLE) -> CanonicalTrajectory:
     """Propagate (S, theta, n) with couplings floating with n."""
-    if not abs(c0.s) <= 1.0 - eps_pole:
-        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {c0.s}")
-    s_max = 1.0 - eps_pole
-    v, u, gp, gm = p.v, p.u, p.gamma_plus, p.gamma_minus
+    v, u, r, gp, gm = p.v, p.u, p.r, p.gamma_plus, p.gamma_minus
     nan3 = np.array([math.nan] * 3)
 
     def f(t, y):
         s, theta, n = y
         if s >= 1.0 or n < 0.0:
             return nan3
-        ds, dtheta = reduced_deriv(s, theta, u * n, v * math.sqrt(n),
-                                   p.r, gm, eps_pole=0.0)
-        return np.array([ds, dtheta, -(gp + gm * s) * n])
+        return np.array(canonical_deriv(s, theta, n, v, u, r, gp, gm,
+                                        eps_pole=0.0))
 
-    def pole(t, y):
-        return y[0] - s_max
-
-    y0 = np.array([c0.s, c0.theta, c0.n], dtype=float)
-    times, states, hit = _solve(f, 0.0, y0, cfg, event=pole)
-    event = None
-    if hit is not None:
-        t_ev, y_ev = hit
-        event = PoleEvent(time=t_ev, s=float(y_ev[0]), theta=float(y_ev[1]))
+    times, states, event = _solve_to_pole(
+        f, np.array([c0.s, c0.theta, c0.n], dtype=float), cfg, eps_pole)
     return CanonicalTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                                n=states[:, 2], params=p, pole_event=event)

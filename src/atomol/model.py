@@ -147,6 +147,9 @@ class ReducedParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("c", "omega", "r", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
 
@@ -253,11 +256,6 @@ def gp_deriv(a, b, v, u, r, gamma_a, gamma_b):
     return da, db
 
 
-def gp_rhs(x: Amplitudes, p: Params) -> tuple[complex, complex]:
-    """Amplitude time derivatives (da/dt, db/dt)."""
-    return gp_deriv(x.a, x.b, p.v, p.u, p.r, p.gamma_a, p.gamma_b)
-
-
 def reduced_deriv(s, theta, c, omega, r, gamma, eps_pole=EPS_POLE):
     """Reduced-flow derivatives (dS/dt, dtheta/dt) at constant C, Omega."""
     if s >= 1.0 - eps_pole:
@@ -268,24 +266,16 @@ def reduced_deriv(s, theta, c, omega, r, gamma, eps_pole=EPS_POLE):
     return ds, dtheta
 
 
-def reduced_rhs(s: float, theta: float, q: ReducedParams,
-                eps_pole: float = EPS_POLE) -> tuple[float, float]:
-    """Autonomous reduced flow with C and Omega held constant."""
-    return reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma, eps_pole=eps_pole)
+def canonical_deriv(s, theta, n, v, u, r, gamma_plus, gamma_minus,
+                    eps_pole=EPS_POLE):
+    """Canonical flow (dS/dt, dtheta/dt, dn/dt) with couplings floating with n.
 
-
-def full_canonical_rhs(c: CanonicalState, p: Params,
-                       eps_pole: float = EPS_POLE) -> tuple[float, float, float]:
-    """Canonical flow with effective couplings floating with n.
-
-    Evaluates the reduced equations at C = U*n, Omega = V*sqrt(n) for the
-    current n, plus dn/dt = -(Gamma_plus + Gamma_minus * S) n.
+    The reduced equations at C = U*n, Omega = V*sqrt(n) for the current
+    n, plus dn/dt = -(Gamma_plus + Gamma_minus * S) n.
     """
-    omega = p.v * math.sqrt(c.n)
-    ds, dtheta = reduced_deriv(c.s, c.theta, p.u * c.n, omega, p.r,
-                               p.gamma_minus, eps_pole=eps_pole)
-    dn = -(p.gamma_plus + p.gamma_minus * c.s) * c.n
-    return ds, dtheta, dn
+    ds, dtheta = reduced_deriv(s, theta, u * n, v * math.sqrt(n), r,
+                               gamma_minus, eps_pole=eps_pole)
+    return ds, dtheta, -(gamma_plus + gamma_minus * s) * n
 
 
 def unit_norm_deriv(a, b, c, omega, r, gamma):

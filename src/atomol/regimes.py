@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fixed_points import (
-    FixedPoint,
-    boundary_fixed_point,
-    cubic_coefficients,
+    has_boundary_fixed_point,
+    interior_census,
     interior_fixed_points,
-    real_cubic_roots,
 )
 from .model import ReducedParams
 
@@ -86,37 +84,13 @@ class LocusBranch:
     s: list = field(default_factory=list)
 
 
-def _census_degenerate(q: ReducedParams, points: list[FixedPoint]) -> bool:
-    """True when the census sits on a bifurcation of the root structure."""
-    cc = cubic_coefficients(q)
-    scale = max(abs(cc.c3), abs(cc.c2), abs(cc.c1), abs(cc.c0), 1e-300)
-    # a root at the S = -1 boundary changes the census on crossing
-    if abs(cc.evaluate(-1.0)) <= 1e-9 * scale:
-        return True
-    for s_root, mult in real_cubic_roots(cc):
-        if not -1.0 < s_root < 1.0:
-            continue
-        if mult < 2:
-            continue
-        # a double root away from the vacuous-phase line is a fold; on
-        # the line it carries two regular phase points (not degenerate)
-        n_here = sum(1 for p in points if abs(p.s - s_root) < 1e-6)
-        if n_here != 2:
-            return True
-        # phase-envelope touch: the two phase points coincide
-        sin_c = -q.gamma * math.sqrt(1.0 - s_root) / (2.0 * q.omega)
-        if 1.0 - abs(sin_c) <= 1e-9:
-            return True
-    return False
-
-
 def classify_regime(q: ReducedParams) -> RegimeLabel:
     """Label one parameter point by its fixed-point census."""
-    points = interior_fixed_points(q)
-    has_bfp = boundary_fixed_point(q) is not None
+    points, degenerate = interior_census(q)
+    has_bfp = has_boundary_fixed_point(q)
     kinds = tuple(sorted(p.kind for p in points))
     n = len(points)
-    if _census_degenerate(q, points):
+    if degenerate:
         label = LABEL_BOUNDARY
     elif n == 3:
         label = "II"

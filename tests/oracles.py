@@ -1,16 +1,67 @@
 """Independent numerical oracles shared by the test suite.
 
 These deliberately avoid the code paths they check: roots come from
-sign-change bisection instead of the companion matrix, and fixed points
-from a grid scan of the raw vector field polished by plain Newton.
+sign-change bisection instead of the companion matrix, fixed points
+from a grid scan of the raw vector field polished by plain Newton, the
+fixed-point cubic from a second algebraic route, and the loss threshold
+from bisection on the cubic instead of its closed form.
 """
 
 import math
 
 import numpy as np
 
-from atomol.fixed_points import jacobian
-from atomol.model import reduced_deriv
+from atomol.fixed_points import cubic_coefficients, jacobian
+from atomol.model import ReducedParams, reduced_deriv
+
+
+def eliminated_phase_polynomial(q, s):
+    """Independent derivation of the fixed-point cubic.
+
+    Eliminates theta between the stationarity conditions through
+    sin^2 + cos^2 = 1 and clears denominators:
+
+        4 Om^2 (1-3S)^2 - G^2 (1-S)(1-3S)^2 - 64 (CS-R)^2 (1-S).
+
+    Must agree with cubic_coefficients (same polynomial, different
+    algebraic route).
+    """
+    s = np.asarray(s, dtype=float)
+    one_m3s2 = (1.0 - 3.0 * s) ** 2
+    return (4.0 * q.omega ** 2 * one_m3s2
+            - q.gamma ** 2 * (1.0 - s) * one_m3s2
+            - 64.0 * (q.c * s - q.r) ** 2 * (1.0 - s))
+
+
+def threshold_by_bisection(c, r, omega):
+    """Locate the Gamma where the cubic gains a root at S = -1.
+
+    The cubic's value at S = -1 is monotone decreasing in Gamma^2, so
+    plain bisection on Gamma >= 0 brackets the sign change.  Returns
+    None when there is no sign change.
+    """
+
+    def value_at_minus1(gamma):
+        cc = cubic_coefficients(ReducedParams(c=c, omega=omega, r=r,
+                                              gamma=gamma))
+        return cc.evaluate(-1.0)
+
+    lo, hi = 0.0, 1.0
+    if value_at_minus1(lo) < 0.0:
+        return None
+    while value_at_minus1(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e9:
+            return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if value_at_minus1(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def bisect_roots(poly, lo=-1.0, hi=1.0, n_grid=4001, tol=1e-12):

@@ -23,7 +23,6 @@ from atomol.fixed_points import (
     KIND_CENTER,
     KIND_SADDLE,
     REPELLER_KINDS,
-    _threshold_by_bisection,
     all_fixed_points,
     classify,
     cubic_coefficients,
@@ -45,7 +44,7 @@ from atomol.model import (
 )
 from atomol.regimes import classify_regime, scan_plane
 
-from oracles import bisect_roots, newton_survey
+from oracles import bisect_roots, newton_survey, threshold_by_bisection
 
 SQRT6 = math.sqrt(6.0)
 
@@ -83,7 +82,7 @@ def test_criterion_02_threshold():
         if closed_sq <= 1e-6:
             continue
         closed = math.sqrt(closed_sq)
-        bisected = _threshold_by_bisection(c, r, om)
+        bisected = threshold_by_bisection(c, r, om)
         assert bisected is not None and abs(closed - bisected) < 1e-6
         checked += 1
     report(2, "threshold gamma* = sqrt2 at the origin; closed form vs "

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from atomol import integrate
 from atomol.cli import main
 from atomol.io import (
     ConfigError,
@@ -314,3 +315,30 @@ class TestExitCodes:
         rc = main(["evolve", "--format", "yaml",
                    "--output", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, field", [
+        (["fixed-points", "--c", "inf"], "c"),
+        (["fixed-points", "--gamma", "nan"], "gamma"),
+        (["portrait", "--r=-inf"], "r"),
+        (["evolve", "--t-final", "inf"], "t_final"),
+        (["evolve", "--rtol", "nan"], "rtol"),
+        (["evolve", "--method", "rk4", "--dt", "inf"], "dt"),
+        (["sweep", "--r-max", "inf"], "r_max"),
+        (["sweep", "--beta", "nan"], "beta"),
+        (["trap", "--atol", "inf"], "atol"),
+        (["portrait", "--omega", "inf"], "omega"),
+        (["regimes", "--omega", "nan"], "omega"),
+    ])
+    def test_non_finite_input_is_2(self, tmp_path, capsys, monkeypatch,
+                                   argv, field):
+        # rejected while the run is configured: no solve may start
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on non-finite input")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        monkeypatch.setattr(integrate, "solve_fixed", no_solve)
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err

@@ -42,6 +42,13 @@ class TestSweepProtocol:
         with pytest.raises(ValueError):
             SweepProtocol(beta=1.0, r_max=-1.0)
 
+    @pytest.mark.parametrize("field", ["beta", "t_span", "r_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, field, value):
+        kwargs = {"beta": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SweepProtocol(**kwargs)
+
 
 class TestSweepConversion:
     def test_no_conversion_channel(self):

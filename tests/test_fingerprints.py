@@ -1,0 +1,74 @@
+"""Output fingerprints: sha256 of the data files of a fixed set of CLI runs.
+
+Refactors must leave every data file byte-identical.  The recorded
+digests live in fingerprints.json next to this file; manifest.json is
+left out because it carries a timestamp.  Float results can move in the
+last bit with the numpy build, so the check is skipped when the
+installed numpy differs from the recorded one.
+
+Re-record (only when an output change is intended and explained):
+
+    PYTHONPATH=src python tests/test_fingerprints.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from atomol.cli import main
+
+RECORD = Path(__file__).with_name("fingerprints.json")
+
+RK4_TRAP_INI = "[integrator]\nmethod = rk4\ndt = 0.01\n"
+
+# run name -> CLI arguments; "{ini}" is replaced by the rk4 trap config
+RUNS = {
+    "regimes-g0": ["regimes", "--resolution", "41", "--gamma", "0"],
+    "regimes-g0.6": ["regimes", "--resolution", "41", "--gamma", "0.6"],
+    "fixed-points": ["fixed-points", "--c", "1", "--gamma", "0.3"],
+    "portrait": ["portrait", "--n-s", "3", "--n-theta", "4",
+                 "--t-span", "5"],
+    "sweep": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
+              "--r-max", "2"],
+    "trap": ["trap", "--u", "1.5", "--t-span", "5"],
+    "evolve": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "3"],
+    "evolve-rk4": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",
+                   "--method", "rk4", "--dt", "0.01"],
+    "trap-rk4": ["trap", "--u", "1.5", "--t-span", "3", "--config", "{ini}"],
+}
+
+
+def fingerprints(workdir: Path) -> dict:
+    """Run every entry of RUNS under workdir; {run: {file: sha256}}."""
+    ini = workdir / "rk4.ini"
+    ini.write_text(RK4_TRAP_INI)
+    out = {}
+    for name, args in RUNS.items():
+        outdir = workdir / name
+        argv = [str(ini) if a == "{ini}" else a for a in args]
+        assert main(argv + ["--output", str(outdir)]) == 0, name
+        out[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(outdir.iterdir())
+                     if p.name != "manifest.json"}
+    return out
+
+
+def test_data_files_match_recorded_fingerprints(tmp_path):
+    record = json.loads(RECORD.read_text())
+    if record["numpy"] != np.__version__:
+        pytest.skip(f"fingerprints recorded with numpy {record['numpy']}, "
+                    f"installed {np.__version__}")
+    assert fingerprints(tmp_path) == record["runs"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = fingerprints(Path(tmp))
+    RECORD.write_text(json.dumps({"numpy": np.__version__, "runs": runs},
+                                 indent=2, sort_keys=True) + "\n")
+    print(f"wrote {RECORD}", file=sys.stderr)

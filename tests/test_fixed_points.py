@@ -14,7 +14,6 @@ from atomol.fixed_points import (
     boundary_fixed_point,
     classify,
     cubic_coefficients,
-    eliminated_phase_polynomial,
     interior_fixed_points,
     jacobian,
     real_cubic_roots,
@@ -23,7 +22,12 @@ from atomol.fixed_points import (
 )
 from atomol.model import ReducedParams, angle_distance, reduced_deriv
 
-from oracles import bisect_roots, newton_survey
+from oracles import (
+    bisect_roots,
+    eliminated_phase_polynomial,
+    newton_survey,
+    threshold_by_bisection,
+)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -330,7 +334,6 @@ class TestThresholdGamma:
         assert threshold_gamma(0.0, 1.0, 1.0) is None
 
     def test_closed_form_agrees_with_bisection(self):
-        # the op itself asserts both routes agree; exercise 50 draws
         rng = np.random.default_rng(79)
         n_present = 0
         while n_present < 50:
@@ -340,7 +343,9 @@ class TestThresholdGamma:
             if 2.0 * om * om - 4.0 * (c + r) ** 2 <= 0.0:
                 continue
             val = threshold_gamma(c, r, om)
-            assert val is not None
+            bisected = threshold_by_bisection(c, r, om)
+            assert val is not None and bisected is not None
+            assert abs(val - bisected) <= 1e-6
             n_present += 1
 
     def test_threshold_admits_new_interior_point(self):

@@ -16,12 +16,12 @@ from atomol.model import (
     amplitudes_from_canonical,
     bloch_vector,
     canonical_from_amplitudes,
+    canonical_deriv,
     effective_energy,
-    full_canonical_rhs,
-    gp_rhs,
+    gp_deriv,
     params_from_gamma,
     reduce_bare_params,
-    reduced_rhs,
+    reduced_deriv,
     unit_norm_deriv,
     wrap_angle,
 )
@@ -131,12 +131,14 @@ class TestBlochVector:
 
 class TestGpRhs:
     def test_pure_atoms_convert(self):
-        da, db = gp_rhs(Amplitudes(1.0 + 0j, 0j), Params(v=1.0))
+        da, db = gp_deriv(1.0 + 0j, 0j, v=1.0, u=0.0, r=0.0, gamma_a=0.0,
+                          gamma_b=0.0)
         assert da == 0.0
         assert db == pytest.approx(-1j, abs=1e-15)
 
     def test_pure_decay_channel(self):
-        da, db = gp_rhs(Amplitudes(1.0 + 0j, 0j), Params(v=0.0, gamma_a=1.0))
+        da, db = gp_deriv(1.0 + 0j, 0j, v=0.0, u=0.0, r=0.0, gamma_a=1.0,
+                          gamma_b=0.0)
         assert da == pytest.approx(-0.5, abs=1e-15)
         assert db == 0.0
 
@@ -146,7 +148,8 @@ class TestGpRhs:
         p = Params(v=0.0, u=1.3, r=-0.7)
         for _ in range(50):
             x = random_amplitudes(rng)
-            da, db = gp_rhs(x, p)
+            da, db = gp_deriv(x.a, x.b, p.v, p.u, p.r, p.gamma_a,
+                              p.gamma_b)
             assert abs((x.a.conjugate() * da).real) < 1e-13
             assert abs((x.b.conjugate() * db).real) < 1e-13
 
@@ -157,7 +160,8 @@ class TestGpRhs:
             x = random_amplitudes(rng)
             p = Params(v=rng.uniform(0.1, 2.0), u=rng.normal(), r=rng.normal(),
                        gamma_a=rng.normal(), gamma_b=rng.normal())
-            da, db = gp_rhs(x, p)
+            da, db = gp_deriv(x.a, x.b, p.v, p.u, p.r, p.gamma_a,
+                              p.gamma_b)
             dn = 2.0 * (x.a.conjugate() * da).real + 4.0 * (x.b.conjugate() * db).real
             s = x.z / x.n
             expected = -(p.gamma_plus + p.gamma_minus * s) * x.n
@@ -183,27 +187,28 @@ class TestGpRhs:
 class TestReducedRhs:
     def test_stationary_point(self):
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
-        ds, dt = reduced_rhs(1.0 / 3.0, math.pi, q)
+        ds, dt = reduced_deriv(1.0 / 3.0, math.pi, q.c, q.omega, q.r, q.gamma)
         assert abs(ds) < 1e-15 and abs(dt) < 1e-15
 
     def test_direct_substitution_origin(self):
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
-        ds, dt = reduced_rhs(0.0, 0.0, q)
+        ds, dt = reduced_deriv(0.0, 0.0, q.c, q.omega, q.r, q.gamma)
         assert ds == 0.0 and dt == pytest.approx(-1.0, abs=1e-15)
 
     def test_direct_substitution_losses(self):
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.5)
-        ds, dt = reduced_rhs(0.0, math.pi / 2.0, q)
+        ds, dt = reduced_deriv(0.0, math.pi / 2.0, q.c, q.omega, q.r, q.gamma)
         assert ds == pytest.approx(-2.5, abs=1e-15)
         assert dt == pytest.approx(0.0, abs=1e-15)
 
     def test_pole_guard(self):
         q = ReducedParams()
         with pytest.raises(PoleError):
-            reduced_rhs(1.0, 0.0, q)
+            reduced_deriv(1.0, 0.0, q.c, q.omega, q.r, q.gamma)
         with pytest.raises(PoleError):
-            reduced_rhs(1.0 - 1e-13, 0.0, q)
-        reduced_rhs(1.0 - 1e-3, 0.0, q)  # inside the guard: fine
+            reduced_deriv(1.0 - 1e-13, 0.0, q.c, q.omega, q.r, q.gamma)
+        # inside the guard: fine
+        reduced_deriv(1.0 - 1e-3, 0.0, q.c, q.omega, q.r, q.gamma)
 
     def test_boundary_invariance(self):
         # dS/dt = 0 on S = -1 for any theta and gamma
@@ -211,26 +216,30 @@ class TestReducedRhs:
         for _ in range(50):
             q = ReducedParams(c=rng.normal(), omega=rng.uniform(0.1, 3.0),
                               r=rng.normal(), gamma=rng.normal())
-            ds, _ = reduced_rhs(-1.0, rng.uniform(0, 2 * math.pi), q)
+            ds, _ = reduced_deriv(-1.0, rng.uniform(0, 2 * math.pi), q.c,
+                                  q.omega, q.r, q.gamma)
             assert ds == 0.0
 
 
 class TestFullCanonicalRhs:
     def test_zero_loss_number_conserved(self):
         p = Params(v=1.0, u=0.5, r=0.2)
-        _, _, dn = full_canonical_rhs(CanonicalState(0.3, 1.0, 0.8), p)
+        _, _, dn = canonical_deriv(0.3, 1.0, 0.8, p.v, p.u, p.r, p.gamma_plus,
+                                   p.gamma_minus)
         assert dn == 0.0
 
     def test_equal_rates_pure_exponential(self):
         # gamma_a = gamma_b = g means dn/dt = -g n for any state
         p = params_from_gamma(gamma_plus=0.7, gamma_minus=0.0)
         st = CanonicalState(0.4, 2.0, 1.3)
-        _, _, dn = full_canonical_rhs(st, p)
+        _, _, dn = canonical_deriv(st.s, st.theta, st.n, p.v, p.u, p.r,
+                                   p.gamma_plus, p.gamma_minus)
         assert dn == pytest.approx(-0.7 * 1.3, abs=1e-15)
 
     def test_boundary_invariant(self):
         p = params_from_gamma(gamma_plus=0.0, gamma_minus=0.9)
-        ds, _, _ = full_canonical_rhs(CanonicalState(-1.0, 2.5, 1.0), p)
+        ds, _, _ = canonical_deriv(-1.0, 2.5, 1.0, p.v, p.u, p.r, p.gamma_plus,
+                                   p.gamma_minus)
         assert ds == 0.0
 
     def test_matches_reduced_at_unit_norm(self):
@@ -240,8 +249,10 @@ class TestFullCanonicalRhs:
                                   r=rng.normal(), gamma_minus=rng.normal())
             s = rng.uniform(-1.0, 0.99)
             th = rng.uniform(0, 2 * math.pi)
-            ds1, dt1, _ = full_canonical_rhs(CanonicalState(s, th, 1.0), p)
-            ds2, dt2 = reduced_rhs(s, th, p.reduced(1.0))
+            ds1, dt1, _ = canonical_deriv(s, th, 1.0, p.v, p.u, p.r,
+                                          p.gamma_plus, p.gamma_minus)
+            q = p.reduced(1.0)
+            ds2, dt2 = reduced_deriv(s, th, q.c, q.omega, q.r, q.gamma)
             assert ds1 == pytest.approx(ds2, abs=1e-14)
             assert dt1 == pytest.approx(dt2, abs=1e-14)
 
@@ -289,6 +300,7 @@ class TestUnitNormFlow:
             ds = 2.0 * (x.a.conjugate() * da).real - 4.0 * (x.b.conjugate() * db).real
             # dtheta/dt = 2 d(arg a)/dt - d(arg b)/dt
             dth = (2.0 * (da / x.a).imag - (db / x.b).imag)
-            ds_ref, dth_ref = reduced_rhs(s, theta, q)
+            ds_ref, dth_ref = reduced_deriv(s, theta, q.c, q.omega, q.r,
+                                            q.gamma)
             assert ds == pytest.approx(ds_ref, abs=1e-11)
             assert dth == pytest.approx(dth_ref, abs=1e-11)

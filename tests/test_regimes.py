@@ -51,6 +51,16 @@ class TestClassifyRegime:
         lab = label_at(0.0, OMEGA / math.sqrt(2.0))
         assert lab.label == LABEL_BOUNDARY
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_phase_envelope_touch_is_boundary(self, sign):
+        # double root at S = 1/3 on the vacuous-phase line C S = R with
+        # |sin theta| within 1e-9 of 1 (Gamma just below sqrt6 Omega):
+        # two distinct phase points that are about to merge
+        gamma = sign * math.sqrt(6.0) * OMEGA * (1.0 - 1e-12)
+        lab = label_at(0.0, 0.0, gamma=gamma)
+        assert lab.n_interior == 2
+        assert lab.label == LABEL_BOUNDARY
+
     def test_regime_three_vanishes_above_threshold(self):
         # gamma > sqrt(2) Omega: the two-point census is gone everywhere
         lab = label_at(0.0, 0.0, gamma=1.5)
