@@ -14,14 +14,12 @@ from .io import __version__
 from .model import (
     Amplitudes,
     BareParams,
-    BlochVector,
     CanonicalState,
     Params,
     PoleError,
     ReducedParams,
     amplitudes_from_canonical,
-    bloch_vector,
-    canonical_from_amplitudes,
+    derived_quantities,
     effective_energy,
     params_from_gamma,
     reduce_bare_params,
@@ -29,6 +27,7 @@ from .model import (
 from .integrate import (
     IntegratorConfig,
     PoleEvent,
+    StepBudgetError,
     StepUnderflowError,
     Trajectory,
     evolve,
@@ -64,11 +63,11 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "Amplitudes", "BareParams", "BlochVector", "CanonicalState", "Params",
-    "PoleError", "ReducedParams", "amplitudes_from_canonical", "bloch_vector",
-    "canonical_from_amplitudes", "effective_energy", "params_from_gamma",
-    "reduce_bare_params",
-    "IntegratorConfig", "PoleEvent", "StepUnderflowError", "Trajectory",
+    "Amplitudes", "BareParams", "CanonicalState", "Params", "PoleError",
+    "ReducedParams", "amplitudes_from_canonical", "derived_quantities",
+    "effective_energy", "params_from_gamma", "reduce_bare_params",
+    "IntegratorConfig", "PoleEvent", "StepBudgetError", "StepUnderflowError",
+    "Trajectory",
     "evolve", "evolve_canonical", "evolve_reduced",
     "CubicCoefficients", "FixedPoint", "boundary_fixed_point", "classify",
     "cubic_coefficients", "interior_fixed_points", "jacobian",

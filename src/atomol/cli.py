@@ -7,7 +7,7 @@ data files byte for byte.  Flags mirror config keys and override the
 config file.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (step-size
-underflow), 4 I/O error.
+underflow or step budget), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from .experiments import (
     sweep_conversion,
 )
 from .fixed_points import all_fixed_points
-from .integrate import IntegratorConfig, StepUnderflowError, evolve
+from .integrate import (IntegratorConfig, StepBudgetError,
+                        StepUnderflowError, evolve)
 from .io import ConfigError
 from .model import CanonicalState, Params, ReducedParams, \
     amplitudes_from_canonical
-from .regimes import boundary_fp_existence_curve, scan_plane, trace_boundaries
+from .regimes import (_check_refine_tol, boundary_fp_existence_curve,
+                      scan_plane, trace_boundaries)
 
 # per-command flag -> config key wiring; plain entries are parsed with
 # the schema type, special entries expand to several keys
@@ -232,6 +234,10 @@ def cmd_evolve(resolved, outdir, fmt):
     return _finish("evolve", resolved, derived, outdir, [out])
 
 
+_FIXED_POINT_HEADER = ["s", "theta", "kind", "eig1_re", "eig1_im", "eig2_re",
+                      "eig2_im", "residual", "on_boundary"]
+
+
 def _fixed_point_rows(points):
     rows = []
     for fp in points:
@@ -245,9 +251,7 @@ def _fixed_point_rows(points):
 def cmd_fixed_points(resolved, outdir, fmt):
     q = _reduced_params(resolved)
     points = all_fixed_points(q)
-    header = ["s", "theta", "kind", "eig1_re", "eig1_im", "eig2_re",
-              "eig2_im", "residual", "on_boundary"]
-    out = aio.write_table(outdir, "fixed_points", header,
+    out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                           _fixed_point_rows(points), fmt)
     derived = {"gamma_plus": None, "gamma_minus": q.gamma, "c": q.c,
                "omega": q.omega}
@@ -259,6 +263,8 @@ def cmd_regimes(resolved, outdir, fmt):
     gamma = resolved["reduced.gamma"]
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
+    # the scan takes seconds; a bad refine_tol must fail before it
+    _check_refine_tol(resolved["scan.refine_tol"])
     rmap = scan_plane(c_range=c_range, r_range=r_range,
                       resolution=(resolved["scan.resolution_c"],
                                   resolved["scan.resolution_r"]),
@@ -349,9 +355,7 @@ def cmd_portrait(resolved, outdir, fmt):
             rows.append([k, float(tr.times[i]), float(tr.s[i]),
                          float(tr.theta[i])])
     out = aio.write_table(outdir, "portrait", header, rows, fmt)
-    fp_header = ["s", "theta", "kind", "eig1_re", "eig1_im", "eig2_re",
-                 "eig2_im", "residual", "on_boundary"]
-    fp_out = aio.write_table(outdir, "fixed_points", fp_header,
+    fp_out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                              _fixed_point_rows(portrait.fixed_points), fmt)
     events = [
         None if ev is None else {"time": ev.time, "s": ev.s, "theta": ev.theta}
@@ -389,13 +393,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError,) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StepUnderflowError as exc:
+    except (StepUnderflowError, StepBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -26,7 +26,7 @@ from .integrate import (
     _solve,
     evolve_reduced,
 )
-from .model import Params, ReducedParams, unit_norm_deriv
+from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
 
 # Below this, a baseline conversion efficiency cannot normalize the
 # relative efficiency and m is reported as undefined.
@@ -184,20 +184,20 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
     trapped when the normalized atomic population P(a) = |a|^2/n stays
     above 1/2 throughout.
     """
+    for name, value in (("u", u), ("v", v), ("r", r),
+                        ("gamma_minus", gamma_minus), ("theta0", theta0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if not 0.0 <= a0_sq <= 1.0:
         raise ValueError(f"a0_sq must be in [0, 1], got {a0_sq}")
     a0 = math.sqrt(a0_sq)
     b0 = math.sqrt((1.0 - a0_sq) / 2.0) * np.exp(-1j * theta0)
     times, states = _run_unit_norm(a0 + 0j, b0, u, v, gamma_minus, r,
                                    t_span, cfg)
-    a = states[:, 0]
-    b = states[:, 1]
-    n = np.abs(a) ** 2 + 2.0 * np.abs(b) ** 2
-    p_atom = np.abs(a) ** 2 / n
-    s = (np.abs(a) ** 2 - 2.0 * np.abs(b) ** 2) / n
-    theta = np.mod(2.0 * np.angle(a) - np.angle(b), 2.0 * math.pi)
+    d = derived_quantities(states, v, u, r)
+    p_atom = d["p_atom"]
     min_p = float(p_atom.min())
-    return TrapRun(times=times, p_atom=p_atom, s=s, theta=theta,
+    return TrapRun(times=times, p_atom=p_atom, s=d["s"], theta=d["theta"],
                    trapped=min_p > 0.5, min_p_atom=min_p,
                    gamma=gamma_minus, u=u)
 

@@ -48,6 +48,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
+# Most steps one solve may take: 2.5x the longest solve of the test
+# suite, so a finite but huge span fails instead of running for hours.
+MAX_STEPS = 10 ** 6
+
 
 class StepUnderflowError(RuntimeError):
     """Adaptive stepper could not meet the tolerance at any step size."""
@@ -55,6 +59,10 @@ class StepUnderflowError(RuntimeError):
     def __init__(self, time: float):
         super().__init__(f"step size underflow at t = {time!r}")
         self.time = time
+
+
+class StepBudgetError(RuntimeError):
+    """A solve needs more than MAX_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -158,13 +166,15 @@ def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
     bisection on the step size.  Returns (times, states, event_state)
     where event_state is None or the (t, y) pair at the halt.
 
-    Raises StepUnderflowError when no acceptable step size remains.
+    Raises StepUnderflowError when no acceptable step size remains and
+    StepBudgetError after MAX_STEPS attempted steps.
     """
     y = np.array(y0, copy=True)
     t = t0
     times = [t0]
     states = [y.copy()]
     h = _initial_step(f, t0, y, rtol, atol, t_final)
+    attempted = 0
     accepted = 0
     event_state = None
     k1 = None
@@ -174,6 +184,10 @@ def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
         h = min(h, t_final - t)
         if h < tiny * max(1.0, abs(t)):
             raise StepUnderflowError(t)
+        if attempted == MAX_STEPS:
+            raise StepBudgetError(
+                f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
+        attempted += 1
         y_new, err, k_last = _rk45_step(f, t, y, h, k1=k1)
         norm = _error_norm(err, y, y_new, rtol, atol)
         if norm > 1.0:
@@ -224,8 +238,16 @@ def _locate_event(f, event, t, y, h):
 def solve_fixed(f: Callable, t0: float, y0: np.ndarray, t_final: float,
                 dt: float, record_every: int = 1,
                 event: Optional[Callable] = None):
-    """Classical fixed-step 4th-order integration on a uniform grid."""
-    n_steps = max(1, int(math.ceil((t_final - t0) / dt - 1e-12)))
+    """Classical fixed-step 4th-order integration on a uniform grid.
+
+    Raises StepBudgetError, before any step, when the grid would need
+    more than MAX_STEPS steps.
+    """
+    span = (t_final - t0) / dt - 1e-12
+    if not span <= MAX_STEPS:
+        raise StepBudgetError(f"step budget of {MAX_STEPS} steps exceeded: "
+                              f"t_final/dt needs {span:.6g} steps")
+    n_steps = max(1, int(math.ceil(span)))
     y = np.array(y0, copy=True)
     times = [t0]
     states = [y.copy()]
@@ -272,23 +294,17 @@ class Trajectory:
     s: np.ndarray = field(init=False)
     theta: np.ndarray = field(init=False)
     n: np.ndarray = field(init=False)
+    p_atom: np.ndarray = field(init=False)
     hx: np.ndarray = field(init=False)
     hy: np.ndarray = field(init=False)
     hz: np.ndarray = field(init=False)
     energy: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for key, val in self.recompute_derived().items():
+        p = self.params
+        for key, val in derived_quantities(self.states, p.v, p.u,
+                                           p.r).items():
             setattr(self, key, val)
-
-    def recompute_derived(self) -> dict:
-        return derived_quantities(self.states, self.params.v, self.params.u,
-                                  self.params.r)
-
-    @property
-    def final(self) -> Amplitudes:
-        return Amplitudes(a=complex(self.states[-1, 0]),
-                          b=complex(self.states[-1, 1]))
 
 
 @dataclass
@@ -300,10 +316,6 @@ class ReducedTrajectory:
     theta: np.ndarray  # unwrapped integration variable
     params: ReducedParams
     pole_event: Optional[PoleEvent] = None
-
-    @property
-    def theta_wrapped(self) -> np.ndarray:
-        return np.mod(self.theta, 2.0 * np.pi)
 
 
 @dataclass
@@ -318,24 +330,14 @@ class CanonicalTrajectory:
     pole_event: Optional[PoleEvent] = None
 
 
-def evolve(x0: Amplitudes, p: Params, cfg: IntegratorConfig = IntegratorConfig(),
-           r_schedule: Optional[Callable] = None) -> Trajectory:
-    """Propagate the amplitude equations from x0.
+def evolve(x0: Amplitudes, p: Params,
+           cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """Propagate the amplitude equations from x0."""
+    v, u, r, ga, gb = p.v, p.u, p.r, p.gamma_a, p.gamma_b
 
-    r_schedule, when given, replaces the constant energy difference by
-    R(t) (used by the sweep experiments).
-    """
-    v, u, ga, gb = p.v, p.u, p.gamma_a, p.gamma_b
-    if r_schedule is None:
-        r_const = p.r
-
-        def f(t, y):
-            da, db = gp_deriv(y[0], y[1], v, u, r_const, ga, gb)
-            return np.array([da, db])
-    else:
-        def f(t, y):
-            da, db = gp_deriv(y[0], y[1], v, u, r_schedule(t), ga, gb)
-            return np.array([da, db])
+    def f(t, y):
+        da, db = gp_deriv(y[0], y[1], v, u, r, ga, gb)
+        return np.array([da, db])
 
     times, states, _ = _solve(f, 0.0, x0.as_array(), cfg)
     return Trajectory(times=times, states=states, params=p)

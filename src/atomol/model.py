@@ -179,50 +179,23 @@ class Amplitudes:
 class CanonicalState:
     """Canonical coordinates (S, theta, n) on the tear-drop surface.
 
-    theta is wrapped to [0, 2*pi).  theta_defined is False at the poles
-    (|a| = 0 or |b| = 0), where the relative phase has no meaning and is
-    reported as 0 by convention.
+    theta is wrapped to [0, 2*pi).
     """
 
     s: float
     theta: float
     n: float
-    theta_defined: bool = True
 
     def __post_init__(self):
+        for name in ("theta", "n"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (-1.0 <= self.s <= 1.0):
             raise ValueError(f"population difference S out of [-1, 1]: {self.s}")
         if self.n < 0:
             raise ValueError(f"particle number must be >= 0, got {self.n}")
         if not 0.0 <= self.theta < TWO_PI:
             object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real Bloch components on the tear-drop surface."""
-
-    hx: float
-    hy: float
-    hz: float
-
-    def surface_defect(self, n: float) -> float:
-        """Deviation from hx^2 + hy^2 = (n+hz)^2 (n-hz)/2 (0 on-surface)."""
-        return self.hx ** 2 + self.hy ** 2 - 0.5 * (n + self.hz) ** 2 * (n - self.hz)
-
-
-def canonical_from_amplitudes(x: Amplitudes) -> CanonicalState:
-    """Map amplitudes to (S, theta, n); flags the phase at the poles."""
-    pa = abs(x.a) ** 2
-    pb = 2.0 * abs(x.b) ** 2
-    n = pa + pb
-    if n == 0.0:
-        return CanonicalState(s=0.0, theta=0.0, n=0.0, theta_defined=False)
-    s = (pa - pb) / n
-    if pa == 0.0 or pb == 0.0:
-        return CanonicalState(s=s, theta=0.0, n=n, theta_defined=False)
-    theta = wrap_angle(2.0 * cmath.phase(x.a) - cmath.phase(x.b))
-    return CanonicalState(s=s, theta=float(theta), n=n)
 
 
 def amplitudes_from_canonical(c: CanonicalState, theta_a: float = 0.0) -> Amplitudes:
@@ -236,13 +209,6 @@ def amplitudes_from_canonical(c: CanonicalState, theta_a: float = 0.0) -> Amplit
     a = ra * cmath.exp(1j * theta_a)
     b = rb * cmath.exp(1j * (2.0 * theta_a - c.theta))
     return Amplitudes(a=a, b=b)
-
-
-def bloch_vector(x: Amplitudes) -> BlochVector:
-    """Bloch components (2*sqrt2 Re[(a*)^2 b], 2*sqrt2 Im[(a*)^2 b], z)."""
-    w = np.conj(x.a) ** 2 * x.b
-    f = 2.0 * math.sqrt(2.0)
-    return BlochVector(hx=f * w.real, hy=f * w.imag, hz=x.z)
 
 
 def gp_deriv(a, b, v, u, r, gamma_a, gamma_b):
@@ -294,23 +260,31 @@ def unit_norm_deriv(a, b, c, omega, r, gamma):
     return da, db
 
 
+def _energy(s, theta, c, omega, r):
+    """2*Omega*(1+S)sqrt(1-S)cos(theta) - 2CS^2 + 4RS, elementwise."""
+    return (2.0 * omega * (1.0 + s) * np.sqrt(np.maximum(1.0 - s, 0.0))
+            * np.cos(theta) - 2.0 * c * s * s + 4.0 * r * s)
+
+
 def effective_energy(s, theta, q: ReducedParams) -> float:
     """Energy 2*Omega*(1+S)sqrt(1-S)cos(theta) - 2CS^2 + 4RS.
 
     Conserved along gamma = 0 reduced trajectories.
     """
-    root = math.sqrt(max(1.0 - s, 0.0))
-    return (2.0 * q.omega * (1.0 + s) * root * math.cos(theta)
-            - 2.0 * q.c * s * s + 4.0 * q.r * s)
+    return float(_energy(s, theta, q.c, q.omega, q.r))
 
 
 def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
-    """Vectorized per-sample observables for an amplitude trajectory.
+    """Per-sample observables of an amplitude trajectory.
 
-    states has shape (n_samples, 2) complex.  Returns a dict of arrays
-    s, theta, n, hx, hy, hz, energy; theta is wrapped to [0, 2*pi) and is
-    0 by convention where either mode is empty.  The energy uses the
-    instantaneous effective couplings C = U*n, Omega = V*sqrt(n).
+    The one map from amplitudes to observables.  states has shape
+    (n_samples, 2) complex.  Returns a dict of arrays s, theta, n,
+    p_atom, hx, hy, hz, energy: S = (|a|^2 - 2|b|^2)/n,
+    theta = 2 arg(a) - arg(b) wrapped to [0, 2*pi) and 0 by convention
+    where either mode is empty, P(a) = |a|^2/n, the Bloch components
+    (2*sqrt2 Re[(a*)^2 b], 2*sqrt2 Im[(a*)^2 b], |a|^2 - 2|b|^2), and
+    the energy at the instantaneous effective couplings C = U*n,
+    Omega = V*sqrt(n).  S and P(a) are 0 where n = 0.
     """
     a = states[:, 0]
     b = states[:, 1]
@@ -324,12 +298,7 @@ def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
     theta = np.where(degenerate, 0.0, theta)
     w = np.conj(a) ** 2 * b
     f = 2.0 * math.sqrt(2.0)
-    hx = f * w.real
-    hy = f * w.imag
-    hz = pa - pb
-    omega = v * np.sqrt(n)
-    c = u * n
-    energy = (2.0 * omega * (1.0 + s) * np.sqrt(np.maximum(1.0 - s, 0.0))
-              * np.cos(theta) - 2.0 * c * s * s + 4.0 * r * s)
-    return {"s": s, "theta": theta, "n": n, "hx": hx, "hy": hy, "hz": hz,
+    energy = _energy(s, theta, u * n, v * np.sqrt(n), r)
+    return {"s": s, "theta": theta, "n": n, "p_atom": pa / safe_n,
+            "hx": f * w.real, "hy": f * w.imag, "hz": pa - pb,
             "energy": energy}

@@ -131,12 +131,23 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
                      omega=omega, gamma=gamma)
 
 
+def _check_refine_tol(refine_tol: float):
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+
+
 def _bisect_flip(p_a, p_b, label_a, label_b, omega, gamma, refine_tol):
-    """Localize the label flip on the segment p_a -> p_b."""
+    """Localize the label flip on the segment p_a -> p_b.
+
+    Halts at refine_tol, or earlier when the midpoint rounds to an end
+    and the segment can shrink no further.
+    """
     a = np.asarray(p_a, dtype=float)
     b = np.asarray(p_b, dtype=float)
     while float(np.hypot(*(b - a))) > refine_tol:
         mid = 0.5 * (a + b)
+        if np.array_equal(mid, a) or np.array_equal(mid, b):
+            break
         lab = classify_regime(ReducedParams(c=float(mid[0]), omega=omega,
                                             r=float(mid[1]), gamma=gamma)).label
         if lab == label_a:
@@ -179,8 +190,9 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     along the connecting segment until the flip is localized within
     refine_tol, and the flip points are chained by proximity.  Cells
     labeled boundary/none are skipped (they are already on a bifurcation
-    or outside the classification).
+    or outside the classification).  refine_tol must be finite and > 0.
     """
+    _check_refine_tol(refine_tol)
     nc, nr = len(rmap.c_axis), len(rmap.r_axis)
     grid = rmap.label_grid()
     flips: dict[tuple[str, str], list[np.ndarray]] = {}

@@ -328,6 +328,10 @@ class TestExitCodes:
         (["trap", "--atol", "inf"], "atol"),
         (["portrait", "--omega", "inf"], "omega"),
         (["regimes", "--omega", "nan"], "omega"),
+        (["evolve", "--theta0", "nan"], "theta"),
+        (["trap", "--theta0", "inf"], "theta0"),
+        (["trap", "--u", "nan"], "u"),
+        (["trap", "--gamma", "inf"], "gamma_minus"),
     ])
     def test_non_finite_input_is_2(self, tmp_path, capsys, monkeypatch,
                                    argv, field):
@@ -342,3 +346,34 @@ class TestExitCodes:
         assert rc == 2
         assert f"{field} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_refine_tol_is_2(self, tmp_path, capsys, value):
+        rc = main(["regimes", f"--refine-tol={value}",
+                   "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "refine_tol must be finite and > 0" in err
+        assert not (tmp_path / "o" / "boundaries.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--method", "rk4", "--dt", "1e-3", "--t-final", "1e9"],
+        ["evolve", "--method", "rk4", "--dt", "1e-300", "--t-final", "1e300"],
+    ])
+    def test_fixed_step_budget_is_3(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "step budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t-final", "1e9"],
+        ["sweep", "--beta", "1e-300"],
+    ])
+    def test_adaptive_step_budget_is_3(self, tmp_path, capsys, monkeypatch,
+                                       argv):
+        monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "step budget" in err and "Traceback" not in err

@@ -133,6 +133,13 @@ class TestSelfTrapping:
         assert amps[0.5] > amps[0.0]
         assert amps[-0.5] < amps[0.0]
 
+    def test_empty_atomic_mode_has_zero_phase(self):
+        # a stays exactly 0, so theta takes the empty-mode convention
+        run = self_trapping_run(u=1.5, v=1.0, r=0.0, gamma_minus=-0.5,
+                                a0_sq=0.0, t_span=2.0)
+        assert np.all(run.p_atom == 0.0)
+        assert np.all(run.theta == 0.0)
+
     def test_initial_population_validated(self):
         with pytest.raises(ValueError):
             self_trapping_run(u=0.0, v=1.0, r=0.0, gamma_minus=0.0,

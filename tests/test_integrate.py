@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from atomol import integrate
 from atomol.integrate import (
     IntegratorConfig,
+    StepBudgetError,
     StepUnderflowError,
     evolve,
     evolve_canonical,
@@ -21,6 +23,7 @@ from atomol.model import (
     ReducedParams,
     amplitudes_from_canonical,
     angle_distance,
+    derived_quantities,
     effective_energy,
     params_from_gamma,
 )
@@ -76,8 +79,8 @@ class TestAmplitudeEvolve:
         p = Params(v=1.0, u=2.0, r=0.5, gamma_a=0.1, gamma_b=-0.05)
         tr = evolve(state_on_shell(0.3, 1.0), p, IntegratorConfig(t_final=3.0))
         assert np.all(np.diff(tr.times) > 0)
-        recomputed = tr.recompute_derived()
-        for key in ("s", "theta", "n", "hx", "hy", "hz", "energy"):
+        recomputed = derived_quantities(tr.states, p.v, p.u, p.r)
+        for key in ("s", "theta", "n", "p_atom", "hx", "hy", "hz", "energy"):
             assert np.array_equal(getattr(tr, key), recomputed[key])
 
     def test_record_every_decimates_output_only(self):
@@ -96,18 +99,6 @@ class TestAmplitudeEvolve:
         b = evolve(state_on_shell(0.2, 0.7), p, IntegratorConfig(t_final=7.0))
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
-
-    def test_time_dependent_detuning_hook(self):
-        # a constant schedule must reproduce the constant-R run exactly
-        p = Params(v=1.0, u=0.5, r=0.8)
-        x0 = state_on_shell(0.3, 1.5)
-        cfg = IntegratorConfig(t_final=5.0)
-        fixed = evolve(x0, p, cfg)
-        scheduled = evolve(x0, p, cfg, r_schedule=lambda t: 0.8)
-        assert np.array_equal(fixed.states, scheduled.states)
-        # and a strong ramp must actually change the dynamics
-        ramped = evolve(x0, p, cfg, r_schedule=lambda t: 0.8 - 0.4 * t)
-        assert np.abs(ramped.states[-1] - fixed.states[-1]).max() > 1e-3
 
     def test_convergence_contract_adaptive(self):
         # tightening tolerances x10 changes the final state by less than
@@ -223,6 +214,34 @@ class TestGenericSolvers:
         with pytest.raises(StepUnderflowError) as err:
             solve_adaptive(f, 0.0, np.array([1.0]), 2.0, rtol=1e-10, atol=1e-10)
         assert 0.99 < err.value.time <= 1.01
+
+    def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
+        def f(t, y):
+            raise AssertionError("a step was taken over the budget")
+
+        # the step count overflows an int: rejected, not an OverflowError
+        with pytest.raises(StepBudgetError):
+            solve_fixed(f, 0.0, np.array([1.0]), 1e300, 1e-300)
+        monkeypatch.setattr(integrate, "MAX_STEPS", 10)
+        with pytest.raises(StepBudgetError):
+            solve_fixed(f, 0.0, np.array([1.0]), 1.0, 0.09)
+        # exactly MAX_STEPS steps is within the budget
+        times, _, _ = solve_fixed(lambda t, y: -y, 0.0, np.array([1.0]),
+                                  1.0, 0.1)
+        assert len(times) == 11
+
+    def test_adaptive_budget_counts_attempted_steps(self, monkeypatch):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y
+
+        monkeypatch.setattr(integrate, "MAX_STEPS", 50)
+        with pytest.raises(StepBudgetError):
+            solve_adaptive(f, 0.0, np.array([1.0]), 1e9)
+        # one initial-step evaluation, then at most 7 per attempted step
+        assert len(calls) <= 1 + 7 * 50
 
     def test_fixed_step_grid(self):
         times, states, _ = solve_fixed(lambda t, y: -y, 0.0,

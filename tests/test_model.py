@@ -14,9 +14,8 @@ from atomol.model import (
     PoleError,
     ReducedParams,
     amplitudes_from_canonical,
-    bloch_vector,
-    canonical_from_amplitudes,
     canonical_deriv,
+    derived_quantities,
     effective_energy,
     gp_deriv,
     params_from_gamma,
@@ -45,36 +44,44 @@ class TestReduceBareParams:
         assert reduce_bare_params(BareParams(u_aa=2.0)) == (1.0, -1.0)
 
 
+def derived(*xs, v=1.0, u=0.0, r=0.0):
+    """derived_quantities on amplitude rows, one row per Amplitudes."""
+    states = np.array([[x.a, x.b] for x in xs], dtype=complex)
+    return derived_quantities(states, v, u, r)
+
+
 class TestCanonicalMap:
     def test_pure_atomic(self):
-        c = canonical_from_amplitudes(Amplitudes(1.0 + 0j, 0j))
-        assert c.s == 1.0 and c.n == 1.0
-        assert c.theta == 0.0 and not c.theta_defined
+        d = derived(Amplitudes(1.0 + 0j, 0j))
+        assert d["s"][0] == 1.0 and d["n"][0] == 1.0
+        assert d["theta"][0] == 0.0
 
     def test_pure_molecular(self):
-        c = canonical_from_amplitudes(Amplitudes(0j, 1.0 / math.sqrt(2) + 0j))
-        assert c.s == pytest.approx(-1.0, abs=1e-15)
-        assert c.n == pytest.approx(1.0, abs=1e-15)
-        assert c.theta == 0.0 and not c.theta_defined
+        d = derived(Amplitudes(0j, 1.0 / math.sqrt(2) + 0j))
+        assert d["s"][0] == pytest.approx(-1.0, abs=1e-15)
+        assert d["n"][0] == pytest.approx(1.0, abs=1e-15)
+        assert d["theta"][0] == 0.0
 
     def test_one_third_imbalance(self):
         # |a|^2 = 2/3, 2|b|^2 = 1/3: n = 1, S = 1/3, real phases
-        c = canonical_from_amplitudes(
+        d = derived(
             Amplitudes(math.sqrt(2.0 / 3.0) + 0j, math.sqrt(1.0 / 6.0) + 0j))
-        assert c.n == pytest.approx(1.0, abs=1e-15)
-        assert c.s == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert c.theta == 0.0 and c.theta_defined
+        assert d["n"][0] == pytest.approx(1.0, abs=1e-15)
+        assert d["s"][0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert d["p_atom"][0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert d["theta"][0] == 0.0
 
     def test_empty_state_degenerate(self):
-        c = canonical_from_amplitudes(Amplitudes(0j, 0j))
-        assert (c.s, c.theta, c.n) == (0.0, 0.0, 0.0)
-        assert not c.theta_defined
+        d = derived(Amplitudes(0j, 0j))
+        assert (d["s"][0], d["theta"][0], d["n"][0]) == (0.0, 0.0, 0.0)
+        assert d["p_atom"][0] == 0.0
 
     def test_theta_convention(self):
         a = 0.8 * cmath.exp(0.7j)
         b = 0.3 * cmath.exp(-1.1j)
-        c = canonical_from_amplitudes(Amplitudes(a, b))
-        assert c.theta == pytest.approx(wrap_angle(2 * 0.7 + 1.1), abs=1e-12)
+        d = derived(Amplitudes(a, b))
+        assert d["theta"][0] == pytest.approx(wrap_angle(2 * 0.7 + 1.1),
+                                              abs=1e-12)
 
     def test_inverse_trivial_poles(self):
         x = amplitudes_from_canonical(CanonicalState(1.0, 0.0, 1.0))
@@ -90,11 +97,10 @@ class TestCanonicalMap:
             n = rng.uniform(0.05, 3.0)
             theta_a = rng.uniform(-10.0, 10.0)
             c0 = CanonicalState(s=s, theta=theta, n=n)
-            c1 = canonical_from_amplitudes(
-                amplitudes_from_canonical(c0, theta_a=theta_a))
-            assert c1.s == pytest.approx(s, abs=1e-12)
-            assert c1.n == pytest.approx(n, abs=1e-12)
-            dth = abs(c1.theta - c0.theta)
+            d = derived(amplitudes_from_canonical(c0, theta_a=theta_a))
+            assert d["s"][0] == pytest.approx(s, abs=1e-12)
+            assert d["n"][0] == pytest.approx(n, abs=1e-12)
+            dth = abs(d["theta"][0] - c0.theta)
             assert min(dth, 2.0 * math.pi - dth) < 1e-12
 
     def test_state_validation(self):
@@ -102,31 +108,40 @@ class TestCanonicalMap:
             CanonicalState(1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             CanonicalState(0.0, 0.0, -1.0)
+        for theta, n in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                         (0.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                CanonicalState(0.0, theta, n)
 
 
 class TestBlochVector:
     def test_north_pole(self):
-        h = bloch_vector(Amplitudes(1.0 + 0j, 0j))
-        assert (h.hx, h.hy, h.hz) == (0.0, 0.0, 1.0)
+        d = derived(Amplitudes(1.0 + 0j, 0j))
+        assert (d["hx"][0], d["hy"][0], d["hz"][0]) == (0.0, 0.0, 1.0)
 
     def test_south_pole(self):
-        h = bloch_vector(Amplitudes(0j, 1.0 / math.sqrt(2) + 0j))
-        assert h.hx == 0.0 and h.hy == 0.0
-        assert h.hz == pytest.approx(-1.0, abs=1e-15)
+        d = derived(Amplitudes(0j, 1.0 / math.sqrt(2) + 0j))
+        assert d["hx"][0] == 0.0 and d["hy"][0] == 0.0
+        assert d["hz"][0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_intermediate_point(self):
-        h = bloch_vector(Amplitudes(math.sqrt(2.0 / 3.0) + 0j,
-                                    math.sqrt(1.0 / 6.0) + 0j))
-        assert h.hx == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), abs=1e-14)
-        assert h.hy == 0.0
-        assert h.hz == pytest.approx(1.0 / 3.0, abs=1e-14)
+        d = derived(Amplitudes(math.sqrt(2.0 / 3.0) + 0j,
+                               math.sqrt(1.0 / 6.0) + 0j))
+        assert d["hx"][0] == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)),
+                                           abs=1e-14)
+        assert d["hy"][0] == 0.0
+        assert d["hz"][0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_surface_constraint(self):
+        # tear-drop surface: hx^2 + hy^2 = (n + hz)^2 (n - hz) / 2
         rng = np.random.default_rng(7)
         for _ in range(200):
             x = random_amplitudes(rng)
-            h = bloch_vector(x)
-            assert abs(h.surface_defect(x.n)) < 1e-12 * max(1.0, x.n ** 3)
+            d = derived(x)
+            n, hz = d["n"][0], d["hz"][0]
+            defect = d["hx"][0] ** 2 + d["hy"][0] ** 2 \
+                - 0.5 * (n + hz) ** 2 * (n - hz)
+            assert abs(defect) < 1e-12 * max(1.0, x.n ** 3)
 
 
 class TestGpRhs:

@@ -181,6 +181,24 @@ class TestTraceBoundaries:
         assert counts[0] > 20
         assert counts[1] > counts[0]
 
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_refine_tol_must_be_finite_and_positive(self, refine_tol):
+        rmap = scan_plane(resolution=3, gamma=0.0)
+        with pytest.raises(ValueError, match="refine_tol"):
+            trace_boundaries(rmap, refine_tol=refine_tol)
+
+    def test_bisection_stops_when_the_segment_cannot_shrink(self):
+        # 1e-300 is below the float spacing of the grid: bisection must
+        # halt when the midpoint rounds to an end, on the same point
+        rmap = scan_plane(c_range=(0.0, 0.25), r_range=(0.2, 1.2),
+                          resolution=(3, 5), gamma=0.0)
+        fine = trace_boundaries(rmap, refine_tol=1e-12)
+        finest = trace_boundaries(rmap, refine_tol=1e-300)
+        assert fine and len(finest) == len(fine)
+        for a, b in zip(fine, finest):
+            assert a.labels == b.labels
+            assert np.abs(a.points - b.points).max() < 1e-12
+
     def test_existence_curve_is_the_threshold_locus(self):
         curves = boundary_fp_existence_curve(OMEGA)
         assert curves
