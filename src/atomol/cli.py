@@ -13,6 +13,7 @@ underflow or step budget), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -166,11 +167,10 @@ def _resolve(args) -> dict:
             raise ConfigError(
                 f"manifest records command {manifest['command']!r}, "
                 f"not {args.command!r}")
-        file_values = dict(manifest["parameters"])
-        if "sweep.betas" in file_values:
-            file_values["sweep.betas"] = [float(v) for v in file_values["sweep.betas"]]
-        if "sweep.gammas" in file_values:
-            file_values["sweep.gammas"] = [float(v) for v in file_values["sweep.gammas"]]
+        file_values = {}
+        for flat_key, raw in manifest["parameters"].items():
+            section, _, key = flat_key.partition(".")
+            file_values[flat_key] = aio._parse_value(section, key, raw)
     elif getattr(args, "config", None):
         file_values = aio.load_config(args.config)
     return aio.resolve_config(file_values, _collect_overrides(args))
@@ -213,9 +213,11 @@ def cmd_evolve(resolved, outdir, fmt):
     a0_sq = resolved["initial.a0_sq"]
     if not 0.0 <= a0_sq <= 1.0:
         raise ConfigError(f"[initial] a0_sq must be in [0, 1], got {a0_sq}")
+    theta0 = resolved["initial.theta0"]
+    if not math.isfinite(theta0):
+        raise ConfigError("[initial] theta0 must be finite")
     x0 = amplitudes_from_canonical(
-        CanonicalState(s=2.0 * a0_sq - 1.0, theta=resolved["initial.theta0"],
-                       n=1.0))
+        CanonicalState(s=2.0 * a0_sq - 1.0, theta=theta0, n=1.0))
     tr = evolve(x0, p, _integrator_config(resolved))
     header = ["t", "re_a", "im_a", "re_b", "im_b", "n", "s", "theta",
               "hx", "hy", "hz", "energy"]

@@ -66,10 +66,6 @@ class SweepProtocol:
             return self.t_span
         return 2.0 * self.r_max / abs(self.beta)
 
-    @property
-    def r_start(self) -> float:
-        return -self.beta * self.duration / 2.0
-
     def r_at(self, t: float) -> float:
         return self.beta * (t - self.duration / 2.0)
 

@@ -11,11 +11,12 @@ sin^2 + cos^2 = 1 leaves a real cubic in S,
 
 Interior fixed points are the validated real roots in (-1, 1); a
 boundary family lives at S = -1 with theta = arccos(-sqrt2 (C+R)/Omega).
-Roots come from companion-matrix eigenvalues (with explicit degree
-reduction when the leading coefficient vanishes), are polished by
-safeguarded Newton refinement, and every candidate is re-verified
-against the raw vector field, which rejects the spurious roots
-introduced by the squaring step.
+The closed-form critical points split the real line into pieces on
+which the cubic is monotone; a critical point where it vanishes is a
+double root, and each piece with a sign change holds one simple root,
+found by Newton steps kept inside the shrinking bracket.  Every
+candidate is re-verified against the raw vector field, which rejects
+the spurious roots introduced by the squaring step.
 
 Stability follows from the 2x2 Jacobian of the flow.  Its trace equals
 2 Gamma S identically, so any non-saddle fixed point is a repeller when
@@ -58,9 +59,6 @@ class CubicCoefficients:
     c1: float
     c0: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c3, self.c2, self.c1, self.c0])
-
     def evaluate(self, s):
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
 
@@ -96,23 +94,6 @@ def cubic_coefficients(q: ReducedParams) -> CubicCoefficients:
     )
 
 
-def _newton_polish(cc: CubicCoefficients, x: float, iters: int = 50) -> float:
-    """Plain Newton refinement of a simple real root."""
-    best, best_val = x, abs(cc.evaluate(x))
-    for _ in range(iters):
-        d = cc.derivative(x)
-        if d == 0.0:
-            break
-        step = cc.evaluate(x) / d
-        x -= step
-        val = abs(cc.evaluate(x))
-        if val < best_val:
-            best, best_val = x, val
-        if abs(step) < 1e-16 * max(1.0, abs(x)):
-            break
-    return best
-
-
 def _critical_points(cc: CubicCoefficients) -> list[float]:
     """Real roots of the cubic's derivative (closed form)."""
     a, b, c = 3.0 * cc.c3, 2.0 * cc.c2, cc.c1
@@ -131,59 +112,72 @@ def _critical_points(cc: CubicCoefficients) -> list[float]:
     return out
 
 
-def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
-    """Real roots of the cubic with multiplicities.
+def _bracketed_root(cc: CubicCoefficients, lo: float, hi: float,
+                    p_lo: float) -> float:
+    """The simple root of a cubic that is monotone on [lo, hi].
 
-    Companion-matrix eigenvalues (or closed-form after explicit degree
-    reduction when c3 vanishes), Newton-polished; double roots are
-    relocated to the critical point of the polynomial, where refinement
-    is well conditioned.
+    p_lo is the value at lo and the value at hi has the opposite sign.
+    Newton steps that would leave the shrinking bracket are replaced by
+    bisection; the iterate with the smallest |p| is returned.
     """
-    coeffs = cc.as_array()
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
+    x = 0.5 * (lo + hi)
+    best, best_val = x, math.inf
+    while True:
+        p = cc.evaluate(x)
+        if abs(p) < best_val:
+            best, best_val = x, abs(p)
+        if p == 0.0:
+            break
+        if (p < 0.0) == (p_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        d = cc.derivative(x)
+        newton = x - p / d if d != 0.0 else math.nan
+        if newton == x:
+            break  # the Newton step is below the last bit
+        if lo < newton < hi:
+            x = newton
+        else:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # the bracket cannot shrink
+    return best
+
+
+def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
+    """Real roots of the cubic with multiplicities, in ascending order.
+
+    Leading coefficients below 1e-14 of the largest are dropped.  The
+    critical points split the line into pieces on which the polynomial
+    is monotone; the outer pieces end at the Cauchy bound.  A critical
+    point where p vanishes against its largest term is a double root,
+    and every piece whose ends have strictly opposite signs holds one
+    simple root (_bracketed_root).
+    """
+    coeffs = [cc.c3, cc.c2, cc.c1, cc.c0]
+    scale = max(abs(c) for c in coeffs)
+    lead = next((k for k in range(3) if abs(coeffs[k]) > 1e-14 * scale), None)
+    if lead is None:
         return []
-
-    if abs(cc.c3) <= 1e-14 * scale:
-        # degree reduction instead of dividing by a tiny leading term
-        a, b, c = cc.c2, cc.c1, cc.c0
-        if abs(a) <= 1e-14 * scale:
-            if abs(b) <= 1e-14 * scale:
-                return []
-            return [(-c / b, 1)]
-        disc = b * b - 4.0 * a * c
-        crit = -b / (2.0 * a)
-        if disc < 0.0:
-            return []
-        tol_d = 1e-14 * max(b * b, abs(4.0 * a * c))
-        if disc <= tol_d:
-            return [(crit, 2)]
-        root = math.sqrt(disc)
-        qf = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else 0.5 * root
-        roots = sorted([qf / a, c / qf])
-        return [(r, 1) for r in roots]
-
-    raw = np.roots(coeffs)
-    candidates = [float(z.real) for z in raw
-                  if abs(z.imag) <= 1e-6 * (1.0 + abs(z.real))]
-    polished = [_newton_polish(cc, x) for x in candidates]
-
-    # double roots: |p| and |p'| both vanish at a critical point
-    doubles = []
-    for x in _critical_points(cc):
+    coeffs[:lead] = [0.0] * lead
+    cc = CubicCoefficients(*coeffs)
+    bound = 1.0 + max(abs(c / coeffs[lead]) for c in coeffs[lead + 1:])
+    xs = [-bound, *sorted(x for x in _critical_points(cc) if -bound < x < bound),
+          bound]
+    ps = [cc.evaluate(x) for x in xs]
+    for k in range(1, len(xs) - 1):
+        x = xs[k]
         local = max(abs(cc.c3 * x ** 3), abs(cc.c2 * x ** 2),
-                    abs(cc.c1 * x), abs(cc.c0), 1e-300)
-        if abs(cc.evaluate(x)) <= 1e-10 * local:
-            doubles.append(x)
-
-    roots: list[tuple[float, int]] = [(x, 2) for x in doubles]
-    for x in polished:
-        if any(abs(x - d) <= 1e-5 * (1.0 + abs(d)) for d in doubles):
-            continue
-        if any(abs(x - r) <= 1e-9 * (1.0 + abs(r)) for r, _ in roots):
-            continue
-        roots.append((x, 1))
-    roots.sort(key=lambda rm: rm[0])
+                    abs(cc.c1 * x), abs(cc.c0))
+        if abs(ps[k]) <= 1e-10 * local:
+            ps[k] = 0.0  # double root at a critical point
+    roots: list[tuple[float, int]] = []
+    for k in range(1, len(xs)):
+        if ps[k - 1] < 0.0 < ps[k] or ps[k] < 0.0 < ps[k - 1]:
+            roots.append((_bracketed_root(cc, xs[k - 1], xs[k], ps[k - 1]), 1))
+        if ps[k] == 0.0:
+            roots.append((xs[k], 2))
     return roots
 
 

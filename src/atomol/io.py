@@ -32,22 +32,10 @@ def _float_list(text):
     return [float(p) for p in parts if p]
 
 
-def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
-    t = str(text).strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 _PARSERS = {
     "float": float,
     "int": int,
     "str": str,
-    "bool": _parse_bool,
     "floatlist": _float_list,
 }
 
@@ -253,7 +241,11 @@ def load_manifest(path) -> dict:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {path} is not a JSON object")
     for field in ("command", "parameters"):
         if field not in manifest:
             raise ConfigError(f"manifest {path} missing field {field!r}")
+    if not isinstance(manifest["parameters"], dict):
+        raise ConfigError(f"manifest {path}: parameters is not an object")
     return manifest

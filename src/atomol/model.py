@@ -161,16 +161,6 @@ class Amplitudes:
     a: complex
     b: complex
 
-    @property
-    def n(self) -> float:
-        """Particle number |a|^2 + 2|b|^2."""
-        return abs(self.a) ** 2 + 2.0 * abs(self.b) ** 2
-
-    @property
-    def z(self) -> float:
-        """Raw population difference |a|^2 - 2|b|^2."""
-        return abs(self.a) ** 2 - 2.0 * abs(self.b) ** 2
-
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b], dtype=complex)
 

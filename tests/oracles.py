@@ -1,10 +1,11 @@
 """Independent numerical oracles shared by the test suite.
 
 These deliberately avoid the code paths they check: roots come from
-sign-change bisection instead of the companion matrix, fixed points
-from a grid scan of the raw vector field polished by plain Newton, the
-fixed-point cubic from a second algebraic route, and the loss threshold
-from bisection on the cubic instead of its closed form.
+sign-change bisection on a fixed grid instead of the critical-point
+brackets of real_cubic_roots, fixed points from a grid scan of the raw
+vector field polished by plain Newton, the fixed-point cubic from a
+second algebraic route, and the loss threshold from bisection on the
+cubic instead of its closed form.
 """
 
 import math

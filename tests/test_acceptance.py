@@ -158,12 +158,12 @@ def test_criterion_07_root_finder_oracle_equivalence():
         q = ReducedParams(c=rng.uniform(-3, 3), omega=rng.uniform(0.2, 3),
                           r=rng.uniform(-2, 2), gamma=rng.uniform(-2.5, 2.5))
         cc = cubic_coefficients(q)
-        companion = real_cubic_roots(cc)
+        bracketed = real_cubic_roots(cc)
         oracle = bisect_roots(cc.evaluate, lo=-1.25, hi=1.25, n_grid=801)
         for s_ref in oracle:
-            assert min(abs(s_ref - s) for s, _ in companion) < 1e-8
+            assert min(abs(s_ref - s) for s, _ in bracketed) < 1e-8
         deriv_scale = max(abs(3 * cc.c3), abs(2 * cc.c2), abs(cc.c1), 1e-30)
-        for s, _ in companion:
+        for s, _ in bracketed:
             if not -1.25 < s < 1.25:
                 continue
             if abs(cc.derivative(s)) < 1e-3 * deriv_scale:
@@ -186,9 +186,9 @@ def test_criterion_07_root_finder_oracle_equivalence():
                                float(angle_distance(t_f, p.theta)))
                     for p in reported)
             assert d < 1e-3
-    report(7, "companion roots match bisection to 1e-8 on 1000 draws; "
-              "residuals < 1e-9; 400x400 grid scan finds no unreported "
-              "fixed point")
+    report(7, "bracketed Newton roots match bisection to 1e-8 on 1000 "
+              "draws; residuals < 1e-9; 400x400 grid scan finds no "
+              "unreported fixed point")
 
 
 def test_criterion_08_regime_three_shrinkage():

@@ -328,7 +328,7 @@ class TestExitCodes:
         (["trap", "--atol", "inf"], "atol"),
         (["portrait", "--omega", "inf"], "omega"),
         (["regimes", "--omega", "nan"], "omega"),
-        (["evolve", "--theta0", "nan"], "theta"),
+        (["evolve", "--theta0", "nan"], "theta0"),
         (["trap", "--theta0", "inf"], "theta0"),
         (["trap", "--u", "nan"], "u"),
         (["trap", "--gamma", "inf"], "gamma_minus"),
@@ -346,6 +346,24 @@ class TestExitCodes:
         assert rc == 2
         assert f"{field} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("document, name", [
+        ({"command": "fixed-points", "parameters": {"reduced.c": "abc"}},
+         "[reduced] c"),
+        ({"command": "fixed-points", "parameters": {"reduced.c": None}},
+         "[reduced] c"),
+        ({"command": "fixed-points", "parameters": [1.0, 2.0]},
+         "parameters"),
+        (5, "not a JSON object"),
+    ])
+    def test_bad_manifest_is_2(self, tmp_path, capsys, document, name):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(document))
+        rc = main(["fixed-points", "--from-manifest", str(manifest),
+                   "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert name in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_refine_tol_is_2(self, tmp_path, capsys, value):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from atomol.fixed_points import (
     ATTRACTOR_KINDS,
+    CubicCoefficients,
     KIND_CENTER,
     KIND_SADDLE,
     REPELLER_KINDS,
@@ -30,6 +33,16 @@ from oracles import (
 )
 
 SQRT6 = math.sqrt(6.0)
+
+# deterministic and without an example database, so the suite is replayable
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+# roots on a 1/1024 grid in [-1.25, 1.25]: with an integer leading
+# coefficient every product below is exact, so the cubic built from them
+# has exactly these roots
+DYADIC_ROOT = st.integers(-1280, 1280).map(lambda i: i / 1024.0)
+LEADING = st.integers(1, 100).map(float)
 
 
 def random_reduced(rng, gamma_scale=2.0):
@@ -74,6 +87,66 @@ class TestCubicCoefficients:
             derived = eliminated_phase_polynomial(q, s)
             scale = np.maximum(1.0, np.abs(direct))
             assert np.max(np.abs(direct - derived) / scale) < 1e-10
+
+
+def from_roots(k, r1, r2, r3):
+    """k (s - r1)(s - r2)(s - r3), expanded."""
+    return CubicCoefficients(c3=k, c2=-k * (r1 + r2 + r3),
+                             c1=k * (r1 * r2 + r1 * r3 + r2 * r3),
+                             c0=-k * r1 * r2 * r3)
+
+
+class TestRealCubicRoots:
+    @PROPERTY
+    @given(LEADING, st.lists(DYADIC_ROOT, min_size=3, max_size=3,
+                             unique=True).map(sorted)
+           .filter(lambda r: min(r[1] - r[0], r[2] - r[1]) > 1e-3))
+    @example(100.0, [-1.1220703125, -1.1201171875, -1.109375])
+    def test_three_simple_roots(self, k, roots):
+        cc = from_roots(k, *roots)
+        found = real_cubic_roots(cc)
+        assert [m for _, m in found] == [1, 1, 1]
+        assert [s for s, _ in found] == sorted(s for s, _ in found)
+        for (s, _), r in zip(found, roots):
+            # evaluating p has a rounding error up to 4 eps times the sum of
+            # its term magnitudes; next to a root that error moves the
+            # iterate by its size over |p'(r)|
+            horner = 4.0 * 2.0 ** -52 * (abs(cc.c3 * r ** 3) + abs(cc.c2 * r * r)
+                                         + abs(cc.c1 * r) + abs(cc.c0))
+            assert abs(s - r) <= 1e-12 * (1.0 + abs(r)) \
+                + horner / abs(cc.derivative(r))
+
+    @PROPERTY
+    @given(LEADING, DYADIC_ROOT, DYADIC_ROOT)
+    def test_double_root(self, k, a, b):
+        assume(abs(a - b) > 1e-2)  # near a triple root the fold test is blind
+        found = real_cubic_roots(from_roots(k, a, a, b))
+        assert sorted(found) == found
+        assert [m for _, m in found] == ([2, 1] if a < b else [1, 2])
+        (s_a,) = [s for s, m in found if m == 2]
+        (s_b,) = [s for s, m in found if m == 1]
+        assert s_a == pytest.approx(a, abs=1e-12 * (1.0 + abs(a)))
+        assert s_b == pytest.approx(b, abs=1e-12 * (1.0 + abs(b)))
+
+    @PROPERTY
+    @given(st.floats(0.2, 3.0),
+           st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01)))
+    def test_degree_two_on_the_no_coupling_no_loss_line(self, omega, r):
+        # C = Gamma = 0: 4 Om^2 (1 - 3S)^2 = 64 R^2 (1 - S), a quadratic
+        cc = cubic_coefficients(ReducedParams(c=0.0, omega=omega, r=r,
+                                              gamma=0.0))
+        assert cc.c3 == 0.0
+        found = real_cubic_roots(cc)
+        if r == 0.0:
+            assert found == [(pytest.approx(1.0 / 3.0, abs=1e-15), 2)]
+            return
+        # discriminant c1^2 - 4 c2 c0 in closed form, free of cancellation
+        disc = 1024.0 * r * r * (6.0 * omega ** 2 + 4.0 * r * r)
+        q = -0.5 * (cc.c1 + math.copysign(math.sqrt(disc), cc.c1))
+        expected = sorted([q / cc.c2, cc.c0 / q])
+        assert [m for _, m in found] == [1, 1]
+        for (s, _), e in zip(found, expected):
+            assert s == pytest.approx(e, abs=1e-12 * (1.0 + abs(e)))
 
 
 class TestInteriorFixedPoints:

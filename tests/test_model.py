@@ -141,7 +141,7 @@ class TestBlochVector:
             n, hz = d["n"][0], d["hz"][0]
             defect = d["hx"][0] ** 2 + d["hy"][0] ** 2 \
                 - 0.5 * (n + hz) ** 2 * (n - hz)
-            assert abs(defect) < 1e-12 * max(1.0, x.n ** 3)
+            assert abs(defect) < 1e-12 * max(1.0, n ** 3)
 
 
 class TestGpRhs:
@@ -178,8 +178,10 @@ class TestGpRhs:
             da, db = gp_deriv(x.a, x.b, p.v, p.u, p.r, p.gamma_a,
                               p.gamma_b)
             dn = 2.0 * (x.a.conjugate() * da).real + 4.0 * (x.b.conjugate() * db).real
-            s = x.z / x.n
-            expected = -(p.gamma_plus + p.gamma_minus * s) * x.n
+            pa, pb = abs(x.a) ** 2, abs(x.b) ** 2
+            n = pa + 2.0 * pb
+            s = (pa - 2.0 * pb) / n
+            expected = -(p.gamma_plus + p.gamma_minus * s) * n
             assert dn == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
 
     def test_invalid_params(self):
@@ -294,7 +296,7 @@ class TestUnitNormFlow:
                                      rng.normal(), rng.normal())
             dn = 2.0 * (x.a.conjugate() * da).real + 4.0 * (x.b.conjugate() * db).real
             # counterterm is built for n = 1; scale-invariant check there
-            n = x.n
+            n = abs(x.a) ** 2 + 2.0 * abs(x.b) ** 2
             xa, xb = x.a / math.sqrt(n), x.b / math.sqrt(n)
             da, db = unit_norm_deriv(xa, xb, 1.1, 0.9, -0.4, 0.8)
             dn = 2.0 * (xa.conjugate() * da).real + 4.0 * (xb.conjugate() * db).real
