@@ -344,6 +344,10 @@ def cmd_trap(resolved, outdir, fmt):
 
 
 def cmd_portrait(resolved, outdir, fmt):
+    for key in ("n_s", "n_theta"):
+        value = resolved[f"portrait.{key}"]
+        if value < 1:
+            raise ConfigError(f"[portrait] {key} must be >= 1, got {value}")
     q = _reduced_params(resolved)
     cfg = _integrator_config(resolved, t_final=resolved["portrait.t_span"])
     grid = default_ic_grid(n_s=resolved["portrait.n_s"],

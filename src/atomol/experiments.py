@@ -12,6 +12,7 @@ available through the integrator for comparison runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -120,18 +121,31 @@ def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
 
     if callable(r_of_t):
         def f(t, y):
-            da, db = unit_norm_deriv(y[0], y[1], c, omega, r_of_t(t), gamma)
-            return np.array([da, db])
+            return unit_norm_deriv(y[0], y[1], c, omega, r_of_t(t), gamma)
     else:
         r_const = float(r_of_t)
 
         def f(t, y):
-            da, db = unit_norm_deriv(y[0], y[1], c, omega, r_const, gamma)
-            return np.array([da, db])
+            return unit_norm_deriv(y[0], y[1], c, omega, r_const, gamma)
 
-    y0 = np.array([a0, b0], dtype=complex)
-    times, states, _ = _solve(f, 0.0, y0, replace(cfg, t_final=t_final))
+    times, states, _ = _solve(f, 0.0, (complex(a0), complex(b0)),
+                              replace(cfg, t_final=t_final))
     return times, states
+
+
+@functools.lru_cache(maxsize=1024)
+def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
+                         gamma: float, cfg: IntegratorConfig) -> float:
+    """w = |b(T)|^2 / n(T) of one sweep from the pure atomic mode.
+
+    Memoised on its frozen arguments, so the zero-loss baseline is
+    integrated once per protocol however many rates share it.
+    """
+    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol.r_at,
+                               protocol.duration, cfg)
+    a, b = states[-1]
+    n = abs(a) ** 2 + 2.0 * abs(b) ** 2
+    return float(abs(b) ** 2 / n)
 
 
 def sweep_conversion(protocol: SweepProtocol, p: Params,
@@ -143,24 +157,16 @@ def sweep_conversion(protocol: SweepProtocol, p: Params,
     relative rate Gamma = p.gamma_minus only (the unit-norm convention
     keeps the total rate out of the normalized efficiency).  The
     baseline run repeats the identical protocol with both loss rates
-    zero; m is None when the baseline efficiency is below 1e-12.
+    zero; m is None when the baseline efficiency is below 1e-12.  Runs
+    are memoised, so the baseline of a protocol is integrated once.
     """
     gamma = p.gamma_minus
-    t_final = protocol.duration
-
-    def terminal_w(gm: float) -> float:
-        _, states = _run_unit_norm(1.0 + 0j, 0j, p.u, p.v, gm,
-                                   protocol.r_at, t_final, cfg)
-        a, b = states[-1]
-        n = abs(a) ** 2 + 2.0 * abs(b) ** 2
-        return float(abs(b) ** 2 / n)
-
-    w = terminal_w(gamma)
+    w = _terminal_efficiency(protocol, p.u, p.v, gamma, cfg)
     if p.gamma_a == 0.0 and p.gamma_b == 0.0:
         w_baseline = w
         m = 0.0
     else:
-        w_baseline = terminal_w(0.0)
+        w_baseline = _terminal_efficiency(protocol, p.u, p.v, 0.0, cfg)
         m = (w - w_baseline) / w_baseline if w_baseline > MIN_BASELINE_W else None
     return EfficiencyReport(w=w, m=m, beta=protocol.beta, gamma=gamma,
                             w_baseline=w_baseline)

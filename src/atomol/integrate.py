@@ -6,6 +6,17 @@ proportional step-size control (default), and a fixed-step classical
 float arithmetic with no hidden state, so identical inputs give
 bit-identical trajectories on the same build.
 
+A state is a tuple of Python floats or complex numbers, and a
+right-hand side f(t, y) gets that tuple and returns a sequence of the
+same length (the tuples of the model's *_deriv functions).  The steppers
+combine stages component by component in the order of the vector form
+(y + h * (a21 * k1) and so on), so the trajectories keep the bits they
+had when the states were numpy arrays.  One numpy call remains per
+attempted step: the error norm takes every magnitude from a single
+np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
+and Python's abs(complex) can differ in the last bit, and that bit
+steers the step-size controller.
+
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
 over the singularity.
@@ -110,34 +121,75 @@ class PoleEvent:
     theta: float
 
 
-def _rk45_step(f, t, y, h, k1=None):
-    """One Dormand-Prince step.
+def _nan_state(y):
+    """NaN in every component, complex NaN where the state is complex.
 
-    Returns the 5th-order state, the error vector, and the last stage
-    derivative (first-same-as-last: reusable as k1 of the next step).
+    Stands for the inf/NaN a numpy scalar gave where a Python float
+    power raises OverflowError.
     """
-    if k1 is None:
-        k1 = f(t, y)
-    k2 = f(t + _C2 * h, y + h * (_A21 * k1))
-    k3 = f(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = f(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = f(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = f(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                           + _A64 * k4 + _A65 * k5))
-    y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = f(t + h, y_new)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    return tuple([math.nan * yi for yi in y])
+
+
+def _rk45_step(f, t, y, h, k1=None):
+    """One Dormand-Prince step on a tuple state.
+
+    Returns the 5th-order state, the error components, and the last
+    stage derivative (first-same-as-last: reusable as k1 of the next
+    step).  A right-hand side that overflows a float power gives a NaN
+    step, which the step controller rejects.
+    """
+    try:
+        if k1 is None:
+            k1 = f(t, y)
+        k2 = f(t + _C2 * h, tuple([yi + h * (_A21 * a)
+                                   for yi, a in zip(y, k1)]))
+        k3 = f(t + _C3 * h, tuple([yi + h * (_A31 * a + _A32 * b)
+                                   for yi, a, b in zip(y, k1, k2)]))
+        k4 = f(t + _C4 * h, tuple([yi + h * (_A41 * a + _A42 * b + _A43 * c)
+                                   for yi, a, b, c in zip(y, k1, k2, k3)]))
+        k5 = f(t + _C5 * h, tuple([
+            yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+        k6 = f(t + h, tuple([
+            yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+        y_new = tuple([
+            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+            for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+        k7 = f(t + h, y_new)
+    except OverflowError:
+        nan = _nan_state(y)
+        return nan, nan, nan
+    err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+           for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
     return y_new, err, k7
 
 
 def _error_norm(err, y, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratio = np.abs(err) / scale
-        if not np.all(np.isfinite(ratio)):
+    """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
+
+    The magnitudes come from one np.abs call on the packed components
+    (see the module docstring); the squares are summed left to right,
+    as numpy sums a short array, so the norm keeps its bits.
+    """
+    n = len(y)
+    mags = np.abs(np.array([*err, *y, *y_new])).tolist()
+    total = 0.0
+    for e, a, b in zip(mags[:n], mags[n:2 * n], mags[2 * n:]):
+        # a NaN magnitude or a zero scale made numpy's ratio non-finite
+        scale = atol + rtol * (a if a >= b else b)
+        if a != a or not scale > 0.0:
             return math.inf
-        norm = float(np.sqrt(np.mean(ratio ** 2)))
-    return norm if math.isfinite(norm) else math.inf
+        ratio = e / scale
+        if not math.isfinite(ratio):
+            return math.inf
+        total += ratio * ratio
+    return math.sqrt(total / n)
+
+
+def _as_state(y0):
+    """Initial state as a tuple of Python floats or complex numbers."""
+    return tuple(np.asarray(y0).tolist())
 
 
 def _initial_step(f, t0, y0, rtol, atol, t_final):
@@ -155,24 +207,26 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
     return min(h0, 0.1 * (t_final - t0))
 
 
-def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
+def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    rtol: float = 1e-11, atol: float = 1e-11,
                    record_every: int = 1,
                    event: Optional[Callable] = None):
     """Integrate dy/dt = f(t, y) with the embedded 4(5) pair.
 
-    event, when given, is a scalar function g(t, y); integration halts at
-    the first accepted step with g >= 0, with the crossing localized by
-    bisection on the step size.  Returns (times, states, event_state)
-    where event_state is None or the (t, y) pair at the halt.
+    f(t, y) gets the state as a tuple and returns a sequence of its
+    derivatives.  event, when given, is a scalar function g(t, y);
+    integration halts at the first accepted step with g >= 0, with the
+    crossing localized by bisection on the step size.  Returns
+    (times, states, event_state) where event_state is None or the
+    (t, y) pair at the halt.
 
     Raises StepUnderflowError when no acceptable step size remains and
     StepBudgetError after MAX_STEPS attempted steps.
     """
-    y = np.array(y0, copy=True)
+    y = _as_state(y0)
     t = t0
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     h = _initial_step(f, t0, y, rtol, atol, t_final)
     attempted = 0
     accepted = 0
@@ -196,9 +250,9 @@ def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
         # step accepted
         if event is not None and event(t + h, y_new) >= 0.0:
             t, y = _locate_event(f, event, t, y, h)
-            event_state = (t, y.copy())
+            event_state = (t, y)
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             break
         t += h
         y = y_new
@@ -206,7 +260,7 @@ def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
         accepted += 1
         if accepted % record_every == 0 or t >= t_final:
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -215,7 +269,7 @@ def solve_adaptive(f: Callable, t0: float, y0: np.ndarray, t_final: float,
 
     if times[-1] != t:
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
     return np.array(times), np.array(states), event_state
 
 
@@ -235,43 +289,51 @@ def _locate_event(f, event, t, y, h):
     return t + lo, y_lo
 
 
-def solve_fixed(f: Callable, t0: float, y0: np.ndarray, t_final: float,
+def _rk4_step(f, t, y, h):
+    """One classical 4th-order step on a tuple state (NaN on overflow)."""
+    try:
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
+        k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
+        k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
+    except OverflowError:
+        return _nan_state(y)
+    return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+
+
+def solve_fixed(f: Callable, t0: float, y0, t_final: float,
                 dt: float, record_every: int = 1,
                 event: Optional[Callable] = None):
     """Classical fixed-step 4th-order integration on a uniform grid.
 
-    Raises StepBudgetError, before any step, when the grid would need
-    more than MAX_STEPS steps.
+    f follows the solve_adaptive contract.  Raises StepBudgetError,
+    before any step, when the grid would need more than MAX_STEPS steps.
     """
     span = (t_final - t0) / dt - 1e-12
     if not span <= MAX_STEPS:
         raise StepBudgetError(f"step budget of {MAX_STEPS} steps exceeded: "
                               f"t_final/dt needs {span:.6g} steps")
     n_steps = max(1, int(math.ceil(span)))
-    y = np.array(y0, copy=True)
+    y = _as_state(y0)
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     event_state = None
     t = t0
     for i in range(n_steps):
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
-        h = t_next - t
-        k1 = np.asarray(f(t, y))
-        k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(f(t + h, y + h * k3))
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y_new = _rk4_step(f, t, y, t_next - t)
         if event is not None and event(t_next, y_new) >= 0.0:
-            event_state = (t, y.copy())
+            event_state = (t, y)
             break
         t = t_next
         y = y_new
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
     if times[-1] != t:
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
     return np.array(times), np.array(states), event_state
 
 
@@ -336,10 +398,9 @@ def evolve(x0: Amplitudes, p: Params,
     v, u, r, ga, gb = p.v, p.u, p.r, p.gamma_a, p.gamma_b
 
     def f(t, y):
-        da, db = gp_deriv(y[0], y[1], v, u, r, ga, gb)
-        return np.array([da, db])
+        return gp_deriv(y[0], y[1], v, u, r, ga, gb)
 
-    times, states, _ = _solve(f, 0.0, x0.as_array(), cfg)
+    times, states, _ = _solve(f, 0.0, (complex(x0.a), complex(x0.b)), cfg)
     return Trajectory(times=times, states=states, params=p)
 
 
@@ -349,19 +410,16 @@ def _guarded_reduced_f(c, omega, r, gamma):
     Values at or past S = 1 yield NaN, which the step controller treats
     as a rejected step; the event guard halts before the pole itself.
     """
-    nan_pair = np.array([math.nan, math.nan])
-
     def f(t, y):
         s = y[0]
         if s >= 1.0:
-            return nan_pair
-        ds, dtheta = reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
-        return np.array([ds, dtheta])
+            return math.nan, math.nan
+        return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
 
     return f
 
 
-def _solve_to_pole(f, y0: np.ndarray, cfg: IntegratorConfig, eps_pole: float):
+def _solve_to_pole(f, y0: tuple, cfg: IntegratorConfig, eps_pole: float):
     """Solve from y0 = (S, theta, ...) under the S = 1 pole guard.
 
     Returns (times, states, PoleEvent or None); S reaching 1 - eps_pole
@@ -392,7 +450,7 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     """
     f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
     times, states, event = _solve_to_pole(
-        f, np.array([s0, theta0], dtype=float), cfg, eps_pole)
+        f, (float(s0), float(theta0)), cfg, eps_pole)
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                              params=q, pole_event=event)
 
@@ -402,16 +460,14 @@ def evolve_canonical(c0: CanonicalState, p: Params,
                      eps_pole: float = EPS_POLE) -> CanonicalTrajectory:
     """Propagate (S, theta, n) with couplings floating with n."""
     v, u, r, gp, gm = p.v, p.u, p.r, p.gamma_plus, p.gamma_minus
-    nan3 = np.array([math.nan] * 3)
 
     def f(t, y):
         s, theta, n = y
         if s >= 1.0 or n < 0.0:
-            return nan3
-        return np.array(canonical_deriv(s, theta, n, v, u, r, gp, gm,
-                                        eps_pole=0.0))
+            return math.nan, math.nan, math.nan
+        return canonical_deriv(s, theta, n, v, u, r, gp, gm, eps_pole=0.0)
 
     times, states, event = _solve_to_pole(
-        f, np.array([c0.s, c0.theta, c0.n], dtype=float), cfg, eps_pole)
+        f, (float(c0.s), float(c0.theta), float(c0.n)), cfg, eps_pole)
     return CanonicalTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                                n=states[:, 2], params=p, pole_event=event)

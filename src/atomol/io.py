@@ -25,16 +25,32 @@ class ConfigError(Exception):
     """Invalid, unknown, or malformed configuration input."""
 
 
+def _float(raw):
+    # float(True) is 1.0: a JSON boolean is not a number
+    if isinstance(raw, bool):
+        raise ValueError("a boolean is not a number")
+    return float(raw)
+
+
+def _int(raw):
+    if isinstance(raw, bool):
+        raise ValueError("a boolean is not a number")
+    # int(21.9) truncates: a JSON number must be integral
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("not an integer")
+    return int(raw)
+
+
 def _float_list(text):
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+        return [_float(v) for v in text]
     parts = [p.strip() for p in str(text).split(",")]
     return [float(p) for p in parts if p]
 
 
 _PARSERS = {
-    "float": float,
-    "int": int,
+    "float": _float,
+    "int": _int,
     "str": str,
     "floatlist": _float_list,
 }

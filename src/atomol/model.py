@@ -161,9 +161,6 @@ class Amplitudes:
     a: complex
     b: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b], dtype=complex)
-
 
 @dataclass(frozen=True)
 class CanonicalState:

@@ -355,15 +355,44 @@ class TestExitCodes:
         ({"command": "fixed-points", "parameters": [1.0, 2.0]},
          "parameters"),
         (5, "not a JSON object"),
+        # int() would truncate 21.9 to 21 and run
+        ({"command": "regimes", "parameters": {"scan.resolution_c": 21.9}},
+         "[scan] resolution_c"),
+        ({"command": "regimes", "parameters": {"scan.resolution_r": True}},
+         "[scan] resolution_r"),
+        ({"command": "fixed-points", "parameters": {"reduced.c": False}},
+         "[reduced] c"),
+        ({"command": "sweep", "parameters": {"sweep.betas": [0.5, True]}},
+         "[sweep] betas"),
     ])
     def test_bad_manifest_is_2(self, tmp_path, capsys, document, name):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(document))
-        rc = main(["fixed-points", "--from-manifest", str(manifest),
+        command = (document["command"] if isinstance(document, dict)
+                   else "fixed-points")
+        rc = main([command, "--from-manifest", str(manifest),
                    "--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--n-theta", "-1"], "n_theta"),
+        (["--n-theta", "0"], "n_theta"),
+        (["--n-s", "0"], "n_s"),
+        (["--n-s", "-3", "--n-theta", "4"], "n_s"),
+    ])
+    def test_bad_portrait_grid_is_2(self, tmp_path, capsys, monkeypatch,
+                                    argv, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on an empty grid")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        rc = main(["portrait"] + argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"[portrait] {key} must be >= 1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_refine_tol_is_2(self, tmp_path, capsys, value):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from atomol import experiments, integrate
 from atomol.experiments import (
     SweepProtocol,
     oscillation_amplitude,
@@ -99,6 +100,27 @@ class TestSweepConversion:
             w_fwd = sweep_conversion(SweepProtocol(beta=0.3), p, FAST).w
             w_bwd = sweep_conversion(SweepProtocol(beta=-0.3), p, FAST).w
             assert abs(w_fwd - w_bwd) < 1e-6
+
+    def test_baseline_is_integrated_once_per_protocol(self, monkeypatch):
+        solve = integrate.solve_adaptive
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[0])
+            return solve(*args, **kwargs)
+
+        experiments._terminal_efficiency.cache_clear()
+        monkeypatch.setattr(integrate, "solve_adaptive", counting_solve)
+        pr = SweepProtocol(beta=1.0, r_max=2.0)
+        reports = [sweep_conversion(pr, params_from_gamma(gamma_minus=g),
+                                    FAST)
+                   for g in (-0.5, 0.0, 0.5)]
+        # one lossy run per nonzero rate plus one shared zero-loss run
+        assert len(solves) == 3
+        again = sweep_conversion(pr, params_from_gamma(gamma_minus=0.5), FAST)
+        assert len(solves) == 3
+        baselines = {r.w_baseline.hex() for r in reports + [again]}
+        assert baselines == {reports[1].w.hex()}
 
 
 class TestSelfTrapping:

@@ -1,5 +1,6 @@
 """Integrator: conservation, convergence, events, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,21 @@ from atomol.model import (
     effective_energy,
     params_from_gamma,
 )
+
+
+# sha256 of the recorded arrays (and the pole event, when one fires),
+# recorded with this numpy; see digest()
+DIGEST_NUMPY = "2.4.6"
+
+
+def digest(tr, names):
+    h = hashlib.sha256()
+    for name in names:
+        h.update(np.ascontiguousarray(getattr(tr, name)).tobytes())
+    ev = tr.pole_event
+    if ev is not None:
+        h.update(np.array([ev.time, ev.s, ev.theta]).tobytes())
+    return h.hexdigest()
 
 
 def state_on_shell(s, theta):
@@ -180,6 +196,41 @@ class TestReducedEvolve:
             evolve_reduced(1.0, 0.0, q)
 
 
+class TestTrajectoryDigests:
+    """Bit-for-bit guards of the paths no CLI fingerprint covers."""
+
+    @pytest.fixture(autouse=True)
+    def same_numpy(self):
+        if np.__version__ != DIGEST_NUMPY:
+            pytest.skip(f"digests recorded with numpy {DIGEST_NUMPY}, "
+                        f"installed {np.__version__}")
+
+    @pytest.mark.parametrize("p, s0, theta0, samples, pole, expected", [
+        (params_from_gamma(v=1.0, u=0.8, r=0.1, gamma_minus=0.3,
+                           gamma_plus=0.2), 0.4, 1.0, 321, False,
+         "31b3aa21d718a69a36aa92c6123903210095574bfdfc8bb86f86628c8b8f8272"),
+        # runs into the pole: event bisection on a 3-component state
+        (params_from_gamma(v=1.0, gamma_minus=-0.2, gamma_plus=0.1),
+         0.9, 3.0 * math.pi / 2.0, 86, True,
+         "28ccadc95e6299c118de89f891389959402d3dbd1fe9f8c5310a6615eaa3a23a"),
+    ])
+    def test_canonical_rk45(self, p, s0, theta0, samples, pole, expected):
+        tr = evolve_canonical(CanonicalState(s0, theta0, 1.0), p,
+                              IntegratorConfig(t_final=5.0))
+        assert (tr.pole_event is not None) == pole
+        assert len(tr.times) == samples
+        assert digest(tr, ("times", "s", "theta", "n")) == expected
+
+    def test_reduced_rk4_pole_event(self):
+        q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=2.0)
+        tr = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q, cfg, eps_pole=1e-3)
+        assert tr.pole_event is not None and tr.pole_event.time == 0.145
+        assert len(tr.times) == 146
+        assert digest(tr, ("times", "s", "theta")) == (
+            "223dbd20b4799e883446d5cf0510c61c2a72b0d51e64bb312d91aa22d154a42e")
+
+
 class TestCrossRepresentation:
     def test_zero_loss_amplitude_vs_reduced(self):
         # common fixed-step grid so the trajectories share sample times
@@ -209,11 +260,24 @@ class TestGenericSolvers:
     def test_step_underflow_reports_time(self):
         # finite-time blow-up: y' = y^2, y(0)=1 diverges at t = 1
         def f(t, y):
-            return y * y
+            return (y[0] * y[0],)
 
         with pytest.raises(StepUnderflowError) as err:
             solve_adaptive(f, 0.0, np.array([1.0]), 2.0, rtol=1e-10, atol=1e-10)
         assert 0.99 < err.value.time <= 1.01
+
+    def test_overflowing_rhs_is_a_nan_step(self):
+        # a float power raises OverflowError where a numpy scalar gave
+        # inf: the adaptive trial step is rejected and the fixed-step
+        # state turns NaN, as before, instead of the error escaping
+        def f(t, y):
+            return (y[0] ** 9,)
+
+        with pytest.raises(StepUnderflowError):
+            solve_adaptive(f, 0.0, (1.0,), 10.0, rtol=1e-3, atol=1e-3)
+        _, states, _ = solve_fixed(lambda t, y: (y[0] ** 3,), 0.0, (1.0,),
+                                   5.0, 1.0)
+        assert np.isnan(states[-1, 0])
 
     def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
         def f(t, y):
@@ -226,7 +290,7 @@ class TestGenericSolvers:
         with pytest.raises(StepBudgetError):
             solve_fixed(f, 0.0, np.array([1.0]), 1.0, 0.09)
         # exactly MAX_STEPS steps is within the budget
-        times, _, _ = solve_fixed(lambda t, y: -y, 0.0, np.array([1.0]),
+        times, _, _ = solve_fixed(lambda t, y: (-y[0],), 0.0, np.array([1.0]),
                                   1.0, 0.1)
         assert len(times) == 11
 
@@ -235,7 +299,7 @@ class TestGenericSolvers:
 
         def f(t, y):
             calls.append(t)
-            return -y
+            return (-y[0],)
 
         monkeypatch.setattr(integrate, "MAX_STEPS", 50)
         with pytest.raises(StepBudgetError):
@@ -244,7 +308,7 @@ class TestGenericSolvers:
         assert len(calls) <= 1 + 7 * 50
 
     def test_fixed_step_grid(self):
-        times, states, _ = solve_fixed(lambda t, y: -y, 0.0,
+        times, states, _ = solve_fixed(lambda t, y: (-y[0],), 0.0,
                                        np.array([1.0]), 1.0, 0.1)
         assert times[-1] == 1.0
         assert len(times) == 11
