@@ -15,6 +15,7 @@ from .model import (
     Amplitudes,
     BareParams,
     CanonicalState,
+    NumericalError,
     Params,
     PoleError,
     ReducedParams,
@@ -63,9 +64,10 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    "Amplitudes", "BareParams", "CanonicalState", "Params", "PoleError",
-    "ReducedParams", "amplitudes_from_canonical", "derived_quantities",
-    "effective_energy", "params_from_gamma", "reduce_bare_params",
+    "Amplitudes", "BareParams", "CanonicalState", "NumericalError", "Params",
+    "PoleError", "ReducedParams", "amplitudes_from_canonical",
+    "derived_quantities", "effective_energy", "params_from_gamma",
+    "reduce_bare_params",
     "IntegratorConfig", "PoleEvent", "StepBudgetError", "StepUnderflowError",
     "Trajectory",
     "evolve", "evolve_canonical", "evolve_reduced",

@@ -6,8 +6,8 @@ resolved parameter set; rerunning with --from-manifest reproduces the
 data files byte for byte.  Flags mirror config keys and override the
 config file.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (step-size
-underflow or step budget), 4 I/O error.
+Exit codes: 0 success, 2 config error (bad input only), 3 numerical
+failure (model.NumericalError), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .experiments import (
     sweep_conversion,
 )
 from .fixed_points import all_fixed_points
-from .integrate import (IntegratorConfig, StepBudgetError,
-                        StepUnderflowError, evolve)
+from .integrate import IntegratorConfig, evolve
 from .io import ConfigError
-from .model import CanonicalState, Params, ReducedParams, \
+from .model import CanonicalState, NumericalError, Params, ReducedParams, \
     amplitudes_from_canonical
 from .regimes import (_check_refine_tol, boundary_fp_existence_curve,
                       scan_plane, trace_boundaries)
@@ -402,7 +401,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StepUnderflowError, StepBudgetError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -21,6 +21,10 @@ the spurious roots introduced by the squaring step.
 Stability follows from the 2x2 Jacobian of the flow.  Its trace equals
 2 Gamma S identically, so any non-saddle fixed point is a repeller when
 Gamma and S share a sign and an attractor when they differ.
+
+The census runs once per scan cell, on Python floats only; jacobian,
+eigenvalues_2x2 and classify wrap its float core (_jacobian_entries,
+_spectrum) for numpy 2x2 arrays, so they give the bits of the census.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS_POLE, ReducedParams, angle_distance, reduced_deriv, wrap_angle
+from .model import EPS_POLE, TWO_PI, ReducedParams, reduced_deriv
 
 KIND_CENTER = "center"
 KIND_SPIRAL_ATTRACTOR = "spiral-attractor"
@@ -94,9 +98,9 @@ def cubic_coefficients(q: ReducedParams) -> CubicCoefficients:
     )
 
 
-def _critical_points(cc: CubicCoefficients) -> list[float]:
+def _critical_points(c3: float, c2: float, c1: float) -> list[float]:
     """Real roots of the cubic's derivative (closed form)."""
-    a, b, c = 3.0 * cc.c3, 2.0 * cc.c2, cc.c1
+    a, b, c = 3.0 * c3, 2.0 * c2, c1
     if a == 0.0:
         return [] if b == 0.0 else [-c / b]
     disc = b * b - 4.0 * a * c
@@ -104,35 +108,33 @@ def _critical_points(cc: CubicCoefficients) -> list[float]:
         return []
     root = math.sqrt(disc)
     qf = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else 0.5 * root
-    out = []
-    if qf != 0.0:
-        out.extend([qf / a, c / qf])
-    else:
-        out.append(0.0)
-    return out
+    return [qf / a, c / qf] if qf != 0.0 else [0.0]
 
 
-def _bracketed_root(cc: CubicCoefficients, lo: float, hi: float,
-                    p_lo: float) -> float:
+def _bracketed_root(c3: float, c2: float, c1: float, c0: float,
+                    lo: float, hi: float, p_lo: float) -> float:
     """The simple root of a cubic that is monotone on [lo, hi].
 
     p_lo is the value at lo and the value at hi has the opposite sign.
     Newton steps that would leave the shrinking bracket are replaced by
     bisection; the iterate with the smallest |p| is returned.
     """
+    d3, d2 = 3.0 * c3, 2.0 * c2
     x = 0.5 * (lo + hi)
     best, best_val = x, math.inf
+    lo_negative = p_lo < 0.0
     while True:
-        p = cc.evaluate(x)
-        if abs(p) < best_val:
-            best, best_val = x, abs(p)
+        p = ((c3 * x + c2) * x + c1) * x + c0
+        size = abs(p)
+        if size < best_val:
+            best, best_val = x, size
         if p == 0.0:
             break
-        if (p < 0.0) == (p_lo < 0.0):
+        if (p < 0.0) == lo_negative:
             lo = x
         else:
             hi = x
-        d = cc.derivative(x)
+        d = (d3 * x + d2) * x + c1
         newton = x - p / d if d != 0.0 else math.nan
         if newton == x:
             break  # the Newton step is below the last bit
@@ -155,66 +157,54 @@ def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
     and every piece whose ends have strictly opposite signs holds one
     simple root (_bracketed_root).
     """
-    coeffs = [cc.c3, cc.c2, cc.c1, cc.c0]
-    scale = max(abs(c) for c in coeffs)
+    coeffs = (cc.c3, cc.c2, cc.c1, cc.c0)
+    scale = max(map(abs, coeffs))
     lead = next((k for k in range(3) if abs(coeffs[k]) > 1e-14 * scale), None)
     if lead is None:
         return []
-    coeffs[:lead] = [0.0] * lead
-    cc = CubicCoefficients(*coeffs)
+    c3, c2, c1, c0 = (0.0,) * lead + coeffs[lead:]
     bound = 1.0 + max(abs(c / coeffs[lead]) for c in coeffs[lead + 1:])
-    xs = [-bound, *sorted(x for x in _critical_points(cc) if -bound < x < bound),
-          bound]
-    ps = [cc.evaluate(x) for x in xs]
+    xs = [-bound, *sorted(x for x in _critical_points(c3, c2, c1)
+                          if -bound < x < bound), bound]
+    ps = [((c3 * x + c2) * x + c1) * x + c0 for x in xs]
     for k in range(1, len(xs) - 1):
         x = xs[k]
-        local = max(abs(cc.c3 * x ** 3), abs(cc.c2 * x ** 2),
-                    abs(cc.c1 * x), abs(cc.c0))
+        local = max(abs(c3 * x ** 3), abs(c2 * x ** 2), abs(c1 * x), abs(c0))
         if abs(ps[k]) <= 1e-10 * local:
             ps[k] = 0.0  # double root at a critical point
     roots: list[tuple[float, int]] = []
     for k in range(1, len(xs)):
         if ps[k - 1] < 0.0 < ps[k] or ps[k] < 0.0 < ps[k - 1]:
-            roots.append((_bracketed_root(cc, xs[k - 1], xs[k], ps[k - 1]), 1))
+            roots.append((_bracketed_root(c3, c2, c1, c0, xs[k - 1], xs[k],
+                                          ps[k - 1]), 1))
         if ps[k] == 0.0:
             roots.append((xs[k], 2))
     return roots
 
 
-def jacobian(s: float, theta: float, q: ReducedParams,
-             eps_pole: float = EPS_POLE) -> np.ndarray:
-    """Analytic Jacobian of the reduced flow at (s, theta).
-
-    Satisfies trace(J) = 2*Gamma*S identically: the theta-dependent
-    parts of dSdot/dS and dthetadot/dtheta cancel exactly.
-    """
+def _jacobian_entries(s: float, theta: float, q: ReducedParams,
+                      eps_pole: float = EPS_POLE):
+    """Entries (j11, j12, j21, j22) of the Jacobian; j11 + j22 = 2 Gamma S."""
     if s >= 1.0 - eps_pole:
         raise ValueError(f"jacobian evaluated too close to the S = 1 pole: {s}")
     root = math.sqrt(1.0 - s)
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     shear = q.omega * (1.0 - 3.0 * s) / root
-    j11 = -shear * sin_t + 2.0 * q.gamma * s
-    j12 = -2.0 * q.omega * (1.0 + s) * root * cos_t
-    j21 = 4.0 * q.c + q.omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root ** 3)
-    j22 = shear * sin_t
-    return np.array([[j11, j12], [j21, j22]])
+    return (-shear * sin_t + 2.0 * q.gamma * s,
+            -2.0 * q.omega * (1.0 + s) * root * cos_t,
+            4.0 * q.c + q.omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root ** 3),
+            shear * sin_t)
 
 
-def eigenvalues_2x2(j: np.ndarray) -> tuple[complex, complex]:
-    """Closed-form eigenvalues of a real 2x2 matrix."""
-    tr = j[0, 0] + j[1, 1]
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    disc = 0.25 * tr * tr - det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        return complex(0.5 * tr + root), complex(0.5 * tr - root)
-    root = math.sqrt(-disc)
-    return complex(0.5 * tr, root), complex(0.5 * tr, -root)
+def jacobian(s: float, theta: float, q: ReducedParams,
+             eps_pole: float = EPS_POLE) -> np.ndarray:
+    """Analytic Jacobian of the reduced flow at (s, theta), a 2x2 array."""
+    return np.array(_jacobian_entries(s, theta, q, eps_pole)).reshape(2, 2)
 
 
-def classify(j: np.ndarray, tol: float = 1e-9) -> str:
-    """Stability class from the Jacobian eigenvalues.
+def _spectrum(j11, j12, j21, j22, tol=1e-9):
+    """Closed-form eigenvalues of [[j11, j12], [j21, j22]] and their class.
 
     tol is scaled by the eigenvalue magnitude.  Both real parts below
     -tol give an attractor, both above +tol a repeller (node or spiral
@@ -222,21 +212,41 @@ def classify(j: np.ndarray, tol: float = 1e-9) -> str:
     vanishing real parts with rotation a center.  A doubly degenerate
     spectrum is reported as indeterminate.
     """
-    lam1, lam2 = eigenvalues_2x2(j)
-    t = tol * max(1.0, abs(lam1), abs(lam2))
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
+    disc = 0.25 * tr * tr - det
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        lam1, lam2 = complex(0.5 * tr + root), complex(0.5 * tr - root)
+    else:
+        root = math.sqrt(-disc)
+        lam1, lam2 = complex(0.5 * tr, root), complex(0.5 * tr, -root)
+    lams = (lam1, lam2)
+    size1, size2 = abs(lam1), abs(lam2)
+    t = tol * max(1.0, size1, size2)
     re1, re2 = lam1.real, lam2.real
     spiral = abs(lam1.imag) > t
-    if abs(lam1) <= t and abs(lam2) <= t:
-        return KIND_INDETERMINATE
+    if size1 <= t and size2 <= t:
+        return lams, KIND_INDETERMINATE
     if re1 < -t and re2 < -t:
-        return KIND_SPIRAL_ATTRACTOR if spiral else KIND_NODE_ATTRACTOR
+        return lams, KIND_SPIRAL_ATTRACTOR if spiral else KIND_NODE_ATTRACTOR
     if re1 > t and re2 > t:
-        return KIND_SPIRAL_REPELLER if spiral else KIND_NODE_REPELLER
+        return lams, KIND_SPIRAL_REPELLER if spiral else KIND_NODE_REPELLER
     if (re1 > t and re2 < -t) or (re1 < -t and re2 > t):
-        return KIND_SADDLE
+        return lams, KIND_SADDLE
     if abs(re1) <= t and abs(re2) <= t and spiral:
-        return KIND_CENTER
-    return KIND_INDETERMINATE
+        return lams, KIND_CENTER
+    return lams, KIND_INDETERMINATE
+
+
+def eigenvalues_2x2(j: np.ndarray) -> tuple[complex, complex]:
+    """Closed-form eigenvalues of a real 2x2 matrix."""
+    return _spectrum(*j.ravel())[0]
+
+
+def classify(j: np.ndarray, tol: float = 1e-9) -> str:
+    """Stability class from the Jacobian eigenvalues (see _spectrum)."""
+    return _spectrum(*j.ravel(), tol)[1]
 
 
 def residual(s: float, theta: float, q: ReducedParams) -> float:
@@ -246,37 +256,36 @@ def residual(s: float, theta: float, q: ReducedParams) -> float:
     return max(abs(ds), abs(dtheta))
 
 
-def _polish_point(s: float, theta: float, q: ReducedParams,
-                  iters: int = 20) -> tuple[float, float]:
-    """Safeguarded 2D Newton refinement on the raw vector field."""
-    best = (s, theta)
-    best_res = residual(s, theta, q)
-    for _ in range(iters):
+def _polish_point(s: float, theta: float, q: ReducedParams):
+    """Safeguarded 2D Newton on the raw vector field: (s, theta, residual)."""
+    ds_dt, dth_dt = reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma,
+                                  eps_pole=0.0)
+    best_s, best_t = s, theta
+    best_res = max(abs(ds_dt), abs(dth_dt))
+    for _ in range(20):
         if best_res < 1e-14:
             break
         try:
-            j = jacobian(s, theta, q, eps_pole=1e-14)
+            j11, j12, j21, j22 = _jacobian_entries(s, theta, q, eps_pole=1e-14)
         except ValueError:
             break
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        norm = max(abs(j).max(), 1e-300)
+        det = j11 * j22 - j12 * j21
+        norm = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
         if abs(det) < 1e-12 * norm * norm:
             break
-        ds_dt, dth_dt = reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma,
-                                      eps_pole=0.0)
-        step_s = (j[1, 1] * ds_dt - j[0, 1] * dth_dt) / det
-        step_t = (-j[1, 0] * ds_dt + j[0, 0] * dth_dt) / det
-        s_new = s - step_s
-        t_new = theta - step_t
+        s_new = s - (j22 * ds_dt - j12 * dth_dt) / det
+        t_new = theta - (-j21 * ds_dt + j11 * dth_dt) / det
         if not -1.0 < s_new < 1.0 - 1e-14:
             break
-        res = residual(s_new, t_new, q)
+        ds_dt, dth_dt = reduced_deriv(s_new, t_new, q.c, q.omega, q.r,
+                                      q.gamma, eps_pole=0.0)
+        res = max(abs(ds_dt), abs(dth_dt))
         s, theta = s_new, t_new
         if res < best_res:
-            best, best_res = (s, theta), res
+            best_s, best_t, best_res = s, theta, res
         else:
             break
-    return best
+    return best_s, best_t, best_res
 
 
 def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
@@ -328,21 +337,18 @@ def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
         else:
             candidates = [math.atan2(sin_c, inhom / coef)]
         for theta_c in candidates:
-            s_fp, theta_fp = _polish_point(s_root, theta_c, q)
-            res = residual(s_fp, theta_fp, q)
+            s_fp, theta_fp, res = _polish_point(s_root, theta_c, q)
             if res >= RESIDUAL_TOL:
                 continue
-            theta_fp = float(wrap_angle(theta_fp))
+            theta_fp %= TWO_PI
             if any(abs(p.s - s_fp) < 1e-7
-                   and angle_distance(p.theta, theta_fp) < 1e-7
+                   and min(d := abs(p.theta - theta_fp) % TWO_PI,
+                           TWO_PI - d) < 1e-7
                    for p in points):
                 continue
-            j = jacobian(s_fp, theta_fp, q)
-            points.append(FixedPoint(
-                s=s_fp, theta=theta_fp, kind=classify(j),
-                eigenvalues=eigenvalues_2x2(j), residual=res,
-                on_boundary=False, multiplicity=mult,
-            ))
+            eigenvalues, kind = _spectrum(*_jacobian_entries(s_fp, theta_fp, q))
+            points.append(FixedPoint(s_fp, theta_fp, kind, eigenvalues, res,
+                                     multiplicity=mult))
     points.sort(key=lambda p: (p.s, p.theta))
     for s_root, sin_c in folds:
         n_here = sum(1 for p in points if abs(p.s - s_root) < 1e-6)
@@ -381,9 +387,8 @@ def boundary_fixed_point(q: ReducedParams) -> FixedPoint | None:
     if abs(x) > 1.0:
         return None
     theta = math.acos(x)
-    j = jacobian(-1.0, theta, q)
-    return FixedPoint(s=-1.0, theta=theta, kind=classify(j),
-                      eigenvalues=eigenvalues_2x2(j),
+    eigenvalues, kind = _spectrum(*_jacobian_entries(-1.0, theta, q))
+    return FixedPoint(s=-1.0, theta=theta, kind=kind, eigenvalues=eigenvalues,
                       residual=residual(-1.0, theta, q), on_boundary=True)
 
 
@@ -391,9 +396,7 @@ def all_fixed_points(q: ReducedParams) -> list[FixedPoint]:
     """Interior points plus the boundary point when present."""
     points = interior_fixed_points(q)
     bfp = boundary_fixed_point(q)
-    if bfp is not None:
-        points.append(bfp)
-    return points
+    return points + ([bfp] if bfp is not None else [])
 
 
 def threshold_gamma(c: float, r: float, omega: float) -> float | None:

@@ -24,6 +24,7 @@ over the singularity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -34,6 +35,7 @@ from .model import (
     EPS_POLE,
     Amplitudes,
     CanonicalState,
+    NumericalError,
     Params,
     ReducedParams,
     canonical_deriv,
@@ -64,7 +66,7 @@ _MAX_FACTOR = 5.0
 MAX_STEPS = 10 ** 6
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(NumericalError):
     """Adaptive stepper could not meet the tolerance at any step size."""
 
     def __init__(self, time: float):
@@ -72,7 +74,7 @@ class StepUnderflowError(RuntimeError):
         self.time = time
 
 
-class StepBudgetError(RuntimeError):
+class StepBudgetError(NumericalError):
     """A solve needs more than MAX_STEPS steps."""
 
 
@@ -124,8 +126,8 @@ class PoleEvent:
 def _nan_state(y):
     """NaN in every component, complex NaN where the state is complex.
 
-    Stands for the inf/NaN a numpy scalar gave where a Python float
-    power raises OverflowError.
+    Stands for the inf/NaN numpy gives where Python float arithmetic
+    raises (OverflowError from a power, ValueError from math.sin(inf)).
     """
     return tuple([math.nan * yi for yi in y])
 
@@ -135,8 +137,8 @@ def _rk45_step(f, t, y, h, k1=None):
 
     Returns the 5th-order state, the error components, and the last
     stage derivative (first-same-as-last: reusable as k1 of the next
-    step).  A right-hand side that overflows a float power gives a NaN
-    step, which the step controller rejects.
+    step).  A right-hand side that overflows or leaves the domain of a
+    math function gives a NaN step, which the step controller rejects.
     """
     try:
         if k1 is None:
@@ -157,7 +159,7 @@ def _rk45_step(f, t, y, h, k1=None):
             yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
         k7 = f(t + h, y_new)
-    except OverflowError:
+    except (OverflowError, ValueError):
         nan = _nan_state(y)
         return nan, nan, nan
     err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
@@ -290,13 +292,13 @@ def _locate_event(f, event, t, y, h):
 
 
 def _rk4_step(f, t, y, h):
-    """One classical 4th-order step on a tuple state (NaN on overflow)."""
+    """One classical 4th-order step on a tuple state (NaN: see _rk45_step)."""
     try:
         k1 = f(t, y)
         k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
         k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
         k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
-    except OverflowError:
+    except (OverflowError, ValueError):
         return _nan_state(y)
     return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
@@ -307,8 +309,10 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
                 event: Optional[Callable] = None):
     """Classical fixed-step 4th-order integration on a uniform grid.
 
-    f follows the solve_adaptive contract.  Raises StepBudgetError,
-    before any step, when the grid would need more than MAX_STEPS steps.
+    f follows the solve_adaptive contract.  A fixed step cannot be
+    rejected, so with an event a non-finite trial state counts as a
+    crossing.  Raises StepBudgetError, before any step, when the grid
+    would need more than MAX_STEPS steps.
     """
     span = (t_final - t0) / dt - 1e-12
     if not span <= MAX_STEPS:
@@ -323,7 +327,8 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     for i in range(n_steps):
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
         y_new = _rk4_step(f, t, y, t_next - t)
-        if event is not None and event(t_next, y_new) >= 0.0:
+        if event is not None and (not all(map(cmath.isfinite, y_new))
+                                  or event(t_next, y_new) >= 0.0):
             event_state = (t, y)
             break
         t = t_next
@@ -404,21 +409,6 @@ def evolve(x0: Amplitudes, p: Params,
     return Trajectory(times=times, states=states, params=p)
 
 
-def _guarded_reduced_f(c, omega, r, gamma):
-    """Reduced RHS safe for trial stages that overshoot the pole.
-
-    Values at or past S = 1 yield NaN, which the step controller treats
-    as a rejected step; the event guard halts before the pole itself.
-    """
-    def f(t, y):
-        s = y[0]
-        if s >= 1.0:
-            return math.nan, math.nan
-        return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
-
-    return f
-
-
 def _solve_to_pole(f, y0: tuple, cfg: IntegratorConfig, eps_pole: float):
     """Solve from y0 = (S, theta, ...) under the S = 1 pole guard.
 
@@ -446,9 +436,16 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     """Propagate the autonomous reduced flow from (s0, theta0).
 
     Halts with a pole event (recorded, not fatal) if S reaches
-    1 - eps_pole.
+    1 - eps_pole; a trial stage at or past S = 1 is a NaN state.
     """
-    f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
+    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
+
+    def f(t, y):
+        s = y[0]
+        if s >= 1.0:
+            return math.nan, math.nan
+        return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
+
     times, states, event = _solve_to_pole(
         f, (float(s0), float(theta0)), cfg, eps_pole)
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],

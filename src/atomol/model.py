@@ -43,19 +43,17 @@ EPS_POLE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-class PoleError(ValueError):
+class NumericalError(ArithmeticError):
+    """A computation left the range where it is defined (not bad input)."""
+
+
+class PoleError(NumericalError):
     """Reduced-flow evaluation requested too close to the S = 1 pole."""
 
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or array) into [0, 2*pi)."""
     return np.mod(theta, TWO_PI)
-
-
-def angle_distance(t1, t2):
-    """Shortest angular distance between two angles."""
-    d = np.mod(np.abs(np.asarray(t1) - np.asarray(t2)), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ import math
 import numpy as np
 
 from atomol.fixed_points import cubic_coefficients, jacobian
-from atomol.model import ReducedParams, reduced_deriv
+from atomol.model import TWO_PI, PoleError, ReducedParams, reduced_deriv
+
+
+def angle_distance(t1, t2):
+    """Shortest angular distance between two angles (scalars or arrays)."""
+    d = np.mod(np.abs(np.asarray(t1) - np.asarray(t2)), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
 
 
 def eliminated_phase_polynomial(q, s):
@@ -97,7 +103,7 @@ def newton_2d(q, s, theta, iters=40):
         try:
             f = reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma,
                               eps_pole=0.0)
-        except ValueError:
+        except (PoleError, ValueError):
             return None
         if max(abs(f[0]), abs(f[1])) < 1e-10:
             return s, theta

@@ -288,6 +288,21 @@ class TestPortraitCommand:
         fp_header, fp_rows = read_csv(out / "fixed_points.csv")
         assert len(fp_rows) >= 2
 
+    def test_rk4_portrait_stops_at_the_pole(self, tmp_path):
+        ini = tmp_path / "rk4.ini"
+        ini.write_text("[integrator]\nmethod = rk4\n")
+        out = tmp_path / "out"
+        rc = main(["portrait", "--n-s", "3", "--n-theta", "4", "--t-span", "5",
+                   "--config", str(ini), "--output", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out / "portrait.csv")
+        assert rows and all(math.isfinite(x) for row in rows
+                            for x in map(float, row))
+        summary = json.loads((out / "portrait_summary.json").read_text())
+        events = [e for e in summary["pole_events"] if e is not None]
+        assert len(events) == 3
+        assert all(e["s"] > 0.999 for e in events)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -303,6 +318,15 @@ class TestExitCodes:
                    "--atol", "1e-300", "--u", "2.0", "--a0-sq", "0.6",
                    "--output", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_overflow_mid_solve_is_3(self, tmp_path, capsys):
+        # the phase overflows inside a solve and math.sin raises a
+        # domain error: a numerical failure, not a config error
+        rc = main(["portrait", "--omega", "1e300", "--r", "1e300",
+                   "--gamma", "1e-12", "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "numerical failure" in err and "config error" not in err
 
     def test_io_error_is_4(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -1,5 +1,6 @@
 """Fixed points: cubic, phase recovery, Jacobian, stability, thresholds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,19 +14,24 @@ from atomol.fixed_points import (
     KIND_CENTER,
     KIND_SADDLE,
     REPELLER_KINDS,
+    RESIDUAL_TOL,
     all_fixed_points,
     boundary_fixed_point,
     classify,
     cubic_coefficients,
+    eigenvalues_2x2,
+    interior_census,
     interior_fixed_points,
     jacobian,
     real_cubic_roots,
     residual,
     threshold_gamma,
 )
-from atomol.model import ReducedParams, angle_distance, reduced_deriv
+from atomol.model import ReducedParams, reduced_deriv
+from atomol.regimes import classify_regime
 
 from oracles import (
+    angle_distance,
     bisect_roots,
     eliminated_phase_polynomial,
     newton_survey,
@@ -43,6 +49,15 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
 # has exactly these roots
 DYADIC_ROOT = st.integers(-1280, 1280).map(lambda i: i / 1024.0)
 LEADING = st.integers(1, 100).map(float)
+
+# the parameter box of random_reduced, with the Gamma range of the census
+REDUCED = st.builds(ReducedParams, c=st.floats(-3.0, 3.0),
+                    omega=st.floats(0.2, 3.0), r=st.floats(-2.0, 2.0),
+                    gamma=st.floats(-2.5, 2.5))
+
+# time reversal (Gamma -> -Gamma, theta -> -theta) swaps these kinds
+REVERSED_KIND = dict(zip(ATTRACTOR_KINDS + REPELLER_KINDS,
+                         REPELLER_KINDS + ATTRACTOR_KINDS))
 
 
 def random_reduced(rng, gamma_scale=2.0):
@@ -251,6 +266,44 @@ class TestInteriorFixedPoints:
         assert pts[0].theta == pytest.approx(3.0 * math.pi / 2.0, abs=1e-6)
 
 
+class TestCensusProperties:
+    @PROPERTY
+    @given(REDUCED, st.floats(-1.0, 0.999), st.floats(0.0, 2.0 * math.pi))
+    def test_trace_identity(self, q, s, theta):
+        j = jacobian(s, theta, q)
+        assert abs(j[0, 0] + j[1, 1] - 2.0 * q.gamma * s) <= 1e-12 * (
+            1.0 + abs(j[0, 0]) + abs(j[1, 1]))
+
+    @PROPERTY
+    @given(REDUCED)
+    def test_every_point_passes_the_residual_gate(self, q):
+        for p in interior_census(q)[0]:
+            assert p.residual < RESIDUAL_TOL
+            assert residual(p.s, p.theta, q) < RESIDUAL_TOL
+
+    @PROPERTY
+    @given(REDUCED)
+    def test_spectrum_matches_the_public_wrappers(self, q):
+        for p in all_fixed_points(q):
+            j = jacobian(p.s, p.theta, q)
+            assert p.eigenvalues == eigenvalues_2x2(j)
+            assert p.kind == classify(j)
+
+    @PROPERTY
+    @given(REDUCED)
+    def test_time_reversal_mirrors_the_census(self, q):
+        # dS/dt and dtheta/dt both change sign under Gamma -> -Gamma,
+        # theta -> -theta: same S, negated phase, reversed stability
+        points = interior_census(q)[0]
+        mirrored = interior_census(ReducedParams(c=q.c, omega=q.omega, r=q.r,
+                                                 gamma=-q.gamma))[0]
+        assert len(mirrored) == len(points)
+        for p in points:
+            (m,) = [m for m in mirrored if abs(m.s - p.s) < 1e-9
+                    and angle_distance(m.theta, -p.theta) < 1e-9]
+            assert m.kind == REVERSED_KIND.get(p.kind, p.kind)
+
+
 class TestBoundaryFixedPoint:
     def test_neutral_location(self):
         fp = boundary_fixed_point(ReducedParams(c=0.0, omega=1.0, r=0.0,
@@ -451,3 +504,47 @@ class TestGridCompleteness:
             d = min(math.hypot(s_f - p.s, float(angle_distance(t_f, p.theta)))
                     for p in reported)
             assert d < 1e-3
+
+
+# sha256 of census_record over census_points, and the numpy build it was
+# recorded with (float results can move in the last bit with the build)
+CENSUS_SHA256 = "5aa9b8765941e111a8151922b565016c0467c23d5a56501cfb69abbf313102bf"
+CENSUS_NUMPY = "2.4.6"
+
+
+def census_points():
+    """3,000 random draws plus 41^2 grids of the default regimes window."""
+    rng = np.random.default_rng(2011)
+    points = [ReducedParams(c=rng.uniform(-3.0, 3.0), omega=rng.uniform(0.2, 3.0),
+                            r=rng.uniform(-2.0, 2.0), gamma=rng.uniform(-2.5, 2.5))
+              for _ in range(3000)]
+    for gamma in (0.0, 0.6, 1.2, math.sqrt(2.0), SQRT6, 2.5):
+        points += [ReducedParams(c=float(c), omega=1.0, r=float(r), gamma=gamma)
+                   for c in np.linspace(0.0, 3.0, 41)
+                   for r in np.linspace(-2.0, 2.0, 41)]
+    return points
+
+
+def census_record(q):
+    """Every bit the census reports at q, as text (floats in float.hex)."""
+    points, degenerate = interior_census(q)
+    bfp = boundary_fixed_point(q)
+    label = classify_regime(q)
+    lines = [f"{label.label} {label.n_interior} {label.has_boundary_fp} "
+             f"{','.join(label.kinds)} {degenerate}"]
+    for p in points + ([bfp] if bfp is not None else []):
+        eig = " ".join(x.hex() for ev in p.eigenvalues for x in (ev.real, ev.imag))
+        lines.append(f"{p.s.hex()} {p.theta.hex()} {p.kind} {eig} "
+                     f"{p.residual.hex()} {p.multiplicity} {p.on_boundary}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCensusDigest:
+    def test_census_keeps_every_bit(self):
+        if np.__version__ != CENSUS_NUMPY:
+            pytest.skip(f"census digest recorded with numpy {CENSUS_NUMPY}, "
+                        f"installed {np.__version__}")
+        digest = hashlib.sha256()
+        for q in census_points():
+            digest.update(census_record(q).encode())
+        assert digest.hexdigest() == CENSUS_SHA256

@@ -23,11 +23,12 @@ from atomol.model import (
     Params,
     ReducedParams,
     amplitudes_from_canonical,
-    angle_distance,
     derived_quantities,
     effective_energy,
     params_from_gamma,
 )
+
+from oracles import angle_distance
 
 
 # sha256 of the recorded arrays (and the pole event, when one fires),
@@ -195,6 +196,20 @@ class TestReducedEvolve:
         with pytest.raises(ValueError):
             evolve_reduced(1.0, 0.0, q)
 
+    def test_fixed_step_pole_event_matches_adaptive(self):
+        # an rk4 stage past S = 1 gives a NaN trial state; the fixed
+        # stepper cannot reject it, so it stops there with a pole event
+        q = ReducedParams()
+        dt = 1e-3
+        rk4 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
+                             IntegratorConfig(method="rk4", dt=dt, t_final=2.0))
+        rk45 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
+                              IntegratorConfig(t_final=2.0))
+        assert rk4.pole_event is not None and rk45.pole_event is not None
+        assert np.all(np.isfinite(rk4.s)) and np.all(np.isfinite(rk4.theta))
+        assert abs(rk4.pole_event.time - rk45.pole_event.time) <= dt
+        assert rk4.times[-1] == rk4.pole_event.time
+
 
 class TestTrajectoryDigests:
     """Bit-for-bit guards of the paths no CLI fingerprint covers."""
@@ -278,6 +293,19 @@ class TestGenericSolvers:
         _, states, _ = solve_fixed(lambda t, y: (y[0] ** 3,), 0.0, (1.0,),
                                    5.0, 1.0)
         assert np.isnan(states[-1, 0])
+
+    def test_fixed_step_non_finite_trial_is_an_event(self):
+        # with an event, the last finite state ends the solve; without
+        # one the NaN state is carried on
+        def f(t, y):
+            return (math.nan,) if y[0] > 2.5 else (1.0,)
+
+        times, states, hit = solve_fixed(f, 0.0, (0.0,), 10.0, 1.0,
+                                         event=lambda t, y: y[0] - 100.0)
+        assert hit == (2.0, (2.0,))
+        assert times[-1] == 2.0 and np.all(np.isfinite(states))
+        _, states, hit = solve_fixed(f, 0.0, (0.0,), 10.0, 1.0)
+        assert hit is None and np.isnan(states[-1, 0])
 
     def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
         def f(t, y):
