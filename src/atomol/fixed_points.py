@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS_POLE, TWO_PI, ReducedParams, reduced_deriv
+from .model import EPS_POLE, TWO_PI, ReducedParams, angle_distance, reduced_deriv
 
 KIND_CENTER = "center"
 KIND_SPIRAL_ATTRACTOR = "spiral-attractor"
@@ -108,7 +108,12 @@ def _critical_points(c3: float, c2: float, c1: float) -> list[float]:
         return []
     root = math.sqrt(disc)
     qf = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else 0.5 * root
-    return [qf / a, c / qf] if qf != 0.0 else [0.0]
+    out = []
+    if qf != 0.0:
+        out.extend([qf / a, c / qf])
+    else:
+        out.append(0.0)
+    return out
 
 
 def _bracketed_root(c3: float, c2: float, c1: float, c0: float,
@@ -191,15 +196,20 @@ def _jacobian_entries(s: float, theta: float, q: ReducedParams,
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     shear = q.omega * (1.0 - 3.0 * s) / root
-    return (-shear * sin_t + 2.0 * q.gamma * s,
-            -2.0 * q.omega * (1.0 + s) * root * cos_t,
-            4.0 * q.c + q.omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root ** 3),
-            shear * sin_t)
+    j11 = -shear * sin_t + 2.0 * q.gamma * s
+    j12 = -2.0 * q.omega * (1.0 + s) * root * cos_t
+    j21 = 4.0 * q.c + q.omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root ** 3)
+    j22 = shear * sin_t
+    return j11, j12, j21, j22
 
 
 def jacobian(s: float, theta: float, q: ReducedParams,
              eps_pole: float = EPS_POLE) -> np.ndarray:
-    """Analytic Jacobian of the reduced flow at (s, theta), a 2x2 array."""
+    """Analytic Jacobian of the reduced flow at (s, theta).
+
+    Satisfies trace(J) = 2*Gamma*S identically: the theta-dependent
+    parts of dSdot/dS and dthetadot/dtheta cancel exactly.
+    """
     return np.array(_jacobian_entries(s, theta, q, eps_pole)).reshape(2, 2)
 
 
@@ -342,13 +352,15 @@ def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
                 continue
             theta_fp %= TWO_PI
             if any(abs(p.s - s_fp) < 1e-7
-                   and min(d := abs(p.theta - theta_fp) % TWO_PI,
-                           TWO_PI - d) < 1e-7
+                   and angle_distance(p.theta, theta_fp) < 1e-7
                    for p in points):
                 continue
             eigenvalues, kind = _spectrum(*_jacobian_entries(s_fp, theta_fp, q))
-            points.append(FixedPoint(s_fp, theta_fp, kind, eigenvalues, res,
-                                     multiplicity=mult))
+            points.append(FixedPoint(
+                s=s_fp, theta=theta_fp, kind=kind,
+                eigenvalues=eigenvalues, residual=res,
+                on_boundary=False, multiplicity=mult,
+            ))
     points.sort(key=lambda p: (p.s, p.theta))
     for s_root, sin_c in folds:
         n_here = sum(1 for p in points if abs(p.s - s_root) < 1e-6)
@@ -396,7 +408,9 @@ def all_fixed_points(q: ReducedParams) -> list[FixedPoint]:
     """Interior points plus the boundary point when present."""
     points = interior_fixed_points(q)
     bfp = boundary_fixed_point(q)
-    return points + ([bfp] if bfp is not None else [])
+    if bfp is not None:
+        points.append(bfp)
+    return points
 
 
 def threshold_gamma(c: float, r: float, omega: float) -> float | None:

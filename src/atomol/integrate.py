@@ -24,7 +24,6 @@ over the singularity.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -78,6 +77,14 @@ class StepBudgetError(NumericalError):
     """A solve needs more than MAX_STEPS steps."""
 
 
+class _PastEvent(NumericalError):
+    """Raised by a right-hand side at a trial state past the event surface.
+
+    The adaptive solver rejects such a trial step; the fixed-step solver,
+    which cannot reject one, takes it as the event crossing.
+    """
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step control and recording settings.
@@ -126,8 +133,8 @@ class PoleEvent:
 def _nan_state(y):
     """NaN in every component, complex NaN where the state is complex.
 
-    Stands for the inf/NaN numpy gives where Python float arithmetic
-    raises (OverflowError from a power, ValueError from math.sin(inf)).
+    Stands for the inf/NaN a numpy scalar gave where a Python float
+    power raises OverflowError.
     """
     return tuple([math.nan * yi for yi in y])
 
@@ -137,8 +144,8 @@ def _rk45_step(f, t, y, h, k1=None):
 
     Returns the 5th-order state, the error components, and the last
     stage derivative (first-same-as-last: reusable as k1 of the next
-    step).  A right-hand side that overflows or leaves the domain of a
-    math function gives a NaN step, which the step controller rejects.
+    step).  A right-hand side that overflows a float power or raises
+    _PastEvent gives a NaN step, which the step controller rejects.
     """
     try:
         if k1 is None:
@@ -159,7 +166,7 @@ def _rk45_step(f, t, y, h, k1=None):
             yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
         k7 = f(t + h, y_new)
-    except (OverflowError, ValueError):
+    except (OverflowError, _PastEvent):
         nan = _nan_state(y)
         return nan, nan, nan
     err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
@@ -292,13 +299,13 @@ def _locate_event(f, event, t, y, h):
 
 
 def _rk4_step(f, t, y, h):
-    """One classical 4th-order step on a tuple state (NaN: see _rk45_step)."""
+    """One classical 4th-order step on a tuple state (NaN on overflow)."""
     try:
         k1 = f(t, y)
         k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
         k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
         k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
-    except (OverflowError, ValueError):
+    except OverflowError:
         return _nan_state(y)
     return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
@@ -310,9 +317,11 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     """Classical fixed-step 4th-order integration on a uniform grid.
 
     f follows the solve_adaptive contract.  A fixed step cannot be
-    rejected, so with an event a non-finite trial state counts as a
-    crossing.  Raises StepBudgetError, before any step, when the grid
-    would need more than MAX_STEPS steps.
+    rejected, so with an event a step whose stage f answers with
+    _PastEvent is the crossing, and a step to a state where the event
+    function is NaN, so the crossing cannot be told, raises
+    NumericalError.  Without an event a NaN state is carried on.  Raises StepBudgetError, before
+    any step, when the grid would need more than MAX_STEPS steps.
     """
     span = (t_final - t0) / dt - 1e-12
     if not span <= MAX_STEPS:
@@ -326,11 +335,20 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     t = t0
     for i in range(n_steps):
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
-        y_new = _rk4_step(f, t, y, t_next - t)
-        if event is not None and (not all(map(cmath.isfinite, y_new))
-                                  or event(t_next, y_new) >= 0.0):
-            event_state = (t, y)
-            break
+        try:
+            y_new = _rk4_step(f, t, y, t_next - t)
+        except _PastEvent:
+            if event is None:
+                raise
+            y_new = None
+        if event is not None:
+            g = 0.0 if y_new is None else event(t_next, y_new)
+            if g >= 0.0:
+                event_state = (t, y)
+                break
+            if math.isnan(g):
+                raise NumericalError(
+                    f"fixed step to t = {t_next!r} gave a non-finite state")
         t = t_next
         y = y_new
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
@@ -409,6 +427,26 @@ def evolve(x0: Amplitudes, p: Params,
     return Trajectory(times=times, states=states, params=p)
 
 
+def _guarded_reduced_f(c, omega, r, gamma):
+    """Reduced RHS safe for trial stages that overshoot the pole.
+
+    Values at or past S = 1 raise _PastEvent, a rejected step for the
+    adaptive solver and the crossing for the fixed-step one; the event
+    guard halts before the pole itself.  A phase that overflowed to inf
+    gives NaN, as the overflow itself would in numpy.
+    """
+    def f(t, y):
+        s = y[0]
+        if s >= 1.0:
+            raise _PastEvent
+        try:
+            return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
+
+    return f
+
+
 def _solve_to_pole(f, y0: tuple, cfg: IntegratorConfig, eps_pole: float):
     """Solve from y0 = (S, theta, ...) under the S = 1 pole guard.
 
@@ -436,16 +474,9 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     """Propagate the autonomous reduced flow from (s0, theta0).
 
     Halts with a pole event (recorded, not fatal) if S reaches
-    1 - eps_pole; a trial stage at or past S = 1 is a NaN state.
+    1 - eps_pole.
     """
-    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
-
-    def f(t, y):
-        s = y[0]
-        if s >= 1.0:
-            return math.nan, math.nan
-        return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
-
+    f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
     times, states, event = _solve_to_pole(
         f, (float(s0), float(theta0)), cfg, eps_pole)
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
@@ -460,9 +491,14 @@ def evolve_canonical(c0: CanonicalState, p: Params,
 
     def f(t, y):
         s, theta, n = y
-        if s >= 1.0 or n < 0.0:
+        if s >= 1.0:
+            raise _PastEvent
+        if n < 0.0:
             return math.nan, math.nan, math.nan
-        return canonical_deriv(s, theta, n, v, u, r, gp, gm, eps_pole=0.0)
+        try:
+            return canonical_deriv(s, theta, n, v, u, r, gp, gm, eps_pole=0.0)
+        except ValueError:  # math.sin(inf), as in _guarded_reduced_f
+            return math.nan, math.nan, math.nan
 
     times, states, event = _solve_to_pole(
         f, (float(c0.s), float(c0.theta), float(c0.n)), cfg, eps_pole)

@@ -56,6 +56,12 @@ def wrap_angle(theta):
     return np.mod(theta, TWO_PI)
 
 
+def angle_distance(t1, t2):
+    """Shortest angular distance between two angles."""
+    d = np.mod(np.abs(np.asarray(t1) - np.asarray(t2)), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
+
+
 @dataclass(frozen=True)
 class BareParams:
     """Single-mode energies and collision strengths, in units of V."""

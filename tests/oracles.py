@@ -13,13 +13,7 @@ import math
 import numpy as np
 
 from atomol.fixed_points import cubic_coefficients, jacobian
-from atomol.model import TWO_PI, PoleError, ReducedParams, reduced_deriv
-
-
-def angle_distance(t1, t2):
-    """Shortest angular distance between two angles (scalars or arrays)."""
-    d = np.mod(np.abs(np.asarray(t1) - np.asarray(t2)), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
+from atomol.model import PoleError, ReducedParams, reduced_deriv
 
 
 def eliminated_phase_polynomial(q, s):

@@ -38,17 +38,13 @@ from atomol.model import (
     Params,
     ReducedParams,
     amplitudes_from_canonical,
+    angle_distance,
     params_from_gamma,
     reduced_deriv,
 )
 from atomol.regimes import classify_regime, scan_plane
 
-from oracles import (
-    angle_distance,
-    bisect_roots,
-    newton_survey,
-    threshold_by_bisection,
-)
+from oracles import bisect_roots, newton_survey, threshold_by_bisection
 
 SQRT6 = math.sqrt(6.0)
 

@@ -319,14 +319,20 @@ class TestExitCodes:
                    "--output", str(tmp_path / "o")])
         assert rc == 3
 
-    def test_overflow_mid_solve_is_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_overflow_mid_solve_is_3(self, tmp_path, capsys, method):
         # the phase overflows inside a solve and math.sin raises a
-        # domain error: a numerical failure, not a config error
+        # domain error: a numerical failure, not a config error and
+        # not a pole event
+        ini = tmp_path / "method.ini"
+        ini.write_text(f"[integrator]\nmethod = {method}\n")
         rc = main(["portrait", "--omega", "1e300", "--r", "1e300",
-                   "--gamma", "1e-12", "--output", str(tmp_path / "o")])
+                   "--gamma", "1e-12", "--config", str(ini),
+                   "--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 3
         assert "numerical failure" in err and "config error" not in err
+        assert not list((tmp_path / "o").iterdir())  # no data file
 
     def test_io_error_is_4(self, tmp_path):
         blocker = tmp_path / "blocker"

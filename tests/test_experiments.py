@@ -18,11 +18,10 @@ from atomol.integrate import IntegratorConfig
 from atomol.model import (
     Params,
     ReducedParams,
+    angle_distance,
     effective_energy,
     params_from_gamma,
 )
-
-from oracles import angle_distance
 
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
 

@@ -27,11 +27,10 @@ from atomol.fixed_points import (
     residual,
     threshold_gamma,
 )
-from atomol.model import ReducedParams, reduced_deriv
+from atomol.model import ReducedParams, angle_distance, reduced_deriv
 from atomol.regimes import classify_regime
 
 from oracles import (
-    angle_distance,
     bisect_roots,
     eliminated_phase_polynomial,
     newton_survey,

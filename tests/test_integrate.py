@@ -20,15 +20,15 @@ from atomol.integrate import (
 from atomol.model import (
     Amplitudes,
     CanonicalState,
+    NumericalError,
     Params,
     ReducedParams,
     amplitudes_from_canonical,
+    angle_distance,
     derived_quantities,
     effective_energy,
     params_from_gamma,
 )
-
-from oracles import angle_distance
 
 
 # sha256 of the recorded arrays (and the pole event, when one fires),
@@ -197,8 +197,8 @@ class TestReducedEvolve:
             evolve_reduced(1.0, 0.0, q)
 
     def test_fixed_step_pole_event_matches_adaptive(self):
-        # an rk4 stage past S = 1 gives a NaN trial state; the fixed
-        # stepper cannot reject it, so it stops there with a pole event
+        # an rk4 stage past S = 1 raises in the guarded right-hand side;
+        # the fixed stepper cannot reject it, so it stops with a pole event
         q = ReducedParams()
         dt = 1e-3
         rk4 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
@@ -209,6 +209,14 @@ class TestReducedEvolve:
         assert np.all(np.isfinite(rk4.s)) and np.all(np.isfinite(rk4.theta))
         assert abs(rk4.pole_event.time - rk45.pole_event.time) <= dt
         assert rk4.times[-1] == rk4.pole_event.time
+
+    def test_fixed_step_negative_n_is_no_pole_event(self):
+        # dt * Gamma_plus = 1.5 takes the last rk4 stage to n < 0: the
+        # step failed, far from the S = 1 pole
+        p = Params(v=1.0, u=0.5, gamma_a=3.0, gamma_b=3.0)
+        cfg = IntegratorConfig(method="rk4", dt=0.5, t_final=5.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            evolve_canonical(CanonicalState(s=0.0, theta=0.3, n=1.0), p, cfg)
 
 
 class TestTrajectoryDigests:
@@ -294,18 +302,39 @@ class TestGenericSolvers:
                                    5.0, 1.0)
         assert np.isnan(states[-1, 0])
 
-    def test_fixed_step_non_finite_trial_is_an_event(self):
-        # with an event, the last finite state ends the solve; without
-        # one the NaN state is carried on
+    def test_fixed_step_stage_past_the_event_is_the_crossing(self):
+        # the last stage of the step from t = 2 lies past the surface:
+        # the solve ends at the last grid state
         def f(t, y):
-            return (math.nan,) if y[0] > 2.5 else (1.0,)
+            if y[0] > 2.5:
+                raise integrate._PastEvent
+            return (1.0,)
 
         times, states, hit = solve_fixed(f, 0.0, (0.0,), 10.0, 1.0,
                                          event=lambda t, y: y[0] - 100.0)
         assert hit == (2.0, (2.0,))
         assert times[-1] == 2.0 and np.all(np.isfinite(states))
-        _, states, hit = solve_fixed(f, 0.0, (0.0,), 10.0, 1.0)
-        assert hit is None and np.isnan(states[-1, 0])
+
+    def test_fixed_step_non_finite_state_under_an_event_raises(self):
+        # a NaN state cannot tell whether the event was crossed: a
+        # failure, not an event (without an event it is carried on)
+        def f(t, y):
+            return (math.nan,) if y[0] > 2.5 else (1.0,)
+
+        with pytest.raises(NumericalError, match="t = 3.0"):
+            solve_fixed(f, 0.0, (0.0,), 10.0, 1.0,
+                        event=lambda t, y: y[0] - 100.0)
+
+    def test_value_error_in_rhs_is_not_masked(self):
+        def f(t, y):
+            if t > 0.0:
+                raise ValueError("bad argument")
+            return (1.0,)
+
+        with pytest.raises(ValueError, match="bad argument"):
+            solve_adaptive(f, 0.0, (0.0,), 1.0)
+        with pytest.raises(ValueError, match="bad argument"):
+            solve_fixed(f, 0.0, (0.0,), 1.0, 0.1)
 
     def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
         def f(t, y):
