@@ -141,7 +141,8 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.
     """
-    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol.r_at,
+    beta, half = protocol.beta, protocol.duration / 2.0  # protocol.r_at
+    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, lambda t: beta * (t - half),
                                protocol.duration, cfg)
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2

@@ -8,14 +8,16 @@ exactly on a bifurcation (a fold of the cubic, a root touching the
 S = -1 boundary, or a phase-envelope touch) are labeled "boundary"
 rather than forced into a regime.
 
-Boundary curves between regimes are localized by bisecting the segment
-between adjacent differing grid cells and chained into polylines.
+The boundaries between regimes are the closed-form curves of the
+cubic's codimension-1 events, sampled inside the scanned window where
+the census labels on their two sides differ (trace_boundaries).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,10 +52,6 @@ class RegimeMap:
     labels: list  # labels[i][j] -> RegimeLabel at (c_axis[i], r_axis[j])
     omega: float
     gamma: float
-
-    def label_grid(self) -> np.ndarray:
-        return np.array([[lab.label for lab in row] for row in self.labels],
-                        dtype=object)
 
     def cells(self):
         for i, c in enumerate(self.c_axis):
@@ -136,93 +134,92 @@ def _check_refine_tol(refine_tol: float):
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
 
 
-def _bisect_flip(p_a, p_b, label_a, label_b, omega, gamma, refine_tol):
-    """Localize the label flip on the segment p_a -> p_b.
+def _sample(curve, t, lo, hi, cell):
+    """Parameters of curve(t) -> (c, r, slope) sampling it in [lo, hi].
 
-    Halts at refine_tol, or earlier when the midpoint rounds to an end
-    and the segment can shrink no further.
+    Halves each step of t whose chord meets the box and is longer than a
+    cell on an axis, then adds the last point inside before each exit.
     """
-    a = np.asarray(p_a, dtype=float)
-    b = np.asarray(p_b, dtype=float)
-    while float(np.hypot(*(b - a))) > refine_tol:
-        mid = 0.5 * (a + b)
-        if np.array_equal(mid, a) or np.array_equal(mid, b):
+    def inside(t):
+        pts = np.column_stack(curve(t)[:2])
+        return pts, np.all((pts >= lo) & (pts <= hi), axis=1)
+
+    while True:
+        pts, ins = inside(t)
+        a, b = pts[:-1], pts[1:]
+        meets = np.all((np.fmax(a, b) >= lo) & (np.fmin(a, b) <= hi), axis=1)
+        mid = 0.5 * (t[:-1] + t[1:])
+        split = (meets & ~np.all(np.abs(b - a) <= cell, axis=1)
+                 & (t[:-1] < mid) & (mid < t[1:]))
+        if not split.any():
             break
-        lab = classify_regime(ReducedParams(c=float(mid[0]), omega=omega,
-                                            r=float(mid[1]), gamma=gamma)).label
-        if lab == label_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+        t = np.insert(t, np.flatnonzero(split) + 1, mid[split])
+    t_in, t_out = np.where(ins[:-1], [t[:-1], t[1:]],
+                           [t[1:], t[:-1]])[:, ins[:-1] != ins[1:]]
+    for _ in range(64):
+        mid = 0.5 * (t_in + t_out)
+        now_in = inside(mid)[1]
+        t_in, t_out = np.where(now_in, mid, t_in), np.where(now_in, t_out, mid)
+    t = np.unique(np.concatenate([t, t_in]))
+    return t, inside(t)[1]
 
 
-def _chain_points(points: np.ndarray, max_gap: float) -> list[np.ndarray]:
-    """Greedy nearest-neighbor chaining of flip points into polylines."""
-    remaining = list(range(len(points)))
-    remaining.sort(key=lambda i: (points[i][0], points[i][1]))
-    chains = []
-    while remaining:
-        chain = [remaining.pop(0)]
-        extended = True
-        while extended and remaining:
-            extended = False
-            for end in (chain[-1], chain[0]):
-                d = np.hypot(points[remaining, 0] - points[end][0],
-                             points[remaining, 1] - points[end][1])
-                k = int(np.argmin(d))
-                if d[k] <= max_gap:
-                    idx = remaining.pop(k)
-                    if end == chain[-1]:
-                        chain.append(idx)
-                    else:
-                        chain.insert(0, idx)
-                    extended = True
-                    break
-        chains.append(points[chain])
-    return chains
-
-
+@np.errstate(all="ignore")
 def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[BoundaryPolyline]:
-    """Extract bifurcation polylines from a scanned regime map.
+    """Bifurcation polylines of a scanned map, from the closed-form set.
 
-    Every pair of adjacent cells with differing regime labels is bisected
-    along the connecting segment until the flip is localized within
-    refine_tol, and the flip points are chained by proximity.  Cells
-    labeled boundary/none are skipped (they are already on a bifurcation
-    or outside the classification).  refine_tol must be finite and > 0.
+    A root of the cubic at S = s puts (C, R) on a line R = s C -+ g(s),
+    g(s) = (1 - 3s) sqrt((4 Om^2 - G^2 (1-s)) / (64 (1-s))), real for s
+    in [s0, 1), s0 = max(-1, 1 - 4 Om^2/G^2).  Regimes change on the
+    lines of s0 (a root at S = -1 or at the phase envelope) and on the
+    fold C = +-g'(s), R = +-(s g'(s) - g(s)) (two roots merge), of slope
+    s; R = C/3 carries no regime flip.  Each curve is sampled in the
+    window up to its edge, vertices at most one cell apart; each run of
+    vertices with one pair of regimes at +-delta across the curve is a
+    polyline.  delta is refine_tol (finite, > 0), at most a quarter cell
+    and at least 1e-7 * max(1, |window bounds|): closer, the census
+    reads boundary.
     """
     _check_refine_tol(refine_tol)
-    nc, nr = len(rmap.c_axis), len(rmap.r_axis)
-    grid = rmap.label_grid()
-    flips: dict[tuple[str, str], list[np.ndarray]] = {}
-    dc = rmap.c_axis[1] - rmap.c_axis[0] if nc > 1 else 0.0
-    dr = rmap.r_axis[1] - rmap.r_axis[0] if nr > 1 else 0.0
-    for i in range(nc):
-        for j in range(nr):
-            here = grid[i, j]
-            if here not in REGIME_LABELS:
-                continue
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 >= nc or j2 >= nr:
-                    continue
-                there = grid[i2, j2]
-                if there not in REGIME_LABELS or there == here:
-                    continue
-                pt = _bisect_flip(
-                    (rmap.c_axis[i], rmap.r_axis[j]),
-                    (rmap.c_axis[i2], rmap.r_axis[j2]),
-                    here, there, rmap.omega, rmap.gamma, refine_tol)
-                key = tuple(sorted((here, there)))
-                flips.setdefault(key, []).append(pt)
-    max_gap = 2.5 * math.hypot(dc, dr)
+    ends = [rmap.c_axis[[0, -1]], rmap.r_axis[[0, -1]]]
+    lo, hi = np.sort(ends, axis=1).T
+    cell = np.abs([ax[1] - ax[0] for ax in (rmap.c_axis, rmap.r_axis)])
+    delta = min(0.25 * cell.min(),
+                max(refine_tol, 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi))))
+    q = ReducedParams(omega=rmap.omega, gamma=rmap.gamma)
+    om2, g2 = np.float64(q.omega) ** 2, np.float64(q.gamma) ** 2
+
+    def g(s):  # g(s), g'(s)
+        h = np.sqrt((4.0 * om2 / (1.0 - s) - g2) / 64.0)
+        u = 1.0 - 3.0 * s
+        return u * h, u * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
+
+    def fold(s, sign):
+        g_s, dg = g(s)
+        return sign * dg, sign * (s * dg - g_s), s
+
+    def sides(c, r, slope, step):  # census labels at (c, r) -+ step (-slope, 1)
+        return tuple(sorted({classify_regime(replace(
+            q, c=float(c - sign * slope * step), r=float(r + sign * step))).label
+            for sign in (1.0, -1.0)}))
+
+    s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
+    curves = [(lambda t, b=b: (t, s0 * t - b, s0), np.array([lo[0], hi[0]]))
+              for b in dict.fromkeys((g(s0)[0], -g(s0)[0]))]
+    curves += [(lambda s, sign=sign: fold(s, sign), np.linspace(s0, 1.0, 65))
+               for sign in (1.0, -1.0)]
     polylines = []
-    for key in sorted(flips):
-        pts = np.array(flips[key])
-        for chain in _chain_points(pts, max_gap):
-            polylines.append(BoundaryPolyline(labels=key, points=chain))
-    return polylines
+    for curve, t in curves:
+        t, inside = _sample(curve, t, lo, hi, cell)
+        cs, rs, slopes = np.broadcast_arrays(*curve(t))
+        steps = delta / np.hypot(slopes, 1.0)
+        pairs = [sides(*p) if keep else ()
+                 for *p, keep in zip(cs, rs, slopes, steps, inside)]
+        for key, run in itertools.groupby(zip(pairs, cs, rs), lambda x: x[0]):
+            if len(key) == 2 and set(key) <= set(REGIME_LABELS):
+                points = np.array([p[1:] for p in run])
+                polylines.append(BoundaryPolyline(labels=key, points=points))
+    return sorted(polylines, key=lambda poly: poly.labels)
 
 
 def boundary_fp_existence_curve(omega: float, c_range=(0.0, 3.0),
@@ -230,8 +227,9 @@ def boundary_fp_existence_curve(omega: float, c_range=(0.0, 3.0),
     """Diagnostic curve |sqrt2 (C+R)| = Omega clipped to the window.
 
     Two straight lines C + R = +-Omega/sqrt2; returned as polylines of
-    (c, r) pairs.  This is where the boundary fixed point appears and
-    also the threshold locus where an interior root reaches S = -1.
+    (c, r) pairs.  This is where the boundary fixed point appears.  An
+    interior root reaches S = -1 on |C+R| = sqrt(Omega^2/2 - Gamma^2/4)
+    instead (threshold_gamma), which is this curve only at Gamma = 0.
     """
     level = omega / math.sqrt(2.0)
     curves = []

@@ -1,11 +1,17 @@
 """Command-line driver: outputs, configs, manifests, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomol import integrate
+from atomol import cli, integrate
 from atomol.cli import main
 from atomol.io import (
     ConfigError,
@@ -454,3 +460,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert "step budget" in err and "Traceback" not in err
+
+
+# CLI fuzz: each example runs one subcommand with a random subset of its
+# flags, finite values mixed with extremes.  The flags that set the
+# amount of work are always given and kept small, and the step budget is
+# patched down, so every run is bounded; a longer solve must exit 3.
+FUZZ_FLOAT = st.one_of(
+    st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]),
+    st.floats(1e-3, 5.0), st.floats(-5.0, 5.0))
+FUZZ_WORK = {  # flag -> strategy, always given
+    "regimes": {"--resolution": st.integers(1, 12)},
+    "portrait": {"--n-s": st.integers(0, 3), "--n-theta": st.integers(0, 3)},
+    "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
+}
+FUZZ_CHOICES = {"--method": ["rk45", "rk4", "euler"],
+                "--format": ["csv", "json", "xml"]}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+    work = FUZZ_WORK.get(command, {})
+    flags = [(flag, typ) for flag, _, typ in cli._FLAGS[command]
+             + cli._COMMON_FLAGS if flag not in work and flag != "--output"]
+    argv = [command] + [f"{flag}={draw(strategy)!r}"
+                        for flag, strategy in work.items()]
+    for flag, typ in draw(st.lists(st.sampled_from(flags), max_size=4,
+                                   unique=True)):
+        if flag in FUZZ_CHOICES:
+            value = draw(st.sampled_from(FUZZ_CHOICES[flag]))
+        else:
+            value = draw(st.integers(-1, 12) if typ is int else FUZZ_FLOAT)
+        argv.append(f"{flag}={value}")
+    if command == "regimes" and draw(st.booleans()):
+        argv.append("--window=" + ",".join(repr(draw(FUZZ_FLOAT))
+                                           for _ in range(4)))
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(argv=cli_argv())
+    def test_any_flags_exit_cleanly(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(integrate, "MAX_STEPS", 10 ** 4), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv + ["--output", tmp])
+            except SystemExit as exc:  # argparse rejects the flags
+                rc = exc.code
+        assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

@@ -9,6 +9,8 @@ installed numpy differs from the recorded one.
 Re-record (only when an output change is intended and explained):
 
     PYTHONPATH=src python tests/test_fingerprints.py
+
+which prints every run/file whose digest differs from the old record.
 """
 
 import hashlib
@@ -67,8 +69,13 @@ def test_data_files_match_recorded_fingerprints(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(RECORD.read_text())["runs"] if RECORD.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         runs = fingerprints(Path(tmp))
+    for name, files in runs.items():
+        for fname, digest in files.items():
+            if old.get(name, {}).get(fname) != digest:
+                print(f"changed: {name}/{fname}", file=sys.stderr)
     RECORD.write_text(json.dumps({"numpy": np.__version__, "runs": runs},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {RECORD}", file=sys.stderr)

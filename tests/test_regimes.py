@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from atomol.fixed_points import threshold_gamma
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
+    RegimeMap,
     boundary_fp_existence_curve,
     classify_regime,
     fixed_point_locus,
@@ -15,7 +17,13 @@ from atomol.regimes import (
     trace_boundaries,
 )
 
+from oracles import bifurcation_distance, bisection_boundaries
+
 OMEGA = 1.0
+# zero loss and Gamma below sqrt2 Omega, where roots leave through
+# S = -1, at it, and above it, where they leave through the phase
+# envelope S* = 1 - 4 Omega^2/Gamma^2 (S* = 0 at 2 Omega)
+GAMMAS = (0.0, 0.6, 1.2, math.sqrt(2.0), 2.0, 2.5)
 
 
 def label_at(c, r, gamma=0.0, omega=OMEGA):
@@ -97,7 +105,8 @@ class TestScanPlane:
     def test_determinism(self):
         m1 = scan_plane(resolution=(11, 11), gamma=0.3)
         m2 = scan_plane(resolution=(11, 11), gamma=0.3)
-        assert np.array_equal(m1.label_grid(), m2.label_grid())
+        assert ([lab.label for _, _, lab in m1.cells()]
+                == [lab.label for _, _, lab in m2.cells()])
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -188,8 +197,8 @@ class TestTraceBoundaries:
             trace_boundaries(rmap, refine_tol=refine_tol)
 
     def test_bisection_stops_when_the_segment_cannot_shrink(self):
-        # 1e-300 is below the float spacing of the grid: bisection must
-        # halt when the midpoint rounds to an end, on the same point
+        # 1e-12 and 1e-300 are both below what the census resolves: the
+        # side probes fall back to the same floor offset, same polylines
         rmap = scan_plane(c_range=(0.0, 0.25), r_range=(0.2, 1.2),
                           resolution=(3, 5), gamma=0.0)
         fine = trace_boundaries(rmap, refine_tol=1e-12)
@@ -199,6 +208,77 @@ class TestTraceBoundaries:
             assert a.labels == b.labels
             assert np.abs(a.points - b.points).max() < 1e-12
 
+    def test_oracle_bisection_stops_when_the_segment_cannot_shrink(self):
+        # 1e-300 is below the float spacing of the grid: bisection must
+        # halt when the midpoint rounds to an end, on the same point
+        rmap = scan_plane(c_range=(0.0, 0.25), r_range=(0.2, 1.2),
+                          resolution=(3, 5), gamma=0.0)
+        fine = bisection_boundaries(rmap, refine_tol=1e-12)
+        finest = bisection_boundaries(rmap, refine_tol=1e-300)
+        assert fine and len(finest) == len(fine)
+        for (key_a, a), (key_b, b) in zip(fine, finest):
+            assert key_a == key_b
+            assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("resolution", [21, 41])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_vertices_sit_on_a_flip(self, gamma, resolution):
+        # every inner vertex separates its two regimes within refine_tol;
+        # the ends may sit on a window edge or a junction of curves
+        tol = 1e-3
+        rmap = scan_plane(resolution=resolution, omega=OMEGA, gamma=gamma)
+        polys = trace_boundaries(rmap, refine_tol=tol)
+        assert polys
+        for poly in polys:
+            for c, r in poly.points[1:-1]:
+                assert set(poly.labels) <= _labels_around(c, r, tol, gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_agrees_with_the_bisection_oracle(self, gamma):
+        tol = 1e-3
+        rmap = scan_plane(resolution=41, omega=OMEGA, gamma=gamma)
+        cell = math.hypot(rmap.c_axis[1] - rmap.c_axis[0],
+                          rmap.r_axis[1] - rmap.r_axis[0])
+        polys = trace_boundaries(rmap, refine_tol=tol)
+        oracle = bisection_boundaries(rmap, refine_tol=tol)
+        # oracle vertices whose label pair the census confirms nearby
+        confirmed = [(key, pt) for key, chain in oracle for pt in chain
+                     if set(key) <= _labels_around(*pt, tol, gamma)]
+        assert confirmed
+        dist = bifurcation_distance([pt for _, pt in confirmed], OMEGA, gamma)
+        assert dist.max() < tol
+        for key, pt in confirmed:
+            assert min(_point_to_polyline(pt, p.points)
+                       for p in polys if p.labels == key) < cell
+        oracle_points = np.concatenate([chain for _, chain in oracle])
+        for poly in polys:
+            if len(poly.points) >= 3:
+                assert min(_point_to_polyline(pt, poly.points)
+                           for pt in oracle_points) < cell
+
+    def test_tiny_refine_tol_keeps_the_label_pairs(self):
+        # the tracer reads the window, the spacing, Omega and Gamma of
+        # the map, not its labels: a label-free map of the default grid
+        rmap = RegimeMap(c_axis=np.linspace(0.0, 3.0, 200),
+                         r_axis=np.linspace(-2.0, 2.0, 200), labels=[],
+                         omega=OMEGA, gamma=0.6)
+        pairs = [{p.labels for p in trace_boundaries(rmap, refine_tol=tol)}
+                 for tol in (1e-3, 1e-300)]
+        assert pairs[0] == pairs[1]
+        assert len(pairs[0]) == 4
+
+    def test_root_lines_sit_on_the_loss_threshold(self):
+        # regime III meets II and IV where a root reaches S = -1, the
+        # lines |C + R| = sqrt(Omega^2/2 - Gamma^2/4) of threshold_gamma
+        gamma = 0.6
+        rmap = scan_plane(resolution=41, omega=OMEGA, gamma=gamma)
+        vertices = [pt for p in trace_boundaries(rmap)
+                    if p.labels in (("II", "III"), ("III", "IV"))
+                    for pt in p.points]
+        assert len(vertices) > 40
+        for c, r in vertices:
+            assert threshold_gamma(c, r, OMEGA) == pytest.approx(gamma, abs=1e-12)
+
     def test_existence_curve_is_the_threshold_locus(self):
         curves = boundary_fp_existence_curve(OMEGA)
         assert curves
@@ -207,21 +287,21 @@ class TestTraceBoundaries:
                 assert abs(abs(math.sqrt(2.0) * (c + r)) - OMEGA) < 1e-9
 
 
+def _labels_around(c, r, tol, gamma):
+    """Census labels at (c +- tol, r) and (c, r +- tol)."""
+    return {label_at(c + dc, r + dr, gamma=gamma).label
+            for dc, dr in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol))}
+
+
 def _point_to_polyline(pt, points):
     pts = np.asarray(points, dtype=float)
+    a, ab = pts[:-1], np.diff(pts, axis=0)
     if len(pts) == 1:
-        return float(np.hypot(*(pts[0] - pt)))
-    best = math.inf
-    for a, b in zip(pts[:-1], pts[1:]):
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            d = float(np.hypot(*(a - pt)))
-        else:
-            t = float(np.clip((np.asarray(pt) - a) @ ab / denom, 0.0, 1.0))
-            d = float(np.hypot(*(a + t * ab - pt)))
-        best = min(best, d)
-    return best
+        a, ab = pts, np.zeros((1, 2))
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.einsum("ij,ij->i", np.asarray(pt) - a, ab) / np.where(denom, denom, 1.0)
+    foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    return float(np.hypot(*(foot - pt).T).min())
 
 
 class TestFixedPointLocus:
