@@ -67,8 +67,12 @@ class SweepProtocol:
             return self.t_span
         return 2.0 * self.r_max / abs(self.beta)
 
+    @functools.cached_property
+    def _half_duration(self) -> float:  # read on every right-hand side
+        return self.duration / 2.0
+
     def r_at(self, t: float) -> float:
-        return self.beta * (t - self.duration / 2.0)
+        return self.beta * (t - self._half_duration)
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,7 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.
     """
-    beta, half = protocol.beta, protocol.duration / 2.0  # protocol.r_at
-    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, lambda t: beta * (t - half),
+    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol.r_at,
                                protocol.duration, cfg)
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2

@@ -140,28 +140,53 @@ def _sample(curve, t, lo, hi, cell):
     Halves each step of t whose chord meets the box and is longer than a
     cell on an axis, then adds the last point inside before each exit.
     """
-    def inside(t):
-        pts = np.column_stack(curve(t)[:2])
-        return pts, np.all((pts >= lo) & (pts <= hi), axis=1)
+    def points(t):
+        return np.column_stack(curve(t)[:2])
+
+    def inside(pts):
+        return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     while True:
-        pts, ins = inside(t)
+        pts = points(t)
         a, b = pts[:-1], pts[1:]
         meets = np.all((np.fmax(a, b) >= lo) & (np.fmin(a, b) <= hi), axis=1)
+        long = ~np.all(np.abs(b - a) <= cell, axis=1)
         mid = 0.5 * (t[:-1] + t[1:])
-        split = (meets & ~np.all(np.abs(b - a) <= cell, axis=1)
-                 & (t[:-1] < mid) & (mid < t[1:]))
+        split = meets & long & (t[:-1] < mid) & (mid < t[1:])
         if not split.any():
             break
         t = np.insert(t, np.flatnonzero(split) + 1, mid[split])
-    t_in, t_out = np.where(ins[:-1], [t[:-1], t[1:]],
-                           [t[1:], t[:-1]])[:, ins[:-1] != ins[1:]]
+    # bisect each step across the box edge down to its last point inside
+    ins = inside(pts)
+    k = np.flatnonzero(ins[:-1] != ins[1:])
+    t_in = np.where(ins[k], t[k], t[k + 1])
+    t_out = np.where(ins[k], t[k + 1], t[k])
     for _ in range(64):
         mid = 0.5 * (t_in + t_out)
-        now_in = inside(mid)[1]
-        t_in, t_out = np.where(now_in, mid, t_in), np.where(now_in, t_out, mid)
+        now_in = inside(points(mid))
+        t_in = np.where(now_in, mid, t_in)
+        t_out = np.where(now_in, t_out, mid)
     t = np.unique(np.concatenate([t, t_in]))
-    return t, inside(t)[1]
+    return t, inside(points(t))
+
+
+def _distance_to_chords(pts, chords):
+    """Distance from each point (n, 2) to the nearest chord (m, 2, 2).
+
+    A zero-length chord reads NaN and is skipped; its point ends the
+    chords next to it.
+    """
+    a, ab = chords[:, 0], chords[:, 1] - chords[:, 0]
+    length2 = np.einsum("ij,ij->i", ab, ab)
+    dist = np.full(len(pts), np.inf)
+    rows = max(1, 2 ** 20 // max(1, len(chords)))  # bounds the memory
+    for k in range(0, len(pts), rows):
+        d = pts[k:k + rows, None, :] - a
+        t = np.clip(np.einsum("nmj,mj->nm", d, ab) / length2, 0.0, 1.0)
+        foot = d - t[..., None] * ab
+        gap = np.hypot(foot[..., 0], foot[..., 1])
+        dist[k:k + rows] = np.fmin.reduce(gap, axis=1, initial=np.inf)
+    return dist
 
 
 @np.errstate(all="ignore")
@@ -171,53 +196,75 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     A root of the cubic at S = s puts (C, R) on a line R = s C -+ g(s),
     g(s) = (1 - 3s) sqrt((4 Om^2 - G^2 (1-s)) / (64 (1-s))), real for s
     in [s0, 1), s0 = max(-1, 1 - 4 Om^2/G^2).  Regimes change on the
-    lines of s0 (a root at S = -1 or at the phase envelope) and on the
-    fold C = +-g'(s), R = +-(s g'(s) - g(s)) (two roots merge), of slope
-    s; R = C/3 carries no regime flip.  Each curve is sampled in the
-    window up to its edge, vertices at most one cell apart; each run of
-    vertices with one pair of regimes at +-delta across the curve is a
-    polyline.  delta is refine_tol (finite, > 0), at most a quarter cell
-    and at least 1e-7 * max(1, |window bounds|): closer, the census
-    reads boundary.
+    lines of s0 (a root at S = -1, or the phase envelope, where
+    g(s0) = 0) and on the fold C = +-g'(s), R = +-(s g'(s) - g(s)) (two
+    roots merge), of slope s; R = C/3 carries no regime flip.  Each
+    curve is sampled in the window up to its edge, vertices at most one
+    cell apart; each run of vertices with one pair of regimes at
+    +-delta across the curve is a polyline.  delta is refine_tol
+    (finite, > 0), at most a quarter cell and half the distance to the
+    other curves, and at least 1e-7 * max(1, |window bounds|): closer,
+    the census reads boundary.  A vertex closer than twice that floor
+    to another curve is left out.
     """
     _check_refine_tol(refine_tol)
     ends = [rmap.c_axis[[0, -1]], rmap.r_axis[[0, -1]]]
     lo, hi = np.sort(ends, axis=1).T
     cell = np.abs([ax[1] - ax[0] for ax in (rmap.c_axis, rmap.r_axis)])
-    delta = min(0.25 * cell.min(),
-                max(refine_tol, 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi))))
+    floor = min(0.25 * cell.min(), 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi)))
+    delta = min(0.25 * cell.min(), max(refine_tol, floor))
     q = ReducedParams(omega=rmap.omega, gamma=rmap.gamma)
     om2, g2 = np.float64(q.omega) ** 2, np.float64(q.gamma) ** 2
+    s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
 
     def g(s):  # g(s), g'(s)
-        h = np.sqrt((4.0 * om2 / (1.0 - s) - g2) / 64.0)
+        h = np.sqrt(np.maximum(4.0 * om2 / (1.0 - s) - g2, 0.0) / 64.0)
         u = 1.0 - 3.0 * s
         return u * h, u * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
 
-    def fold(s, sign):
-        g_s, dg = g(s)
-        return sign * dg, sign * (s * dg - g_s), s
+    def line(offset):
+        return lambda c: (c, s0 * c + offset, s0)
+
+    def fold(sign):
+        def curve(s):
+            g_s, dg = g(s)
+            return sign * dg, sign * (s * dg - g_s), s
+        return curve
 
     def sides(c, r, slope, step):  # census labels at (c, r) -+ step (-slope, 1)
-        return tuple(sorted({classify_regime(replace(
-            q, c=float(c - sign * slope * step), r=float(r + sign * step))).label
-            for sign in (1.0, -1.0)}))
+        labels = set()
+        for sign in (1.0, -1.0):
+            p = replace(q, c=float(c - sign * slope * step), r=float(r + sign * step))
+            labels.add(classify_regime(p).label)
+        return tuple(sorted(labels))
 
-    s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
-    curves = [(lambda t, b=b: (t, s0 * t - b, s0), np.array([lo[0], hi[0]]))
-              for b in dict.fromkeys((g(s0)[0], -g(s0)[0]))]
-    curves += [(lambda s, sign=sign: fold(s, sign), np.linspace(s0, 1.0, 65))
-               for sign in (1.0, -1.0)]
-    polylines = []
+    c_span, s_span = np.array([lo[0], hi[0]]), np.linspace(s0, 1.0, 65)
+    b = g(-1.0)[0] if s0 == -1.0 else 0.0
+    curves = [(line(-b), c_span), (fold(1.0), s_span), (fold(-1.0), s_span)]
+    if b != 0.0:
+        curves.append((line(b), c_span))
+    sampled = []
     for curve, t in curves:
         t, inside = _sample(curve, t, lo, hi, cell)
         cs, rs, slopes = np.broadcast_arrays(*curve(t))
-        steps = delta / np.hypot(slopes, 1.0)
-        pairs = [sides(*p) if keep else ()
-                 for *p, keep in zip(cs, rs, slopes, steps, inside)]
-        for key, run in itertools.groupby(zip(pairs, cs, rs), lambda x: x[0]):
+        pts = np.column_stack([cs, rs])
+        chords = np.stack([pts[:-1], pts[1:]], axis=1)
+        keep = (inside[:-1] | inside[1:]) & np.isfinite(chords).all(axis=(1, 2))
+        sampled.append((pts, slopes, inside, chords[keep]))
+    polylines = []
+    for k, (pts, slopes, inside, _) in enumerate(sampled):
+        others = [chords for j, (*_, chords) in enumerate(sampled) if j != k]
+        gap = _distance_to_chords(pts, np.concatenate(others))
+        pairs = []
+        for p, slope, keep, gap_p in zip(pts, slopes, inside, gap):
+            if keep and not gap_p < 2.0 * floor:
+                step = max(floor, np.fmin(delta, 0.5 * gap_p))
+                pairs.append(sides(*p, slope, step / math.hypot(slope, 1.0)))
+            else:
+                pairs.append(())
+        for key, run in itertools.groupby(zip(pairs, pts), lambda x: x[0]):
             if len(key) == 2 and set(key) <= set(REGIME_LABELS):
-                points = np.array([p[1:] for p in run])
+                points = np.array([p for _, p in run])
                 polylines.append(BoundaryPolyline(labels=key, points=points))
     return sorted(polylines, key=lambda poly: poly.labels)
 

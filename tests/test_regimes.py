@@ -9,6 +9,7 @@ from atomol.fixed_points import threshold_gamma
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
+    REGIME_LABELS,
     RegimeMap,
     boundary_fp_existence_curve,
     classify_regime,
@@ -22,8 +23,11 @@ from oracles import bifurcation_distance, bisection_boundaries
 OMEGA = 1.0
 # zero loss and Gamma below sqrt2 Omega, where roots leave through
 # S = -1, at it, and above it, where they leave through the phase
-# envelope S* = 1 - 4 Omega^2/Gamma^2 (S* = 0 at 2 Omega)
-GAMMAS = (0.0, 0.6, 1.2, math.sqrt(2.0), 2.0, 2.5)
+# envelope S* = 1 - 4 Omega^2/Gamma^2 (S* = 0 at 2 Omega); at 1.9375 and
+# 2.65625 the float S* puts g(S*) a rounding below zero, at 1.75 and
+# 2.59375 above it
+GAMMAS = (0.0, 0.6, 1.2, math.sqrt(2.0), 1.75, 1.9375, 2.0, 2.5,
+          2.59375, 2.65625)
 
 
 def label_at(c, r, gamma=0.0, omega=OMEGA):
@@ -223,15 +227,29 @@ class TestTraceBoundaries:
     @pytest.mark.parametrize("resolution", [21, 41])
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_vertices_sit_on_a_flip(self, gamma, resolution):
-        # every inner vertex separates its two regimes within refine_tol;
-        # the ends may sit on a window edge or a junction of curves
+        # every inner vertex separates its two regimes within refine_tol,
+        # read as close as the census resolves, so that a sliver of a
+        # third regime between two nearby curves shows; the ends may sit
+        # on a window edge or a junction of curves
         tol = 1e-3
         rmap = scan_plane(resolution=resolution, omega=OMEGA, gamma=gamma)
         polys = trace_boundaries(rmap, refine_tol=tol)
         assert polys
         for poly in polys:
             for c, r in poly.points[1:-1]:
-                assert set(poly.labels) <= _labels_around(c, r, tol, gamma)
+                assert set(poly.labels) <= _labels_next_to(c, r, tol, gamma)
+
+    @pytest.mark.parametrize("gamma", [2.5, 2.59375, 2.65625, 2.9])
+    def test_envelope_line_is_traced_once(self, gamma):
+        # above Gamma = 2 Omega regimes I and IV meet on R = S* C, one
+        # line at g(S*) = 0 however S* rounds
+        s_env = 1.0 - 4.0 * OMEGA ** 2 / gamma ** 2
+        rmap = scan_plane(resolution=41, omega=OMEGA, gamma=gamma)
+        on_line = [p for p in trace_boundaries(rmap, refine_tol=1e-3)
+                   if np.allclose(p.points[:, 1], s_env * p.points[:, 0],
+                                  rtol=0.0, atol=1e-12)]
+        assert [p.labels for p in on_line] == [("I", "IV")]
+        assert len(on_line[0].points) > 5
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_agrees_with_the_bisection_oracle(self, gamma):
@@ -291,6 +309,16 @@ def _labels_around(c, r, tol, gamma):
     """Census labels at (c +- tol, r) and (c, r +- tol)."""
     return {label_at(c + dc, r + dr, gamma=gamma).label
             for dc, dr in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol))}
+
+
+def _labels_next_to(c, r, tol, gamma):
+    """_labels_around at the finest of tol/1000, tol/100, tol/10 where no
+    probe reads boundary, else at tol."""
+    for eps in (1e-3 * tol, 1e-2 * tol, 1e-1 * tol):
+        labels = _labels_around(c, r, eps, gamma)
+        if labels <= set(REGIME_LABELS):
+            return labels
+    return _labels_around(c, r, tol, gamma)
 
 
 def _point_to_polyline(pt, points):
