@@ -22,9 +22,31 @@ Stability follows from the 2x2 Jacobian of the flow.  Its trace equals
 2 Gamma S identically, so any non-saddle fixed point is a repeller when
 Gamma and S share a sign and an attractor when they differ.
 
-The census runs once per scan cell, on Python floats only; jacobian,
-eigenvalues_2x2 and classify wrap its float core (_jacobian_entries,
-_spectrum) for numpy 2x2 arrays, so they give the bits of the census.
+A census labels a parameter point by the regime its fixed points give
+(RegimeLabel).  It has two forms that give the same bits:
+
+- The scalar core (interior_census, real_cubic_roots, _polish_point,
+  _spectrum) runs on Python floats, for one point at a time; length-1
+  numpy calls are slower.  It serves classify_regime, the boundary
+  tracer's side probes and the fixed-points and portrait commands, and
+  it is the reference of the array form.  jacobian, eigenvalues_2x2
+  and classify wrap it for numpy 2x2 arrays.
+- The array census (regime_census) runs each stage of interior_census
+  over a whole grid of points at once: coefficients, Cauchy bound,
+  critical points, double roots, bracketed Newton, phase, 2D polish and
+  residual gate, dedupe, degeneracy flags, stability class.  The loops
+  are masked: they iterate until every element has stopped, by the
+  scalar code's branch rules, with its expressions in its order.
+  numpy's +, -, *, /, sqrt, sin, cos and mod give the bits of Python's
+  float arithmetic and math, but np.arctan2, np.hypot, abs of a complex
+  array and powers (x**3, x**2, np.power) differ from math.atan2, abs
+  of a Python complex and float pow in the last bit on 1% to 35% of
+  inputs (numpy 2.4.6, AVX-512).  So the phase (atan2), the size of a
+  complex eigenvalue (abs) and the cubes and squares of
+  real_cubic_roots and of the Jacobian go through Python, one call per
+  element.  A point where the scalar census raises (a polish step to
+  an infinite phase, a point within EPS_POLE of the pole) is handed to
+  it, so it raises there.
 """
 
 from __future__ import annotations
@@ -83,19 +105,22 @@ class FixedPoint:
     multiplicity: int = 1
 
 
+def _coefficients(c, omega, r, gamma):
+    """(c3, c2, c1, c0) of the fixed-point cubic, of floats or arrays."""
+    g2 = gamma * gamma
+    om2 = omega * omega
+    c2_ = c * c
+    r2 = r * r
+    cr = c * r
+    return (9.0 * g2 + 64.0 * c2_,
+            -(15.0 * g2 - 36.0 * om2 + 64.0 * c2_ + 128.0 * cr),
+            -(24.0 * om2 - 7.0 * g2 - 64.0 * r2 - 128.0 * cr),
+            -(g2 - 4.0 * om2 + 64.0 * r2))
+
+
 def cubic_coefficients(q: ReducedParams) -> CubicCoefficients:
     """Fixed-point polynomial in S for the reduced flow."""
-    g2 = q.gamma * q.gamma
-    om2 = q.omega * q.omega
-    c2_ = q.c * q.c
-    r2 = q.r * q.r
-    cr = q.c * q.r
-    return CubicCoefficients(
-        c3=9.0 * g2 + 64.0 * c2_,
-        c2=-(15.0 * g2 - 36.0 * om2 + 64.0 * c2_ + 128.0 * cr),
-        c1=-(24.0 * om2 - 7.0 * g2 - 64.0 * r2 - 128.0 * cr),
-        c0=-(g2 - 4.0 * om2 + 64.0 * r2),
-    )
+    return CubicCoefficients(*_coefficients(q.c, q.omega, q.r, q.gamma))
 
 
 def _critical_points(c3: float, c2: float, c1: float) -> list[float]:
@@ -193,12 +218,16 @@ def _jacobian_entries(s: float, theta: float, q: ReducedParams,
     if s >= 1.0 - eps_pole:
         raise ValueError(f"jacobian evaluated too close to the S = 1 pole: {s}")
     root = math.sqrt(1.0 - s)
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    shear = q.omega * (1.0 - 3.0 * s) / root
-    j11 = -shear * sin_t + 2.0 * q.gamma * s
-    j12 = -2.0 * q.omega * (1.0 + s) * root * cos_t
-    j21 = 4.0 * q.c + q.omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root ** 3)
+    return _jacobian_terms(s, math.sin(theta), math.cos(theta), root, root ** 3,
+                           q.c, q.omega, q.gamma)
+
+
+def _jacobian_terms(s, sin_t, cos_t, root, root3, c, omega, gamma):
+    """Jacobian entries from sin, cos, sqrt(1-S) and its cube; floats or arrays."""
+    shear = omega * (1.0 - 3.0 * s) / root
+    j11 = -shear * sin_t + 2.0 * gamma * s
+    j12 = -2.0 * omega * (1.0 + s) * root * cos_t
+    j21 = 4.0 * c + omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root3)
     j22 = shear * sin_t
     return j11, j12, j21, j22
 
@@ -425,3 +454,400 @@ def threshold_gamma(c: float, r: float, omega: float) -> float | None:
     if radicand < 0.0:
         return None
     return math.sqrt(radicand)
+
+
+LABEL_BOUNDARY = "boundary"
+LABEL_NONE = "none"
+
+
+@dataclass(frozen=True)
+class RegimeLabel:
+    """Census-based regime classification of one parameter point."""
+
+    label: str
+    n_interior: int
+    has_boundary_fp: bool
+    kinds: tuple[str, ...]
+
+
+def _regime_name(degenerate: bool, n: int, cos_first: float) -> str:
+    """The label rule: a degenerate census is boundary, three points
+    regime II, two III, one I or IV by the sign of cos(theta) there
+    (boundary within 1e-9 of zero), none otherwise.  cos_first is read
+    only for a single point."""
+    if degenerate:
+        return LABEL_BOUNDARY
+    if n == 3:
+        return "II"
+    if n == 2:
+        return "III"
+    if n == 1:
+        if abs(cos_first) <= 1e-9:
+            return LABEL_BOUNDARY
+        return "I" if cos_first > 0.0 else "IV"
+    return LABEL_NONE
+
+
+def _point_label(q: ReducedParams) -> RegimeLabel:
+    """Regime label of one parameter point from the scalar census."""
+    points, degenerate = interior_census(q)
+    n = len(points)
+    cos_first = math.cos(points[0].theta) if n == 1 else math.nan
+    return RegimeLabel(label=_regime_name(degenerate, n, cos_first),
+                       n_interior=n, has_boundary_fp=has_boundary_fixed_point(q),
+                       kinds=tuple(sorted(p.kind for p in points)))
+
+
+# Parameter points per pass of the array census; bounds its work arrays.
+CENSUS_CHUNK = 4096
+
+# Stability classes in sorted order: sorting their indices sorts the names.
+_KINDS = tuple(sorted((KIND_CENTER, KIND_SPIRAL_ATTRACTOR, KIND_SPIRAL_REPELLER,
+                       KIND_NODE_ATTRACTOR, KIND_NODE_REPELLER, KIND_SADDLE,
+                       KIND_INDETERMINATE)))
+
+
+def regime_census(c, r, omega, gamma) -> np.ndarray:
+    """classify_regime over broadcast arrays of C, R, Omega and Gamma.
+
+    Returns an object array of the broadcast shape holding exactly the
+    RegimeLabel the scalar census gives at each point, one shared
+    object per distinct label.  Points run in row-major order, CENSUS_CHUNK
+    at a time; the first point the scalar census rejects raises its error.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                   for v in (c, r, omega, gamma)))
+    c, r, omega, gamma = (a.ravel() for a in arrays)
+    ok = (np.isfinite(c) & np.isfinite(r) & np.isfinite(gamma)
+          & np.isfinite(omega) & (omega > 0.0))
+    end = c.size if ok.all() else int(np.argmin(ok))
+    labels = np.empty(c.size, dtype=object)
+    shared: dict = {}
+    with np.errstate(all="ignore"):
+        for lo in range(0, end, CENSUS_CHUNK):
+            part = slice(lo, min(lo + CENSUS_CHUNK, end))
+            labels[part] = _chunk_labels(c[part], r[part], omega[part],
+                                         gamma[part], shared)
+    if end < c.size:
+        _point_label(ReducedParams(c=float(c[end]), omega=float(omega[end]),
+                                   r=float(r[end]), gamma=float(gamma[end])))
+    return labels.reshape(arrays[0].shape)
+
+
+def _chunk_labels(c, r, omega, gamma, shared: dict) -> list:
+    """Labels of one chunk; shared maps (name, kinds code, boundary fp) to
+    its RegimeLabel.  A point where the scalar census raises is handed
+    to it, so the error is the scalar one."""
+    degenerate, n_points, kinds, cos_first, failed = _census_arrays(
+        c, r, omega, gamma)
+    has_bfp = np.abs(-math.sqrt(2.0) * (c + r) / omega) <= 1.0
+    # sorted kind indices + 1 in base 8, padding 0: one integer per tuple
+    code = ((kinds + 1) % (len(_KINDS) + 1)
+            * 8 ** np.arange(kinds.shape[1])).sum(axis=1)
+    out = []
+    for k, (deg, n, cos_t, kind_code, bfp, bad) in enumerate(zip(
+            degenerate.tolist(), n_points.tolist(), cos_first.tolist(),
+            code.tolist(), has_bfp.tolist(), failed.tolist())):
+        if bad:
+            out.append(_point_label(ReducedParams(
+                c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
+                gamma=float(gamma[k]))))
+            continue
+        key = (_regime_name(deg, n, cos_t), kind_code, bfp)
+        label = shared.get(key)
+        if label is None:
+            label = shared[key] = RegimeLabel(
+                label=key[0], n_interior=n, has_boundary_fp=bfp,
+                kinds=tuple(_KINDS[i] for i in kinds[k, :n].tolist()))
+        out.append(label)
+    return out
+
+
+def _census_arrays(c, r, omega, gamma):
+    """interior_census over arrays of parameter points, stage by stage.
+
+    Returns per point the degeneracy flag, the number of fixed points,
+    their kind indices sorted along axis 1 (padded with len(_KINDS)),
+    cos(theta) of a single point (NaN elsewhere) and a mask of points
+    where the scalar census raises.  Every stage is the scalar code's
+    expressions in its order on the points still open; numpy's sqrt,
+    sin, cos and mod give the bits of math's, but atan2, pow and
+    abs(complex) are mapped through Python (see the module docstring).
+    """
+    n = len(c)
+    c3, c2, c1, c0 = _coefficients(c, omega, r, gamma)
+    scale = _first_max(np.abs(c3), np.abs(c2), np.abs(c1), np.abs(c0), 1e-300)
+    degenerate = np.abs(((c3 * -1.0 + c2) * -1.0 + c1) * -1.0 + c0) <= 1e-9 * scale
+    roots, mult = _real_cubic_roots_array(c3, c2, c1, c0)
+
+    # candidate phases of each root in (-1, 1), in the scalar order
+    cell, slot = np.nonzero((mult > 0) & (-1.0 < roots) & (roots < 1.0))
+    s = roots[cell, slot]
+    cc, om, rr, gg = c[cell], omega[cell], r[cell], gamma[cell]
+    root1ms = np.sqrt(1.0 - s)
+    sin_c = -gg * root1ms / (2.0 * om)
+    fold = mult[cell, slot] > 1
+    fold_cell, fold_s, fold_sin = cell[fold], s[fold], sin_c[fold]
+    keep = ((-1.0 + BOUNDARY_MARGIN < s) & (s < 1.0 - EPS_POLE)
+            & ~(np.abs(sin_c) > 1.0 + 1e-9))
+    sin_c = np.where(sin_c > -1.0, sin_c, -1.0)  # min(1, max(-1, sin_c))
+    sin_c = np.where(sin_c < 1.0, sin_c, 1.0)
+    coef = om * (1.0 - 3.0 * s) / root1ms
+    inhom = 4.0 * cc * s - 4.0 * rr
+    vacuous = np.abs(coef) <= 1e-6 * om
+    keep &= ~(vacuous & (np.abs(inhom) > 1e-6 * _first_max(
+        1.0, np.abs(4.0 * cc) + np.abs(4.0 * rr))))
+    cos_m = np.sqrt(_first_max(0.0, 1.0 - sin_c * sin_c))
+    x_phase = np.stack([np.where(vacuous, cos_m, inhom / coef), -cos_m], axis=1)
+    branch = np.stack([keep, keep & vacuous & (cos_m > 1e-12)], axis=1)
+    k_root, k_branch = np.nonzero(branch)
+    owner = cell[k_root]
+    theta = _mapped(math.atan2, sin_c[k_root], x_phase[k_root, k_branch])
+    s_fp, theta_fp, res, failed_polish = _polish_points(
+        s[k_root], theta, c[owner], omega[owner], r[owner], gamma[owner])
+    theta_fp = np.mod(theta_fp, TWO_PI)
+
+    # dedupe within each point in candidate order, on a (point, rank) grid
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    width = int(rank.max()) + 1 if len(rank) else 0
+    s_grid = np.full((n, width), np.nan)
+    t_grid = np.full((n, width), np.nan)
+    gate = np.zeros((n, width), dtype=bool)
+    s_grid[owner, rank], t_grid[owner, rank] = s_fp, theta_fp
+    gate[owner, rank] = ~(res >= RESIDUAL_TOL)
+    taken = np.zeros((n, width), dtype=bool)
+    for k in range(width):
+        dup = np.zeros(n, dtype=bool)
+        for i in range(k):
+            dup |= (taken[:, i] & (np.abs(s_grid[:, i] - s_grid[:, k]) < 1e-7)
+                    & (angle_distance(t_grid[:, i], t_grid[:, k]) < 1e-7))
+        taken[:, k] = gate[:, k] & ~dup
+
+    # stability of the points kept
+    p_cell, p_rank = np.nonzero(taken)
+    s_pt, t_pt = s_grid[p_cell, p_rank], t_grid[p_cell, p_rank]
+    root = np.sqrt(1.0 - s_pt)
+    codes = _kind_codes(*_jacobian_terms(
+        s_pt, np.sin(t_pt), np.cos(t_pt), root, _pow(root, 3),
+        c[p_cell], omega[p_cell], gamma[p_cell]))
+    kinds = np.full((n, width), len(_KINDS))
+    kinds[p_cell, p_rank] = codes
+    kinds.sort(axis=1)
+    failed = np.zeros(n, dtype=bool)
+    failed[owner[failed_polish]] = True
+    failed[p_cell[s_pt >= 1.0 - EPS_POLE]] = True  # the Jacobian's pole guard
+
+    n_here = (taken[fold_cell]
+              & (np.abs(s_grid[fold_cell] - fold_s[:, None]) < 1e-6)).sum(axis=1)
+    degenerate[fold_cell[(n_here != 2) | (1.0 - np.abs(fold_sin) <= 1e-9)]] = True
+    n_points = taken.sum(axis=1)
+    single = n_points == 1
+    cos_first = np.full(n, np.nan)
+    if single.any():
+        cos_first[single] = np.cos(t_grid[single, np.argmax(taken[single], axis=1)])
+    return degenerate, n_points, kinds, cos_first, failed
+
+
+def _first_max(first, *rest):
+    """Builtin max() elementwise: a later value wins only when greater,
+    so a NaN never wins and a leading NaN stays."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _mapped(fn, *arrays) -> np.ndarray:
+    """fn of Python floats over 1-D arrays, for the bits of CPython's math."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _pow(x, k) -> np.ndarray:
+    """x ** k of CPython floats (libm pow) over a 1-D array."""
+    return np.array([v ** k for v in x.tolist()], dtype=float)
+
+
+def _shrink(keep, *arrays):
+    return [a[keep] for a in arrays]
+
+
+def _real_cubic_roots_array(c3, c2, c1, c0):
+    """real_cubic_roots of one cubic per element.
+
+    Returns (roots, mult), each (n, 5): slot 2k holds the simple root of
+    the k-th monotone piece and slot 2k + 1 the double root at its right
+    end, the order of real_cubic_roots, with mult 0 in empty slots.  The
+    double root it can report at the Cauchy bound, outside (-1, 1), is
+    left out.
+    """
+    n = len(c0)
+    coeffs = (c3, c2, c1, c0)
+    scale = _first_max(*(np.abs(v) for v in coeffs))
+    lead = np.full(n, 3)
+    for k in (2, 1, 0):
+        lead = np.where(np.abs(coeffs[k]) > 1e-14 * scale, k, lead)
+    top = np.choose(np.minimum(lead, 2), coeffs[:3])
+    spread = np.full(n, np.nan)
+    for k in (1, 2, 3):
+        ratio = np.abs(coeffs[k] / top)
+        spread = np.where((lead + 1 == k) | ((lead + 1 < k) & (ratio > spread)),
+                          ratio, spread)
+    bound = 1.0 + spread
+    c3 = np.where(lead > 0, 0.0, c3)
+    c2 = np.where(lead > 1, 0.0, c2)
+
+    # _critical_points, then those strictly inside the bound, sorted
+    a, b = 3.0 * c3, 2.0 * c2
+    linear = a == 0.0
+    disc = b * b - 4.0 * a * c1
+    qf = np.where(b != 0.0, -0.5 * (b + np.copysign(np.sqrt(disc), b)),
+                  0.5 * np.sqrt(disc))
+    x1 = np.where(linear, -c1 / b, np.where(qf != 0.0, qf / a, 0.0))
+    x2 = c1 / qf
+    ok1 = np.where(linear, b != 0.0, ~(disc < 0.0)) & (-bound < x1) & (x1 < bound)
+    ok2 = ~linear & ~(disc < 0.0) & (qf != 0.0) & (-bound < x2) & (x2 < bound)
+    swap = ok1 & ok2 & (x2 < x1)
+    n_crit = ok1.astype(int) + ok2
+    xs = np.stack([-bound, np.where(n_crit > 0, np.where(ok1 & ~swap, x1, x2), bound),
+                   np.where(n_crit > 1, np.where(swap, x1, x2), bound), bound], axis=1)
+    ps = ((c3[:, None] * xs + c2[:, None]) * xs + c1[:, None]) * xs + c0[:, None]
+    for k in (1, 2):  # a critical point where p vanishes is a double root
+        at = np.flatnonzero(n_crit >= k)
+        x = xs[at, k]
+        local = _first_max(np.abs(c3[at] * _pow(x, 3)),
+                           np.abs(c2[at] * _pow(x, 2)),
+                           np.abs(c1[at] * x), np.abs(c0[at]))
+        ps[at[np.abs(ps[at, k]) <= 1e-10 * local], k] = 0.0
+
+    roots = np.full((n, 5), np.nan)
+    mult = np.zeros((n, 5), dtype=int)
+    rows, pieces = [], []
+    for k in (1, 2, 3):  # lead 3 has a NaN bound and no roots
+        live = (lead < 3) & (k <= n_crit + 1)
+        p0, p1 = ps[:, k - 1], ps[:, k]
+        at = np.flatnonzero(live & (((p0 < 0.0) & (0.0 < p1))
+                                    | ((p1 < 0.0) & (0.0 < p0))))
+        rows.append(at)
+        pieces.append(np.full(len(at), k))
+        if k < 3:
+            at = np.flatnonzero(live & (k <= n_crit) & (p1 == 0.0))
+            roots[at, 2 * k - 1] = xs[at, k]
+            mult[at, 2 * k - 1] = 2
+    rows, pieces = np.concatenate(rows), np.concatenate(pieces)
+    roots[rows, 2 * pieces - 2] = _bracketed_roots(
+        c3[rows], c2[rows], c1[rows], c0[rows], xs[rows, pieces - 1],
+        xs[rows, pieces], ps[rows, pieces - 1])
+    mult[rows, 2 * pieces - 2] = 1
+    return roots, mult
+
+
+def _bracketed_roots(c3, c2, c1, c0, lo, hi, p_lo):
+    """_bracketed_root of each bracket, iterated until every one stops."""
+    out = np.empty(len(lo))
+    idx = np.arange(len(lo))
+    d3, d2 = 3.0 * c3, 2.0 * c2
+    x = 0.5 * (lo + hi)
+    best, best_val = x, np.full(len(x), np.inf)
+    lo_negative = p_lo < 0.0
+    while len(idx):
+        p = ((c3 * x + c2) * x + c1) * x + c0
+        size = np.abs(p)
+        better = size < best_val
+        best = np.where(better, x, best)
+        best_val = np.where(better, size, best_val)
+        left = (p < 0.0) == lo_negative
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        d = (d3 * x + d2) * x + c1
+        newton = np.where(d != 0.0, x - p / d, np.nan)
+        go = ~(p == 0.0) & ~(newton == x)
+        inside = (lo < newton) & (newton < hi)
+        x = np.where(inside, newton, 0.5 * (lo + hi))
+        go &= inside | ((lo < x) & (x < hi))
+        out[idx[~go]] = best[~go]
+        (idx, c3, c2, c1, c0, d3, d2, lo, hi, x, best, best_val,
+         lo_negative) = _shrink(go, idx, c3, c2, c1, c0, d3, d2, lo, hi, x,
+                                best, best_val, lo_negative)
+    return out
+
+
+def _flow(s, theta, c, omega, r, gamma):
+    """reduced_deriv elementwise, its expressions in its order."""
+    root = np.sqrt(1.0 - s)
+    ds = -2.0 * omega * (1.0 + s) * root * np.sin(theta) - gamma * (1.0 - s * s)
+    dtheta = 4.0 * c * s - 4.0 * r - omega * (1.0 - 3.0 * s) / root * np.cos(theta)
+    return ds, dtheta
+
+
+def _polish_points(s, theta, c, omega, r, gamma):
+    """_polish_point of each candidate: (s, theta, residual, raises).
+
+    The scalar polish raises where a step lands on an infinite phase,
+    since math.sin rejects it; such a candidate is marked and stops.
+    """
+    ds, dth = _flow(s, theta, c, omega, r, gamma)
+    best_s, best_t = s.copy(), theta.copy()
+    best_res = _first_max(np.abs(ds), np.abs(dth))
+    raises = np.zeros(len(s), dtype=bool)
+    idx = np.arange(len(s))
+    res = best_res
+    for _ in range(20):
+        # stop at the floor, or where the Jacobian's pole guard would raise
+        go = ~(res < 1e-14) & ~(s >= 1.0 - 1e-14)
+        idx, s, theta, ds, dth, res, c, omega, r, gamma = _shrink(
+            go, idx, s, theta, ds, dth, res, c, omega, r, gamma)
+        root = np.sqrt(1.0 - s)
+        j11, j12, j21, j22 = _jacobian_terms(
+            s, np.sin(theta), np.cos(theta), root, _pow(root, 3),
+            c, omega, gamma)
+        det = j11 * j22 - j12 * j21
+        norm = _first_max(np.abs(j11), np.abs(j12), np.abs(j21), np.abs(j22), 1e-300)
+        s_new = s - (j22 * ds - j12 * dth) / det
+        t_new = theta - (-j21 * ds + j11 * dth) / det
+        go = ~(np.abs(det) < 1e-12 * norm * norm) & (-1.0 < s_new) & (s_new < 1.0 - 1e-14)
+        raises[idx[go & np.isinf(t_new)]] = True
+        go &= ~np.isinf(t_new)
+        idx, s, theta, res, c, omega, r, gamma = _shrink(
+            go, idx, s_new, t_new, res, c, omega, r, gamma)
+        ds, dth = _flow(s, theta, c, omega, r, gamma)
+        res_new = _first_max(np.abs(ds), np.abs(dth))
+        go = res_new < res
+        idx, s, theta, ds, dth, res, c, omega, r, gamma = _shrink(
+            go, idx, s, theta, ds, dth, res_new, c, omega, r, gamma)
+        best_s[idx], best_t[idx], best_res[idx] = s, theta, res
+    return best_s, best_t, best_res, raises
+
+
+def _kind_codes(j11, j12, j21, j22, tol=1e-9):
+    """Kind indices by the branch rules of _spectrum.
+
+    abs() of a complex pair cannot overflow: its real part is at most
+    half the largest float and its imaginary part a square root.
+    """
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
+    disc = 0.25 * tr * tr - det
+    real = disc >= 0.0
+    root = np.sqrt(np.where(real, disc, -disc))
+    half = 0.5 * tr
+    re1 = np.where(real, half + root, half)
+    re2 = np.where(real, half - root, half)
+    im1 = np.where(real, 0.0, root)
+    size1, size2 = np.abs(re1), np.abs(re2)
+    cplx = np.flatnonzero(~real)
+    size1[cplx] = size2[cplx] = _mapped(lambda x, y: abs(complex(x, y)),
+                                        half[cplx], root[cplx])
+    t = tol * _first_max(1.0, size1, size2)
+    spiral = np.abs(im1) > t
+    attract = (re1 < -t) & (re2 < -t)
+    repel = (re1 > t) & (re2 > t)
+    rules = [
+        ((size1 <= t) & (size2 <= t), KIND_INDETERMINATE),
+        (attract & spiral, KIND_SPIRAL_ATTRACTOR),
+        (attract, KIND_NODE_ATTRACTOR),
+        (repel & spiral, KIND_SPIRAL_REPELLER),
+        (repel, KIND_NODE_REPELLER),
+        (((re1 > t) & (re2 < -t)) | ((re1 < -t) & (re2 > t)), KIND_SADDLE),
+        ((np.abs(re1) <= t) & (np.abs(re2) <= t) & spiral, KIND_CENTER),
+    ]
+    return np.select([m for m, _ in rules], [_KINDS.index(k) for _, k in rules],
+                     _KINDS.index(KIND_INDETERMINATE))

@@ -22,25 +22,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fixed_points import (
-    has_boundary_fixed_point,
-    interior_census,
+    LABEL_BOUNDARY,
+    LABEL_NONE,
+    RegimeLabel,
+    _point_label,
     interior_fixed_points,
+    regime_census,
 )
 from .model import ReducedParams
 
 REGIME_LABELS = ("I", "II", "III", "IV")
-LABEL_BOUNDARY = "boundary"
-LABEL_NONE = "none"
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Census-based regime classification of one parameter point."""
-
-    label: str
-    n_interior: int
-    has_boundary_fp: bool
-    kinds: tuple[str, ...]
 
 
 @dataclass
@@ -83,27 +74,13 @@ class LocusBranch:
 
 
 def classify_regime(q: ReducedParams) -> RegimeLabel:
-    """Label one parameter point by its fixed-point census."""
-    points, degenerate = interior_census(q)
-    has_bfp = has_boundary_fixed_point(q)
-    kinds = tuple(sorted(p.kind for p in points))
-    n = len(points)
-    if degenerate:
-        label = LABEL_BOUNDARY
-    elif n == 3:
-        label = "II"
-    elif n == 2:
-        label = "III"
-    elif n == 1:
-        cos_t = math.cos(points[0].theta)
-        if abs(cos_t) <= 1e-9:
-            label = LABEL_BOUNDARY
-        else:
-            label = "I" if cos_t > 0.0 else "IV"
-    else:
-        label = LABEL_NONE
-    return RegimeLabel(label=label, n_interior=n, has_boundary_fp=has_bfp,
-                       kinds=kinds)
+    """Label one parameter point by its fixed-point census (scalar path).
+
+    Three interior points give regime II, two III, one I or IV by the
+    sign of cos(theta) there; a census on a bifurcation gives boundary.
+    regime_census is the same label over arrays of points.
+    """
+    return _point_label(q)
 
 
 def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
@@ -111,8 +88,9 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
     """Classify a rectangular grid of (C, R) points.
 
     resolution is the number of grid points per axis (a pair gives
-    separate counts for C and R); cells are evaluated independently in
-    a fixed row-major order, so the result is deterministic.
+    separate counts for C and R).  One array census labels every cell
+    (regime_census, row-major, a fixed chunk at a time), exactly as
+    classify_regime would; cells with equal labels share one object.
     """
     if np.isscalar(resolution):
         nc = nr = int(resolution)
@@ -122,9 +100,8 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
         raise ValueError("resolution must be >= 2 per axis")
     c_axis = np.linspace(c_range[0], c_range[1], nc)
     r_axis = np.linspace(r_range[0], r_range[1], nr)
-    labels = [[classify_regime(ReducedParams(c=float(c), omega=omega,
-                                             r=float(r), gamma=gamma))
-               for r in r_axis] for c in c_axis]
+    labels = regime_census(c_axis[:, None], r_axis[None, :], omega,
+                           gamma).tolist()
     return RegimeMap(c_axis=c_axis, r_axis=r_axis, labels=labels,
                      omega=omega, gamma=gamma)
 

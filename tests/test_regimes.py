@@ -1,11 +1,22 @@
-"""Parameter-plane cartography: labels, boundaries, loci."""
+"""Parameter-plane cartography: labels, boundaries, loci.
 
+The array census behind scan_plane must label every point exactly as
+classify_regime does.  The full-scale check, 200x200 default maps over
+the Gammas of the regimes command and of the benchmark's census, prints
+every cell that differs:
+
+    PYTHONPATH=src python tests/test_regimes.py
+"""
+
+import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from atomol.fixed_points import threshold_gamma
+from atomol.fixed_points import regime_census, threshold_gamma
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
@@ -19,6 +30,7 @@ from atomol.regimes import (
 )
 
 from oracles import bifurcation_distance, bisection_boundaries
+from test_fixed_points import census_points
 
 OMEGA = 1.0
 # zero loss and Gamma below sqrt2 Omega, where roots leave through
@@ -115,6 +127,71 @@ class TestScanPlane:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             scan_plane(resolution=1)
+
+
+def _mismatches(rmap):
+    """(c, r, map label, classify_regime label) of every cell that differs."""
+    out = []
+    for c, r, lab in rmap.cells():
+        ref = label_at(c, r, gamma=rmap.gamma, omega=rmap.omega)
+        if lab != ref:
+            out.append((c, r, lab, ref))
+    return out
+
+
+def _census_mismatches(points):
+    """The points where one regime_census call and classify_regime differ."""
+    labels = regime_census(*(np.array([getattr(q, name) for q in points])
+                             for name in ("c", "r", "omega", "gamma")))
+    return [q for q, lab in zip(points, labels) if lab != classify_regime(q)]
+
+
+class TestRegimeCensus:
+    def test_agrees_with_classify_regime_at_every_census_point(self):
+        assert _census_mismatches(census_points()) == []
+
+    def test_agrees_where_the_residual_gate_decides(self):
+        # the residual gate is absolute: scaled by 1e5 to 1e8 the census
+        # points have residuals at the gate, so a last bit lost in the
+        # phase recovery or the polish flips labels here
+        rng = np.random.default_rng(8)
+        points = [ReducedParams(c=k * q.c, omega=k * q.omega, r=k * q.r,
+                                gamma=k * q.gamma)
+                  for q, k in zip(census_points()[:3000],
+                                  10.0 ** rng.uniform(5.0, 8.0, 3000))]
+        assert _census_mismatches(points) == []
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.6, -0.6, 1.2, math.sqrt(2.0),
+                                       2.0, 2.5])
+    def test_scan_plane_matches_classify_regime(self, gamma):
+        # the window starts at C = 0, where at Gamma = 0 the cubic's
+        # leading coefficient vanishes and it drops to a quadratic
+        rmap = scan_plane(resolution=(17, 23), omega=OMEGA, gamma=gamma)
+        assert _mismatches(rmap) == []
+
+    def test_extreme_points_keep_the_scalar_labels(self):
+        values = (1e300, -1e300, 1e-300, -1e-300, 0.0, 0.7, -1.3)
+        points = list(itertools.product(values, values, (1e300, 1e-300, 1.0),
+                                        values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = regime_census(*np.array(points).T)
+        assert [p for p, lab in zip(points, labels)
+                if lab != label_at(p[0], p[1], gamma=p[3], omega=p[2])] == []
+
+    def test_equal_labels_share_one_object(self):
+        rmap = scan_plane(resolution=(31, 41), gamma=0.6)
+        cells = [lab for _, _, lab in rmap.cells()]
+        assert len({id(lab) for lab in cells}) == len(set(cells)) < 20
+
+    @pytest.mark.parametrize("omega, gamma, message", [
+        (0.0, 0.0, "omega > 0"),
+        (-1.0, 0.0, "omega must be >= 0"),
+        (1.0, math.nan, "gamma must be finite"),
+    ])
+    def test_rejects_what_the_scalar_census_rejects(self, omega, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            regime_census([0.0, 1.0], 0.5, omega, gamma)
 
 
 class TestTraceBoundaries:
@@ -297,7 +374,7 @@ class TestTraceBoundaries:
         for c, r in vertices:
             assert threshold_gamma(c, r, OMEGA) == pytest.approx(gamma, abs=1e-12)
 
-    def test_existence_curve_is_the_threshold_locus(self):
+    def test_existence_curve_is_where_the_boundary_point_appears(self):
         curves = boundary_fp_existence_curve(OMEGA)
         assert curves
         for curve in curves:
@@ -366,3 +443,15 @@ class TestFixedPointLocus:
                        for p in br.param if abs(p - c) < 1e-9)
 
         assert count_at(0.05) == 3  # C1 below the grid start, < C0
+
+
+if __name__ == "__main__":
+    differ = 0
+    for gamma in (0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, 2.5):
+        bad = _mismatches(scan_plane(omega=OMEGA, gamma=gamma))
+        for c, r, lab, ref in bad:
+            print(f"gamma={gamma!r} c={c!r} r={r!r}: scan_plane {lab}, "
+                  f"classify_regime {ref}")
+        print(f"gamma={gamma!r}: {len(bad)} of 40000 cells differ", file=sys.stderr)
+        differ += len(bad)
+    sys.exit(1 if differ else 0)
