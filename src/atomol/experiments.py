@@ -68,7 +68,7 @@ class SweepProtocol:
         return 2.0 * self.r_max / abs(self.beta)
 
     @functools.cached_property
-    def _half_duration(self) -> float:  # read on every right-hand side
+    def _half_duration(self) -> float:
         return self.duration / 2.0
 
     def r_at(self, t: float) -> float:
@@ -121,11 +121,18 @@ class PhasePortrait:
 def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
                    gamma: float, r_of_t, t_final: float,
                    cfg: IntegratorConfig):
-    """Integrate the unit-norm flow; returns (times, states)."""
+    """Integrate the unit-norm flow; returns (times, states).
 
-    if callable(r_of_t):
+    r_of_t is a SweepProtocol, whose R(t) is its r_at formula written
+    inline, or a constant R.
+    """
+
+    if isinstance(r_of_t, SweepProtocol):
+        beta, half = r_of_t.beta, r_of_t._half_duration
+
         def f(t, y):
-            return unit_norm_deriv(y[0], y[1], c, omega, r_of_t(t), gamma)
+            return unit_norm_deriv(y[0], y[1], c, omega, beta * (t - half),
+                                   gamma)
     else:
         r_const = float(r_of_t)
 
@@ -145,7 +152,7 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.
     """
-    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol.r_at,
+    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol,
                                protocol.duration, cfg)
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2

@@ -17,6 +17,15 @@ np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
 and Python's abs(complex) can differ in the last bit, and that bit
 steers the step-size controller.
 
+Every state the CLI integrates has two components: the amplitude pair
+(a, b) or the reduced (S, theta).  A two-component solve takes the pair
+steps (_rk45_pair_step, _pair_error_norm, _rk4_pair_step), which write
+the stages out for y = (y0, y1) with the expressions and operation
+order of the generic steps, so they give the same bits without the
+per-stage comprehensions and zips.  Other lengths, like the
+(S, theta, n) of evolve_canonical, take the generic steps, which are
+also the reference the pair steps are tested against.
+
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
 over the singularity.
@@ -174,6 +183,42 @@ def _rk45_step(f, t, y, h, k1=None):
     return y_new, err, k7
 
 
+def _rk45_pair_step(f, t, y, h, k1=None):
+    """_rk45_step written out for a two-component state, same bits."""
+    y0, y1 = y
+    try:
+        if k1 is None:
+            k1 = f(t, y)
+        a0, a1 = k1
+        b0, b1 = f(t + _C2 * h, (y0 + h * (_A21 * a0), y1 + h * (_A21 * a1)))
+        c0, c1 = f(t + _C3 * h, (y0 + h * (_A31 * a0 + _A32 * b0),
+                                 y1 + h * (_A31 * a1 + _A32 * b1)))
+        d0, d1 = f(t + _C4 * h, (
+            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
+            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)))
+        e0, e1 = f(t + _C5 * h, (
+            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
+        g0, g1 = f(t + h, (
+            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                      + _A65 * e0),
+            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                      + _A65 * e1)))
+        y_new = (
+            y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0),
+            y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1))
+        k7 = f(t + h, y_new)
+        p0, p1 = k7
+    except (OverflowError, _PastEvent):
+        nan = _nan_state(y)
+        return nan, nan, nan
+    err = (h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
+                + _E7 * p0),
+           h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
+                + _E7 * p1))
+    return y_new, err, k7
+
+
 def _error_norm(err, y, y_new, rtol, atol):
     """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
 
@@ -194,6 +239,24 @@ def _error_norm(err, y, y_new, rtol, atol):
             return math.inf
         total += ratio * ratio
     return math.sqrt(total / n)
+
+
+def _pair_error_norm(err, y, y_new, rtol, atol):
+    """_error_norm written out for a two-component state, same bits."""
+    e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
+    scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
+    if a0 != a0 or not scale0 > 0.0:
+        return math.inf
+    ratio0 = e0 / scale0
+    if not math.isfinite(ratio0):
+        return math.inf
+    scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
+    if a1 != a1 or not scale1 > 0.0:
+        return math.inf
+    ratio1 = e1 / scale1
+    if not math.isfinite(ratio1):
+        return math.inf
+    return math.sqrt((ratio0 * ratio0 + ratio1 * ratio1) / 2)
 
 
 def _as_state(y0):
@@ -242,6 +305,10 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     event_state = None
     k1 = None
     tiny = 16.0 * np.finfo(float).eps
+    if len(y) == 2:
+        step, error_norm = _rk45_pair_step, _pair_error_norm
+    else:
+        step, error_norm = _rk45_step, _error_norm
 
     while t < t_final:
         h = min(h, t_final - t)
@@ -251,8 +318,8 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             raise StepBudgetError(
                 f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
         attempted += 1
-        y_new, err, k_last = _rk45_step(f, t, y, h, k1=k1)
-        norm = _error_norm(err, y, y_new, rtol, atol)
+        y_new, err, k_last = step(f, t, y, h, k1)
+        norm = error_norm(err, y, y_new, rtol, atol)
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
@@ -286,11 +353,12 @@ def _locate_event(f, event, t, y, h):
     """Bisect the step size to land just before the event crossing."""
     lo, hi = 0.0, h
     y_lo = y
+    step = _rk45_pair_step if len(y) == 2 else _rk45_step
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = _rk45_step(f, t, y, mid)
+        y_mid, _, _ = step(f, t, y, mid)
         if event(t + mid, y_mid) < 0.0:
             lo, y_lo = mid, y_mid
         else:
@@ -311,6 +379,21 @@ def _rk4_step(f, t, y, h):
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
+def _rk4_pair_step(f, t, y, h):
+    """_rk4_step written out for a two-component state, same bits."""
+    y0, y1 = y
+    try:
+        a0, a1 = f(t, y)
+        b0, b1 = f(t + 0.5 * h, (y0 + 0.5 * h * a0, y1 + 0.5 * h * a1))
+        c0, c1 = f(t + 0.5 * h, (y0 + 0.5 * h * b0, y1 + 0.5 * h * b1))
+        d0, d1 = f(t + h, (y0 + h * c0, y1 + h * c1))
+    except OverflowError:
+        return _nan_state(y)
+    w = h / 6.0
+    return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+
+
 def solve_fixed(f: Callable, t0: float, y0, t_final: float,
                 dt: float, record_every: int = 1,
                 event: Optional[Callable] = None):
@@ -329,6 +412,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
                               f"t_final/dt needs {span:.6g} steps")
     n_steps = max(1, int(math.ceil(span)))
     y = _as_state(y0)
+    step = _rk4_pair_step if len(y) == 2 else _rk4_step
     times = [t0]
     states = [y]
     event_state = None
@@ -336,7 +420,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     for i in range(n_steps):
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
         try:
-            y_new = _rk4_step(f, t, y, t_next - t)
+            y_new = step(f, t, y, t_next - t)
         except _PastEvent:
             if event is None:
                 raise

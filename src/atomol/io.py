@@ -201,7 +201,10 @@ def write_csv(path, header, rows):
     """Write rows of already-typed values with repr-exact floats."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        # a plain float is format_value's repr; numpy scalars, which
+        # repr differently, and bools take format_value
+        lines.append(",".join([repr(v) if type(v) is float else format_value(v)
+                               for v in row]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -122,6 +122,34 @@ class TestSweepConversion:
         baselines = {r.w_baseline.hex() for r in reports + [again]}
         assert baselines == {reports[1].w.hex()}
 
+    @pytest.mark.parametrize("pr", [SweepProtocol(beta=0.7, r_max=1.3),
+                                    SweepProtocol(beta=-0.4, t_span=3.1)])
+    def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
+        # the sweep right-hand side writes R(t) = beta * (t - T/2)
+        # inline; every stage must see the bits of the public r_at
+        solve = integrate.solve_adaptive
+        deriv = experiments.unit_norm_deriv
+        times, detunings = [], []
+
+        def spying_solve(f, *args, **kwargs):
+            def timed_f(t, y):
+                times.append(t)
+                return f(t, y)
+            return solve(timed_f, *args, **kwargs)
+
+        def spying_deriv(a, b, c, omega, r, gamma):
+            detunings.append(r)
+            return deriv(a, b, c, omega, r, gamma)
+
+        experiments._terminal_efficiency.cache_clear()
+        monkeypatch.setattr(integrate, "solve_adaptive", spying_solve)
+        monkeypatch.setattr(experiments, "unit_norm_deriv", spying_deriv)
+        sweep_conversion(pr, params_from_gamma(gamma_minus=0.3), FAST)
+        experiments._terminal_efficiency.cache_clear()
+        assert len(detunings) == len(times) > 100
+        assert ([r.hex() for r in detunings]
+                == [pr.r_at(t).hex() for t in times])
+
 
 class TestSelfTrapping:
     def test_oscillation_regime_swings_widely(self):

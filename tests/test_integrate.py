@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomol import integrate
 from atomol.integrate import (
@@ -380,3 +383,132 @@ class TestGenericSolvers:
             IntegratorConfig(t_final=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(record_every=0)
+
+
+def bits(values):
+    """Exact bytes of a sequence of floats or complex numbers."""
+    out = []
+    for v in values:
+        out.append(struct.pack("<dd", v.real, v.imag)
+                   if isinstance(v, complex) else struct.pack("<d", v))
+    return out
+
+
+def outcome(step, *args):
+    """A step's state as exact bytes, or _PastEvent if it raised that."""
+    try:
+        return bits(step(*args))
+    except integrate._PastEvent:
+        return integrate._PastEvent
+
+
+# mostly moderate values, whose rounding the operation order decides;
+# magnitudes up to 1e120 make the cube in pair_rhs overflow a float
+# power, which raises OverflowError instead of giving inf
+_REALS = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=-1e120, max_value=1e120, allow_infinity=False))
+_COEFFS = st.floats(min_value=-3.0, max_value=3.0)
+_COMPLEXES = st.builds(complex, _REALS, _REALS)
+_PAIRS = st.one_of(st.tuples(_REALS, _REALS),
+                   st.tuples(_COMPLEXES, _COMPLEXES))
+_STEPS = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                   st.sampled_from([1e-300, 1e-9, 0.0, 1e30]))
+_NORM_VALUES = st.one_of(_REALS, _COMPLEXES,
+                         st.sampled_from([0.0, math.nan, math.inf, -math.inf,
+                                          complex(math.nan, 1.0)]))
+_NORM_PAIRS = st.tuples(_NORM_VALUES, _NORM_VALUES)
+PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+
+
+def pair_rhs(p, q, power, limit):
+    """Two-component test RHS; past y0.real = limit it raises _PastEvent."""
+    def f(t, y):
+        y0, y1 = y
+        if y0.real > limit:
+            raise integrate._PastEvent
+        return p * y1 ** power + t * y0, q * y0 * y1 - y1
+
+    return f
+
+
+class TestPairSteps:
+    """The written-out pair steps give the generic steps' bits."""
+
+    @PAIR_PROPERTY
+    @given(y=_PAIRS, k1=st.one_of(st.none(), _PAIRS), h=_STEPS,
+           t=st.floats(min_value=-100.0, max_value=100.0),
+           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
+           limit=st.one_of(st.just(math.inf), _REALS))
+    @example(y=(1e110, 2.0), k1=None, h=1.0, t=0.0, p=1.0, q=1.0, power=3,
+             limit=math.inf)  # a stage overflows a float power
+    @example(y=(0.5j, 1 + 0j), k1=None, h=1.0, t=0.0, p=1.0, q=1.0,
+             power=1, limit=0.75)  # a later stage is past the event
+    def test_dp45_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
+                                                power, limit):
+        f = pair_rhs(p, q, power, limit)
+        pair = integrate._rk45_pair_step(f, t, y, h, k1)
+        generic = integrate._rk45_step(f, t, y, h, k1)
+        assert [bits(part) for part in pair] == [bits(part) for part in generic]
+        for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
+            assert bits([integrate._pair_error_norm(pair[1], y, pair[0],
+                                                    rtol, atol)]) == \
+                bits([integrate._error_norm(generic[1], y, generic[0],
+                                            rtol, atol)])
+
+    @PAIR_PROPERTY
+    @given(y=_PAIRS, h=_STEPS, t=st.floats(min_value=-100.0, max_value=100.0),
+           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
+           limit=st.one_of(st.just(math.inf), _REALS))
+    @example(y=(1e110, 2.0), h=1.0, t=0.0, p=1.0, q=1.0, power=3,
+             limit=math.inf)
+    @example(y=(0.5, 1.0), h=1.0, t=0.0, p=1.0, q=1.0, power=1, limit=0.75)
+    def test_rk4_pair_step_is_the_generic_step(self, y, h, t, p, q, power,
+                                               limit):
+        f = pair_rhs(p, q, power, limit)
+        assert (outcome(integrate._rk4_pair_step, f, t, y, h)
+                == outcome(integrate._rk4_step, f, t, y, h))
+
+    @PAIR_PROPERTY
+    @given(err=_NORM_PAIRS, y=_NORM_PAIRS, y_new=_NORM_PAIRS,
+           rtol=st.sampled_from([1e-11, 1e-3, 0.0, 1e300]),
+           atol=st.sampled_from([1e-11, 1.0, 0.0, 1e-320]))
+    @example(err=(1.0, 1.0), y=(math.nan, 1.0), y_new=(1.0, 1.0),
+             rtol=1e-11, atol=1e-11)  # NaN magnitude
+    @example(err=(1.0, 1.0), y=(1.0, 0.0), y_new=(1.0, 0.0),
+             rtol=1e-11, atol=0.0)  # zero scale
+    @example(err=(1e-11, 1e300), y=(1.0, 1.0), y_new=(1.0, 1.0),
+             rtol=1e-11, atol=1e-320)  # non-finite ratio
+    @example(err=(1e-12 + 3e-12j, -2e-12), y=(0.6 + 0.1j, 0.3j),
+             y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11, atol=1e-11)
+    def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
+                                                 atol):
+        pair = integrate._pair_error_norm(err, y, y_new, rtol, atol)
+        assert bits([pair]) == bits(
+            [integrate._error_norm(err, y, y_new, rtol, atol)])
+
+    @pytest.mark.parametrize("y0, pair", [((1.0, 0.5), True),
+                                          ((0.9 + 0.1j, 0.2j), True),
+                                          ((1.0,), False),
+                                          ((1.0, 0.5, 0.25), False)])
+    def test_solvers_pick_the_step_by_state_length(self, monkeypatch, y0,
+                                                   pair):
+        names = ("_rk45_pair_step", "_pair_error_norm", "_rk4_pair_step")
+        calls = []
+        for name in names:
+            def spy(*args, _name=name, _step=getattr(integrate, name)):
+                calls.append(_name)
+                return _step(*args)
+            monkeypatch.setattr(integrate, name, spy)
+
+        def f(t, y):
+            return tuple([-yi for yi in y])
+
+        def event(t, y):
+            return t - 0.5
+
+        solve_adaptive(f, 0.0, y0, 1.0, event=event)
+        solve_fixed(f, 0.0, y0, 1.0, 0.1)
+        assert set(calls) == (set(names) if pair else set())

@@ -1,6 +1,7 @@
 """Serialization helpers: value formatting, digests, manifests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1.5, True], [0.1, False]])
         assert path.read_text() == "a,b\n1.5,true\n0.1,false\n"
+
+    def test_every_value_type_formats_as_format_value(self, tmp_path):
+        # plain floats take a direct repr path; numpy scalars (a float
+        # subclass among them), bools, ints and strings must still read
+        # as format_value gives them
+        row = [0.1, -0.0, 1e-300, np.float64(1.0 / 3.0), np.float32(0.1),
+               np.int64(7), True, False, 3, "none", math.inf, math.nan]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], [row])
+        assert path.read_text().splitlines()[1] == ",".join(
+            format_value(v) for v in row)
+        assert path.read_text().splitlines()[1].split(",")[:4] == [
+            "0.1", "-0.0", "1e-300", "0.3333333333333333"]
 
 
 class TestManifest:
