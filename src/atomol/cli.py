@@ -4,7 +4,11 @@ Subcommands: evolve, fixed-points, regimes, sweep, trap, portrait.
 Every run writes its data files plus a manifest.json carrying the full
 resolved parameter set; rerunning with --from-manifest reproduces the
 data files byte for byte.  Flags mirror config keys and override the
-config file.
+config file: a flag is its key's name with - for _ (--t-final sets
+[integrator] t_final), except --output, --beta and sweep's --gamma
+(_FLAG_NAMES), and regimes' --window and --resolution, which split
+into the [scan] keys.  Flag values are parsed and reported like
+config-file values (io._parse_value).
 
 Exit codes: 0 success, 2 config error (bad input only), 3 numerical
 failure (model.NumericalError), 4 I/O error.
@@ -34,68 +38,33 @@ from .model import CanonicalState, NumericalError, Params, ReducedParams, \
 from .regimes import (_check_refine_tol, boundary_fp_existence_curve,
                       scan_plane, trace_boundaries)
 
-# per-command flag -> config key wiring; plain entries are parsed with
-# the schema type, special entries expand to several keys
-_COMMON_FLAGS = [("--output", "output.path", str), ("--format", "output.format", str)]
-_INTEGRATOR_FLAGS = [
-    ("--method", "integrator.method", str),
-    ("--rtol", "integrator.rtol", float),
-    ("--atol", "integrator.atol", float),
-    ("--dt", "integrator.dt", float),
-    ("--t-final", "integrator.t_final", float),
-    ("--record-every", "integrator.record_every", int),
-]
-_MODEL_FLAGS = [
-    ("--v", "model.v", float),
-    ("--u", "model.u", float),
-    ("--r", "model.r", float),
-    ("--gamma-a", "model.gamma_a", float),
-    ("--gamma-b", "model.gamma_b", float),
-]
-_REDUCED_FLAGS = [
-    ("--c", "reduced.c", float),
-    ("--omega", "reduced.omega", float),
-    ("--r", "reduced.r", float),
-    ("--gamma", "reduced.gamma", float),
-]
+# per-command config keys; a key's flag is --name with - for _, where
+# name is the key within its section, save the few in _FLAG_NAMES
+_MODEL_KEYS = [f"model.{key}" for key in aio.SCHEMA["model"]]
+_REDUCED_KEYS = [f"reduced.{key}" for key in aio.SCHEMA["reduced"]]
+_INTEGRATOR_KEYS = [f"integrator.{key}" for key in aio.SCHEMA["integrator"]]
+_TOL_KEYS = ["integrator.rtol", "integrator.atol"]
+_COMMON_KEYS = ["output.path", "output.format"]
 
 _FLAGS = {
-    "evolve": _MODEL_FLAGS + _INTEGRATOR_FLAGS + [
-        ("--a0-sq", "initial.a0_sq", float),
-        ("--theta0", "initial.theta0", float),
-    ],
-    "fixed-points": _REDUCED_FLAGS,
-    "regimes": [
-        ("--omega", "reduced.omega", float),
-        ("--gamma", "reduced.gamma", float),
-        ("--refine-tol", "scan.refine_tol", float),
-    ],
-    "sweep": [
-        ("--v", "model.v", float),
-        ("--u", "model.u", float),
-        ("--r-max", "sweep.r_max", float),
-        ("--rtol", "integrator.rtol", float),
-        ("--atol", "integrator.atol", float),
-    ],
-    "trap": [
-        ("--v", "model.v", float),
-        ("--u", "model.u", float),
-        ("--r", "model.r", float),
-        ("--gamma", "trap.gamma", float),
-        ("--a0-sq", "trap.a0_sq", float),
-        ("--theta0", "trap.theta0", float),
-        ("--t-span", "trap.t_span", float),
-        ("--rtol", "integrator.rtol", float),
-        ("--atol", "integrator.atol", float),
-    ],
-    "portrait": _REDUCED_FLAGS + [
-        ("--t-span", "portrait.t_span", float),
-        ("--n-s", "portrait.n_s", int),
-        ("--n-theta", "portrait.n_theta", int),
-        ("--rtol", "integrator.rtol", float),
-        ("--atol", "integrator.atol", float),
-    ],
+    "evolve": _MODEL_KEYS + _INTEGRATOR_KEYS + ["initial.a0_sq",
+                                                "initial.theta0"],
+    "fixed-points": _REDUCED_KEYS,
+    "regimes": ["reduced.omega", "reduced.gamma", "scan.refine_tol"],
+    "sweep": ["model.v", "model.u", "sweep.r_max", "sweep.betas",
+              "sweep.gammas"] + _TOL_KEYS,
+    "trap": ["model.v", "model.u", "model.r", "trap.gamma", "trap.a0_sq",
+             "trap.theta0", "trap.t_span"] + _TOL_KEYS,
+    "portrait": _REDUCED_KEYS + ["portrait.t_span", "portrait.n_s",
+                                 "portrait.n_theta"] + _TOL_KEYS,
 }
+_FLAG_NAMES = {"output.path": "--output", "sweep.betas": "--beta",
+               "sweep.gammas": "--gamma"}
+
+
+def _flag_name(key: str) -> str:
+    """Command-line flag of a config key."""
+    return _FLAG_NAMES.get(key, "--" + key.split(".")[1].replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,50 +80,36 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="INI config file")
         sp.add_argument("--from-manifest",
                         help="replay the resolved parameters of a manifest")
-        for flag, key, typ in _FLAGS[command] + _COMMON_FLAGS:
-            sp.add_argument(flag, dest=key, type=typ, default=None)
+        for key in _FLAGS[command] + _COMMON_KEYS:
+            sp.add_argument(_flag_name(key), dest=key)
         if command == "regimes":
             sp.add_argument("--window", default=None,
                             help="scan window as cmin,cmax,rmin,rmax")
             sp.add_argument("--resolution", default=None,
                             help="grid points per axis: n or nc,nr")
-        if command == "sweep":
-            sp.add_argument("--beta", default=None,
-                            help="comma list of sweeping rates")
-            sp.add_argument("--gamma", default=None,
-                            help="comma list of relative decoherence rates")
     return parser
 
 
 def _collect_overrides(args) -> dict:
-    overrides = {}
-    for flags in (_FLAGS[args.command], _COMMON_FLAGS):
-        for _, key, _typ in flags:
-            val = getattr(args, key, None)
-            if val is not None:
-                overrides[key] = val
+    """Flag values parsed as config values, by config key."""
+    overrides = {key: aio._parse_value(*key.split("."), getattr(args, key))
+                 for key in _FLAGS[args.command] + _COMMON_KEYS
+                 if getattr(args, key) is not None}
     if args.command == "regimes":
         if args.window is not None:
             parts = [p for p in args.window.split(",") if p.strip()]
             if len(parts) != 4:
                 raise ConfigError("--window takes cmin,cmax,rmin,rmax")
             for key, raw in zip(("c_min", "c_max", "r_min", "r_max"), parts):
-                overrides[f"scan.{key}"] = float(raw)
+                overrides[f"scan.{key}"] = aio._parse_value("scan", key, raw)
         if args.resolution is not None:
             parts = [p for p in args.resolution.split(",") if p.strip()]
             if len(parts) == 1:
-                overrides["scan.resolution_c"] = int(parts[0])
-                overrides["scan.resolution_r"] = int(parts[0])
-            elif len(parts) == 2:
-                overrides["scan.resolution_c"] = int(parts[0])
-                overrides["scan.resolution_r"] = int(parts[1])
-            else:
+                parts *= 2
+            if len(parts) != 2:
                 raise ConfigError("--resolution takes n or nc,nr")
-    if args.command == "sweep":
-        if args.beta is not None:
-            overrides["sweep.betas"] = [float(p) for p in args.beta.split(",") if p.strip()]
-        if args.gamma is not None:
-            overrides["sweep.gammas"] = [float(p) for p in args.gamma.split(",") if p.strip()]
+            for key, raw in zip(("resolution_c", "resolution_r"), parts):
+                overrides[f"scan.{key}"] = aio._parse_value("scan", key, raw)
     return overrides
 
 
@@ -175,32 +130,17 @@ def _resolve(args) -> dict:
     return aio.resolve_config(file_values, _collect_overrides(args))
 
 
-def _integrator_config(resolved, t_final=None) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=resolved["integrator.method"],
-        rtol=resolved["integrator.rtol"],
-        atol=resolved["integrator.atol"],
-        dt=resolved["integrator.dt"],
-        t_final=resolved["integrator.t_final"] if t_final is None else t_final,
-        record_every=resolved["integrator.record_every"],
-    )
-
-
-def _model_params(resolved) -> Params:
-    return Params(v=resolved["model.v"], u=resolved["model.u"],
-                  r=resolved["model.r"], gamma_a=resolved["model.gamma_a"],
-                  gamma_b=resolved["model.gamma_b"])
-
-
-def _reduced_params(resolved) -> ReducedParams:
-    return ReducedParams(c=resolved["reduced.c"], omega=resolved["reduced.omega"],
-                         r=resolved["reduced.r"], gamma=resolved["reduced.gamma"])
+def _section(resolved, name, **override) -> dict:
+    """The resolved keys of one config section, by key name, with the
+    given values in place of the resolved ones."""
+    return {**{key: resolved[f"{name}.{key}"] for key in aio.SCHEMA[name]},
+            **override}
 
 
 def _finish(command, resolved, derived, outdir, outputs):
     manifest = aio.build_manifest(command, resolved, derived,
                                   [p.name for p in outputs])
-    aio.write_manifest(outdir / "manifest.json", manifest)
+    aio.write_json(outdir / "manifest.json", manifest)
     for p in outputs:
         print(f"wrote {p}")
     print(f"wrote {outdir / 'manifest.json'}")
@@ -208,7 +148,7 @@ def _finish(command, resolved, derived, outdir, outputs):
 
 
 def cmd_evolve(resolved, outdir, fmt):
-    p = _model_params(resolved)
+    p = Params(**_section(resolved, "model"))
     a0_sq = resolved["initial.a0_sq"]
     if not 0.0 <= a0_sq <= 1.0:
         raise ConfigError(f"[initial] a0_sq must be in [0, 1], got {a0_sq}")
@@ -217,7 +157,7 @@ def cmd_evolve(resolved, outdir, fmt):
         raise ConfigError("[initial] theta0 must be finite")
     x0 = amplitudes_from_canonical(
         CanonicalState(s=2.0 * a0_sq - 1.0, theta=theta0, n=1.0))
-    tr = evolve(x0, p, _integrator_config(resolved))
+    tr = evolve(x0, p, IntegratorConfig(**_section(resolved, "integrator")))
     header = ["t", "re_a", "im_a", "re_b", "im_b", "n", "s", "theta",
               "hx", "hy", "hz", "energy"]
     rows = [
@@ -250,7 +190,7 @@ def _fixed_point_rows(points):
 
 
 def cmd_fixed_points(resolved, outdir, fmt):
-    q = _reduced_params(resolved)
+    q = ReducedParams(**_section(resolved, "reduced"))
     points = all_fixed_points(q)
     out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                           _fixed_point_rows(points), fmt)
@@ -299,7 +239,7 @@ def cmd_regimes(resolved, outdir, fmt):
 
 def cmd_sweep(resolved, outdir, fmt):
     v, u = resolved["model.v"], resolved["model.u"]
-    cfg = _integrator_config(resolved)
+    cfg = IntegratorConfig(**_section(resolved, "integrator"))
     # w tops out at 1/2 (a pure molecular state has |b|^2 = n/2);
     # molecular_fraction = 2w rescales it to [0, 1] for readability
     header = ["beta", "gamma", "w", "m", "m_defined", "molecular_fraction"]
@@ -318,7 +258,8 @@ def cmd_sweep(resolved, outdir, fmt):
 
 
 def cmd_trap(resolved, outdir, fmt):
-    cfg = _integrator_config(resolved, t_final=resolved["trap.t_span"])
+    cfg = IntegratorConfig(**_section(resolved, "integrator",
+                                      t_final=resolved["trap.t_span"]))
     run = self_trapping_run(
         u=resolved["model.u"], v=resolved["model.v"], r=resolved["model.r"],
         gamma_minus=resolved["trap.gamma"], a0_sq=resolved["trap.a0_sq"],
@@ -347,8 +288,9 @@ def cmd_portrait(resolved, outdir, fmt):
         value = resolved[f"portrait.{key}"]
         if value < 1:
             raise ConfigError(f"[portrait] {key} must be >= 1, got {value}")
-    q = _reduced_params(resolved)
-    cfg = _integrator_config(resolved, t_final=resolved["portrait.t_span"])
+    q = ReducedParams(**_section(resolved, "reduced"))
+    cfg = IntegratorConfig(**_section(resolved, "integrator",
+                                      t_final=resolved["portrait.t_span"]))
     grid = default_ic_grid(n_s=resolved["portrait.n_s"],
                            n_theta=resolved["portrait.n_theta"])
     portrait = phase_portrait(q, ic_grid=grid,

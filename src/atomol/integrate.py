@@ -295,6 +295,8 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     Raises StepUnderflowError when no acceptable step size remains and
     StepBudgetError after MAX_STEPS attempted steps.
     """
+    # a numpy scalar here would make every step numpy-scalar arithmetic
+    t0, t_final = float(t0), float(t_final)
     y = _as_state(y0)
     t = t0
     times = [t0]
@@ -406,6 +408,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     NumericalError.  Without an event a NaN state is carried on.  Raises StepBudgetError, before
     any step, when the grid would need more than MAX_STEPS steps.
     """
+    t0, t_final, dt = float(t0), float(t_final), float(dt)
     span = (t_final - t0) / dt - 1e-12
     if not span <= MAX_STEPS:
         raise StepBudgetError(f"step budget of {MAX_STEPS} steps exceeded: "

@@ -15,7 +15,11 @@ import datetime
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
+
+from .integrate import IntegratorConfig
+from .model import Params, ReducedParams
 
 __version__ = "0.1.0"
 TOOL_NAME = "atomol"
@@ -55,29 +59,19 @@ _PARSERS = {
     "floatlist": _float_list,
 }
 
-# section -> key -> (type name, default)
+
+def _dataclass_section(cls) -> dict:
+    # the annotations are strings (postponed evaluation), so a field's
+    # annotation is its type name
+    return {f.name: (f.type, f.default) for f in fields(cls)}
+
+
+# section -> key -> (type name, default); the sections that build a
+# dataclass take its fields, names, types and defaults
 SCHEMA = {
-    "model": {
-        "v": ("float", 1.0),
-        "u": ("float", 0.0),
-        "r": ("float", 0.0),
-        "gamma_a": ("float", 0.0),
-        "gamma_b": ("float", 0.0),
-    },
-    "reduced": {
-        "c": ("float", 0.0),
-        "omega": ("float", 1.0),
-        "r": ("float", 0.0),
-        "gamma": ("float", 0.0),
-    },
-    "integrator": {
-        "method": ("str", "rk45"),
-        "rtol": ("float", 1e-11),
-        "atol": ("float", 1e-11),
-        "dt": ("float", 1e-3),
-        "t_final": ("float", 10.0),
-        "record_every": ("int", 1),
-    },
+    "model": _dataclass_section(Params),
+    "reduced": _dataclass_section(ReducedParams),
+    "integrator": _dataclass_section(IntegratorConfig),
     "initial": {
         "a0_sq": ("float", 1.0),
         "theta0": ("float", 0.0),
@@ -247,10 +241,6 @@ def build_manifest(command: str, parameters: dict, derived: dict,
         "config_digest": config_digest(command, parameters),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-
-
-def write_manifest(path, manifest: dict):
-    write_json(path, manifest)
 
 
 def load_manifest(path) -> dict:

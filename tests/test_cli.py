@@ -1,5 +1,6 @@
 """Command-line driver: outputs, configs, manifests, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from atomol import cli, integrate
 from atomol.cli import main
 from atomol.io import (
+    SCHEMA,
     ConfigError,
     default_config,
     load_config,
@@ -66,6 +68,49 @@ class TestConfigRoundTrip:
         path.write_text("[model]\nv = fast\n")
         with pytest.raises(ConfigError, match=r"\[model\] v"):
             load_config(path)
+
+
+# every subcommand's option strings, pinned because bench/run.py and
+# saved command lines use them
+OPTION_STRINGS = {
+    "evolve": ["-h", "--help", "--config", "--from-manifest", "--v", "--u",
+               "--r", "--gamma-a", "--gamma-b", "--method", "--rtol",
+               "--atol", "--dt", "--t-final", "--record-every", "--a0-sq",
+               "--theta0", "--output", "--format"],
+    "fixed-points": ["-h", "--help", "--config", "--from-manifest", "--c",
+                     "--omega", "--r", "--gamma", "--output", "--format"],
+    "regimes": ["-h", "--help", "--config", "--from-manifest", "--omega",
+                "--gamma", "--refine-tol", "--output", "--format",
+                "--window", "--resolution"],
+    "sweep": ["-h", "--help", "--config", "--from-manifest", "--v", "--u",
+              "--r-max", "--rtol", "--atol", "--output", "--format",
+              "--beta", "--gamma"],
+    "trap": ["-h", "--help", "--config", "--from-manifest", "--v", "--u",
+             "--r", "--gamma", "--a0-sq", "--theta0", "--t-span", "--rtol",
+             "--atol", "--output", "--format"],
+    "portrait": ["-h", "--help", "--config", "--from-manifest", "--c",
+                 "--omega", "--r", "--gamma", "--t-span", "--n-s",
+                 "--n-theta", "--rtol", "--atol", "--output", "--format"],
+}
+
+
+class TestFlagTable:
+    def test_every_flag_key_is_a_config_key(self):
+        for keys in [*cli._FLAGS.values(), cli._COMMON_KEYS]:
+            for key in keys:
+                section, name = key.split(".")
+                assert name in SCHEMA[section], key
+
+    def test_option_strings_are_unchanged(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(OPTION_STRINGS)
+        for command, sp in sub.choices.items():
+            options = [o for a in sp._actions for o in a.option_strings]
+            # only the help order may differ
+            assert sorted(options) == sorted(OPTION_STRINGS[command]), command
+            assert len(options) == len(set(options)), command
 
 
 class TestEvolveCommand:
@@ -353,6 +398,23 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("argv, field", [
+        (["evolve", "--v", "abc"], "[model] v"),
+        (["evolve", "--record-every", "1.5"], "[integrator] record_every"),
+        (["portrait", "--n-s", "x"], "[portrait] n_s"),
+        (["sweep", "--beta", "0.1,abc"], "[sweep] betas"),
+        (["regimes", "--window", "0,3,x,2"], "[scan] r_min"),
+        (["regimes", "--resolution", "3.5"], "[scan] resolution_c"),
+    ])
+    def test_bad_flag_value_names_its_field(self, tmp_path, capsys, argv,
+                                            field):
+        # a flag value is parsed and reported as a config-file value is
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error: bad value for {field}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, field", [
         (["fixed-points", "--c", "inf"], "c"),
         (["fixed-points", "--gamma", "nan"], "gamma"),
         (["portrait", "--r=-inf"], "r"),
@@ -482,8 +544,12 @@ FUZZ_CHOICES = {"--method": ["rk45", "rk4", "euler"],
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(cli._FLAGS)))
     work = FUZZ_WORK.get(command, {})
-    flags = [(flag, typ) for flag, _, typ in cli._FLAGS[command]
-             + cli._COMMON_FLAGS if flag not in work and flag != "--output"]
+    flags = []
+    for key in cli._FLAGS[command] + cli._COMMON_KEYS:
+        flag = cli._flag_name(key)
+        section, name = key.split(".")
+        if flag not in work and flag != "--output":
+            flags.append((flag, SCHEMA[section][name][0]))
     argv = [command] + [f"{flag}={draw(strategy)!r}"
                         for flag, strategy in work.items()]
     for flag, typ in draw(st.lists(st.sampled_from(flags), max_size=4,
@@ -491,7 +557,7 @@ def cli_argv(draw):
         if flag in FUZZ_CHOICES:
             value = draw(st.sampled_from(FUZZ_CHOICES[flag]))
         else:
-            value = draw(st.integers(-1, 12) if typ is int else FUZZ_FLOAT)
+            value = draw(st.integers(-1, 12) if typ == "int" else FUZZ_FLOAT)
         argv.append(f"{flag}={value}")
     if command == "regimes" and draw(st.booleans()):
         argv.append("--window=" + ",".join(repr(draw(FUZZ_FLOAT))

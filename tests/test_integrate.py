@@ -367,6 +367,21 @@ class TestGenericSolvers:
         # one initial-step evaluation, then at most 7 per attempted step
         assert len(calls) <= 1 + 7 * 50
 
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_numpy_scalar_times_step_on_python_floats(self, method):
+        # a span read off a numpy array must not turn every step into
+        # numpy-scalar arithmetic
+        seen = set()
+
+        def f(t, y):
+            seen.add((type(t), type(y[0])))
+            return (y[1], -y[0])
+
+        cfg = IntegratorConfig(method=method, rtol=1e-6, atol=1e-6,
+                               dt=np.float64(0.1), t_final=np.float64(1.0))
+        integrate._solve(f, np.float64(0.0), (1.0, 0.0), cfg)
+        assert seen == {(float, float)}
+
     def test_fixed_step_grid(self):
         times, states, _ = solve_fixed(lambda t, y: (-y[0],), 0.0,
                                        np.array([1.0]), 1.0, 0.1)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from atomol.io import (
+    _PARSERS,
+    SCHEMA,
     build_manifest,
     config_digest,
     default_config,
@@ -14,8 +16,15 @@ from atomol.io import (
     load_manifest,
     write_csv,
     write_json,
-    write_manifest,
 )
+
+
+def test_every_schema_type_has_a_parser():
+    # the dataclass sections take their type names from annotations
+    for section, keys in SCHEMA.items():
+        for key, (type_name, default) in keys.items():
+            assert type_name in _PARSERS, (section, key)
+            assert _PARSERS[type_name](default) == default, (section, key)
 
 
 class TestFormatValue:
@@ -75,7 +84,7 @@ class TestManifest:
         params = default_config()
         manifest = build_manifest("trap", params, {"gamma_plus": 0.0}, [])
         path = tmp_path / "manifest.json"
-        write_manifest(path, manifest)
+        write_json(path, manifest)
         loaded = load_manifest(path)
         assert loaded["parameters"] == params
         assert loaded["command"] == "trap"
