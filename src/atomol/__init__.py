@@ -32,7 +32,6 @@ from .integrate import (
     StepUnderflowError,
     Trajectory,
     evolve,
-    evolve_canonical,
     evolve_reduced,
 )
 from .fixed_points import (
@@ -70,7 +69,7 @@ __all__ = [
     "reduce_bare_params",
     "IntegratorConfig", "PoleEvent", "StepBudgetError", "StepUnderflowError",
     "Trajectory",
-    "evolve", "evolve_canonical", "evolve_reduced",
+    "evolve", "evolve_reduced",
     "CubicCoefficients", "FixedPoint", "boundary_fixed_point", "classify",
     "cubic_coefficients", "interior_fixed_points", "jacobian",
     "threshold_gamma",

@@ -6,25 +6,17 @@ proportional step-size control (default), and a fixed-step classical
 float arithmetic with no hidden state, so identical inputs give
 bit-identical trajectories on the same build.
 
-A state is a tuple of Python floats or complex numbers, and a
-right-hand side f(t, y) gets that tuple and returns a sequence of the
-same length (the tuples of the model's *_deriv functions).  The steppers
-combine stages component by component in the order of the vector form
+A state is a pair (y0, y1) of Python floats or complex numbers: the
+amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
+f(t, y) gets that tuple and returns a pair (the tuples of the model's
+*_deriv functions).  The steps write the stages out for the two
+components in the operation order of the vector form
 (y + h * (a21 * k1) and so on), so the trajectories keep the bits they
 had when the states were numpy arrays.  One numpy call remains per
 attempted step: the error norm takes every magnitude from a single
 np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
 and Python's abs(complex) can differ in the last bit, and that bit
 steers the step-size controller.
-
-Every state the CLI integrates has two components: the amplitude pair
-(a, b) or the reduced (S, theta).  A two-component solve takes the pair
-steps (_rk45_pair_step, _pair_error_norm, _rk4_pair_step), which write
-the stages out for y = (y0, y1) with the expressions and operation
-order of the generic steps, so they give the same bits without the
-per-stage comprehensions and zips.  Other lengths, like the
-(S, theta, n) of evolve_canonical, take the generic steps, which are
-also the reference the pair steps are tested against.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
@@ -42,11 +34,9 @@ import numpy as np
 from .model import (
     EPS_POLE,
     Amplitudes,
-    CanonicalState,
     NumericalError,
     Params,
     ReducedParams,
-    canonical_deriv,
     derived_quantities,
     gp_deriv,
     reduced_deriv,
@@ -149,42 +139,13 @@ def _nan_state(y):
 
 
 def _rk45_step(f, t, y, h, k1=None):
-    """One Dormand-Prince step on a tuple state.
+    """One Dormand-Prince step.
 
     Returns the 5th-order state, the error components, and the last
     stage derivative (first-same-as-last: reusable as k1 of the next
     step).  A right-hand side that overflows a float power or raises
     _PastEvent gives a NaN step, which the step controller rejects.
     """
-    try:
-        if k1 is None:
-            k1 = f(t, y)
-        k2 = f(t + _C2 * h, tuple([yi + h * (_A21 * a)
-                                   for yi, a in zip(y, k1)]))
-        k3 = f(t + _C3 * h, tuple([yi + h * (_A31 * a + _A32 * b)
-                                   for yi, a, b in zip(y, k1, k2)]))
-        k4 = f(t + _C4 * h, tuple([yi + h * (_A41 * a + _A42 * b + _A43 * c)
-                                   for yi, a, b, c in zip(y, k1, k2, k3)]))
-        k5 = f(t + _C5 * h, tuple([
-            yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-        k6 = f(t + h, tuple([
-            yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-        y_new = tuple([
-            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-            for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
-        k7 = f(t + h, y_new)
-    except (OverflowError, _PastEvent):
-        nan = _nan_state(y)
-        return nan, nan, nan
-    err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-           for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
-    return y_new, err, k7
-
-
-def _rk45_pair_step(f, t, y, h, k1=None):
-    """_rk45_step written out for a two-component state, same bits."""
     y0, y1 = y
     try:
         if k1 is None:
@@ -223,26 +184,8 @@ def _error_norm(err, y, y_new, rtol, atol):
     """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
 
     The magnitudes come from one np.abs call on the packed components
-    (see the module docstring); the squares are summed left to right,
-    as numpy sums a short array, so the norm keeps its bits.
+    (see the module docstring), so the norm keeps its bits.
     """
-    n = len(y)
-    mags = np.abs(np.array([*err, *y, *y_new])).tolist()
-    total = 0.0
-    for e, a, b in zip(mags[:n], mags[n:2 * n], mags[2 * n:]):
-        # a NaN magnitude or a zero scale made numpy's ratio non-finite
-        scale = atol + rtol * (a if a >= b else b)
-        if a != a or not scale > 0.0:
-            return math.inf
-        ratio = e / scale
-        if not math.isfinite(ratio):
-            return math.inf
-        total += ratio * ratio
-    return math.sqrt(total / n)
-
-
-def _pair_error_norm(err, y, y_new, rtol, atol):
-    """_error_norm written out for a two-component state, same bits."""
     e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
     scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
     if a0 != a0 or not scale0 > 0.0:
@@ -260,8 +203,12 @@ def _pair_error_norm(err, y, y_new, rtol, atol):
 
 
 def _as_state(y0):
-    """Initial state as a tuple of Python floats or complex numbers."""
-    return tuple(np.asarray(y0).tolist())
+    """Initial state as a pair of Python floats or complex numbers."""
+    y = tuple(np.asarray(y0).tolist())
+    if len(y) != 2:
+        raise ValueError(f"the solvers step two-component states, "
+                         f"got {len(y)} components")
+    return y
 
 
 def _initial_step(f, t0, y0, rtol, atol, t_final):
@@ -285,15 +232,16 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    event: Optional[Callable] = None):
     """Integrate dy/dt = f(t, y) with the embedded 4(5) pair.
 
-    f(t, y) gets the state as a tuple and returns a sequence of its
+    f(t, y) gets the state as a pair and returns a pair of its
     derivatives.  event, when given, is a scalar function g(t, y);
     integration halts at the first accepted step with g >= 0, with the
     crossing localized by bisection on the step size.  Returns
     (times, states, event_state) where event_state is None or the
     (t, y) pair at the halt.
 
-    Raises StepUnderflowError when no acceptable step size remains and
-    StepBudgetError after MAX_STEPS attempted steps.
+    Raises ValueError when y0 is not a pair, StepUnderflowError when no
+    acceptable step size remains and StepBudgetError after MAX_STEPS
+    attempted steps.
     """
     # a numpy scalar here would make every step numpy-scalar arithmetic
     t0, t_final = float(t0), float(t_final)
@@ -307,10 +255,6 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     event_state = None
     k1 = None
     tiny = 16.0 * np.finfo(float).eps
-    if len(y) == 2:
-        step, error_norm = _rk45_pair_step, _pair_error_norm
-    else:
-        step, error_norm = _rk45_step, _error_norm
 
     while t < t_final:
         h = min(h, t_final - t)
@@ -320,8 +264,8 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             raise StepBudgetError(
                 f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
         attempted += 1
-        y_new, err, k_last = step(f, t, y, h, k1)
-        norm = error_norm(err, y, y_new, rtol, atol)
+        y_new, err, k_last = _rk45_step(f, t, y, h, k1)
+        norm = _error_norm(err, y, y_new, rtol, atol)
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
             continue
@@ -355,12 +299,11 @@ def _locate_event(f, event, t, y, h):
     """Bisect the step size to land just before the event crossing."""
     lo, hi = 0.0, h
     y_lo = y
-    step = _rk45_pair_step if len(y) == 2 else _rk45_step
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = step(f, t, y, mid)
+        y_mid, _, _ = _rk45_step(f, t, y, mid)
         if event(t + mid, y_mid) < 0.0:
             lo, y_lo = mid, y_mid
         else:
@@ -369,20 +312,7 @@ def _locate_event(f, event, t, y, h):
 
 
 def _rk4_step(f, t, y, h):
-    """One classical 4th-order step on a tuple state (NaN on overflow)."""
-    try:
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
-        k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
-        k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
-    except OverflowError:
-        return _nan_state(y)
-    return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
-
-
-def _rk4_pair_step(f, t, y, h):
-    """_rk4_step written out for a two-component state, same bits."""
+    """One classical 4th-order step (NaN on overflow)."""
     y0, y1 = y
     try:
         a0, a1 = f(t, y)
@@ -405,17 +335,18 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     rejected, so with an event a step whose stage f answers with
     _PastEvent is the crossing, and a step to a state where the event
     function is NaN, so the crossing cannot be told, raises
-    NumericalError.  Without an event a NaN state is carried on.  Raises StepBudgetError, before
+    NumericalError.  Without an event a NaN state is carried on.
+
+    Raises ValueError when y0 is not a pair and StepBudgetError, before
     any step, when the grid would need more than MAX_STEPS steps.
     """
+    y = _as_state(y0)
     t0, t_final, dt = float(t0), float(t_final), float(dt)
     span = (t_final - t0) / dt - 1e-12
     if not span <= MAX_STEPS:
         raise StepBudgetError(f"step budget of {MAX_STEPS} steps exceeded: "
                               f"t_final/dt needs {span:.6g} steps")
     n_steps = max(1, int(math.ceil(span)))
-    y = _as_state(y0)
-    step = _rk4_pair_step if len(y) == 2 else _rk4_step
     times = [t0]
     states = [y]
     event_state = None
@@ -423,7 +354,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     for i in range(n_steps):
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
         try:
-            y_new = step(f, t, y, t_next - t)
+            y_new = _rk4_step(f, t, y, t_next - t)
         except _PastEvent:
             if event is None:
                 raise
@@ -490,18 +421,6 @@ class ReducedTrajectory:
     pole_event: Optional[PoleEvent] = None
 
 
-@dataclass
-class CanonicalTrajectory:
-    """Recorded (S, theta, n) trajectory with floating couplings."""
-
-    times: np.ndarray
-    s: np.ndarray
-    theta: np.ndarray
-    n: np.ndarray
-    params: Params
-    pole_event: Optional[PoleEvent] = None
-
-
 def evolve(x0: Amplitudes, p: Params,
            cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Propagate the amplitude equations from x0."""
@@ -534,27 +453,6 @@ def _guarded_reduced_f(c, omega, r, gamma):
     return f
 
 
-def _solve_to_pole(f, y0: tuple, cfg: IntegratorConfig, eps_pole: float):
-    """Solve from y0 = (S, theta, ...) under the S = 1 pole guard.
-
-    Returns (times, states, PoleEvent or None); S reaching 1 - eps_pole
-    halts the solve with a pole event.
-    """
-    if not abs(y0[0]) <= 1.0 - eps_pole:
-        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {y0[0]}")
-    s_max = 1.0 - eps_pole
-
-    def pole(t, y):
-        return y[0] - s_max
-
-    times, states, hit = _solve(f, 0.0, y0, cfg, event=pole)
-    event = None
-    if hit is not None:
-        t_ev, y_ev = hit
-        event = PoleEvent(time=t_ev, s=float(y_ev[0]), theta=float(y_ev[1]))
-    return times, states, event
-
-
 def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    eps_pole: float = EPS_POLE) -> ReducedTrajectory:
@@ -563,31 +461,19 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     Halts with a pole event (recorded, not fatal) if S reaches
     1 - eps_pole.
     """
+    s0, theta0 = float(s0), float(theta0)
+    s_max = 1.0 - eps_pole
+    if not abs(s0) <= s_max:
+        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {s0}")
+
+    def pole(t, y):
+        return y[0] - s_max
+
     f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
-    times, states, event = _solve_to_pole(
-        f, (float(s0), float(theta0)), cfg, eps_pole)
+    times, states, hit = _solve(f, 0.0, (s0, theta0), cfg, event=pole)
+    event = None
+    if hit is not None:
+        t_ev, (s_ev, theta_ev) = hit
+        event = PoleEvent(time=t_ev, s=float(s_ev), theta=float(theta_ev))
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                              params=q, pole_event=event)
-
-
-def evolve_canonical(c0: CanonicalState, p: Params,
-                     cfg: IntegratorConfig = IntegratorConfig(),
-                     eps_pole: float = EPS_POLE) -> CanonicalTrajectory:
-    """Propagate (S, theta, n) with couplings floating with n."""
-    v, u, r, gp, gm = p.v, p.u, p.r, p.gamma_plus, p.gamma_minus
-
-    def f(t, y):
-        s, theta, n = y
-        if s >= 1.0:
-            raise _PastEvent
-        if n < 0.0:
-            return math.nan, math.nan, math.nan
-        try:
-            return canonical_deriv(s, theta, n, v, u, r, gp, gm, eps_pole=0.0)
-        except ValueError:  # math.sin(inf), as in _guarded_reduced_f
-            return math.nan, math.nan, math.nan
-
-    times, states, event = _solve_to_pole(
-        f, (float(c0.s), float(c0.theta), float(c0.n)), cfg, eps_pole)
-    return CanonicalTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
-                               n=states[:, 2], params=p, pole_event=event)

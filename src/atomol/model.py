@@ -223,18 +223,6 @@ def reduced_deriv(s, theta, c, omega, r, gamma, eps_pole=EPS_POLE):
     return ds, dtheta
 
 
-def canonical_deriv(s, theta, n, v, u, r, gamma_plus, gamma_minus,
-                    eps_pole=EPS_POLE):
-    """Canonical flow (dS/dt, dtheta/dt, dn/dt) with couplings floating with n.
-
-    The reduced equations at C = U*n, Omega = V*sqrt(n) for the current
-    n, plus dn/dt = -(Gamma_plus + Gamma_minus * S) n.
-    """
-    ds, dtheta = reduced_deriv(s, theta, u * n, v * math.sqrt(n), r,
-                               gamma_minus, eps_pole=eps_pole)
-    return ds, dtheta, -(gamma_plus + gamma_minus * s) * n
-
-
 def unit_norm_deriv(a, b, c, omega, r, gamma):
     """Reduced flow lifted to amplitude coordinates on the unit-norm shell.
 

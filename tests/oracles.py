@@ -7,7 +7,9 @@ vector field polished by plain Newton, the fixed-point cubic from a
 second algebraic route, the loss threshold from bisection on the
 cubic instead of its closed form, and regime boundaries from bisection
 between differing grid cells instead of the closed-form bifurcation set,
-whose distance comes from a second parametrization of the fold.
+whose distance comes from a second parametrization of the fold, and the
+solver steps from per-component comprehensions of the vector form
+instead of the stages written out for a pair.
 """
 
 import math
@@ -15,6 +17,10 @@ import math
 import numpy as np
 
 from atomol.fixed_points import cubic_coefficients, jacobian
+from atomol.integrate import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
+    _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
+    _E4, _E5, _E6, _E7, _PastEvent)
 from atomol.model import PoleError, ReducedParams, reduced_deriv
 from atomol.regimes import REGIME_LABELS, classify_regime
 
@@ -276,3 +282,67 @@ def bifurcation_distance(points, omega, gamma):
             a, b = np.where(left, a, x1), np.where(left, x2, b)
         best = np.minimum(best, dist(0.5 * (a + b)[:, None]).ravel())
     return best
+
+
+def rk45_step(f, t, y, h, k1=None):
+    """One Dormand-Prince step on a tuple state of any length.
+
+    Same contract and bits as integrate._rk45_step: a right-hand side
+    that overflows a float power or raises _PastEvent gives a NaN step.
+    """
+    try:
+        if k1 is None:
+            k1 = f(t, y)
+        k2 = f(t + _C2 * h, tuple([yi + h * (_A21 * a)
+                                   for yi, a in zip(y, k1)]))
+        k3 = f(t + _C3 * h, tuple([yi + h * (_A31 * a + _A32 * b)
+                                   for yi, a, b in zip(y, k1, k2)]))
+        k4 = f(t + _C4 * h, tuple([yi + h * (_A41 * a + _A42 * b + _A43 * c)
+                                   for yi, a, b, c in zip(y, k1, k2, k3)]))
+        k5 = f(t + _C5 * h, tuple([
+            yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+        k6 = f(t + h, tuple([
+            yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+        y_new = tuple([
+            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+            for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
+        k7 = f(t + h, y_new)
+    except (OverflowError, _PastEvent):
+        nan = tuple([math.nan * yi for yi in y])
+        return nan, nan, nan
+    err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+           for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
+    return y_new, err, k7
+
+
+def error_norm(err, y, y_new, rtol, atol):
+    """integrate._error_norm for any length, the squares summed left to
+    right as numpy sums a short array."""
+    n = len(y)
+    mags = np.abs(np.array([*err, *y, *y_new])).tolist()
+    total = 0.0
+    for e, a, b in zip(mags[:n], mags[n:2 * n], mags[2 * n:]):
+        # a NaN magnitude or a zero scale made numpy's ratio non-finite
+        scale = atol + rtol * (a if a >= b else b)
+        if a != a or not scale > 0.0:
+            return math.inf
+        ratio = e / scale
+        if not math.isfinite(ratio):
+            return math.inf
+        total += ratio * ratio
+    return math.sqrt(total / n)
+
+
+def rk4_step(f, t, y, h):
+    """One classical 4th-order step on a tuple state (NaN on overflow)."""
+    try:
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
+        k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
+        k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
+    except OverflowError:
+        return tuple([math.nan * yi for yi in y])
+    return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])

@@ -15,7 +15,6 @@ from atomol.integrate import (
     StepBudgetError,
     StepUnderflowError,
     evolve,
-    evolve_canonical,
     evolve_reduced,
     solve_adaptive,
     solve_fixed,
@@ -32,6 +31,7 @@ from atomol.model import (
     effective_energy,
     params_from_gamma,
 )
+from oracles import error_norm, rk4_step, rk45_step
 
 
 # sha256 of the recorded arrays (and the pole event, when one fires),
@@ -213,14 +213,6 @@ class TestReducedEvolve:
         assert abs(rk4.pole_event.time - rk45.pole_event.time) <= dt
         assert rk4.times[-1] == rk4.pole_event.time
 
-    def test_fixed_step_negative_n_is_no_pole_event(self):
-        # dt * Gamma_plus = 1.5 takes the last rk4 stage to n < 0: the
-        # step failed, far from the S = 1 pole
-        p = Params(v=1.0, u=0.5, gamma_a=3.0, gamma_b=3.0)
-        cfg = IntegratorConfig(method="rk4", dt=0.5, t_final=5.0)
-        with pytest.raises(NumericalError, match="non-finite"):
-            evolve_canonical(CanonicalState(s=0.0, theta=0.3, n=1.0), p, cfg)
-
 
 class TestTrajectoryDigests:
     """Bit-for-bit guards of the paths no CLI fingerprint covers."""
@@ -230,22 +222,6 @@ class TestTrajectoryDigests:
         if np.__version__ != DIGEST_NUMPY:
             pytest.skip(f"digests recorded with numpy {DIGEST_NUMPY}, "
                         f"installed {np.__version__}")
-
-    @pytest.mark.parametrize("p, s0, theta0, samples, pole, expected", [
-        (params_from_gamma(v=1.0, u=0.8, r=0.1, gamma_minus=0.3,
-                           gamma_plus=0.2), 0.4, 1.0, 321, False,
-         "31b3aa21d718a69a36aa92c6123903210095574bfdfc8bb86f86628c8b8f8272"),
-        # runs into the pole: event bisection on a 3-component state
-        (params_from_gamma(v=1.0, gamma_minus=-0.2, gamma_plus=0.1),
-         0.9, 3.0 * math.pi / 2.0, 86, True,
-         "28ccadc95e6299c118de89f891389959402d3dbd1fe9f8c5310a6615eaa3a23a"),
-    ])
-    def test_canonical_rk45(self, p, s0, theta0, samples, pole, expected):
-        tr = evolve_canonical(CanonicalState(s0, theta0, 1.0), p,
-                              IntegratorConfig(t_final=5.0))
-        assert (tr.pole_event is not None) == pole
-        assert len(tr.times) == samples
-        assert digest(tr, ("times", "s", "theta", "n")) == expected
 
     def test_reduced_rk4_pole_event(self):
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
@@ -269,27 +245,29 @@ class TestCrossRepresentation:
         assert np.abs(amp.s - red.s).max() < 1e-6
         assert np.max(angle_distance(amp.theta, red.theta)) < 1e-6
 
-    def test_floating_n_amplitude_vs_canonical(self):
-        # zero total rate, nonzero relative rate: compare against the
-        # canonical system with floating n
-        p = params_from_gamma(v=1.0, u=0.8, r=0.1, gamma_minus=0.3)
-        s0, th0 = 0.4, 1.0
+    @pytest.mark.parametrize("gamma_plus", [0.0, 0.2])
+    def test_norm_law_along_evolve(self, gamma_plus):
+        # n(t) = n0 exp(-int (G+ + G- S) dt), the integral by the trapezoid
+        # rule on the recorded samples
+        p = params_from_gamma(v=1.0, u=0.8, r=0.1, gamma_minus=0.3,
+                              gamma_plus=gamma_plus)
         cfg = IntegratorConfig(method="rk4", dt=5e-4, t_final=20.0)
-        amp = evolve(state_on_shell(s0, th0), p, cfg)
-        can = evolve_canonical(CanonicalState(s0, th0, 1.0), p, cfg)
-        assert np.abs(amp.s - can.s).max() < 1e-6
-        assert np.max(angle_distance(amp.theta, can.theta)) < 1e-6
-        assert np.abs(amp.n - can.n).max() < 1e-6
+        amp = evolve(state_on_shell(0.4, 1.0), p, cfg)
+        rate = p.gamma_plus + p.gamma_minus * amp.s
+        decay = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(amp.times))))
+        assert np.abs(amp.n - amp.n[0] * np.exp(-decay)).max() < 1e-6
 
 
 class TestGenericSolvers:
     def test_step_underflow_reports_time(self):
         # finite-time blow-up: y' = y^2, y(0)=1 diverges at t = 1
         def f(t, y):
-            return (y[0] * y[0],)
+            return (y[0] * y[0], 0.0)
 
         with pytest.raises(StepUnderflowError) as err:
-            solve_adaptive(f, 0.0, np.array([1.0]), 2.0, rtol=1e-10, atol=1e-10)
+            solve_adaptive(f, 0.0, np.array([1.0, 0.0]), 2.0, rtol=1e-10,
+                           atol=1e-10)
         assert 0.99 < err.value.time <= 1.01
 
     def test_overflowing_rhs_is_a_nan_step(self):
@@ -297,12 +275,12 @@ class TestGenericSolvers:
         # inf: the adaptive trial step is rejected and the fixed-step
         # state turns NaN, as before, instead of the error escaping
         def f(t, y):
-            return (y[0] ** 9,)
+            return (y[0] ** 9, 0.0)
 
         with pytest.raises(StepUnderflowError):
-            solve_adaptive(f, 0.0, (1.0,), 10.0, rtol=1e-3, atol=1e-3)
-        _, states, _ = solve_fixed(lambda t, y: (y[0] ** 3,), 0.0, (1.0,),
-                                   5.0, 1.0)
+            solve_adaptive(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-3, atol=1e-3)
+        _, states, _ = solve_fixed(lambda t, y: (y[0] ** 3, 0.0), 0.0,
+                                   (1.0, 0.0), 5.0, 1.0)
         assert np.isnan(states[-1, 0])
 
     def test_fixed_step_stage_past_the_event_is_the_crossing(self):
@@ -311,33 +289,33 @@ class TestGenericSolvers:
         def f(t, y):
             if y[0] > 2.5:
                 raise integrate._PastEvent
-            return (1.0,)
+            return (1.0, 0.0)
 
-        times, states, hit = solve_fixed(f, 0.0, (0.0,), 10.0, 1.0,
+        times, states, hit = solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
                                          event=lambda t, y: y[0] - 100.0)
-        assert hit == (2.0, (2.0,))
+        assert hit == (2.0, (2.0, 0.0))
         assert times[-1] == 2.0 and np.all(np.isfinite(states))
 
     def test_fixed_step_non_finite_state_under_an_event_raises(self):
         # a NaN state cannot tell whether the event was crossed: a
         # failure, not an event (without an event it is carried on)
         def f(t, y):
-            return (math.nan,) if y[0] > 2.5 else (1.0,)
+            return (math.nan, 0.0) if y[0] > 2.5 else (1.0, 0.0)
 
         with pytest.raises(NumericalError, match="t = 3.0"):
-            solve_fixed(f, 0.0, (0.0,), 10.0, 1.0,
+            solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
                         event=lambda t, y: y[0] - 100.0)
 
     def test_value_error_in_rhs_is_not_masked(self):
         def f(t, y):
             if t > 0.0:
                 raise ValueError("bad argument")
-            return (1.0,)
+            return (1.0, 0.0)
 
         with pytest.raises(ValueError, match="bad argument"):
-            solve_adaptive(f, 0.0, (0.0,), 1.0)
+            solve_adaptive(f, 0.0, (0.0, 0.0), 1.0)
         with pytest.raises(ValueError, match="bad argument"):
-            solve_fixed(f, 0.0, (0.0,), 1.0, 0.1)
+            solve_fixed(f, 0.0, (0.0, 0.0), 1.0, 0.1)
 
     def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
         def f(t, y):
@@ -345,13 +323,13 @@ class TestGenericSolvers:
 
         # the step count overflows an int: rejected, not an OverflowError
         with pytest.raises(StepBudgetError):
-            solve_fixed(f, 0.0, np.array([1.0]), 1e300, 1e-300)
+            solve_fixed(f, 0.0, np.array([1.0, 0.0]), 1e300, 1e-300)
         monkeypatch.setattr(integrate, "MAX_STEPS", 10)
         with pytest.raises(StepBudgetError):
-            solve_fixed(f, 0.0, np.array([1.0]), 1.0, 0.09)
+            solve_fixed(f, 0.0, np.array([1.0, 0.0]), 1.0, 0.09)
         # exactly MAX_STEPS steps is within the budget
-        times, _, _ = solve_fixed(lambda t, y: (-y[0],), 0.0, np.array([1.0]),
-                                  1.0, 0.1)
+        times, _, _ = solve_fixed(lambda t, y: (-y[0], 0.0), 0.0,
+                                  np.array([1.0, 0.0]), 1.0, 0.1)
         assert len(times) == 11
 
     def test_adaptive_budget_counts_attempted_steps(self, monkeypatch):
@@ -359,11 +337,11 @@ class TestGenericSolvers:
 
         def f(t, y):
             calls.append(t)
-            return (-y[0],)
+            return (-y[0], 0.0)
 
         monkeypatch.setattr(integrate, "MAX_STEPS", 50)
         with pytest.raises(StepBudgetError):
-            solve_adaptive(f, 0.0, np.array([1.0]), 1e9)
+            solve_adaptive(f, 0.0, np.array([1.0, 0.0]), 1e9)
         # one initial-step evaluation, then at most 7 per attempted step
         assert len(calls) <= 1 + 7 * 50
 
@@ -383,8 +361,8 @@ class TestGenericSolvers:
         assert seen == {(float, float)}
 
     def test_fixed_step_grid(self):
-        times, states, _ = solve_fixed(lambda t, y: (-y[0],), 0.0,
-                                       np.array([1.0]), 1.0, 0.1)
+        times, states, _ = solve_fixed(lambda t, y: (-y[0], 0.0), 0.0,
+                                       np.array([1.0, 0.0]), 1.0, 0.1)
         assert times[-1] == 1.0
         assert len(times) == 11
         assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
@@ -450,7 +428,8 @@ def pair_rhs(p, q, power, limit):
 
 
 class TestPairSteps:
-    """The written-out pair steps give the generic steps' bits."""
+    """The solvers' written-out pair steps give the bits of the oracle's
+    generic steps."""
 
     @PAIR_PROPERTY
     @given(y=_PAIRS, k1=st.one_of(st.none(), _PAIRS), h=_STEPS,
@@ -464,14 +443,13 @@ class TestPairSteps:
     def test_dp45_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
                                                 power, limit):
         f = pair_rhs(p, q, power, limit)
-        pair = integrate._rk45_pair_step(f, t, y, h, k1)
-        generic = integrate._rk45_step(f, t, y, h, k1)
+        pair = integrate._rk45_step(f, t, y, h, k1)
+        generic = rk45_step(f, t, y, h, k1)
         assert [bits(part) for part in pair] == [bits(part) for part in generic]
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
-            assert bits([integrate._pair_error_norm(pair[1], y, pair[0],
-                                                    rtol, atol)]) == \
-                bits([integrate._error_norm(generic[1], y, generic[0],
-                                            rtol, atol)])
+            assert bits([integrate._error_norm(pair[1], y, pair[0],
+                                               rtol, atol)]) == \
+                bits([error_norm(generic[1], y, generic[0], rtol, atol)])
 
     @PAIR_PROPERTY
     @given(y=_PAIRS, h=_STEPS, t=st.floats(min_value=-100.0, max_value=100.0),
@@ -483,8 +461,8 @@ class TestPairSteps:
     def test_rk4_pair_step_is_the_generic_step(self, y, h, t, p, q, power,
                                                limit):
         f = pair_rhs(p, q, power, limit)
-        assert (outcome(integrate._rk4_pair_step, f, t, y, h)
-                == outcome(integrate._rk4_step, f, t, y, h))
+        assert (outcome(integrate._rk4_step, f, t, y, h)
+                == outcome(rk4_step, f, t, y, h))
 
     @PAIR_PROPERTY
     @given(err=_NORM_PAIRS, y=_NORM_PAIRS, y_new=_NORM_PAIRS,
@@ -500,30 +478,28 @@ class TestPairSteps:
              y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11, atol=1e-11)
     def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
                                                  atol):
-        pair = integrate._pair_error_norm(err, y, y_new, rtol, atol)
-        assert bits([pair]) == bits(
-            [integrate._error_norm(err, y, y_new, rtol, atol)])
+        pair = integrate._error_norm(err, y, y_new, rtol, atol)
+        assert bits([pair]) == bits([error_norm(err, y, y_new, rtol, atol)])
 
     @pytest.mark.parametrize("y0, pair", [((1.0, 0.5), True),
                                           ((0.9 + 0.1j, 0.2j), True),
                                           ((1.0,), False),
                                           ((1.0, 0.5, 0.25), False)])
-    def test_solvers_pick_the_step_by_state_length(self, monkeypatch, y0,
-                                                   pair):
-        names = ("_rk45_pair_step", "_pair_error_norm", "_rk4_pair_step")
+    def test_solvers_take_pairs_only(self, y0, pair):
         calls = []
-        for name in names:
-            def spy(*args, _name=name, _step=getattr(integrate, name)):
-                calls.append(_name)
-                return _step(*args)
-            monkeypatch.setattr(integrate, name, spy)
 
         def f(t, y):
+            calls.append(t)
             return tuple([-yi for yi in y])
 
         def event(t, y):
             return t - 0.5
 
-        solve_adaptive(f, 0.0, y0, 1.0, event=event)
-        solve_fixed(f, 0.0, y0, 1.0, 0.1)
-        assert set(calls) == (set(names) if pair else set())
+        for solve in (lambda: solve_adaptive(f, 0.0, y0, 1.0, event=event),
+                      lambda: solve_fixed(f, 0.0, y0, 1.0, 0.1)):
+            if pair:
+                assert solve()[1].shape[1] == 2
+            else:
+                with pytest.raises(ValueError, match=f"got {len(y0)} comp"):
+                    solve()
+                assert calls == []

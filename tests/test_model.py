@@ -14,7 +14,6 @@ from atomol.model import (
     PoleError,
     ReducedParams,
     amplitudes_from_canonical,
-    canonical_deriv,
     derived_quantities,
     effective_energy,
     gp_deriv,
@@ -238,40 +237,27 @@ class TestReducedRhs:
             assert ds == 0.0
 
 
-class TestFullCanonicalRhs:
-    def test_zero_loss_number_conserved(self):
-        p = Params(v=1.0, u=0.5, r=0.2)
-        _, _, dn = canonical_deriv(0.3, 1.0, 0.8, p.v, p.u, p.r, p.gamma_plus,
-                                   p.gamma_minus)
-        assert dn == 0.0
-
-    def test_equal_rates_pure_exponential(self):
-        # gamma_a = gamma_b = g means dn/dt = -g n for any state
-        p = params_from_gamma(gamma_plus=0.7, gamma_minus=0.0)
-        st = CanonicalState(0.4, 2.0, 1.3)
-        _, _, dn = canonical_deriv(st.s, st.theta, st.n, p.v, p.u, p.r,
-                                   p.gamma_plus, p.gamma_minus)
-        assert dn == pytest.approx(-0.7 * 1.3, abs=1e-15)
-
-    def test_boundary_invariant(self):
-        p = params_from_gamma(gamma_plus=0.0, gamma_minus=0.9)
-        ds, _, _ = canonical_deriv(-1.0, 2.5, 1.0, p.v, p.u, p.r, p.gamma_plus,
-                                   p.gamma_minus)
-        assert ds == 0.0
-
-    def test_matches_reduced_at_unit_norm(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            p = params_from_gamma(v=rng.uniform(0.1, 2.0), u=rng.normal(),
-                                  r=rng.normal(), gamma_minus=rng.normal())
-            s = rng.uniform(-1.0, 0.99)
-            th = rng.uniform(0, 2 * math.pi)
-            ds1, dt1, _ = canonical_deriv(s, th, 1.0, p.v, p.u, p.r,
-                                          p.gamma_plus, p.gamma_minus)
-            q = p.reduced(1.0)
-            ds2, dt2 = reduced_deriv(s, th, q.c, q.omega, q.r, q.gamma)
-            assert ds1 == pytest.approx(ds2, abs=1e-14)
-            assert dt1 == pytest.approx(dt2, abs=1e-14)
+class TestFloatingNReduction:
+    def test_gp_deriv_follows_the_reduced_flow_at_floating_n(self):
+        # (dS/dt, dtheta/dt) read off the amplitude RHS at any n equal
+        # the reduced flow at C = U n, Omega = V sqrt(n)
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            p = Params(v=rng.uniform(0.1, 2.0), u=rng.normal(), r=rng.normal(),
+                       gamma_a=rng.normal(), gamma_b=rng.normal())
+            s, theta = rng.uniform(-0.99, 0.99), rng.uniform(0, 2 * math.pi)
+            n = rng.uniform(0.05, 3.0)
+            x = amplitudes_from_canonical(CanonicalState(s, theta, n),
+                                          theta_a=rng.uniform(0, 2 * math.pi))
+            da, db = gp_deriv(x.a, x.b, p.v, p.u, p.r, p.gamma_a, p.gamma_b)
+            dpa = 2.0 * (x.a.conjugate() * da).real
+            dpb = 4.0 * (x.b.conjugate() * db).real
+            ds = ((dpa - dpb) - s * (dpa + dpb)) / n
+            dth = 2.0 * (da / x.a).imag - (db / x.b).imag
+            q = p.reduced(n)
+            for got, ref in zip((ds, dth), reduced_deriv(s, theta, q.c, q.omega,
+                                                         q.r, q.gamma)):
+                assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 class TestEffectiveEnergy:
