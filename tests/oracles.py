@@ -318,8 +318,10 @@ def rk45_step(f, t, y, h, k1=None):
 
 
 def error_norm(err, y, y_new, rtol, atol):
-    """integrate._error_norm for any length, the squares summed left to
-    right as numpy sums a short array."""
+    """integrate._error_norm on a tuple state of any length.
+
+    The squares are summed left to right, as numpy sums a short array.
+    """
     n = len(y)
     mags = np.abs(np.array([*err, *y, *y_new])).tolist()
     total = 0.0
