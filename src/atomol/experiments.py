@@ -8,6 +8,11 @@ effective couplings C, Omega and total rate zero), which realizes the
 the pure-mode poles; normalized observables like |b|^2/n are read off
 directly.  Raw amplitude evolution with number-floating couplings is
 available through the integrator for comparison runs.
+
+Under the default integrator method "adaptive", a sweep reads only the
+end state of each solve and integrates with the Dormand-Prince 8(5,3)
+pair; trapping runs and portraits record every accepted step and keep
+the 4(5) pair (see atomol.integrate).
 """
 
 from __future__ import annotations
@@ -120,11 +125,12 @@ class PhasePortrait:
 
 def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
                    gamma: float, r_of_t, t_final: float,
-                   cfg: IntegratorConfig):
+                   cfg: IntegratorConfig, end_state_only: bool = False):
     """Integrate the unit-norm flow; returns (times, states).
 
     r_of_t is a SweepProtocol, whose R(t) is its r_at formula written
-    inline, or a constant R.
+    inline, or a constant R.  end_state_only tells integrate._solve that
+    the caller reads the last state only.
     """
 
     if isinstance(r_of_t, SweepProtocol):
@@ -140,7 +146,8 @@ def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
             return unit_norm_deriv(y[0], y[1], c, omega, r_const, gamma)
 
     times, states, _ = _solve(f, 0.0, (complex(a0), complex(b0)),
-                              replace(cfg, t_final=t_final))
+                              replace(cfg, t_final=t_final),
+                              end_state_only=end_state_only)
     return times, states
 
 
@@ -150,10 +157,11 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     """w = |b(T)|^2 / n(T) of one sweep from the pure atomic mode.
 
     Memoised on its frozen arguments, so the zero-loss baseline is
-    integrated once per protocol however many rates share it.
+    integrated once per protocol however many rates share it.  Only the
+    end state is read, so method "adaptive" solves with the 8(5,3) pair.
     """
     _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol,
-                               protocol.duration, cfg)
+                               protocol.duration, cfg, end_state_only=True)
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2
     return float(abs(b) ** 2 / n)

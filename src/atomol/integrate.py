@@ -1,10 +1,19 @@
 """Deterministic ODE propagation for the conversion model.
 
-Two steppers are provided: an embedded Dormand-Prince 4/5 pair with
-proportional step-size control (default), and a fixed-step classical
-4th-order method kept for reproducibility experiments.  Both are plain
-float arithmetic with no hidden state, so identical inputs give
-bit-identical trajectories on the same build.
+Three steppers are provided: two embedded Dormand-Prince pairs with
+proportional step-size control, 4(5) and 8(5,3), and a fixed-step
+classical 4th-order method kept for reproducibility experiments.  All
+are plain float arithmetic with no hidden state, so identical inputs
+give bit-identical trajectories on the same build.
+
+The default method, "adaptive", picks the pair per solve.  A solve
+whose only output is its end state (a sweep's terminal efficiency)
+takes 8(5,3), which at the default tolerance of 1e-11 needs about four
+times fewer right-hand-side calls.  Every other solve takes 4(5): its
+accepted steps are the recorded samples, so the 4(5) pair keeps those
+outputs as they were, and on the reduced (S, theta) chart, whose
+right-hand side carries sqrt(1 - S), orbits that graze S = 1 cost the
+8(5,3) pair several times more.  "rk45" takes 4(5) for every solve.
 
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
@@ -13,10 +22,11 @@ f(t, y) gets that tuple and returns a pair (the tuples of the model's
 components in the operation order of the vector form
 (y + h * (a21 * k1) and so on), so the trajectories keep the bits they
 had when the states were numpy arrays.  One numpy call remains per
-attempted step: the error norm takes every magnitude from a single
+attempted 4(5) step: its error norm takes every magnitude from a single
 np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
 and Python's abs(complex) can differ in the last bit, and that bit
-steers the step-size controller.
+steers the step-size controller.  The 8(5,3) norm, with no earlier
+bits to keep, uses Python's abs.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
@@ -55,6 +65,57 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# section II.10): twelve stages, 8th-order propagation, and 5th- and
+# 3rd-order embedded errors; the derivative at the new state is the
+# first stage of the next step.  The twelfth stage sits at t + h.
+_DC2, _DC3, _DC4, _DC5, _DC6 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333)
+_DC7, _DC8, _DC9, _DC10, _DC11 = (
+    0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571)
+_DA2_1 = 0.05260015195876773
+_DA3_1, _DA3_2 = 0.0197250569845379, 0.0591751709536137
+_DA4_1, _DA4_3 = 0.02958758547680685, 0.08876275643042054
+_DA5_1, _DA5_3, _DA5_4 = (
+    0.2413651341592667, -0.8845494793282861, 0.924834003261792)
+_DA6_1, _DA6_4, _DA6_5 = (
+    0.037037037037037035, 0.17082860872947386, 0.12546768756682242)
+_DA7_1, _DA7_4, _DA7_5, _DA7_6 = (
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125)
+_DA8_1, _DA8_4, _DA8_5, _DA8_6, _DA8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023)
+_DA9_1, _DA9_4, _DA9_5, _DA9_6, _DA9_7, _DA9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996)
+_DA10_1, _DA10_4, _DA10_5, _DA10_6, _DA10_7, _DA10_8, _DA10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627)
+(_DA11_1, _DA11_4, _DA11_5, _DA11_6, _DA11_7, _DA11_8, _DA11_9,
+ _DA11_10) = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196)
+(_DA12_1, _DA12_4, _DA12_5, _DA12_6, _DA12_7, _DA12_8, _DA12_9,
+ _DA12_10, _DA12_11) = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+_DB1, _DB6, _DB7, _DB8, _DB9, _DB10, _DB11, _DB12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259)
+# 5th-order error weights; the 3rd-order error is the propagation
+# weights minus these three
+_DE1, _DE6, _DE7, _DE8, _DE9, _DE10, _DE11, _DE12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294)
+_DBHH1, _DBHH9, _DBHH12 = (
+    0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -88,16 +149,18 @@ class _PastEvent(NumericalError):
 class IntegratorConfig:
     """Step control and recording settings.
 
-    method: "rk45" (adaptive embedded 4/5 pair) or "rk4" (fixed step).
-    rtol/atol apply to rk45, dt to rk4.  record_every decimates the
-    recorded samples only; internal steps are never coarsened.
+    method: "adaptive" (default: an embedded pair chosen per solve, see
+    the module docstring), "rk45" (the embedded 4(5) pair for every
+    solve) or "rk4" (fixed step).  rtol/atol apply to the adaptive
+    methods, dt to rk4.  record_every decimates the recorded samples
+    only; internal steps are never coarsened.
 
     The default tolerance of 1e-11 keeps zero-loss drift of the
     conserved quantities below 1e-8 over spans of order 100 even on
     strongly nonlinear orbits.
     """
 
-    method: str = "rk45"
+    method: str = "adaptive"
     rtol: float = 1e-11
     atol: float = 1e-11
     dt: float = 1e-3
@@ -105,7 +168,7 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
+        if self.method not in ("adaptive", "rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("rtol", "atol", "dt", "t_final"):
             if not math.isfinite(getattr(self, name)):
@@ -180,11 +243,12 @@ def _rk45_step(f, t, y, h, k1=None):
     return y_new, err, k7
 
 
-def _error_norm(err, y, y_new, rtol, atol):
+def _error_norm(err, y, y_new, rtol, atol, h):
     """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
 
     The magnitudes come from one np.abs call on the packed components
-    (see the module docstring), so the norm keeps its bits.
+    (see the module docstring), so the norm keeps its bits.  h is
+    unused: the 4(5) error components already carry it.
     """
     e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
     scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
@@ -200,6 +264,111 @@ def _error_norm(err, y, y_new, rtol, atol):
     if not math.isfinite(ratio1):
         return math.inf
     return math.sqrt((ratio0 * ratio0 + ratio1 * ratio1) / 2)
+
+
+def _dop853_step(f, t, y, h, k1=None):
+    """One Dormand-Prince 8(5,3) step, with the contract of _rk45_step.
+
+    The error part is ((e5_0, e5_1), (e3_0, e3_1)): the 5th- and
+    3rd-order error components, not yet multiplied by h, which
+    _dop853_norm combines.  A right-hand side that overflows a float
+    power or raises _PastEvent gives a NaN step.
+    """
+    y0, y1 = y
+    try:
+        if k1 is None:
+            k1 = f(t, y)
+        u1, v1 = k1
+        u2, v2 = f(t + _DC2 * h, (
+            y0 + h * (_DA2_1 * u1),
+            y1 + h * (_DA2_1 * v1)))
+        u3, v3 = f(t + _DC3 * h, (
+            y0 + h * (_DA3_1 * u1 + _DA3_2 * u2),
+            y1 + h * (_DA3_1 * v1 + _DA3_2 * v2)))
+        u4, v4 = f(t + _DC4 * h, (
+            y0 + h * (_DA4_1 * u1 + _DA4_3 * u3),
+            y1 + h * (_DA4_1 * v1 + _DA4_3 * v3)))
+        u5, v5 = f(t + _DC5 * h, (
+            y0 + h * (_DA5_1 * u1 + _DA5_3 * u3 + _DA5_4 * u4),
+            y1 + h * (_DA5_1 * v1 + _DA5_3 * v3 + _DA5_4 * v4)))
+        u6, v6 = f(t + _DC6 * h, (
+            y0 + h * (_DA6_1 * u1 + _DA6_4 * u4 + _DA6_5 * u5),
+            y1 + h * (_DA6_1 * v1 + _DA6_4 * v4 + _DA6_5 * v5)))
+        u7, v7 = f(t + _DC7 * h, (
+            y0 + h * (_DA7_1 * u1 + _DA7_4 * u4 + _DA7_5 * u5 + _DA7_6 * u6),
+            y1 + h * (_DA7_1 * v1 + _DA7_4 * v4 + _DA7_5 * v5 + _DA7_6 * v6)))
+        u8, v8 = f(t + _DC8 * h, (
+            y0 + h * (_DA8_1 * u1 + _DA8_4 * u4 + _DA8_5 * u5 + _DA8_6 * u6
+                      + _DA8_7 * u7),
+            y1 + h * (_DA8_1 * v1 + _DA8_4 * v4 + _DA8_5 * v5 + _DA8_6 * v6
+                      + _DA8_7 * v7)))
+        u9, v9 = f(t + _DC9 * h, (
+            y0 + h * (_DA9_1 * u1 + _DA9_4 * u4 + _DA9_5 * u5 + _DA9_6 * u6
+                      + _DA9_7 * u7 + _DA9_8 * u8),
+            y1 + h * (_DA9_1 * v1 + _DA9_4 * v4 + _DA9_5 * v5 + _DA9_6 * v6
+                      + _DA9_7 * v7 + _DA9_8 * v8)))
+        u10, v10 = f(t + _DC10 * h, (
+            y0 + h * (_DA10_1 * u1 + _DA10_4 * u4 + _DA10_5 * u5 + _DA10_6 * u6
+                      + _DA10_7 * u7 + _DA10_8 * u8 + _DA10_9 * u9),
+            y1 + h * (_DA10_1 * v1 + _DA10_4 * v4 + _DA10_5 * v5 + _DA10_6 * v6
+                      + _DA10_7 * v7 + _DA10_8 * v8 + _DA10_9 * v9)))
+        u11, v11 = f(t + _DC11 * h, (
+            y0 + h * (_DA11_1 * u1 + _DA11_4 * u4 + _DA11_5 * u5 + _DA11_6 * u6
+                      + _DA11_7 * u7 + _DA11_8 * u8 + _DA11_9 * u9
+                      + _DA11_10 * u10),
+            y1 + h * (_DA11_1 * v1 + _DA11_4 * v4 + _DA11_5 * v5 + _DA11_6 * v6
+                      + _DA11_7 * v7 + _DA11_8 * v8 + _DA11_9 * v9
+                      + _DA11_10 * v10)))
+        u12, v12 = f(t + h, (
+            y0 + h * (_DA12_1 * u1 + _DA12_4 * u4 + _DA12_5 * u5 + _DA12_6 * u6
+                      + _DA12_7 * u7 + _DA12_8 * u8 + _DA12_9 * u9
+                      + _DA12_10 * u10 + _DA12_11 * u11),
+            y1 + h * (_DA12_1 * v1 + _DA12_4 * v4 + _DA12_5 * v5 + _DA12_6 * v6
+                      + _DA12_7 * v7 + _DA12_8 * v8 + _DA12_9 * v9
+                      + _DA12_10 * v10 + _DA12_11 * v11)))
+        s0 = (_DB1 * u1 + _DB6 * u6 + _DB7 * u7 + _DB8 * u8 + _DB9 * u9
+              + _DB10 * u10 + _DB11 * u11 + _DB12 * u12)
+        s1 = (_DB1 * v1 + _DB6 * v6 + _DB7 * v7 + _DB8 * v8 + _DB9 * v9
+              + _DB10 * v10 + _DB11 * v11 + _DB12 * v12)
+        y_new = (y0 + h * s0, y1 + h * s1)
+        k13 = f(t + h, y_new)
+    except (OverflowError, _PastEvent):
+        nan = _nan_state(y)
+        return nan, (nan, nan), nan
+    e5 = ((_DE1 * u1 + _DE6 * u6 + _DE7 * u7 + _DE8 * u8 + _DE9 * u9
+           + _DE10 * u10 + _DE11 * u11 + _DE12 * u12),
+          (_DE1 * v1 + _DE6 * v6 + _DE7 * v7 + _DE8 * v8 + _DE9 * v9
+           + _DE10 * v10 + _DE11 * v11 + _DE12 * v12))
+    e3 = (s0 - _DBHH1 * u1 - _DBHH9 * u9 - _DBHH12 * u12,
+          s1 - _DBHH1 * v1 - _DBHH9 * v9 - _DBHH12 * v12)
+    return y_new, (e5, e3), k13
+
+
+def _dop853_norm(err, y, y_new, rtol, atol, h):
+    """|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) 2) for the 8(5,3) pair.
+
+    e5^2 and e3^2 are the sums of squares of the error components over
+    atol + rtol max(|y|, |y_new|).  inf if anything is not finite; 0
+    when both errors are 0.  The magnitudes come from Python's abs: this
+    pair has no earlier bits to keep (see the module docstring).
+    """
+    (e50, e51), (e30, e31) = err
+    a0, a1 = abs(y[0]), abs(y[1])
+    b0, b1 = abs(y_new[0]), abs(y_new[1])
+    scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
+    scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
+    if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
+        return math.inf
+    r50, r51 = abs(e50) / scale0, abs(e51) / scale1
+    r30, r31 = abs(e30) / scale0, abs(e31) / scale1
+    e5 = r50 * r50 + r51 * r51
+    e3 = r30 * r30 + r31 * r31
+    denom = (e5 + 0.01 * e3) * 2.0
+    if not math.isfinite(denom):
+        return math.inf
+    if denom == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt(denom)
 
 
 def _as_state(y0):
@@ -229,8 +398,11 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
 def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    rtol: float = 1e-11, atol: float = 1e-11,
                    record_every: int = 1,
-                   event: Optional[Callable] = None):
-    """Integrate dy/dt = f(t, y) with the embedded 4(5) pair.
+                   event: Optional[Callable] = None,
+                   step: Callable = _rk45_step,
+                   norm: Callable = _error_norm,
+                   exponent: float = -0.2):
+    """Integrate dy/dt = f(t, y) with an embedded pair, 4(5) by default.
 
     f(t, y) gets the state as a pair and returns a pair of its
     derivatives.  event, when given, is a scalar function g(t, y);
@@ -238,6 +410,11 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     crossing localized by bisection on the step size.  Returns
     (times, states, event_state) where event_state is None or the
     (t, y) pair at the halt.
+
+    step(f, t, y, h, k1) -> (y_new, err, k_last) and
+    norm(err, y, y_new, rtol, atol, h) are the pair's step and error
+    norm, and the step size scales with norm ** exponent: _rk45_step,
+    _error_norm and -1/5, or _dop853_step, _dop853_norm and -1/8.
 
     Raises ValueError when y0 is not a pair, StepUnderflowError when no
     acceptable step size remains and StepBudgetError after MAX_STEPS
@@ -264,14 +441,14 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             raise StepBudgetError(
                 f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
         attempted += 1
-        y_new, err, k_last = _rk45_step(f, t, y, h, k1)
-        norm = _error_norm(err, y, y_new, rtol, atol)
-        if norm > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+        y_new, err, k_last = step(f, t, y, h, k1)
+        err_norm = norm(err, y, y_new, rtol, atol, h)
+        if err_norm > 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
             continue
         # step accepted
         if event is not None and event(t + h, y_new) >= 0.0:
-            t, y = _locate_event(f, event, t, y, h)
+            t, y = _locate_event(f, event, t, y, h, step)
             event_state = (t, y)
             times.append(t)
             states.append(y)
@@ -283,10 +460,11 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         if accepted % record_every == 0 or t >= t_final:
             times.append(t)
             states.append(y)
-        if norm == 0.0:
+        if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            factor = min(_MAX_FACTOR,
+                         max(_MIN_FACTOR, _SAFETY * err_norm ** exponent))
         h *= factor
 
     if times[-1] != t:
@@ -295,7 +473,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     return np.array(times), np.array(states), event_state
 
 
-def _locate_event(f, event, t, y, h):
+def _locate_event(f, event, t, y, h, step):
     """Bisect the step size to land just before the event crossing."""
     lo, hi = 0.0, h
     y_lo = y
@@ -303,7 +481,7 @@ def _locate_event(f, event, t, y, h):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = _rk45_step(f, t, y, mid)
+        y_mid, _, _ = step(f, t, y, mid)
         if event(t + mid, y_mid) < 0.0:
             lo, y_lo = mid, y_mid
         else:
@@ -378,13 +556,29 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     return np.array(times), np.array(states), event_state
 
 
-def _solve(f, t0, y0, cfg: IntegratorConfig, event=None):
+# adaptive pair -> (step, error norm, step-size exponent)
+_PAIRS = {"rk45": (_rk45_step, _error_norm, -0.2),
+          "dop853": (_dop853_step, _dop853_norm, -0.125)}
+
+
+def _solve(f, t0, y0, cfg: IntegratorConfig, event=None,
+           end_state_only=False):
+    """Solve with cfg's method.
+
+    "adaptive" is the 8(5,3) pair when the caller reads only the end
+    state (end_state_only) and the 4(5) pair otherwise.
+    """
     if cfg.method == "rk4":
         return solve_fixed(f, t0, y0, cfg.t_final, cfg.dt,
                            record_every=cfg.record_every, event=event)
+    pair = cfg.method
+    if pair == "adaptive":
+        pair = "dop853" if end_state_only else "rk45"
+    step, norm, exponent = _PAIRS[pair]
     return solve_adaptive(f, t0, y0, cfg.t_final, rtol=cfg.rtol,
                           atol=cfg.atol, record_every=cfg.record_every,
-                          event=event)
+                          event=event, step=step, norm=norm,
+                          exponent=exponent)
 
 
 @dataclass

@@ -9,13 +9,15 @@ cubic instead of its closed form, and regime boundaries from bisection
 between differing grid cells instead of the closed-form bifurcation set,
 whose distance comes from a second parametrization of the fold, and the
 solver steps from per-component comprehensions of the vector form
-instead of the stages written out for a pair.
+instead of the stages written out for a pair; the 8(5,3) step loops
+over a tableau gathered from the module's coefficient names.
 """
 
 import math
 
 import numpy as np
 
+from atomol import integrate
 from atomol.fixed_points import cubic_coefficients, jacobian
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
@@ -348,3 +350,81 @@ def rk4_step(f, t, y, h):
         return tuple([math.nan * yi for yi in y])
     return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+
+
+def _dop853_tableau():
+    """(c, a, b, e5, bhh) of the 8(5,3) pair as dense lists, 12 stages.
+
+    Gathered from integrate's _DC<i>, _DA<i>_<j>, _DB<j>, _DE<j> and
+    _DBHH<j> names; a name that does not exist is a zero entry.
+    """
+    def coef(name):
+        return getattr(integrate, name, 0.0)
+
+    c = [0.0] + [coef(f"_DC{i}") for i in range(2, 12)] + [1.0]
+    a = [[coef(f"_DA{i}_{j}") for j in range(1, i)] for i in range(1, 13)]
+    b, e5, bhh = ([coef(f"{p}{j}") for j in range(1, 13)]
+                  for p in ("_DB", "_DE", "_DBHH"))
+    return c, a, b, e5, bhh
+
+
+DOP853_TABLEAU = _dop853_tableau()
+
+
+def _weighted_sum(weights, ks, m):
+    """sum_j weights[j] ks[j][m] over the nonzero weights, left to right."""
+    terms = [w * k[m] for w, k in zip(weights, ks) if w != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def dop853_step(f, t, y, h, k1=None):
+    """One Dormand-Prince 8(5,3) step on a tuple state of any length.
+
+    Same contract and bits as integrate._dop853_step, from a loop over
+    the dense tableau.
+    """
+    c, a, b, e5, bhh = DOP853_TABLEAU
+    n = range(len(y))
+    try:
+        ks = [f(t, y) if k1 is None else k1]
+        for i in range(1, 12):
+            ks.append(f(t + c[i] * h, tuple([
+                y[m] + h * _weighted_sum(a[i], ks, m) for m in n])))
+        sums = [_weighted_sum(b, ks, m) for m in n]
+        y_new = tuple([y[m] + h * sums[m] for m in n])
+        k_last = f(t + h, y_new)
+    except (OverflowError, _PastEvent):
+        nan = tuple([math.nan * yi for yi in y])
+        return nan, (nan, nan), nan
+    err3 = []
+    for m in n:
+        total = sums[m]
+        for w, k in zip(bhh, ks):
+            if w != 0.0:
+                total = total - w * k[m]
+        err3.append(total)
+    err5 = tuple([_weighted_sum(e5, ks, m) for m in n])
+    return y_new, (err5, tuple(err3)), k_last
+
+
+def dop853_norm(err, y, y_new, rtol, atol, h):
+    """integrate._dop853_norm on a tuple state of any length."""
+    err5, err3 = err
+    sq5 = sq3 = 0.0
+    for e5, e3, yi, yn in zip(err5, err3, y, y_new):
+        a, b = abs(yi), abs(yn)
+        scale = atol + rtol * (a if a >= b else b)
+        if a != a or not scale > 0.0:
+            return math.inf
+        r5, r3 = abs(e5) / scale, abs(e3) / scale
+        sq5 += r5 * r5
+        sq3 += r3 * r3
+    denom = (sq5 + 0.01 * sq3) * 2.0
+    if not math.isfinite(denom):
+        return math.inf
+    if denom == 0.0:
+        return 0.0
+    return abs(h) * sq5 / math.sqrt(denom)

@@ -294,6 +294,21 @@ class TestSweepCommand:
         assert rows[0][header.index("m")] == ""
         assert rows[0][header.index("m_defined")] == "false"
 
+    def test_default_sweep_pairs_agree(self, tmp_path):
+        # the default method solves the sweep with the 8(5,3) pair; the
+        # 4(5) pair gives w within 1e-9 at the default tolerance
+        ini = tmp_path / "rk45.ini"
+        ini.write_text("[integrator]\nmethod = rk45\n")
+        w = {}
+        for name, extra in (("adaptive", []), ("rk45", ["--config", str(ini)])):
+            out = tmp_path / name
+            assert main(["sweep", "--output", str(out)] + extra) == 0
+            header, rows = read_csv(out / "efficiency.csv")
+            w[name] = [float(r[header.index("w")]) for r in rows]
+        assert len(w["adaptive"]) == 12
+        assert w["adaptive"] != w["rk45"]
+        assert max(abs(a - b) for a, b in zip(w["adaptive"], w["rk45"])) < 1e-9
+
     def test_rerun_matches(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -369,6 +384,15 @@ class TestExitCodes:
                    "--atol", "1e-300", "--u", "2.0", "--a0-sq", "0.6",
                    "--output", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_sweep_step_underflow_is_3(self, tmp_path, capsys):
+        # the sweep's solves take the 8(5,3) pair, which must stall the
+        # same way
+        rc = main(["sweep", "--rtol", "1e-300", "--atol", "1e-300",
+                   "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "step size underflow" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
     def test_overflow_mid_solve_is_3(self, tmp_path, capsys, method):
@@ -536,7 +560,7 @@ FUZZ_WORK = {  # flag -> strategy, always given
     "portrait": {"--n-s": st.integers(0, 3), "--n-theta": st.integers(0, 3)},
     "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
 }
-FUZZ_CHOICES = {"--method": ["rk45", "rk4", "euler"],
+FUZZ_CHOICES = {"--method": ["adaptive", "rk45", "rk4", "euler"],
                 "--format": ["csv", "json", "xml"]}
 
 

@@ -26,9 +26,15 @@ from atomol.cli import main
 
 RECORD = Path(__file__).with_name("fingerprints.json")
 
-RK4_TRAP_INI = "[integrator]\nmethod = rk4\ndt = 0.01\n"
+# config files of the runs: "{name}" in RUNS is replaced by the path of
+# an INI file holding CONFIGS[name]
+CONFIGS = {
+    "rk4": "[integrator]\nmethod = rk4\ndt = 0.01\n",
+    # sweep has no --method flag; rk45 pins the pre-"adaptive" outputs
+    "rk45": "[integrator]\nmethod = rk45\n",
+}
 
-# run name -> CLI arguments; "{ini}" is replaced by the rk4 trap config
+# run name -> CLI arguments
 RUNS = {
     "regimes-g0": ["regimes", "--resolution", "41", "--gamma", "0"],
     "regimes-g0.6": ["regimes", "--resolution", "41", "--gamma", "0.6"],
@@ -41,18 +47,23 @@ RUNS = {
     "evolve": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "3"],
     "evolve-rk4": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",
                    "--method", "rk4", "--dt", "0.01"],
-    "trap-rk4": ["trap", "--u", "1.5", "--t-span", "3", "--config", "{ini}"],
+    "trap-rk4": ["trap", "--u", "1.5", "--t-span", "3", "--config", "{rk4}"],
+    "sweep-rk45": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
+                   "--r-max", "2", "--config", "{rk45}"],
 }
 
 
 def fingerprints(workdir: Path) -> dict:
     """Run every entry of RUNS under workdir; {run: {file: sha256}}."""
-    ini = workdir / "rk4.ini"
-    ini.write_text(RK4_TRAP_INI)
+    inis = {}
+    for name, text in CONFIGS.items():
+        ini = workdir / f"{name}.ini"
+        ini.write_text(text)
+        inis["{" + name + "}"] = str(ini)
     out = {}
     for name, args in RUNS.items():
         outdir = workdir / name
-        argv = [str(ini) if a == "{ini}" else a for a in args]
+        argv = [inis.get(a, a) for a in args]
         assert main(argv + ["--output", str(outdir)]) == 0, name
         out[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(outdir.iterdir())

@@ -1,5 +1,6 @@
 """Integrator: conservation, convergence, events, determinism."""
 
+import cmath
 import hashlib
 import math
 import struct
@@ -31,7 +32,8 @@ from atomol.model import (
     effective_energy,
     params_from_gamma,
 )
-from oracles import error_norm, rk4_step, rk45_step
+from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
+                     rk4_step, rk45_step)
 
 
 # sha256 of the recorded arrays (and the pole event, when one fires),
@@ -360,6 +362,42 @@ class TestGenericSolvers:
         integrate._solve(f, np.float64(0.0), (1.0, 0.0), cfg)
         assert seen == {(float, float)}
 
+    @pytest.mark.parametrize("method, end_state_only, step", [
+        ("adaptive", True, integrate._dop853_step),
+        ("adaptive", False, integrate._rk45_step),
+        ("rk45", True, integrate._rk45_step),
+        ("rk45", False, integrate._rk45_step)])
+    def test_adaptive_method_takes_its_pair_from_the_call_site(
+            self, monkeypatch, method, end_state_only, step):
+        steps = []
+
+        def recording_solve(*args, step, **kwargs):
+            steps.append(step)
+            return solve_adaptive(*args, step=step, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_adaptive", recording_solve)
+        cfg = IntegratorConfig(method=method, t_final=1.0)
+        integrate._solve(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), cfg,
+                         end_state_only=end_state_only)
+        assert steps == [step]
+
+    def test_dop853_solve_is_accurate_in_fewer_calls(self):
+        # harmonic oscillator over ten periods at the default tolerance
+        calls = {"rk45": 0, "dop853": 0}
+        end = {}
+        for name, (step, norm, exponent) in integrate._PAIRS.items():
+            def f(t, y, name=name):
+                calls[name] += 1
+                return y[1], -y[0]
+
+            _, states, _ = solve_adaptive(f, 0.0, (1.0, 0.0), 20 * math.pi,
+                                          step=step, norm=norm,
+                                          exponent=exponent)
+            end[name] = states[-1]
+        for y in end.values():
+            assert abs(y[0] - 1.0) < 1e-9 and abs(y[1]) < 1e-9
+        assert calls["dop853"] * 3 < calls["rk45"]
+
     def test_fixed_step_grid(self):
         times, states, _ = solve_fixed(lambda t, y: (-y[0], 0.0), 0.0,
                                        np.array([1.0, 0.0]), 1.0, 0.1)
@@ -448,8 +486,31 @@ class TestPairSteps:
         assert [bits(part) for part in pair] == [bits(part) for part in generic]
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._error_norm(pair[1], y, pair[0],
-                                               rtol, atol)]) == \
+                                               rtol, atol, h)]) == \
                 bits([error_norm(generic[1], y, generic[0], rtol, atol)])
+
+    @PAIR_PROPERTY
+    @given(y=_PAIRS, k1=st.one_of(st.none(), _PAIRS), h=_STEPS,
+           t=st.floats(min_value=-100.0, max_value=100.0),
+           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
+           limit=st.one_of(st.just(math.inf), _REALS))
+    @example(y=(1e110, 2.0), k1=None, h=1.0, t=0.0, p=1.0, q=1.0, power=3,
+             limit=math.inf)  # a stage overflows a float power
+    @example(y=(0.5j, 1 + 0j), k1=None, h=1.0, t=0.0, p=1.0, q=1.0,
+             power=1, limit=0.75)  # a later stage is past the event
+    def test_dop853_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
+                                                  power, limit):
+        f = pair_rhs(p, q, power, limit)
+        pair = integrate._dop853_step(f, t, y, h, k1)
+        generic = dop853_step(f, t, y, h, k1)
+        (y_new, (e5, e3), k_last) = pair
+        assert [bits(y_new), bits(e5), bits(e3), bits(k_last)] == \
+            [bits(generic[0]), bits(generic[1][0]), bits(generic[1][1]),
+             bits(generic[2])]
+        for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
+            assert bits([integrate._dop853_norm(pair[1], y, y_new, rtol,
+                                                atol, h)]) == \
+                bits([dop853_norm(generic[1], y, generic[0], rtol, atol, h)])
 
     @PAIR_PROPERTY
     @given(y=_PAIRS, h=_STEPS, t=st.floats(min_value=-100.0, max_value=100.0),
@@ -478,8 +539,56 @@ class TestPairSteps:
              y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11, atol=1e-11)
     def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
                                                  atol):
-        pair = integrate._error_norm(err, y, y_new, rtol, atol)
+        pair = integrate._error_norm(err, y, y_new, rtol, atol, 1.0)
         assert bits([pair]) == bits([error_norm(err, y, y_new, rtol, atol)])
+
+    @PAIR_PROPERTY
+    @given(err=st.tuples(_NORM_PAIRS, _NORM_PAIRS), y=_NORM_PAIRS,
+           y_new=_NORM_PAIRS, rtol=st.sampled_from([1e-11, 1e-3, 0.0, 1e300]),
+           atol=st.sampled_from([1e-11, 1.0, 0.0, 1e-320]), h=_STEPS)
+    @example(err=((1.0, 1.0), (1.0, 1.0)), y=(math.nan, 1.0),
+             y_new=(1.0, 1.0), rtol=1e-11, atol=1e-11, h=1.0)  # NaN magnitude
+    @example(err=((1.0, 1.0), (1.0, 1.0)), y=(1.0, 0.0), y_new=(1.0, 0.0),
+             rtol=1e-11, atol=0.0, h=1.0)  # zero scale
+    @example(err=((1e-11, 1e300), (1.0, 1.0)), y=(1.0, 1.0),
+             y_new=(1.0, 1.0), rtol=1e-11, atol=1e-320, h=1.0)  # overflow
+    @example(err=((0.0, 0.0), (0.0, -0.0)), y=(1.0, 1.0), y_new=(1.0, 1.0),
+             rtol=1e-11, atol=1e-11, h=1.0)  # both errors zero
+    @example(err=((1e-12 + 3e-12j, -2e-12), (4e-12, 1e-11j)),
+             y=(0.6 + 0.1j, 0.3j), y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11,
+             atol=1e-11, h=-0.3)
+    def test_dop853_norm_is_the_generic_norm(self, err, y, y_new, rtol, atol,
+                                             h):
+        pair = integrate._dop853_norm(err, y, y_new, rtol, atol, h)
+        assert bits([pair]) == bits([dop853_norm(err, y, y_new, rtol, atol,
+                                                 h)])
+        assert pair == math.inf or 0.0 <= pair < math.inf
+
+    def test_dop853_one_step_error_is_ninth_order(self):
+        # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less
+        # per halving of h, from h = 1 down to where rounding sets in
+        def f(t, y):
+            return 1j * y[0], -1j * y[1]
+
+        errors = []
+        for h in (1.0, 0.5, 0.25):
+            y_new, _, _ = integrate._dop853_step(f, 0.0, (1 + 0j, 1 + 0j), h)
+            errors.append(max(abs(y_new[0] - cmath.exp(1j * h)),
+                              abs(y_new[1] - cmath.exp(-1j * h))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(math.log2(coarse / fine) - 9.0) < 0.2
+
+    def test_dop853_tableau_is_scipys(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        c, a, b, e5, bhh = DOP853_TABLEAU
+        n = coeffs.N_STAGES
+        assert c == coeffs.C[:n].tolist()
+        assert ([row + [0.0] * (n - len(row)) for row in a]
+                == coeffs.A[:n, :n].tolist())
+        assert b == coeffs.B.tolist()
+        assert e5 + [0.0] == coeffs.E5.tolist()
+        assert [bi - hi for bi, hi in zip(b, bhh)] + [0.0] == \
+            coeffs.E3.tolist()
 
     @pytest.mark.parametrize("y0, pair", [((1.0, 0.5), True),
                                           ((0.9 + 0.1j, 0.2j), True),
