@@ -20,10 +20,12 @@ the spurious roots introduced by the squaring step.
 
 Stability follows from the 2x2 Jacobian of the flow.  Its trace equals
 2 Gamma S identically, so any non-saddle fixed point is a repeller when
-Gamma and S share a sign and an attractor when they differ.
+Gamma and S share a sign and an attractor when they differ.  _spectrum
+is the one rule from eigenvalues to a kind; a regime label reads only
+how many interior points there are and where, never their kinds.
 
 A census labels a parameter point by the regime its fixed points give
-(RegimeLabel).  It has two forms that give the same bits:
+(RegimeLabel).  It has two forms that give the same labels:
 
 - The scalar core (interior_census, real_cubic_roots, _polish_point,
   _spectrum) runs on Python floats, for one point at a time; length-1
@@ -31,22 +33,20 @@ A census labels a parameter point by the regime its fixed points give
   tracer's side probes and the fixed-points and portrait commands, and
   it is the reference of the array form.  jacobian, eigenvalues_2x2
   and classify wrap it for numpy 2x2 arrays.
-- The array census (regime_census) runs each stage of interior_census
-  over a whole grid of points at once: coefficients, Cauchy bound,
-  critical points, double roots, bracketed Newton, phase, 2D polish and
-  residual gate, dedupe, degeneracy flags, stability class.  The loops
+- The array census (regime_census) runs the stages of interior_census
+  that a label reads over a whole grid of points at once: coefficients,
+  Cauchy bound, critical points, double roots, bracketed Newton, phase,
+  2D polish and residual gate, dedupe, degeneracy flags.  The loops
   are masked: they iterate until every element has stopped, by the
   scalar code's branch rules, with its expressions in its order.
   numpy's +, -, *, /, sqrt, sin, cos and mod give the bits of Python's
-  float arithmetic and math, but np.arctan2, np.hypot, abs of a complex
-  array and powers (x**3, x**2, np.power) differ from math.atan2, abs
-  of a Python complex and float pow in the last bit on 1% to 35% of
-  inputs (numpy 2.4.6, AVX-512).  So the phase (atan2), the size of a
-  complex eigenvalue (abs) and the cubes and squares of
-  real_cubic_roots and of the Jacobian go through Python, one call per
-  element.  A point where the scalar census raises (a polish step to
-  an infinite phase, a point within EPS_POLE of the pole) is handed to
-  it, so it raises there.
+  float arithmetic and math, but np.arctan2, np.hypot and powers (x**3,
+  x**2, np.power) differ from math.atan2 and float pow in the last bit
+  on 1% to 35% of inputs (numpy 2.4.6, AVX-512).  So the phase (atan2)
+  and the cubes and squares of real_cubic_roots and of the polish
+  Jacobian go through Python, one call per element.  A point where the
+  scalar census raises (a polish step to an infinite phase, a point
+  within EPS_POLE of the pole) is handed to it, so it raises there.
 """
 
 from __future__ import annotations
@@ -467,7 +467,6 @@ class RegimeLabel:
     label: str
     n_interior: int
     has_boundary_fp: bool
-    kinds: tuple[str, ...]
 
 
 def _regime_name(degenerate: bool, n: int, cos_first: float) -> str:
@@ -494,17 +493,11 @@ def _point_label(q: ReducedParams) -> RegimeLabel:
     n = len(points)
     cos_first = math.cos(points[0].theta) if n == 1 else math.nan
     return RegimeLabel(label=_regime_name(degenerate, n, cos_first),
-                       n_interior=n, has_boundary_fp=has_boundary_fixed_point(q),
-                       kinds=tuple(sorted(p.kind for p in points)))
+                       n_interior=n, has_boundary_fp=has_boundary_fixed_point(q))
 
 
 # Parameter points per pass of the array census; bounds its work arrays.
 CENSUS_CHUNK = 4096
-
-# Stability classes in sorted order: sorting their indices sorts the names.
-_KINDS = tuple(sorted((KIND_CENTER, KIND_SPIRAL_ATTRACTOR, KIND_SPIRAL_REPELLER,
-                       KIND_NODE_ATTRACTOR, KIND_NODE_REPELLER, KIND_SADDLE,
-                       KIND_INDETERMINATE)))
 
 
 def regime_census(c, r, omega, gamma) -> np.ndarray:
@@ -512,8 +505,10 @@ def regime_census(c, r, omega, gamma) -> np.ndarray:
 
     Returns an object array of the broadcast shape holding exactly the
     RegimeLabel the scalar census gives at each point, one shared
-    object per distinct label.  Points run in row-major order, CENSUS_CHUNK
-    at a time; the first point the scalar census rejects raises its error.
+    object per distinct label.  It finds the interior fixed points but
+    not their stability, which no label reads.  Points run in row-major
+    order, CENSUS_CHUNK at a time; the first point the scalar census
+    rejects raises its error.
     """
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                    for v in (c, r, omega, gamma)))
@@ -535,30 +530,24 @@ def regime_census(c, r, omega, gamma) -> np.ndarray:
 
 
 def _chunk_labels(c, r, omega, gamma, shared: dict) -> list:
-    """Labels of one chunk; shared maps (name, kinds code, boundary fp) to
-    its RegimeLabel.  A point where the scalar census raises is handed
-    to it, so the error is the scalar one."""
-    degenerate, n_points, kinds, cos_first, failed = _census_arrays(
-        c, r, omega, gamma)
+    """Labels of one chunk; shared maps (name, n, boundary fp) to its
+    RegimeLabel.  A point where the scalar census raises is handed to
+    it, so the error is the scalar one."""
+    degenerate, n_points, cos_first, failed = _census_arrays(c, r, omega, gamma)
     has_bfp = np.abs(-math.sqrt(2.0) * (c + r) / omega) <= 1.0
-    # sorted kind indices + 1 in base 8, padding 0: one integer per tuple
-    code = ((kinds + 1) % (len(_KINDS) + 1)
-            * 8 ** np.arange(kinds.shape[1])).sum(axis=1)
     out = []
-    for k, (deg, n, cos_t, kind_code, bfp, bad) in enumerate(zip(
+    for k, (deg, n, cos_t, bfp, bad) in enumerate(zip(
             degenerate.tolist(), n_points.tolist(), cos_first.tolist(),
-            code.tolist(), has_bfp.tolist(), failed.tolist())):
+            has_bfp.tolist(), failed.tolist())):
         if bad:
             out.append(_point_label(ReducedParams(
                 c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
                 gamma=float(gamma[k]))))
             continue
-        key = (_regime_name(deg, n, cos_t), kind_code, bfp)
+        key = (_regime_name(deg, n, cos_t), n, bfp)
         label = shared.get(key)
         if label is None:
-            label = shared[key] = RegimeLabel(
-                label=key[0], n_interior=n, has_boundary_fp=bfp,
-                kinds=tuple(_KINDS[i] for i in kinds[k, :n].tolist()))
+            label = shared[key] = RegimeLabel(*key)
         out.append(label)
     return out
 
@@ -567,12 +556,11 @@ def _census_arrays(c, r, omega, gamma):
     """interior_census over arrays of parameter points, stage by stage.
 
     Returns per point the degeneracy flag, the number of fixed points,
-    their kind indices sorted along axis 1 (padded with len(_KINDS)),
     cos(theta) of a single point (NaN elsewhere) and a mask of points
     where the scalar census raises.  Every stage is the scalar code's
     expressions in its order on the points still open; numpy's sqrt,
-    sin, cos and mod give the bits of math's, but atan2, pow and
-    abs(complex) are mapped through Python (see the module docstring).
+    sin, cos and mod give the bits of math's, but atan2 and pow are
+    mapped through Python (see the module docstring).
     """
     n = len(c)
     c3, c2, c1, c0 = _coefficients(c, omega, r, gamma)
@@ -623,19 +611,10 @@ def _census_arrays(c, r, omega, gamma):
                     & (angle_distance(t_grid[:, i], t_grid[:, k]) < 1e-7))
         taken[:, k] = gate[:, k] & ~dup
 
-    # stability of the points kept
-    p_cell, p_rank = np.nonzero(taken)
-    s_pt, t_pt = s_grid[p_cell, p_rank], t_grid[p_cell, p_rank]
-    root = np.sqrt(1.0 - s_pt)
-    codes = _kind_codes(*_jacobian_terms(
-        s_pt, np.sin(t_pt), np.cos(t_pt), root, _pow(root, 3),
-        c[p_cell], omega[p_cell], gamma[p_cell]))
-    kinds = np.full((n, width), len(_KINDS))
-    kinds[p_cell, p_rank] = codes
-    kinds.sort(axis=1)
     failed = np.zeros(n, dtype=bool)
     failed[owner[failed_polish]] = True
-    failed[p_cell[s_pt >= 1.0 - EPS_POLE]] = True  # the Jacobian's pole guard
+    # a kept point inside EPS_POLE of the pole: the scalar Jacobian raises
+    failed[(taken & (s_grid >= 1.0 - EPS_POLE)).any(axis=1)] = True
 
     n_here = (taken[fold_cell]
               & (np.abs(s_grid[fold_cell] - fold_s[:, None]) < 1e-6)).sum(axis=1)
@@ -645,7 +624,7 @@ def _census_arrays(c, r, omega, gamma):
     cos_first = np.full(n, np.nan)
     if single.any():
         cos_first[single] = np.cos(t_grid[single, np.argmax(taken[single], axis=1)])
-    return degenerate, n_points, kinds, cos_first, failed
+    return degenerate, n_points, cos_first, failed
 
 
 def _first_max(first, *rest):
@@ -816,38 +795,3 @@ def _polish_points(s, theta, c, omega, r, gamma):
         best_s[idx], best_t[idx], best_res[idx] = s, theta, res
     return best_s, best_t, best_res, raises
 
-
-def _kind_codes(j11, j12, j21, j22, tol=1e-9):
-    """Kind indices by the branch rules of _spectrum.
-
-    abs() of a complex pair cannot overflow: its real part is at most
-    half the largest float and its imaginary part a square root.
-    """
-    tr = j11 + j22
-    det = j11 * j22 - j12 * j21
-    disc = 0.25 * tr * tr - det
-    real = disc >= 0.0
-    root = np.sqrt(np.where(real, disc, -disc))
-    half = 0.5 * tr
-    re1 = np.where(real, half + root, half)
-    re2 = np.where(real, half - root, half)
-    im1 = np.where(real, 0.0, root)
-    size1, size2 = np.abs(re1), np.abs(re2)
-    cplx = np.flatnonzero(~real)
-    size1[cplx] = size2[cplx] = _mapped(lambda x, y: abs(complex(x, y)),
-                                        half[cplx], root[cplx])
-    t = tol * _first_max(1.0, size1, size2)
-    spiral = np.abs(im1) > t
-    attract = (re1 < -t) & (re2 < -t)
-    repel = (re1 > t) & (re2 > t)
-    rules = [
-        ((size1 <= t) & (size2 <= t), KIND_INDETERMINATE),
-        (attract & spiral, KIND_SPIRAL_ATTRACTOR),
-        (attract, KIND_NODE_ATTRACTOR),
-        (repel & spiral, KIND_SPIRAL_REPELLER),
-        (repel, KIND_NODE_REPELLER),
-        (((re1 > t) & (re2 < -t)) | ((re1 < -t) & (re2 > t)), KIND_SADDLE),
-        ((np.abs(re1) <= t) & (np.abs(re2) <= t) & spiral, KIND_CENTER),
-    ]
-    return np.select([m for m, _ in rules], [_KINDS.index(k) for _, k in rules],
-                     _KINDS.index(KIND_INDETERMINATE))

@@ -23,10 +23,12 @@ where Gamma = (gamma_a - gamma_b)/2 is the relative loss rate.  The total
 rate (gamma_a + gamma_b)/2 enters only through the norm,
 dn/dt = -(Gamma_plus + Gamma_minus * S) n.
 
-Time integration is done in amplitude coordinates, which are regular
-everywhere; (S, theta) is singular at S = 1 and the chart degenerates at
-S = -1, so canonical quantities are derived from amplitudes after the
-fact.
+Evolve, sweep and trap runs integrate in amplitude coordinates, which
+are regular everywhere; (S, theta) is singular at S = 1 and the chart
+degenerates at S = -1, so their canonical quantities are derived from
+amplitudes after the fact.  Phase portraits integrate the (S, theta)
+chart itself (evolve_reduced), and an orbit that reaches the pole ends
+there with a pole event.
 """
 
 from __future__ import annotations

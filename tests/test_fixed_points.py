@@ -13,6 +13,7 @@ from atomol.fixed_points import (
     CubicCoefficients,
     KIND_CENTER,
     KIND_SADDLE,
+    KIND_SPIRAL_REPELLER,
     REPELLER_KINDS,
     RESIDUAL_TOL,
     all_fixed_points,
@@ -405,6 +406,13 @@ class TestClassify:
     def test_degenerate_matrix_indeterminate(self):
         assert classify(np.zeros((2, 2))) == "indeterminate"
 
+    @pytest.mark.parametrize("re, kind", [(0.99e-9, KIND_CENTER),
+                                          (1.01e-9, KIND_SPIRAL_REPELLER)])
+    def test_small_spectrum_keeps_the_unit_rate_floor(self, re, kind):
+        # eigenvalues re +- 0.01i: tol scales with max(1, |lambda|), so a
+        # real part counts as zero up to 1e-9 even where |lambda| < 1
+        assert classify(np.array([[re, -0.01], [0.01, re]])) == kind
+
     def test_no_loss_never_attracts_or_repels(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
@@ -530,7 +538,7 @@ def census_record(q):
     bfp = boundary_fixed_point(q)
     label = classify_regime(q)
     lines = [f"{label.label} {label.n_interior} {label.has_boundary_fp} "
-             f"{','.join(label.kinds)} {degenerate}"]
+             f"{','.join(sorted(p.kind for p in points))} {degenerate}"]
     for p in points + ([bfp] if bfp is not None else []):
         eig = " ".join(x.hex() for ev in p.eigenvalues for x in (ev.real, ev.imag))
         lines.append(f"{p.s.hex()} {p.theta.hex()} {p.kind} {eig} "

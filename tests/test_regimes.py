@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from atomol.fixed_points import regime_census, threshold_gamma
+from atomol.fixed_points import (interior_fixed_points, regime_census,
+                                 threshold_gamma)
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
@@ -57,7 +58,8 @@ class TestClassifyRegime:
         lab = label_at(2.0, 0.0)
         assert lab.label == "II"
         assert lab.n_interior == 3
-        assert sorted(lab.kinds) == ["center", "center", "saddle"]
+        points = interior_fixed_points(ReducedParams(c=2.0, omega=OMEGA, r=0.0))
+        assert sorted(p.kind for p in points) == ["center", "center", "saddle"]
 
     def test_anchor_oscillation(self):
         lab = label_at(0.0, 0.0)
@@ -100,7 +102,6 @@ class TestScanPlane:
 
     def test_label_census_consistency(self):
         rmap = scan_plane(resolution=(13, 17), omega=OMEGA, gamma=0.7)
-        from atomol.fixed_points import interior_fixed_points
         for c, r, lab in rmap.cells():
             pts = interior_fixed_points(ReducedParams(c=c, omega=OMEGA, r=r,
                                                       gamma=0.7))
