@@ -160,15 +160,10 @@ def cmd_evolve(resolved, outdir, fmt):
     tr = evolve(x0, p, IntegratorConfig(**_section(resolved, "integrator")))
     header = ["t", "re_a", "im_a", "re_b", "im_b", "n", "s", "theta",
               "hx", "hy", "hz", "energy"]
-    rows = [
-        [float(tr.times[i]),
-         float(tr.states[i, 0].real), float(tr.states[i, 0].imag),
-         float(tr.states[i, 1].real), float(tr.states[i, 1].imag),
-         float(tr.n[i]), float(tr.s[i]), float(tr.theta[i]),
-         float(tr.hx[i]), float(tr.hy[i]), float(tr.hz[i]),
-         float(tr.energy[i])]
-        for i in range(len(tr.times))
-    ]
+    a, b = tr.states[:, 0], tr.states[:, 1]
+    columns = [tr.times, a.real, a.imag, b.real, b.imag, tr.n, tr.s,
+               tr.theta, tr.hx, tr.hy, tr.hz, tr.energy]
+    rows = list(zip(*[col.tolist() for col in columns]))
     out = aio.write_table(outdir, "trajectory", header, rows, fmt)
     derived = {"gamma_plus": p.gamma_plus, "gamma_minus": p.gamma_minus,
                "c": p.u, "omega": p.v}
@@ -266,8 +261,8 @@ def cmd_trap(resolved, outdir, fmt):
         t_span=resolved["trap.t_span"], theta0=resolved["trap.theta0"],
         cfg=cfg)
     header = ["t", "p_atom", "s", "theta"]
-    rows = [[float(run.times[i]), float(run.p_atom[i]), float(run.s[i]),
-             float(run.theta[i])] for i in range(len(run.times))]
+    rows = list(zip(run.times.tolist(), run.p_atom.tolist(), run.s.tolist(),
+                    run.theta.tolist()))
     out = aio.write_table(outdir, "population", header, rows, fmt)
     summary = {
         "trapped": run.trapped,
@@ -298,9 +293,8 @@ def cmd_portrait(resolved, outdir, fmt):
     header = ["traj_id", "t", "s", "theta"]
     rows = []
     for k, tr in enumerate(portrait.trajectories):
-        for i in range(len(tr.times)):
-            rows.append([k, float(tr.times[i]), float(tr.s[i]),
-                         float(tr.theta[i])])
+        rows += [[k, t, s, theta] for t, s, theta in
+                 zip(tr.times.tolist(), tr.s.tolist(), tr.theta.tolist())]
     out = aio.write_table(outdir, "portrait", header, rows, fmt)
     fp_out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                              _fixed_point_rows(portrait.fixed_points), fmt)

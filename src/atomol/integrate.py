@@ -21,12 +21,12 @@ f(t, y) gets that tuple and returns a pair (the tuples of the model's
 *_deriv functions).  The steps write the stages out for the two
 components in the operation order of the vector form
 (y + h * (a21 * k1) and so on), so the trajectories keep the bits they
-had when the states were numpy arrays.  One numpy call remains per
-attempted 4(5) step: its error norm takes every magnitude from a single
-np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
-and Python's abs(complex) can differ in the last bit, and that bit
-steers the step-size controller.  The 8(5,3) norm, with no earlier
-bits to keep, uses Python's abs.
+had when the states were numpy arrays.  On a complex pair one numpy
+call remains per attempted 4(5) step: its error norm takes every
+magnitude from one np.abs on the packed [*err, *y, *y_new], because
+numpy's complex abs and Python's abs(complex) can differ in the last
+bit, which steers the step-size controller; on floats the two agree.
+The 8(5,3) norm, with no earlier bits to keep, uses Python's abs.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
@@ -49,7 +49,6 @@ from .model import (
     ReducedParams,
     derived_quantities,
     gp_deriv,
-    reduced_deriv,
 )
 
 # Dormand-Prince 5(4) tableau: seven stages with first-same-as-last,
@@ -246,11 +245,17 @@ def _rk45_step(f, t, y, h, k1=None):
 def _error_norm(err, y, y_new, rtol, atol, h):
     """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
 
-    The magnitudes come from one np.abs call on the packed components
-    (see the module docstring), so the norm keeps its bits.  h is
-    unused: the 4(5) error components already carry it.
+    Six exact floats take Python's abs, anything else one np.abs call on
+    the packed components (see the module docstring): the norm keeps its
+    bits.  h is unused: the 4(5) error components already carry it.
     """
-    e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
+    (e0, e1), (a0, a1), (b0, b1) = err, y, y_new
+    if (type(e0) is float and type(e1) is float and type(a0) is float
+            and type(a1) is float and type(b0) is float and type(b1) is float):
+        e0, e1, a0, a1 = abs(e0), abs(e1), abs(a0), abs(a1)
+        b0, b1 = abs(b0), abs(b1)
+    else:
+        e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
     scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
     if a0 != a0 or not scale0 > 0.0:
         return math.inf
@@ -633,14 +638,19 @@ def _guarded_reduced_f(c, omega, r, gamma):
     Values at or past S = 1 raise _PastEvent, a rejected step for the
     adaptive solver and the crossing for the fixed-step one; the event
     guard halts before the pole itself.  A phase that overflowed to inf
-    gives NaN, as the overflow itself would in numpy.
+    gives NaN, as the overflow itself would in numpy.  It inlines
+    model.reduced_deriv bit for bit (test_guarded_rhs_is_reduced_deriv).
     """
     def f(t, y):
-        s = y[0]
+        s, theta = y
         if s >= 1.0:
             raise _PastEvent
         try:
-            return reduced_deriv(s, y[1], c, omega, r, gamma, eps_pole=0.0)
+            root = math.sqrt(1.0 - s)
+            return (-2.0 * omega * (1.0 + s) * root * math.sin(theta)
+                    - gamma * (1.0 - s * s),
+                    4.0 * c * s - 4.0 * r
+                    - omega * (1.0 - 3.0 * s) / root * math.cos(theta))
         except ValueError:  # math.sin(inf)
             return math.nan, math.nan
 

@@ -191,15 +191,35 @@ def format_value(val) -> str:
     return str(val)
 
 
+# exact type -> format_value for a value of that type
+_COLUMN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str,
+                   bool: {True: "true", False: "false"}.__getitem__}
+_BLOCK = 4096  # rows formatted at once: bounds the value strings held
+
+
+def _column_text(column):
+    """format_value of every value, by the column's type when it has one."""
+    types = set(map(type, column))
+    fmt = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
+    return list(map(fmt or format_value, column))
+
+
 def write_csv(path, header, rows):
-    """Write rows of already-typed values with repr-exact floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        # a plain float is format_value's repr; numpy scalars, which
-        # repr differently, and bools take format_value
-        lines.append(",".join([repr(v) if type(v) is float else format_value(v)
-                               for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write rows of already-typed values with repr-exact floats.
+
+    Formatting is per column, _BLOCK rows at a time: a column of one
+    exact type (float, int, str or bool) maps its formatter, any other
+    column (numpy scalars, float subclasses, mixed) takes format_value
+    per value.  Rows of unequal length raise ValueError.
+    """
+    rows = list(rows)
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("CSV rows differ in length")
+    parts = [",".join(header)]
+    for i in range(0, len(rows), _BLOCK):
+        texts = map(_column_text, zip(*rows[i:i + _BLOCK]))
+        parts.append("\n".join(map(",".join, zip(*texts))))
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def write_json(path, obj):

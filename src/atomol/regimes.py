@@ -45,9 +45,10 @@ class RegimeMap:
     gamma: float
 
     def cells(self):
-        for i, c in enumerate(self.c_axis):
-            for j, r in enumerate(self.r_axis):
-                yield float(c), float(r), self.labels[i][j]
+        r_axis = self.r_axis.tolist()
+        for c, labels in zip(self.c_axis.tolist(), self.labels):
+            for r, label in zip(r_axis, labels):
+                yield c, r, label
 
     def count(self, label: str) -> int:
         return sum(1 for _, _, lab in self.cells() if lab.label == label)

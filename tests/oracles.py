@@ -10,15 +10,18 @@ between differing grid cells instead of the closed-form bifurcation set,
 whose distance comes from a second parametrization of the fold, and the
 solver steps from per-component comprehensions of the vector form
 instead of the stages written out for a pair; the 8(5,3) step loops
-over a tableau gathered from the module's coefficient names.
+over a tableau gathered from the module's coefficient names, and CSV
+text is built row by row instead of per column.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from atomol import integrate
 from atomol.fixed_points import cubic_coefficients, jacobian
+from atomol.io import format_value
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
@@ -428,3 +431,13 @@ def dop853_norm(err, y, y_new, rtol, atol, h):
     if denom == 0.0:
         return 0.0
     return abs(h) * sq5 / math.sqrt(denom)
+
+
+def write_csv_rows(path, header, rows):
+    """io.write_csv built row by row: every value's text is its own repr
+    when it is an exact float and format_value otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([repr(v) if type(v) is float else format_value(v)
+                               for v in row]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

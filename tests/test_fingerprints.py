@@ -41,6 +41,9 @@ RUNS = {
     "fixed-points": ["fixed-points", "--c", "1", "--gamma", "0.3"],
     "portrait": ["portrait", "--n-s", "3", "--n-theta", "4",
                  "--t-span", "5"],
+    # the portrait bench grid: pole events and the grazing orbit
+    "portrait-g0.4": ["portrait", "--gamma", "0.4", "--n-s", "5",
+                      "--n-theta", "8", "--t-span", "20"],
     "sweep": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
               "--r-max", "2"],
     "trap": ["trap", "--u", "1.5", "--t-span", "5"],

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from atomol.model import (
     derived_quantities,
     effective_energy,
     params_from_gamma,
+    reduced_deriv,
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
                      rk4_step, rk45_step)
@@ -200,6 +202,23 @@ class TestReducedEvolve:
         q = ReducedParams()
         with pytest.raises(ValueError):
             evolve_reduced(1.0, 0.0, q)
+
+    @pytest.mark.parametrize("s0, theta0", [(0.6, 2.0),
+                                            (0.9, 3.0 * math.pi / 2.0)])
+    def test_real_pair_steps_call_no_numpy_abs(self, monkeypatch, s0, theta0):
+        # the 4(5) norm of a float state takes Python's abs; only the
+        # initial step size, once per solve, reads np.abs
+        callers = []
+        np_abs = np.abs
+
+        def counting_abs(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return np_abs(*args, **kwargs)
+
+        monkeypatch.setattr(integrate.np, "abs", counting_abs)
+        tr = evolve_reduced(s0, theta0, ReducedParams())
+        assert len(tr.times) > 50
+        assert set(callers) == {"_initial_step"}
 
     def test_fixed_step_pole_event_matches_adaptive(self):
         # an rk4 stage past S = 1 raises in the guarded right-hand side;
@@ -478,6 +497,8 @@ class TestPairSteps:
              limit=math.inf)  # a stage overflows a float power
     @example(y=(0.5j, 1 + 0j), k1=None, h=1.0, t=0.0, p=1.0, q=1.0,
              power=1, limit=0.75)  # a later stage is past the event
+    @example(y=(0.0, 1.0), k1=(0j, 0.5j), h=1.0, t=0.0, p=1.0, q=1.0,
+             power=1, limit=math.inf)  # a float state with complex stages
     def test_dp45_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
                                                 power, limit):
         f = pair_rhs(p, q, power, limit)
@@ -537,6 +558,16 @@ class TestPairSteps:
              rtol=1e-11, atol=1e-320)  # non-finite ratio
     @example(err=(1e-12 + 3e-12j, -2e-12), y=(0.6 + 0.1j, 0.3j),
              y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11, atol=1e-11)
+    # all-float triples take Python's abs
+    @example(err=(-1e-12, 2e-12), y=(0.3, -math.nan), y_new=(-0.31, 1.2),
+             rtol=1e-11, atol=1e-11)  # NaN magnitude
+    @example(err=(-0.0, 1e-12), y=(0.0, -0.0), y_new=(-0.0, 0.0),
+             rtol=1e-3, atol=0.0)  # zero scale
+    @example(err=(-math.inf, 1e-12), y=(0.3, 1.2), y_new=(0.31, -1.2),
+             rtol=1e-11, atol=1e-11)  # infinite ratio
+    @example(err=(3e-12j, 1e-12 + 2e-12j), y=(0.0, 1.0),
+             y_new=(0.1j, 1.0 + 0.5j), rtol=1e-11,
+             atol=1e-11)  # a float state with complex errors
     def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
                                                  atol):
         pair = integrate._error_norm(err, y, y_new, rtol, atol, 1.0)
@@ -563,6 +594,31 @@ class TestPairSteps:
         assert bits([pair]) == bits([dop853_norm(err, y, y_new, rtol, atol,
                                                  h)])
         assert pair == math.inf or 0.0 <= pair < math.inf
+
+    @PAIR_PROPERTY
+    @given(s=st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                       st.floats(min_value=-1e3, max_value=2.0),
+                       st.sampled_from([1.0, math.nextafter(1.0, 0.0),
+                                        math.inf, -math.inf, math.nan])),
+           theta=st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                           st.floats(allow_nan=True, allow_infinity=True)),
+           c=_COEFFS, omega=_COEFFS, r=_COEFFS, gamma=_COEFFS)
+    @example(s=1.0, theta=0.5, c=1.0, omega=1.0, r=0.0,
+             gamma=0.3)  # at the pole: past the event
+    @example(s=2.0, theta=0.5, c=1.0, omega=1.0, r=0.0, gamma=0.3)
+    @example(s=0.5, theta=math.inf, c=1.0, omega=1.0, r=0.0, gamma=0.3)
+    @example(s=0.5, theta=-math.inf, c=1.0, omega=1.0, r=0.0, gamma=0.3)
+    def test_guarded_rhs_is_reduced_deriv(self, s, theta, c, omega, r,
+                                          gamma):
+        f = integrate._guarded_reduced_f(c, omega, r, gamma)
+        if s >= 1.0:
+            with pytest.raises(integrate._PastEvent):
+                f(0.0, (s, theta))
+        elif math.isinf(theta):
+            assert all(math.isnan(v) for v in f(0.0, (s, theta)))
+        else:
+            assert bits(f(0.0, (s, theta))) == bits(
+                reduced_deriv(s, theta, c, omega, r, gamma, eps_pole=0.0))
 
     def test_dop853_one_step_error_is_ninth_order(self):
         # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less

@@ -2,10 +2,14 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from atomol import io
 from atomol.io import (
     _PARSERS,
     SCHEMA,
@@ -17,6 +21,7 @@ from atomol.io import (
     write_csv,
     write_json,
 )
+from oracles import write_csv_rows
 
 
 def test_every_schema_type_has_a_parser():
@@ -46,6 +51,37 @@ class TestFormatValue:
         assert format_value(7) == "7"
 
 
+class _Float(float):
+    """A float subclass: format_value's text, not its own repr."""
+
+    def __repr__(self):
+        return "_Float"
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# a column's values: one exact type, or a mix of the types the CLI and
+# numpy hand the writer
+_COLUMN_VALUES = [
+    _FLOATS, st.integers(), st.booleans(),
+    st.text(alphabet="abc xyz-_.", max_size=6),
+    st.one_of(_FLOATS, st.none(), st.builds(np.float64, _FLOATS),
+              st.builds(np.float32, st.floats(width=32)),
+              st.builds(_Float, _FLOATS), st.booleans(), st.integers(),
+              st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1))),
+]
+
+
+@st.composite
+def tables(draw):
+    """A rectangular table: (header, rows) of 1-4 columns."""
+    n_rows = draw(st.integers(0, 12))
+    columns = [draw(st.lists(draw(st.sampled_from(_COLUMN_VALUES)),
+                             min_size=n_rows, max_size=n_rows))
+               for _ in range(draw(st.integers(1, 4)))]
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, [list(row) for row in zip(*columns)]
+
+
 class TestCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -64,6 +100,32 @@ class TestCsv:
             format_value(v) for v in row)
         assert path.read_text().splitlines()[1].split(",")[:4] == [
             "0.1", "-0.0", "1e-300", "0.3333333333333333"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(table=tables(), block=st.sampled_from([1, 5, 4096]))
+    def test_bytes_are_the_row_writers(self, tmp_path_factory, table, block):
+        # per-column formatting, across block edges, gives the bytes of
+        # the row-by-row oracle
+        header, rows = table
+        tmp = tmp_path_factory.mktemp("csv")
+        write_csv_rows(tmp / "rows.csv", header, rows)
+        with mock.patch.object(io, "_BLOCK", block):
+            write_csv(tmp / "columns.csv", header, rows)
+        assert ((tmp / "columns.csv").read_bytes()
+                == (tmp / "rows.csv").read_bytes())
+
+    def test_zero_rows_write_the_header(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_ragged_rows_raise(self, tmp_path, block):
+        with mock.patch.object(io, "_BLOCK", block):
+            for rows in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]):
+                with pytest.raises(ValueError):
+                    write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestManifest:
