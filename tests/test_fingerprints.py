@@ -38,6 +38,9 @@ CONFIGS = {
 RUNS = {
     "regimes-g0": ["regimes", "--resolution", "41", "--gamma", "0"],
     "regimes-g0.6": ["regimes", "--resolution", "41", "--gamma", "0.6"],
+    # the default map at Gamma = 2.5: its cell (C, R) = (2.8643..., 0.9547...)
+    # sits next to R = C/3, which carries no regime flip (1/3 < S*)
+    "regimes-g2.5": ["regimes", "--gamma", "2.5"],
     "fixed-points": ["fixed-points", "--c", "1", "--gamma", "0.3"],
     "portrait": ["portrait", "--n-s", "3", "--n-theta", "4",
                  "--t-span", "5"],
