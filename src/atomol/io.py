@@ -228,8 +228,17 @@ def write_json(path, obj):
 
 
 def write_table(directory, stem, header, rows, fmt):
-    """Write a table as stem.csv or stem.json depending on fmt."""
+    """Write a table as stem.csv or stem.json depending on fmt.
+
+    A row whose length differs from the header's raises ValueError,
+    naming the first such row, before anything is written.
+    """
     directory = Path(directory)
+    rows = list(rows)
+    if set(map(len, rows)) - {len(header)}:
+        bad = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"row {bad} has {len(rows[bad])} values for "
+                         f"{len(header)} columns")
     if fmt == "csv":
         out = directory / f"{stem}.csv"
         write_csv(out, header, rows)

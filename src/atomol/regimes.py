@@ -9,8 +9,13 @@ S = -1 boundary, or a phase-envelope touch) are labeled "boundary"
 rather than forced into a regime.
 
 The boundaries between regimes are the closed-form curves of the
-cubic's codimension-1 events, sampled inside the scanned window where
-the census labels on their two sides differ (trace_boundaries).
+cubic's codimension-1 events (_bifurcation_set), sampled inside the
+scanned window where the census labels on their two sides differ
+(trace_boundaries).  The same set, with the lines where a cells.csv
+column flips without a regime flip, is where a scan can change its
+answer: between its curves every cell's label, interior count and
+boundary point are constant.  So scan_plane censuses each cell near a
+curve and one cell of each block of cells that no curve comes near.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .fixed_points import (
     interior_fixed_points,
     regime_census,
 )
-from .model import ReducedParams
+from .model import EPS_POLE, ReducedParams
 
 REGIME_LABELS = ("I", "II", "III", "IV")
 
@@ -84,14 +89,44 @@ def classify_regime(q: ReducedParams) -> RegimeLabel:
     return _point_label(q)
 
 
+# scan_plane tiles the grid into BLOCK x BLOCK blocks of cells.  It
+# censuses every cell of a block with a cell within MARGIN cells, and
+# within BAND * max(1, |window bounds|), of a sampled chord of the
+# bifurcation set, and the first cell of any other block.  Around a
+# curve the census reads boundary, or a double root, in a thin band
+# (up to about 1e-4 wide around R = C/3 in random draws of Omega, Gamma
+# and C): MARGIN covers it on cells wider than that, BAND on narrower.
+BLOCK = 4
+MARGIN = 1.5
+BAND = 1e-3
+# Off the bifurcation set the census's absolute residual gate
+# (RESIDUAL_TOL) decides labels where the parameters are large or a
+# root comes close to the pole S = 1.  scan_plane censuses every block
+# with a cell where (|C| + |R| + Om + |G|) min(1, eps)^-1.5 exceeds
+# GATE_LIMIT; eps = 4 Om^2 / (16 (R - C)^2 + G^2) is the closest a root
+# at (C, R) comes to S = 1.  Without this, random maps at 2^8 to 2^20
+# times the unit scale, or with Om down to 1e-3, differed from the full
+# census, each at some cell above 5e7.  The default map stays below 1e4
+# for |G| <= 3.
+GATE_LIMIT = 1e4
+
+
 def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
                omega: float = 1.0, gamma: float = 0.0) -> RegimeMap:
     """Classify a rectangular grid of (C, R) points.
 
     resolution is the number of grid points per axis (a pair gives
-    separate counts for C and R).  One array census labels every cell
-    (regime_census, row-major, a fixed chunk at a time), exactly as
-    classify_regime would; cells with equal labels share one object.
+    separate counts for C and R).  Between the curves of the bifurcation
+    set (_bifurcation_set) a cell's label, interior count and boundary
+    point do not change, so only cells near a curve need a census of
+    their own.  The grid is tiled into BLOCK x BLOCK blocks: a block with
+    a cell near a sampled chord, or where the census's residual gate may
+    decide (_marked_blocks), has every cell censused, any other block
+    its first cell only, whose label the rest of the block shares.  A
+    grid with a zero or non-finite cell size has every block marked.
+    One array census (regime_census, row-major) labels the censused
+    cells, exactly as classify_regime would; cells with equal labels
+    share one object.
     """
     if np.isscalar(resolution):
         nc = nr = int(resolution)
@@ -101,10 +136,62 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
         raise ValueError("resolution must be >= 2 per axis")
     c_axis = np.linspace(c_range[0], c_range[1], nc)
     r_axis = np.linspace(r_range[0], r_range[1], nr)
-    labels = regime_census(c_axis[:, None], r_axis[None, :], omega,
-                           gamma).tolist()
-    return RegimeMap(c_axis=c_axis, r_axis=r_axis, labels=labels,
+    need = np.repeat(np.repeat(_marked_blocks(c_axis, r_axis, omega, gamma),
+                               BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
+    need[::BLOCK, ::BLOCK] = True
+    c_grid, r_grid = np.meshgrid(c_axis, r_axis, indexing="ij")
+    labels = np.empty((nc, nr), dtype=object)
+    labels[need] = regime_census(c_grid[need], r_grid[need], omega, gamma)
+    first = np.repeat(np.repeat(labels[::BLOCK, ::BLOCK], BLOCK, axis=0),
+                      BLOCK, axis=1)[:nc, :nr]
+    labels[~need] = first[~need]
+    return RegimeMap(c_axis=c_axis, r_axis=r_axis, labels=labels.tolist(),
                      omega=omega, gamma=gamma)
+
+
+@np.errstate(all="ignore")
+def _marked_blocks(c_axis, r_axis, omega, gamma):
+    """Mask (blocks along C, blocks along R) of the blocks scan_plane
+    censuses in full: those with a grid point within the margin, on
+    each axis, of the bounding box of a chord of the bifurcation set,
+    or above GATE_LIMIT.
+
+    The chords are at most a cell long on an axis where they meet the
+    window, so a curve that splits two cells of a block passes within
+    half a cell of one of them, and the rest of the margin covers the
+    curve's bend off its chords and the census's bands around it.  All
+    blocks are marked on a grid whose cell size is zero or not finite.
+    """
+    step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
+    if not (np.isfinite(step).all() and step.all()):
+        return np.ones((-(-len(c_axis) // BLOCK), -(-len(r_axis) // BLOCK)), bool)
+    c, r = c_axis[:, None], r_axis[None, :]
+    omega, gamma = np.float64(omega), np.float64(gamma)  # overflow to inf
+    eps = np.fmin(1.0, 4.0 * omega ** 2 / (16.0 * (r - c) ** 2 + gamma ** 2))
+    gated = (np.abs(c) + np.abs(r) + omega + np.abs(gamma)) * eps ** -1.5 > GATE_LIMIT
+    starts = [range(0, len(c_axis), BLOCK), range(0, len(r_axis), BLOCK)]
+    gated = np.logical_or.reduceat(np.logical_or.reduceat(gated, starts[0], axis=0),
+                                   starts[1], axis=1)
+    ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
+    lo, hi = np.sort(ends, axis=1).T
+    chords = []
+    for curve, t, _ in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]]),
+                                        fine=True):
+        pts = np.column_stack(np.broadcast_arrays(
+            *curve(_sample(curve, t, lo, hi, np.abs(step))[0])[:2]))
+        chords.append(np.stack([pts[:-1], pts[1:]], axis=1))
+    # finite chord ends in grid-index units, then the blocks of the box
+    index = (np.concatenate(chords) - [c_axis[0], r_axis[0]]) / step
+    index = index[np.isfinite(index).all(axis=(1, 2))]
+    n = np.array([len(c_axis), len(r_axis)])
+    margin = np.fmax(MARGIN, BAND * max(1.0, *np.abs(lo), *np.abs(hi)) / np.abs(step))
+    first = np.clip(np.ceil(index.min(axis=1) - margin), 0, n)
+    last = np.clip(np.floor(index.max(axis=1) + margin), -1, n - 1)
+    ok = (first <= last).all(axis=1)
+    boxes = np.hstack([first[ok], last[ok] + BLOCK]).astype(int) // BLOCK
+    for i0, j0, i1, j1 in boxes.tolist():
+        gated[i0:i1, j0:j1] = True
+    return gated
 
 
 def _check_refine_tol(refine_tol: float):
@@ -141,6 +228,8 @@ def _sample(curve, t, lo, hi, cell):
     t_out = np.where(ins[k], t[k + 1], t[k])
     for _ in range(64):
         mid = 0.5 * (t_in + t_out)
+        if ((mid == t_in) | (mid == t_out)).all():
+            break  # every step is down to adjacent floats
         now_in = inside(points(mid))
         t_in = np.where(now_in, mid, t_in)
         t_out = np.where(now_in, t_out, mid)
@@ -167,19 +256,95 @@ def _distance_to_chords(pts, chords):
     return dist
 
 
-@np.errstate(all="ignore")
-def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[BoundaryPolyline]:
-    """Bifurcation polylines of a scanned map, from the closed-form set.
+def _bifurcation_set(omega, gamma, c_span, fine=False):
+    """The closed-form curves in (C, R) on which the census changes.
 
     A root of the cubic at S = s puts (C, R) on a line R = s C -+ g(s),
     g(s) = (1 - 3s) sqrt((4 Om^2 - G^2 (1-s)) / (64 (1-s))), real for s
     in [s0, 1), s0 = max(-1, 1 - 4 Om^2/G^2).  Regimes change on the
     lines of s0 (a root at S = -1, or the phase envelope, where
     g(s0) = 0) and on the fold C = +-g'(s), R = +-(s g'(s) - g(s)) (two
-    roots merge), of slope s; R = C/3 carries no regime flip.  Each
-    curve is sampled in the window up to its edge, vertices at most one
-    cell apart; each run of vertices with one pair of regimes at
-    +-delta across the curve is a polyline.  delta is refine_tol
+    roots merge), of slope s.  A cells.csv column flips without a
+    regime flip on R = C/3 (a double root at S = 1/3, at every Gamma),
+    on the lines of s = 1 - EPS_POLE, where real (a root reaches the
+    pole guard), and on C + R = +-Om/sqrt2 (the boundary fixed point
+    appears).  Returns (curve, t, flips) per curve: curve(t) -> (c, r,
+    slope), start parameters t (a line runs over c_span), and whether a
+    regime flips across it.
+
+    A fold starts from 65 values of s in [s0, 1].  It runs off to
+    infinity at s = 1 (and at s0 > -1), where _sample cannot split a
+    step with a non-finite end unless its chord meets the window, and
+    it turns back at its cusps, the zeros of g''.  fine adds s0 + d and
+    1 - d for d = (1 - s0) 2^-k (k = 1 ... 52) and the cusps, so that no
+    piece of the fold lies far off its chords.  scan_plane samples it
+    fine; trace_boundaries does not, as its vertices are the bytes of
+    boundaries.json.
+    """
+    om2, g2 = np.float64(omega) ** 2, np.float64(gamma) ** 2
+    s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
+
+    def g(s):  # g(s), g'(s)
+        h = np.sqrt(np.maximum(4.0 * om2 / (1.0 - s) - g2, 0.0) / 64.0)
+        u = 1.0 - 3.0 * s
+        return u * h, u * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
+
+    def line(slope, offset, flips=False):
+        return (lambda c: (c, slope * c + offset, slope)), c_span, flips
+
+    s_start = np.linspace(s0, 1.0, 65)
+    if fine:
+        ends = (1.0 - s0) * 2.0 ** -np.arange(1.0, 53.0)
+        s_start = np.unique(np.concatenate([s_start, s0 + ends, 1.0 - ends,
+                                            _cusps(om2, g2, s0)]))
+
+    def fold(sign):
+        def curve(s):
+            g_s, dg = g(s)
+            return sign * dg, sign * (s * dg - g_s), s
+        return curve, s_start, True
+
+    b = g(-1.0)[0] if s0 == -1.0 else 0.0
+    curves = [line(s0, -b, True), fold(1.0), fold(-1.0)]
+    if b != 0.0:
+        curves.append(line(s0, b, True))
+    level, s_pole = omega / math.sqrt(2.0), 1.0 - EPS_POLE
+    curves += [line(1.0 / 3.0, 0.0), line(-1.0, level), line(-1.0, -level)]
+    if s_pole >= s0:
+        curves += [line(s_pole, g(s_pole)[0]), line(s_pole, -g(s_pole)[0])]
+    return curves
+
+
+def _cusps(om2, g2, s0):
+    """Zeros of g''(s) in (s0, 1), where the fold turns back.
+
+    With w = 1 - s, h = g / (1 - 3s) and h' = Om^2 / (32 w^2 h),
+    g'' = h' ((1 - 3s) (2/w - h'/h) - 6); its sign changes on 4,096
+    steps of s are bisected to the last bit.
+    """
+    def shape(s):  # g'' / h'
+        w = 1.0 - s
+        h = np.sqrt(np.maximum(4.0 * om2 / w - g2, 0.0) / 64.0)
+        return (1.0 - 3.0 * s) * (2.0 / w - om2 / (32.0 * w * w * h * h)) - 6.0
+
+    s = np.linspace(s0, 1.0, 4097)[1:-1]
+    k = np.flatnonzero(np.signbit(shape(s[:-1])) != np.signbit(shape(s[1:])))
+    lo, hi = s[k], s[k + 1]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        same = np.signbit(shape(mid)) == np.signbit(shape(lo))
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return lo
+
+
+@np.errstate(all="ignore")
+def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[BoundaryPolyline]:
+    """Bifurcation polylines of a scanned map, from the closed-form set.
+
+    The curves where a regime flips (_bifurcation_set: the lines of s0
+    and the folds) are sampled in the window up to its edge, vertices at
+    most one cell apart; each run of vertices with one pair of regimes
+    at +-delta across the curve is a polyline.  delta is refine_tol
     (finite, > 0), at most a quarter cell and half the distance to the
     other curves, and at least 1e-7 * max(1, |window bounds|): closer,
     the census reads boundary.  A vertex closer than twice that floor
@@ -192,22 +357,6 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     floor = min(0.25 * cell.min(), 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi)))
     delta = min(0.25 * cell.min(), max(refine_tol, floor))
     q = ReducedParams(omega=rmap.omega, gamma=rmap.gamma)
-    om2, g2 = np.float64(q.omega) ** 2, np.float64(q.gamma) ** 2
-    s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
-
-    def g(s):  # g(s), g'(s)
-        h = np.sqrt(np.maximum(4.0 * om2 / (1.0 - s) - g2, 0.0) / 64.0)
-        u = 1.0 - 3.0 * s
-        return u * h, u * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
-
-    def line(offset):
-        return lambda c: (c, s0 * c + offset, s0)
-
-    def fold(sign):
-        def curve(s):
-            g_s, dg = g(s)
-            return sign * dg, sign * (s * dg - g_s), s
-        return curve
 
     def sides(c, r, slope, step):  # census labels at (c, r) -+ step (-slope, 1)
         labels = set()
@@ -216,13 +365,10 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
             labels.add(classify_regime(p).label)
         return tuple(sorted(labels))
 
-    c_span, s_span = np.array([lo[0], hi[0]]), np.linspace(s0, 1.0, 65)
-    b = g(-1.0)[0] if s0 == -1.0 else 0.0
-    curves = [(line(-b), c_span), (fold(1.0), s_span), (fold(-1.0), s_span)]
-    if b != 0.0:
-        curves.append((line(b), c_span))
     sampled = []
-    for curve, t in curves:
+    for curve, t, flips in _bifurcation_set(q.omega, q.gamma, np.array([lo[0], hi[0]])):
+        if not flips:
+            continue
         t, inside = _sample(curve, t, lo, hi, cell)
         cs, rs, slopes = np.broadcast_arrays(*curve(t))
         pts = np.column_stack([cs, rs])

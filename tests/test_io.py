@@ -20,6 +20,7 @@ from atomol.io import (
     load_manifest,
     write_csv,
     write_json,
+    write_table,
 )
 from oracles import write_csv_rows
 
@@ -126,6 +127,14 @@ class TestCsv:
                 with pytest.raises(ValueError):
                     write_csv(tmp_path / "t.csv", ["a", "b"], rows)
         assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_must_match_the_header(tmp_path, fmt):
+    for rows in ([[1.0, 2.0], [1.0, 2.0, 3.0]], [[1.0, 2.0], [4.0]]):
+        with pytest.raises(ValueError, match="row 1 has"):
+            write_table(tmp_path, "t", ["a", "b"], rows, fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

@@ -1,9 +1,10 @@
 """Parameter-plane cartography: labels, boundaries, loci.
 
-The array census behind scan_plane must label every point exactly as
-classify_regime does.  The full-scale check, 200x200 default maps over
-the Gammas of the regimes command and of the benchmark's census, prints
-every cell that differs:
+The array census behind scan_plane, and the block fill that spares it
+the cells far from the bifurcation set, must label every point exactly
+as classify_regime does.  The full-scale check, 200x200 default maps
+over the Gammas of the regimes command, of the benchmark's census and
+of GAMMAS, prints every cell that differs:
 
     PYTHONPATH=src python tests/test_regimes.py
 """
@@ -12,9 +13,12 @@ import itertools
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomol.fixed_points import (interior_fixed_points, regime_census,
                                  threshold_gamma)
@@ -193,6 +197,81 @@ class TestRegimeCensus:
     def test_rejects_what_the_scalar_census_rejects(self, omega, gamma, message):
         with pytest.raises(ValueError, match=message):
             regime_census([0.0, 1.0], 0.5, omega, gamma)
+
+
+def _full_census(rmap):
+    """The labels one regime_census gives over rmap's grid, row-major."""
+    return regime_census(rmap.c_axis[:, None], rmap.r_axis[None, :],
+                         rmap.omega, rmap.gamma).ravel().tolist()
+
+
+@st.composite
+def windows(draw):
+    """Ascending, descending and zero-width (lo, hi) pairs."""
+    start = draw(st.floats(-4.0, 4.0))
+    width = draw(st.just(0.0) | st.floats(0.0, 6.0))
+    return (start, start + width) if draw(st.booleans()) else (start + width, start)
+
+
+class TestBlockCensus:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(c_range=windows(), r_range=windows(), nc=st.integers(2, 120),
+           nr=st.integers(2, 120), omega=st.floats(0.2, 3.0),
+           gamma=st.sampled_from(GAMMAS) | st.floats(-3.0, 3.0))
+    @example(c_range=(1.0, 1.0), r_range=(-2.0, 2.0), nc=7, nr=9, omega=1.0,
+             gamma=0.6)
+    @example(c_range=(3.0, 0.0), r_range=(2.0, -2.0), nc=37, nr=41, omega=1.0,
+             gamma=2.5)
+    # a zoom onto R = C/3, where the census reads a double root at S = 1/3
+    # for about 1e-4 on either side: hundreds of cells at this resolution
+    @example(c_range=(-3.469374426711847, -3.467911194745971),
+             r_range=(-1.1563482043925708, -1.1561876907842912), nc=58,
+             nr=112, omega=0.78368052736531, gamma=2.59375)
+    def test_scan_plane_is_one_census_of_the_grid(self, c_range, r_range, nc,
+                                                  nr, omega, gamma):
+        rmap = scan_plane(c_range, r_range, (nc, nr), omega, gamma)
+        cells = [lab for _, _, lab in rmap.cells()]
+        assert cells == _full_census(rmap)
+        assert len({id(lab) for lab in cells}) == len(set(cells))
+
+    @pytest.mark.parametrize("c_range, r_range, resolution, omega, gamma", [
+        # a zoom onto a cusp of the fold, which turns back between two
+        # samples of the tracer's start
+        ((-0.4324771936152997, -0.4308376000252726),
+         (-0.1606785878430746, -0.16018023652639746), (72, 69),
+         0.9779755536801034, 2.4760997383146615),
+        # the fold comes from infinity at S*, along the thin window, then
+        # turns back below it within the tracer's first step of s
+        ((2.1630838088257476, 2.2381687008701197),
+         (-0.015294247195004712, -0.014512719658550432), (72, 89),
+         1.3666361076642972, -2.7319789584924044),
+        # the fold runs off to S = 1 inside the tracer's last step of s
+        ((-2.632045049248152, -2.5926160947405545),
+         (-2.5271498666752885, -2.391753645355114), (101, 51),
+         0.024947900032341003, 0.005901579419257024),
+        # the default map times 2^20, where the residual gate decides
+        ((0.0, 3.0 * 2.0**20), (-2.0 * 2.0**20, 2.0 * 2.0**20), (41, 41),
+         2.0**20, 0.6 * 2.0**20),
+        # a window 1e-227 high that the fold crosses between two samples
+        ((4.910222375236457, 0.037037037037037035),
+         (1e-300, 8.220810338782121e-228), (11, 11), 1.0, 0.0),
+        # squares of Omega and Gamma overflow
+        ((0.0, 3.0), (-2.0, 2.0), (9, 9), 1e300, 0.0),
+        ((0.0, 3.0), (-2.0, 2.0), (9, 9), 1.0, -1e300),
+        ((-1e300, 1e300), (-1e300, 1e300), (9, 9), 1.0, 0.6),
+    ])
+    def test_scan_plane_is_one_census_where_sampling_or_the_gate_decide(
+            self, c_range, r_range, resolution, omega, gamma):
+        rmap = scan_plane(c_range, r_range, resolution, omega, gamma)
+        assert [lab for _, _, lab in rmap.cells()] == _full_census(rmap)
+
+    def test_default_map_censuses_a_quarter_of_its_cells_in_one_call(self):
+        with mock.patch("atomol.regimes.regime_census",
+                        wraps=regime_census) as census:
+            rmap = scan_plane(gamma=0.6)
+        assert census.call_count == 1
+        assert census.call_args.args[0].size <= 12_000
+        assert [lab for _, _, lab in rmap.cells()] == _full_census(rmap)
 
 
 class TestTraceBoundaries:
@@ -448,7 +527,7 @@ class TestFixedPointLocus:
 
 if __name__ == "__main__":
     differ = 0
-    for gamma in (0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, 2.5):
+    for gamma in sorted({0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, *GAMMAS}):
         bad = _mismatches(scan_plane(omega=OMEGA, gamma=gamma))
         for c, r, lab, ref in bad:
             print(f"gamma={gamma!r} c={c!r} r={r!r}: scan_plane {lab}, "
