@@ -75,6 +75,10 @@ RESIDUAL_TOL = 1e-9
 # Interior roots closer than this to S = -1 sit on a census bifurcation.
 BOUNDARY_MARGIN = 1e-9
 
+# A critical point where the cubic is within this fraction of its
+# largest term there is a double root.
+DOUBLE_ROOT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CubicCoefficients:
@@ -200,7 +204,7 @@ def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
     for k in range(1, len(xs) - 1):
         x = xs[k]
         local = max(abs(c3 * x ** 3), abs(c2 * x ** 2), abs(c1 * x), abs(c0))
-        if abs(ps[k]) <= 1e-10 * local:
+        if abs(ps[k]) <= DOUBLE_ROOT_TOL * local:
             ps[k] = 0.0  # double root at a critical point
     roots: list[tuple[float, int]] = []
     for k in range(1, len(xs)):
@@ -695,7 +699,7 @@ def _real_cubic_roots_array(c3, c2, c1, c0):
         local = _first_max(np.abs(c3[at] * _pow(x, 3)),
                            np.abs(c2[at] * _pow(x, 2)),
                            np.abs(c1[at] * x), np.abs(c0[at]))
-        ps[at[np.abs(ps[at, k]) <= 1e-10 * local], k] = 0.0
+        ps[at[np.abs(ps[at, k]) <= DOUBLE_ROOT_TOL * local], k] = 0.0
 
     roots = np.full((n, 5), np.nan)
     mult = np.zeros((n, 5), dtype=int)

@@ -204,17 +204,27 @@ def _column_text(column):
     return list(map(fmt or format_value, column))
 
 
+def _checked_rows(header, rows) -> list:
+    """rows as a list; ValueError naming the first row whose length
+    differs from the header's."""
+    rows = list(rows)
+    if set(map(len, rows)) - {len(header)}:
+        bad = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"row {bad} has {len(rows[bad])} values for "
+                         f"{len(header)} columns")
+    return rows
+
+
 def write_csv(path, header, rows):
     """Write rows of already-typed values with repr-exact floats.
 
     Formatting is per column, _BLOCK rows at a time: a column of one
     exact type (float, int, str or bool) maps its formatter, any other
     column (numpy scalars, float subclasses, mixed) takes format_value
-    per value.  Rows of unequal length raise ValueError.
+    per value.  A row whose length differs from the header's raises
+    ValueError (_checked_rows) before anything is written.
     """
-    rows = list(rows)
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("CSV rows differ in length")
+    rows = _checked_rows(header, rows)
     parts = [",".join(header)]
     for i in range(0, len(rows), _BLOCK):
         texts = map(_column_text, zip(*rows[i:i + _BLOCK]))
@@ -234,17 +244,12 @@ def write_table(directory, stem, header, rows, fmt):
     naming the first such row, before anything is written.
     """
     directory = Path(directory)
-    rows = list(rows)
-    if set(map(len, rows)) - {len(header)}:
-        bad = next(k for k, row in enumerate(rows) if len(row) != len(header))
-        raise ValueError(f"row {bad} has {len(rows[bad])} values for "
-                         f"{len(header)} columns")
     if fmt == "csv":
         out = directory / f"{stem}.csv"
         write_csv(out, header, rows)
     elif fmt == "json":
         out = directory / f"{stem}.json"
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(header, row)) for row in _checked_rows(header, rows)]
         write_json(out, records)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fixed_points import (
+    DOUBLE_ROOT_TOL,
     LABEL_BOUNDARY,
     LABEL_NONE,
     RegimeLabel,
@@ -90,24 +91,39 @@ def classify_regime(q: ReducedParams) -> RegimeLabel:
 
 
 # scan_plane tiles the grid into BLOCK x BLOCK blocks of cells.  It
-# censuses every cell of a block with a cell within MARGIN cells, and
-# within BAND * max(1, |window bounds|), of a sampled chord of the
-# bifurcation set, and the first cell of any other block.  Around a
-# curve the census reads boundary, or a double root, in a thin band
-# (up to about 1e-4 wide around R = C/3 in random draws of Omega, Gamma
-# and C): MARGIN covers it on cells wider than that, BAND on narrower.
+# censuses every cell of a block that a sampled chord of the bifurcation
+# set comes within its margin of, and of a block where the census's
+# residual gate may decide; the first cell of any other block stands
+# for the block.  Both rules read the size of the census's terms at
+# (C, R), lam = |C| + |R| + Om + |G|, and eps = min(1, 4 Om^2 /
+# (16 (R - C)^2 + G^2)), the closest a root at (C, R) comes to the pole
+# S = 1 (_census_size).
+#
+# A chord's margin on each axis is MARGIN cells or BAND max(1, lam)
+# eps^(-1/3) at its ends, whichever is wider.  The first covers the
+# chord's half-cell reach into a block and the curve's bend off it; the
+# second the census's band around the curve.  The census reads a double
+# root where the cubic at a critical point is within DOUBLE_ROOT_TOL of
+# its largest term, and the terms are quadratic in (C, R, Om, G).  Off a
+# fold that value grows linearly, a band of about DOUBLE_ROOT_TOL lam.
+# The cubic's gradient in (C, R), 128 (S - 1) (C S - R) (S, -1),
+# vanishes on R = C/3 at its double root S = 1/3, so there the value
+# grows with the square of the distance d, a band of about
+# DOUBLE_ROOT_TOL^(1/2) lam (4e-3 at Om = 1000).  Where G^2 = 6 Om^2
+# (S* = 1/3) it grows only with the cube, as 54 Om^2 (d / C)^3 against
+# terms of about 17 C^2.  With eps = 0.56 (Om / C)^2 on the line for
+# C >> Om, that band, the widest, is 0.42 DOUBLE_ROOT_TOL^(1/3) lam
+# eps^(-1/3), as random draws of Omega, Gamma and C find too.  BAND
+# leaves a factor of 2.4 over it.
 BLOCK = 4
 MARGIN = 1.5
-BAND = 1e-3
-# Off the bifurcation set the census's absolute residual gate
-# (RESIDUAL_TOL) decides labels where the parameters are large or a
-# root comes close to the pole S = 1.  scan_plane censuses every block
-# with a cell where (|C| + |R| + Om + |G|) min(1, eps)^-1.5 exceeds
-# GATE_LIMIT; eps = 4 Om^2 / (16 (R - C)^2 + G^2) is the closest a root
-# at (C, R) comes to S = 1.  Without this, random maps at 2^8 to 2^20
-# times the unit scale, or with Om down to 1e-3, differed from the full
-# census, each at some cell above 5e7.  The default map stays below 1e4
-# for |G| <= 3.
+BAND = DOUBLE_ROOT_TOL ** (1.0 / 3.0)
+# The residual gate holds the flow at a polished point, whose rounding
+# grows as 2^-52 lam eps^-1.5 towards the pole, to the absolute
+# RESIDUAL_TOL.  So it may reject a point anywhere, off the curves too,
+# once lam eps^-1.5 nears RESIDUAL_TOL / 2^-52 = 4.5e6.  Blocks with a
+# cell above GATE_LIMIT, 450 times lower, are censused in full; the
+# default map stays below it for |G| <= 3.
 GATE_LIMIT = 1e4
 
 
@@ -152,23 +168,21 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
 @np.errstate(all="ignore")
 def _marked_blocks(c_axis, r_axis, omega, gamma):
     """Mask (blocks along C, blocks along R) of the blocks scan_plane
-    censuses in full: those with a grid point within the margin, on
-    each axis, of the bounding box of a chord of the bifurcation set,
+    censuses in full: those with a grid point within a chord's margin,
+    on each axis, of the bounding box of a chord of the bifurcation set,
     or above GATE_LIMIT.
 
     The chords are at most a cell long on an axis where they meet the
     window, so a curve that splits two cells of a block passes within
-    half a cell of one of them, and the rest of the margin covers the
-    curve's bend off its chords and the census's bands around it.  All
-    blocks are marked on a grid whose cell size is zero or not finite.
+    half a cell of one of them.  A chord's band is read at its ends
+    clipped to the window.  All blocks are marked on a grid whose cell
+    size is zero or not finite.
     """
     step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
     if not (np.isfinite(step).all() and step.all()):
         return np.ones((-(-len(c_axis) // BLOCK), -(-len(r_axis) // BLOCK)), bool)
-    c, r = c_axis[:, None], r_axis[None, :]
-    omega, gamma = np.float64(omega), np.float64(gamma)  # overflow to inf
-    eps = np.fmin(1.0, 4.0 * omega ** 2 / (16.0 * (r - c) ** 2 + gamma ** 2))
-    gated = (np.abs(c) + np.abs(r) + omega + np.abs(gamma)) * eps ** -1.5 > GATE_LIMIT
+    lam, eps = _census_size(c_axis[:, None], r_axis[None, :], omega, gamma)
+    gated = lam * eps ** -1.5 > GATE_LIMIT
     starts = [range(0, len(c_axis), BLOCK), range(0, len(r_axis), BLOCK)]
     gated = np.logical_or.reduceat(np.logical_or.reduceat(gated, starts[0], axis=0),
                                    starts[1], axis=1)
@@ -180,11 +194,15 @@ def _marked_blocks(c_axis, r_axis, omega, gamma):
         pts = np.column_stack(np.broadcast_arrays(
             *curve(_sample(curve, t, lo, hi, np.abs(step))[0])[:2]))
         chords.append(np.stack([pts[:-1], pts[1:]], axis=1))
+    chords = np.concatenate(chords)
     # finite chord ends in grid-index units, then the blocks of the box
-    index = (np.concatenate(chords) - [c_axis[0], r_axis[0]]) / step
-    index = index[np.isfinite(index).all(axis=(1, 2))]
+    index = (chords - [c_axis[0], r_axis[0]]) / step
+    keep = np.isfinite(index).all(axis=(1, 2))
+    index, near = index[keep], np.clip(chords[keep], lo, hi)
+    lam, eps = _census_size(near[..., 0], near[..., 1], omega, gamma)
+    band = BAND * (np.fmax(1.0, lam) * eps ** (-1.0 / 3.0)).max(axis=1)
+    margin = np.fmax(MARGIN, band[:, None] / np.abs(step))
     n = np.array([len(c_axis), len(r_axis)])
-    margin = np.fmax(MARGIN, BAND * max(1.0, *np.abs(lo), *np.abs(hi)) / np.abs(step))
     first = np.clip(np.ceil(index.min(axis=1) - margin), 0, n)
     last = np.clip(np.floor(index.max(axis=1) + margin), -1, n - 1)
     ok = (first <= last).all(axis=1)
@@ -192,6 +210,16 @@ def _marked_blocks(c_axis, r_axis, omega, gamma):
     for i0, j0, i1, j1 in boxes.tolist():
         gated[i0:i1, j0:j1] = True
     return gated
+
+
+def _census_size(c, r, omega, gamma):
+    """(lam, eps) at (c, r): lam = |C| + |R| + Om + |G|, the size of the
+    census's terms, and eps = min(1, 4 Om^2 / (16 (R - C)^2 + G^2)), the
+    closest a root comes to the pole S = 1.  Squares overflow to inf.
+    """
+    omega, gamma = np.float64(omega), np.float64(gamma)
+    lam = np.abs(c) + np.abs(r) + omega + np.abs(gamma)
+    return lam, np.fmin(1.0, 4.0 * omega ** 2 / (16.0 * (r - c) ** 2 + gamma ** 2))
 
 
 def _check_refine_tol(refine_tol: float):

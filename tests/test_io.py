@@ -96,7 +96,7 @@ class TestCsv:
         row = [0.1, -0.0, 1e-300, np.float64(1.0 / 3.0), np.float32(0.1),
                np.int64(7), True, False, 3, "none", math.inf, math.nan]
         path = tmp_path / "t.csv"
-        write_csv(path, ["x"], [row])
+        write_csv(path, [f"x{k}" for k in range(len(row))], [row])
         assert path.read_text().splitlines()[1] == ",".join(
             format_value(v) for v in row)
         assert path.read_text().splitlines()[1].split(",")[:4] == [
@@ -124,7 +124,7 @@ class TestCsv:
     def test_ragged_rows_raise(self, tmp_path, block):
         with mock.patch.object(io, "_BLOCK", block):
             for rows in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="row [01] has 1 values"):
                     write_csv(tmp_path / "t.csv", ["a", "b"], rows)
         assert not (tmp_path / "t.csv").exists()
 

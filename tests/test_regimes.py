@@ -207,16 +207,19 @@ def _full_census(rmap):
 
 @st.composite
 def windows(draw):
-    """Ascending, descending and zero-width (lo, hi) pairs."""
+    """Ascending, descending and zero-width (lo, hi) pairs, some down to
+    1e-4 wide."""
     start = draw(st.floats(-4.0, 4.0))
-    width = draw(st.just(0.0) | st.floats(0.0, 6.0))
+    width = draw(st.just(0.0) | st.floats(0.0, 6.0)
+                 | st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e))
     return (start, start + width) if draw(st.booleans()) else (start + width, start)
 
 
 class TestBlockCensus:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(c_range=windows(), r_range=windows(), nc=st.integers(2, 120),
-           nr=st.integers(2, 120), omega=st.floats(0.2, 3.0),
+           nr=st.integers(2, 120),
+           omega=st.floats(math.log(0.2), math.log(1e4)).map(math.exp),
            gamma=st.sampled_from(GAMMAS) | st.floats(-3.0, 3.0))
     @example(c_range=(1.0, 1.0), r_range=(-2.0, 2.0), nc=7, nr=9, omega=1.0,
              gamma=0.6)
@@ -259,6 +262,13 @@ class TestBlockCensus:
         ((0.0, 3.0), (-2.0, 2.0), (9, 9), 1e300, 0.0),
         ((0.0, 3.0), (-2.0, 2.0), (9, 9), 1.0, -1e300),
         ((-1e300, 1e300), (-1e300, 1e300), (9, 9), 1.0, 0.6),
+        # R = C/3 at Omega = 1000: the census reads a double root at
+        # S = 1/3 up to about 4e-3 off the line, nine cells here
+        ((1.0, 1.1), (0.3, 0.4), 200, 1000.0, 0.0),
+        # R = C/3 at Gamma = sqrt6 Omega, where S* = 1/3 and that band
+        # is widest, about 3e-3 here: 36 cells on either side
+        ((2.0905, 2.0955), (0.6926666666666667, 0.7026666666666667),
+         (120, 120), 0.2235, math.sqrt(6.0) * 0.2235),
     ])
     def test_scan_plane_is_one_census_where_sampling_or_the_gate_decide(
             self, c_range, r_range, resolution, omega, gamma):
