@@ -41,6 +41,10 @@ RUNS = {
     # the default map at Gamma = 2.5: its cell (C, R) = (2.8643..., 0.9547...)
     # sits next to R = C/3, which carries no regime flip (1/3 < S*)
     "regimes-g2.5": ["regimes", "--gamma", "2.5"],
+    "regimes-json": ["regimes", "--resolution", "41", "--gamma", "0.6",
+                     "--format", "json"],
+    # the census bench grid: 200x200 cells at Gamma = 0.6
+    "regimes-bench": ["regimes", "--gamma", "0.6"],
     "fixed-points": ["fixed-points", "--c", "1", "--gamma", "0.3"],
     "portrait": ["portrait", "--n-s", "3", "--n-theta", "4",
                  "--t-span", "5"],
