@@ -11,13 +11,16 @@ into the [scan] keys.  Flag values are parsed and reported like
 config-file values (io._parse_value).
 
 Exit codes: 0 success, 2 config error (bad input only), 3 numerical
-failure (model.NumericalError), 4 I/O error.
+failure (model.NumericalError), 4 I/O error, 5 out of memory (a run
+too large for the memory it may take, such as a grid or start count
+whose arrays cannot be allocated).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -206,9 +209,9 @@ def cmd_regimes(resolved, outdir, fmt):
                                   resolved["scan.resolution_r"]),
                       omega=omega, gamma=gamma)
     header = ["c", "r", "label", "n_interior", "has_boundary_fp"]
-    rows = [[c, r, lab.label, lab.n_interior, lab.has_boundary_fp]
-            for c, r, lab in rmap.cells()]
-    cells_out = aio.write_table(outdir, "cells", header, rows, fmt)
+    cells_out = aio.write_grid(outdir, "cells", header, rmap.c_axis.tolist(),
+                               rmap.r_axis.tolist(), rmap.labels,
+                               operator.attrgetter(*header[2:]), fmt)
     polylines = trace_boundaries(rmap, refine_tol=resolved["scan.refine_tol"])
     aux = boundary_fp_existence_curve(omega, c_range, r_range)
     boundaries = {
@@ -343,6 +346,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

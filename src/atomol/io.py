@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import fields
@@ -253,6 +254,79 @@ def write_table(directory, stem, header, rows, fmt):
         write_json(out, records)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+    return out
+
+
+def _record_layout(header, fmt):
+    """How write_table lays out one row: (column, text before its value)
+    per value in file order, the text after the last value, the value
+    formatter, the text between rows, and the file's text before the
+    first row, after the last and when there are none."""
+    if fmt == "csv":
+        fields = [(k, "," if k else "") for k in range(len(header))]
+        line = ",".join(header) + "\n"
+        return fields, "", format_value, "\n", (line, "\n", line)
+    if fmt == "json":
+        order = sorted(range(len(header)), key=header.__getitem__)
+        fields = [(k, (",\n" if n else "  {\n") + f"    {json.dumps(header[k])}: ")
+                  for n, k in enumerate(order)]
+        return fields, "\n  }", json.dumps, ",\n", ("[\n", "\n]\n", "[]\n")
+    raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def write_grid(directory, stem, header, x_axis, y_axis, cells, values, fmt):
+    """Write a grid as stem.csv or stem.json: the bytes write_table gives
+    for the rows (x_axis[i], y_axis[j], *values(cells[i][j])), row-major.
+
+    header names the x, the y and then the cell columns, all distinct;
+    values(cell) gives a cell's column values, each a scalar that
+    format_value (csv) or json.dumps (json) formats.  Each axis value
+    and each distinct cell object, by identity, is formatted once; a
+    row is joined from those texts, and the file is written one grid
+    row at a time.  A grid whose shape is not (len(x_axis),
+    len(y_axis)), or a cell whose values do not fill the header, raises
+    ValueError before anything is written.
+    """
+    if len(cells) != len(x_axis) or any(len(row) != len(y_axis) for row in cells):
+        raise ValueError(f"cells are not a {len(x_axis)} x {len(y_axis)} grid")
+    distinct = {}
+    for row in cells:
+        distinct.update(zip(map(id, row), row))
+    cell_values = {key: tuple(values(cell)) for key, cell in distinct.items()}
+    for vals in cell_values.values():
+        if len(vals) != len(header) - 2:
+            raise ValueError(f"a cell has {len(vals)} values for "
+                             f"{len(header) - 2} cell columns")
+    fields, close, text, sep, (head, tail, empty) = _record_layout(header, fmt)
+    # one piece per run of fields from one source: 0 x, 1 y, 2 the cell
+    runs = [(source, list(run)) for source, run in
+            itertools.groupby(fields, key=lambda field: min(field[0], 2))]
+
+    def piece(run, texts, last):
+        return "".join(lit + texts[k] for k, lit in run) + (close if last else "")
+
+    pieces = []
+    for n, (source, run) in enumerate(runs):
+        last = n == len(runs) - 1
+        if source == 2:
+            pieces.append({key: piece(run, dict(enumerate(map(text, vals), 2)), last)
+                           for key, vals in cell_values.items()})
+        else:
+            pieces.append([piece(run, {source: text(v)}, last)
+                           for v in (x_axis, y_axis)[source]])
+    out = Path(directory) / f"{stem}.{fmt}"
+    with out.open("w", encoding="utf-8") as fh:
+        if not (len(x_axis) and len(y_axis)):
+            fh.write(empty)
+            return out
+        fh.write(head)
+        for i, row in enumerate(cells):
+            ids = list(map(id, row))
+            columns = [itertools.repeat(p[i]) if source == 0 else
+                       p if source == 1 else map(p.__getitem__, ids)
+                       for (source, _), p in zip(runs, pieces)]
+            fh.write((sep if i else "") + sep.join(map("".join, zip(*columns))))
+        fh.write(tail)
     return out
 
 

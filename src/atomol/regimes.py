@@ -50,14 +50,8 @@ class RegimeMap:
     omega: float
     gamma: float
 
-    def cells(self):
-        r_axis = self.r_axis.tolist()
-        for c, labels in zip(self.c_axis.tolist(), self.labels):
-            for r, label in zip(r_axis, labels):
-                yield c, r, label
-
     def count(self, label: str) -> int:
-        return sum(1 for _, _, lab in self.cells() if lab.label == label)
+        return sum(lab.label == label for row in self.labels for lab in row)
 
     def area_fraction(self, label: str) -> float:
         total = len(self.c_axis) * len(self.r_axis)
@@ -189,8 +183,7 @@ def _marked_blocks(c_axis, r_axis, omega, gamma):
     ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
     lo, hi = np.sort(ends, axis=1).T
     chords = []
-    for curve, t, _ in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]]),
-                                        fine=True):
+    for curve, t, _ in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]])):
         pts = np.column_stack(np.broadcast_arrays(
             *curve(_sample(curve, t, lo, hi, np.abs(step))[0])[:2]))
         chords.append(np.stack([pts[:-1], pts[1:]], axis=1))
@@ -284,7 +277,7 @@ def _distance_to_chords(pts, chords):
     return dist
 
 
-def _bifurcation_set(omega, gamma, c_span, fine=False):
+def _bifurcation_set(omega, gamma, c_span):
     """The closed-form curves in (C, R) on which the census changes.
 
     A root of the cubic at S = s puts (C, R) on a line R = s C -+ g(s),
@@ -300,14 +293,13 @@ def _bifurcation_set(omega, gamma, c_span, fine=False):
     slope), start parameters t (a line runs over c_span), and whether a
     regime flips across it.
 
-    A fold starts from 65 values of s in [s0, 1].  It runs off to
-    infinity at s = 1 (and at s0 > -1), where _sample cannot split a
-    step with a non-finite end unless its chord meets the window, and
-    it turns back at its cusps, the zeros of g''.  fine adds s0 + d and
-    1 - d for d = (1 - s0) 2^-k (k = 1 ... 52) and the cusps, so that no
-    piece of the fold lies far off its chords.  scan_plane samples it
-    fine; trace_boundaries does not, as its vertices are the bytes of
-    boundaries.json.
+    A fold starts from 65 values of s in [s0, 1], s0 + d and 1 - d for
+    d = (1 - s0) 2^-k (k = 1 ... 52), and its cusps, the zeros of g''.
+    It runs off to infinity at s = 1 (and at s0 > -1), where _sample
+    cannot split a step with a non-finite end unless its chord meets
+    the window, and it turns back at its cusps: with those starts no
+    piece of the fold lies far off its chords, for the scan and the
+    tracer alike.
     """
     om2, g2 = np.float64(omega) ** 2, np.float64(gamma) ** 2
     s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
@@ -320,11 +312,9 @@ def _bifurcation_set(omega, gamma, c_span, fine=False):
     def line(slope, offset, flips=False):
         return (lambda c: (c, slope * c + offset, slope)), c_span, flips
 
-    s_start = np.linspace(s0, 1.0, 65)
-    if fine:
-        ends = (1.0 - s0) * 2.0 ** -np.arange(1.0, 53.0)
-        s_start = np.unique(np.concatenate([s_start, s0 + ends, 1.0 - ends,
-                                            _cusps(om2, g2, s0)]))
+    ends = (1.0 - s0) * 2.0 ** -np.arange(1.0, 53.0)
+    s_start = np.unique(np.concatenate([np.linspace(s0, 1.0, 65), s0 + ends,
+                                        1.0 - ends, _cusps(om2, g2, s0)]))
 
     def fold(sign):
         def curve(s):
@@ -406,7 +396,9 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     polylines = []
     for k, (pts, slopes, inside, _) in enumerate(sampled):
         others = [chords for j, (*_, chords) in enumerate(sampled) if j != k]
-        gap = _distance_to_chords(pts, np.concatenate(others))
+        # only the vertices in the window are probed
+        gap = np.full(len(pts), np.inf)
+        gap[inside] = _distance_to_chords(pts[inside], np.concatenate(others))
         pairs = []
         for p, slope, keep, gap_p in zip(pts, slopes, inside, gap):
             if keep and not gap_p < 2.0 * floor:

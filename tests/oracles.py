@@ -10,18 +10,21 @@ between differing grid cells instead of the closed-form bifurcation set,
 whose distance comes from a second parametrization of the fold, and the
 solver steps from per-component comprehensions of the vector form
 instead of the stages written out for a pair; the 8(5,3) step loops
-over a tableau gathered from the module's coefficient names, and CSV
-text is built row by row instead of per column.
+over a tableau gathered from the module's coefficient names, CSV
+text is built row by row instead of per column, and the cells table of
+a regime map from one row per cell instead of from its axes and shared
+labels (write_cells is the regimes command's call of io.write_grid).
 """
 
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
 
 from atomol import integrate
 from atomol.fixed_points import cubic_coefficients, jacobian
-from atomol.io import format_value
+from atomol.io import format_value, write_grid
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
@@ -441,3 +444,29 @@ def write_csv_rows(path, header, rows):
         lines.append(",".join([repr(v) if type(v) is float else format_value(v)
                                for v in row]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+CELL_HEADER = ["c", "r", "label", "n_interior", "has_boundary_fp"]
+
+
+def write_cells(directory, rmap, fmt):
+    """cells.csv or cells.json of a map, as the regimes command writes it."""
+    return write_grid(directory, "cells", CELL_HEADER, rmap.c_axis.tolist(),
+                      rmap.r_axis.tolist(), rmap.labels,
+                      operator.attrgetter(*CELL_HEADER[2:]), fmt)
+
+
+def map_cells(rmap):
+    """(c, r, label) of every cell of a RegimeMap, row-major, with the
+    axes as Python floats."""
+    r_axis = rmap.r_axis.tolist()
+    for c, labels in zip(rmap.c_axis.tolist(), rmap.labels):
+        for r, label in zip(r_axis, labels):
+            yield c, r, label
+
+
+def cell_rows(rmap):
+    """The cells.csv rows of a map, one list per cell: what the CLI
+    wrote through io.write_table before io.write_grid."""
+    return [[c, r, lab.label, lab.n_interior, lab.has_boundary_fp]
+            for c, r, lab in map_cells(rmap)]

@@ -5,7 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +29,7 @@ from atomol.io import (
 )
 
 SQRT6 = math.sqrt(6.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -408,6 +414,25 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in err and "config error" not in err
         assert not list((tmp_path / "o").iterdir())  # no data file
+
+    @pytest.mark.parametrize("argv", [
+        ["regimes", "--resolution", "20000"],  # a 2.98 GiB array
+        ["portrait", "--n-s", "100000", "--n-theta", "100000"],  # 1e10 starts
+    ])
+    def test_out_of_memory_is_5(self, tmp_path, argv):
+        # a child under a 2 GiB address-space limit, so the run fails
+        # the same way on any host; the limit is set in the child only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomol", *argv, "--output",
+             str(tmp_path / "o")], env=env, preexec_fn=limit,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("out of memory: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_io_error_is_4(self, tmp_path):
         blocker = tmp_path / "blocker"

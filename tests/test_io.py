@@ -1,7 +1,9 @@
 """Serialization helpers: value formatting, digests, manifests."""
 
+import dataclasses
 import json
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -13,16 +15,19 @@ from atomol import io
 from atomol.io import (
     _PARSERS,
     SCHEMA,
+    ConfigError,
     build_manifest,
     config_digest,
     default_config,
     format_value,
     load_manifest,
     write_csv,
+    write_grid,
     write_json,
     write_table,
 )
-from oracles import write_csv_rows
+from atomol.regimes import RegimeLabel, RegimeMap
+from oracles import CELL_HEADER, cell_rows, write_cells, write_csv_rows
 
 
 def test_every_schema_type_has_a_parser():
@@ -127,6 +132,73 @@ class TestCsv:
                 with pytest.raises(ValueError, match="row [01] has 1 values"):
                     write_csv(tmp_path / "t.csv", ["a", "b"], rows)
         assert not (tmp_path / "t.csv").exists()
+
+
+# -0.0, subnormals, huge magnitudes, infinities and NaN among the axes
+AXIS_VALUES = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                               1.7976931348623157e308, -1e300, math.inf,
+                               math.nan]) | st.floats()
+
+
+@st.composite
+def regime_maps(draw):
+    """Maps of any shape whose cells draw from a few label objects, each
+    also present as distinct but equal copies: one with the same values,
+    one with a float n_interior, which formats differently."""
+    nc, nr = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    shared = draw(st.lists(st.builds(
+        RegimeLabel, st.sampled_from(["I", "II", "III", "IV", "boundary",
+                                      "none"]),
+        st.integers(0, 3), st.booleans()), min_size=1, max_size=4))
+    pool = shared + [dataclasses.replace(lab) for lab in shared] + [
+        dataclasses.replace(lab, n_interior=float(lab.n_interior))
+        for lab in shared]
+    pick = st.sampled_from(range(len(pool)))
+    labels = [[pool[draw(pick)] for _ in range(nr)] for _ in range(nc)]
+    axes = [np.array(draw(st.lists(AXIS_VALUES, min_size=n, max_size=n)))
+            for n in (nc, nr)]
+    return RegimeMap(*axes, labels=labels, omega=1.0, gamma=0.0)
+
+
+class TestWriteGrid:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(rmap=regime_maps())
+    def test_bytes_are_the_row_writers(self, tmp_path_factory, rmap):
+        # one text per axis value and label object gives the bytes of
+        # write_csv (csv) and write_table (json) on one row per cell
+        tmp = tmp_path_factory.mktemp("grid")
+        rows = cell_rows(rmap)
+        write_csv(tmp / "rows.csv", CELL_HEADER, rows)
+        write_table(tmp, "rows", CELL_HEADER, rows, "json")
+        for fmt in ("csv", "json"):
+            out = write_cells(tmp, rmap, fmt)
+            assert out == tmp / f"cells.{fmt}"
+            assert out.read_bytes() == (tmp / f"rows.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_empty_grid_writes_what_no_rows_do(self, tmp_path, fmt):
+        rmap = RegimeMap(np.zeros(0), np.zeros(0), [], 1.0, 0.0)
+        write_table(tmp_path, "rows", CELL_HEADER, [], fmt)
+        assert (write_cells(tmp_path, rmap, fmt).read_bytes()
+                == (tmp_path / f"rows.{fmt}").read_bytes())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_bad_grid_raises_before_writing(self, tmp_path, fmt):
+        lab = RegimeLabel("I", 1, False)
+        for x_axis, cells, values in (
+                ([0.0, 1.0], [[lab, lab]], operator.attrgetter(*CELL_HEADER[2:])),
+                ([0.0], [[lab]], operator.attrgetter(*CELL_HEADER[2:])),
+                ([0.0], [[lab, lab]], lambda cell: (cell.label,))):
+            with pytest.raises(ValueError):
+                write_grid(tmp_path, "cells", CELL_HEADER, x_axis, [0.5, 1.5],
+                           cells, values, fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_format_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown output format"):
+            write_grid(tmp_path, "cells", ["x", "y"], [0.0], [1.0], [[None]],
+                       lambda cell: (), "xml")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

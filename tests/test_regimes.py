@@ -4,7 +4,8 @@ The array census behind scan_plane, and the block fill that spares it
 the cells far from the bifurcation set, must label every point exactly
 as classify_regime does.  The full-scale check, 200x200 default maps
 over the Gammas of the regimes command, of the benchmark's census and
-of GAMMAS, prints every cell that differs:
+of GAMMAS, prints every cell that differs, and counts the lines where
+cells.csv from io.write_grid differs from write_csv on one row per cell:
 
     PYTHONPATH=src python tests/test_regimes.py
 """
@@ -12,7 +13,9 @@ of GAMMAS, prints every cell that differs:
 import itertools
 import math
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from atomol.fixed_points import (interior_fixed_points, regime_census,
                                  threshold_gamma)
+from atomol.io import write_csv
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
@@ -34,7 +38,8 @@ from atomol.regimes import (
     trace_boundaries,
 )
 
-from oracles import bifurcation_distance, bisection_boundaries
+from oracles import (CELL_HEADER, bifurcation_distance, bisection_boundaries,
+                     cell_rows, map_cells, write_cells)
 from test_fixed_points import census_points
 
 OMEGA = 1.0
@@ -101,12 +106,12 @@ class TestClassifyRegime:
 class TestScanPlane:
     def test_all_four_regimes_present(self):
         rmap = scan_plane(resolution=(31, 41), omega=OMEGA, gamma=0.0)
-        labels = {lab.label for _, _, lab in rmap.cells()}
+        labels = {lab.label for _, _, lab in map_cells(rmap)}
         assert {"I", "II", "III", "IV"} <= labels
 
     def test_label_census_consistency(self):
         rmap = scan_plane(resolution=(13, 17), omega=OMEGA, gamma=0.7)
-        for c, r, lab in rmap.cells():
+        for c, r, lab in map_cells(rmap):
             pts = interior_fixed_points(ReducedParams(c=c, omega=OMEGA, r=r,
                                                       gamma=0.7))
             assert lab.n_interior == len(pts)
@@ -126,8 +131,8 @@ class TestScanPlane:
     def test_determinism(self):
         m1 = scan_plane(resolution=(11, 11), gamma=0.3)
         m2 = scan_plane(resolution=(11, 11), gamma=0.3)
-        assert ([lab.label for _, _, lab in m1.cells()]
-                == [lab.label for _, _, lab in m2.cells()])
+        assert ([lab.label for _, _, lab in map_cells(m1)]
+                == [lab.label for _, _, lab in map_cells(m2)])
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -137,7 +142,7 @@ class TestScanPlane:
 def _mismatches(rmap):
     """(c, r, map label, classify_regime label) of every cell that differs."""
     out = []
-    for c, r, lab in rmap.cells():
+    for c, r, lab in map_cells(rmap):
         ref = label_at(c, r, gamma=rmap.gamma, omega=rmap.omega)
         if lab != ref:
             out.append((c, r, lab, ref))
@@ -186,7 +191,7 @@ class TestRegimeCensus:
 
     def test_equal_labels_share_one_object(self):
         rmap = scan_plane(resolution=(31, 41), gamma=0.6)
-        cells = [lab for _, _, lab in rmap.cells()]
+        cells = [lab for _, _, lab in map_cells(rmap)]
         assert len({id(lab) for lab in cells}) == len(set(cells)) < 20
 
     @pytest.mark.parametrize("omega, gamma, message", [
@@ -233,7 +238,7 @@ class TestBlockCensus:
     def test_scan_plane_is_one_census_of_the_grid(self, c_range, r_range, nc,
                                                   nr, omega, gamma):
         rmap = scan_plane(c_range, r_range, (nc, nr), omega, gamma)
-        cells = [lab for _, _, lab in rmap.cells()]
+        cells = [lab for _, _, lab in map_cells(rmap)]
         assert cells == _full_census(rmap)
         assert len({id(lab) for lab in cells}) == len(set(cells))
 
@@ -273,7 +278,7 @@ class TestBlockCensus:
     def test_scan_plane_is_one_census_where_sampling_or_the_gate_decide(
             self, c_range, r_range, resolution, omega, gamma):
         rmap = scan_plane(c_range, r_range, resolution, omega, gamma)
-        assert [lab for _, _, lab in rmap.cells()] == _full_census(rmap)
+        assert [lab for _, _, lab in map_cells(rmap)] == _full_census(rmap)
 
     def test_default_map_censuses_a_quarter_of_its_cells_in_one_call(self):
         with mock.patch("atomol.regimes.regime_census",
@@ -281,7 +286,7 @@ class TestBlockCensus:
             rmap = scan_plane(gamma=0.6)
         assert census.call_count == 1
         assert census.call_args.args[0].size <= 12_000
-        assert [lab for _, _, lab in rmap.cells()] == _full_census(rmap)
+        assert [lab for _, _, lab in map_cells(rmap)] == _full_census(rmap)
 
 
 class TestTraceBoundaries:
@@ -441,6 +446,28 @@ class TestTraceBoundaries:
                 assert min(_point_to_polyline(pt, poly.points)
                            for pt in oracle_points) < cell
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(c_range=windows().filter(lambda w: w[0] != w[1]),
+           r_range=windows().filter(lambda w: w[0] != w[1]),
+           nc=st.integers(2, 80), nr=st.integers(2, 80),
+           omega=st.floats(math.log(0.2), math.log(1e4)).map(math.exp),
+           gamma=st.sampled_from(GAMMAS) | st.floats(-3.0, 3.0))
+    # the fold comes from infinity at S* along the thin window and turns
+    # back below it, both within one step of the fold's 65 even starts
+    @example(c_range=(2.1630838088257476, 2.2381687008701197),
+             r_range=(-0.015294247195004712, -0.014512719658550432), nc=72,
+             nr=89, omega=1.3666361076642972, gamma=-2.7319789584924044)
+    # the fold runs off to S = 1 inside the last of those steps
+    @example(c_range=(-2.632045049248152, -2.5926160947405545),
+             r_range=(-2.5271498666752885, -2.391753645355114), nc=60, nr=60,
+             omega=0.024947900032341003, gamma=0.005901579419257024)
+    def test_every_regime_flip_of_the_grid_is_near_a_vertex(
+            self, c_range, r_range, nc, nr, omega, gamma):
+        # each grid edge between two different regimes lies within one
+        # cell of a polyline vertex
+        rmap = scan_plane(c_range, r_range, (nc, nr), omega, gamma)
+        assert _uncovered_flips(rmap, trace_boundaries(rmap)) == []
+
     def test_tiny_refine_tol_keeps_the_label_pairs(self):
         # the tracer reads the window, the spacing, Omega and Gamma of
         # the map, not its labels: a label-free map of the default grid
@@ -470,6 +497,25 @@ class TestTraceBoundaries:
         for curve in curves:
             for c, r in curve[::7]:
                 assert abs(abs(math.sqrt(2.0) * (c + r)) - OMEGA) < 1e-9
+
+
+def _uncovered_flips(rmap, polys):
+    """Midpoints of the grid edges between two different regimes that lie
+    more than one cell (max-norm, in cells per axis) from every vertex of
+    the polylines."""
+    labels = np.array([[lab.label for lab in row] for row in rmap.labels])
+    regime = np.isin(labels, REGIME_LABELS)
+    grid = np.stack(np.meshgrid(rmap.c_axis, rmap.r_axis, indexing="ij"), axis=-1)
+    mids = []
+    for a, b in (((slice(None, -1),), (slice(1, None),)),
+                 ((slice(None), slice(None, -1)), (slice(None), slice(1, None)))):
+        flip = regime[a] & regime[b] & (labels[a] != labels[b])
+        mids.append(0.5 * (grid[a] + grid[b])[flip])
+    mids = np.concatenate(mids)
+    vertices = np.concatenate([p.points for p in polys] + [np.full((1, 2), np.inf)])
+    cell = np.abs([rmap.c_axis[1] - rmap.c_axis[0], rmap.r_axis[1] - rmap.r_axis[0]])
+    near = [(np.abs(vertices - m) / cell).max(axis=1).min() <= 1.0 for m in mids]
+    return mids[~np.array(near, dtype=bool)].tolist()
 
 
 def _labels_around(c, r, tol, gamma):
@@ -537,11 +583,23 @@ class TestFixedPointLocus:
 
 if __name__ == "__main__":
     differ = 0
-    for gamma in sorted({0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, *GAMMAS}):
-        bad = _mismatches(scan_plane(omega=OMEGA, gamma=gamma))
-        for c, r, lab, ref in bad:
-            print(f"gamma={gamma!r} c={c!r} r={r!r}: scan_plane {lab}, "
-                  f"classify_regime {ref}")
-        print(f"gamma={gamma!r}: {len(bad)} of 40000 cells differ", file=sys.stderr)
-        differ += len(bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for gamma in sorted({0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2,
+                             *GAMMAS}):
+            rmap = scan_plane(omega=OMEGA, gamma=gamma)
+            bad = _mismatches(rmap)
+            for c, r, lab, ref in bad:
+                print(f"gamma={gamma!r} c={c!r} r={r!r}: scan_plane {lab}, "
+                      f"classify_regime {ref}")
+            # cells.csv from the axes and the labels, against write_csv
+            # on one row per cell
+            write_csv(tmp / "rows.csv", CELL_HEADER, cell_rows(rmap))
+            lines = [path.read_text().splitlines() for path in
+                     (write_cells(tmp, rmap, "csv"), tmp / "rows.csv")]
+            rows = (len(lines[0]) != len(lines[1])) + sum(
+                a != b for a, b in zip(*lines))
+            print(f"gamma={gamma!r}: {len(bad)} of 40000 cells differ, "
+                  f"{rows} cells.csv lines differ", file=sys.stderr)
+            differ += len(bad) + rows
     sys.exit(1 if differ else 0)
