@@ -38,10 +38,8 @@ from .fixed_points import (
     CubicCoefficients,
     FixedPoint,
     boundary_fixed_point,
-    classify,
     cubic_coefficients,
     interior_fixed_points,
-    jacobian,
     threshold_gamma,
 )
 from .regimes import (
@@ -70,9 +68,8 @@ __all__ = [
     "IntegratorConfig", "PoleEvent", "StepBudgetError", "StepUnderflowError",
     "Trajectory",
     "evolve", "evolve_reduced",
-    "CubicCoefficients", "FixedPoint", "boundary_fixed_point", "classify",
-    "cubic_coefficients", "interior_fixed_points", "jacobian",
-    "threshold_gamma",
+    "CubicCoefficients", "FixedPoint", "boundary_fixed_point",
+    "cubic_coefficients", "interior_fixed_points", "threshold_gamma",
     "RegimeLabel", "RegimeMap", "classify_regime", "fixed_point_locus",
     "scan_plane", "trace_boundaries",
     "EfficiencyReport", "SweepProtocol", "oscillation_amplitude",

@@ -29,10 +29,10 @@ A census labels a parameter point by the regime its fixed points give
 
 - The scalar core (interior_census, real_cubic_roots, _polish_point,
   _spectrum) runs on Python floats, for one point at a time; length-1
-  numpy calls are slower.  It serves classify_regime, the boundary
-  tracer's side probes and the fixed-points and portrait commands, and
-  it is the reference of the array form.  jacobian, eigenvalues_2x2
-  and classify wrap it for numpy 2x2 arrays.
+  numpy calls are slower.  It serves the fixed-points and portrait
+  commands, and it is the reference of the array form.  Its stages
+  without the spectra (_interior_roots) serve classify_regime and the
+  boundary tracer's side probes.
 - The array census (regime_census) runs the stages of interior_census
   that a label reads over a whole grid of points at once: coefficients,
   Cauchy bound, critical points, double roots, bracketed Newton, phase,
@@ -216,11 +216,16 @@ def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
     return roots
 
 
+def _check_pole(s: float, eps_pole: float = EPS_POLE):
+    """The Jacobian's guard: S within eps_pole of the pole S = 1 raises."""
+    if s >= 1.0 - eps_pole:
+        raise ValueError(f"jacobian evaluated too close to the S = 1 pole: {s}")
+
+
 def _jacobian_entries(s: float, theta: float, q: ReducedParams,
                       eps_pole: float = EPS_POLE):
     """Entries (j11, j12, j21, j22) of the Jacobian; j11 + j22 = 2 Gamma S."""
-    if s >= 1.0 - eps_pole:
-        raise ValueError(f"jacobian evaluated too close to the S = 1 pole: {s}")
+    _check_pole(s, eps_pole)
     root = math.sqrt(1.0 - s)
     return _jacobian_terms(s, math.sin(theta), math.cos(theta), root, root ** 3,
                            q.c, q.omega, q.gamma)
@@ -234,16 +239,6 @@ def _jacobian_terms(s, sin_t, cos_t, root, root3, c, omega, gamma):
     j21 = 4.0 * c + omega * (5.0 - 3.0 * s) * cos_t / (2.0 * root3)
     j22 = shear * sin_t
     return j11, j12, j21, j22
-
-
-def jacobian(s: float, theta: float, q: ReducedParams,
-             eps_pole: float = EPS_POLE) -> np.ndarray:
-    """Analytic Jacobian of the reduced flow at (s, theta).
-
-    Satisfies trace(J) = 2*Gamma*S identically: the theta-dependent
-    parts of dSdot/dS and dthetadot/dtheta cancel exactly.
-    """
-    return np.array(_jacobian_entries(s, theta, q, eps_pole)).reshape(2, 2)
 
 
 def _spectrum(j11, j12, j21, j22, tol=1e-9):
@@ -280,16 +275,6 @@ def _spectrum(j11, j12, j21, j22, tol=1e-9):
     if abs(re1) <= t and abs(re2) <= t and spiral:
         return lams, KIND_CENTER
     return lams, KIND_INDETERMINATE
-
-
-def eigenvalues_2x2(j: np.ndarray) -> tuple[complex, complex]:
-    """Closed-form eigenvalues of a real 2x2 matrix."""
-    return _spectrum(*j.ravel())[0]
-
-
-def classify(j: np.ndarray, tol: float = 1e-9) -> str:
-    """Stability class from the Jacobian eigenvalues (see _spectrum)."""
-    return _spectrum(*j.ravel(), tol)[1]
 
 
 def residual(s: float, theta: float, q: ReducedParams) -> float:
@@ -334,6 +319,26 @@ def _polish_point(s: float, theta: float, q: ReducedParams):
 def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
     """Interior fixed points, and whether their census is degenerate.
 
+    The points of _interior_roots, each with its eigenvalues and kind
+    (_spectrum of the Jacobian there).
+    """
+    roots, degenerate = _interior_roots(q)
+    points = []
+    for s_fp, theta_fp, res, mult in roots:
+        eigenvalues, kind = _spectrum(*_jacobian_entries(s_fp, theta_fp, q))
+        points.append(FixedPoint(s=s_fp, theta=theta_fp, kind=kind,
+                                 eigenvalues=eigenvalues, residual=res,
+                                 on_boundary=False, multiplicity=mult))
+    return points, degenerate
+
+
+def _interior_roots(q: ReducedParams):
+    """The root, phase, polish and gate stages of interior_census:
+    (s, theta, residual, multiplicity) of each interior fixed point,
+    sorted by (s, theta), and the degeneracy flag.  No spectra, which no
+    regime label reads; a point within EPS_POLE of the pole raises the
+    Jacobian's error all the same.
+
     Candidate S values are the real cubic roots; the phase is recovered
     from the sine condition with the cosine branch fixed by the
     stationarity of theta.  Where the cosine coefficient vanishes
@@ -354,7 +359,7 @@ def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
     scale = max(abs(cc.c3), abs(cc.c2), abs(cc.c1), abs(cc.c0), 1e-300)
     degenerate = abs(cc.evaluate(-1.0)) <= 1e-9 * scale
     folds = []  # (S, unclipped sin theta) of the double roots in (-1, 1)
-    points: list[FixedPoint] = []
+    points = []  # (s, theta, residual, multiplicity)
     for s_root, mult in real_cubic_roots(cc):
         if not -1.0 < s_root < 1.0:
             continue
@@ -384,19 +389,14 @@ def interior_census(q: ReducedParams) -> tuple[list[FixedPoint], bool]:
             if res >= RESIDUAL_TOL:
                 continue
             theta_fp %= TWO_PI
-            if any(abs(p.s - s_fp) < 1e-7
-                   and angle_distance(p.theta, theta_fp) < 1e-7
-                   for p in points):
+            if any(abs(s - s_fp) < 1e-7 and angle_distance(theta, theta_fp) < 1e-7
+                   for s, theta, *_ in points):
                 continue
-            eigenvalues, kind = _spectrum(*_jacobian_entries(s_fp, theta_fp, q))
-            points.append(FixedPoint(
-                s=s_fp, theta=theta_fp, kind=kind,
-                eigenvalues=eigenvalues, residual=res,
-                on_boundary=False, multiplicity=mult,
-            ))
-    points.sort(key=lambda p: (p.s, p.theta))
+            _check_pole(s_fp)
+            points.append((s_fp, theta_fp, res, mult))
+    points.sort(key=lambda p: (p[0], p[1]))
     for s_root, sin_c in folds:
-        n_here = sum(1 for p in points if abs(p.s - s_root) < 1e-6)
+        n_here = sum(1 for p in points if abs(p[0] - s_root) < 1e-6)
         if n_here != 2 or 1.0 - abs(sin_c) <= 1e-9:
             degenerate = True
     return points, degenerate
@@ -492,10 +492,11 @@ def _regime_name(degenerate: bool, n: int, cos_first: float) -> str:
 
 
 def _point_label(q: ReducedParams) -> RegimeLabel:
-    """Regime label of one parameter point from the scalar census."""
-    points, degenerate = interior_census(q)
+    """Regime label of one parameter point from the scalar census, which
+    it runs without the spectra (_interior_roots)."""
+    points, degenerate = _interior_roots(q)
     n = len(points)
-    cos_first = math.cos(points[0].theta) if n == 1 else math.nan
+    cos_first = math.cos(points[0][1]) if n == 1 else math.nan
     return RegimeLabel(label=_regime_name(degenerate, n, cos_first),
                        n_interior=n, has_boundary_fp=has_boundary_fixed_point(q))
 

@@ -20,6 +20,7 @@ curve and one cell of each block of cells that no curve comes near.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -254,26 +255,88 @@ def _sample(curve, t, lo, hi, cell):
         now_in = inside(points(mid))
         t_in = np.where(now_in, mid, t_in)
         t_out = np.where(now_in, t_out, mid)
-    t = np.unique(np.concatenate([t, t_in]))
+    t = _unique(np.concatenate([t, t_in]))
     return t, inside(points(t))
 
 
-def _distance_to_chords(pts, chords):
-    """Distance from each point (n, 2) to the nearest chord (m, 2, 2).
+def _unique(x):
+    """np.unique of a 1-D float array: sorted, the first of each run of
+    equal values (so one of 0.0 and -0.0) and one NaN.  np.unique imports
+    numpy.ma, which nothing else here needs."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (x[1:] != x[:-1]) & ~np.isnan(x[:-1])
+    return x[keep]
 
-    A zero-length chord reads NaN and is skipped; its point ends the
-    chords next to it.
+
+@np.errstate(all="ignore")
+def _distance_to_chords(pts, chords, reach, cell):
+    """Distance from each point (n, 2) to the nearest chord (m, 2, 2),
+    exact where it is below reach; elsewhere inf or a distance >= reach.
+
+    The tracer reads the distance gap only through its probe offset
+    max(floor, min(delta, gap/2)) and its test gap < 2 floor, with
+    floor <= delta: both are the same for every gap >= 2 delta, so a
+    reach of 2 delta, at most half a cell, is enough.  The chords'
+    bounding boxes, grown by reach and by a slack that covers the
+    rounding of the distance, are bucketed on a grid of cell-sized
+    buckets (at most one per point along an axis) from the lowest point.
+    A point closer than reach to a chord lies in its grown box, so each
+    point is measured only against the chords whose box covers its
+    bucket, with the all-pairs expression and so its bits.  The tracer's
+    chords are at most a cell long on each axis, so the work grows with
+    the number of points, not its square.  A zero-length chord reads NaN
+    and is skipped; its point ends the chords next to it.
     """
-    a, ab = chords[:, 0], chords[:, 1] - chords[:, 0]
-    length2 = np.einsum("ij,ij->i", ab, ab)
     dist = np.full(len(pts), np.inf)
-    rows = max(1, 2 ** 20 // max(1, len(chords)))  # bounds the memory
-    for k in range(0, len(pts), rows):
-        d = pts[k:k + rows, None, :] - a
-        t = np.clip(np.einsum("nmj,mj->nm", d, ab) / length2, 0.0, 1.0)
-        foot = d - t[..., None] * ab
-        gap = np.hypot(foot[..., 0], foot[..., 1])
-        dist[k:k + rows] = np.fmin.reduce(gap, axis=1, initial=np.inf)
+    if not (len(pts) and len(chords) and reach > 0.0):
+        return dist
+    a, b = chords[:, 0], chords[:, 1]
+    ab = b - a
+    length2 = np.einsum("ij,ij->i", ab, ab)
+    origin = pts.min(axis=0)
+    span = pts.max(axis=0) - origin
+    size = np.fmax(cell, span / len(pts))
+    flat = ~(np.isfinite(size) & (size > 0.0))  # one bucket on this axis
+    size[flat], span[flat] = np.inf, 0.0
+    top = np.floor(span / size)
+
+    def bucket(x):  # bucket index per axis, not clipped
+        return np.floor((x - origin) / size)
+
+    # each rounding of the pair expression and of the box edges is at
+    # most 2^-53 of the reach, the chord's extent or its ends' size, or
+    # an underflow below the smallest normal
+    slack = 2.0 ** -48 * (reach + np.abs(ab) + np.fmax(np.abs(a), np.abs(b)))
+    grow = reach + slack + 2.0 ** -1022
+    first = np.fmax(bucket(np.fmin(a, b) - grow), 0.0)  # NaN reads 0
+    last = np.fmin(bucket(np.fmax(a, b) + grow), top)   # and top
+    width = np.fmax(last - first + 1.0, 0.0).astype(np.int64)
+    first, top = first.astype(np.int64), top.astype(np.int64)
+    # (bucket, chord) entries, sorted by bucket
+    per = width[:, 0] * width[:, 1]
+    chord = np.repeat(np.arange(len(chords)), per)
+    k = np.arange(len(chord)) - np.repeat(np.cumsum(per) - per, per)
+    cols = top[1] + 1
+    key = ((first[chord, 0] + k // width[chord, 1]) * cols
+           + first[chord, 1] + k % width[chord, 1])
+    order = np.argsort(key)
+    key, chord = key[order], chord[order]
+    # (point, chord) pairs of each point's bucket
+    at = np.fmin(np.fmax(bucket(pts), 0.0), top).astype(np.int64)
+    at = at[:, 0] * cols + at[:, 1]
+    start = np.searchsorted(key, at, "left")
+    count = np.searchsorted(key, at, "right") - start
+    offset = np.cumsum(count) - count
+    point = np.repeat(np.arange(len(pts)), count)
+    c = chord[np.arange(len(point)) - np.repeat(offset - start, count)]
+    d = pts[point] - a[c]
+    t = np.clip(np.einsum("ij,ij->i", d, ab[c]) / length2[c], 0.0, 1.0)
+    foot = d - t[:, None] * ab[c]
+    gap = np.hypot(foot[:, 0], foot[:, 1])
+    hit = count > 0  # an all-NaN point reads inf, as np.fmin.reduce does
+    dist[hit] = np.fmin(np.fmin.reduceat(gap, offset[hit]), np.inf)
     return dist
 
 
@@ -313,8 +376,8 @@ def _bifurcation_set(omega, gamma, c_span):
         return (lambda c: (c, slope * c + offset, slope)), c_span, flips
 
     ends = (1.0 - s0) * 2.0 ** -np.arange(1.0, 53.0)
-    s_start = np.unique(np.concatenate([np.linspace(s0, 1.0, 65), s0 + ends,
-                                        1.0 - ends, _cusps(om2, g2, s0)]))
+    s_start = _unique(np.concatenate([np.linspace(s0, 1.0, 65), s0 + ends,
+                                      1.0 - ends, _cusps(om2, g2, s0)]))
 
     def fold(sign):
         def curve(s):
@@ -333,12 +396,14 @@ def _bifurcation_set(omega, gamma, c_span):
     return curves
 
 
+@functools.lru_cache(maxsize=64)
 def _cusps(om2, g2, s0):
     """Zeros of g''(s) in (s0, 1), where the fold turns back.
 
     With w = 1 - s, h = g / (1 - 3s) and h' = Om^2 / (32 w^2 h),
     g'' = h' ((1 - 3s) (2/w - h'/h) - 6); its sign changes on 4,096
-    steps of s are bisected to the last bit.
+    steps of s are bisected to the last bit.  Memoised, so the scan and
+    the tracer of one map solve them once; the array is read-only.
     """
     def shape(s):  # g'' / h'
         w = 1.0 - s
@@ -352,6 +417,7 @@ def _cusps(om2, g2, s0):
         mid = 0.5 * (lo + hi)
         same = np.signbit(shape(mid)) == np.signbit(shape(lo))
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    lo.flags.writeable = False
     return lo
 
 
@@ -366,7 +432,10 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     (finite, > 0), at most a quarter cell and half the distance to the
     other curves, and at least 1e-7 * max(1, |window bounds|): closer,
     the census reads boundary.  A vertex closer than twice that floor
-    to another curve is left out.
+    to another curve is left out.  Both rules read the distance to the
+    other curves only below 2 delta (the floor is at most delta), so it
+    is measured only that far (_distance_to_chords), in time that grows
+    with the number of vertices.
     """
     _check_refine_tol(refine_tol)
     ends = [rmap.c_axis[[0, -1]], rmap.r_axis[[0, -1]]]
@@ -398,7 +467,8 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
         others = [chords for j, (*_, chords) in enumerate(sampled) if j != k]
         # only the vertices in the window are probed
         gap = np.full(len(pts), np.inf)
-        gap[inside] = _distance_to_chords(pts[inside], np.concatenate(others))
+        gap[inside] = _distance_to_chords(pts[inside], np.concatenate(others),
+                                          2.0 * delta, cell)
         pairs = []
         for p, slope, keep, gap_p in zip(pts, slopes, inside, gap):
             if keep and not gap_p < 2.0 * floor:

@@ -7,9 +7,11 @@ vector field polished by plain Newton, the fixed-point cubic from a
 second algebraic route, the loss threshold from bisection on the
 cubic instead of its closed form, and regime boundaries from bisection
 between differing grid cells instead of the closed-form bifurcation set,
-whose distance comes from a second parametrization of the fold, and the
-solver steps from per-component comprehensions of the vector form
-instead of the stages written out for a pair; the 8(5,3) step loops
+whose distance comes from a second parametrization of the fold, the
+tracer's chord distance from all pairs instead of bucketed chords, the
+Jacobian and its spectrum as numpy 2x2 arrays, and the solver steps
+from per-component comprehensions of the vector form instead of the
+stages written out for a pair; the 8(5,3) step loops
 over a tableau gathered from the module's coefficient names, CSV
 text is built row by row instead of per column, and the cells table of
 a regime map from one row per cell instead of from its axes and shared
@@ -23,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from atomol import integrate
-from atomol.fixed_points import cubic_coefficients, jacobian
+from atomol.fixed_points import _jacobian_entries, _spectrum, cubic_coefficients
 from atomol.io import format_value, write_grid
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
     _E4, _E5, _E6, _E7, _PastEvent)
-from atomol.model import PoleError, ReducedParams, reduced_deriv
+from atomol.model import EPS_POLE, PoleError, ReducedParams, reduced_deriv
 from atomol.regimes import REGIME_LABELS, classify_regime
 
 
@@ -106,6 +108,26 @@ def bisect_roots(poly, lo=-1.0, hi=1.0, n_grid=4001, tol=1e-12):
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
+
+
+def jacobian(s, theta, q, eps_pole=EPS_POLE):
+    """Analytic Jacobian of the reduced flow at (s, theta), a numpy 2x2
+    array of fixed_points._jacobian_entries.
+
+    Satisfies trace(J) = 2*Gamma*S identically: the theta-dependent
+    parts of dSdot/dS and dthetadot/dtheta cancel exactly.
+    """
+    return np.array(_jacobian_entries(s, theta, q, eps_pole)).reshape(2, 2)
+
+
+def eigenvalues_2x2(j):
+    """Closed-form eigenvalues of a real 2x2 matrix (fixed_points._spectrum)."""
+    return _spectrum(*j.ravel())[0]
+
+
+def classify(j, tol=1e-9):
+    """Stability class from the Jacobian eigenvalues (see _spectrum)."""
+    return _spectrum(*j.ravel(), tol)[1]
 
 
 def newton_2d(q, s, theta, iters=40):
@@ -290,6 +312,27 @@ def bifurcation_distance(points, omega, gamma):
             a, b = np.where(left, a, x1), np.where(left, x2, b)
         best = np.minimum(best, dist(0.5 * (a + b)[:, None]).ravel())
     return best
+
+
+def distance_to_chords(pts, chords):
+    """Distance from each point (n, 2) to the nearest chord (m, 2, 2).
+
+    A zero-length chord reads NaN and is skipped; its point ends the
+    chords next to it.  The all-pairs form regimes._distance_to_chords
+    had before it bucketed the chords; below its reach that gives these
+    bits.
+    """
+    a, ab = chords[:, 0], chords[:, 1] - chords[:, 0]
+    length2 = np.einsum("ij,ij->i", ab, ab)
+    dist = np.full(len(pts), np.inf)
+    rows = max(1, 2 ** 20 // max(1, len(chords)))  # bounds the memory
+    for k in range(0, len(pts), rows):
+        d = pts[k:k + rows, None, :] - a
+        t = np.clip(np.einsum("nmj,mj->nm", d, ab) / length2, 0.0, 1.0)
+        foot = d - t[..., None] * ab
+        gap = np.hypot(foot[..., 0], foot[..., 1])
+        dist[k:k + rows] = np.fmin.reduce(gap, axis=1, initial=np.inf)
+    return dist
 
 
 def rk45_step(f, t, y, h, k1=None):

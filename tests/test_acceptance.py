@@ -24,10 +24,8 @@ from atomol.fixed_points import (
     KIND_SADDLE,
     REPELLER_KINDS,
     all_fixed_points,
-    classify,
     cubic_coefficients,
     interior_fixed_points,
-    jacobian,
     real_cubic_roots,
     residual,
     threshold_gamma,
@@ -44,7 +42,8 @@ from atomol.model import (
 )
 from atomol.regimes import classify_regime, scan_plane
 
-from oracles import bisect_roots, newton_survey, threshold_by_bisection
+from oracles import (bisect_roots, jacobian, newton_survey,
+                     threshold_by_bisection)
 
 SQRT6 = math.sqrt(6.0)
 

@@ -18,12 +18,9 @@ from atomol.fixed_points import (
     RESIDUAL_TOL,
     all_fixed_points,
     boundary_fixed_point,
-    classify,
     cubic_coefficients,
-    eigenvalues_2x2,
     interior_census,
     interior_fixed_points,
-    jacobian,
     real_cubic_roots,
     residual,
     threshold_gamma,
@@ -33,7 +30,10 @@ from atomol.regimes import classify_regime
 
 from oracles import (
     bisect_roots,
+    classify,
+    eigenvalues_2x2,
     eliminated_phase_polynomial,
+    jacobian,
     newton_survey,
     threshold_by_bisection,
 )

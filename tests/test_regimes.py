@@ -5,13 +5,17 @@ the cells far from the bifurcation set, must label every point exactly
 as classify_regime does.  The full-scale check, 200x200 default maps
 over the Gammas of the regimes command, of the benchmark's census and
 of GAMMAS, prints every cell that differs, and counts the lines where
-cells.csv from io.write_grid differs from write_csv on one row per cell:
+cells.csv from io.write_grid differs from write_csv on one row per cell
+and the vertices where the tracer's bucketed chord distance, capped at
+its reach, differs from the all-pairs oracle's:
 
     PYTHONPATH=src python tests/test_regimes.py
 """
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from atomol import regimes
 from atomol.fixed_points import (interior_fixed_points, regime_census,
                                  threshold_gamma)
 from atomol.io import write_csv
@@ -31,6 +36,8 @@ from atomol.regimes import (
     LABEL_BOUNDARY,
     REGIME_LABELS,
     RegimeMap,
+    _distance_to_chords,
+    _unique,
     boundary_fp_existence_curve,
     classify_regime,
     fixed_point_locus,
@@ -39,9 +46,10 @@ from atomol.regimes import (
 )
 
 from oracles import (CELL_HEADER, bifurcation_distance, bisection_boundaries,
-                     cell_rows, map_cells, write_cells)
+                     cell_rows, distance_to_chords, map_cells, write_cells)
 from test_fixed_points import census_points
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 OMEGA = 1.0
 # zero loss and Gamma below sqrt2 Omega, where roots leave through
 # S = -1, at it, and above it, where they leave through the phase
@@ -491,6 +499,23 @@ class TestTraceBoundaries:
         for c, r in vertices:
             assert threshold_gamma(c, r, OMEGA) == pytest.approx(gamma, abs=1e-12)
 
+    @pytest.mark.parametrize("c_range, r_range, resolution, omega, gamma", [
+        ((0.0, 3.0), (-2.0, 2.0), 200, OMEGA, 0.6),
+        ((0.0, 3.0), (-2.0, 2.0), (400, 3), OMEGA, 0.3),
+        ((0.0, 3.0), (-2.0, 2.0), (3, 400), OMEGA, 0.9),
+        ((0.0, 3.0), (-2.0, 2.0), 61, OMEGA, 2.5),
+        ((0.0, 3.0), (-2.0, 2.0), 61, OMEGA, 1.9375),
+        # a thin window that a fold crosses from infinity and turns back in
+        ((2.1630838088257476, 2.2381687008701197),
+         (-0.015294247195004712, -0.014512719658550432), (72, 89),
+         1.3666361076642972, -2.7319789584924044),
+    ])
+    def test_bucketed_distance_keeps_the_tracer_bits(self, c_range, r_range,
+                                                     resolution, omega, gamma):
+        rmap = scan_plane(c_range, r_range, resolution, omega, gamma)
+        calls, bad = _traced_distance_mismatches(rmap)
+        assert calls and bad == []
+
     def test_existence_curve_is_where_the_boundary_point_appears(self):
         curves = boundary_fp_existence_curve(OMEGA)
         assert curves
@@ -543,6 +568,126 @@ def _point_to_polyline(pt, points):
     t = np.einsum("ij,ij->i", np.asarray(pt) - a, ab) / np.where(denom, denom, 1.0)
     foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
     return float(np.hypot(*(foot - pt).T).min())
+
+
+def _capped_bits_differ(pts, chords, reach, cell):
+    """Indices of the points where _distance_to_chords and the all-pairs
+    oracle, both capped at reach, differ in any bit."""
+    new = np.fmin(_distance_to_chords(pts, chords, reach, cell), reach)
+    with np.errstate(all="ignore"):
+        ref = np.fmin(distance_to_chords(pts, chords), reach)
+    return np.flatnonzero(new.view(np.int64) != ref.view(np.int64)).tolist()
+
+
+def _traced_distance_mismatches(rmap):
+    """(calls, vertices) of trace_boundaries(rmap): how many distance
+    calls it made, and each vertex where the capped distance it read
+    differs from the oracle's."""
+    calls, bad = [], []
+
+    def checked(pts, chords, reach, cell):
+        calls.append(len(pts))
+        bad.extend(pts[_capped_bits_differ(pts, chords, reach, cell)].tolist())
+        return _distance_to_chords(pts, chords, reach, cell)
+
+    with mock.patch("atomol.regimes._distance_to_chords", checked):
+        trace_boundaries(rmap)
+    return len(calls), bad
+
+
+@st.composite
+def chord_inputs(draw):
+    """(pts, chords, reach, cell) on a grid of cells from an origin, the
+    lowest point: points on and between cell edges and within about
+    reach of a chord, chords up to a cell long on each axis from a cell
+    edge or off it, longer ones and zero-length ones, ends outside the
+    points' box, extents 0 and 1e-227 to 1e300 on each axis."""
+    extent = np.array(draw(st.lists(st.just(0.0) | st.floats(-227.0, 300.0).map(
+        lambda e: 10.0 ** e), min_size=2, max_size=2)))
+    cell = extent / np.array(draw(st.lists(st.integers(1, 60), min_size=2,
+                                           max_size=2)))
+    origin = extent * draw(st.floats(-4.0, 4.0)) + draw(
+        st.just(0.0) | st.floats(-1e300, 1e300))
+    reach = draw(st.floats(0.0, 0.5)) * cell.min()
+    quarters = st.integers(0, 240).map(lambda k: 0.25 * k)
+    unit = st.floats(-1.0, 1.0)
+    pts = [np.zeros(2)] + [np.array(p) for p in draw(
+        st.lists(st.tuples(quarters, quarters), max_size=40))]
+    ends = []
+    for kind in draw(st.lists(st.sampled_from(["short", "zero", "long"]),
+                              max_size=40)):
+        a = np.array([draw(quarters), draw(quarters)])
+        if draw(st.booleans()):
+            a = a + draw(unit)
+        if kind == "short":
+            b = a + [draw(unit), draw(unit)]
+        elif kind == "zero":
+            b = a
+        else:
+            b = a + [draw(st.floats(-300.0, 300.0)), draw(st.floats(-300.0, 300.0))]
+        ends.append([a, b])
+        if draw(st.booleans()):  # a point about reach from the chord
+            phi = draw(st.floats(0.0, 2.0 * math.pi))
+            off = reach * draw(st.floats(0.0, 1.5)) * np.array([math.cos(phi),
+                                                                math.sin(phi)])
+            with np.errstate(all="ignore"):
+                pts.append(a + draw(st.floats(0.0, 1.0)) * (b - a) + off / cell)
+    pts = origin + cell * np.array(pts)
+    chords = origin + cell * np.array(ends, ndmin=3).reshape(-1, 2, 2)
+    keep = np.isfinite(pts).all(axis=1)
+    return pts[keep], chords, reach, cell
+
+
+class TestTracerParts:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(chord_inputs())
+    @example((np.zeros((0, 2)), np.ones((3, 2, 2)), 0.1, np.array([1.0, 1.0])))
+    @example((np.ones((3, 2)), np.zeros((0, 2, 2)), 0.1, np.array([1.0, 1.0])))
+    @example((np.ones((3, 2)), np.ones((4, 2, 2)), 0.0, np.zeros(2)))
+    @example((np.array([[0.0, 0.0], [1.0, 1.0]]),
+              np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]),
+              0.5, np.array([1.0, 1.0])))
+    # a long chord whose rounding puts a point outside its reach-grown
+    # box at distance 0: the box's slack must cover it
+    @example((np.array([[1.0000000000010003, 0.0]]),
+              np.array([[[-1000000.1234567, 0.0], [1.0, 0.0]]]), 1e-12,
+              np.array([1.0, 1.0])))
+    def test_capped_distance_has_the_all_pairs_bits(self, case):
+        assert _capped_bits_differ(*case) == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf,
+                                     -math.inf, math.nan, -math.nan])
+                    | st.floats(allow_nan=True), max_size=60))
+    def test_sorted_dedupe_is_np_unique(self, values):
+        x = np.array(values, dtype=float)
+        assert _unique(x).tobytes() == np.unique(x).tobytes()
+
+    def test_classify_regime_computes_no_spectra(self):
+        points = census_points()[:500]
+        with mock.patch("atomol.fixed_points._spectrum",
+                        side_effect=AssertionError("spectrum")):
+            labels = [classify_regime(q) for q in points]
+        assert labels == regime_census(*(np.array([getattr(q, name) for q in points])
+                                         for name in ("c", "r", "omega", "gamma"))).tolist()
+
+    def test_cusps_are_solved_once_per_map(self):
+        regimes._cusps.cache_clear()
+        rmap = scan_plane(resolution=41, gamma=0.615)
+        trace_boundaries(rmap)
+        info = regimes._cusps.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_regimes_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma; the regimes command needs it nowhere
+        code = ("import sys; from atomol.cli import main; "
+                "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "regimes", "--resolution", "41",
+             "--output", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1].split() == ["0", "False"], proc.stderr
 
 
 class TestFixedPointLocus:
@@ -599,7 +744,10 @@ if __name__ == "__main__":
                      (write_cells(tmp, rmap, "csv"), tmp / "rows.csv")]
             rows = (len(lines[0]) != len(lines[1])) + sum(
                 a != b for a, b in zip(*lines))
+            # the tracer's bucketed chord distance, against all pairs
+            _, far = _traced_distance_mismatches(rmap)
             print(f"gamma={gamma!r}: {len(bad)} of 40000 cells differ, "
-                  f"{rows} cells.csv lines differ", file=sys.stderr)
-            differ += len(bad) + rows
+                  f"{rows} cells.csv lines differ, {len(far)} tracer "
+                  f"distances differ", file=sys.stderr)
+            differ += len(bad) + rows + len(far)
     sys.exit(1 if differ else 0)
