@@ -60,6 +60,17 @@ RUNS = {
     "trap-rk4": ["trap", "--u", "1.5", "--t-span", "3", "--config", "{rk4}"],
     "sweep-rk45": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
                    "--r-max", "2", "--config", "{rk45}"],
+    # the JSON table of each table-writing command; at v = 0 the sweep's
+    # m is undefined for Gamma != 0, an empty-string cell
+    "evolve-json": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",
+                    "--format", "json"],
+    "fixed-points-json": ["fixed-points", "--c", "1", "--gamma", "0.3",
+                          "--format", "json"],
+    "sweep-json": ["sweep", "--v", "0", "--beta", "0.5", "--gamma=0,0.4",
+                   "--format", "json"],
+    "trap-json": ["trap", "--u", "1.5", "--t-span", "2", "--format", "json"],
+    "portrait-json": ["portrait", "--n-s", "2", "--n-theta", "3",
+                      "--t-span", "3", "--format", "json"],
 }
 
 
