@@ -19,10 +19,12 @@ whose arrays cannot be allocated).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
-import operator
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io as aio
 from .experiments import (
@@ -140,6 +142,15 @@ def _section(resolved, name, **override) -> dict:
             **override}
 
 
+def _checked(resolved, key, ok, rule):
+    """resolved[key], a ConfigError naming the key unless ok(value)."""
+    value = resolved[key]
+    if not ok(value):
+        section, name = key.split(".")
+        raise ConfigError(f"[{section}] {name} must be {rule}, got {value}")
+    return value
+
+
 def _finish(command, resolved, derived, outdir, outputs):
     manifest = aio.build_manifest(command, resolved, derived,
                                   [p.name for p in outputs])
@@ -152,12 +163,9 @@ def _finish(command, resolved, derived, outdir, outputs):
 
 def cmd_evolve(resolved, outdir, fmt):
     p = Params(**_section(resolved, "model"))
-    a0_sq = resolved["initial.a0_sq"]
-    if not 0.0 <= a0_sq <= 1.0:
-        raise ConfigError(f"[initial] a0_sq must be in [0, 1], got {a0_sq}")
-    theta0 = resolved["initial.theta0"]
-    if not math.isfinite(theta0):
-        raise ConfigError("[initial] theta0 must be finite")
+    a0_sq = _checked(resolved, "initial.a0_sq", lambda v: 0.0 <= v <= 1.0,
+                     "in [0, 1]")
+    theta0 = _checked(resolved, "initial.theta0", math.isfinite, "finite")
     x0 = amplitudes_from_canonical(
         CanonicalState(s=2.0 * a0_sq - 1.0, theta=theta0, n=1.0))
     tr = evolve(x0, p, IntegratorConfig(**_section(resolved, "integrator")))
@@ -166,8 +174,8 @@ def cmd_evolve(resolved, outdir, fmt):
     a, b = tr.states[:, 0], tr.states[:, 1]
     columns = [tr.times, a.real, a.imag, b.real, b.imag, tr.n, tr.s,
                tr.theta, tr.hx, tr.hy, tr.hz, tr.energy]
-    rows = list(zip(*[col.tolist() for col in columns]))
-    out = aio.write_table(outdir, "trajectory", header, rows, fmt)
+    out = aio.write_table(outdir, "trajectory", header,
+                          [col.tolist() for col in columns], fmt)
     derived = {"gamma_plus": p.gamma_plus, "gamma_minus": p.gamma_minus,
                "c": p.u, "omega": p.v}
     return _finish("evolve", resolved, derived, outdir, [out])
@@ -177,24 +185,45 @@ _FIXED_POINT_HEADER = ["s", "theta", "kind", "eig1_re", "eig1_im", "eig2_re",
                       "eig2_im", "residual", "on_boundary"]
 
 
-def _fixed_point_rows(points):
+def _fixed_point_columns(points):
     rows = []
     for fp in points:
         e1, e2 = fp.eigenvalues
         rows.append([float(fp.s), float(fp.theta), fp.kind,
                      float(e1.real), float(e1.imag), float(e2.real),
                      float(e2.imag), float(fp.residual), fp.on_boundary])
-    return rows
+    return list(zip(*rows)) or [()] * len(_FIXED_POINT_HEADER)
 
 
 def cmd_fixed_points(resolved, outdir, fmt):
     q = ReducedParams(**_section(resolved, "reduced"))
     points = all_fixed_points(q)
     out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
-                          _fixed_point_rows(points), fmt)
+                          _fixed_point_columns(points), fmt)
     derived = {"gamma_plus": None, "gamma_minus": q.gamma, "c": q.c,
                "omega": q.omega}
     return _finish("fixed-points", resolved, derived, outdir, [out])
+
+
+def _write_cells(outdir, rmap, fmt):
+    """cells.csv or cells.json of a regime map: c and r coded by axis
+    index, the label fields by label object, told apart by identity
+    (equal labels may format differently: n_interior 1 and 1.0)."""
+    header = ["c", "r", "label", "n_interior", "has_boundary_fp"]
+    labels = {}  # id -> label object
+    for row in rmap.labels:
+        labels.update(zip(map(id, row), row))
+    index = {key: k for k, key in enumerate(labels)}
+    # int32: a million-cell map's codes fit in the memory its scan freed
+    codes = np.fromiter(map(index.__getitem__, map(
+        id, itertools.chain.from_iterable(rmap.labels))), np.int32)
+    nc, nr = len(rmap.c_axis), len(rmap.r_axis)
+    axis = np.arange(max(nc, nr), dtype=np.int32)
+    columns = [aio.Coded(rmap.c_axis.tolist(), np.repeat(axis[:nc], nr)),
+               aio.Coded(rmap.r_axis.tolist(), np.tile(axis[:nr], nc))]
+    columns += [aio.Coded([getattr(lab, name) for lab in labels.values()], codes)
+                for name in header[2:]]
+    return aio.write_table(outdir, "cells", header, columns, fmt)
 
 
 def cmd_regimes(resolved, outdir, fmt):
@@ -208,10 +237,7 @@ def cmd_regimes(resolved, outdir, fmt):
                       resolution=(resolved["scan.resolution_c"],
                                   resolved["scan.resolution_r"]),
                       omega=omega, gamma=gamma)
-    header = ["c", "r", "label", "n_interior", "has_boundary_fp"]
-    cells_out = aio.write_grid(outdir, "cells", header, rmap.c_axis.tolist(),
-                               rmap.r_axis.tolist(), rmap.labels,
-                               operator.attrgetter(*header[2:]), fmt)
+    cells_out = _write_cells(outdir, rmap, fmt)
     polylines = trace_boundaries(rmap, refine_tol=resolved["scan.refine_tol"])
     aux = boundary_fp_existence_curve(omega, c_range, r_range)
     boundaries = {
@@ -249,24 +275,31 @@ def cmd_sweep(resolved, outdir, fmt):
             report = sweep_conversion(protocol, p, cfg)
             m, defined = (report.m, True) if report.m is not None else ("", False)
             rows.append([beta, gamma, report.w, m, defined, 2.0 * report.w])
-    out = aio.write_table(outdir, "efficiency", header, rows, fmt)
+    columns = list(zip(*rows)) or [()] * len(header)
+    out = aio.write_table(outdir, "efficiency", header, columns, fmt)
     derived = {"gamma_plus": 0.0, "gamma_minus": resolved["sweep.gammas"],
                "c": u, "omega": v}
     return _finish("sweep", resolved, derived, outdir, [out])
 
 
+def _t_span(resolved, command):
+    """[command] t_span, checked under its own name before it stands in
+    for [integrator] t_final."""
+    return _checked(resolved, f"{command}.t_span", lambda v: 0 < v < math.inf,
+                    "finite and > 0")
+
+
 def cmd_trap(resolved, outdir, fmt):
-    cfg = IntegratorConfig(**_section(resolved, "integrator",
-                                      t_final=resolved["trap.t_span"]))
+    t_span = _t_span(resolved, "trap")
+    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     run = self_trapping_run(
         u=resolved["model.u"], v=resolved["model.v"], r=resolved["model.r"],
         gamma_minus=resolved["trap.gamma"], a0_sq=resolved["trap.a0_sq"],
-        t_span=resolved["trap.t_span"], theta0=resolved["trap.theta0"],
-        cfg=cfg)
+        t_span=t_span, theta0=resolved["trap.theta0"], cfg=cfg)
     header = ["t", "p_atom", "s", "theta"]
-    rows = list(zip(run.times.tolist(), run.p_atom.tolist(), run.s.tolist(),
-                    run.theta.tolist()))
-    out = aio.write_table(outdir, "population", header, rows, fmt)
+    columns = [run.times.tolist(), run.p_atom.tolist(), run.s.tolist(),
+               run.theta.tolist()]
+    out = aio.write_table(outdir, "population", header, columns, fmt)
     summary = {
         "trapped": run.trapped,
         "min_p_atom": run.min_p_atom,
@@ -282,25 +315,24 @@ def cmd_trap(resolved, outdir, fmt):
 
 
 def cmd_portrait(resolved, outdir, fmt):
-    for key in ("n_s", "n_theta"):
-        value = resolved[f"portrait.{key}"]
-        if value < 1:
-            raise ConfigError(f"[portrait] {key} must be >= 1, got {value}")
+    for key in ("portrait.n_s", "portrait.n_theta"):
+        _checked(resolved, key, lambda v: v >= 1, ">= 1")
     q = ReducedParams(**_section(resolved, "reduced"))
-    cfg = IntegratorConfig(**_section(resolved, "integrator",
-                                      t_final=resolved["portrait.t_span"]))
+    t_span = _t_span(resolved, "portrait")
+    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=resolved["portrait.n_s"],
                            n_theta=resolved["portrait.n_theta"])
-    portrait = phase_portrait(q, ic_grid=grid,
-                              t_span=resolved["portrait.t_span"], cfg=cfg)
+    portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]
-    rows = []
-    for k, tr in enumerate(portrait.trajectories):
-        rows += [[k, t, s, theta] for t, s, theta in
-                 zip(tr.times.tolist(), tr.s.tolist(), tr.theta.tolist())]
-    out = aio.write_table(outdir, "portrait", header, rows, fmt)
+    trajectories = portrait.trajectories
+    ids = np.repeat(np.arange(len(trajectories)),
+                    [len(tr.times) for tr in trajectories])
+    columns = [aio.Coded(list(range(len(trajectories))), ids)]
+    columns += [np.concatenate([getattr(tr, name) for tr in trajectories]).tolist()
+                for name in ("times", "s", "theta")]
+    out = aio.write_table(outdir, "portrait", header, columns, fmt)
     fp_out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
-                             _fixed_point_rows(portrait.fixed_points), fmt)
+                             _fixed_point_columns(portrait.fixed_points), fmt)
     events = [
         None if ev is None else {"time": ev.time, "s": ev.s, "theta": ev.theta}
         for ev in portrait.pole_events

@@ -66,9 +66,6 @@ KIND_NODE_REPELLER = "node-repeller"
 KIND_SADDLE = "saddle"
 KIND_INDETERMINATE = "indeterminate"
 
-ATTRACTOR_KINDS = (KIND_SPIRAL_ATTRACTOR, KIND_NODE_ATTRACTOR)
-REPELLER_KINDS = (KIND_SPIRAL_REPELLER, KIND_NODE_REPELLER)
-
 # Residual gate on reported fixed points, max(|dS/dt|, |dtheta/dt|).
 RESIDUAL_TOL = 1e-9
 
@@ -91,9 +88,6 @@ class CubicCoefficients:
 
     def evaluate(self, s):
         return ((self.c3 * s + self.c2) * s + self.c1) * s + self.c0
-
-    def derivative(self, s):
-        return (3.0 * self.c3 * s + 2.0 * self.c2) * s + self.c1
 
 
 @dataclass(frozen=True)

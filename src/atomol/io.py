@@ -5,7 +5,10 @@ sections or keys are errors, missing keys take the documented defaults.
 All floating-point output uses the shortest round-trip representation
 (repr), so emitted files are reproducible and diffable; manifests carry
 the full resolved parameter set so any run can be replayed
-byte-identically.
+byte-identically.  Every data table, CSV or JSON, goes through one
+column writer (write_table); a column may be dictionary-encoded
+(Coded), so that a value shared by many rows, such as a grid's axis
+value or a regime map's label, is formatted once.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from __future__ import annotations
 import configparser
 import datetime
 import hashlib
-import itertools
 import json
 import math
-from dataclasses import fields
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .integrate import IntegratorConfig
 from .model import Params, ReducedParams
@@ -148,26 +153,6 @@ def load_config(path) -> dict:
     return values
 
 
-def serialize_config(values: dict) -> str:
-    """Render a flat config dict back to INI text."""
-    by_section: dict[str, dict] = {}
-    for flat_key, val in values.items():
-        section, key = flat_key.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown config key [{section}] {key}")
-        by_section.setdefault(section, {})[key] = val
-    lines = []
-    for section in SCHEMA:
-        if section not in by_section:
-            continue
-        lines.append(f"[{section}]")
-        for key in SCHEMA[section]:
-            if key in by_section[section]:
-                lines.append(f"{key} = {format_value(by_section[section][key])}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def resolve_config(file_values: dict | None = None,
                    overrides: dict | None = None) -> dict:
     """defaults < config file < explicit overrides."""
@@ -182,55 +167,30 @@ def resolve_config(file_values: dict | None = None,
 
 
 def format_value(val) -> str:
-    """Shortest round-trip text form of a config/output value."""
+    """Shortest round-trip text form of a table value."""
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, float):
         return repr(float(val))  # plain float: numpy scalars repr differently
-    if isinstance(val, (list, tuple)):
-        return ",".join(format_value(v) for v in val)
     return str(val)
 
 
 # exact type -> format_value for a value of that type
 _COLUMN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str,
                    bool: {True: "true", False: "false"}.__getitem__}
-_BLOCK = 4096  # rows formatted at once: bounds the value strings held
+_BLOCK = 4096  # rows joined at once: bounds the value strings held
 
 
-def _column_text(column):
-    """format_value of every value, by the column's type when it has one."""
-    types = set(map(type, column))
-    fmt = _COLUMN_FORMATS.get(types.pop()) if len(types) == 1 else None
-    return list(map(fmt or format_value, column))
+@dataclass(frozen=True)
+class Coded:
+    """A dictionary-encoded table column: row k holds values[codes[k]].
 
-
-def _checked_rows(header, rows) -> list:
-    """rows as a list; ValueError naming the first row whose length
-    differs from the header's."""
-    rows = list(rows)
-    if set(map(len, rows)) - {len(header)}:
-        bad = next(k for k, row in enumerate(rows) if len(row) != len(header))
-        raise ValueError(f"row {bad} has {len(rows[bad])} values for "
-                         f"{len(header)} columns")
-    return rows
-
-
-def write_csv(path, header, rows):
-    """Write rows of already-typed values with repr-exact floats.
-
-    Formatting is per column, _BLOCK rows at a time: a column of one
-    exact type (float, int, str or bool) maps its formatter, any other
-    column (numpy scalars, float subclasses, mixed) takes format_value
-    per value.  A row whose length differs from the header's raises
-    ValueError (_checked_rows) before anything is written.
+    values may hold equal values more than once; codes is a sequence
+    of ints (a list or an integer array), one per row.
     """
-    rows = _checked_rows(header, rows)
-    parts = [",".join(header)]
-    for i in range(0, len(rows), _BLOCK):
-        texts = map(_column_text, zip(*rows[i:i + _BLOCK]))
-        parts.append("\n".join(map(",".join, zip(*texts))))
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+
+    values: Sequence
+    codes: Sequence
 
 
 def write_json(path, obj):
@@ -238,95 +198,70 @@ def write_json(path, obj):
         json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_table(directory, stem, header, rows, fmt):
+def write_table(directory, stem, header, columns, fmt):
     """Write a table as stem.csv or stem.json depending on fmt.
 
-    A row whose length differs from the header's raises ValueError,
-    naming the first such row, before anything is written.
+    columns holds one column per header name, in header order: a plain
+    sequence of one value per row, or a Coded column of distinct values
+    and a code per row.  A column that repeats a few values over many
+    rows (a grid's axes, a regime map's shared labels) is best coded,
+    as each of its values is formatted once, not once per row.
+
+    The bytes are those of one line per row of format_value's texts
+    (csv), or of json.dumps(records, indent=2, sort_keys=True) and a
+    newline for one record per row (json; header names distinct).  Each
+    value is formatted by format_value (csv; a column of one exact type,
+    float, int, str or bool, maps its type's formatter) or json.dumps
+    (json), with its field's layout text (the csv comma, the json
+    indent and key) joined on; rows are then joined _BLOCK at a time,
+    with the json record's close in the text between rows.
+    Columns whose count differs from the header's, or whose lengths
+    differ, raise ValueError before the file is opened; a plain json
+    column's value that json.dumps cannot encode raises its TypeError
+    once the file is open.
     """
-    directory = Path(directory)
+    lengths = {len(col.codes if isinstance(col, Coded) else col)
+               for col in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{len(columns)} columns for {len(header)} names, "
+                         f"of lengths {sorted(lengths)}")
     if fmt == "csv":
-        out = directory / f"{stem}.csv"
-        write_csv(out, header, rows)
+        order, text = range(len(header)), None
+        leads = [""] + [","] * (len(header) - 1)
+        sep, tail = "\n", "\n"
+        head = empty = ",".join(header) + "\n"
     elif fmt == "json":
-        out = directory / f"{stem}.json"
-        records = [dict(zip(header, row)) for row in _checked_rows(header, rows)]
-        write_json(out, records)
+        order, text = sorted(range(len(header)), key=header.__getitem__), json.dumps
+        leads = [(",\n" if n else "  {\n") + f"    {json.dumps(header[k])}: "
+                 for n, k in enumerate(order)]
+        sep, head, tail, empty = "\n  },\n", "[\n", "\n  }\n]\n", "[]\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    return out
 
+    def texts(values, lead):  # lead + the text of each value
+        fmt_value = text
+        if fmt_value is None:
+            types = set(map(type, values))
+            fmt_value = (_COLUMN_FORMATS.get(types.pop()) if len(types) == 1
+                         else None) or format_value
+        return [lead + t for t in map(fmt_value, values)]
 
-def _record_layout(header, fmt):
-    """How write_table lays out one row: (column, text before its value)
-    per value in file order, the text after the last value, the value
-    formatter, the text between rows, and the file's text before the
-    first row, after the last and when there are none."""
-    if fmt == "csv":
-        fields = [(k, "," if k else "") for k in range(len(header))]
-        line = ",".join(header) + "\n"
-        return fields, "", format_value, "\n", (line, "\n", line)
-    if fmt == "json":
-        order = sorted(range(len(header)), key=header.__getitem__)
-        fields = [(k, (",\n" if n else "  {\n") + f"    {json.dumps(header[k])}: ")
-                  for n, k in enumerate(order)]
-        return fields, "\n  }", json.dumps, ",\n", ("[\n", "\n]\n", "[]\n")
-    raise ConfigError(f"unknown output format {fmt!r}")
+    def field(col, lead):  # i -> the texts of rows i to i + _BLOCK
+        if isinstance(col, Coded):
+            coded = np.array(texts(col.values, lead), dtype=object)
+            codes = np.asarray(col.codes)
+            return lambda i: coded[codes[i:i + _BLOCK]].tolist()
+        return lambda i: texts(col[i:i + _BLOCK], lead)
 
-
-def write_grid(directory, stem, header, x_axis, y_axis, cells, values, fmt):
-    """Write a grid as stem.csv or stem.json: the bytes write_table gives
-    for the rows (x_axis[i], y_axis[j], *values(cells[i][j])), row-major.
-
-    header names the x, the y and then the cell columns, all distinct;
-    values(cell) gives a cell's column values, each a scalar that
-    format_value (csv) or json.dumps (json) formats.  Each axis value
-    and each distinct cell object, by identity, is formatted once; a
-    row is joined from those texts, and the file is written one grid
-    row at a time.  A grid whose shape is not (len(x_axis),
-    len(y_axis)), or a cell whose values do not fill the header, raises
-    ValueError before anything is written.
-    """
-    if len(cells) != len(x_axis) or any(len(row) != len(y_axis) for row in cells):
-        raise ValueError(f"cells are not a {len(x_axis)} x {len(y_axis)} grid")
-    distinct = {}
-    for row in cells:
-        distinct.update(zip(map(id, row), row))
-    cell_values = {key: tuple(values(cell)) for key, cell in distinct.items()}
-    for vals in cell_values.values():
-        if len(vals) != len(header) - 2:
-            raise ValueError(f"a cell has {len(vals)} values for "
-                             f"{len(header) - 2} cell columns")
-    fields, close, text, sep, (head, tail, empty) = _record_layout(header, fmt)
-    # one piece per run of fields from one source: 0 x, 1 y, 2 the cell
-    runs = [(source, list(run)) for source, run in
-            itertools.groupby(fields, key=lambda field: min(field[0], 2))]
-
-    def piece(run, texts, last):
-        return "".join(lit + texts[k] for k, lit in run) + (close if last else "")
-
-    pieces = []
-    for n, (source, run) in enumerate(runs):
-        last = n == len(runs) - 1
-        if source == 2:
-            pieces.append({key: piece(run, dict(enumerate(map(text, vals), 2)), last)
-                           for key, vals in cell_values.items()})
-        else:
-            pieces.append([piece(run, {source: text(v)}, last)
-                           for v in (x_axis, y_axis)[source]])
+    blocks = [field(columns[k], lead) for k, lead in zip(order, leads)]
+    n_rows = lengths.pop() if lengths else 0
     out = Path(directory) / f"{stem}.{fmt}"
     with out.open("w", encoding="utf-8") as fh:
-        if not (len(x_axis) and len(y_axis)):
-            fh.write(empty)
-            return out
-        fh.write(head)
-        for i, row in enumerate(cells):
-            ids = list(map(id, row))
-            columns = [itertools.repeat(p[i]) if source == 0 else
-                       p if source == 1 else map(p.__getitem__, ids)
-                       for (source, _), p in zip(runs, pieces)]
-            fh.write((sep if i else "") + sep.join(map("".join, zip(*columns))))
-        fh.write(tail)
+        fh.write(head if n_rows else empty)
+        for i in range(0, n_rows, _BLOCK):
+            rows = map("".join, zip(*(block(i) for block in blocks)))
+            fh.write((sep if i else "") + sep.join(rows))
+        fh.write(tail if n_rows else "")
     return out
 
 

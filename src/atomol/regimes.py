@@ -183,12 +183,9 @@ def _marked_blocks(c_axis, r_axis, omega, gamma):
                                    starts[1], axis=1)
     ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
     lo, hi = np.sort(ends, axis=1).T
-    chords = []
-    for curve, t, _ in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]])):
-        pts = np.column_stack(np.broadcast_arrays(
-            *curve(_sample(curve, t, lo, hi, np.abs(step))[0])[:2]))
-        chords.append(np.stack([pts[:-1], pts[1:]], axis=1))
-    chords = np.concatenate(chords)
+    chords = np.concatenate([
+        np.stack([pts[:-1], pts[1:]], axis=1)
+        for pts, *_ in _sampled_set(omega, gamma, lo, hi, np.abs(step))])
     # finite chord ends in grid-index units, then the blocks of the box
     index = (chords - [c_axis[0], r_axis[0]]) / step
     keep = np.isfinite(index).all(axis=(1, 2))
@@ -257,6 +254,31 @@ def _sample(curve, t, lo, hi, cell):
         t_out = np.where(now_in, t_out, mid)
     t = _unique(np.concatenate([t, t_in]))
     return t, inside(points(t))
+
+
+def _sampled_set(omega, gamma, lo, hi, cell):
+    """(points, slopes, inside, flips) per curve of the bifurcation set:
+    its vertices sampled in the window [lo, hi] at most a cell apart
+    (_sample), their slopes, whether each is in the window, and whether
+    a regime flips across the curve.  Memoised on the arguments' bits
+    (-0.0 is not 0.0), so the scan and the tracer of one map sample the
+    set, and solve its cusps, once; the arrays are read-only."""
+    return _sampled_bits(np.array([omega, gamma, *lo, *hi, *cell]).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _sampled_bits(key):
+    omega, gamma, *window = np.frombuffer(key)
+    lo, hi, cell = np.reshape(window, (3, 2))
+    sampled = []
+    for curve, t, flips in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]])):
+        t, inside = _sample(curve, t, lo, hi, cell)
+        cs, rs, slopes = np.broadcast_arrays(*curve(t))
+        pts = np.column_stack([cs, rs])
+        for arr in (pts, slopes, inside):
+            arr.flags.writeable = False
+        sampled.append((pts, slopes, inside, flips))
+    return tuple(sampled)
 
 
 def _unique(x):
@@ -396,14 +418,12 @@ def _bifurcation_set(omega, gamma, c_span):
     return curves
 
 
-@functools.lru_cache(maxsize=64)
 def _cusps(om2, g2, s0):
     """Zeros of g''(s) in (s0, 1), where the fold turns back.
 
     With w = 1 - s, h = g / (1 - 3s) and h' = Om^2 / (32 w^2 h),
     g'' = h' ((1 - 3s) (2/w - h'/h) - 6); its sign changes on 4,096
-    steps of s are bisected to the last bit.  Memoised, so the scan and
-    the tracer of one map solve them once; the array is read-only.
+    steps of s are bisected to the last bit.
     """
     def shape(s):  # g'' / h'
         w = 1.0 - s
@@ -417,7 +437,6 @@ def _cusps(om2, g2, s0):
         mid = 0.5 * (lo + hi)
         same = np.signbit(shape(mid)) == np.signbit(shape(lo))
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    lo.flags.writeable = False
     return lo
 
 
@@ -453,12 +472,9 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
         return tuple(sorted(labels))
 
     sampled = []
-    for curve, t, flips in _bifurcation_set(q.omega, q.gamma, np.array([lo[0], hi[0]])):
+    for pts, slopes, inside, flips in _sampled_set(q.omega, q.gamma, lo, hi, cell):
         if not flips:
             continue
-        t, inside = _sample(curve, t, lo, hi, cell)
-        cs, rs, slopes = np.broadcast_arrays(*curve(t))
-        pts = np.column_stack([cs, rs])
         chords = np.stack([pts[:-1], pts[1:]], axis=1)
         keep = (inside[:-1] | inside[1:]) & np.isfinite(chords).all(axis=(1, 2))
         sampled.append((pts, slopes, inside, chords[keep]))

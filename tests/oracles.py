@@ -12,21 +12,28 @@ tracer's chord distance from all pairs instead of bucketed chords, the
 Jacobian and its spectrum as numpy 2x2 arrays, and the solver steps
 from per-component comprehensions of the vector form instead of the
 stages written out for a pair; the 8(5,3) step loops
-over a tableau gathered from the module's coefficient names, CSV
-text is built row by row instead of per column, and the cells table of
-a regime map from one row per cell instead of from its axes and shared
-labels (write_cells is the regimes command's call of io.write_grid).
+over a tableau gathered from the module's coefficient names, CSV and
+JSON tables are built row by row instead of per column, and the cells
+table of a regime map from one row per cell instead of from its axes
+and shared labels (write_cells is the regimes command's cells writer).
+
+The test-only helpers at the end (serialize_config, ATTRACTOR_KINDS
+and REPELLER_KINDS, cubic_derivative) are named here because the
+program itself never needs them.
 """
 
+import json
 import math
-import operator
 from pathlib import Path
 
 import numpy as np
 
 from atomol import integrate
-from atomol.fixed_points import _jacobian_entries, _spectrum, cubic_coefficients
-from atomol.io import format_value, write_grid
+from atomol.cli import _write_cells as write_cells
+from atomol.fixed_points import (
+    KIND_NODE_ATTRACTOR, KIND_NODE_REPELLER, KIND_SPIRAL_ATTRACTOR,
+    KIND_SPIRAL_REPELLER, _jacobian_entries, _spectrum, cubic_coefficients)
+from atomol.io import SCHEMA, ConfigError, format_value
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
@@ -480,8 +487,8 @@ def dop853_norm(err, y, y_new, rtol, atol, h):
 
 
 def write_csv_rows(path, header, rows):
-    """io.write_csv built row by row: every value's text is its own repr
-    when it is an exact float and format_value otherwise."""
+    """io.write_table's csv built row by row: every value's text is its
+    own repr when it is an exact float and format_value otherwise."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join([repr(v) if type(v) is float else format_value(v)
@@ -489,14 +496,14 @@ def write_csv_rows(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_json_rows(path, header, rows):
+    """io.write_table's json as one json.dumps of a record per row."""
+    records = [dict(zip(header, row)) for row in rows]
+    Path(path).write_text(json.dumps(records, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 CELL_HEADER = ["c", "r", "label", "n_interior", "has_boundary_fp"]
-
-
-def write_cells(directory, rmap, fmt):
-    """cells.csv or cells.json of a map, as the regimes command writes it."""
-    return write_grid(directory, "cells", CELL_HEADER, rmap.c_axis.tolist(),
-                      rmap.r_axis.tolist(), rmap.labels,
-                      operator.attrgetter(*CELL_HEADER[2:]), fmt)
 
 
 def map_cells(rmap):
@@ -509,7 +516,38 @@ def map_cells(rmap):
 
 
 def cell_rows(rmap):
-    """The cells.csv rows of a map, one list per cell: what the CLI
-    wrote through io.write_table before io.write_grid."""
+    """The cells table's rows of a map, one list per cell."""
     return [[c, r, lab.label, lab.n_interior, lab.has_boundary_fp]
             for c, r, lab in map_cells(rmap)]
+
+
+def serialize_config(values: dict) -> str:
+    """Render a flat config dict back to INI text."""
+    by_section: dict[str, dict] = {}
+    for flat_key, val in values.items():
+        section, key = flat_key.split(".", 1)
+        if section not in SCHEMA or key not in SCHEMA[section]:
+            raise ConfigError(f"unknown config key [{section}] {key}")
+        by_section.setdefault(section, {})[key] = val
+    lines = []
+    for section in SCHEMA:
+        if section not in by_section:
+            continue
+        lines.append(f"[{section}]")
+        for key in SCHEMA[section]:
+            if key in by_section[section]:
+                val = by_section[section][key]
+                text = (",".join(map(format_value, val)) if isinstance(val, list)
+                        else format_value(val))
+                lines.append(f"{key} = {text}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+ATTRACTOR_KINDS = (KIND_SPIRAL_ATTRACTOR, KIND_NODE_ATTRACTOR)
+REPELLER_KINDS = (KIND_SPIRAL_REPELLER, KIND_NODE_REPELLER)
+
+
+def cubic_derivative(cc, s):
+    """The fixed-point cubic's derivative at s, of CubicCoefficients cc."""
+    return (3.0 * cc.c3 * s + 2.0 * cc.c2) * s + cc.c1

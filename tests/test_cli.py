@@ -25,8 +25,9 @@ from atomol.io import (
     default_config,
     load_config,
     resolve_config,
-    serialize_config,
 )
+
+from oracles import serialize_config
 
 SQRT6 = math.sqrt(6.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -479,6 +480,9 @@ class TestExitCodes:
         (["trap", "--theta0", "inf"], "theta0"),
         (["trap", "--u", "nan"], "u"),
         (["trap", "--gamma", "inf"], "gamma_minus"),
+        # t_span stands in for t_final, but is named as itself
+        (["trap", "--t-span", "inf"], "[trap] t_span"),
+        (["portrait", "--t-span", "nan"], "[portrait] t_span"),
     ])
     def test_non_finite_input_is_2(self, tmp_path, capsys, monkeypatch,
                                    argv, field):
@@ -493,6 +497,20 @@ class TestExitCodes:
         assert rc == 2
         assert f"{field} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["trap", "--t-span", "0"],
+                                      ["portrait", "--t-span", "-1"]])
+    def test_non_positive_t_span_is_2(self, tmp_path, capsys, monkeypatch,
+                                      argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on a non-positive t_span")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"[{argv[0]}] t_span must be finite and > 0" in err
+        assert "t_final" not in err
 
     @pytest.mark.parametrize("document, name", [
         ({"command": "fixed-points", "parameters": {"reduced.c": "abc"}},

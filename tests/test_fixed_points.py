@@ -9,12 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atomol.fixed_points import (
-    ATTRACTOR_KINDS,
     CubicCoefficients,
     KIND_CENTER,
     KIND_SADDLE,
     KIND_SPIRAL_REPELLER,
-    REPELLER_KINDS,
     RESIDUAL_TOL,
     all_fixed_points,
     boundary_fixed_point,
@@ -29,8 +27,11 @@ from atomol.model import ReducedParams, angle_distance, reduced_deriv
 from atomol.regimes import classify_regime
 
 from oracles import (
+    ATTRACTOR_KINDS,
+    REPELLER_KINDS,
     bisect_roots,
     classify,
+    cubic_derivative,
     eigenvalues_2x2,
     eliminated_phase_polynomial,
     jacobian,
@@ -129,7 +130,7 @@ class TestRealCubicRoots:
             horner = 4.0 * 2.0 ** -52 * (abs(cc.c3 * r ** 3) + abs(cc.c2 * r * r)
                                          + abs(cc.c1 * r) + abs(cc.c0))
             assert abs(s - r) <= 1e-12 * (1.0 + abs(r)) \
-                + horner / abs(cc.derivative(r))
+                + horner / abs(cubic_derivative(cc, r))
 
     @PROPERTY
     @given(LEADING, DYADIC_ROOT, DYADIC_ROOT)

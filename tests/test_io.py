@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import operator
 from unittest import mock
 
 import numpy as np
@@ -15,19 +14,19 @@ from atomol import io
 from atomol.io import (
     _PARSERS,
     SCHEMA,
+    Coded,
     ConfigError,
     build_manifest,
     config_digest,
     default_config,
     format_value,
     load_manifest,
-    write_csv,
-    write_grid,
     write_json,
     write_table,
 )
 from atomol.regimes import RegimeLabel, RegimeMap
-from oracles import CELL_HEADER, cell_rows, write_cells, write_csv_rows
+from oracles import (CELL_HEADER, cell_rows, write_cells, write_csv_rows,
+                     write_json_rows)
 
 
 def test_every_schema_type_has_a_parser():
@@ -50,10 +49,9 @@ class TestFormatValue:
         assert format_value(x) == "0.010279860182236639"
         assert format_value(np.sqrt(np.float64(2.0))) == repr(float(np.sqrt(2.0)))
 
-    def test_bools_and_lists(self):
+    def test_bools_and_ints(self):
         assert format_value(True) == "true"
         assert format_value(False) == "false"
-        assert format_value([0.1, 0.25]) == "0.1,0.25"
         assert format_value(7) == "7"
 
 
@@ -77,22 +75,48 @@ _COLUMN_VALUES = [
 ]
 
 
+def _equal_value(v):
+    """A value equal to v that may format differently (1.0 for 1)."""
+    if isinstance(v, (int, np.integer)):
+        return float(v)
+    return np.float64(v) if isinstance(v, float) else v
+
+
 @st.composite
 def tables(draw):
-    """A rectangular table: (header, rows) of 1-4 columns."""
+    """(header, columns, rows): 1-4 named columns, each plain or coded,
+    and the same table as one list per row.  A coded column's values hold
+    equal values of other types besides the drawn ones, and its codes
+    are a list or an array."""
     n_rows = draw(st.integers(0, 12))
-    columns = [draw(st.lists(draw(st.sampled_from(_COLUMN_VALUES)),
-                             min_size=n_rows, max_size=n_rows))
-               for _ in range(draw(st.integers(1, 4)))]
-    header = [f"c{i}" for i in range(len(columns))]
-    return header, [list(row) for row in zip(*columns)]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.sampled_from(_COLUMN_VALUES))
+        if draw(st.booleans()):
+            distinct = draw(st.lists(values, min_size=1, max_size=4))
+            distinct += [_equal_value(v) for v in distinct]
+            codes = draw(st.lists(st.integers(0, len(distinct) - 1),
+                                  min_size=n_rows, max_size=n_rows))
+            if draw(st.booleans()):
+                codes = np.array(codes, dtype=np.int64)
+            columns.append(Coded(distinct, codes))
+        else:
+            columns.append(draw(st.lists(values, min_size=n_rows,
+                                         max_size=n_rows)))
+    # names in any order, some needing json escapes
+    header = draw(st.lists(st.text(alphabet='abz"\\é', min_size=1, max_size=3),
+                           unique=True, min_size=len(columns),
+                           max_size=len(columns)))
+    full = [[col.values[k] for k in col.codes] if isinstance(col, Coded)
+            else col for col in columns]
+    return header, columns, [list(row) for row in zip(*full)]
 
 
-class TestCsv:
+class TestWriteTable:
     def test_exact_bytes(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [[1.5, True], [0.1, False]])
-        assert path.read_text() == "a,b\n1.5,true\n0.1,false\n"
+        write_table(tmp_path, "t", ["a", "b"], [[1.5, 0.1], [True, False]],
+                    "csv")
+        assert (tmp_path / "t.csv").read_text() == "a,b\n1.5,true\n0.1,false\n"
 
     def test_every_value_type_formats_as_format_value(self, tmp_path):
         # plain floats take a direct repr path; numpy scalars (a float
@@ -100,38 +124,56 @@ class TestCsv:
         # as format_value gives them
         row = [0.1, -0.0, 1e-300, np.float64(1.0 / 3.0), np.float32(0.1),
                np.int64(7), True, False, 3, "none", math.inf, math.nan]
-        path = tmp_path / "t.csv"
-        write_csv(path, [f"x{k}" for k in range(len(row))], [row])
-        assert path.read_text().splitlines()[1] == ",".join(
+        out = write_table(tmp_path, "t", [f"x{k}" for k in range(len(row))],
+                          [[v] for v in row], "csv")
+        assert out.read_text().splitlines()[1] == ",".join(
             format_value(v) for v in row)
-        assert path.read_text().splitlines()[1].split(",")[:4] == [
+        assert out.read_text().splitlines()[1].split(",")[:4] == [
             "0.1", "-0.0", "1e-300", "0.3333333333333333"]
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(table=tables(), block=st.sampled_from([1, 5, 4096]))
     def test_bytes_are_the_row_writers(self, tmp_path_factory, table, block):
-        # per-column formatting, across block edges, gives the bytes of
-        # the row-by-row oracle
-        header, rows = table
-        tmp = tmp_path_factory.mktemp("csv")
-        write_csv_rows(tmp / "rows.csv", header, rows)
-        with mock.patch.object(io, "_BLOCK", block):
-            write_csv(tmp / "columns.csv", header, rows)
-        assert ((tmp / "columns.csv").read_bytes()
-                == (tmp / "rows.csv").read_bytes())
+        # per-column formatting, once per coded value, across block
+        # edges, gives the bytes of the row-by-row oracles
+        header, columns, rows = table
+        tmp = tmp_path_factory.mktemp("table")
+        for fmt, oracle in (("csv", write_csv_rows), ("json", write_json_rows)):
+            with mock.patch.object(io, "_BLOCK", block):
+                try:
+                    oracle(tmp / f"rows.{fmt}", header, rows)
+                    if fmt == "json":  # coded values no row uses are formatted too
+                        json.dumps([col.values for col in columns
+                                    if isinstance(col, Coded)])
+                except TypeError:  # json takes no numpy int or float32
+                    with pytest.raises(TypeError):
+                        write_table(tmp, "columns", header, columns, fmt)
+                    continue
+                out = write_table(tmp, "columns", header, columns, fmt)
+            assert out.read_bytes() == (tmp / f"rows.{fmt}").read_bytes()
 
-    def test_zero_rows_write_the_header(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [])
-        assert (tmp_path / "t.csv").read_text() == "a,b\n"
+    @pytest.mark.parametrize("fmt, text", [("csv", "a,b\n"), ("json", "[]\n")])
+    def test_zero_rows_write_what_no_records_do(self, tmp_path, fmt, text):
+        for columns in ([[], []], [Coded([1.0], []), ()]):
+            assert write_table(tmp_path, "t", ["a", "b"], columns,
+                               fmt).read_text() == text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("block", [1, 4096])
-    def test_ragged_rows_raise(self, tmp_path, block):
+    def test_ragged_columns_raise_before_writing(self, tmp_path, fmt, block):
         with mock.patch.object(io, "_BLOCK", block):
-            for rows in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]]):
-                with pytest.raises(ValueError, match="row [01] has 1 values"):
-                    write_csv(tmp_path / "t.csv", ["a", "b"], rows)
-        assert not (tmp_path / "t.csv").exists()
+            for columns in ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
+                            [Coded([1.0], [0, 0]), [3.0]], [[1.0, 2.0]],
+                            [[1.0], [2.0], [3.0]]):
+                with pytest.raises(ValueError, match="columns for 2 names"):
+                    write_table(tmp_path, "t", ["a", "b"], columns, fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_format_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown output format"):
+            write_table(tmp_path, "t", ["x"], [Coded([0.0], [0])], "xml")
+        assert list(tmp_path.iterdir()) == []
 
 
 # -0.0, subnormals, huge magnitudes, infinities and NaN among the axes
@@ -160,17 +202,17 @@ def regime_maps(draw):
     return RegimeMap(*axes, labels=labels, omega=1.0, gamma=0.0)
 
 
-class TestWriteGrid:
+class TestWriteCells:
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(rmap=regime_maps())
     def test_bytes_are_the_row_writers(self, tmp_path_factory, rmap):
         # one text per axis value and label object gives the bytes of
-        # write_csv (csv) and write_table (json) on one row per cell
-        tmp = tmp_path_factory.mktemp("grid")
+        # the row-by-row oracles on one row per cell
+        tmp = tmp_path_factory.mktemp("cells")
         rows = cell_rows(rmap)
-        write_csv(tmp / "rows.csv", CELL_HEADER, rows)
-        write_table(tmp, "rows", CELL_HEADER, rows, "json")
+        write_csv_rows(tmp / "rows.csv", CELL_HEADER, rows)
+        write_json_rows(tmp / "rows.json", CELL_HEADER, rows)
         for fmt in ("csv", "json"):
             out = write_cells(tmp, rmap, fmt)
             assert out == tmp / f"cells.{fmt}"
@@ -179,34 +221,21 @@ class TestWriteGrid:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_empty_grid_writes_what_no_rows_do(self, tmp_path, fmt):
         rmap = RegimeMap(np.zeros(0), np.zeros(0), [], 1.0, 0.0)
-        write_table(tmp_path, "rows", CELL_HEADER, [], fmt)
+        write_table(tmp_path, "rows", CELL_HEADER, [[]] * len(CELL_HEADER), fmt)
         assert (write_cells(tmp_path, rmap, fmt).read_bytes()
                 == (tmp_path / f"rows.{fmt}").read_bytes())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_bad_grid_raises_before_writing(self, tmp_path, fmt):
         lab = RegimeLabel("I", 1, False)
-        for x_axis, cells, values in (
-                ([0.0, 1.0], [[lab, lab]], operator.attrgetter(*CELL_HEADER[2:])),
-                ([0.0], [[lab]], operator.attrgetter(*CELL_HEADER[2:])),
-                ([0.0], [[lab, lab]], lambda cell: (cell.label,))):
+        for c_axis, labels in (([0.0, 1.0], [[lab, lab]]),
+                               ([0.0], [[lab]]),
+                               ([0.0, 1.0], [[lab, lab], [lab]])):
+            rmap = RegimeMap(np.array(c_axis), np.array([0.5, 1.5]), labels,
+                             1.0, 0.0)
             with pytest.raises(ValueError):
-                write_grid(tmp_path, "cells", CELL_HEADER, x_axis, [0.5, 1.5],
-                           cells, values, fmt)
+                write_cells(tmp_path, rmap, fmt)
         assert list(tmp_path.iterdir()) == []
-
-    def test_unknown_format_is_a_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown output format"):
-            write_grid(tmp_path, "cells", ["x", "y"], [0.0], [1.0], [[None]],
-                       lambda cell: (), "xml")
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rows_must_match_the_header(tmp_path, fmt):
-    for rows in ([[1.0, 2.0], [1.0, 2.0, 3.0]], [[1.0, 2.0], [4.0]]):
-        with pytest.raises(ValueError, match="row 1 has"):
-            write_table(tmp_path, "t", ["a", "b"], rows, fmt)
-    assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

@@ -5,7 +5,7 @@ the cells far from the bifurcation set, must label every point exactly
 as classify_regime does.  The full-scale check, 200x200 default maps
 over the Gammas of the regimes command, of the benchmark's census and
 of GAMMAS, prints every cell that differs, and counts the lines where
-cells.csv from io.write_grid differs from write_csv on one row per cell
+cells.csv from its axes and labels differs from the row-by-row oracle
 and the vertices where the tracer's bucketed chord distance, capped at
 its reach, differs from the all-pairs oracle's:
 
@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from atomol import regimes
 from atomol.fixed_points import (interior_fixed_points, regime_census,
                                  threshold_gamma)
-from atomol.io import write_csv
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
@@ -46,7 +45,8 @@ from atomol.regimes import (
 )
 
 from oracles import (CELL_HEADER, bifurcation_distance, bisection_boundaries,
-                     cell_rows, distance_to_chords, map_cells, write_cells)
+                     cell_rows, distance_to_chords, map_cells, write_cells,
+                     write_csv_rows)
 from test_fixed_points import census_points
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -672,11 +672,21 @@ class TestTracerParts:
                                          for name in ("c", "r", "omega", "gamma"))).tolist()
 
     def test_cusps_are_solved_once_per_map(self):
-        regimes._cusps.cache_clear()
-        rmap = scan_plane(resolution=41, gamma=0.615)
-        trace_boundaries(rmap)
-        info = regimes._cusps.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # the scan and the tracer share one sampling of the set
+        regimes._sampled_bits.cache_clear()
+        with mock.patch.object(regimes, "_cusps", wraps=regimes._cusps) as cusps:
+            rmap = scan_plane(resolution=41, gamma=0.615)
+            trace_boundaries(rmap)
+        assert cusps.call_count == 1
+
+    def test_a_zero_cell_map_is_traced_unsampled_by_the_scan(self):
+        # the scan marks every block of a zero-width window without
+        # sampling the set; the tracer samples it on its own
+        regimes._sampled_bits.cache_clear()
+        rmap = scan_plane((1.0, 1.0), (-2.0, 2.0), (7, 9), 1.0, 0.6)
+        assert regimes._sampled_bits.cache_info().currsize == 0
+        assert trace_boundaries(rmap) == []
+        assert regimes._sampled_bits.cache_info().currsize == 1
 
     def test_regimes_run_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma; the regimes command needs it nowhere
@@ -737,9 +747,9 @@ if __name__ == "__main__":
             for c, r, lab, ref in bad:
                 print(f"gamma={gamma!r} c={c!r} r={r!r}: scan_plane {lab}, "
                       f"classify_regime {ref}")
-            # cells.csv from the axes and the labels, against write_csv
-            # on one row per cell
-            write_csv(tmp / "rows.csv", CELL_HEADER, cell_rows(rmap))
+            # cells.csv from the axes and the labels, against the
+            # row-by-row oracle
+            write_csv_rows(tmp / "rows.csv", CELL_HEADER, cell_rows(rmap))
             lines = [path.read_text().splitlines() for path in
                      (write_cells(tmp, rmap, "csv"), tmp / "rows.csv")]
             rows = (len(lines[0]) != len(lines[1])) + sum(
