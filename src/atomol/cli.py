@@ -10,10 +10,11 @@ config file: a flag is its key's name with - for _ (--t-final sets
 into the [scan] keys.  Flag values are parsed and reported like
 config-file values (io._parse_value).
 
-Exit codes: 0 success, 2 config error (bad input only), 3 numerical
-failure (model.NumericalError), 4 I/O error, 5 out of memory (a run
-too large for the memory it may take, such as a grid or start count
-whose arrays cannot be allocated).
+Exit codes: 0 success, 2 config error (bad input only, a portrait of
+more than MAX_ORBITS starts included), 3 numerical failure
+(model.NumericalError), 4 I/O error, 5 out of memory (a run too large
+for the memory it may take, such as a grid whose arrays cannot be
+allocated).
 """
 
 from __future__ import annotations
@@ -314,14 +315,21 @@ def cmd_trap(resolved, outdir, fmt):
     return _finish("trap", resolved, derived, outdir, [out, sum_out])
 
 
+# most orbits one portrait may take: every trajectory is held until
+# the table is written, about 30 kB each at the default t_span
+MAX_ORBITS = 10 ** 5
+
+
 def cmd_portrait(resolved, outdir, fmt):
-    for key in ("portrait.n_s", "portrait.n_theta"):
-        _checked(resolved, key, lambda v: v >= 1, ">= 1")
+    n_s, n_theta = [_checked(resolved, key, lambda v: v >= 1, ">= 1")
+                    for key in ("portrait.n_s", "portrait.n_theta")]
+    if n_s * n_theta > MAX_ORBITS:
+        raise ConfigError(f"[portrait] n_s * n_theta must be <= {MAX_ORBITS} "
+                          f"orbits, got {n_s} * {n_theta}")
     q = ReducedParams(**_section(resolved, "reduced"))
     t_span = _t_span(resolved, "portrait")
     cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
-    grid = default_ic_grid(n_s=resolved["portrait.n_s"],
-                           n_theta=resolved["portrait.n_theta"])
+    grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
     portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]
     trajectories = portrait.trajectories

@@ -28,6 +28,14 @@ numpy's complex abs and Python's abs(complex) can differ in the last
 bit, which steers the step-size controller; on floats the two agree.
 The 8(5,3) norm, with no earlier bits to keep, uses Python's abs.
 
+The adaptive loop evaluates f once at the start state of each step:
+the derivative that the first step size is estimated from is the first
+step's first stage, each accepted step's last stage is the next step's
+first, and the pole-event bisection gives every trial step the event
+step's first stage k1.  Its step-size control uses plain comparisons
+with the results of min and max: a tie keeps the first argument, and a
+NaN growth factor gives the lower clamp, _MIN_FACTOR.
+
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
 over the singularity.
@@ -386,8 +394,13 @@ def _as_state(y0):
 
 
 def _initial_step(f, t0, y0, rtol, atol, t_final):
-    """Conservative first step from the size of the initial derivative."""
-    f0 = np.asarray(f(t0, y0))
+    """Conservative first step from the size of the initial derivative.
+
+    Returns the step and that derivative, f(t0, y0), which is the first
+    step's first stage.
+    """
+    k1 = f(t0, y0)
+    f0 = np.asarray(k1)
     scale = atol + rtol * np.abs(y0)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
@@ -397,7 +410,7 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    return min(h0, 0.1 * (t_final - t0))
+    return min(h0, 0.1 * (t_final - t0)), k1
 
 
 def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
@@ -420,6 +433,11 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     norm(err, y, y_new, rtol, atol, h) are the pair's step and error
     norm, and the step size scales with norm ** exponent: _rk45_step,
     _error_norm and -1/5, or _dop853_step, _dop853_norm and -1/8.
+    The first step's k1 is the derivative _initial_step took at
+    (t0, y0), and each bisection step takes the event step's k1.  The
+    growth factor _SAFETY * norm ** exponent is clamped as
+    min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) clamps it: a NaN factor
+    gives _MIN_FACTOR, and a tie keeps the first argument.
 
     Raises ValueError when y0 is not a pair, StepUnderflowError when no
     acceptable step size remains and StepBudgetError after MAX_STEPS
@@ -431,16 +449,17 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     t = t0
     times = [t0]
     states = [y]
-    h = _initial_step(f, t0, y, rtol, atol, t_final)
+    h, k1 = _initial_step(f, t0, y, rtol, atol, t_final)
     attempted = 0
     accepted = 0
     event_state = None
-    k1 = None
     tiny = 16.0 * np.finfo(float).eps
 
     while t < t_final:
-        h = min(h, t_final - t)
-        if h < tiny * max(1.0, abs(t)):
+        rest = t_final - t
+        if rest < h:
+            h = rest
+        if h < tiny * (t if t > 1.0 else -t if t < -1.0 else 1.0):
             raise StepUnderflowError(t)
         if attempted == MAX_STEPS:
             raise StepBudgetError(
@@ -449,11 +468,12 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         y_new, err, k_last = step(f, t, y, h, k1)
         err_norm = norm(err, y, y_new, rtol, atol, h)
         if err_norm > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
+            factor = _SAFETY * err_norm ** exponent
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
         # step accepted
         if event is not None and event(t + h, y_new) >= 0.0:
-            t, y = _locate_event(f, event, t, y, h, step)
+            t, y = _locate_event(f, event, t, y, h, step, k1)
             event_state = (t, y)
             times.append(t)
             states.append(y)
@@ -465,12 +485,10 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         if accepted % record_every == 0 or t >= t_final:
             times.append(t)
             states.append(y)
-        if err_norm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR,
-                         max(_MIN_FACTOR, _SAFETY * err_norm ** exponent))
-        h *= factor
+        factor = (_MAX_FACTOR if err_norm == 0.0
+                  else _SAFETY * err_norm ** exponent)
+        h *= (factor if factor < _MAX_FACTOR else _MAX_FACTOR) \
+            if factor > _MIN_FACTOR else _MIN_FACTOR
 
     if times[-1] != t:
         times.append(t)
@@ -478,15 +496,18 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     return np.array(times), np.array(states), event_state
 
 
-def _locate_event(f, event, t, y, h, step):
-    """Bisect the step size to land just before the event crossing."""
+def _locate_event(f, event, t, y, h, step, k1):
+    """Bisect the step size to land just before the event crossing.
+
+    k1 is f(t, y), the first stage of every trial step.
+    """
     lo, hi = 0.0, h
     y_lo = y
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = step(f, t, y, mid)
+        y_mid, _, _ = step(f, t, y, mid, k1)
         if event(t + mid, y_mid) < 0.0:
             lo, y_lo = mid, y_mid
         else:
@@ -641,16 +662,20 @@ def _guarded_reduced_f(c, omega, r, gamma):
     gives NaN, as the overflow itself would in numpy.  It inlines
     model.reduced_deriv bit for bit (test_guarded_rhs_is_reduced_deriv).
     """
+    # the products each expression forms first, and the math functions,
+    # bound once per solve
+    m2omega, c4, r4 = -2.0 * omega, 4.0 * c, 4.0 * r
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+
     def f(t, y):
         s, theta = y
         if s >= 1.0:
             raise _PastEvent
         try:
-            root = math.sqrt(1.0 - s)
-            return (-2.0 * omega * (1.0 + s) * root * math.sin(theta)
+            root = sqrt(1.0 - s)
+            return (m2omega * (1.0 + s) * root * sin(theta)
                     - gamma * (1.0 - s * s),
-                    4.0 * c * s - 4.0 * r
-                    - omega * (1.0 - 3.0 * s) / root * math.cos(theta))
+                    c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(theta))
         except ValueError:  # math.sin(inf)
             return math.nan, math.nan
 

@@ -218,7 +218,7 @@ def write_table(directory, stem, header, columns, fmt):
     Columns whose count differs from the header's, or whose lengths
     differ, raise ValueError before the file is opened; a plain json
     column's value that json.dumps cannot encode raises its TypeError
-    once the file is open.
+    once the file is open, and the partial file is removed.
     """
     lengths = {len(col.codes if isinstance(col, Coded) else col)
                for col in columns}
@@ -256,12 +256,17 @@ def write_table(directory, stem, header, columns, fmt):
     blocks = [field(columns[k], lead) for k, lead in zip(order, leads)]
     n_rows = lengths.pop() if lengths else 0
     out = Path(directory) / f"{stem}.{fmt}"
-    with out.open("w", encoding="utf-8") as fh:
-        fh.write(head if n_rows else empty)
-        for i in range(0, n_rows, _BLOCK):
-            rows = map("".join, zip(*(block(i) for block in blocks)))
-            fh.write((sep if i else "") + sep.join(rows))
-        fh.write(tail if n_rows else "")
+    fh = out.open("w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(head if n_rows else empty)
+            for i in range(0, n_rows, _BLOCK):
+                rows = map("".join, zip(*(block(i) for block in blocks)))
+                fh.write((sep if i else "") + sep.join(rows))
+            fh.write(tail if n_rows else "")
+    except BaseException:
+        out.unlink(missing_ok=True)  # no partial table is left behind
+        raise
     return out
 
 

@@ -12,7 +12,11 @@ tracer's chord distance from all pairs instead of bucketed chords, the
 Jacobian and its spectrum as numpy 2x2 arrays, and the solver steps
 from per-component comprehensions of the vector form instead of the
 stages written out for a pair; the 8(5,3) step loops
-over a tableau gathered from the module's coefficient names, CSV and
+over a tableau gathered from the module's coefficient names, the
+adaptive solve loop keeps its builtin min/max step control and
+evaluates each solve's and each bisection step's first stage afresh
+(solve_adaptive, _initial_step and _locate_event as they were before
+their first stages were shared), CSV and
 JSON tables are built row by row instead of per column, and the cells
 table of a regime map from one row per cell instead of from its axes
 and shared labels (write_cells is the regimes command's cells writer).
@@ -25,6 +29,7 @@ program itself never needs them.
 import json
 import math
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,7 +42,9 @@ from atomol.io import SCHEMA, ConfigError, format_value
 from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
-    _E4, _E5, _E6, _E7, _PastEvent)
+    _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, MAX_STEPS,
+    StepBudgetError, StepUnderflowError, _as_state, _error_norm, _PastEvent,
+    _rk45_step)
 from atomol.model import EPS_POLE, PoleError, ReducedParams, reduced_deriv
 from atomol.regimes import REGIME_LABELS, classify_regime
 
@@ -484,6 +491,99 @@ def dop853_norm(err, y, y_new, rtol, atol, h):
     if denom == 0.0:
         return 0.0
     return abs(h) * sq5 / math.sqrt(denom)
+
+
+def _initial_step(f, t0, y0, rtol, atol, t_final):
+    """Conservative first step from the size of the initial derivative."""
+    f0 = np.asarray(f(t0, y0))
+    scale = atol + rtol * np.abs(y0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
+    if (d0 < 1e-5 or d1 < 1e-5
+            or not math.isfinite(d0) or not math.isfinite(d1)):
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    return min(h0, 0.1 * (t_final - t0))
+
+
+def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
+                   rtol: float = 1e-11, atol: float = 1e-11,
+                   record_every: int = 1,
+                   event: Optional[Callable] = None,
+                   step: Callable = _rk45_step,
+                   norm: Callable = _error_norm,
+                   exponent: float = -0.2):
+    """integrate.solve_adaptive with builtin min/max step control, a
+    fresh first stage on the first step and on each bisection step."""
+    # a numpy scalar here would make every step numpy-scalar arithmetic
+    t0, t_final = float(t0), float(t_final)
+    y = _as_state(y0)
+    t = t0
+    times = [t0]
+    states = [y]
+    h = _initial_step(f, t0, y, rtol, atol, t_final)
+    attempted = 0
+    accepted = 0
+    event_state = None
+    k1 = None
+    tiny = 16.0 * np.finfo(float).eps
+
+    while t < t_final:
+        h = min(h, t_final - t)
+        if h < tiny * max(1.0, abs(t)):
+            raise StepUnderflowError(t)
+        if attempted == MAX_STEPS:
+            raise StepBudgetError(
+                f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
+        attempted += 1
+        y_new, err, k_last = step(f, t, y, h, k1)
+        err_norm = norm(err, y, y_new, rtol, atol, h)
+        if err_norm > 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
+            continue
+        # step accepted
+        if event is not None and event(t + h, y_new) >= 0.0:
+            t, y = _locate_event(f, event, t, y, h, step)
+            event_state = (t, y)
+            times.append(t)
+            states.append(y)
+            break
+        t += h
+        y = y_new
+        k1 = k_last
+        accepted += 1
+        if accepted % record_every == 0 or t >= t_final:
+            times.append(t)
+            states.append(y)
+        if err_norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR,
+                         max(_MIN_FACTOR, _SAFETY * err_norm ** exponent))
+        h *= factor
+
+    if times[-1] != t:
+        times.append(t)
+        states.append(y)
+    return np.array(times), np.array(states), event_state
+
+
+def _locate_event(f, event, t, y, h, step):
+    """Bisect the step size to land just before the event crossing."""
+    lo, hi = 0.0, h
+    y_lo = y
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        y_mid, _, _ = step(f, t, y, mid)
+        if event(t + mid, y_mid) < 0.0:
+            lo, y_lo = mid, y_mid
+        else:
+            hi = mid
+    return t + lo, y_lo
 
 
 def write_csv_rows(path, header, rows):

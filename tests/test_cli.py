@@ -418,7 +418,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["regimes", "--resolution", "20000"],  # a 2.98 GiB array
-        ["portrait", "--n-s", "100000", "--n-theta", "100000"],  # 1e10 starts
     ])
     def test_out_of_memory_is_5(self, tmp_path, argv):
         # a child under a 2 GiB address-space limit, so the run fails
@@ -434,6 +433,23 @@ class TestExitCodes:
         assert proc.returncode == 5, proc.stderr
         assert proc.stderr.startswith("out of memory: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n_s, n_theta", [
+        ("100000", "100000"),  # 1e10 starts, 2 GiB before the cap
+        (str(cli.MAX_ORBITS + 1), "1"),
+    ])
+    def test_oversized_portrait_grid_is_2(self, tmp_path, capsys,
+                                          monkeypatch, n_s, n_theta):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the start grid was built")
+
+        monkeypatch.setattr(cli, "default_ic_grid", no_grid)
+        rc = main(["portrait", "--n-s", n_s, "--n-theta", n_theta,
+                   "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"config error: [portrait] n_s * n_theta must be <= "
+                       f"{cli.MAX_ORBITS} orbits, got {n_s} * {n_theta}\n")
 
     def test_io_error_is_4(self, tmp_path):
         blocker = tmp_path / "blocker"

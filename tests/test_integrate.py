@@ -1,10 +1,12 @@
 """Integrator: conservation, convergence, events, determinism."""
 
 import cmath
+import collections
 import hashlib
 import math
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from atomol.model import (
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
                      rk4_step, rk45_step)
+import oracles
+from oracles import solve_adaptive as oracle_solve_adaptive
 
 
 # sha256 of the recorded arrays (and the pole event, when one fires),
@@ -668,3 +672,113 @@ class TestPairSteps:
                 with pytest.raises(ValueError, match=f"got {len(y0)} comp"):
                     solve()
                 assert calls == []
+
+
+def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
+    """A solve's times, states and event as exact bytes, or the type and
+    message of what it raised.  level, when not None, is an event at
+    y0.real = level."""
+    step, norm, exponent = integrate._PAIRS[pair]
+    event = None if level is None else (lambda t, y: y[0].real - level)
+    try:
+        times, states, hit = solve(f, t0, y0, t0 + span, rtol=tols[0],
+                                   atol=tols[1], record_every=record_every,
+                                   event=event, step=step, norm=norm,
+                                   exponent=exponent)
+    except Exception as exc:  # compared with the oracle's
+        return type(exc), str(exc)
+    return (times.tobytes(), states.dtype.str, states.tobytes(),
+            None if hit is None else (bits([hit[0]]), bits(hit[1])))
+
+
+_MODERATE = st.floats(min_value=-2.0, max_value=2.0)
+_MODERATE_COMPLEX = st.builds(complex, _MODERATE, _MODERATE)
+
+
+class TestSolveLoop:
+    """solve_adaptive gives the times, states and event bits of the
+    oracle's loop, which keeps builtin min/max step control and
+    evaluates every first stage afresh."""
+
+    @PAIR_PROPERTY
+    @given(y0=st.one_of(st.tuples(_MODERATE, _MODERATE),
+                        st.tuples(_MODERATE_COMPLEX, _MODERATE_COMPLEX),
+                        _PAIRS),
+           t0=st.floats(min_value=-3.0, max_value=3.0),
+           span=st.floats(min_value=1e-3, max_value=3.0),
+           tols=st.tuples(st.sampled_from([1e-3, 1e-6, 1e-9]),
+                          st.sampled_from([1e-3, 1e-6, 1e-9])),
+           record_every=st.sampled_from([1, 3]),
+           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
+           gap=st.one_of(st.just(math.inf), st.floats(0.0, 2.0)),
+           rise=st.one_of(st.none(), st.floats(-0.5, 2.0)),
+           pair=st.sampled_from(["rk45", "dop853"]))
+    # stages past y0.real = limit raise _PastEvent: rejected steps at
+    # the _MIN_FACTOR clamp, and a bisection of the event step
+    @example(y0=(0.5, 1.0), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=1, gap=0.25, rise=0.2,
+             pair="rk45")
+    @example(y0=(0.5j, 1 + 0j), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
+             record_every=3, p=1.0, q=1.0, power=1, gap=0.75, rise=0.7,
+             pair="dop853")
+    # no event below the limit: every step is rejected, step underflow
+    @example(y0=(0.5, 1.0), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=1, gap=0.25, rise=None,
+             pair="rk45")
+    # f = 0: err_norm == 0 and the _MAX_FACTOR growth, then the last
+    # step cut to t_final
+    @example(y0=(0.0, 0.0), t0=0.0, span=3.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
+             pair="rk45")
+    @example(y0=(0j, 0j), t0=1.0, span=3.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
+             pair="dop853")
+    # a smooth orbit: accepted steps at the _MAX_FACTOR clamp and below
+    # it, rejected steps, the last step cut to t_final
+    @example(y0=(0.5, 1.0), t0=0.0, span=3.0, tols=(1e-3, 1e-9),
+             record_every=1, p=1.0, q=-1.0, power=1, gap=math.inf,
+             rise=None, pair="rk45")
+    @example(y0=(0.5 + 0.1j, 1.0 - 0.2j), t0=-2.0, span=3.0,
+             tols=(1e-9, 1e-9), record_every=3, p=1.0, q=-1.0, power=2,
+             gap=math.inf, rise=None, pair="dop853")
+    # stages overflow a float power: NaN steps, rejected down to a step
+    # underflow
+    @example(y0=(1e100, 1e100), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
+             pair="dop853")
+    # the derivative at the start overflows: the solve raises it
+    @example(y0=(2.0, 1e110), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
+             record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
+             pair="rk45")
+    def test_solve_is_the_oracle_loop(self, y0, t0, span, tols, record_every,
+                                      p, q, power, gap, rise, pair):
+        f = pair_rhs(p, q, power, y0[0].real + gap)
+        level = None if rise is None else y0[0].real + rise
+        args = (f, y0, t0, span, tols, record_every, level, pair)
+        # a small step budget bounds the solves that blow up slowly; its
+        # StepBudgetError is compared too
+        with mock.patch.object(integrate, "MAX_STEPS", 1000), \
+                mock.patch.object(oracles, "MAX_STEPS", 1000):
+            assert solve_outcome(solve_adaptive, *args) == \
+                solve_outcome(oracle_solve_adaptive, *args)
+
+    @pytest.mark.parametrize("pair", ["rk45", "dop853"])
+    def test_start_states_are_evaluated_once(self, pair):
+        # the initial step's derivative is the first step's first stage,
+        # and the event bisection reuses the event step's first stage
+        calls = collections.Counter()
+
+        def f(t, y):
+            calls[t, y] += 1
+            return y[1], -y[0]
+
+        step, norm, exponent = integrate._PAIRS[pair]
+        times, states, hit = solve_adaptive(
+            f, 0.0, (0.0, 1.0), 10.0, rtol=1e-6, atol=1e-6,
+            event=lambda t, y: y[0] - 0.9, step=step, norm=norm,
+            exponent=exponent)
+        assert hit is not None and 1.0 < hit[0] < 1.2
+        event_step_start = (float(times[-2]), tuple(states[-2].tolist()))
+        assert hit[0] > event_step_start[0]  # the bisection moved
+        assert calls[0.0, (0.0, 1.0)] == 1
+        assert calls[event_step_start] == 1

@@ -170,6 +170,16 @@ class TestWriteTable:
                     write_table(tmp_path, "t", ["a", "b"], columns, fmt)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_unencodable_json_value_leaves_no_file(self, tmp_path, block):
+        # json.dumps takes no numpy int; the error comes once the file
+        # is open, after the rows of the blocks before it are written
+        with mock.patch.object(io, "_BLOCK", block):
+            with pytest.raises(TypeError):
+                write_table(tmp_path, "t", ["a"], [[1, 2, np.int64(3)]],
+                            "json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown output format"):
             write_table(tmp_path, "t", ["x"], [Coded([0.0], [0])], "xml")
