@@ -32,7 +32,7 @@ from .integrate import (
     _solve,
     evolve_reduced,
 )
-from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
+from .model import Params, ReducedParams, derived_quantities
 
 # Below this, a baseline conversion efficiency cannot normalize the
 # relative efficiency and m is reported as undefined.
@@ -123,29 +123,47 @@ class PhasePortrait:
         return [tr.pole_event for tr in self.trajectories]
 
 
+def _unit_norm_f(c: float, omega: float, gamma: float, r_of_t):
+    """model.unit_norm_deriv as a right-hand side f(t, y).
+
+    r_of_t is a SweepProtocol, whose R(t) = beta (t - T/2) is its r_at
+    formula written inline, or a constant R.  The products 2 Omega,
+    Gamma / 2 and 2 C are formed once per solve, and every float-by-complex
+    product is written complex-first, as the steps of atomol.integrate
+    are.  It inlines unit_norm_deriv bit for bit
+    (test_unit_norm_rhs_is_unit_norm_deriv), as integrate._guarded_reduced_f
+    does model.reduced_deriv.
+    """
+    sweep = isinstance(r_of_t, SweepProtocol)
+    if sweep:
+        beta, half = r_of_t.beta, r_of_t._half_duration
+    else:
+        r_const = float(r_of_t)
+    omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
+
+    def f(t, y):
+        a, b = y
+        r = beta * (t - half) if sweep else r_const
+        s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+        return (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                - a * (gamma_half * (1.0 - s)),
+                -1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                + b * (gamma_half * (1.0 + s)))
+
+    return f
+
+
 def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
                    gamma: float, r_of_t, t_final: float,
                    cfg: IntegratorConfig, end_state_only: bool = False):
     """Integrate the unit-norm flow; returns (times, states).
 
-    r_of_t is a SweepProtocol, whose R(t) is its r_at formula written
-    inline, or a constant R.  end_state_only tells integrate._solve that
-    the caller reads the last state only.
+    r_of_t is a SweepProtocol or a constant R (see _unit_norm_f).
+    end_state_only tells integrate._solve that the caller reads the last
+    state only.
     """
-
-    if isinstance(r_of_t, SweepProtocol):
-        beta, half = r_of_t.beta, r_of_t._half_duration
-
-        def f(t, y):
-            return unit_norm_deriv(y[0], y[1], c, omega, beta * (t - half),
-                                   gamma)
-    else:
-        r_const = float(r_of_t)
-
-        def f(t, y):
-            return unit_norm_deriv(y[0], y[1], c, omega, r_const, gamma)
-
-    times, states, _ = _solve(f, 0.0, (complex(a0), complex(b0)),
+    times, states, _ = _solve(_unit_norm_f(c, omega, gamma, r_of_t), 0.0,
+                              (complex(a0), complex(b0)),
                               replace(cfg, t_final=t_final),
                               end_state_only=end_state_only)
     return times, states

@@ -773,6 +773,8 @@ def _polish_points(s, theta, c, omega, r, gamma):
         go = ~(res < 1e-14) & ~(s >= 1.0 - 1e-14)
         idx, s, theta, ds, dth, res, c, omega, r, gamma = _shrink(
             go, idx, s, theta, ds, dth, res, c, omega, r, gamma)
+        if not len(idx):
+            break
         root = np.sqrt(1.0 - s)
         j11, j12, j21, j22 = _jacobian_terms(
             s, np.sin(theta), np.cos(theta), root, _pow(root, 3),

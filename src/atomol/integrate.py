@@ -21,12 +21,23 @@ f(t, y) gets that tuple and returns a pair (the tuples of the model's
 *_deriv functions).  The steps write the stages out for the two
 components in the operation order of the vector form
 (y + h * (a21 * k1) and so on), so the trajectories keep the bits they
-had when the states were numpy arrays.  On a complex pair one numpy
-call remains per attempted 4(5) step: its error norm takes every
-magnitude from one np.abs on the packed [*err, *y, *y_new], because
-numpy's complex abs and Python's abs(complex) can differ in the last
-bit, which steers the step-size controller; on floats the two agree.
-The 8(5,3) norm, with no earlier bits to keep, uses Python's abs.
+had when the states were numpy arrays.
+
+Every product of a float and a stage is written complex-first
+(y + k1 * a21 * h): on a float-first product CPython 3.11 first calls
+float.__mul__, which declines a complex, and only then multiplies.  The
+bits are the same either way.  CPython multiplies a float and a complex
+as two complex numbers, (ac - bd, ad + bc), and IEEE products and sums
+commute exactly, up to the sign or payload of a NaN, which no output
+shows; 3.14 uses one mixed rule for both orders.  On a float pair both
+orders are the same float product.
+
+On a complex pair one numpy call remains per attempted 4(5) step: its
+error norm takes every magnitude from one np.abs on the packed
+[*err, *y, *y_new], because numpy's complex abs and Python's
+abs(complex) can differ in the last bit, which steers the step-size
+controller; on floats the two agree.  The 8(5,3) norm, with no earlier
+bits to keep, uses Python's abs.
 
 The adaptive loop evaluates f once at the start state of each step:
 the derivative that the first step size is estimated from is the first
@@ -221,32 +232,32 @@ def _rk45_step(f, t, y, h, k1=None):
         if k1 is None:
             k1 = f(t, y)
         a0, a1 = k1
-        b0, b1 = f(t + _C2 * h, (y0 + h * (_A21 * a0), y1 + h * (_A21 * a1)))
-        c0, c1 = f(t + _C3 * h, (y0 + h * (_A31 * a0 + _A32 * b0),
-                                 y1 + h * (_A31 * a1 + _A32 * b1)))
+        b0, b1 = f(t + _C2 * h, (y0 + a0 * _A21 * h, y1 + a1 * _A21 * h))
+        c0, c1 = f(t + _C3 * h, (y0 + (a0 * _A31 + b0 * _A32) * h,
+                                 y1 + (a1 * _A31 + b1 * _A32) * h))
         d0, d1 = f(t + _C4 * h, (
-            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
-            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)))
+            y0 + (a0 * _A41 + b0 * _A42 + c0 * _A43) * h,
+            y1 + (a1 * _A41 + b1 * _A42 + c1 * _A43) * h))
         e0, e1 = f(t + _C5 * h, (
-            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
+            y0 + (a0 * _A51 + b0 * _A52 + c0 * _A53 + d0 * _A54) * h,
+            y1 + (a1 * _A51 + b1 * _A52 + c1 * _A53 + d1 * _A54) * h))
         g0, g1 = f(t + h, (
-            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                      + _A65 * e0),
-            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                      + _A65 * e1)))
+            y0 + (a0 * _A61 + b0 * _A62 + c0 * _A63 + d0 * _A64
+                  + e0 * _A65) * h,
+            y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64
+                  + e1 * _A65) * h))
         y_new = (
-            y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0),
-            y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1))
+            y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h,
+            y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h)
         k7 = f(t + h, y_new)
         p0, p1 = k7
     except (OverflowError, _PastEvent):
         nan = _nan_state(y)
         return nan, nan, nan
-    err = (h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
-                + _E7 * p0),
-           h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
-                + _E7 * p1))
+    err = ((a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
+            + p0 * _E7) * h,
+           (a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6
+            + p1 * _E7) * h)
     return y_new, err, k7
 
 
@@ -293,67 +304,67 @@ def _dop853_step(f, t, y, h, k1=None):
             k1 = f(t, y)
         u1, v1 = k1
         u2, v2 = f(t + _DC2 * h, (
-            y0 + h * (_DA2_1 * u1),
-            y1 + h * (_DA2_1 * v1)))
+            y0 + u1 * _DA2_1 * h,
+            y1 + v1 * _DA2_1 * h))
         u3, v3 = f(t + _DC3 * h, (
-            y0 + h * (_DA3_1 * u1 + _DA3_2 * u2),
-            y1 + h * (_DA3_1 * v1 + _DA3_2 * v2)))
+            y0 + (u1 * _DA3_1 + u2 * _DA3_2) * h,
+            y1 + (v1 * _DA3_1 + v2 * _DA3_2) * h))
         u4, v4 = f(t + _DC4 * h, (
-            y0 + h * (_DA4_1 * u1 + _DA4_3 * u3),
-            y1 + h * (_DA4_1 * v1 + _DA4_3 * v3)))
+            y0 + (u1 * _DA4_1 + u3 * _DA4_3) * h,
+            y1 + (v1 * _DA4_1 + v3 * _DA4_3) * h))
         u5, v5 = f(t + _DC5 * h, (
-            y0 + h * (_DA5_1 * u1 + _DA5_3 * u3 + _DA5_4 * u4),
-            y1 + h * (_DA5_1 * v1 + _DA5_3 * v3 + _DA5_4 * v4)))
+            y0 + (u1 * _DA5_1 + u3 * _DA5_3 + u4 * _DA5_4) * h,
+            y1 + (v1 * _DA5_1 + v3 * _DA5_3 + v4 * _DA5_4) * h))
         u6, v6 = f(t + _DC6 * h, (
-            y0 + h * (_DA6_1 * u1 + _DA6_4 * u4 + _DA6_5 * u5),
-            y1 + h * (_DA6_1 * v1 + _DA6_4 * v4 + _DA6_5 * v5)))
+            y0 + (u1 * _DA6_1 + u4 * _DA6_4 + u5 * _DA6_5) * h,
+            y1 + (v1 * _DA6_1 + v4 * _DA6_4 + v5 * _DA6_5) * h))
         u7, v7 = f(t + _DC7 * h, (
-            y0 + h * (_DA7_1 * u1 + _DA7_4 * u4 + _DA7_5 * u5 + _DA7_6 * u6),
-            y1 + h * (_DA7_1 * v1 + _DA7_4 * v4 + _DA7_5 * v5 + _DA7_6 * v6)))
+            y0 + (u1 * _DA7_1 + u4 * _DA7_4 + u5 * _DA7_5 + u6 * _DA7_6) * h,
+            y1 + (v1 * _DA7_1 + v4 * _DA7_4 + v5 * _DA7_5 + v6 * _DA7_6) * h))
         u8, v8 = f(t + _DC8 * h, (
-            y0 + h * (_DA8_1 * u1 + _DA8_4 * u4 + _DA8_5 * u5 + _DA8_6 * u6
-                      + _DA8_7 * u7),
-            y1 + h * (_DA8_1 * v1 + _DA8_4 * v4 + _DA8_5 * v5 + _DA8_6 * v6
-                      + _DA8_7 * v7)))
+            y0 + (u1 * _DA8_1 + u4 * _DA8_4 + u5 * _DA8_5 + u6 * _DA8_6
+                  + u7 * _DA8_7) * h,
+            y1 + (v1 * _DA8_1 + v4 * _DA8_4 + v5 * _DA8_5 + v6 * _DA8_6
+                  + v7 * _DA8_7) * h))
         u9, v9 = f(t + _DC9 * h, (
-            y0 + h * (_DA9_1 * u1 + _DA9_4 * u4 + _DA9_5 * u5 + _DA9_6 * u6
-                      + _DA9_7 * u7 + _DA9_8 * u8),
-            y1 + h * (_DA9_1 * v1 + _DA9_4 * v4 + _DA9_5 * v5 + _DA9_6 * v6
-                      + _DA9_7 * v7 + _DA9_8 * v8)))
+            y0 + (u1 * _DA9_1 + u4 * _DA9_4 + u5 * _DA9_5 + u6 * _DA9_6
+                  + u7 * _DA9_7 + u8 * _DA9_8) * h,
+            y1 + (v1 * _DA9_1 + v4 * _DA9_4 + v5 * _DA9_5 + v6 * _DA9_6
+                  + v7 * _DA9_7 + v8 * _DA9_8) * h))
         u10, v10 = f(t + _DC10 * h, (
-            y0 + h * (_DA10_1 * u1 + _DA10_4 * u4 + _DA10_5 * u5 + _DA10_6 * u6
-                      + _DA10_7 * u7 + _DA10_8 * u8 + _DA10_9 * u9),
-            y1 + h * (_DA10_1 * v1 + _DA10_4 * v4 + _DA10_5 * v5 + _DA10_6 * v6
-                      + _DA10_7 * v7 + _DA10_8 * v8 + _DA10_9 * v9)))
+            y0 + (u1 * _DA10_1 + u4 * _DA10_4 + u5 * _DA10_5 + u6 * _DA10_6
+                  + u7 * _DA10_7 + u8 * _DA10_8 + u9 * _DA10_9) * h,
+            y1 + (v1 * _DA10_1 + v4 * _DA10_4 + v5 * _DA10_5 + v6 * _DA10_6
+                  + v7 * _DA10_7 + v8 * _DA10_8 + v9 * _DA10_9) * h))
         u11, v11 = f(t + _DC11 * h, (
-            y0 + h * (_DA11_1 * u1 + _DA11_4 * u4 + _DA11_5 * u5 + _DA11_6 * u6
-                      + _DA11_7 * u7 + _DA11_8 * u8 + _DA11_9 * u9
-                      + _DA11_10 * u10),
-            y1 + h * (_DA11_1 * v1 + _DA11_4 * v4 + _DA11_5 * v5 + _DA11_6 * v6
-                      + _DA11_7 * v7 + _DA11_8 * v8 + _DA11_9 * v9
-                      + _DA11_10 * v10)))
+            y0 + (u1 * _DA11_1 + u4 * _DA11_4 + u5 * _DA11_5 + u6 * _DA11_6
+                  + u7 * _DA11_7 + u8 * _DA11_8 + u9 * _DA11_9
+                  + u10 * _DA11_10) * h,
+            y1 + (v1 * _DA11_1 + v4 * _DA11_4 + v5 * _DA11_5 + v6 * _DA11_6
+                  + v7 * _DA11_7 + v8 * _DA11_8 + v9 * _DA11_9
+                  + v10 * _DA11_10) * h))
         u12, v12 = f(t + h, (
-            y0 + h * (_DA12_1 * u1 + _DA12_4 * u4 + _DA12_5 * u5 + _DA12_6 * u6
-                      + _DA12_7 * u7 + _DA12_8 * u8 + _DA12_9 * u9
-                      + _DA12_10 * u10 + _DA12_11 * u11),
-            y1 + h * (_DA12_1 * v1 + _DA12_4 * v4 + _DA12_5 * v5 + _DA12_6 * v6
-                      + _DA12_7 * v7 + _DA12_8 * v8 + _DA12_9 * v9
-                      + _DA12_10 * v10 + _DA12_11 * v11)))
-        s0 = (_DB1 * u1 + _DB6 * u6 + _DB7 * u7 + _DB8 * u8 + _DB9 * u9
-              + _DB10 * u10 + _DB11 * u11 + _DB12 * u12)
-        s1 = (_DB1 * v1 + _DB6 * v6 + _DB7 * v7 + _DB8 * v8 + _DB9 * v9
-              + _DB10 * v10 + _DB11 * v11 + _DB12 * v12)
-        y_new = (y0 + h * s0, y1 + h * s1)
+            y0 + (u1 * _DA12_1 + u4 * _DA12_4 + u5 * _DA12_5 + u6 * _DA12_6
+                  + u7 * _DA12_7 + u8 * _DA12_8 + u9 * _DA12_9
+                  + u10 * _DA12_10 + u11 * _DA12_11) * h,
+            y1 + (v1 * _DA12_1 + v4 * _DA12_4 + v5 * _DA12_5 + v6 * _DA12_6
+                  + v7 * _DA12_7 + v8 * _DA12_8 + v9 * _DA12_9
+                  + v10 * _DA12_10 + v11 * _DA12_11) * h))
+        s0 = (u1 * _DB1 + u6 * _DB6 + u7 * _DB7 + u8 * _DB8 + u9 * _DB9
+              + u10 * _DB10 + u11 * _DB11 + u12 * _DB12)
+        s1 = (v1 * _DB1 + v6 * _DB6 + v7 * _DB7 + v8 * _DB8 + v9 * _DB9
+              + v10 * _DB10 + v11 * _DB11 + v12 * _DB12)
+        y_new = (y0 + s0 * h, y1 + s1 * h)
         k13 = f(t + h, y_new)
     except (OverflowError, _PastEvent):
         nan = _nan_state(y)
         return nan, (nan, nan), nan
-    e5 = ((_DE1 * u1 + _DE6 * u6 + _DE7 * u7 + _DE8 * u8 + _DE9 * u9
-           + _DE10 * u10 + _DE11 * u11 + _DE12 * u12),
-          (_DE1 * v1 + _DE6 * v6 + _DE7 * v7 + _DE8 * v8 + _DE9 * v9
-           + _DE10 * v10 + _DE11 * v11 + _DE12 * v12))
-    e3 = (s0 - _DBHH1 * u1 - _DBHH9 * u9 - _DBHH12 * u12,
-          s1 - _DBHH1 * v1 - _DBHH9 * v9 - _DBHH12 * v12)
+    e5 = ((u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
+           + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
+          (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
+           + v10 * _DE10 + v11 * _DE11 + v12 * _DE12))
+    e3 = (s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
+          s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
     return y_new, (e5, e3), k13
 
 
@@ -520,14 +531,14 @@ def _rk4_step(f, t, y, h):
     y0, y1 = y
     try:
         a0, a1 = f(t, y)
-        b0, b1 = f(t + 0.5 * h, (y0 + 0.5 * h * a0, y1 + 0.5 * h * a1))
-        c0, c1 = f(t + 0.5 * h, (y0 + 0.5 * h * b0, y1 + 0.5 * h * b1))
-        d0, d1 = f(t + h, (y0 + h * c0, y1 + h * c1))
+        b0, b1 = f(t + 0.5 * h, (y0 + a0 * (0.5 * h), y1 + a1 * (0.5 * h)))
+        c0, c1 = f(t + 0.5 * h, (y0 + b0 * (0.5 * h), y1 + b1 * (0.5 * h)))
+        d0, d1 = f(t + h, (y0 + c0 * h, y1 + c1 * h))
     except OverflowError:
         return _nan_state(y)
     w = h / 6.0
-    return (y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-            y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+    return (y0 + (a0 + b0 * 2.0 + c0 * 2.0 + d0) * w,
+            y1 + (a1 + b1 * 2.0 + c1 * 2.0 + d1) * w)
 
 
 def solve_fixed(f: Callable, t0: float, y0, t_final: float,

@@ -609,14 +609,17 @@ class TestExitCodes:
 
 # CLI fuzz: each example runs one subcommand with a random subset of its
 # flags, finite values mixed with extremes.  The flags that set the
-# amount of work are always given and kept small, and the step budget is
-# patched down, so every run is bounded; a longer solve must exit 3.
+# amount of work are always given, and kept small or just over their
+# cap, which must exit 2 before any work; the step budget is patched
+# down, so every run is bounded, and a longer solve must exit 3.
 FUZZ_FLOAT = st.one_of(
     st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]),
     st.floats(1e-3, 5.0), st.floats(-5.0, 5.0))
 FUZZ_WORK = {  # flag -> strategy, always given
     "regimes": {"--resolution": st.integers(1, 12)},
-    "portrait": {"--n-s": st.integers(0, 3), "--n-theta": st.integers(0, 3)},
+    "portrait": {"--n-s": st.one_of(st.integers(0, 3),
+                                    st.just(cli.MAX_ORBITS + 1)),
+                 "--n-theta": st.integers(0, 3)},
     "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
 }
 FUZZ_CHOICES = {"--method": ["adaptive", "rk45", "rk4", "euler"],

@@ -1,9 +1,12 @@
 """Experiments: portraits, conversion sweeps, self-trapping."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atomol import experiments, integrate
 from atomol.experiments import (
@@ -21,6 +24,7 @@ from atomol.model import (
     angle_distance,
     effective_energy,
     params_from_gamma,
+    unit_norm_deriv,
 )
 
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
@@ -127,28 +131,74 @@ class TestSweepConversion:
     def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
         # the sweep right-hand side writes R(t) = beta * (t - T/2)
         # inline; every stage must see the bits of the public r_at
+        p = params_from_gamma(gamma_minus=0.3)
         solve = integrate.solve_adaptive
-        deriv = experiments.unit_norm_deriv
-        times, detunings = [], []
+        stages = []
 
         def spying_solve(f, *args, **kwargs):
-            def timed_f(t, y):
-                times.append(t)
-                return f(t, y)
-            return solve(timed_f, *args, **kwargs)
-
-        def spying_deriv(a, b, c, omega, r, gamma):
-            detunings.append(r)
-            return deriv(a, b, c, omega, r, gamma)
+            def recorded_f(t, y):
+                dy = f(t, y)
+                stages.append((t, y, dy))
+                return dy
+            return solve(recorded_f, *args, **kwargs)
 
         experiments._terminal_efficiency.cache_clear()
         monkeypatch.setattr(integrate, "solve_adaptive", spying_solve)
-        monkeypatch.setattr(experiments, "unit_norm_deriv", spying_deriv)
-        sweep_conversion(pr, params_from_gamma(gamma_minus=0.3), FAST)
+        experiments._terminal_efficiency(pr, p.u, p.v, 0.3, FAST)
         experiments._terminal_efficiency.cache_clear()
-        assert len(detunings) == len(times) > 100
-        assert ([r.hex() for r in detunings]
-                == [pr.r_at(t).hex() for t in times])
+        assert len(stages) > 100
+        for t, (a, b), dy in stages:
+            assert exact(dy) == exact(
+                unit_norm_deriv(a, b, p.u, p.v, pr.r_at(t), 0.3)), t
+
+
+def exact(values):
+    """Bytes of each real and imaginary part; a NaN, of any sign or
+    payload, as one token."""
+    return [struct.pack("<d", x) if x == x else "nan"
+            for v in values for x in (v.real, v.imag)]
+
+
+def rhs_outcome(f, *args):
+    """exact() of a right-hand side's value, or OverflowError if it
+    raised that."""
+    try:
+        return exact(f(*args))
+    except OverflowError:
+        return OverflowError
+
+
+# mostly moderate values, whose rounding the operation order decides;
+# up to 1e154, products overflow to inf and their sums give NaN, and
+# past about 1.3e154 a ** 2 in the norm overflows a float power, which
+# raises OverflowError
+_PARTS = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-1e154, max_value=1e154),
+                   st.floats(min_value=-1e160, max_value=1e160))
+_AMPLITUDES = st.builds(complex, _PARTS, _PARTS)
+_COEFFS = st.floats(min_value=-3.0, max_value=3.0)
+
+
+class TestUnitNormRhs:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(a=_AMPLITUDES, b=_AMPLITUDES, c=_COEFFS, omega=_COEFFS,
+           gamma=_COEFFS, r=_COEFFS,
+           beta=_COEFFS.filter(lambda v: v != 0.0),
+           r_max=st.floats(min_value=0.1, max_value=10.0),
+           t=st.floats(min_value=0.0, max_value=200.0))
+    @example(a=1e155 + 0j, b=0j, c=1.0, omega=1.0, gamma=0.3, r=0.0,
+             beta=1.0, r_max=5.0, t=0.0)  # a ** 2 overflows
+    @example(a=1e100 + 1e100j, b=1e120j, c=1.0, omega=1.0, gamma=0.3,
+             r=0.0, beta=1.0, r_max=5.0, t=0.0)  # inf products, NaN sums
+    def test_unit_norm_rhs_is_unit_norm_deriv(self, a, b, c, omega, gamma,
+                                              r, beta, r_max, t):
+        pr = SweepProtocol(beta=beta, r_max=r_max)
+        for r_of_t, r_t in ((pr, pr.r_at(t)), (r, r)):
+            f = experiments._unit_norm_f(c, omega, gamma, r_of_t)
+            assert rhs_outcome(f, t, (a, b)) == rhs_outcome(
+                unit_norm_deriv, a, b, c, omega, r_t, gamma)
 
 
 class TestSelfTrapping:

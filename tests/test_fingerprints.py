@@ -53,6 +53,9 @@ RUNS = {
                       "--n-theta", "8", "--t-span", "20"],
     "sweep": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
               "--r-max", "2"],
+    # the sweep bench grid: the long beta = 0.1 solves dominate it
+    "sweep-bench": ["sweep", "--beta", "0.1,0.2,0.5,1.0",
+                    "--gamma=-0.5,0,0.5"],
     "trap": ["trap", "--u", "1.5", "--t-span", "5"],
     "evolve": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "3"],
     "evolve-rk4": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",

@@ -674,6 +674,34 @@ class TestPairSteps:
                 assert calls == []
 
 
+def flat(parts):
+    """The numbers of nested tuples and lists, in order."""
+    if isinstance(parts, (tuple, list)):
+        return [v for part in parts for v in flat(part)]
+    return [parts]
+
+
+@pytest.mark.parametrize("pair_step, generic_step", [
+    (integrate._rk45_step, rk45_step),
+    (integrate._dop853_step, dop853_step),
+    (integrate._rk4_step, rk4_step)])
+def test_pair_steps_keep_the_bits_on_full_precision_states(pair_step,
+                                                            generic_step):
+    # hypothesis favours short floats, whose products and sums are
+    # often exact, so a regrouped stage sum can pass the properties of
+    # TestPairSteps; one regrouped 8(5,3) stage changed about one step
+    # in six of these full-precision draws
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        parts = rng.uniform(-2.0, 2.0, 4).tolist()
+        y = ((complex(*parts[:2]), complex(*parts[2:]))
+             if rng.random() < 0.5 else tuple(parts[:2]))
+        p, q, h, t = rng.uniform(-2.0, 2.0, 4).tolist()
+        f = pair_rhs(p, q, int(rng.integers(1, 4)), math.inf)
+        assert bits(flat(pair_step(f, t, y, h))) == \
+            bits(flat(generic_step(f, t, y, h)))
+
+
 def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     """A solve's times, states and event as exact bytes, or the type and
     message of what it raised.  level, when not None, is an event at

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atomol import regimes
+from atomol import fixed_points, regimes
 from atomol.fixed_points import (interior_fixed_points, regime_census,
                                  threshold_gamma)
 from atomol.model import ReducedParams
@@ -196,6 +196,22 @@ class TestRegimeCensus:
             labels = regime_census(*np.array(points).T)
         assert [p for p, lab in zip(points, labels)
                 if lab != label_at(p[0], p[1], gamma=p[3], omega=p[2])] == []
+
+    def test_polish_stops_when_no_candidate_is_left(self):
+        # the array polish ends its rounds once every candidate has
+        # stopped, instead of running them on empty arrays
+        sizes = []
+        terms = fixed_points._jacobian_terms
+
+        def spying_terms(s, *args):
+            sizes.append(np.size(s))
+            return terms(s, *args)
+
+        c, r = np.meshgrid(np.linspace(0.0, 3.0, 60),
+                           np.linspace(-2.0, 2.0, 60))
+        with mock.patch.object(fixed_points, "_jacobian_terms", spying_terms):
+            regime_census(c, r, 1.0, 0.6)
+        assert sizes and min(sizes) > 0
 
     def test_equal_labels_share_one_object(self):
         rmap = scan_plane(resolution=(31, 41), gamma=0.6)
