@@ -45,6 +45,10 @@ RUNS = {
                      "--format", "json"],
     # the census bench grid: 200x200 cells at Gamma = 0.6
     "regimes-bench": ["regimes", "--gamma", "0.6"],
+    # a grid with n_c != n_r: the axis codes and the block fill read both
+    "regimes-rect": ["regimes", "--resolution", "37,53", "--gamma", "0.3"],
+    "regimes-rect-json": ["regimes", "--resolution", "37,53", "--gamma", "0.3",
+                          "--format", "json"],
     "fixed-points": ["fixed-points", "--c", "1", "--gamma", "0.3"],
     "portrait": ["portrait", "--n-s", "3", "--n-theta", "4",
                  "--t-span", "5"],
