@@ -20,7 +20,6 @@ allocated).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -208,21 +207,15 @@ def cmd_fixed_points(resolved, outdir, fmt):
 
 def _write_cells(outdir, rmap, fmt):
     """cells.csv or cells.json of a regime map: c and r coded by axis
-    index, the label fields by label object, told apart by identity
-    (equal labels may format differently: n_interior 1 and 1.0)."""
+    index, the label fields by the map's codes into its label table
+    (whose equal entries may format differently: n_interior 1 and 1.0)."""
     header = ["c", "r", "label", "n_interior", "has_boundary_fp"]
-    labels = {}  # id -> label object
-    for row in rmap.labels:
-        labels.update(zip(map(id, row), row))
-    index = {key: k for k, key in enumerate(labels)}
-    # int32: a million-cell map's codes fit in the memory its scan freed
-    codes = np.fromiter(map(index.__getitem__, map(
-        id, itertools.chain.from_iterable(rmap.labels))), np.int32)
     nc, nr = len(rmap.c_axis), len(rmap.r_axis)
-    axis = np.arange(max(nc, nr), dtype=np.int32)
+    axis = np.arange(max(nc, nr), dtype=np.int32)  # half the bytes of int64
     columns = [aio.Coded(rmap.c_axis.tolist(), np.repeat(axis[:nc], nr)),
                aio.Coded(rmap.r_axis.tolist(), np.tile(axis[:nr], nc))]
-    columns += [aio.Coded([getattr(lab, name) for lab in labels.values()], codes)
+    columns += [aio.Coded([getattr(lab, name) for lab in rmap.table],
+                          rmap.codes.ravel())
                 for name in header[2:]]
     return aio.write_table(outdir, "cells", header, columns, fmt)
 
@@ -232,6 +225,10 @@ def cmd_regimes(resolved, outdir, fmt):
     gamma = resolved["reduced.gamma"]
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
+    for axis, (lo, hi) in (("c", c_range), ("r", r_range)):
+        if not math.isfinite(hi - lo):  # or np.linspace overflows
+            raise ConfigError(f"[scan] {axis}_min and {axis}_max must be finite "
+                              f"with a finite span, got {lo} and {hi}")
     # the scan takes seconds; a bad refine_tol must fail before it
     _check_refine_tol(resolved["scan.refine_tol"])
     rmap = scan_plane(c_range=c_range, r_range=r_range,

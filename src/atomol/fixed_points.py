@@ -36,17 +36,18 @@ A census labels a parameter point by the regime its fixed points give
 - The array census (regime_census) runs the stages of interior_census
   that a label reads over a whole grid of points at once: coefficients,
   Cauchy bound, critical points, double roots, bracketed Newton, phase,
-  2D polish and residual gate, dedupe, degeneracy flags.  The loops
-  are masked: they iterate until every element has stopped, by the
-  scalar code's branch rules, with its expressions in its order.
-  numpy's +, -, *, /, sqrt, sin, cos and mod give the bits of Python's
-  float arithmetic and math, but np.arctan2, np.hypot and powers (x**3,
-  x**2, np.power) differ from math.atan2 and float pow in the last bit
-  on 1% to 35% of inputs (numpy 2.4.6, AVX-512).  So the phase (atan2)
-  and the cubes and squares of real_cubic_roots and of the polish
-  Jacobian go through Python, one call per element.  A point where the
-  scalar census raises (a polish step to an infinite phase, a point
-  within EPS_POLE of the pole) is handed to it, so it raises there.
+  2D polish and residual gate, dedupe, degeneracy flags, and the label
+  rule, to codes into a table of the distinct labels.  The loops are
+  masked: they iterate until every element has stopped, by the scalar
+  code's branch rules, with its expressions in its order.  numpy's
+  +, -, *, /, sqrt, sin, cos and mod give the bits of Python's float
+  arithmetic and math, but np.arctan2, np.hypot and powers (x**3, x**2,
+  np.power) differ from math.atan2 and float pow in the last bit on 1%
+  to 35% of inputs (numpy 2.4.6, AVX-512).  So the phase (atan2) and the
+  cubes and squares of real_cubic_roots and of the polish Jacobian go
+  through Python, one call per element.  A point where the scalar census
+  raises (a polish step to an infinite phase, a point within EPS_POLE of
+  the pole, a non-finite one) is handed to it, so it raises there.
 """
 
 from __future__ import annotations
@@ -456,6 +457,7 @@ def threshold_gamma(c: float, r: float, omega: float) -> float | None:
 
 LABEL_BOUNDARY = "boundary"
 LABEL_NONE = "none"
+_NAMES = ("I", "II", "III", "IV", LABEL_BOUNDARY, LABEL_NONE)  # by key index
 
 
 @dataclass(frozen=True)
@@ -470,8 +472,8 @@ class RegimeLabel:
 def _regime_name(degenerate: bool, n: int, cos_first: float) -> str:
     """The label rule: a degenerate census is boundary, three points
     regime II, two III, one I or IV by the sign of cos(theta) there
-    (boundary within 1e-9 of zero), none otherwise.  cos_first is read
-    only for a single point."""
+    (boundary within 1e-9 of zero), none otherwise (_label_keys on
+    arrays).  cos_first is read only for a single point."""
     if degenerate:
         return LABEL_BOUNDARY
     if n == 3:
@@ -499,67 +501,68 @@ def _point_label(q: ReducedParams) -> RegimeLabel:
 CENSUS_CHUNK = 4096
 
 
-def regime_census(c, r, omega, gamma) -> np.ndarray:
+def regime_census(c, r, omega, gamma) -> tuple[np.ndarray, tuple]:
     """classify_regime over broadcast arrays of C, R, Omega and Gamma.
 
-    Returns an object array of the broadcast shape holding exactly the
-    RegimeLabel the scalar census gives at each point, one shared
-    object per distinct label.  It finds the interior fixed points but
-    not their stability, which no label reads.  Points run in row-major
-    order, CENSUS_CHUNK at a time; the first point the scalar census
-    rejects raises its error.
+    Returns (codes, table), int32 codes of the broadcast shape and the
+    distinct RegimeLabels: table[codes[k]] is exactly the scalar census's
+    label at point k, which has an entry of its own where the point was
+    handed to the scalar census.  Points run in row-major order,
+    CENSUS_CHUNK at a time; the first one the scalar census rejects
+    raises its error.  No stability is found, which no label reads.
     """
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                    for v in (c, r, omega, gamma)))
     c, r, omega, gamma = (a.ravel() for a in arrays)
-    ok = (np.isfinite(c) & np.isfinite(r) & np.isfinite(gamma)
-          & np.isfinite(omega) & (omega > 0.0))
-    end = c.size if ok.all() else int(np.argmin(ok))
-    labels = np.empty(c.size, dtype=object)
-    shared: dict = {}
+    keys = np.empty(c.size, dtype=np.int32)
+    scalar: list = []  # labels of the points handed to the scalar census
     with np.errstate(all="ignore"):
-        for lo in range(0, end, CENSUS_CHUNK):
-            part = slice(lo, min(lo + CENSUS_CHUNK, end))
-            labels[part] = _chunk_labels(c[part], r[part], omega[part],
-                                         gamma[part], shared)
-    if end < c.size:
-        _point_label(ReducedParams(c=float(c[end]), omega=float(omega[end]),
-                                   r=float(r[end]), gamma=float(gamma[end])))
-    return labels.reshape(arrays[0].shape)
+        for lo in range(0, c.size, CENSUS_CHUNK):
+            part = slice(lo, lo + CENSUS_CHUNK)
+            keys[part] = _label_keys(c[part], r[part], omega[part],
+                                     gamma[part], scalar)
+    # the array keys count up from 0 and the scalar labels' down from
+    # -1; the keys in use, in order, are the codes
+    top = int(keys.max(initial=-1)) + 1
+    keys = np.where(keys < 0, top - 1 - keys, keys) if scalar else keys
+    used = np.bincount(keys) > 0
+    table = tuple(scalar[k - top] if k >= top else
+                  RegimeLabel(_NAMES[k // 2 % 6], k // 12, bool(k % 2))
+                  for k in np.flatnonzero(used).tolist())
+    codes = np.cumsum(used, dtype=np.int32) - 1
+    return codes[keys].reshape(arrays[0].shape), table
 
 
-def _chunk_labels(c, r, omega, gamma, shared: dict) -> list:
-    """Labels of one chunk; shared maps (name, n, boundary fp) to its
-    RegimeLabel.  A point where the scalar census raises is handed to
-    it, so the error is the scalar one."""
+def _label_keys(c, r, omega, gamma, scalar: list) -> np.ndarray:
+    """Keys (n * 6 + name) * 2 + has boundary fp of one chunk, name by
+    _regime_name's rule as an index of _NAMES.  A point the scalar census
+    rejects is handed to it, so it raises its error; a label it returned
+    would be appended to scalar and keyed -len(scalar)."""
     degenerate, n_points, cos_first, failed = _census_arrays(c, r, omega, gamma)
     has_bfp = np.abs(-math.sqrt(2.0) * (c + r) / omega) <= 1.0
-    out = []
-    for k, (deg, n, cos_t, bfp, bad) in enumerate(zip(
-            degenerate.tolist(), n_points.tolist(), cos_first.tolist(),
-            has_bfp.tolist(), failed.tolist())):
-        if bad:
-            out.append(_point_label(ReducedParams(
-                c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
-                gamma=float(gamma[k]))))
-            continue
-        key = (_regime_name(deg, n, cos_t), n, bfp)
-        label = shared.get(key)
-        if label is None:
-            label = shared[key] = RegimeLabel(*key)
-        out.append(label)
-    return out
+    # the first true case names the point: boundary, II, III, none, and
+    # for a single point boundary, I, else IV
+    name = np.select([degenerate, n_points == 3, n_points == 2, n_points != 1,
+                      np.abs(cos_first) <= 1e-9, cos_first > 0.0],
+                     [4, 1, 2, 5, 4, 0], 3)
+    keys = (n_points * 6 + name) * 2 + has_bfp
+    for k in np.flatnonzero(failed).tolist():
+        scalar.append(_point_label(ReducedParams(
+            c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
+            gamma=float(gamma[k]))))
+        keys[k] = -len(scalar)
+    return keys
 
 
 def _census_arrays(c, r, omega, gamma):
     """interior_census over arrays of parameter points, stage by stage.
 
     Returns per point the degeneracy flag, the number of fixed points,
-    cos(theta) of a single point (NaN elsewhere) and a mask of points
-    where the scalar census raises.  Every stage is the scalar code's
-    expressions in its order on the points still open; numpy's sqrt,
-    sin, cos and mod give the bits of math's, but atan2 and pow are
-    mapped through Python (see the module docstring).
+    cos(theta) of the first (read for one point only) and a mask of the
+    points where the scalar census raises.  Every stage is the scalar
+    code's expressions in its order on the points still open; numpy's
+    sqrt, sin, cos and mod give the bits of math's, but atan2 and pow
+    are mapped through Python (see the module docstring).
     """
     n = len(c)
     c3, c2, c1, c0 = _coefficients(c, omega, r, gamma)
@@ -596,7 +599,7 @@ def _census_arrays(c, r, omega, gamma):
 
     # dedupe within each point in candidate order, on a (point, rank) grid
     rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    width = int(rank.max()) + 1 if len(rank) else 0
+    width = int(rank.max(initial=0)) + 1
     s_grid = np.full((n, width), np.nan)
     t_grid = np.full((n, width), np.nan)
     gate = np.zeros((n, width), dtype=bool)
@@ -610,7 +613,7 @@ def _census_arrays(c, r, omega, gamma):
                     & (angle_distance(t_grid[:, i], t_grid[:, k]) < 1e-7))
         taken[:, k] = gate[:, k] & ~dup
 
-    failed = np.zeros(n, dtype=bool)
+    failed = ~(np.isfinite([c, r, omega, gamma]).all(axis=0) & (omega > 0.0))
     failed[owner[failed_polish]] = True
     # a kept point inside EPS_POLE of the pole: the scalar Jacobian raises
     failed[(taken & (s_grid >= 1.0 - EPS_POLE)).any(axis=1)] = True
@@ -619,10 +622,7 @@ def _census_arrays(c, r, omega, gamma):
               & (np.abs(s_grid[fold_cell] - fold_s[:, None]) < 1e-6)).sum(axis=1)
     degenerate[fold_cell[(n_here != 2) | (1.0 - np.abs(fold_sin) <= 1e-9)]] = True
     n_points = taken.sum(axis=1)
-    single = n_points == 1
-    cos_first = np.full(n, np.nan)
-    if single.any():
-        cos_first[single] = np.cos(t_grid[single, np.argmax(taken[single], axis=1)])
+    cos_first = np.cos(t_grid[np.arange(n), np.argmax(taken, axis=1)])
     return degenerate, n_points, cos_first, failed
 
 

@@ -204,7 +204,7 @@ def write_table(directory, stem, header, columns, fmt):
     columns holds one column per header name, in header order: a plain
     sequence of one value per row, or a Coded column of distinct values
     and a code per row.  A column that repeats a few values over many
-    rows (a grid's axes, a regime map's shared labels) is best coded,
+    rows (a grid's axes, a regime map's label codes) is best coded,
     as each of its values is formatted once, not once per row.
 
     The bytes are those of one line per row of format_value's texts

@@ -43,16 +43,19 @@ REGIME_LABELS = ("I", "II", "III", "IV")
 
 @dataclass
 class RegimeMap:
-    """Grid of regime labels over a (C, R) window."""
+    """Grid of regime labels over a (C, R) window: the cell at
+    (c_axis[i], r_axis[j]) has the RegimeLabel table[codes[i, j]]."""
 
     c_axis: np.ndarray
     r_axis: np.ndarray
-    labels: list  # labels[i][j] -> RegimeLabel at (c_axis[i], r_axis[j])
+    codes: np.ndarray  # (len(c_axis), len(r_axis)) integers
+    table: tuple  # distinct RegimeLabels
     omega: float
     gamma: float
 
     def count(self, label: str) -> int:
-        return sum(lab.label == label for row in self.labels for lab in row)
+        cells = np.bincount(self.codes.ravel(), minlength=len(self.table)).tolist()
+        return sum(n for lab, n in zip(self.table, cells) if lab.label == label)
 
     def area_fraction(self, label: str) -> float:
         total = len(self.c_axis) * len(self.r_axis)
@@ -133,11 +136,11 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
     their own.  The grid is tiled into BLOCK x BLOCK blocks: a block with
     a cell near a sampled chord, or where the census's residual gate may
     decide (_marked_blocks), has every cell censused, any other block
-    its first cell only, whose label the rest of the block shares.  A
+    its first cell only, whose code the rest of the block takes.  A
     grid with a zero or non-finite cell size has every block marked.
-    One array census (regime_census, row-major) labels the censused
-    cells, exactly as classify_regime would; cells with equal labels
-    share one object.
+    One array census (regime_census, row-major) gives the censused cells
+    their codes and the map its label table, exactly the labels
+    classify_regime would give.
     """
     if np.isscalar(resolution):
         nc = nr = int(resolution)
@@ -147,16 +150,15 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
         raise ValueError("resolution must be >= 2 per axis")
     c_axis = np.linspace(c_range[0], c_range[1], nc)
     r_axis = np.linspace(r_range[0], r_range[1], nr)
-    need = np.repeat(np.repeat(_marked_blocks(c_axis, r_axis, omega, gamma),
-                               BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
+    marked = _marked_blocks(c_axis, r_axis, omega, gamma)
+    need = np.repeat(np.repeat(marked, BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
     need[::BLOCK, ::BLOCK] = True
-    c_grid, r_grid = np.meshgrid(c_axis, r_axis, indexing="ij")
-    labels = np.empty((nc, nr), dtype=object)
-    labels[need] = regime_census(c_grid[need], r_grid[need], omega, gamma)
-    first = np.repeat(np.repeat(labels[::BLOCK, ::BLOCK], BLOCK, axis=0),
-                      BLOCK, axis=1)[:nc, :nr]
-    labels[~need] = first[~need]
-    return RegimeMap(c_axis=c_axis, r_axis=r_axis, labels=labels.tolist(),
+    i, j = np.nonzero(need)
+    census, table = regime_census(c_axis[i], r_axis[j], omega, gamma)
+    first = census[(i % BLOCK == 0) & (j % BLOCK == 0)].reshape(marked.shape)
+    codes = np.repeat(np.repeat(first, BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
+    codes[need] = census
+    return RegimeMap(c_axis=c_axis, r_axis=r_axis, codes=codes, table=table,
                      omega=omega, gamma=gamma)
 
 

@@ -19,7 +19,7 @@ evaluates each solve's and each bisection step's first stage afresh
 their first stages were shared), CSV and
 JSON tables are built row by row instead of per column, and the cells
 table of a regime map from one row per cell instead of from its axes
-and shared labels (write_cells is the regimes command's cells writer).
+and label codes (write_cells is the regimes command's cells writer).
 
 The test-only helpers at the end (serialize_config, ATTRACTOR_KINDS
 and REPELLER_KINDS, cubic_derivative) are named here because the
@@ -260,16 +260,17 @@ def bisection_boundaries(rmap, refine_tol):
     (gap 2.5 cell diagonals).  Returns [(label pair, (n, 2) points)].
     """
     nc, nr = len(rmap.c_axis), len(rmap.r_axis)
+    labels = [[rmap.table[k].label for k in row] for row in rmap.codes.tolist()]
     flips = {}
     for i in range(nc):
         for j in range(nr):
-            here = rmap.labels[i][j].label
+            here = labels[i][j]
             if here not in REGIME_LABELS:
                 continue
             for i2, j2 in ((i + 1, j), (i, j + 1)):
                 if i2 >= nc or j2 >= nr:
                     continue
-                there = rmap.labels[i2][j2].label
+                there = labels[i2][j2]
                 if there not in REGIME_LABELS or there == here:
                     continue
                 pt = _bisect_flip(
@@ -610,9 +611,9 @@ def map_cells(rmap):
     """(c, r, label) of every cell of a RegimeMap, row-major, with the
     axes as Python floats."""
     r_axis = rmap.r_axis.tolist()
-    for c, labels in zip(rmap.c_axis.tolist(), rmap.labels):
-        for r, label in zip(r_axis, labels):
-            yield c, r, label
+    for c, codes in zip(rmap.c_axis.tolist(), rmap.codes.tolist()):
+        for r, code in zip(r_axis, codes):
+            yield c, r, rmap.table[code]
 
 
 def cell_rows(rmap):

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -583,6 +584,27 @@ class TestExitCodes:
         assert rc == 2
         assert "refine_tol must be finite and > 0" in err
         assert not (tmp_path / "o" / "boundaries.json").exists()
+
+    @pytest.mark.parametrize("window, axis", [
+        ("0,1e308,-1e308,1e308", "r"),
+        ("-1e308,1e308,-2,2", "c"),
+        ("0,inf,-2,2", "c"),
+        ("0,3,nan,2", "r"),
+    ])
+    def test_window_of_infinite_span_is_2(self, tmp_path, capsys, window,
+                                          axis):
+        # np.linspace overflows on such a span, with warnings and a grid
+        # point's error; the span is checked first, under its keys
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["regimes", "--resolution", "9", f"--window={window}",
+                       "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and caught == []
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: [scan] {axis}_min and "
+                                 f"{axis}_max must be finite with a finite span")
+        assert not (tmp_path / "o" / "cells.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--method", "rk4", "--dt", "1e-3", "--t-final", "1e9"],

@@ -30,6 +30,16 @@ from atomol.model import (
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
 
 
+def first_order_efficiency(beta, gamma, duration, omega=1.0):
+    """w1 = Omega^2 |int exp(-2i beta tau^2 + Gamma (T/2 - tau)) dtau|^2
+    over tau = t - T/2 in [-T/2, T/2], at C = 0: the sweep's efficiency
+    to first order in Omega, with a = exp(-i int R dt) undepleted.  The
+    trapezoid rule on 400,001 points."""
+    tau = np.linspace(-0.5 * duration, 0.5 * duration, 400_001)
+    f = np.exp(-2j * beta * tau * tau + gamma * (0.5 * duration - tau))
+    return omega * omega * abs(np.trapezoid(f, tau)) ** 2
+
+
 class TestSweepProtocol:
     def test_symmetric_window_crosses_resonance_once(self):
         pr = SweepProtocol(beta=0.4, r_max=5.0)
@@ -125,6 +135,20 @@ class TestSweepConversion:
         assert len(solves) == 3
         baselines = {r.w_baseline.hex() for r in reports + [again]}
         assert baselines == {reports[1].w.hex()}
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, -0.1])
+    @pytest.mark.parametrize("beta", [40.0, 80.0, 160.0])
+    def test_fast_sweep_matches_first_order_efficiency(self, beta, gamma):
+        # a fast sweep from the atomic mode converts w1 to first order in
+        # Omega; the gap is the second-order depletion, (w - w1)/w1^2 in
+        # [-2.23, -1.62] at these nine points, so k = 3 leaves a factor
+        # of 1.35.  Flipping the sign of the loss on b, or doubling the
+        # Omega a^2 source of b, puts points beyond it
+        pr = SweepProtocol(beta=beta, r_max=200.0)
+        w = sweep_conversion(pr, Params(v=1.0, u=0.0, gamma_a=gamma,
+                                        gamma_b=-gamma), FAST).w
+        w1 = first_order_efficiency(beta, gamma, pr.duration)
+        assert abs(w - w1) <= 3.0 * w1 * w1
 
     @pytest.mark.parametrize("pr", [SweepProtocol(beta=0.7, r_max=1.3),
                                     SweepProtocol(beta=-0.4, t_span=3.1)])

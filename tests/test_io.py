@@ -194,22 +194,23 @@ AXIS_VALUES = st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
 
 @st.composite
 def regime_maps(draw):
-    """Maps of any shape whose cells draw from a few label objects, each
-    also present as distinct but equal copies: one with the same values,
-    one with a float n_interior, which formats differently."""
+    """Maps of any shape whose cells draw codes from a table of a few
+    labels, each also present as distinct but equal entries: one with the
+    same values, one with a float n_interior, which formats differently."""
     nc, nr = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    shared = draw(st.lists(st.builds(
+    distinct = draw(st.lists(st.builds(
         RegimeLabel, st.sampled_from(["I", "II", "III", "IV", "boundary",
                                       "none"]),
         st.integers(0, 3), st.booleans()), min_size=1, max_size=4))
-    pool = shared + [dataclasses.replace(lab) for lab in shared] + [
+    pool = distinct + [dataclasses.replace(lab) for lab in distinct] + [
         dataclasses.replace(lab, n_interior=float(lab.n_interior))
-        for lab in shared]
-    pick = st.sampled_from(range(len(pool)))
-    labels = [[pool[draw(pick)] for _ in range(nr)] for _ in range(nc)]
+        for lab in distinct]
+    codes = draw(st.lists(st.integers(0, len(pool) - 1), min_size=nc * nr,
+                          max_size=nc * nr))
     axes = [np.array(draw(st.lists(AXIS_VALUES, min_size=n, max_size=n)))
             for n in (nc, nr)]
-    return RegimeMap(*axes, labels=labels, omega=1.0, gamma=0.0)
+    return RegimeMap(*axes, codes=np.reshape(codes, (nc, nr)),
+                     table=tuple(pool), omega=1.0, gamma=0.0)
 
 
 class TestWriteCells:
@@ -217,7 +218,7 @@ class TestWriteCells:
               database=None)
     @given(rmap=regime_maps())
     def test_bytes_are_the_row_writers(self, tmp_path_factory, rmap):
-        # one text per axis value and label object gives the bytes of
+        # one text per axis value and table entry gives the bytes of
         # the row-by-row oracles on one row per cell
         tmp = tmp_path_factory.mktemp("cells")
         rows = cell_rows(rmap)
@@ -230,19 +231,19 @@ class TestWriteCells:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_empty_grid_writes_what_no_rows_do(self, tmp_path, fmt):
-        rmap = RegimeMap(np.zeros(0), np.zeros(0), [], 1.0, 0.0)
+        rmap = RegimeMap(np.zeros(0), np.zeros(0), np.zeros((0, 0), dtype=int),
+                         (), 1.0, 0.0)
         write_table(tmp_path, "rows", CELL_HEADER, [[]] * len(CELL_HEADER), fmt)
         assert (write_cells(tmp_path, rmap, fmt).read_bytes()
                 == (tmp_path / f"rows.{fmt}").read_bytes())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_bad_grid_raises_before_writing(self, tmp_path, fmt):
-        lab = RegimeLabel("I", 1, False)
-        for c_axis, labels in (([0.0, 1.0], [[lab, lab]]),
-                               ([0.0], [[lab]]),
-                               ([0.0, 1.0], [[lab, lab], [lab]])):
-            rmap = RegimeMap(np.array(c_axis), np.array([0.5, 1.5]), labels,
-                             1.0, 0.0)
+        table = (RegimeLabel("I", 1, False),)
+        for c_axis, shape in (([0.0, 1.0], (1, 2)), ([0.0], (1, 1)),
+                              ([0.0, 1.0], (2, 1))):
+            rmap = RegimeMap(np.array(c_axis), np.array([0.5, 1.5]),
+                             np.zeros(shape, dtype=int), table, 1.0, 0.0)
             with pytest.raises(ValueError):
                 write_cells(tmp_path, rmap, fmt)
         assert list(tmp_path.iterdir()) == []

@@ -33,6 +33,7 @@ from atomol.fixed_points import (interior_fixed_points, regime_census,
 from atomol.model import ReducedParams
 from atomol.regimes import (
     LABEL_BOUNDARY,
+    LABEL_NONE,
     REGIME_LABELS,
     RegimeMap,
     _distance_to_chords,
@@ -159,9 +160,10 @@ def _mismatches(rmap):
 
 def _census_mismatches(points):
     """The points where one regime_census call and classify_regime differ."""
-    labels = regime_census(*(np.array([getattr(q, name) for q in points])
-                             for name in ("c", "r", "omega", "gamma")))
-    return [q for q, lab in zip(points, labels) if lab != classify_regime(q)]
+    codes, table = regime_census(*(np.array([getattr(q, name) for q in points])
+                                   for name in ("c", "r", "omega", "gamma")))
+    return [q for q, k in zip(points, codes.tolist())
+            if table[k] != classify_regime(q)]
 
 
 class TestRegimeCensus:
@@ -193,9 +195,9 @@ class TestRegimeCensus:
                                         values))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = regime_census(*np.array(points).T)
-        assert [p for p, lab in zip(points, labels)
-                if lab != label_at(p[0], p[1], gamma=p[3], omega=p[2])] == []
+            codes, table = regime_census(*np.array(points).T)
+        assert [p for p, k in zip(points, codes.tolist())
+                if table[k] != label_at(p[0], p[1], gamma=p[3], omega=p[2])] == []
 
     def test_polish_stops_when_no_candidate_is_left(self):
         # the array polish ends its rounds once every candidate has
@@ -218,6 +220,29 @@ class TestRegimeCensus:
         cells = [lab for _, _, lab in map_cells(rmap)]
         assert len({id(lab) for lab in cells}) == len(set(cells)) < 20
 
+    def test_a_label_of_the_scalar_census_is_an_entry_of_its_own(self):
+        # were the array census to hand points the scalar census labels,
+        # each label that returns gets its own table entry and code
+        census = fixed_points._census_arrays
+
+        def handing_off(c, *args):
+            *out, failed = census(c, *args)
+            failed[::7] = True
+            return (*out, failed)
+
+        c, r = np.linspace(0.0, 3.0, 40), np.linspace(-2.0, 2.0, 40)
+        with mock.patch.object(fixed_points, "_census_arrays", handing_off):
+            codes, table = regime_census(c, r, 1.0, 0.6)
+        assert [table[k] for k in codes.tolist()] == [
+            label_at(ci, ri, gamma=0.6) for ci, ri in zip(c.tolist(), r.tolist())]
+        handed = codes[::7].tolist()
+        assert sorted(handed) == list(range(len(table) - 6, len(table)))
+        assert not set(handed) & set(np.delete(codes, np.s_[::7]).tolist())
+
+    def test_an_empty_census_has_an_empty_table(self):
+        codes, table = regime_census(np.zeros((0, 3)), 0.5, 1.0, 0.6)
+        assert codes.shape == (0, 3) and table == ()
+
     @pytest.mark.parametrize("omega, gamma, message", [
         (0.0, 0.0, "omega > 0"),
         (-1.0, 0.0, "omega must be >= 0"),
@@ -230,8 +255,9 @@ class TestRegimeCensus:
 
 def _full_census(rmap):
     """The labels one regime_census gives over rmap's grid, row-major."""
-    return regime_census(rmap.c_axis[:, None], rmap.r_axis[None, :],
-                         rmap.omega, rmap.gamma).ravel().tolist()
+    codes, table = regime_census(rmap.c_axis[:, None], rmap.r_axis[None, :],
+                                 rmap.omega, rmap.gamma)
+    return [table[k] for k in codes.ravel().tolist()]
 
 
 @st.composite
@@ -242,6 +268,31 @@ def windows(draw):
     width = draw(st.just(0.0) | st.floats(0.0, 6.0)
                  | st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e))
     return (start, start + width) if draw(st.booleans()) else (start + width, start)
+
+
+class TestCodedGrid:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(c_range=windows(), r_range=windows(), nc=st.integers(2, 9),
+           nr=st.integers(2, 9),
+           omega=st.floats(math.log(0.2), math.log(1e4)).map(math.exp),
+           gamma=st.sampled_from(GAMMAS) | st.floats(-3.0, 3.0))
+    def test_codes_index_the_scalar_labels(self, c_range, r_range, nc, nr,
+                                           omega, gamma):
+        # table[codes] is classify_regime at every point, and a map's
+        # count and area fraction are the per-cell counts of those labels
+        c_axis = np.linspace(*c_range, nc)
+        r_axis = np.linspace(*r_range, nr)
+        codes, table = regime_census(c_axis[:, None], r_axis[None, :], omega,
+                                     gamma)
+        ref = [[label_at(c, r, gamma=gamma, omega=omega) for r in r_axis.tolist()]
+               for c in c_axis.tolist()]
+        assert codes.shape == (nc, nr)
+        assert [[table[k] for k in row] for row in codes.tolist()] == ref
+        rmap = scan_plane(c_range, r_range, (nc, nr), omega, gamma)
+        for name in (*REGIME_LABELS, LABEL_BOUNDARY, LABEL_NONE):
+            n = sum(lab.label == name for row in ref for lab in row)
+            assert rmap.count(name) == n
+            assert rmap.area_fraction(name) == n / (nc * nr)
 
 
 class TestBlockCensus:
@@ -496,7 +547,8 @@ class TestTraceBoundaries:
         # the tracer reads the window, the spacing, Omega and Gamma of
         # the map, not its labels: a label-free map of the default grid
         rmap = RegimeMap(c_axis=np.linspace(0.0, 3.0, 200),
-                         r_axis=np.linspace(-2.0, 2.0, 200), labels=[],
+                         r_axis=np.linspace(-2.0, 2.0, 200),
+                         codes=np.zeros((0, 0), dtype=int), table=(),
                          omega=OMEGA, gamma=0.6)
         pairs = [{p.labels for p in trace_boundaries(rmap, refine_tol=tol)}
                  for tol in (1e-3, 1e-300)]
@@ -544,7 +596,7 @@ def _uncovered_flips(rmap, polys):
     """Midpoints of the grid edges between two different regimes that lie
     more than one cell (max-norm, in cells per axis) from every vertex of
     the polylines."""
-    labels = np.array([[lab.label for lab in row] for row in rmap.labels])
+    labels = np.array([lab.label for lab in rmap.table])[rmap.codes]
     regime = np.isin(labels, REGIME_LABELS)
     grid = np.stack(np.meshgrid(rmap.c_axis, rmap.r_axis, indexing="ij"), axis=-1)
     mids = []
@@ -684,8 +736,9 @@ class TestTracerParts:
         with mock.patch("atomol.fixed_points._spectrum",
                         side_effect=AssertionError("spectrum")):
             labels = [classify_regime(q) for q in points]
-        assert labels == regime_census(*(np.array([getattr(q, name) for q in points])
-                                         for name in ("c", "r", "omega", "gamma"))).tolist()
+        codes, table = regime_census(*(np.array([getattr(q, name) for q in points])
+                                       for name in ("c", "r", "omega", "gamma")))
+        assert labels == [table[k] for k in codes.tolist()]
 
     def test_cusps_are_solved_once_per_map(self):
         # the scan and the tracer share one sampling of the set
