@@ -15,7 +15,8 @@ scanned window where the census labels on their two sides differ
 column flips without a regime flip, is where a scan can change its
 answer: between its curves every cell's label, interior count and
 boundary point are constant.  So scan_plane censuses each cell near a
-curve and one cell of each block of cells that no curve comes near.
+curve and one cell of each run of cells along a row that no curve comes
+near.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,22 +89,23 @@ def classify_regime(q: ReducedParams) -> RegimeLabel:
     return _point_label(q)
 
 
-# scan_plane tiles the grid into BLOCK x BLOCK blocks of cells.  It
-# censuses every cell of a block that a sampled chord of the bifurcation
-# set comes within its margin of, and of a block where the census's
-# residual gate may decide; the first cell of any other block stands
-# for the block.  Both rules read the size of the census's terms at
-# (C, R), lam = |C| + |R| + Om + |G|, and eps = min(1, 4 Om^2 /
-# (16 (R - C)^2 + G^2)), the closest a root at (C, R) comes to the pole
-# S = 1 (_census_size).
+# scan_plane marks every cell that a sampled chord of the bifurcation
+# set comes within its margin of, and every cell where the census's
+# residual gate may decide.  It censuses the marked cells and the first
+# free cell of each run of unmarked cells along a row, which stands for
+# the run.  Both rules read the size of the census's terms at (C, R),
+# lam = |C| + |R| + Om + |G|, and eps = min(1, 4 Om^2 / (16 (R - C)^2 +
+# G^2)), the closest a root at (C, R) comes to the pole S = 1
+# (_census_size).
 #
 # A chord's margin on each axis is MARGIN cells or BAND max(1, lam)
 # eps^(-1/3) at its ends, whichever is wider.  The first covers the
-# chord's half-cell reach into a block and the curve's bend off it; the
-# second the census's band around the curve.  The census reads a double
-# root where the cubic at a critical point is within DOUBLE_ROOT_TOL of
-# its largest term, and the terms are quadratic in (C, R, Om, G).  Off a
-# fold that value grows linearly, a band of about DOUBLE_ROOT_TOL lam.
+# chord's half-cell reach to a free cell next to a marked one and the
+# curve's bend off it; the second the census's band around the curve.
+# The census reads a double root where the cubic at a critical point is
+# within DOUBLE_ROOT_TOL of its largest term, and the terms are
+# quadratic in (C, R, Om, G).  Off a fold that value grows linearly, a
+# band of about DOUBLE_ROOT_TOL lam.
 # The cubic's gradient in (C, R), 128 (S - 1) (C S - R) (S, -1),
 # vanishes on R = C/3 at its double root S = 1/3, so there the value
 # grows with the square of the distance d, a band of about
@@ -113,15 +115,14 @@ def classify_regime(q: ReducedParams) -> RegimeLabel:
 # C >> Om, that band, the widest, is 0.42 DOUBLE_ROOT_TOL^(1/3) lam
 # eps^(-1/3), as random draws of Omega, Gamma and C find too.  BAND
 # leaves a factor of 2.4 over it.
-BLOCK = 4
 MARGIN = 1.5
 BAND = DOUBLE_ROOT_TOL ** (1.0 / 3.0)
 # The residual gate holds the flow at a polished point, whose rounding
 # grows as 2^-52 lam eps^-1.5 towards the pole, to the absolute
 # RESIDUAL_TOL.  So it may reject a point anywhere, off the curves too,
-# once lam eps^-1.5 nears RESIDUAL_TOL / 2^-52 = 4.5e6.  Blocks with a
-# cell above GATE_LIMIT, 450 times lower, are censused in full; the
-# default map stays below it for |G| <= 3.
+# once lam eps^-1.5 nears RESIDUAL_TOL / 2^-52 = 4.5e6.  Cells above
+# GATE_LIMIT, 450 times lower, are each censused; the default map stays
+# below it for |G| <= 3.
 GATE_LIMIT = 1e4
 
 
@@ -133,11 +134,11 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
     separate counts for C and R).  Between the curves of the bifurcation
     set (_bifurcation_set) a cell's label, interior count and boundary
     point do not change, so only cells near a curve need a census of
-    their own.  The grid is tiled into BLOCK x BLOCK blocks: a block with
-    a cell near a sampled chord, or where the census's residual gate may
-    decide (_marked_blocks), has every cell censused, any other block
-    its first cell only, whose code the rest of the block takes.  A
-    grid with a zero or non-finite cell size has every block marked.
+    their own.  A cell near a sampled chord, or where the census's
+    residual gate may decide (_marked_cells), is censused; along each
+    row (fixed C) the other cells fall into runs of free cells, and the
+    first cell of a run is censused and gives its code to the rest.  A
+    grid with a zero or non-finite cell size has every cell marked.
     One array census (regime_census, row-major) gives the censused cells
     their codes and the map its label table, exactly the labels
     classify_regime would give.
@@ -150,45 +151,40 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
         raise ValueError("resolution must be >= 2 per axis")
     c_axis = np.linspace(c_range[0], c_range[1], nc)
     r_axis = np.linspace(r_range[0], r_range[1], nr)
-    marked = _marked_blocks(c_axis, r_axis, omega, gamma)
-    need = np.repeat(np.repeat(marked, BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
-    need[::BLOCK, ::BLOCK] = True
-    i, j = np.nonzero(need)
-    census, table = regime_census(c_axis[i], r_axis[j], omega, gamma)
-    first = census[(i % BLOCK == 0) & (j % BLOCK == 0)].reshape(marked.shape)
-    codes = np.repeat(np.repeat(first, BLOCK, axis=0), BLOCK, axis=1)[:nc, :nr]
-    codes[need] = census
+    marked = _marked_cells(c_axis, r_axis, omega, gamma)
+    need = marked.copy()
+    need[:, 0] = True
+    need[:, 1:] |= marked[:, :-1]
+    flat = np.flatnonzero(need)
+    census, table = regime_census(c_axis[flat // nr], r_axis[flat % nr], omega, gamma)
+    codes = np.repeat(census, np.diff(flat, append=need.size)).reshape(nc, nr)
     return RegimeMap(c_axis=c_axis, r_axis=r_axis, codes=codes, table=table,
                      omega=omega, gamma=gamma)
 
 
 @np.errstate(all="ignore")
-def _marked_blocks(c_axis, r_axis, omega, gamma):
-    """Mask (blocks along C, blocks along R) of the blocks scan_plane
-    censuses in full: those with a grid point within a chord's margin,
-    on each axis, of the bounding box of a chord of the bifurcation set,
-    or above GATE_LIMIT.
+def _marked_cells(c_axis, r_axis, omega, gamma):
+    """Mask (C, R) of the cells scan_plane censuses each on its own:
+    those within a chord's margin, on each axis, of the bounding box of
+    a chord of the bifurcation set, or above GATE_LIMIT.
 
     The chords are at most a cell long on an axis where they meet the
-    window, so a curve that splits two cells of a block passes within
-    half a cell of one of them.  A chord's band is read at its ends
-    clipped to the window.  All blocks are marked on a grid whose cell
-    size is zero or not finite.
+    window, so a curve that splits two adjacent cells passes within half
+    a cell of one of them.  A chord's band is read at its ends clipped
+    to the window.  All cells are marked on a grid whose cell size is
+    zero or not finite.
     """
     step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
     if not (np.isfinite(step).all() and step.all()):
-        return np.ones((-(-len(c_axis) // BLOCK), -(-len(r_axis) // BLOCK)), bool)
+        return np.ones((len(c_axis), len(r_axis)), bool)
     lam, eps = _census_size(c_axis[:, None], r_axis[None, :], omega, gamma)
-    gated = lam * eps ** -1.5 > GATE_LIMIT
-    starts = [range(0, len(c_axis), BLOCK), range(0, len(r_axis), BLOCK)]
-    gated = np.logical_or.reduceat(np.logical_or.reduceat(gated, starts[0], axis=0),
-                                   starts[1], axis=1)
+    marked = lam * eps ** -1.5 > GATE_LIMIT
     ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
     lo, hi = np.sort(ends, axis=1).T
     chords = np.concatenate([
         np.stack([pts[:-1], pts[1:]], axis=1)
         for pts, *_ in _sampled_set(omega, gamma, lo, hi, np.abs(step))])
-    # finite chord ends in grid-index units, then the blocks of the box
+    # finite chord ends in grid-index units, then the cells of the box
     index = (chords - [c_axis[0], r_axis[0]]) / step
     keep = np.isfinite(index).all(axis=(1, 2))
     index, near = index[keep], np.clip(chords[keep], lo, hi)
@@ -199,10 +195,10 @@ def _marked_blocks(c_axis, r_axis, omega, gamma):
     first = np.clip(np.ceil(index.min(axis=1) - margin), 0, n)
     last = np.clip(np.floor(index.max(axis=1) + margin), -1, n - 1)
     ok = (first <= last).all(axis=1)
-    boxes = np.hstack([first[ok], last[ok] + BLOCK]).astype(int) // BLOCK
+    boxes = np.hstack([first[ok], last[ok] + 1]).astype(int)
     for i0, j0, i1, j1 in boxes.tolist():
-        gated[i0:i1, j0:j1] = True
-    return gated
+        marked[i0:i1, j0:j1] = True
+    return marked
 
 
 def _census_size(c, r, omega, gamma):
@@ -469,7 +465,8 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     def sides(c, r, slope, step):  # census labels at (c, r) -+ step (-slope, 1)
         labels = set()
         for sign in (1.0, -1.0):
-            p = replace(q, c=float(c - sign * slope * step), r=float(r + sign * step))
+            p = ReducedParams(c=float(c - sign * slope * step), omega=q.omega,
+                              r=float(r + sign * step), gamma=q.gamma)
             labels.add(classify_regime(p).label)
         return tuple(sorted(labels))
 

@@ -45,7 +45,7 @@ RUNS = {
                      "--format", "json"],
     # the census bench grid: 200x200 cells at Gamma = 0.6
     "regimes-bench": ["regimes", "--gamma", "0.6"],
-    # a grid with n_c != n_r: the axis codes and the block fill read both
+    # a grid with n_c != n_r: the axis codes and the row fill read both
     "regimes-rect": ["regimes", "--resolution", "37,53", "--gamma", "0.3"],
     "regimes-rect-json": ["regimes", "--resolution", "37,53", "--gamma", "0.3",
                           "--format", "json"],
