@@ -21,25 +21,24 @@ the spurious roots introduced by the squaring step.
 Stability follows from the 2x2 Jacobian of the flow.  Its trace equals
 2 Gamma S identically, so any non-saddle fixed point is a repeller when
 Gamma and S share a sign and an attractor when they differ.  _spectrum
-is the one rule from eigenvalues to a kind; a regime label reads only
-how many interior points there are and where, never their kinds.
+is the one rule from eigenvalues to a kind.
 
-A census labels a parameter point by the regime its fixed points give
-(RegimeLabel).  It has two forms that give the same labels:
+The census of interior fixed points has two forms that find the same
+points:
 
 - The scalar core (interior_census, real_cubic_roots, _polish_point,
   _spectrum) runs on Python floats, for one point at a time; length-1
   numpy calls are slower.  It serves the fixed-points and portrait
   commands, and it is the reference of the array form.  Its stages
-  without the spectra (_interior_roots) serve classify_regime and the
-  boundary tracer's side probes.
-- The array census (regime_census) runs the stages of interior_census
-  that a label reads over a whole grid of points at once: coefficients,
-  Cauchy bound, critical points, double roots, bracketed Newton, phase,
-  2D polish and residual gate, dedupe, degeneracy flags, and the label
-  rule, to codes into a table of the distinct labels.  The loops are
-  masked: they iterate until every element has stopped, by the scalar
-  code's branch rules, with its expressions in its order.  numpy's
+  without the spectra (_interior_roots) serve the regime label of one
+  point (regimes.classify_regime).
+- The array census (_census_arrays) runs the stages of _interior_roots
+  over a whole grid of points at once: coefficients, Cauchy bound,
+  critical points, double roots, bracketed Newton, phase, 2D polish and
+  residual gate, dedupe and degeneracy flags, for a grid's regime
+  labels (regimes.regime_census).  The loops are masked: they iterate
+  until every element has stopped, by the scalar code's branch rules,
+  with its expressions in its order.  numpy's
   +, -, *, /, sqrt, sin, cos and mod give the bits of Python's float
   arithmetic and math, but np.arctan2, np.hypot and powers (x**3, x**2,
   np.power) differ from math.atan2 and float pow in the last bit on 1%
@@ -47,7 +46,7 @@ A census labels a parameter point by the regime its fixed points give
   cubes and squares of real_cubic_roots and of the polish Jacobian go
   through Python, one call per element.  A point where the scalar census
   raises (a polish step to an infinite phase, a point within EPS_POLE of
-  the pole, a non-finite one) is handed to it, so it raises there.
+  the pole, a non-finite one) is marked, to be handed to it.
 """
 
 from __future__ import annotations
@@ -409,11 +408,6 @@ def _boundary_cos(q: ReducedParams) -> float:
     return -math.sqrt(2.0) * (q.c + q.r) / q.omega
 
 
-def has_boundary_fixed_point(q: ReducedParams) -> bool:
-    """Whether the S = -1 family has a fixed point: |sqrt2 (C+R)| <= Omega."""
-    return abs(_boundary_cos(q)) <= 1.0
-
-
 def boundary_fixed_point(q: ReducedParams) -> FixedPoint | None:
     """Fixed point of the S = -1 boundary family, when it exists.
 
@@ -453,105 +447,6 @@ def threshold_gamma(c: float, r: float, omega: float) -> float | None:
     if radicand < 0.0:
         return None
     return math.sqrt(radicand)
-
-
-LABEL_BOUNDARY = "boundary"
-LABEL_NONE = "none"
-_NAMES = ("I", "II", "III", "IV", LABEL_BOUNDARY, LABEL_NONE)  # by key index
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Census-based regime classification of one parameter point."""
-
-    label: str
-    n_interior: int
-    has_boundary_fp: bool
-
-
-def _regime_name(degenerate: bool, n: int, cos_first: float) -> str:
-    """The label rule: a degenerate census is boundary, three points
-    regime II, two III, one I or IV by the sign of cos(theta) there
-    (boundary within 1e-9 of zero), none otherwise (_label_keys on
-    arrays).  cos_first is read only for a single point."""
-    if degenerate:
-        return LABEL_BOUNDARY
-    if n == 3:
-        return "II"
-    if n == 2:
-        return "III"
-    if n == 1:
-        if abs(cos_first) <= 1e-9:
-            return LABEL_BOUNDARY
-        return "I" if cos_first > 0.0 else "IV"
-    return LABEL_NONE
-
-
-def _point_label(q: ReducedParams) -> RegimeLabel:
-    """Regime label of one parameter point from the scalar census, which
-    it runs without the spectra (_interior_roots)."""
-    points, degenerate = _interior_roots(q)
-    n = len(points)
-    cos_first = math.cos(points[0][1]) if n == 1 else math.nan
-    return RegimeLabel(label=_regime_name(degenerate, n, cos_first),
-                       n_interior=n, has_boundary_fp=has_boundary_fixed_point(q))
-
-
-# Parameter points per pass of the array census; bounds its work arrays.
-CENSUS_CHUNK = 4096
-
-
-def regime_census(c, r, omega, gamma) -> tuple[np.ndarray, tuple]:
-    """classify_regime over broadcast arrays of C, R, Omega and Gamma.
-
-    Returns (codes, table), int32 codes of the broadcast shape and the
-    distinct RegimeLabels: table[codes[k]] is exactly the scalar census's
-    label at point k, which has an entry of its own where the point was
-    handed to the scalar census.  Points run in row-major order,
-    CENSUS_CHUNK at a time; the first one the scalar census rejects
-    raises its error.  No stability is found, which no label reads.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                   for v in (c, r, omega, gamma)))
-    c, r, omega, gamma = (a.ravel() for a in arrays)
-    keys = np.empty(c.size, dtype=np.int32)
-    scalar: list = []  # labels of the points handed to the scalar census
-    with np.errstate(all="ignore"):
-        for lo in range(0, c.size, CENSUS_CHUNK):
-            part = slice(lo, lo + CENSUS_CHUNK)
-            keys[part] = _label_keys(c[part], r[part], omega[part],
-                                     gamma[part], scalar)
-    # the array keys count up from 0 and the scalar labels' down from
-    # -1; the keys in use, in order, are the codes
-    top = int(keys.max(initial=-1)) + 1
-    keys = np.where(keys < 0, top - 1 - keys, keys) if scalar else keys
-    used = np.bincount(keys) > 0
-    table = tuple(scalar[k - top] if k >= top else
-                  RegimeLabel(_NAMES[k // 2 % 6], k // 12, bool(k % 2))
-                  for k in np.flatnonzero(used).tolist())
-    codes = np.cumsum(used, dtype=np.int32) - 1
-    return codes[keys].reshape(arrays[0].shape), table
-
-
-def _label_keys(c, r, omega, gamma, scalar: list) -> np.ndarray:
-    """Keys (n * 6 + name) * 2 + has boundary fp of one chunk, name by
-    _regime_name's rule as an index of _NAMES.  A point the scalar census
-    rejects is handed to it, so it raises its error; a label it returned
-    would be appended to scalar and keyed -len(scalar)."""
-    degenerate, n_points, cos_first, failed = _census_arrays(c, r, omega, gamma)
-    has_bfp = np.abs(-math.sqrt(2.0) * (c + r) / omega) <= 1.0
-    # the first true case names the point: boundary, II, III, none, and
-    # for a single point boundary, I, else IV
-    name = np.select([degenerate, n_points == 3, n_points == 2, n_points != 1,
-                      np.abs(cos_first) <= 1e-9, cos_first > 0.0],
-                     [4, 1, 2, 5, 4, 0], 3)
-    keys = (n_points * 6 + name) * 2 + has_bfp
-    for k in np.flatnonzero(failed).tolist():
-        scalar.append(_point_label(ReducedParams(
-            c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
-            gamma=float(gamma[k]))))
-        keys[k] = -len(scalar)
-    return keys
 
 
 def _census_arrays(c, r, omega, gamma):

@@ -1,12 +1,15 @@
 """Regime cartography of the (C, R) parameter plane.
 
-The census of interior fixed points classifies each parameter point:
-three points mean the self-trapping regime II, two the oscillation
-regime III, and a single point regime I or IV depending on the sign of
-cos(theta) there (phase locked near 0 or near pi).  Points sitting
-exactly on a bifurcation (a fold of the cubic, a root touching the
-S = -1 boundary, or a phase-envelope touch) are labeled "boundary"
-rather than forced into a regime.
+The census of interior fixed points (fixed_points) classifies each
+parameter point, and the labels are made here: three points mean the
+self-trapping regime II, two the oscillation regime III, and a single
+point regime I or IV depending on the sign of cos(theta) there (phase
+locked near 0 or near pi).  Points sitting exactly on a bifurcation (a
+fold of the cubic, a root touching the S = -1 boundary, or a
+phase-envelope touch) are labeled "boundary" rather than forced into a
+regime.  classify_regime labels one point from the scalar census and
+regime_census arrays of points from the array census, with the same
+labels.
 
 The boundaries between regimes are the closed-form curves of the
 cubic's codimension-1 events (_bifurcation_set), sampled inside the
@@ -28,18 +31,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixed_points import (
-    DOUBLE_ROOT_TOL,
-    LABEL_BOUNDARY,
-    LABEL_NONE,
-    RegimeLabel,
-    _point_label,
-    interior_fixed_points,
-    regime_census,
-)
+from . import fixed_points
+from .fixed_points import DOUBLE_ROOT_TOL, interior_fixed_points
 from .model import EPS_POLE, ReducedParams
 
 REGIME_LABELS = ("I", "II", "III", "IV")
+LABEL_BOUNDARY = "boundary"
+LABEL_NONE = "none"
+_NAMES = REGIME_LABELS + (LABEL_BOUNDARY, LABEL_NONE)  # by key index
+# Parameter points per pass of the array census; bounds its work arrays.
+CENSUS_CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class RegimeLabel:
+    """Census-based regime classification of one parameter point."""
+
+    label: str
+    n_interior: int
+    has_boundary_fp: bool
 
 
 @dataclass
@@ -80,13 +90,82 @@ class LocusBranch:
 
 
 def classify_regime(q: ReducedParams) -> RegimeLabel:
-    """Label one parameter point by its fixed-point census (scalar path).
+    """Label one parameter point by its fixed-point census (scalar path),
+    run without the spectra (fixed_points._interior_roots), which no
+    label reads.
 
-    Three interior points give regime II, two III, one I or IV by the
-    sign of cos(theta) there; a census on a bifurcation gives boundary.
-    regime_census is the same label over arrays of points.
+    A degenerate census is boundary, three interior points regime II,
+    two III, one I or IV by the sign of cos(theta) there (boundary
+    within 1e-9 of zero), none otherwise.  regime_census is the same
+    label over arrays of points.
     """
-    return _point_label(q)
+    points, degenerate = fixed_points._interior_roots(q)
+    n = len(points)
+    if degenerate:
+        label = LABEL_BOUNDARY
+    elif n != 1:
+        label = {3: "II", 2: "III"}.get(n, LABEL_NONE)
+    else:
+        cos_first = math.cos(points[0][1])
+        label = (LABEL_BOUNDARY if abs(cos_first) <= 1e-9
+                 else "I" if cos_first > 0.0 else "IV")
+    has_bfp = abs(fixed_points._boundary_cos(q)) <= 1.0
+    return RegimeLabel(label=label, n_interior=n, has_boundary_fp=has_bfp)
+
+
+def regime_census(c, r, omega, gamma) -> tuple[np.ndarray, tuple]:
+    """classify_regime over broadcast arrays of C, R, Omega and Gamma.
+
+    Returns (codes, table), int32 codes of the broadcast shape and the
+    distinct RegimeLabels: table[codes[k]] is exactly the scalar census's
+    label at point k, which has an entry of its own where the point was
+    handed to the scalar census.  Points run in row-major order,
+    CENSUS_CHUNK at a time; the first one the scalar census rejects
+    raises its error.  No stability is found, which no label reads.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                   for v in (c, r, omega, gamma)))
+    c, r, omega, gamma = (a.ravel() for a in arrays)
+    keys = np.empty(c.size, dtype=np.int32)
+    scalar: list = []  # labels of the points handed to the scalar census
+    with np.errstate(all="ignore"):
+        for lo in range(0, c.size, CENSUS_CHUNK):
+            part = slice(lo, lo + CENSUS_CHUNK)
+            keys[part] = _label_keys(c[part], r[part], omega[part],
+                                     gamma[part], scalar)
+    # the array keys count up from 0 and the scalar labels' down from
+    # -1; the keys in use, in order, are the codes
+    top = int(keys.max(initial=-1)) + 1
+    keys = np.where(keys < 0, top - 1 - keys, keys) if scalar else keys
+    used = np.bincount(keys) > 0
+    table = tuple(scalar[k - top] if k >= top else
+                  RegimeLabel(_NAMES[k // 2 % 6], k // 12, bool(k % 2))
+                  for k in np.flatnonzero(used).tolist())
+    codes = np.cumsum(used, dtype=np.int32) - 1
+    return codes[keys].reshape(arrays[0].shape), table
+
+
+def _label_keys(c, r, omega, gamma, scalar: list) -> np.ndarray:
+    """Keys (n * 6 + name) * 2 + has boundary fp of one chunk, name by
+    classify_regime's rule as an index of _NAMES, from the array census
+    (fixed_points._census_arrays).  A point the scalar census rejects is
+    handed to it, so it raises its error; a label it returned would be
+    appended to scalar and keyed -len(scalar)."""
+    degenerate, n_points, cos_first, failed = fixed_points._census_arrays(
+        c, r, omega, gamma)
+    has_bfp = np.abs(-math.sqrt(2.0) * (c + r) / omega) <= 1.0
+    # the first true case names the point: boundary, II, III, none, and
+    # for a single point boundary, I, else IV
+    name = np.select([degenerate, n_points == 3, n_points == 2, n_points != 1,
+                      np.abs(cos_first) <= 1e-9, cos_first > 0.0],
+                     [4, 1, 2, 5, 4, 0], 3)
+    keys = (n_points * 6 + name) * 2 + has_bfp
+    for k in np.flatnonzero(failed).tolist():
+        scalar.append(classify_regime(ReducedParams(
+            c=float(c[k]), omega=float(omega[k]), r=float(r[k]),
+            gamma=float(gamma[k]))))
+        keys[k] = -len(scalar)
+    return keys
 
 
 # scan_plane marks every cell that a sampled chord of the bifurcation
@@ -110,11 +189,12 @@ def classify_regime(q: ReducedParams) -> RegimeLabel:
 # vanishes on R = C/3 at its double root S = 1/3, so there the value
 # grows with the square of the distance d, a band of about
 # DOUBLE_ROOT_TOL^(1/2) lam (4e-3 at Om = 1000).  Where G^2 = 6 Om^2
-# (S* = 1/3) it grows only with the cube, as 54 Om^2 (d / C)^3 against
-# terms of about 17 C^2.  With eps = 0.56 (Om / C)^2 on the line for
-# C >> Om, that band, the widest, is 0.42 DOUBLE_ROOT_TOL^(1/3) lam
-# eps^(-1/3), as random draws of Omega, Gamma and C find too.  BAND
-# leaves a factor of 2.4 over it.
+# (S* = 1/3, the point where the fold's cusp meets S*; _cusps) it grows
+# only with the cube, as 54 Om^2 (d / C)^3 against terms of about
+# 17 C^2.  With eps = 0.56 (Om / C)^2 on the line for C >> Om, that
+# band, the widest, is 0.42 DOUBLE_ROOT_TOL^(1/3) lam eps^(-1/3), as
+# random draws of Omega, Gamma and C find too.  BAND leaves a factor of
+# 2.4 over it.
 MARGIN = 1.5
 BAND = DOUBLE_ROOT_TOL ** (1.0 / 3.0)
 # The residual gate holds the flow at a polished point, whose rounding
@@ -260,7 +340,7 @@ def _sampled_set(omega, gamma, lo, hi, cell):
     (_sample), their slopes, whether each is in the window, and whether
     a regime flips across the curve.  Memoised on the arguments' bits
     (-0.0 is not 0.0), so the scan and the tracer of one map sample the
-    set, and solve its cusps, once; the arrays are read-only."""
+    set once; the arrays are read-only."""
     return _sampled_bits(np.array([omega, gamma, *lo, *hi, *cell]).tobytes())
 
 
@@ -377,10 +457,11 @@ def _bifurcation_set(omega, gamma, c_span):
     regime flips across it.
 
     A fold starts from 65 values of s in [s0, 1], s0 + d and 1 - d for
-    d = (1 - s0) 2^-k (k = 1 ... 52), and its cusps, the zeros of g''.
-    It runs off to infinity at s = 1 (and at s0 > -1), where _sample
+    d = (1 - s0) 2^-k (k = 1 ... 52), and its cusp, the zero of g'' at
+    1 - s_c = 6 Om^2 / (2 G^2 - 3 Om^2) when G^2 > 6 Om^2 (_cusps).  It
+    runs off to infinity at s = 1 (and at s0 > -1), where _sample
     cannot split a step with a non-finite end unless its chord meets
-    the window, and it turns back at its cusps: with those starts no
+    the window, and it turns back at its cusp: with those starts no
     piece of the fold lies far off its chords, for the scan and the
     tracer alike.
     """
@@ -417,25 +498,15 @@ def _bifurcation_set(omega, gamma, c_span):
 
 
 def _cusps(om2, g2, s0):
-    """Zeros of g''(s) in (s0, 1), where the fold turns back.
+    """The zero of g''(s) in (s0, 1), where the fold turns back.
 
-    With w = 1 - s, h = g / (1 - 3s) and h' = Om^2 / (32 w^2 h),
-    g'' = h' ((1 - 3s) (2/w - h'/h) - 6); its sign changes on 4,096
-    steps of s are bisected to the last bit.
+    With w = 1 - s and h = g / (1 - 3s), g'' = h' ((1 - 3s) (2/w - h'/h)
+    - 6) and h'/h = 2 Om^2 / (w (4 Om^2 - G^2 w)), so g'' = 0 is linear
+    in w: 1 - s_c = 6 Om^2 / (2 G^2 - 3 Om^2).  s_c lies in (s0, 1) only
+    when G^2 > 6 Om^2; at G^2 = 6 Om^2 it meets s0 at 1/3.
     """
-    def shape(s):  # g'' / h'
-        w = 1.0 - s
-        h = np.sqrt(np.maximum(4.0 * om2 / w - g2, 0.0) / 64.0)
-        return (1.0 - 3.0 * s) * (2.0 / w - om2 / (32.0 * w * w * h * h)) - 6.0
-
-    s = np.linspace(s0, 1.0, 4097)[1:-1]
-    k = np.flatnonzero(np.signbit(shape(s[:-1])) != np.signbit(shape(s[1:])))
-    lo, hi = s[k], s[k + 1]
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        same = np.signbit(shape(mid)) == np.signbit(shape(lo))
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return lo
+    s = 1.0 - 6.0 * om2 / (2.0 * g2 - 3.0 * om2)
+    return np.array([s] if s0 < s < 1.0 else [])
 
 
 @np.errstate(all="ignore")

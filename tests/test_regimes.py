@@ -4,7 +4,8 @@ The array census behind scan_plane, and the fill along each row that
 spares it the runs of cells far from the bifurcation set, must label
 every point exactly as classify_regime does.  The full-scale check,
 200x200 default maps over the Gammas of the regimes command, of the
-benchmark's census and of GAMMAS, prints every cell that differs, and
+benchmark's census, of GAMMAS and at and just above sqrt6, where the
+fold's cusp meets S = 1/3, prints every cell that differs, and
 counts the cells scan_plane sent to the census, the lines where
 cells.csv from its axes and labels differs from the row-by-row oracle
 and the vertices where the tracer's bucketed chord distance, capped at
@@ -29,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomol import fixed_points, regimes
-from atomol.fixed_points import (interior_fixed_points, regime_census,
+from atomol.fixed_points import (boundary_fixed_point, interior_fixed_points,
                                  threshold_gamma)
 from atomol.model import ReducedParams
 from atomol.regimes import (
@@ -42,6 +43,7 @@ from atomol.regimes import (
     boundary_fp_existence_curve,
     classify_regime,
     fixed_point_locus,
+    regime_census,
     scan_plane,
     trace_boundaries,
 )
@@ -111,6 +113,41 @@ class TestClassifyRegime:
         lab = label_at(0.0, 0.0, gamma=1.5)
         assert lab.label != "III"
         assert lab.n_interior == 3  # symmetric pair plus bottom saddle
+
+
+    def test_labels_are_made_in_regimes(self):
+        # the benchmark's tracer names spans by __module__ and counts
+        # regimes.classify_regime; fixed_points holds only the census
+        assert (classify_regime.__module__ == regime_census.__module__
+                == "atomol.regimes")
+        for name in ("RegimeLabel", "regime_census", "_point_label"):
+            assert not hasattr(fixed_points, name), name
+        assert not [name for name in vars(fixed_points)
+                    if name.startswith("LABEL_")]
+
+    def test_boundary_point_flag_agrees_on_and_beside_its_lines(self):
+        # C + R = +-Om/sqrt2 and the float neighbours of R on either
+        # side: the scalar label, the array census and the boundary
+        # fixed point itself agree on whether that point exists
+        points = []
+        for omega, gamma, c in itertools.product(
+                (1.0, 0.3, 7.0), (0.0, 0.6, 2.5), (0.0, 0.25, 1.7, -3.0)):
+            for sign in (1.0, -1.0):
+                r = sign * omega / math.sqrt(2.0) - c
+                for _ in range(3):
+                    r = np.nextafter(r, -np.inf)
+                for _ in range(7):
+                    points.append(ReducedParams(c=c, omega=omega, r=float(r),
+                                                gamma=gamma))
+                    r = np.nextafter(r, np.inf)
+        codes, table = regime_census(*(np.array([getattr(q, name) for q in points])
+                                       for name in ("c", "r", "omega", "gamma")))
+        flags = [(classify_regime(q).has_boundary_fp,
+                  table[k].has_boundary_fp,
+                  boundary_fixed_point(q) is not None)
+                 for q, k in zip(points, codes.tolist())]
+        assert all(len(set(f)) == 1 for f in flags)
+        assert {f[0] for f in flags} == {True, False}
 
 
 class TestScanPlane:
@@ -754,6 +791,34 @@ class TestTracerParts:
             trace_boundaries(rmap)
         assert cusps.call_count == 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(omega=st.floats(math.log(0.05), math.log(1e3)).map(math.exp),
+           ratio=st.floats(0.0, 4.0))
+    # G^2 just above 6 Om^2, where the cusp lies within one step of s0
+    # on a 4,096-step scan of s
+    @example(omega=1.0, ratio=2.449489745232668)
+    @example(omega=1.0, ratio=math.sqrt(6.0))
+    def test_the_fold_has_a_cusp_iff_gamma_squared_exceeds_six_omega_squared(
+            self, omega, ratio):
+        om2, g2 = omega ** 2, (ratio * omega) ** 2
+        s0 = max(-1.0, 1.0 - 4.0 * om2 / g2) if g2 else -1.0
+
+        def shape(s):  # g''/h' with h = g / (1 - 3s) and h' > 0
+            w = 1.0 - s
+            h2 = (4.0 * om2 / w - g2) / 64.0
+            return (1.0 - 3.0 * s) * (2.0 / w - om2 / (32.0 * w * w * h2)) - 6.0
+
+        cusps = regimes._cusps(om2, g2, s0).tolist()
+        assert len(cusps) == (g2 > 6.0 * om2)
+        if cusps:
+            s_c = cusps[0]
+            assert s0 < s_c < 1.0
+            step = 1e-3 * min(s_c - s0, 1.0 - s_c)
+            assert shape(s_c - step) * shape(s_c + step) < 0.0
+        else:
+            s = np.linspace(s0, 1.0, 4097)[1:-1]
+            assert len(set(np.signbit(shape(s)).tolist())) == 1
+
     def test_a_zero_cell_map_is_traced_unsampled_by_the_scan(self):
         # the scan marks every cell of a zero-width window without
         # sampling the set; the tracer samples it on its own
@@ -815,8 +880,10 @@ if __name__ == "__main__":
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        # sqrt6 and just above it put the fold's cusp near S = 1/3, where
+        # the census's band around R = C/3 is widest
         for gamma in sorted({0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2,
-                             *GAMMAS}):
+                             math.sqrt(6.0), 2.449489745232668, *GAMMAS}):
             with mock.patch("atomol.regimes.regime_census",
                             wraps=regime_census) as census:
                 rmap = scan_plane(omega=OMEGA, gamma=gamma)
