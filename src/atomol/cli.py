@@ -20,6 +20,7 @@ allocated).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -214,8 +215,8 @@ def _write_cells(outdir, rmap, fmt):
     axis = np.arange(max(nc, nr), dtype=np.int32)  # half the bytes of int64
     columns = [aio.Coded(rmap.c_axis.tolist(), np.repeat(axis[:nc], nr)),
                aio.Coded(rmap.r_axis.tolist(), np.tile(axis[:nr], nc))]
-    columns += [aio.Coded([getattr(lab, name) for lab in rmap.table],
-                          rmap.codes.ravel())
+    codes = rmap.codes.ravel()  # one object: write_table fuses the fields
+    columns += [aio.Coded([getattr(lab, name) for lab in rmap.table], codes)
                 for name in header[2:]]
     return aio.write_table(outdir, "cells", header, columns, fmt)
 
@@ -371,9 +372,17 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; return its exit code (see the module docstring).
+
+    The heap is frozen (gc.freeze) on every way out: a return, an
+    exception or argparse's SystemExit.  The ~22,000 objects left from
+    importing numpy and atomol, and those the run leaves, move to the
+    collector's permanent generation, so the collections the interpreter
+    runs at exit skip them; those took 20-30 ms, up to a tenth of a
+    default regimes run.  Every output is closed before main returns.
+    """
     try:
-        return run(args)
+        return run(build_parser().parse_args(argv))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -386,6 +395,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 5
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +214,11 @@ def write_table(directory, stem, header, columns, fmt):
     value is formatted by format_value (csv; a column of one exact type,
     float, int, str or bool, maps its type's formatter) or json.dumps
     (json), with its field's layout text (the csv comma, the json
-    indent and key) joined on; rows are then joined _BLOCK at a time,
-    with the json record's close in the text between rows.
+    indent and key) joined on; adjacent coded columns that share one
+    codes object (by identity) and have as many values are one field,
+    whose texts per code are joined before the codes index them; rows
+    are then joined _BLOCK at a time, with the json record's close in
+    the text between rows.
     Columns whose count differs from the header's, or whose lengths
     differ, raise ValueError before the file is opened; a plain json
     column's value that json.dumps cannot encode raises its TypeError
@@ -246,14 +250,27 @@ def write_table(directory, stem, header, columns, fmt):
                          else None) or format_value
         return [lead + t for t in map(fmt_value, values)]
 
-    def field(col, lead):  # i -> the texts of rows i to i + _BLOCK
-        if isinstance(col, Coded):
-            coded = np.array(texts(col.values, lead), dtype=object)
-            codes = np.asarray(col.codes)
-            return lambda i: coded[codes[i:i + _BLOCK]].tolist()
-        return lambda i: texts(col[i:i + _BLOCK], lead)
+    def field(run):  # i -> the texts of rows i to i + _BLOCK
+        col, lead = run[0]
+        if not isinstance(col, Coded):
+            return lambda i: texts(col[i:i + _BLOCK], lead)
+        # the run's columns share col.codes: each code's texts are
+        # joined once, and the codes are indexed once for them all
+        joined = zip(*(texts(c.values, c_lead) for c, c_lead in run))
+        coded = np.array(list(map("".join, joined)), dtype=object)
+        codes = np.asarray(col.codes)
+        return lambda i: coded[codes[i:i + _BLOCK]].tolist()
 
-    blocks = [field(columns[k], lead) for k, lead in zip(order, leads)]
+    def run_key(pair):
+        col = pair[0]
+        if isinstance(col, Coded):
+            return id(col.codes), len(col.values)
+        return id(pair)
+
+    # the fields in runs: adjacent coded columns of one codes object and
+    # as many values, or one plain column
+    pairs = [(columns[k], lead) for k, lead in zip(order, leads)]
+    blocks = [field(list(run)) for _, run in groupby(pairs, key=run_key)]
     n_rows = lengths.pop() if lengths else 0
     out = Path(directory) / f"{stem}.{fmt}"
     fh = out.open("w", encoding="utf-8")

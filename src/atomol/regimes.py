@@ -231,13 +231,16 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
         raise ValueError("resolution must be >= 2 per axis")
     c_axis = np.linspace(c_range[0], c_range[1], nc)
     r_axis = np.linspace(r_range[0], r_range[1], nr)
+    # the map's largest array first: a grid too large for memory fails
+    # at once, not after the census's seconds
+    codes = np.empty((nc, nr), np.int32)
     marked = _marked_cells(c_axis, r_axis, omega, gamma)
     need = marked.copy()
     need[:, 0] = True
     need[:, 1:] |= marked[:, :-1]
     flat = np.flatnonzero(need)
     census, table = regime_census(c_axis[flat // nr], r_axis[flat % nr], omega, gamma)
-    codes = np.repeat(census, np.diff(flat, append=need.size)).reshape(nc, nr)
+    codes.reshape(-1)[:] = np.repeat(census, np.diff(flat, append=need.size))
     return RegimeMap(c_axis=c_axis, r_axis=r_axis, codes=codes, table=table,
                      omega=omega, gamma=gamma)
 
@@ -251,14 +254,23 @@ def _marked_cells(c_axis, r_axis, omega, gamma):
     The chords are at most a cell long on an axis where they meet the
     window, so a curve that splits two adjacent cells passes within half
     a cell of one of them.  A chord's band is read at its ends clipped
-    to the window.  All cells are marked on a grid whose cell size is
-    zero or not finite.
+    to the window.  The gate is evaluated on every cell only where its
+    bound at the corners of the grid's box reaches GATE_LIMIT.  All
+    cells are marked on a grid whose cell size is zero or not finite.
     """
     step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
     if not (np.isfinite(step).all() and step.all()):
         return np.ones((len(c_axis), len(r_axis)), bool)
-    lam, eps = _census_size(c_axis[:, None], r_axis[None, :], omega, gamma)
-    marked = lam * eps ** -1.5 > GATE_LIMIT
+    # lam and (R - C)^2 peak at corners of the grid's box, so the gate
+    # there bounds every cell's: each of its rounding steps is monotone,
+    # save ** (within an ulp, which the 1e-9 margin covers)
+    corners = np.array([[axis.min(), axis.max()] for axis in (c_axis, r_axis)])
+    lam, eps = _census_size(corners[0, :, None], corners[1], omega, gamma)
+    if lam.max() * eps.min() ** -1.5 < GATE_LIMIT * (1.0 - 1e-9):
+        marked = np.zeros((len(c_axis), len(r_axis)), bool)
+    else:
+        lam, eps = _census_size(c_axis[:, None], r_axis[None, :], omega, gamma)
+        marked = lam * eps ** -1.5 > GATE_LIMIT
     ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
     lo, hi = np.sort(ends, axis=1).T
     chords = np.concatenate([

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from atomol.io import (
     load_config,
     resolve_config,
 )
+from atomol.model import NumericalError
 
 from oracles import serialize_config
 
@@ -418,7 +420,7 @@ class TestExitCodes:
         assert not list((tmp_path / "o").iterdir())  # no data file
 
     @pytest.mark.parametrize("argv", [
-        ["regimes", "--resolution", "20000"],  # a 2.98 GiB array
+        ["regimes", "--resolution", "20000"],  # 2.2 GiB of grid arrays
     ])
     def test_out_of_memory_is_5(self, tmp_path, argv):
         # a child under a 2 GiB address-space limit, so the run fails
@@ -627,6 +629,74 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert "step budget" in err and "Traceback" not in err
+
+
+class TestFrozenExit:
+    """main freezes the heap on every way out, so that the collections
+    of the interpreter's exit skip it; importing the CLI freezes nothing,
+    and the outputs and messages of a frozen exit are those of a run."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["regimes", "--resolution", "3"], 0),
+        (["regimes", "--window", "0,1"], 2),
+    ])
+    def test_main_returns_with_the_heap_frozen(self, tmp_path, capsys, argv,
+                                               code):
+        assert gc.get_freeze_count() == 0
+        assert main(argv + ["--output", str(tmp_path / "o")]) == code
+        assert gc.get_freeze_count() > 0
+
+    @pytest.mark.parametrize("error, code", [
+        (NumericalError("x"), 3), (OSError("x"), 4), (MemoryError(), 5),
+        (RuntimeError("x"), None), (SystemExit(2), None),
+    ])
+    def test_every_other_way_out_freezes(self, capsys, monkeypatch, error,
+                                         code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "run", fail)
+        if code is None:  # an error main does not handle propagates
+            with pytest.raises(type(error)):
+                main(["evolve"])
+        else:
+            assert main(["evolve"]) == code
+        assert gc.get_freeze_count() > 0
+
+    def test_import_freezes_nothing(self):
+        probe = ("import gc, atomol.cli; "
+                 "print(gc.get_freeze_count(), gc.isenabled())")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n"
+
+    def _child(self, argv, out):
+        return subprocess.run(
+            [sys.executable, "-m", "atomol", *argv, "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True, timeout=120)
+
+    def test_a_child_writes_what_main_writes(self, tmp_path, capsys):
+        argv = ["regimes", "--resolution", "12"]
+        proc = self._child(argv, tmp_path / "child")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            f"wrote {tmp_path / 'child' / name}"
+            for name in ("cells.csv", "boundaries.json", "manifest.json")]
+        assert main(argv + ["--output", str(tmp_path / "main")]) == 0
+        for name in ("cells.csv", "boundaries.json"):
+            assert ((tmp_path / "child" / name).read_bytes()
+                    == (tmp_path / "main" / name).read_bytes())
+
+    def test_a_child_config_error_is_one_line(self, tmp_path):
+        proc = self._child(["regimes", "--window", "0,1"], tmp_path / "o")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("config error: --window takes "
+                               "cmin,cmax,rmin,rmax\n")
 
 
 # CLI fuzz: each example runs one subcommand with a random subset of its

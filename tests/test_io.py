@@ -87,18 +87,27 @@ def tables(draw):
     """(header, columns, rows): 1-4 named columns, each plain or coded,
     and the same table as one list per row.  A coded column's values hold
     equal values of other types besides the drawn ones, and its codes
-    are a list or an array."""
+    are a list or an array, or the codes object of the coded column
+    before it, with as many values (which write_table fuses where the
+    two are adjacent) or more."""
     n_rows = draw(st.integers(0, 12))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
         values = draw(st.sampled_from(_COLUMN_VALUES))
         if draw(st.booleans()):
-            distinct = draw(st.lists(values, min_size=1, max_size=4))
+            coded = [col for col in columns if isinstance(col, Coded)]
+            if coded and draw(st.booleans()):
+                codes = coded[-1].codes
+                n = draw(st.integers(len(coded[-1].values) // 2, 4))
+                distinct = draw(st.lists(values, min_size=n, max_size=n))
+            else:
+                distinct = draw(st.lists(values, min_size=1, max_size=4))
+                size = 2 * len(distinct)
+                codes = draw(st.lists(st.integers(-size, size - 1),
+                                      min_size=n_rows, max_size=n_rows))
+                if draw(st.booleans()):
+                    codes = np.array(codes, dtype=np.int64)
             distinct += [_equal_value(v) for v in distinct]
-            codes = draw(st.lists(st.integers(0, len(distinct) - 1),
-                                  min_size=n_rows, max_size=n_rows))
-            if draw(st.booleans()):
-                codes = np.array(codes, dtype=np.int64)
             columns.append(Coded(distinct, codes))
         else:
             columns.append(draw(st.lists(values, min_size=n_rows,

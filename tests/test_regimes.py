@@ -406,6 +406,32 @@ class TestRunCensus:
         assert census.call_args.args[0].size <= 5_000
         assert [lab for _, _, lab in map_cells(rmap)] == _full_census(rmap)
 
+    @pytest.mark.parametrize("r_range, skipped", [
+        # the default window: its largest gate value is 6,609, at the
+        # corner C = 3, R = -2, so no cell's value is computed
+        ((-2.0, 2.0), True),
+        # 17,900 at the corner C = 3, R = -3.5 but 1,760 at C = 0: cells
+        # on either side of the limit, each computed
+        ((-3.5, 2.0), False),
+    ])
+    def test_the_gate_bound_marks_what_every_cell_would(self, r_range,
+                                                        skipped):
+        c_axis = np.linspace(0.0, 3.0, 200)
+        r_axis = np.linspace(*r_range, 200)
+        lam, eps = regimes._census_size(c_axis[:, None], r_axis[None, :],
+                                        OMEGA, 0.6)
+        gated = lam * eps ** -1.5 > regimes.GATE_LIMIT
+        assert gated.any() != skipped and not gated.all()
+        with mock.patch.object(regimes, "GATE_LIMIT", math.inf):
+            chords = regimes._marked_cells(c_axis, r_axis, OMEGA, 0.6)
+        with mock.patch.object(regimes, "_census_size",
+                               wraps=regimes._census_size) as size:
+            marked = regimes._marked_cells(c_axis, r_axis, OMEGA, 0.6)
+        assert (marked == (chords | gated)).all()
+        shapes = [np.broadcast(*call.args[:2]).shape
+                  for call in size.call_args_list]
+        assert ((200, 200) in shapes) != skipped
+
 
 class TestTraceBoundaries:
     def test_crossing_on_r_axis_matches_closed_form(self):
