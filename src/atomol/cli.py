@@ -121,7 +121,9 @@ def _collect_overrides(args) -> dict:
 
 def _resolve(args) -> dict:
     file_values = None
-    if getattr(args, "from_manifest", None):
+    if args.from_manifest and args.config:
+        raise ConfigError("--config and --from-manifest do not combine")
+    if args.from_manifest:
         manifest = aio.load_manifest(args.from_manifest)
         if manifest["command"] != args.command:
             raise ConfigError(
@@ -131,7 +133,7 @@ def _resolve(args) -> dict:
         for flat_key, raw in manifest["parameters"].items():
             section, _, key = flat_key.partition(".")
             file_values[flat_key] = aio._parse_value(section, key, raw)
-    elif getattr(args, "config", None):
+    elif args.config:
         file_values = aio.load_config(args.config)
     return aio.resolve_config(file_values, _collect_overrides(args))
 
@@ -150,6 +152,10 @@ def _checked(resolved, key, ok, rule):
         section, name = key.split(".")
         raise ConfigError(f"[{section}] {name} must be {rule}, got {value}")
     return value
+
+
+def _omega(resolved):  # > 0 for the census; a NaN fails later, as not finite
+    return _checked(resolved, "reduced.omega", lambda v: not v <= 0.0, "> 0")
 
 
 def _finish(command, resolved, derived, outdir, outputs):
@@ -197,7 +203,7 @@ def _fixed_point_columns(points):
 
 
 def cmd_fixed_points(resolved, outdir, fmt):
-    q = ReducedParams(**_section(resolved, "reduced"))
+    q = ReducedParams(**_section(resolved, "reduced", omega=_omega(resolved)))
     points = all_fixed_points(q)
     out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                           _fixed_point_columns(points), fmt)
@@ -222,7 +228,7 @@ def _write_cells(outdir, rmap, fmt):
 
 
 def cmd_regimes(resolved, outdir, fmt):
-    omega = resolved["reduced.omega"]
+    omega = _omega(resolved)
     gamma = resolved["reduced.gamma"]
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
@@ -230,11 +236,11 @@ def cmd_regimes(resolved, outdir, fmt):
         if not math.isfinite(hi - lo):  # or np.linspace overflows
             raise ConfigError(f"[scan] {axis}_min and {axis}_max must be finite "
                               f"with a finite span, got {lo} and {hi}")
+    resolution = [_checked(resolved, key, lambda v: v >= 2, ">= 2")
+                  for key in ("scan.resolution_c", "scan.resolution_r")]
     # the scan takes seconds; a bad refine_tol must fail before it
     _check_refine_tol(resolved["scan.refine_tol"])
-    rmap = scan_plane(c_range=c_range, r_range=r_range,
-                      resolution=(resolved["scan.resolution_c"],
-                                  resolved["scan.resolution_r"]),
+    rmap = scan_plane(c_range=c_range, r_range=r_range, resolution=resolution,
                       omega=omega, gamma=gamma)
     cells_out = _write_cells(outdir, rmap, fmt)
     polylines = trace_boundaries(rmap, refine_tol=resolved["scan.refine_tol"])
@@ -266,14 +272,19 @@ def cmd_sweep(resolved, outdir, fmt):
     # w tops out at 1/2 (a pure molecular state has |b|^2 = n/2);
     # molecular_fraction = 2w rescales it to [0, 1] for readability
     header = ["beta", "gamma", "w", "m", "m_defined", "molecular_fraction"]
+    protocols = [SweepProtocol(beta=beta, r_max=resolved["sweep.r_max"])
+                 for beta in resolved["sweep.betas"]]
+    for pr in protocols:  # every one before the first solve
+        if not math.isfinite(pr.duration):
+            raise ConfigError(f"[sweep] r_max and betas must give a finite "
+                              f"2 r_max / |beta|, got {pr.r_max} and {pr.beta}")
     rows = []
-    for beta in resolved["sweep.betas"]:
-        protocol = SweepProtocol(beta=beta, r_max=resolved["sweep.r_max"])
+    for protocol in protocols:
         for gamma in resolved["sweep.gammas"]:
             p = Params(v=v, u=u, gamma_a=gamma, gamma_b=-gamma)
             report = sweep_conversion(protocol, p, cfg)
             m, defined = (report.m, True) if report.m is not None else ("", False)
-            rows.append([beta, gamma, report.w, m, defined, 2.0 * report.w])
+            rows.append([protocol.beta, gamma, report.w, m, defined, 2.0 * report.w])
     columns = list(zip(*rows)) or [()] * len(header)
     out = aio.write_table(outdir, "efficiency", header, columns, fmt)
     derived = {"gamma_plus": 0.0, "gamma_minus": resolved["sweep.gammas"],
@@ -324,7 +335,7 @@ def cmd_portrait(resolved, outdir, fmt):
     if n_s * n_theta > MAX_ORBITS:
         raise ConfigError(f"[portrait] n_s * n_theta must be <= {MAX_ORBITS} "
                           f"orbits, got {n_s} * {n_theta}")
-    q = ReducedParams(**_section(resolved, "reduced"))
+    q = ReducedParams(**_section(resolved, "reduced", omega=_omega(resolved)))
     t_span = _t_span(resolved, "portrait")
     cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)

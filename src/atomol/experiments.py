@@ -44,32 +44,26 @@ class SweepProtocol:
     """Linear detuning sweep across the conversion resonance.
 
     The energy difference follows R(t) = beta * (t - T/2) over t in
-    [0, T], crossing R = 0 exactly once at mid-protocol.  When t_span is
-    not given, T = 2 * r_max / |beta| so the sweep starts and ends a
-    distance r_max from resonance.  The initial state is the pure atomic
-    mode, |a(0)|^2 = 1.
+    [0, T], crossing R = 0 exactly once at mid-protocol, with
+    T = 2 * r_max / |beta| so the sweep starts and ends a distance r_max
+    from resonance.  The initial state is the pure atomic mode,
+    |a(0)|^2 = 1.
     """
 
     beta: float
-    t_span: Optional[float] = None
     r_max: float = 5.0
 
     def __post_init__(self):
-        for name in ("beta", "t_span", "r_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        for name in ("beta", "r_max"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.beta == 0.0:
             raise ValueError("sweeping rate beta must be nonzero")
-        if self.t_span is not None and not self.t_span > 0:
-            raise ValueError("t_span must be > 0")
         if not self.r_max > 0:
             raise ValueError("r_max must be > 0")
 
     @property
     def duration(self) -> float:
-        if self.t_span is not None:
-            return self.t_span
         return 2.0 * self.r_max / abs(self.beta)
 
     @functools.cached_property
@@ -249,9 +243,9 @@ def oscillation_amplitude(series) -> float:
     return float(arr.max() - arr.min())
 
 
-def default_ic_grid(n_s: int = 5, n_theta: int = 8, s_margin: float = 0.1):
+def default_ic_grid(n_s: int = 5, n_theta: int = 8):
     """Rectangular grid of reduced-flow initial conditions."""
-    s_vals = np.linspace(-1.0 + s_margin, 1.0 - s_margin, n_s)
+    s_vals = np.linspace(-0.9, 0.9, n_s)
     t_vals = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     return [(float(s), float(t)) for s in s_vals for t in t_vals]
 

@@ -55,7 +55,8 @@ class RegimeLabel:
 @dataclass
 class RegimeMap:
     """Grid of regime labels over a (C, R) window: the cell at
-    (c_axis[i], r_axis[j]) has the RegimeLabel table[codes[i, j]]."""
+    (c_axis[i], r_axis[j]) has the RegimeLabel table[codes[i, j]].  Its
+    scan and tracer share one sampling of the bifurcation set (_sampled_curves)."""
 
     c_axis: np.ndarray
     r_axis: np.ndarray
@@ -63,6 +64,29 @@ class RegimeMap:
     table: tuple  # distinct RegimeLabels
     omega: float
     gamma: float
+
+    @functools.cached_property
+    def _window(self):
+        """(lo, hi, cell): the lowest and highest (C, R) and cell size."""
+        lo, hi = np.sort([self.c_axis[[0, -1]], self.r_axis[[0, -1]]], axis=1).T
+        cell = np.abs([ax[1] - ax[0] for ax in (self.c_axis, self.r_axis)])
+        return lo, hi, cell
+
+    @functools.cached_property
+    def _sampled_curves(self):
+        """Per curve of _bifurcation_set, (points, chords, slopes, inside,
+        flips): vertices a cell apart at most (_sample), the chords between
+        them, slopes, in-window flags, and whether a regime flips across."""
+        lo, hi, cell = self._window
+        sampled = []
+        for curve, t, flips in _bifurcation_set(self.omega, self.gamma,
+                                                np.array([lo[0], hi[0]])):
+            t, inside = _sample(curve, t, lo, hi, cell)
+            cs, rs, slopes = np.broadcast_arrays(*curve(t))
+            pts = np.column_stack([cs, rs])
+            chords = np.stack([pts[:-1], pts[1:]], axis=1)
+            sampled.append((pts, chords, slopes, inside, flips))
+        return sampled
 
     def count(self, label: str) -> int:
         cells = np.bincount(self.codes.ravel(), minlength=len(self.table)).tolist()
@@ -233,56 +257,54 @@ def scan_plane(c_range=(0.0, 3.0), r_range=(-2.0, 2.0), resolution=200,
     r_axis = np.linspace(r_range[0], r_range[1], nr)
     # the map's largest array first: a grid too large for memory fails
     # at once, not after the census's seconds
-    codes = np.empty((nc, nr), np.int32)
-    marked = _marked_cells(c_axis, r_axis, omega, gamma)
+    rmap = RegimeMap(c_axis, r_axis, np.empty((nc, nr), np.int32), (), omega, gamma)
+    marked = _marked_cells(rmap)
     need = marked.copy()
     need[:, 0] = True
     need[:, 1:] |= marked[:, :-1]
     flat = np.flatnonzero(need)
-    census, table = regime_census(c_axis[flat // nr], r_axis[flat % nr], omega, gamma)
-    codes.reshape(-1)[:] = np.repeat(census, np.diff(flat, append=need.size))
-    return RegimeMap(c_axis=c_axis, r_axis=r_axis, codes=codes, table=table,
-                     omega=omega, gamma=gamma)
+    census, rmap.table = regime_census(c_axis[flat // nr], r_axis[flat % nr],
+                                       omega, gamma)
+    rmap.codes.reshape(-1)[:] = np.repeat(census, np.diff(flat, append=need.size))
+    return rmap
 
 
 @np.errstate(all="ignore")
-def _marked_cells(c_axis, r_axis, omega, gamma):
-    """Mask (C, R) of the cells scan_plane censuses each on its own:
-    those within a chord's margin, on each axis, of the bounding box of
-    a chord of the bifurcation set, or above GATE_LIMIT.
+def _marked_cells(rmap: RegimeMap):
+    """Mask (C, R) of the map's cells that scan_plane censuses each on
+    its own: those within a chord's margin, on each axis, of the
+    bounding box of a chord of the map's sampled set, or above
+    GATE_LIMIT.
 
     The chords are at most a cell long on an axis where they meet the
     window, so a curve that splits two adjacent cells passes within half
     a cell of one of them.  A chord's band is read at its ends clipped
     to the window.  The gate is evaluated on every cell only where its
-    bound at the corners of the grid's box reaches GATE_LIMIT.  All
-    cells are marked on a grid whose cell size is zero or not finite.
+    bound at the window's corners reaches GATE_LIMIT.  A grid whose
+    cell size is zero or not finite has every cell marked, unsampled.
     """
-    step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
-    if not (np.isfinite(step).all() and step.all()):
+    c_axis, r_axis, omega, gamma = rmap.c_axis, rmap.r_axis, rmap.omega, rmap.gamma
+    lo, hi, cell = rmap._window
+    if not (np.isfinite(cell).all() and cell.all()):
         return np.ones((len(c_axis), len(r_axis)), bool)
-    # lam and (R - C)^2 peak at corners of the grid's box, so the gate
+    # lam and (R - C)^2 peak at corners of the window, so the gate
     # there bounds every cell's: each of its rounding steps is monotone,
     # save ** (within an ulp, which the 1e-9 margin covers)
-    corners = np.array([[axis.min(), axis.max()] for axis in (c_axis, r_axis)])
-    lam, eps = _census_size(corners[0, :, None], corners[1], omega, gamma)
+    lam, eps = _census_size(*np.meshgrid(*zip(lo, hi)), omega, gamma)
     if lam.max() * eps.min() ** -1.5 < GATE_LIMIT * (1.0 - 1e-9):
         marked = np.zeros((len(c_axis), len(r_axis)), bool)
     else:
         lam, eps = _census_size(c_axis[:, None], r_axis[None, :], omega, gamma)
         marked = lam * eps ** -1.5 > GATE_LIMIT
-    ends = [c_axis[[0, -1]], r_axis[[0, -1]]]
-    lo, hi = np.sort(ends, axis=1).T
-    chords = np.concatenate([
-        np.stack([pts[:-1], pts[1:]], axis=1)
-        for pts, *_ in _sampled_set(omega, gamma, lo, hi, np.abs(step))])
+    chords = np.concatenate([chords for _, chords, *_ in rmap._sampled_curves])
     # finite chord ends in grid-index units, then the cells of the box
+    step = np.array([c_axis[1] - c_axis[0], r_axis[1] - r_axis[0]])
     index = (chords - [c_axis[0], r_axis[0]]) / step
     keep = np.isfinite(index).all(axis=(1, 2))
     index, near = index[keep], np.clip(chords[keep], lo, hi)
     lam, eps = _census_size(near[..., 0], near[..., 1], omega, gamma)
     band = BAND * (np.fmax(1.0, lam) * eps ** (-1.0 / 3.0)).max(axis=1)
-    margin = np.fmax(MARGIN, band[:, None] / np.abs(step))
+    margin = np.fmax(MARGIN, band[:, None] / cell)
     n = np.array([len(c_axis), len(r_axis)])
     first = np.clip(np.ceil(index.min(axis=1) - margin), 0, n)
     last = np.clip(np.floor(index.max(axis=1) + margin), -1, n - 1)
@@ -344,31 +366,6 @@ def _sample(curve, t, lo, hi, cell):
         t_out = np.where(now_in, t_out, mid)
     t = _unique(np.concatenate([t, t_in]))
     return t, inside(points(t))
-
-
-def _sampled_set(omega, gamma, lo, hi, cell):
-    """(points, slopes, inside, flips) per curve of the bifurcation set:
-    its vertices sampled in the window [lo, hi] at most a cell apart
-    (_sample), their slopes, whether each is in the window, and whether
-    a regime flips across the curve.  Memoised on the arguments' bits
-    (-0.0 is not 0.0), so the scan and the tracer of one map sample the
-    set once; the arrays are read-only."""
-    return _sampled_bits(np.array([omega, gamma, *lo, *hi, *cell]).tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _sampled_bits(key):
-    omega, gamma, *window = np.frombuffer(key)
-    lo, hi, cell = np.reshape(window, (3, 2))
-    sampled = []
-    for curve, t, flips in _bifurcation_set(omega, gamma, np.array([lo[0], hi[0]])):
-        t, inside = _sample(curve, t, lo, hi, cell)
-        cs, rs, slopes = np.broadcast_arrays(*curve(t))
-        pts = np.column_stack([cs, rs])
-        for arr in (pts, slopes, inside):
-            arr.flags.writeable = False
-        sampled.append((pts, slopes, inside, flips))
-    return tuple(sampled)
 
 
 def _unique(x):
@@ -526,21 +523,20 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     """Bifurcation polylines of a scanned map, from the closed-form set.
 
     The curves where a regime flips (_bifurcation_set: the lines of s0
-    and the folds) are sampled in the window up to its edge, vertices at
-    most one cell apart; each run of vertices with one pair of regimes
-    at +-delta across the curve is a polyline.  delta is refine_tol
-    (finite, > 0), at most a quarter cell and half the distance to the
-    other curves, and at least 1e-7 * max(1, |window bounds|): closer,
-    the census reads boundary.  A vertex closer than twice that floor
-    to another curve is left out.  Both rules read the distance to the
+    and the folds) are the map's sampling up to the window's edge
+    (made by its scan or here), vertices at most one cell apart; each
+    run of vertices with one pair of regimes at +-delta across the curve
+    is a polyline.  delta is refine_tol (finite, > 0), at most a quarter
+    cell and half the distance to the other curves, and at least 1e-7 *
+    max(1, |window bounds|): closer, the census reads boundary.  A
+    vertex closer than twice that floor to another curve is left out.
+    Both rules read the distance to the
     other curves only below 2 delta (the floor is at most delta), so it
     is measured only that far (_distance_to_chords), in time that grows
     with the number of vertices.
     """
     _check_refine_tol(refine_tol)
-    ends = [rmap.c_axis[[0, -1]], rmap.r_axis[[0, -1]]]
-    lo, hi = np.sort(ends, axis=1).T
-    cell = np.abs([ax[1] - ax[0] for ax in (rmap.c_axis, rmap.r_axis)])
+    lo, hi, cell = rmap._window
     floor = min(0.25 * cell.min(), 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi)))
     delta = min(0.25 * cell.min(), max(refine_tol, floor))
     q = ReducedParams(omega=rmap.omega, gamma=rmap.gamma)
@@ -554,12 +550,10 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
         return tuple(sorted(labels))
 
     sampled = []
-    for pts, slopes, inside, flips in _sampled_set(q.omega, q.gamma, lo, hi, cell):
-        if not flips:
-            continue
-        chords = np.stack([pts[:-1], pts[1:]], axis=1)
-        keep = (inside[:-1] | inside[1:]) & np.isfinite(chords).all(axis=(1, 2))
-        sampled.append((pts, slopes, inside, chords[keep]))
+    for pts, chords, slopes, inside, flips in rmap._sampled_curves:
+        if flips:
+            keep = (inside[:-1] | inside[1:]) & np.isfinite(chords).all(axis=(1, 2))
+            sampled.append((pts, slopes, inside, chords[keep]))
     polylines = []
     for k, (pts, slopes, inside, _) in enumerate(sampled):
         others = [chords for j, (*_, chords) in enumerate(sampled) if j != k]
@@ -582,7 +576,7 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
 
 
 def boundary_fp_existence_curve(omega: float, c_range=(0.0, 3.0),
-                                r_range=(-2.0, 2.0), n_points: int = 64):
+                                r_range=(-2.0, 2.0)):
     """Diagnostic curve |sqrt2 (C+R)| = Omega clipped to the window.
 
     Two straight lines C + R = +-Omega/sqrt2; returned as polylines of
@@ -593,7 +587,7 @@ def boundary_fp_existence_curve(omega: float, c_range=(0.0, 3.0),
     level = omega / math.sqrt(2.0)
     curves = []
     for sign in (+1.0, -1.0):
-        cs = np.linspace(c_range[0], c_range[1], n_points)
+        cs = np.linspace(c_range[0], c_range[1], 64)
         rs = sign * level - cs
         keep = (rs >= r_range[0]) & (rs <= r_range[1])
         if np.any(keep):

@@ -608,6 +608,59 @@ class TestExitCodes:
                                  f"{axis}_max must be finite with a finite span")
         assert not (tmp_path / "o" / "cells.csv").exists()
 
+    def test_config_with_manifest_is_2(self, tmp_path, capsys):
+        # a replay took the manifest's t_final = 1 and dropped the file's
+        main(["evolve", "--t-final", "1", "--output", str(tmp_path / "a")])
+        ini = tmp_path / "longer.ini"
+        ini.write_text("[integrator]\nt_final = 3\n")
+        capsys.readouterr()
+        rc = main(["evolve", "--from-manifest", str(tmp_path / "a" / "manifest.json"),
+                   "--config", str(ini), "--output", str(tmp_path / "b")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith("config error: ")
+        assert "--config" in err[0] and "--from-manifest" in err[0]
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("resolution, key", [
+        ("1", "resolution_c"), ("1,5", "resolution_c"), ("5,1", "resolution_r"),
+    ])
+    def test_resolution_below_two_names_its_key(self, tmp_path, capsys,
+                                                resolution, key):
+        rc = main(["regimes", "--resolution", resolution,
+                   "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: [scan] {key} must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command", ["fixed-points", "regimes", "portrait"])
+    def test_zero_omega_is_2_before_any_solve(self, tmp_path, capsys,
+                                              monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started at omega = 0")
+
+        monkeypatch.setattr(cli, "phase_portrait", no_solve)
+        monkeypatch.setattr(cli, "scan_plane", no_solve)
+        rc = main([command, "--omega", "0", "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "config error: [reduced] omega must be > 0, got 0.0\n"
+
+    @pytest.mark.parametrize("betas", ["1e-300", "0.5,1e-300"])
+    def test_infinite_sweep_time_names_its_keys(self, tmp_path, capsys,
+                                                monkeypatch, betas):
+        # 2 r_max / |beta| overflows; every beta is checked before the
+        # first solve, under the keys that set it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on an infinite sweep")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        rc = main(["sweep", "--r-max", "1e308", "--beta", betas,
+                   "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith("config error: [sweep] r_max and betas must ")
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--method", "rk4", "--dt", "1e-3", "--t-final", "1e9"],
         ["evolve", "--method", "rk4", "--dt", "1e-300", "--t-final", "1e300"],

@@ -57,7 +57,7 @@ class TestSweepProtocol:
         with pytest.raises(ValueError):
             SweepProtocol(beta=1.0, r_max=-1.0)
 
-    @pytest.mark.parametrize("field", ["beta", "t_span", "r_max"])
+    @pytest.mark.parametrize("field", ["beta", "r_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_fields_rejected(self, field, value):
         kwargs = {"beta": 1.0, field: value}
@@ -151,7 +151,7 @@ class TestSweepConversion:
         assert abs(w - w1) <= 3.0 * w1 * w1
 
     @pytest.mark.parametrize("pr", [SweepProtocol(beta=0.7, r_max=1.3),
-                                    SweepProtocol(beta=-0.4, t_span=3.1)])
+                                    SweepProtocol(beta=-0.4, r_max=0.62)])
     def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
         # the sweep right-hand side writes R(t) = beta * (t - T/2)
         # inline; every stage must see the bits of the public r_at

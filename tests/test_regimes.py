@@ -422,11 +422,14 @@ class TestRunCensus:
                                         OMEGA, 0.6)
         gated = lam * eps ** -1.5 > regimes.GATE_LIMIT
         assert gated.any() != skipped and not gated.all()
+        rmap = RegimeMap(c_axis=c_axis, r_axis=r_axis,
+                         codes=np.zeros((0, 0), dtype=int), table=(),
+                         omega=OMEGA, gamma=0.6)
         with mock.patch.object(regimes, "GATE_LIMIT", math.inf):
-            chords = regimes._marked_cells(c_axis, r_axis, OMEGA, 0.6)
+            chords = regimes._marked_cells(rmap)
         with mock.patch.object(regimes, "_census_size",
                                wraps=regimes._census_size) as size:
-            marked = regimes._marked_cells(c_axis, r_axis, OMEGA, 0.6)
+            marked = regimes._marked_cells(rmap)
         assert (marked == (chords | gated)).all()
         shapes = [np.broadcast(*call.args[:2]).shape
                   for call in size.call_args_list]
@@ -810,12 +813,32 @@ class TestTracerParts:
         assert labels == [table[k] for k in codes.tolist()]
 
     def test_cusps_are_solved_once_per_map(self):
-        # the scan and the tracer share one sampling of the set
-        regimes._sampled_bits.cache_clear()
+        # the scan samples the set into the map, and the tracer reads it
         with mock.patch.object(regimes, "_cusps", wraps=regimes._cusps) as cusps:
             rmap = scan_plane(resolution=41, gamma=0.615)
+            assert "_sampled_curves" in vars(rmap)
             trace_boundaries(rmap)
         assert cusps.call_count == 1
+
+    def test_a_hand_built_map_samples_once_however_often_traced(self):
+        # a label-free map samples on its first trace and keeps it; an
+        # equal map samples its own, to the same polylines
+        def label_free():
+            return RegimeMap(c_axis=np.linspace(0.0, 3.0, 41),
+                             r_axis=np.linspace(-2.0, 2.0, 41),
+                             codes=np.zeros((0, 0), dtype=int), table=(),
+                             omega=OMEGA, gamma=0.615)
+
+        rmap = label_free()
+        with mock.patch.object(regimes, "_cusps", wraps=regimes._cusps) as cusps:
+            traces = [trace_boundaries(rmap) for _ in range(2)]
+            assert cusps.call_count == 1
+            traces.append(trace_boundaries(label_free()))
+        assert cusps.call_count == 2
+        assert len(traces[0]) == 4
+        for polys in traces[1:]:
+            assert [(p.labels, p.points.tobytes()) for p in polys] == \
+                [(p.labels, p.points.tobytes()) for p in traces[0]]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(omega=st.floats(math.log(0.05), math.log(1e3)).map(math.exp),
@@ -848,11 +871,10 @@ class TestTracerParts:
     def test_a_zero_cell_map_is_traced_unsampled_by_the_scan(self):
         # the scan marks every cell of a zero-width window without
         # sampling the set; the tracer samples it on its own
-        regimes._sampled_bits.cache_clear()
         rmap = scan_plane((1.0, 1.0), (-2.0, 2.0), (7, 9), 1.0, 0.6)
-        assert regimes._sampled_bits.cache_info().currsize == 0
+        assert "_sampled_curves" not in vars(rmap)
         assert trace_boundaries(rmap) == []
-        assert regimes._sampled_bits.cache_info().currsize == 1
+        assert "_sampled_curves" in vars(rmap)
 
     def test_regimes_run_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma; the regimes command needs it nowhere
