@@ -228,8 +228,10 @@ def _write_cells(outdir, rmap, fmt):
 
 
 def cmd_regimes(resolved, outdir, fmt):
-    omega = _omega(resolved)
-    gamma = resolved["reduced.gamma"]
+    _omega(resolved)
+    # finite before the scan allocates its grid, not in its census
+    omega, gamma = [_checked(resolved, key, math.isfinite, "finite")
+                    for key in ("reduced.omega", "reduced.gamma")]
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
     for axis, (lo, hi) in (("c", c_range), ("r", r_range)):
@@ -378,8 +380,15 @@ def run(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
     outdir = Path(resolved["output.path"])
+    made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[args.command](resolved, outdir, fmt)
+    try:
+        return _HANDLERS[args.command](resolved, outdir, fmt)
+    except (ConfigError, ValueError):  # exit 2: remove what this run made
+        for p in made:  # deepest first; one that holds a file stays
+            if not any(p.iterdir()):
+                p.rmdir()
+        raise
 
 
 def main(argv=None) -> int:

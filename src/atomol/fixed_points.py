@@ -53,10 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import EPS_POLE, TWO_PI, ReducedParams, angle_distance, reduced_deriv
+from .model import EPS_POLE, TWO_PI, PoleError, ReducedParams, angle_distance, reduced_deriv
 
 KIND_CENTER = "center"
 KIND_SPIRAL_ATTRACTOR = "spiral-attractor"
@@ -77,8 +78,7 @@ BOUNDARY_MARGIN = 1e-9
 DOUBLE_ROOT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """Coefficients of the fixed-point cubic, highest power first."""
 
     c3: float
@@ -185,13 +185,16 @@ def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
     and every piece whose ends have strictly opposite signs holds one
     simple root (_bracketed_root).
     """
-    coeffs = (cc.c3, cc.c2, cc.c1, cc.c0)
-    scale = max(map(abs, coeffs))
-    lead = next((k for k in range(3) if abs(coeffs[k]) > 1e-14 * scale), None)
-    if lead is None:
+    c3, c2, c1, c0 = cc
+    tiny = 1e-14 * max(abs(c3), abs(c2), abs(c1), abs(c0))
+    if abs(c3) > tiny:
+        bound = 1.0 + max(abs(c2 / c3), abs(c1 / c3), abs(c0 / c3))
+    elif abs(c2) > tiny:
+        c3, bound = 0.0, 1.0 + max(abs(c1 / c2), abs(c0 / c2))
+    elif abs(c1) > tiny:
+        c3, c2, bound = 0.0, 0.0, 1.0 + abs(c0 / c1)
+    else:
         return []
-    c3, c2, c1, c0 = (0.0,) * lead + coeffs[lead:]
-    bound = 1.0 + max(abs(c / coeffs[lead]) for c in coeffs[lead + 1:])
     xs = [-bound, *sorted(x for x in _critical_points(c3, c2, c1)
                           if -bound < x < bound), bound]
     ps = [((c3 * x + c2) * x + c1) * x + c0 for x in xs]
@@ -279,34 +282,36 @@ def residual(s: float, theta: float, q: ReducedParams) -> float:
 
 
 def _polish_point(s: float, theta: float, q: ReducedParams):
-    """Safeguarded 2D Newton on the raw vector field: (s, theta, residual)."""
-    ds_dt, dth_dt = reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma,
-                                  eps_pole=0.0)
-    best_s, best_t = s, theta
-    best_res = max(abs(ds_dt), abs(dth_dt))
-    for _ in range(20):
-        if best_res < 1e-14:
+    """Safeguarded 2D Newton on the raw vector field: (s, theta, residual).
+
+    It inlines model.reduced_deriv with eps_pole = 0 bit for bit, pole guard
+    included (test_polish_inlines_reduced_deriv), and _jacobian_entries.
+    """
+    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
+    for k in range(21):  # the start, then up to 20 Newton steps
+        if s >= 1.0:
+            raise PoleError(f"reduced flow evaluated at S = {s} (pole at S = 1)")
+        root = math.sqrt(1.0 - s)
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        ds_dt = -2.0 * omega * (1.0 + s) * root * sin_t - gamma * (1.0 - s * s)
+        dth_dt = 4.0 * c * s - 4.0 * r - omega * (1.0 - 3.0 * s) / root * cos_t
+        res = max(abs(ds_dt), abs(dth_dt))
+        if k and not res < best_res:
             break
-        try:
-            j11, j12, j21, j22 = _jacobian_entries(s, theta, q, eps_pole=1e-14)
-        except ValueError:
-            break
+        best_s, best_t, best_res = s, theta, res
+        if k == 20 or res < 1e-14 or s >= 1.0 - 1e-14:
+            break  # the last step, the floor, or the Jacobian's pole guard
+        j11, j12, j21, j22 = _jacobian_terms(s, sin_t, cos_t, root, root ** 3,
+                                             c, omega, gamma)
         det = j11 * j22 - j12 * j21
         norm = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
         if abs(det) < 1e-12 * norm * norm:
             break
         s_new = s - (j22 * ds_dt - j12 * dth_dt) / det
-        t_new = theta - (-j21 * ds_dt + j11 * dth_dt) / det
+        theta = theta - (-j21 * ds_dt + j11 * dth_dt) / det
         if not -1.0 < s_new < 1.0 - 1e-14:
             break
-        ds_dt, dth_dt = reduced_deriv(s_new, t_new, q.c, q.omega, q.r,
-                                      q.gamma, eps_pole=0.0)
-        res = max(abs(ds_dt), abs(dth_dt))
-        s, theta = s_new, t_new
-        if res < best_res:
-            best_s, best_t, best_res = s, theta, res
-        else:
-            break
+        s = s_new
     return best_s, best_t, best_res
 
 
@@ -347,18 +352,20 @@ def _interior_roots(q: ReducedParams):
     double root where the two phase points coincide (|sin theta| = 1,
     a phase-envelope touch).
     """
-    if not q.omega > 0:
+    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
+    if not omega > 0:
         raise ValueError("interior fixed points require omega > 0")
     cc = cubic_coefficients(q)
-    scale = max(abs(cc.c3), abs(cc.c2), abs(cc.c1), abs(cc.c0), 1e-300)
-    degenerate = abs(cc.evaluate(-1.0)) <= 1e-9 * scale
+    c3, c2, c1, c0 = cc
+    scale = max(abs(c3), abs(c2), abs(c1), abs(c0), 1e-300)
+    degenerate = abs(((c3 * -1.0 + c2) * -1.0 + c1) * -1.0 + c0) <= 1e-9 * scale
     folds = []  # (S, unclipped sin theta) of the double roots in (-1, 1)
     points = []  # (s, theta, residual, multiplicity)
     for s_root, mult in real_cubic_roots(cc):
         if not -1.0 < s_root < 1.0:
             continue
         root1ms = math.sqrt(1.0 - s_root)
-        sin_c = -q.gamma * root1ms / (2.0 * q.omega)
+        sin_c = -gamma * root1ms / (2.0 * omega)
         if mult > 1:
             folds.append((s_root, sin_c))
         if not (-1.0 + BOUNDARY_MARGIN < s_root < 1.0 - EPS_POLE):
@@ -366,11 +373,11 @@ def _interior_roots(q: ReducedParams):
         if abs(sin_c) > 1.0 + 1e-9:
             continue
         sin_c = min(1.0, max(-1.0, sin_c))
-        coef = q.omega * (1.0 - 3.0 * s_root) / root1ms
-        inhom = 4.0 * q.c * s_root - 4.0 * q.r
-        if abs(coef) <= 1e-6 * q.omega:
+        coef = omega * (1.0 - 3.0 * s_root) / root1ms
+        inhom = 4.0 * c * s_root - 4.0 * r
+        if abs(coef) <= 1e-6 * omega:
             # cosine equation vacuous: S = 1/3 with C S = R
-            if abs(inhom) > 1e-6 * max(1.0, abs(4.0 * q.c) + abs(4.0 * q.r)):
+            if abs(inhom) > 1e-6 * max(1.0, abs(4.0 * c) + abs(4.0 * r)):
                 continue
             cos_m = math.sqrt(max(0.0, 1.0 - sin_c * sin_c))
             candidates = [math.atan2(sin_c, cos_m)]
@@ -383,14 +390,18 @@ def _interior_roots(q: ReducedParams):
             if res >= RESIDUAL_TOL:
                 continue
             theta_fp %= TWO_PI
-            if any(abs(s - s_fp) < 1e-7 and angle_distance(theta, theta_fp) < 1e-7
-                   for s, theta, *_ in points):
-                continue
-            _check_pole(s_fp)
-            points.append((s_fp, theta_fp, res, mult))
-    points.sort(key=lambda p: (p[0], p[1]))
+            for p in points:  # a duplicate: angle_distance below 1e-7 too
+                if abs(p[0] - s_fp) < 1e-7:
+                    d = abs(p[1] - theta_fp) % TWO_PI
+                    if d < 1e-7 or TWO_PI - d < 1e-7:
+                        break
+            else:
+                _check_pole(s_fp)
+                points.append((s_fp, theta_fp, res, mult))
+    if len(points) > 1:
+        points.sort(key=lambda p: (p[0], p[1]))
     for s_root, sin_c in folds:
-        n_here = sum(1 for p in points if abs(p[0] - s_root) < 1e-6)
+        n_here = [abs(p[0] - s_root) < 1e-6 for p in points].count(True)
         if n_here != 2 or 1.0 - abs(sin_c) <= 1e-9:
             degenerate = True
     return points, degenerate

@@ -153,9 +153,12 @@ class ReducedParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("c", "omega", "r", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        isfinite = math.isfinite
+        if not (isfinite(self.c) and isfinite(self.omega) and isfinite(self.r)
+                and isfinite(self.gamma)):
+            name = next(name for name in ("c", "omega", "r", "gamma")
+                        if not isfinite(getattr(self, name)))
+            raise ValueError(f"{name} must be finite")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
 

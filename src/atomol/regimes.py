@@ -352,18 +352,21 @@ def _sample(curve, t, lo, hi, cell):
         if not split.any():
             break
         t = np.insert(t, np.flatnonzero(split) + 1, mid[split])
-    # bisect each step across the box edge down to its last point inside
+    # bisect each step across the box edge down to its last point
+    # inside, on floats: curve reads a float as one point
+    (c_lo, r_lo), (c_hi, r_hi) = lo.tolist(), hi.tolist()
     ins = inside(pts)
-    k = np.flatnonzero(ins[:-1] != ins[1:])
-    t_in = np.where(ins[k], t[k], t[k + 1])
-    t_out = np.where(ins[k], t[k + 1], t[k])
-    for _ in range(64):
-        mid = 0.5 * (t_in + t_out)
-        if ((mid == t_in) | (mid == t_out)).all():
-            break  # every step is down to adjacent floats
-        now_in = inside(points(mid))
-        t_in = np.where(now_in, mid, t_in)
-        t_out = np.where(now_in, t_out, mid)
+    t_in = []
+    for k in np.flatnonzero(ins[:-1] != ins[1:]).tolist():
+        t_at, t_out = t[[k, k + 1] if ins[k] else [k + 1, k]].tolist()
+        for _ in range(64):
+            mid = 0.5 * (t_at + t_out)
+            if mid == t_at or mid == t_out:
+                break  # down to adjacent floats
+            c, r = curve(mid)[:2]
+            inside_now = c_lo <= c <= c_hi and r_lo <= r <= r_hi
+            t_at, t_out = (mid, t_out) if inside_now else (t_at, mid)
+        t_in.append(t_at)
     t = _unique(np.concatenate([t, t_in]))
     return t, inside(points(t))
 
@@ -477,10 +480,12 @@ def _bifurcation_set(omega, gamma, c_span):
     om2, g2 = np.float64(omega) ** 2, np.float64(gamma) ** 2
     s0 = max(-1.0, 1.0 - 4.0 * om2 / g2)
 
-    def g(s):  # g(s), g'(s)
-        h = np.sqrt(np.maximum(4.0 * om2 / (1.0 - s) - g2, 0.0) / 64.0)
+    def g(s):  # g(s), g'(s), of floats or arrays
+        # w * w: a float's w ** 2 (libm pow) can miss np.square's bits
+        w = 1.0 - s
+        h = np.sqrt(np.maximum(4.0 * om2 / w - g2, 0.0) / 64.0)
         u = 1.0 - 3.0 * s
-        return u * h, u * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
+        return u * h, u * om2 / (32.0 * (w * w) * h) - 3.0 * h
 
     def line(slope, offset, flips=False):
         return (lambda c: (c, slope * c + offset, slope)), c_span, flips
@@ -539,15 +544,12 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
     lo, hi, cell = rmap._window
     floor = min(0.25 * cell.min(), 1e-7 * max(1.0, *np.abs(lo), *np.abs(hi)))
     delta = min(0.25 * cell.min(), max(refine_tol, floor))
-    q = ReducedParams(omega=rmap.omega, gamma=rmap.gamma)
+    floor, delta = float(floor), float(delta)
+    omega, gamma = rmap.omega, rmap.gamma
+    ReducedParams(omega=omega, gamma=gamma)  # both checked before any probe
 
-    def sides(c, r, slope, step):  # census labels at (c, r) -+ step (-slope, 1)
-        labels = set()
-        for sign in (1.0, -1.0):
-            p = ReducedParams(c=float(c - sign * slope * step), omega=q.omega,
-                              r=float(r + sign * step), gamma=q.gamma)
-            labels.add(classify_regime(p).label)
-        return tuple(sorted(labels))
+    def label(c, r):
+        return classify_regime(ReducedParams(c=c, omega=omega, r=r, gamma=gamma)).label
 
     sampled = []
     for pts, chords, slopes, inside, flips in rmap._sampled_curves:
@@ -561,14 +563,18 @@ def trace_boundaries(rmap: RegimeMap, refine_tol: float = 1e-3) -> list[Boundary
         gap = np.full(len(pts), np.inf)
         gap[inside] = _distance_to_chords(pts[inside], np.concatenate(others),
                                           2.0 * delta, cell)
-        pairs = []
-        for p, slope, keep, gap_p in zip(pts, slopes, inside, gap):
+        # the sorted census labels at (c, r) -+ step (-slope, 1), on floats
+        rows, pairs = pts.tolist(), []
+        for (c, r), slope, keep, gap_p in zip(rows, slopes.tolist(),
+                                              inside.tolist(), gap.tolist()):
             if keep and not gap_p < 2.0 * floor:
-                step = max(floor, np.fmin(delta, 0.5 * gap_p))
-                pairs.append(sides(*p, slope, step / math.hypot(slope, 1.0)))
+                step = max(floor, min(delta, 0.5 * gap_p)) / math.hypot(slope, 1.0)
+                a = label(c - slope * step, r + step)
+                b = label(c + slope * step, r - step)
+                pairs.append((a,) if a == b else (a, b) if a < b else (b, a))
             else:
                 pairs.append(())
-        for key, run in itertools.groupby(zip(pairs, pts), lambda x: x[0]):
+        for key, run in itertools.groupby(zip(pairs, rows), lambda x: x[0]):
             if len(key) == 2 and set(key) <= set(REGIME_LABELS):
                 points = np.array([p for _, p in run])
                 polylines.append(BoundaryPolyline(labels=key, points=points))

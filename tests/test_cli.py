@@ -646,6 +646,52 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: [reduced] omega must be > 0, got 0.0\n"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--omega", "nan"), ("--omega", "inf"), ("--gamma", "inf"),
+        ("--gamma", "-inf"), ("--gamma", "nan")])
+    def test_non_finite_regimes_input_names_its_section(self, tmp_path, capsys,
+                                                        monkeypatch, flag, value):
+        # checked before the scan allocates its grid and samples the set
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan started on non-finite input")
+
+        monkeypatch.setattr(cli, "scan_plane", no_scan)
+        rc = main(["regimes", f"{flag}={value}", "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: [reduced] {flag[2:]} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["regimes", "--resolution", "1"],  # a ConfigError of the command
+        ["regimes", "--omega", "nan"],
+        ["fixed-points", "--c", "inf"],  # a ValueError of the library
+        ["portrait", "--n-s", "0"],
+    ])
+    @pytest.mark.parametrize("output", ["fo1", "new/deeper/fo1"])
+    def test_a_config_error_removes_the_directories_it_made(
+            self, tmp_path, capsys, monkeypatch, argv, output):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--output", output]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("keep", [[], ["notes.txt"]])
+    def test_a_config_error_keeps_a_directory_that_was_there(
+            self, tmp_path, capsys, keep):
+        # an output directory that existed, empty or holding a file, stays
+        out = tmp_path / "parent" / "o"
+        out.mkdir(parents=True)
+        for name in keep:
+            (out / name).write_text("kept")
+        assert main(["regimes", "--resolution", "1", "--output", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == keep
+        assert [(out / name).read_text() for name in keep] == ["kept"] * len(keep)
+
+    def test_a_numerical_failure_keeps_the_directory(self, tmp_path, capsys):
+        rc = main(["evolve", "--t-final", "1", "--rtol", "1e-300", "--atol",
+                   "1e-300", "--u", "2.0", "--a0-sq", "0.6",
+                   "--output", str(tmp_path / "o")])
+        assert rc == 3 and (tmp_path / "o").is_dir()
+
     @pytest.mark.parametrize("betas", ["1e-300", "0.5,1e-300"])
     def test_infinite_sweep_time_names_its_keys(self, tmp_path, capsys,
                                                 monkeypatch, betas):

@@ -248,6 +248,23 @@ class TestSelfTrapping:
                                 a0_sq=0.9, t_span=20.0, cfg=FAST)
         assert run.trapped
 
+    @pytest.mark.parametrize("s0, r, omega", [
+        (0.8, 0.0, 1.0), (0.6, 0.2, 1.0), (0.9, -0.3, 2.0), (0.5, 0.1, 0.5),
+        (0.7, -0.1, 1.5)])
+    def test_zero_loss_threshold_is_the_energy_barrier(self, s0, r, omega):
+        # at Gamma = 0 the flow keeps E = 2 Om (1+S) sqrt(1-S) cos(theta)
+        # - 2 C S^2 + 4 R S; from (S0, pi) the orbit reaches S = 0, where
+        # E >= -2 Om, iff C < u_c, so runs 1e-3 on either side of u_c
+        # are untrapped and trapped
+        u_c = (omega * (1.0 - (1.0 + s0) * math.sqrt(1.0 - s0))
+               + 2.0 * r * s0) / s0 ** 2
+        if (s0, r, omega) == (0.8, 0.0, 1.0):
+            assert u_c == pytest.approx(0.30471, abs=5e-6)
+        for du, trapped in ((-1e-3, False), (1e-3, True)):
+            run = self_trapping_run(u=u_c + du, v=omega, r=r, gamma_minus=0.0,
+                                    a0_sq=(1.0 + s0) / 2.0, t_span=5.0)
+            assert run.trapped is trapped
+
     def test_amplitude_ordering_under_loss(self):
         amps = {}
         for gamma in (0.0, 0.5, -0.5):

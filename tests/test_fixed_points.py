@@ -14,6 +14,8 @@ from atomol.fixed_points import (
     KIND_SADDLE,
     KIND_SPIRAL_REPELLER,
     RESIDUAL_TOL,
+    _jacobian_entries,
+    _polish_point,
     all_fixed_points,
     boundary_fixed_point,
     cubic_coefficients,
@@ -23,7 +25,7 @@ from atomol.fixed_points import (
     residual,
     threshold_gamma,
 )
-from atomol.model import ReducedParams, angle_distance, reduced_deriv
+from atomol.model import PoleError, ReducedParams, angle_distance, reduced_deriv
 from atomol.regimes import classify_regime
 
 from oracles import (
@@ -303,6 +305,63 @@ class TestCensusProperties:
             (m,) = [m for m in mirrored if abs(m.s - p.s) < 1e-9
                     and angle_distance(m.theta, -p.theta) < 1e-9]
             assert m.kind == REVERSED_KIND.get(p.kind, p.kind)
+
+
+def reference_polish(s, theta, q):
+    """_polish_point written on model.reduced_deriv and _jacobian_entries,
+    the calls it inlines."""
+    ds, dth = reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma, eps_pole=0.0)
+    best = (s, theta, max(abs(ds), abs(dth)))
+    for _ in range(20):
+        if best[2] < 1e-14:
+            break
+        try:
+            j11, j12, j21, j22 = _jacobian_entries(s, theta, q, eps_pole=1e-14)
+        except ValueError:
+            break
+        det = j11 * j22 - j12 * j21
+        norm = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
+        if abs(det) < 1e-12 * norm * norm:
+            break
+        s_new = s - (j22 * ds - j12 * dth) / det
+        t_new = theta - (-j21 * ds + j11 * dth) / det
+        if not -1.0 < s_new < 1.0 - 1e-14:
+            break
+        ds, dth = reduced_deriv(s_new, t_new, q.c, q.omega, q.r, q.gamma,
+                                eps_pole=0.0)
+        s, theta = s_new, t_new
+        res = max(abs(ds), abs(dth))
+        if not res < best[2]:
+            break
+        best = (s, theta, res)
+    return best
+
+
+class TestPolish:
+    @PROPERTY
+    @given(REDUCED, st.floats(-1.0, 1.0 - 1e-12, exclude_min=True),
+           st.floats(-10.0, 10.0))
+    @example(ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0), 1.0 / 3.0,
+             math.pi)  # a fixed point: no step
+    @example(ReducedParams(c=1.0, omega=1.0, r=0.0, gamma=0.0), 1.0 - 1e-13,
+             0.0)  # inside the Jacobian's pole guard
+    def test_polish_inlines_reduced_deriv(self, q, s, theta):
+        got = _polish_point(s, theta, q)
+        assert [x.hex() for x in got] == \
+            [x.hex() for x in reference_polish(s, theta, q)]
+        # its residual is the raw field's at the point it returns
+        assert got[2] == residual(got[0], got[1], q)
+
+    @pytest.mark.parametrize("s, theta, error", [
+        (1.0, 0.0, PoleError), (1.5, 1.0, PoleError),
+        (0.2, math.inf, ValueError), (0.2, -math.inf, ValueError)])
+    def test_polish_raises_what_reduced_deriv_raises(self, s, theta, error):
+        q = ReducedParams(c=0.4, omega=1.0, r=0.1, gamma=0.3)
+        with pytest.raises(error) as expected:
+            reduced_deriv(s, theta, q.c, q.omega, q.r, q.gamma, eps_pole=0.0)
+        with pytest.raises(error) as got:
+            _polish_point(s, theta, q)
+        assert str(got.value) == str(expected.value)
 
 
 class TestBoundaryFixedPoint:

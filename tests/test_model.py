@@ -200,6 +200,36 @@ class TestGpRhs:
             assert (q.gamma_a, q.gamma_b) == (p.gamma_a, p.gamma_b)
 
 
+class TestReducedParams:
+    FIELDS = ("c", "omega", "r", "gamma")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", range(4))
+    def test_the_first_non_finite_field_is_named(self, bad, first):
+        # this field and each later one bad, or this one alone
+        for later in (True, False):
+            values = {name: bad if k == first or (later and k > first) else 0.5
+                      for k, name in enumerate(self.FIELDS)}
+            with pytest.raises(ValueError) as err:
+                ReducedParams(**values)
+            assert str(err.value) == f"{self.FIELDS[first]} must be finite"
+
+    @pytest.mark.parametrize("omega", [-0.5, -1e-300, -1e300])
+    def test_negative_omega_keeps_its_message(self, omega):
+        with pytest.raises(ValueError) as err:
+            ReducedParams(omega=omega)
+        assert str(err.value) == f"omega must be >= 0, got {omega}"
+
+    def test_a_non_finite_field_is_named_before_a_negative_omega(self):
+        with pytest.raises(ValueError) as err:
+            ReducedParams(omega=-1.0, gamma=math.inf)
+        assert str(err.value) == "gamma must be finite"
+
+    def test_finite_fields_are_kept(self):
+        q = ReducedParams(c=-1e300, omega=0, r=1e-300, gamma=-0.0)
+        assert (q.c, q.omega, q.r, q.gamma) == (-1e300, 0, 1e-300, -0.0)
+
+
 class TestReducedRhs:
     def test_stationary_point(self):
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)

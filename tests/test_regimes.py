@@ -868,6 +868,52 @@ class TestTracerParts:
             s = np.linspace(s0, 1.0, 4097)[1:-1]
             assert len(set(np.signbit(shape(s)).tolist())) == 1
 
+    @pytest.mark.parametrize("zoom, gamma", [
+        (None, 0.6),
+        # onto the fold's cusp, Gamma just above sqrt6 Omega
+        (1e-2, 1.01 * math.sqrt(6.0)), (1e-4, 1.001 * math.sqrt(6.0))])
+    def test_each_exit_vertex_is_the_last_float_inside(self, zoom, gamma):
+        # where a sampled curve leaves the window, the vertex _sample
+        # added maps inside, and the next float of its parameter toward
+        # the outside vertex maps outside, unless 64 halvings of the
+        # crossing step could not reach adjacent floats
+        if zoom is None:
+            c_range, r_range, n = (0.0, 3.0), (-2.0, 2.0), 200
+        else:
+            om2, g2 = OMEGA ** 2, gamma ** 2
+            s = 1.0 - 6.0 * om2 / (2.0 * g2 - 3.0 * om2)  # the cusp
+            h = math.sqrt((4.0 * om2 / (1.0 - s) - g2) / 64.0)
+            dg = (1.0 - 3.0 * s) * om2 / (32.0 * (1.0 - s) ** 2 * h) - 3.0 * h
+            c, r = dg, s * dg - (1.0 - 3.0 * s) * h
+            c_range, r_range, n = (c - zoom, c + zoom), (r - zoom, r + zoom), 50
+        rmap = RegimeMap(np.linspace(*c_range, n), np.linspace(*r_range, n),
+                         np.zeros((0, 0), dtype=int), (), OMEGA, gamma)
+        lo, hi, cell = rmap._window
+
+        def maps_inside(curve, t):
+            c, r = curve(t)[:2]
+            return bool(lo[0] <= c <= hi[0] and lo[1] <= r <= hi[1])
+
+        exits = 0
+        with np.errstate(all="ignore"):
+            for curve, t, _ in regimes._bifurcation_set(OMEGA, gamma,
+                                                        np.array([lo[0], hi[0]])):
+                t, inside = regimes._sample(curve, t, lo, hi, cell)
+                for k in np.flatnonzero(inside[:-1] != inside[1:]).tolist():
+                    at, out = (k, k + 1) if inside[k] else (k + 1, k)
+                    t_at, t_out = t[at].item(), t[out].item()
+                    assert maps_inside(curve, t_at)
+                    after = math.nextafter(t_at, t_out)
+                    # the crossing step began at the inside vertex before
+                    # this one, or at this one
+                    before = at - (out - at)
+                    t_from = (t[before].item() if 0 <= before < len(t)
+                              and inside[before] else t_at)
+                    capped = abs(t_out - t_from) * 2.0 ** -62 > abs(after - t_at)
+                    assert capped or not maps_inside(curve, after), (t_at, t_out)
+                    exits += 1
+        assert exits >= 2
+
     def test_a_zero_cell_map_is_traced_unsampled_by_the_scan(self):
         # the scan marks every cell of a zero-width window without
         # sampling the set; the tracer samples it on its own
