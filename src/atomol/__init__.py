@@ -22,7 +22,6 @@ from .model import (
     amplitudes_from_canonical,
     derived_quantities,
     effective_energy,
-    params_from_gamma,
     reduce_bare_params,
 )
 from .integrate import (
@@ -63,8 +62,7 @@ __all__ = [
     "__version__",
     "Amplitudes", "BareParams", "CanonicalState", "NumericalError", "Params",
     "PoleError", "ReducedParams", "amplitudes_from_canonical",
-    "derived_quantities", "effective_energy", "params_from_gamma",
-    "reduce_bare_params",
+    "derived_quantities", "effective_energy", "reduce_bare_params",
     "IntegratorConfig", "PoleEvent", "StepBudgetError", "StepUnderflowError",
     "Trajectory",
     "evolve", "evolve_reduced",

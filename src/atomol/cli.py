@@ -154,8 +154,13 @@ def _checked(resolved, key, ok, rule):
     return value
 
 
-def _omega(resolved):  # > 0 for the census; a NaN fails later, as not finite
-    return _checked(resolved, "reduced.omega", lambda v: not v <= 0.0, "> 0")
+def _reduced(resolved) -> ReducedParams:
+    """The [reduced] section, each key finite, in field order, and omega
+    > 0 for the census."""
+    for key in aio.SCHEMA["reduced"]:
+        _checked(resolved, f"reduced.{key}", math.isfinite, "finite")
+    _checked(resolved, "reduced.omega", lambda v: v > 0.0, "> 0")
+    return ReducedParams(**_section(resolved, "reduced"))
 
 
 def _finish(command, resolved, derived, outdir, outputs):
@@ -203,7 +208,7 @@ def _fixed_point_columns(points):
 
 
 def cmd_fixed_points(resolved, outdir, fmt):
-    q = ReducedParams(**_section(resolved, "reduced", omega=_omega(resolved)))
+    q = _reduced(resolved)
     points = all_fixed_points(q)
     out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                           _fixed_point_columns(points), fmt)
@@ -228,10 +233,9 @@ def _write_cells(outdir, rmap, fmt):
 
 
 def cmd_regimes(resolved, outdir, fmt):
-    _omega(resolved)
-    # finite before the scan allocates its grid, not in its census
-    omega, gamma = [_checked(resolved, key, math.isfinite, "finite")
-                    for key in ("reduced.omega", "reduced.gamma")]
+    # checked before the scan allocates its grid, not in its census
+    q = _reduced(resolved)
+    omega, gamma = q.omega, q.gamma
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
     for axis, (lo, hi) in (("c", c_range), ("r", r_range)):
@@ -337,7 +341,7 @@ def cmd_portrait(resolved, outdir, fmt):
     if n_s * n_theta > MAX_ORBITS:
         raise ConfigError(f"[portrait] n_s * n_theta must be <= {MAX_ORBITS} "
                           f"orbits, got {n_s} * {n_theta}")
-    q = ReducedParams(**_section(resolved, "reduced", omega=_omega(resolved)))
+    q = _reduced(resolved)
     t_span = _t_span(resolved, "portrait")
     cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)

@@ -18,10 +18,15 @@ right-hand side carries sqrt(1 - S), orbits that graze S = 1 cost the
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
 f(t, y) gets that tuple and returns a pair (the tuples of the model's
-*_deriv functions).  The steps write the stages out for the two
-components in the operation order of the vector form
-(y + h * (a21 * k1) and so on), so the trajectories keep the bits they
-had when the states were numpy arrays.
+*_deriv functions).  A step returns one flat tuple,
+(y_new0, y_new1, k_last0, k_last1, *err), or None where it fails: a
+right-hand side overflowed a float power, or a reduced-flow stage lay
+at or past S = 1.  The loop rejects a failed step as one of infinite
+norm.  The steps write the stages out for the two components in the
+operation order of the vector form (y + h * (a21 * k1) and so on), so
+the trajectories keep the bits they had when the states were numpy
+arrays.  The (S, theta) chart's own 4(5) step writes its right-hand
+side into the stages instead of calling f, with the same bits.
 
 Every product of a float and a stage is written complex-first
 (y + k1 * a21 * h): on a float-first product CPython 3.11 first calls
@@ -32,20 +37,20 @@ commute exactly, up to the sign or payload of a NaN, which no output
 shows; 3.14 uses one mixed rule for both orders.  On a float pair both
 orders are the same float product.
 
-On a complex pair one numpy call remains per attempted 4(5) step: its
-error norm takes every magnitude from one np.abs on the packed
-[*err, *y, *y_new], because numpy's complex abs and Python's
-abs(complex) can differ in the last bit, which steers the step-size
-controller; on floats the two agree.  The 8(5,3) norm, with no earlier
-bits to keep, uses Python's abs.
+The 4(5) norm of the amplitude pairs takes every magnitude from one
+np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
+and Python's abs(complex) can differ in the last bit, which steers the
+step-size controller.  On floats the two agree, so the chart's norm and
+the 8(5,3) norm, which has no earlier bits to keep, take Python's abs.
 
 The adaptive loop evaluates f once at the start state of each step:
 the derivative that the first step size is estimated from is the first
 step's first stage, each accepted step's last stage is the next step's
 first, and the pole-event bisection gives every trial step the event
-step's first stage k1.  Its step-size control uses plain comparisons
-with the results of min and max: a tie keeps the first argument, and a
-NaN growth factor gives the lower clamp, _MIN_FACTOR.
+step's first stage k1: on the chart that is the solve's only call of f.
+Its step-size control uses plain comparisons with the results of min
+and max: a tie keeps the first argument, and a NaN growth factor gives
+the lower clamp, _MIN_FACTOR.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -210,22 +216,14 @@ class PoleEvent:
     theta: float
 
 
-def _nan_state(y):
-    """NaN in every component, complex NaN where the state is complex.
-
-    Stands for the inf/NaN a numpy scalar gave where a Python float
-    power raises OverflowError.
-    """
-    return tuple([math.nan * yi for yi in y])
-
-
 def _rk45_step(f, t, y, h, k1=None):
     """One Dormand-Prince step.
 
-    Returns the 5th-order state, the error components, and the last
-    stage derivative (first-same-as-last: reusable as k1 of the next
-    step).  A right-hand side that overflows a float power or raises
-    _PastEvent gives a NaN step, which the step controller rejects.
+    Returns the flat result (y_new0, y_new1, k_last0, k_last1, err0,
+    err1): the 5th-order state, the last stage derivative
+    (first-same-as-last: the next step's k1) and the error components.
+    A right-hand side that overflows a float power or raises _PastEvent
+    gives None, a failed step, which the step controller rejects.
     """
     y0, y1 = y
     try:
@@ -246,57 +244,52 @@ def _rk45_step(f, t, y, h, k1=None):
                   + e0 * _A65) * h,
             y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64
                   + e1 * _A65) * h))
-        y_new = (
-            y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h,
-            y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h)
-        k7 = f(t + h, y_new)
-        p0, p1 = k7
+        n0 = y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h
+        n1 = y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h
+        p0, p1 = f(t + h, (n0, n1))
     except (OverflowError, _PastEvent):
-        nan = _nan_state(y)
-        return nan, nan, nan
-    err = ((a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
-            + p0 * _E7) * h,
-           (a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6
-            + p1 * _E7) * h)
-    return y_new, err, k7
+        return None
+    return (n0, n1, p0, p1,
+            (a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
+             + p0 * _E7) * h,
+            (a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6
+             + p1 * _E7) * h)
 
 
-def _error_norm(err, y, y_new, rtol, atol, h):
+def _error_norm(res, y, rtol, atol, h):
     """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
 
-    Six exact floats take Python's abs, anything else one np.abs call on
-    the packed components (see the module docstring): the norm keeps its
-    bits.  h is unused: the 4(5) error components already carry it.
+    res is a 4(5) step's flat result.  The magnitudes come from one
+    np.abs call on the packed components (see the module docstring):
+    the norm keeps its bits.  h is unused: the 4(5) error components
+    already carry it.
     """
-    (e0, e1), (a0, a1), (b0, b1) = err, y, y_new
-    if (type(e0) is float and type(e1) is float and type(a0) is float
-            and type(a1) is float and type(b0) is float and type(b1) is float):
-        e0, e1, a0, a1 = abs(e0), abs(e1), abs(a0), abs(a1)
-        b0, b1 = abs(b0), abs(b1)
-    else:
-        e0, e1, a0, a1, b0, b1 = np.abs(np.array([*err, *y, *y_new])).tolist()
+    b0, b1, _, _, e0, e1 = res
+    e0, e1, a0, a1, b0, b1 = np.abs(np.array([e0, e1, *y, b0, b1])).tolist()
+    return _float_norm((b0, b1, 0.0, 0.0, e0, e1), (a0, a1), rtol, atol, h)
+
+
+def _float_norm(res, y, rtol, atol, h):
+    """_error_norm of a float pair, with Python's abs."""
+    b0, b1, _, _, e0, e1 = res
+    a0, a1 = y
+    a0, a1, b0, b1 = abs(a0), abs(a1), abs(b0), abs(b1)
     scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
-    if a0 != a0 or not scale0 > 0.0:
-        return math.inf
-    ratio0 = e0 / scale0
-    if not math.isfinite(ratio0):
-        return math.inf
     scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
-    if a1 != a1 or not scale1 > 0.0:
+    if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
         return math.inf
-    ratio1 = e1 / scale1
-    if not math.isfinite(ratio1):
-        return math.inf
-    return math.sqrt((ratio0 * ratio0 + ratio1 * ratio1) / 2)
+    ratio0, ratio1 = abs(e0) / scale0, abs(e1) / scale1
+    total = ratio0 * ratio0 + ratio1 * ratio1
+    # a NaN or infinite ratio gives inf
+    return math.sqrt(total / 2) if total == total else math.inf
 
 
 def _dop853_step(f, t, y, h, k1=None):
     """One Dormand-Prince 8(5,3) step, with the contract of _rk45_step.
 
-    The error part is ((e5_0, e5_1), (e3_0, e3_1)): the 5th- and
-    3rd-order error components, not yet multiplied by h, which
-    _dop853_norm combines.  A right-hand side that overflows a float
-    power or raises _PastEvent gives a NaN step.
+    The error part of the flat result is e5_0, e5_1, e3_0, e3_1: the
+    5th- and 3rd-order error components, not yet multiplied by h, which
+    _dop853_norm combines.
     """
     y0, y1 = y
     try:
@@ -354,21 +347,20 @@ def _dop853_step(f, t, y, h, k1=None):
               + u10 * _DB10 + u11 * _DB11 + u12 * _DB12)
         s1 = (v1 * _DB1 + v6 * _DB6 + v7 * _DB7 + v8 * _DB8 + v9 * _DB9
               + v10 * _DB10 + v11 * _DB11 + v12 * _DB12)
-        y_new = (y0 + s0 * h, y1 + s1 * h)
-        k13 = f(t + h, y_new)
+        n0, n1 = y0 + s0 * h, y1 + s1 * h
+        p0, p1 = f(t + h, (n0, n1))
     except (OverflowError, _PastEvent):
-        nan = _nan_state(y)
-        return nan, (nan, nan), nan
-    e5 = ((u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
-           + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
-          (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
-           + v10 * _DE10 + v11 * _DE11 + v12 * _DE12))
-    e3 = (s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
-          s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
-    return y_new, (e5, e3), k13
+        return None
+    return (n0, n1, p0, p1,
+            (u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
+             + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
+            (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
+             + v10 * _DE10 + v11 * _DE11 + v12 * _DE12),
+            s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
+            s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
 
 
-def _dop853_norm(err, y, y_new, rtol, atol, h):
+def _dop853_norm(res, y, rtol, atol, h):
     """|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) 2) for the 8(5,3) pair.
 
     e5^2 and e3^2 are the sums of squares of the error components over
@@ -376,9 +368,9 @@ def _dop853_norm(err, y, y_new, rtol, atol, h):
     when both errors are 0.  The magnitudes come from Python's abs: this
     pair has no earlier bits to keep (see the module docstring).
     """
-    (e50, e51), (e30, e31) = err
+    b0, b1, _, _, e50, e51, e30, e31 = res
     a0, a1 = abs(y[0]), abs(y[1])
-    b0, b1 = abs(y_new[0]), abs(y_new[1])
+    b0, b1 = abs(b0), abs(b1)
     scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
     scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
     if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
@@ -402,6 +394,11 @@ def _as_state(y0):
         raise ValueError(f"the solvers step two-component states, "
                          f"got {len(y)} components")
     return y
+
+
+def _stacked(states):
+    """The recorded pairs as an (n, 2) array, by way of one flat list."""
+    return np.array(list(chain.from_iterable(states))).reshape(-1, 2)
 
 
 def _initial_step(f, t0, y0, rtol, atol, t_final):
@@ -440,13 +437,14 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     (times, states, event_state) where event_state is None or the
     (t, y) pair at the halt.
 
-    step(f, t, y, h, k1) -> (y_new, err, k_last) and
-    norm(err, y, y_new, rtol, atol, h) are the pair's step and error
-    norm, and the step size scales with norm ** exponent: _rk45_step,
-    _error_norm and -1/5, or _dop853_step, _dop853_norm and -1/8.
-    The first step's k1 is the derivative _initial_step took at
-    (t0, y0), and each bisection step takes the event step's k1.  The
-    growth factor _SAFETY * norm ** exponent is clamped as
+    step(f, t, y, h, k1) -> flat result or None (see the module
+    docstring) and norm(res, y, rtol, atol, h) are the pair's step and
+    error norm, and the step size scales with norm ** exponent:
+    _rk45_step, _error_norm and -1/5, or _dop853_step, _dop853_norm and
+    -1/8.  The first step's k1 is the derivative _initial_step took at
+    (t0, y0), and each bisection step takes the event step's k1; a
+    failed step is not below the event.  The growth factor
+    _SAFETY * norm ** exponent is clamped as
     min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) clamps it: a NaN factor
     gives _MIN_FACTOR, and a tie keeps the first argument.
 
@@ -476,13 +474,14 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             raise StepBudgetError(
                 f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
         attempted += 1
-        y_new, err, k_last = step(f, t, y, h, k1)
-        err_norm = norm(err, y, y_new, rtol, atol, h)
+        res = step(f, t, y, h, k1)
+        err_norm = math.inf if res is None else norm(res, y, rtol, atol, h)
         if err_norm > 1.0:
             factor = _SAFETY * err_norm ** exponent
             h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
         # step accepted
+        y_new = res[0], res[1]
         if event is not None and event(t + h, y_new) >= 0.0:
             t, y = _locate_event(f, event, t, y, h, step, k1)
             event_state = (t, y)
@@ -491,7 +490,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             break
         t += h
         y = y_new
-        k1 = k_last
+        k1 = res[2], res[3]
         accepted += 1
         if accepted % record_every == 0 or t >= t_final:
             times.append(t)
@@ -504,7 +503,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     if times[-1] != t:
         times.append(t)
         states.append(y)
-    return np.array(times), np.array(states), event_state
+    return np.array(times), _stacked(states), event_state
 
 
 def _locate_event(f, event, t, y, h, step, k1):
@@ -518,9 +517,9 @@ def _locate_event(f, event, t, y, h, step, k1):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = step(f, t, y, mid, k1)
-        if event(t + mid, y_mid) < 0.0:
-            lo, y_lo = mid, y_mid
+        res = step(f, t, y, mid, k1)
+        if res is not None and event(t + mid, res[:2]) < 0.0:
+            lo, y_lo = mid, res[:2]
         else:
             hi = mid
     return t + lo, y_lo
@@ -535,7 +534,7 @@ def _rk4_step(f, t, y, h):
         c0, c1 = f(t + 0.5 * h, (y0 + b0 * (0.5 * h), y1 + b1 * (0.5 * h)))
         d0, d1 = f(t + h, (y0 + c0 * h, y1 + c1 * h))
     except OverflowError:
-        return _nan_state(y)
+        return math.nan * y0, math.nan * y1
     w = h / 6.0
     return (y0 + (a0 + b0 * 2.0 + c0 * 2.0 + d0) * w,
             y1 + (a1 + b1 * 2.0 + c1 * 2.0 + d1) * w)
@@ -590,7 +589,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     if times[-1] != t:
         times.append(t)
         states.append(y)
-    return np.array(times), np.array(states), event_state
+    return np.array(times), _stacked(states), event_state
 
 
 # adaptive pair -> (step, error norm, step-size exponent)
@@ -599,11 +598,12 @@ _PAIRS = {"rk45": (_rk45_step, _error_norm, -0.2),
 
 
 def _solve(f, t0, y0, cfg: IntegratorConfig, event=None,
-           end_state_only=False):
+           end_state_only=False, pairs=_PAIRS):
     """Solve with cfg's method.
 
     "adaptive" is the 8(5,3) pair when the caller reads only the end
-    state (end_state_only) and the 4(5) pair otherwise.
+    state (end_state_only) and the 4(5) pair otherwise.  pairs maps the
+    pair names to (step, norm, exponent), as _PAIRS does.
     """
     if cfg.method == "rk4":
         return solve_fixed(f, t0, y0, cfg.t_final, cfg.dt,
@@ -611,7 +611,7 @@ def _solve(f, t0, y0, cfg: IntegratorConfig, event=None,
     pair = cfg.method
     if pair == "adaptive":
         pair = "dop853" if end_state_only else "rk45"
-    step, norm, exponent = _PAIRS[pair]
+    step, norm, exponent = pairs[pair]
     return solve_adaptive(f, t0, y0, cfg.t_final, rtol=cfg.rtol,
                           atol=cfg.atol, record_every=cfg.record_every,
                           event=event, step=step, norm=norm,
@@ -693,6 +693,64 @@ def _guarded_reduced_f(c, omega, r, gamma):
     return f
 
 
+def _reduced_rk45_step(c, omega, r, gamma):
+    """_rk45_step over _guarded_reduced_f, that right-hand side written
+    into each stage: the same bits, or None where that step fails or a
+    phase overflowed to inf (test_reduced_step_is_the_guarded_step).
+    The flow is autonomous; the stage times and f go unused.
+    """
+    m2omega, c4, r4 = -2.0 * omega, 4.0 * c, 4.0 * r
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+
+    def step(f, t, y, h, k1):
+        y0, y1 = y
+        a0, a1 = k1
+        # the pole guard: sqrt raises past S = 1, the division by root at
+        # it; sin(inf) raises too
+        try:
+            s = y0 + a0 * _A21 * h
+            root = sqrt(1.0 - s)
+            th = y1 + a1 * _A21 * h
+            b0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            b1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+            s = y0 + (a0 * _A31 + b0 * _A32) * h
+            root = sqrt(1.0 - s)
+            th = y1 + (a1 * _A31 + b1 * _A32) * h
+            c0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            c1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+            s = y0 + (a0 * _A41 + b0 * _A42 + c0 * _A43) * h
+            root = sqrt(1.0 - s)
+            th = y1 + (a1 * _A41 + b1 * _A42 + c1 * _A43) * h
+            d0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            d1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+            s = y0 + (a0 * _A51 + b0 * _A52 + c0 * _A53 + d0 * _A54) * h
+            root = sqrt(1.0 - s)
+            th = y1 + (a1 * _A51 + b1 * _A52 + c1 * _A53 + d1 * _A54) * h
+            e0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            e1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+            s = y0 + (a0 * _A61 + b0 * _A62 + c0 * _A63 + d0 * _A64
+                      + e0 * _A65) * h
+            root = sqrt(1.0 - s)
+            th = y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64
+                       + e1 * _A65) * h
+            g0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            g1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+            s = y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h
+            root = sqrt(1.0 - s)
+            th = y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h
+            p0 = m2omega * (1.0 + s) * root * sin(th) - gamma * (1.0 - s * s)
+            p1 = c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(th)
+        except (ValueError, ZeroDivisionError):
+            return None
+        return (s, th, p0, p1,
+                (a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
+                 + p0 * _E7) * h,
+                (a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6
+                 + p1 * _E7) * h)
+
+    return step
+
+
 def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    eps_pole: float = EPS_POLE) -> ReducedTrajectory:
@@ -710,7 +768,9 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
         return y[0] - s_max
 
     f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
-    times, states, hit = _solve(f, 0.0, (s0, theta0), cfg, event=pole)
+    chart = _reduced_rk45_step(q.c, q.omega, q.r, q.gamma), _float_norm, -0.2
+    times, states, hit = _solve(f, 0.0, (s0, theta0), cfg, event=pole,
+                                pairs={"rk45": chart})
     event = None
     if hit is not None:
         t_ev, (s_ev, theta_ev) = hit

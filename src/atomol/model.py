@@ -130,13 +130,6 @@ class Params:
                              r=self.r, gamma=self.gamma_minus)
 
 
-def params_from_gamma(v=1.0, u=0.0, r=0.0, gamma_minus=0.0, gamma_plus=0.0) -> Params:
-    """Build Params from the (total, relative) decoherence rates."""
-    return Params(v=v, u=u, r=r,
-                  gamma_a=gamma_plus + gamma_minus,
-                  gamma_b=gamma_plus - gamma_minus)
-
-
 @dataclass(frozen=True)
 class ReducedParams:
     """Constants of the autonomous reduced (S, theta) flow.

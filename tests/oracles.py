@@ -13,17 +13,18 @@ Jacobian and its spectrum as numpy 2x2 arrays, and the solver steps
 from per-component comprehensions of the vector form instead of the
 stages written out for a pair; the 8(5,3) step loops
 over a tableau gathered from the module's coefficient names, the
-adaptive solve loop keeps its builtin min/max step control and
-evaluates each solve's and each bisection step's first stage afresh
-(solve_adaptive, _initial_step and _locate_event as they were before
-their first stages were shared), CSV and
+adaptive solve loop keeps its builtin min/max step control, evaluates
+each solve's and each bisection step's first stage afresh and steps
+with the generic steps, whose results nest (solve_adaptive,
+_initial_step and _locate_event as they were before their first stages
+were shared and their steps' results were flat), CSV and
 JSON tables are built row by row instead of per column, and the cells
 table of a regime map from one row per cell instead of from its axes
 and label codes (write_cells is the regimes command's cells writer).
 
-The test-only helpers at the end (serialize_config, ATTRACTOR_KINDS
-and REPELLER_KINDS, cubic_derivative) are named here because the
-program itself never needs them.
+The test-only helpers at the end (serialize_config, params_from_gamma,
+ATTRACTOR_KINDS and REPELLER_KINDS, cubic_derivative) are named here
+because the program itself never needs them.
 """
 
 import json
@@ -43,9 +44,9 @@ from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
     _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, MAX_STEPS,
-    StepBudgetError, StepUnderflowError, _as_state, _error_norm, _PastEvent,
-    _rk45_step)
-from atomol.model import EPS_POLE, PoleError, ReducedParams, reduced_deriv
+    StepBudgetError, StepUnderflowError, _as_state, _PastEvent)
+from atomol.model import (EPS_POLE, Params, PoleError, ReducedParams,
+                          reduced_deriv)
 from atomol.regimes import REGIME_LABELS, classify_regime
 
 
@@ -353,8 +354,9 @@ def distance_to_chords(pts, chords):
 def rk45_step(f, t, y, h, k1=None):
     """One Dormand-Prince step on a tuple state of any length.
 
-    Same contract and bits as integrate._rk45_step: a right-hand side
-    that overflows a float power or raises _PastEvent gives a NaN step.
+    Returns (y_new, err, k_last), or None where a right-hand side
+    overflows a float power or raises _PastEvent: the bits of
+    integrate._rk45_step in the nesting of the vector form.
     """
     try:
         if k1 is None:
@@ -376,17 +378,17 @@ def rk45_step(f, t, y, h, k1=None):
             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
         k7 = f(t + h, y_new)
     except (OverflowError, _PastEvent):
-        nan = tuple([math.nan * yi for yi in y])
-        return nan, nan, nan
+        return None
     err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
            for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
     return y_new, err, k7
 
 
-def error_norm(err, y, y_new, rtol, atol):
+def error_norm(err, y, y_new, rtol, atol, h=None):
     """integrate._error_norm on a tuple state of any length.
 
     The squares are summed left to right, as numpy sums a short array.
+    h is unused, as there.
     """
     n = len(y)
     mags = np.abs(np.array([*err, *y, *y_new])).tolist()
@@ -447,8 +449,8 @@ def _weighted_sum(weights, ks, m):
 def dop853_step(f, t, y, h, k1=None):
     """One Dormand-Prince 8(5,3) step on a tuple state of any length.
 
-    Same contract and bits as integrate._dop853_step, from a loop over
-    the dense tableau.
+    Returns (y_new, (err5, err3), k_last) or None, with the bits of
+    integrate._dop853_step, from a loop over the dense tableau.
     """
     c, a, b, e5, bhh = DOP853_TABLEAU
     n = range(len(y))
@@ -461,8 +463,7 @@ def dop853_step(f, t, y, h, k1=None):
         y_new = tuple([y[m] + h * sums[m] for m in n])
         k_last = f(t + h, y_new)
     except (OverflowError, _PastEvent):
-        nan = tuple([math.nan * yi for yi in y])
-        return nan, (nan, nan), nan
+        return None
     err3 = []
     for m in n:
         total = sums[m]
@@ -494,6 +495,11 @@ def dop853_norm(err, y, y_new, rtol, atol, h):
     return abs(h) * sq5 / math.sqrt(denom)
 
 
+# pair name -> (step, error norm, step-size exponent), as integrate._PAIRS
+PAIRS = {"rk45": (rk45_step, error_norm, -0.2),
+         "dop853": (dop853_step, dop853_norm, -0.125)}
+
+
 def _initial_step(f, t0, y0, rtol, atol, t_final):
     """Conservative first step from the size of the initial derivative."""
     f0 = np.asarray(f(t0, y0))
@@ -513,11 +519,13 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    rtol: float = 1e-11, atol: float = 1e-11,
                    record_every: int = 1,
                    event: Optional[Callable] = None,
-                   step: Callable = _rk45_step,
-                   norm: Callable = _error_norm,
+                   step: Callable = rk45_step,
+                   norm: Callable = error_norm,
                    exponent: float = -0.2):
     """integrate.solve_adaptive with builtin min/max step control, a
-    fresh first stage on the first step and on each bisection step."""
+    fresh first stage on the first step and on each bisection step, and
+    steps that return (y_new, err, k_last), or None for a failed step
+    of infinite norm."""
     # a numpy scalar here would make every step numpy-scalar arithmetic
     t0, t_final = float(t0), float(t_final)
     y = _as_state(y0)
@@ -539,8 +547,12 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             raise StepBudgetError(
                 f"step budget of {MAX_STEPS} steps exceeded at t = {t!r}")
         attempted += 1
-        y_new, err, k_last = step(f, t, y, h, k1)
-        err_norm = norm(err, y, y_new, rtol, atol, h)
+        res = step(f, t, y, h, k1)
+        if res is None:
+            err_norm = math.inf
+        else:
+            y_new, err, k_last = res
+            err_norm = norm(err, y, y_new, rtol, atol, h)
         if err_norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
             continue
@@ -579,9 +591,9 @@ def _locate_event(f, event, t, y, h, step):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        y_mid, _, _ = step(f, t, y, mid)
-        if event(t + mid, y_mid) < 0.0:
-            lo, y_lo = mid, y_mid
+        res = step(f, t, y, mid)
+        if res is not None and event(t + mid, res[0]) < 0.0:
+            lo, y_lo = mid, res[0]
         else:
             hi = mid
     return t + lo, y_lo
@@ -643,6 +655,16 @@ def serialize_config(values: dict) -> str:
                 lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
+
+
+def params_from_gamma(v=1.0, u=0.0, r=0.0, gamma_minus=0.0,
+                      gamma_plus=0.0) -> Params:
+    """Params from the paper's total and relative decoherence rates
+    (Gamma_+, Gamma_-), which Params reads back as gamma_plus and
+    gamma_minus."""
+    return Params(v=v, u=u, r=r,
+                  gamma_a=gamma_plus + gamma_minus,
+                  gamma_b=gamma_plus - gamma_minus)
 
 
 ATTRACTOR_KINDS = (KIND_SPIRAL_ATTRACTOR, KIND_NODE_ATTRACTOR)

@@ -35,14 +35,13 @@ from atomol.model import (
     ReducedParams,
     amplitudes_from_canonical,
     angle_distance,
-    params_from_gamma,
     reduced_deriv,
 )
 from atomol.regimes import classify_regime, scan_plane
 
 from oracles import (ATTRACTOR_KINDS, REPELLER_KINDS, bisect_roots,
                      cubic_derivative, jacobian, newton_survey,
-                     threshold_by_bisection)
+                     params_from_gamma, threshold_by_bisection)
 
 SQRT6 = math.sqrt(6.0)
 

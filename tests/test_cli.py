@@ -646,20 +646,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "config error: [reduced] omega must be > 0, got 0.0\n"
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--omega", "nan"), ("--omega", "inf"), ("--gamma", "inf"),
-        ("--gamma", "-inf"), ("--gamma", "nan")])
-    def test_non_finite_regimes_input_names_its_section(self, tmp_path, capsys,
-                                                        monkeypatch, flag, value):
-        # checked before the scan allocates its grid and samples the set
-        def no_scan(*args, **kwargs):
-            raise AssertionError("the scan started on non-finite input")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, key", [
+        ("regimes", "omega"), ("regimes", "gamma"),
+        *[(command, key) for command in ("fixed-points", "portrait")
+          for key in ("c", "omega", "r", "gamma")]])
+    def test_non_finite_reduced_input_names_its_section(
+            self, tmp_path, capsys, monkeypatch, command, key, value):
+        # checked before the scan allocates its grid and samples the set,
+        # and before any fixed point or orbit is computed; "--r=-inf",
+        # since argparse reads a bare "-inf" as a flag
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on non-finite input")
 
-        monkeypatch.setattr(cli, "scan_plane", no_scan)
-        rc = main(["regimes", f"{flag}={value}", "--output", str(tmp_path / "o")])
+        for name in ("scan_plane", "all_fixed_points", "phase_portrait"):
+            monkeypatch.setattr(cli, name, no_work)
+        rc = main([command, f"--{key}={value}", "--output",
+                   str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == \
-            f"config error: [reduced] {flag[2:]} must be finite, got {value}\n"
+            f"config error: [reduced] {key} must be finite, got {value}\n"
 
     @pytest.mark.parametrize("argv", [
         ["regimes", "--resolution", "1"],  # a ConfigError of the command

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import functools
 import hashlib
 import math
 import struct
@@ -24,6 +25,7 @@ from atomol.integrate import (
     solve_fixed,
 )
 from atomol.model import (
+    EPS_POLE,
     Amplitudes,
     CanonicalState,
     NumericalError,
@@ -33,11 +35,10 @@ from atomol.model import (
     angle_distance,
     derived_quantities,
     effective_energy,
-    params_from_gamma,
     reduced_deriv,
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
-                     rk4_step, rk45_step)
+                     params_from_gamma, rk4_step, rk45_step)
 import oracles
 from oracles import solve_adaptive as oracle_solve_adaptive
 
@@ -448,6 +449,16 @@ def bits(values):
     return out
 
 
+def flat_result(nested):
+    """An oracle step's (y_new, err, k_last) in the order of the flat
+    result of integrate's steps, (*y_new, *k_last, *err); None stays
+    None."""
+    if nested is None:
+        return None
+    y_new, err, k_last = nested
+    return (*y_new, *k_last, *flat(err))
+
+
 def outcome(step, *args):
     """A step's state as exact bytes, or _PastEvent if it raised that."""
     try:
@@ -508,10 +519,12 @@ class TestPairSteps:
         f = pair_rhs(p, q, power, limit)
         pair = integrate._rk45_step(f, t, y, h, k1)
         generic = rk45_step(f, t, y, h, k1)
-        assert [bits(part) for part in pair] == [bits(part) for part in generic]
+        if generic is None:
+            assert pair is None
+            return
+        assert bits(pair) == bits(flat_result(generic))
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
-            assert bits([integrate._error_norm(pair[1], y, pair[0],
-                                               rtol, atol, h)]) == \
+            assert bits([integrate._error_norm(pair, y, rtol, atol, h)]) == \
                 bits([error_norm(generic[1], y, generic[0], rtol, atol)])
 
     @PAIR_PROPERTY
@@ -528,13 +541,12 @@ class TestPairSteps:
         f = pair_rhs(p, q, power, limit)
         pair = integrate._dop853_step(f, t, y, h, k1)
         generic = dop853_step(f, t, y, h, k1)
-        (y_new, (e5, e3), k_last) = pair
-        assert [bits(y_new), bits(e5), bits(e3), bits(k_last)] == \
-            [bits(generic[0]), bits(generic[1][0]), bits(generic[1][1]),
-             bits(generic[2])]
+        if generic is None:
+            assert pair is None
+            return
+        assert bits(pair) == bits(flat_result(generic))
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
-            assert bits([integrate._dop853_norm(pair[1], y, y_new, rtol,
-                                                atol, h)]) == \
+            assert bits([integrate._dop853_norm(pair, y, rtol, atol, h)]) == \
                 bits([dop853_norm(generic[1], y, generic[0], rtol, atol, h)])
 
     @PAIR_PROPERTY
@@ -574,7 +586,8 @@ class TestPairSteps:
              atol=1e-11)  # a float state with complex errors
     def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
                                                  atol):
-        pair = integrate._error_norm(err, y, y_new, rtol, atol, 1.0)
+        pair = integrate._error_norm((*y_new, 0.0, 0.0, *err), y, rtol, atol,
+                                     1.0)
         assert bits([pair]) == bits([error_norm(err, y, y_new, rtol, atol)])
 
     @PAIR_PROPERTY
@@ -594,7 +607,8 @@ class TestPairSteps:
              atol=1e-11, h=-0.3)
     def test_dop853_norm_is_the_generic_norm(self, err, y, y_new, rtol, atol,
                                              h):
-        pair = integrate._dop853_norm(err, y, y_new, rtol, atol, h)
+        pair = integrate._dop853_norm((*y_new, 0.0, 0.0, *flat(err)), y, rtol,
+                                      atol, h)
         assert bits([pair]) == bits([dop853_norm(err, y, y_new, rtol, atol,
                                                  h)])
         assert pair == math.inf or 0.0 <= pair < math.inf
@@ -624,6 +638,49 @@ class TestPairSteps:
             assert bits(f(0.0, (s, theta))) == bits(
                 reduced_deriv(s, theta, c, omega, r, gamma, eps_pole=0.0))
 
+    @PAIR_PROPERTY
+    @given(s=st.one_of(st.floats(min_value=-1.0, max_value=1.0,
+                                 exclude_max=True),
+                       st.floats(min_value=0.9, max_value=1.0,
+                                 exclude_max=True),
+                       st.floats(min_value=-1e3, max_value=1.0,
+                                 exclude_max=True)),
+           theta=st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                           st.floats(allow_nan=True, allow_infinity=True)),
+           h=st.one_of(_STEPS, st.sampled_from([1e300, 1e307])),
+           c=_COEFFS, omega=_COEFFS, r=_COEFFS, gamma=_COEFFS)
+    # a stage at or past the pole
+    @example(s=0.9, theta=3.0 * math.pi / 2.0, h=1.0, c=0.0, omega=1.0,
+             r=0.0, gamma=0.0)
+    # theta + h * 6 * _A21 overflows to inf in the second stage
+    @example(s=0.5, theta=1.79e308, h=1e307, c=3.0, omega=0.0, r=0.0,
+             gamma=0.0)
+    @example(s=0.5, theta=-1.79e308, h=-1e307, c=3.0, omega=0.0, r=0.0,
+             gamma=0.4)
+    # a smooth step with every term of both components at work
+    @example(s=-0.3, theta=2.0, h=0.1, c=0.7, omega=1.1, r=-0.4,
+             gamma=0.6)
+    def test_reduced_step_is_the_guarded_step(self, s, theta, h, c, omega,
+                                              r, gamma):
+        # the chart's step gives the bits of _rk45_step over the guarded
+        # right-hand side, or it fails where that step fails or gives a
+        # state or error of infinite norm, which the loop rejects alike
+        f = integrate._guarded_reduced_f(c, omega, r, gamma)
+        y, t = (s, theta), 0.25
+        k1 = f(t, y)
+        guarded = integrate._rk45_step(f, t, y, h, k1)
+        written = integrate._reduced_rk45_step(c, omega, r, gamma)(
+            None, t, y, h, k1)
+        norm = functools.partial(integrate._error_norm, y=y, h=h)
+        if written is None:
+            assert (guarded is None
+                    or norm(guarded, rtol=1e-11, atol=1e-11) == math.inf)
+            return
+        assert bits(written) == bits(guarded)
+        for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
+            assert bits([integrate._float_norm(written, y, rtol, atol, h)]) \
+                == bits([norm(guarded, rtol=rtol, atol=atol)])
+
     def test_dop853_one_step_error_is_ninth_order(self):
         # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less
         # per halving of h, from h = 1 down to where rounding sets in
@@ -632,7 +689,7 @@ class TestPairSteps:
 
         errors = []
         for h in (1.0, 0.5, 0.25):
-            y_new, _, _ = integrate._dop853_step(f, 0.0, (1 + 0j, 1 + 0j), h)
+            y_new = integrate._dop853_step(f, 0.0, (1 + 0j, 1 + 0j), h)[:2]
             errors.append(max(abs(y_new[0] - cmath.exp(1j * h)),
                               abs(y_new[1] - cmath.exp(-1j * h))))
         for coarse, fine in zip(errors, errors[1:]):
@@ -698,15 +755,20 @@ def test_pair_steps_keep_the_bits_on_full_precision_states(pair_step,
              if rng.random() < 0.5 else tuple(parts[:2]))
         p, q, h, t = rng.uniform(-2.0, 2.0, 4).tolist()
         f = pair_rhs(p, q, int(rng.integers(1, 4)), math.inf)
-        assert bits(flat(pair_step(f, t, y, h))) == \
-            bits(flat(generic_step(f, t, y, h)))
+        pair, generic = pair_step(f, t, y, h), generic_step(f, t, y, h)
+        if generic_step is not rk4_step:
+            generic = flat_result(generic)
+        assert (pair is None) == (generic is None)
+        if pair is not None:
+            assert bits(pair) == bits(generic)
 
 
 def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     """A solve's times, states and event as exact bytes, or the type and
     message of what it raised.  level, when not None, is an event at
     y0.real = level."""
-    step, norm, exponent = integrate._PAIRS[pair]
+    step, norm, exponent = (integrate._PAIRS if solve is solve_adaptive
+                            else oracles.PAIRS)[pair]
     event = None if level is None else (lambda t, y: y[0].real - level)
     try:
         times, states, hit = solve(f, t0, y0, t0 + span, rtol=tols[0],
@@ -789,6 +851,35 @@ class TestSolveLoop:
                 mock.patch.object(oracles, "MAX_STEPS", 1000):
             assert solve_outcome(solve_adaptive, *args) == \
                 solve_outcome(oracle_solve_adaptive, *args)
+
+    @pytest.mark.parametrize("s0, theta0, q, cfg", [
+        # the pole-event start of the bench portrait, recording every 3rd
+        # step
+        (0.9, 3.0 * math.pi / 2.0, ReducedParams(),
+         IntegratorConfig(t_final=5.0, record_every=3)),
+        (-0.6, 3.0 * math.pi / 2.0, ReducedParams(gamma=-0.4),
+         IntegratorConfig(t_final=10.0)),
+        (0.2, 1.0, ReducedParams(c=1.3, omega=0.8, r=0.3, gamma=-0.4),
+         IntegratorConfig(t_final=10.0, rtol=1e-8, atol=1e-9,
+                          record_every=3)),
+        (0.6, 2.0, ReducedParams(gamma=0.6),
+         IntegratorConfig(method="rk45", t_final=10.0))])
+    def test_reduced_solve_is_the_oracle_loop(self, s0, theta0, q, cfg):
+        # evolve_reduced steps with the chart's own step; the oracle loop
+        # steps the guarded right-hand side with the generic 4(5) step
+        tr = evolve_reduced(s0, theta0, q, cfg)
+        s_max = 1.0 - EPS_POLE
+        times, states, hit = oracle_solve_adaptive(
+            integrate._guarded_reduced_f(q.c, q.omega, q.r, q.gamma), 0.0,
+            (s0, theta0), cfg.t_final, rtol=cfg.rtol, atol=cfg.atol,
+            record_every=cfg.record_every, event=lambda t, y: y[0] - s_max)
+        assert tr.times.tobytes() == times.tobytes()
+        assert tr.s.tobytes() == states[:, 0].tobytes()
+        assert tr.theta.tobytes() == states[:, 1].tobytes()
+        assert (tr.pole_event is None) == (hit is None)
+        if hit is not None:
+            ev = tr.pole_event
+            assert bits([ev.time, ev.s, ev.theta]) == bits([hit[0], *hit[1]])
 
     @pytest.mark.parametrize("pair", ["rk45", "dop853"])
     def test_start_states_are_evaluated_once(self, pair):

@@ -17,12 +17,13 @@ from atomol.model import (
     derived_quantities,
     effective_energy,
     gp_deriv,
-    params_from_gamma,
     reduce_bare_params,
     reduced_deriv,
     unit_norm_deriv,
     wrap_angle,
 )
+
+from oracles import params_from_gamma
 
 
 def random_amplitudes(rng, allow_zero=False):
