@@ -17,6 +17,7 @@ the 4(5) pair (see atomol.integrate).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -224,7 +225,7 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
     if not 0.0 <= a0_sq <= 1.0:
         raise ValueError(f"a0_sq must be in [0, 1], got {a0_sq}")
     a0 = math.sqrt(a0_sq)
-    b0 = math.sqrt((1.0 - a0_sq) / 2.0) * np.exp(-1j * theta0)
+    b0 = math.sqrt((1.0 - a0_sq) / 2.0) * cmath.exp(-1j * theta0)
     times, states = _run_unit_norm(a0 + 0j, b0, u, v, gamma_minus, r,
                                    t_span, cfg)
     d = derived_quantities(states, v, u, r)

@@ -38,13 +38,10 @@ points:
   residual gate, dedupe and degeneracy flags, for a grid's regime
   labels (regimes.regime_census).  The loops are masked: they iterate
   until every element has stopped, by the scalar code's branch rules,
-  with its expressions in its order.  numpy's
-  +, -, *, /, sqrt, sin, cos and mod give the bits of Python's float
-  arithmetic and math, but np.arctan2, np.hypot and powers (x**3, x**2,
-  np.power) differ from math.atan2 and float pow in the last bit on 1%
-  to 35% of inputs (numpy 2.4.6, AVX-512).  So the phase (atan2) and the
-  cubes and squares of real_cubic_roots and of the polish Jacobian go
-  through Python, one call per element.  A point where the scalar census
+  with its expressions in its order.  By the rule of model._mapped for
+  Python's bits over an array, the phase (atan2) and the cubes and
+  squares of real_cubic_roots and of the polish Jacobian go through
+  Python, one call per element.  A point where the scalar census
   raises (a polish step to an infinite phase, a point within EPS_POLE of
   the pole, a non-finite one) is marked, to be handed to it.
 """
@@ -57,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EPS_POLE, TWO_PI, PoleError, ReducedParams, angle_distance, reduced_deriv
+from .model import (EPS_POLE, TWO_PI, PoleError, ReducedParams, _mapped,
+                    angle_distance, reduced_deriv)
 
 KIND_CENTER = "center"
 KIND_SPIRAL_ATTRACTOR = "spiral-attractor"
@@ -540,16 +538,6 @@ def _first_max(first, *rest):
     return first
 
 
-def _mapped(fn, *arrays) -> np.ndarray:
-    """fn of Python floats over 1-D arrays, for the bits of CPython's math."""
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-
-
-def _pow(x, k) -> np.ndarray:
-    """x ** k of CPython floats (libm pow) over a 1-D array."""
-    return np.array([v ** k for v in x.tolist()], dtype=float)
-
-
 def _shrink(keep, *arrays):
     return [a[keep] for a in arrays]
 
@@ -597,8 +585,8 @@ def _real_cubic_roots_array(c3, c2, c1, c0):
     for k in (1, 2):  # a critical point where p vanishes is a double root
         at = np.flatnonzero(n_crit >= k)
         x = xs[at, k]
-        local = _first_max(np.abs(c3[at] * _pow(x, 3)),
-                           np.abs(c2[at] * _pow(x, 2)),
+        local = _first_max(np.abs(c3[at] * _mapped(lambda v: v ** 3, x)),
+                           np.abs(c2[at] * _mapped(lambda v: v ** 2, x)),
                            np.abs(c1[at] * x), np.abs(c0[at]))
         ps[at[np.abs(ps[at, k]) <= DOUBLE_ROOT_TOL * local], k] = 0.0
 
@@ -683,7 +671,7 @@ def _polish_points(s, theta, c, omega, r, gamma):
             break
         root = np.sqrt(1.0 - s)
         j11, j12, j21, j22 = _jacobian_terms(
-            s, np.sin(theta), np.cos(theta), root, _pow(root, 3),
+            s, np.sin(theta), np.cos(theta), root, _mapped(lambda v: v ** 3, root),
             c, omega, gamma)
         det = j11 * j22 - j12 * j21
         norm = _first_max(np.abs(j11), np.abs(j12), np.abs(j21), np.abs(j22), 1e-300)

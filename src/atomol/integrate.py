@@ -37,11 +37,11 @@ commute exactly, up to the sign or payload of a NaN, which no output
 shows; 3.14 uses one mixed rule for both orders.  On a float pair both
 orders are the same float product.
 
-The 4(5) norm of the amplitude pairs takes every magnitude from one
-np.abs on the packed [*err, *y, *y_new], because numpy's complex abs
-and Python's abs(complex) can differ in the last bit, which steers the
-step-size controller.  On floats the two agree, so the chart's norm and
-the 8(5,3) norm, which has no earlier bits to keep, take Python's abs.
+No numpy call runs between _as_state and the result arrays.  The norms
+that steer the step size take their magnitudes from Python's abs,
+libm's hypot on a complex, whose bits, unlike those of numpy's complex
+abs, do not depend on the CPU's SIMD dispatch target.  One 4(5) norm,
+_float_norm, serves the amplitude pairs and the (S, theta) chart.
 
 The adaptive loop evaluates f once at the start state of each step:
 the derivative that the first step size is estimated from is the first
@@ -60,6 +60,7 @@ over the singularity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
@@ -256,32 +257,32 @@ def _rk45_step(f, t, y, h, k1=None):
              + p1 * _E7) * h)
 
 
-def _error_norm(res, y, rtol, atol, h):
-    """RMS of |err| / (atol + rtol max(|y|, |y_new|)); inf if not finite.
+def _scaled_squares(res, y, rtol, atol, at):
+    """Sum of (|e| / (atol + rtol max(|y|, |y_new|)))^2 over the two error
+    components res[at], res[at + 1] of a flat step result.
 
-    res is a 4(5) step's flat result.  The magnitudes come from one
-    np.abs call on the packed components (see the module docstring):
-    the norm keeps its bits.  h is unused: the 4(5) error components
-    already carry it.
+    The magnitudes come from Python's abs (see the module docstring).
+    inf where a magnitude is NaN, a scale is not positive, a ratio is
+    not finite, or a complex magnitude is past the largest float, where
+    abs raises.
     """
-    b0, b1, _, _, e0, e1 = res
-    e0, e1, a0, a1, b0, b1 = np.abs(np.array([e0, e1, *y, b0, b1])).tolist()
-    return _float_norm((b0, b1, 0.0, 0.0, e0, e1), (a0, a1), rtol, atol, h)
+    try:
+        a0, a1, b0, b1 = abs(y[0]), abs(y[1]), abs(res[0]), abs(res[1])
+        scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
+        scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
+        if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
+            return math.inf
+        ratio0, ratio1 = abs(res[at]) / scale0, abs(res[at + 1]) / scale1
+    except OverflowError:
+        return math.inf
+    total = ratio0 * ratio0 + ratio1 * ratio1
+    return total if total == total else math.inf
 
 
 def _float_norm(res, y, rtol, atol, h):
-    """_error_norm of a float pair, with Python's abs."""
-    b0, b1, _, _, e0, e1 = res
-    a0, a1 = y
-    a0, a1, b0, b1 = abs(a0), abs(a1), abs(b0), abs(b1)
-    scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
-    scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
-    if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
-        return math.inf
-    ratio0, ratio1 = abs(e0) / scale0, abs(e1) / scale1
-    total = ratio0 * ratio0 + ratio1 * ratio1
-    # a NaN or infinite ratio gives inf
-    return math.sqrt(total / 2) if total == total else math.inf
+    """The one 4(5) error norm, the RMS of _scaled_squares; h is unused,
+    as the 4(5) error components already carry it."""
+    return math.sqrt(_scaled_squares(res, y, rtol, atol, 4) / 2)
 
 
 def _dop853_step(f, t, y, h, k1=None):
@@ -363,23 +364,12 @@ def _dop853_step(f, t, y, h, k1=None):
 def _dop853_norm(res, y, rtol, atol, h):
     """|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) 2) for the 8(5,3) pair.
 
-    e5^2 and e3^2 are the sums of squares of the error components over
-    atol + rtol max(|y|, |y_new|).  inf if anything is not finite; 0
-    when both errors are 0.  The magnitudes come from Python's abs: this
-    pair has no earlier bits to keep (see the module docstring).
+    e5^2 and e3^2 are the _scaled_squares of the 5th- and 3rd-order
+    error components.  inf if anything is not finite; 0 when both errors
+    are 0.
     """
-    b0, b1, _, _, e50, e51, e30, e31 = res
-    a0, a1 = abs(y[0]), abs(y[1])
-    b0, b1 = abs(b0), abs(b1)
-    scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
-    scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
-    if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
-        return math.inf
-    r50, r51 = abs(e50) / scale0, abs(e51) / scale1
-    r30, r31 = abs(e30) / scale0, abs(e31) / scale1
-    e5 = r50 * r50 + r51 * r51
-    e3 = r30 * r30 + r31 * r31
-    denom = (e5 + 0.01 * e3) * 2.0
+    e5 = _scaled_squares(res, y, rtol, atol, 4)
+    denom = (e5 + 0.01 * _scaled_squares(res, y, rtol, atol, 6)) * 2.0
     if not math.isfinite(denom):
         return math.inf
     if denom == 0.0:
@@ -405,19 +395,17 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
     """Conservative first step from the size of the initial derivative.
 
     Returns the step and that derivative, f(t0, y0), which is the first
-    step's first stage.
+    step's first stage.  The sizes of y0 and f(t0, y0) are _float_norm
+    of a step that stays at y0 with that error.
     """
     k1 = f(t0, y0)
-    f0 = np.asarray(k1)
-    scale = atol + rtol * np.abs(y0)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
-    if (d0 < 1e-5 or d1 < 1e-5
-            or not math.isfinite(d0) or not math.isfinite(d1)):
-        h0 = 1e-6
-    else:
+    d0 = _float_norm((*y0, None, None, *y0), y0, rtol, atol, None)
+    d1 = _float_norm((*y0, None, None, *k1), y0, rtol, atol, None)
+    # a norm is never NaN, and an infinite one takes the fallback
+    if 1e-5 <= d0 < math.inf and 1e-5 <= d1 < math.inf:
         h0 = 0.01 * d0 / d1
+    else:
+        h0 = 1e-6
     return min(h0, 0.1 * (t_final - t0)), k1
 
 
@@ -426,7 +414,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    record_every: int = 1,
                    event: Optional[Callable] = None,
                    step: Callable = _rk45_step,
-                   norm: Callable = _error_norm,
+                   norm: Callable = _float_norm,
                    exponent: float = -0.2):
     """Integrate dy/dt = f(t, y) with an embedded pair, 4(5) by default.
 
@@ -440,13 +428,13 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     step(f, t, y, h, k1) -> flat result or None (see the module
     docstring) and norm(res, y, rtol, atol, h) are the pair's step and
     error norm, and the step size scales with norm ** exponent:
-    _rk45_step, _error_norm and -1/5, or _dop853_step, _dop853_norm and
+    _rk45_step, _float_norm and -1/5, or _dop853_step, _dop853_norm and
     -1/8.  The first step's k1 is the derivative _initial_step took at
     (t0, y0), and each bisection step takes the event step's k1; a
     failed step is not below the event.  The growth factor
     _SAFETY * norm ** exponent is clamped as
-    min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) clamps it: a NaN factor
-    gives _MIN_FACTOR, and a tie keeps the first argument.
+    min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) would clamp it: a NaN
+    factor gives _MIN_FACTOR, and a tie keeps the first argument.
 
     Raises ValueError when y0 is not a pair, StepUnderflowError when no
     acceptable step size remains and StepBudgetError after MAX_STEPS
@@ -462,7 +450,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     attempted = 0
     accepted = 0
     event_state = None
-    tiny = 16.0 * np.finfo(float).eps
+    tiny = 16.0 * sys.float_info.epsilon
 
     while t < t_final:
         rest = t_final - t
@@ -593,7 +581,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
 
 
 # adaptive pair -> (step, error norm, step-size exponent)
-_PAIRS = {"rk45": (_rk45_step, _error_norm, -0.2),
+_PAIRS = {"rk45": (_rk45_step, _float_norm, -0.2),
           "dop853": (_dop853_step, _dop853_norm, -0.125)}
 
 

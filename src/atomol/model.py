@@ -251,6 +251,17 @@ def effective_energy(s, theta, q: ReducedParams) -> float:
     return float(_energy(s, theta, q.c, q.omega, q.r))
 
 
+def _mapped(fn, *arrays) -> np.ndarray:
+    """fn of Python floats over 1-D arrays, for the bits of CPython's math.
+
+    numpy's +, -, *, /, sqrt, sin, cos and mod give Python's bits, but
+    its complex abs, arctan2 and powers differed from them in the last
+    bit on 1% to 35% of inputs (numpy 2.4.6), which ones depending on
+    the SIMD loops it dispatches to on the CPU.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
 def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
     """Per-sample observables of an amplitude trajectory.
 
@@ -261,21 +272,24 @@ def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
     where either mode is empty, P(a) = |a|^2/n, the Bloch components
     (2*sqrt2 Re[(a*)^2 b], 2*sqrt2 Im[(a*)^2 b], |a|^2 - 2|b|^2), and
     the energy at the instantaneous effective couplings C = U*n,
-    Omega = V*sqrt(n).  S and P(a) are 0 where n = 0.
+    Omega = V*sqrt(n).  S and P(a) are 0 where n = 0.  The squares and
+    (a*)^2 b are real arithmetic, and the phases math.atan2 (_mapped).
     """
-    a = states[:, 0]
-    b = states[:, 1]
-    pa = np.abs(a) ** 2
-    pb = 2.0 * np.abs(b) ** 2
+    x, y = states[:, 0].real, states[:, 0].imag
+    bx, by = states[:, 1].real, states[:, 1].imag
+    pa = x * x + y * y
+    pb = 2.0 * (bx * bx + by * by)
     n = pa + pb
     safe_n = np.where(n == 0.0, 1.0, n)
     s = (pa - pb) / safe_n
-    theta = wrap_angle(2.0 * np.angle(a) - np.angle(b))
+    theta = wrap_angle(2.0 * _mapped(math.atan2, y, x)
+                       - _mapped(math.atan2, by, bx))
     degenerate = (pa == 0.0) | (pb == 0.0)
     theta = np.where(degenerate, 0.0, theta)
-    w = np.conj(a) ** 2 * b
+    # (a*)^2 = (x^2 - y^2) - 2ixy, times b = bx + i by
+    wr, wi = x * x - y * y, -2.0 * x * y
     f = 2.0 * math.sqrt(2.0)
     energy = _energy(s, theta, u * n, v * np.sqrt(n), r)
     return {"s": s, "theta": theta, "n": n, "p_atom": pa / safe_n,
-            "hx": f * w.real, "hy": f * w.imag, "hz": pa - pb,
-            "energy": energy}
+            "hx": f * (wr * bx - wi * by), "hy": f * (wr * by + wi * bx),
+            "hz": pa - pb, "energy": energy}

@@ -8,6 +8,7 @@ second algebraic route, the loss threshold from bisection on the
 cubic instead of its closed form, and regime boundaries from bisection
 between differing grid cells instead of the closed-form bifurcation set,
 whose distance comes from a second parametrization of the fold, the
+S range of a zero-loss orbit from bisection on its conserved energy, the
 tracer's chord distance from all pairs instead of bucketed chords, the
 Jacobian and its spectrum as numpy 2x2 arrays, and the solver steps
 from per-component comprehensions of the vector form instead of the
@@ -385,16 +386,18 @@ def rk45_step(f, t, y, h, k1=None):
 
 
 def error_norm(err, y, y_new, rtol, atol, h=None):
-    """integrate._error_norm on a tuple state of any length.
+    """integrate._float_norm on a tuple state of any length.
 
-    The squares are summed left to right, as numpy sums a short array.
-    h is unused, as there.
+    The magnitudes are Python's abs, and one past the largest float,
+    where abs of a complex raises, gives inf.  h is unused, as there.
     """
     n = len(y)
-    mags = np.abs(np.array([*err, *y, *y_new])).tolist()
+    try:
+        mags = [abs(v) for v in (*err, *y, *y_new)]
+    except OverflowError:
+        return math.inf
     total = 0.0
     for e, a, b in zip(mags[:n], mags[n:2 * n], mags[2 * n:]):
-        # a NaN magnitude or a zero scale made numpy's ratio non-finite
         scale = atol + rtol * (a if a >= b else b)
         if a != a or not scale > 0.0:
             return math.inf
@@ -500,13 +503,27 @@ PAIRS = {"rk45": (rk45_step, error_norm, -0.2),
          "dop853": (dop853_step, dop853_norm, -0.125)}
 
 
+def _rms(values, scales):
+    """sqrt(mean((|v| / scale)^2)) with Python's abs, summed left to
+    right; NaN where a magnitude overflows or a scale is zero."""
+    try:
+        ratios = [abs(v) / sc for v, sc in zip(values, scales)]
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    total = 0.0
+    for r in ratios:
+        total += r * r
+    return math.sqrt(total / len(ratios))
+
+
 def _initial_step(f, t0, y0, rtol, atol, t_final):
     """Conservative first step from the size of the initial derivative."""
-    f0 = np.asarray(f(t0, y0))
-    scale = atol + rtol * np.abs(y0)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        d0 = float(np.sqrt(np.mean((np.abs(y0) / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
+    f0 = f(t0, y0)
+    try:
+        scales = [atol + rtol * abs(v) for v in y0]
+    except OverflowError:
+        scales = [math.nan] * len(y0)
+    d0, d1 = _rms(y0, scales), _rms(f0, scales)
     if (d0 < 1e-5 or d1 < 1e-5
             or not math.isfinite(d0) or not math.isfinite(d1)):
         h0 = 1e-6
@@ -597,6 +614,50 @@ def _locate_event(f, event, t, y, h, step):
         else:
             hi = mid
     return t + lo, y_lo
+
+
+def zero_loss_s_range(s0, theta0, c, omega, r, grid=1e-4):
+    """The S interval that the Gamma = 0 orbit from (s0, theta0) sweeps.
+
+    The flow keeps E = 2 Om (1+S) sqrt(1-S) cos(theta) - 2CS^2 + 4RS, so
+    the orbit reaches only the S where some theta gives E = E0, where
+    room(S) = 2 Om (1+S) sqrt(1-S) - |E0 + 2CS^2 - 4RS| >= 0.  Each end
+    is s0 itself, where there is no room just beyond it, or the root of
+    room, a turning point with E(S, pi) = E0 or E(S, 0) = E0, found by
+    stepping out from s0 on a grid to the first point without room (or
+    S = -1 or 1) and bisecting.
+    """
+    e0 = (2.0 * omega * (1.0 + s0) * math.sqrt(1.0 - s0) * math.cos(theta0)
+          - 2.0 * c * s0 * s0 + 4.0 * r * s0)
+
+    def room(s):
+        return (2.0 * omega * (1.0 + s) * math.sqrt(1.0 - s)
+                - abs(e0 + 2.0 * c * s * s - 4.0 * r * s))
+
+    ends = []
+    for sign in (-1.0, 1.0):
+        if room(s0 + sign * 1e-9) < 0.0:
+            ends.append(s0)
+            continue
+        inside, k = s0, 1
+        while True:
+            outside = s0 + sign * grid * k
+            if abs(outside) >= 1.0:
+                outside = sign
+                break
+            if room(outside) < 0.0:
+                break
+            inside, k = outside, k + 1
+        while True:
+            mid = 0.5 * (inside + outside)
+            if mid == inside or mid == outside:
+                break
+            if room(mid) >= 0.0:
+                inside = mid
+            else:
+                outside = mid
+        ends.append(inside)
+    return ends[0], ends[1]
 
 
 def write_csv_rows(path, header, rows):

@@ -26,7 +26,7 @@ from atomol.model import (
     unit_norm_deriv,
 )
 
-from oracles import params_from_gamma
+from oracles import params_from_gamma, zero_loss_s_range
 
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
 
@@ -265,6 +265,33 @@ class TestSelfTrapping:
             run = self_trapping_run(u=u_c + du, v=omega, r=r, gamma_minus=0.0,
                                     a0_sq=(1.0 + s0) / 2.0, t_span=5.0)
             assert run.trapped is trapped
+
+    @pytest.mark.parametrize("s0, c, r, omega, theta_far", [
+        (0.8, 1.5, 0.0, 1.0, math.pi), (0.8, 0.3, 0.0, 1.0, math.pi),
+        (0.6, 1.0, 0.2, 1.0, math.pi), (0.9, 0.5, -0.3, 2.0, math.pi),
+        (0.5, 2.0, 0.1, 0.5, 0.0), (-0.5, 1.0, 0.3, 1.0, 0.0),
+        (0.95, 0.1, 0.5, 1.0, 0.0)])
+    def test_zero_loss_extremes_are_the_turning_points(self, s0, c, r, omega,
+                                                       theta_far):
+        # at Gamma = 0 the orbit from (S0, pi) sweeps the S interval of
+        # oracles.zero_loss_s_range: S0 is one end, and the other solves
+        # E(S, theta_far) = E0, with theta_far = pi where the orbit turns
+        # back on the phase it started from.  Over t = 20 no sample left the
+        # interval by more than 1.7e-16 (bound 1e-9), and the sampled
+        # extremes came within 9.3e-6 of its ends (bound 2e-5, a margin
+        # of 2x), which is the sampling of the 4(5) steps near a turning
+        # point, about S'' (h/2)^2 / 2
+        run = self_trapping_run(u=c, v=omega, r=r, gamma_minus=0.0,
+                                a0_sq=(1.0 + s0) / 2.0, t_span=20.0)
+        lo, hi = zero_loss_s_range(s0, math.pi, c, omega, r)
+        far = hi if lo == s0 else lo
+        assert s0 in (lo, hi) and abs(far - s0) > 0.05
+        q = ReducedParams(c=c, omega=omega, r=r)
+        e0 = effective_energy(s0, math.pi, q)
+        assert abs(effective_energy(far, theta_far, q) - e0) < 1e-12
+        s_min, s_max = float(run.s.min()), float(run.s.max())
+        assert lo - 1e-9 <= s_min <= lo + 2e-5
+        assert hi - 2e-5 <= s_max <= hi + 1e-9
 
     @pytest.mark.parametrize("gamma", [-0.5, 0.3])
     def test_energy_balance_under_loss(self, gamma):

@@ -2,9 +2,16 @@
 
 Refactors must leave every data file byte-identical.  The recorded
 digests live in fingerprints.json next to this file; manifest.json is
-left out because it carries a timestamp.  Float results can move in the
-last bit with the numpy build, so the check is skipped when the
-installed numpy differs from the recorded one.
+left out because it carries a timestamp.
+
+The bytes depend on the numpy version, so both checks are skipped when
+the installed numpy differs from the recorded one, and on the
+platform's libm (atan2, hypot, sin, cos), which no check here can vary.
+They do not depend on the SIMD loops numpy dispatches to on this CPU
+(AVX-512, AVX2): every magnitude and phase whose numpy loops differ
+from libm in the last bit is taken in Python, and
+test_data_files_do_not_depend_on_simd_dispatch reruns every run in a
+child whose numpy has those targets switched off.
 
 Re-record (only when an output change is intended and explained):
 
@@ -15,6 +22,8 @@ which prints every run/file whose digest differs from the old record.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import atomol
 from atomol.cli import main
 
 RECORD = Path(__file__).with_name("fingerprints.json")
@@ -99,12 +109,48 @@ def fingerprints(workdir: Path) -> dict:
     return out
 
 
-def test_data_files_match_recorded_fingerprints(tmp_path):
+# numpy's x86 dispatch targets above the baseline: with them on, its
+# complex abs and arctan2 loops differed from libm in the last bit
+SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# the child: fingerprints() of every run, as JSON to the file argv[2]
+CHILD = """
+import json, sys
+from pathlib import Path
+from test_fingerprints import fingerprints
+Path(sys.argv[2]).write_text(json.dumps(fingerprints(Path(sys.argv[1]))))
+"""
+
+
+def recorded_runs() -> dict:
+    """The recorded digests; skips unless this numpy recorded them."""
     record = json.loads(RECORD.read_text())
     if record["numpy"] != np.__version__:
         pytest.skip(f"fingerprints recorded with numpy {record['numpy']}, "
                     f"installed {np.__version__}")
-    assert fingerprints(tmp_path) == record["runs"]
+    return record["runs"]
+
+
+def test_data_files_match_recorded_fingerprints(tmp_path):
+    assert fingerprints(tmp_path) == recorded_runs()
+
+
+def test_data_files_do_not_depend_on_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES acts on the child's numpy only; a target
+    # this numpy was not built with cannot be switched off
+    runs = recorded_runs()
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    targets = [t for t in SIMD_TARGETS if t in __cpu_dispatch__]
+    if not targets:
+        pytest.skip(f"numpy dispatches to none of {SIMD_TARGETS}")
+    src = Path(atomol.__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([str(src), str(RECORD.parent)]))
+    out = tmp_path / "digests.json"
+    subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), str(out)],
+                   env=env, check=True, stdout=subprocess.DEVNULL,
+                   timeout=600)
+    assert json.loads(out.read_text()) == runs
 
 
 if __name__ == "__main__":

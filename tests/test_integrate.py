@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from atomol import integrate
+from atomol import experiments, integrate
 from atomol.integrate import (
     IntegratorConfig,
     StepBudgetError,
@@ -208,23 +208,6 @@ class TestReducedEvolve:
         with pytest.raises(ValueError):
             evolve_reduced(1.0, 0.0, q)
 
-    @pytest.mark.parametrize("s0, theta0", [(0.6, 2.0),
-                                            (0.9, 3.0 * math.pi / 2.0)])
-    def test_real_pair_steps_call_no_numpy_abs(self, monkeypatch, s0, theta0):
-        # the 4(5) norm of a float state takes Python's abs; only the
-        # initial step size, once per solve, reads np.abs
-        callers = []
-        np_abs = np.abs
-
-        def counting_abs(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return np_abs(*args, **kwargs)
-
-        monkeypatch.setattr(integrate.np, "abs", counting_abs)
-        tr = evolve_reduced(s0, theta0, ReducedParams())
-        assert len(tr.times) > 50
-        assert set(callers) == {"_initial_step"}
-
     def test_fixed_step_pole_event_matches_adaptive(self):
         # an rk4 stage past S = 1 raises in the guarded right-hand side;
         # the fixed stepper cannot reject it, so it stops with a pole event
@@ -238,6 +221,58 @@ class TestReducedEvolve:
         assert np.all(np.isfinite(rk4.s)) and np.all(np.isfinite(rk4.theta))
         assert abs(rk4.pole_event.time - rk45.pole_event.time) <= dt
         assert rk4.times[-1] == rk4.pole_event.time
+
+
+# one solve of each kind: evolve and trap take the 4(5) pair on
+# amplitudes, a sweep the 8(5,3) pair, and the portrait the chart's step,
+# here from the pole-event start of the bench portrait
+_ONE_SOLVE = {
+    "evolve": lambda: evolve(Amplitudes(a=0.8 + 0.1j, b=0.3j),
+                             Params(u=2.0, gamma_a=0.2),
+                             IntegratorConfig(t_final=2.0)),
+    "trap": lambda: experiments.self_trapping_run(
+        u=1.5, v=1.0, r=0.0, gamma_minus=-0.5, a0_sq=0.9, t_span=2.0),
+    "sweep": lambda: experiments._terminal_efficiency.__wrapped__(
+        experiments.SweepProtocol(beta=1.0, r_max=2.0), 0.5, 1.0, 0.3,
+        IntegratorConfig()),
+    "evolve_reduced": lambda: evolve_reduced(
+        0.9, 3.0 * math.pi / 2.0, ReducedParams(),
+        IntegratorConfig(t_final=5.0, record_every=3)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_ONE_SOLVE))
+def test_solves_call_no_numpy_between_start_and_results(monkeypatch, run):
+    # every magnitude of a solve is Python's, whatever SIMD loops numpy
+    # dispatches to: numpy makes the start state and the result arrays,
+    # and no integrate.np attribute is read from the first step to the last
+    log = []  # (function, numpy name), or ("step", None) per step
+
+    class Numpy:
+        def __getattr__(self, name):
+            log.append((sys._getframe(1).f_code.co_name, name))
+            return getattr(np, name)
+
+    def logged(step):
+        def wrapper(*args):
+            log.append(("step", None))
+            return step(*args)
+        return wrapper
+
+    monkeypatch.setattr(integrate, "np", Numpy())
+    for name, (step, norm, exponent) in list(integrate._PAIRS.items()):
+        monkeypatch.setitem(integrate._PAIRS, name,
+                            (logged(step), norm, exponent))
+    chart = integrate._reduced_rk45_step
+    monkeypatch.setattr(integrate, "_reduced_rk45_step",
+                        lambda *q: logged(chart(*q)))
+    _ONE_SOLVE[run]()
+    steps = [i for i, entry in enumerate(log) if entry[0] == "step"]
+    assert len(steps) > 20
+    assert log[:steps[0]] == [("_as_state", "asarray")]
+    assert log[steps[0]:steps[-1]] == [("step", None)] * (steps[-1] - steps[0])
+    assert set(log[steps[-1] + 1:]) == {("solve_adaptive", "array"),
+                                        ("_stacked", "array")}
 
 
 class TestTrajectoryDigests:
@@ -484,6 +519,14 @@ _NORM_VALUES = st.one_of(_REALS, _COMPLEXES,
                          st.sampled_from([0.0, math.nan, math.inf, -math.inf,
                                           complex(math.nan, 1.0)]))
 _NORM_PAIRS = st.tuples(_NORM_VALUES, _NORM_VALUES)
+# parts from 1e308 to the largest float: a complex of two such parts may
+# have a magnitude past the largest float
+_HUGE = st.builds(math.copysign,
+                  st.floats(min_value=1e308, max_value=sys.float_info.max),
+                  st.sampled_from([1.0, -1.0]))
+_NEAR_MAX = st.one_of(_HUGE, st.builds(complex, _HUGE, _HUGE),
+                      st.builds(complex, _REALS, _HUGE), _REALS, _COMPLEXES)
+_NEAR_MAX_PAIRS = st.tuples(_NEAR_MAX, _NEAR_MAX)
 PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
 
@@ -524,7 +567,7 @@ class TestPairSteps:
             return
         assert bits(pair) == bits(flat_result(generic))
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
-            assert bits([integrate._error_norm(pair, y, rtol, atol, h)]) == \
+            assert bits([integrate._float_norm(pair, y, rtol, atol, h)]) == \
                 bits([error_norm(generic[1], y, generic[0], rtol, atol)])
 
     @PAIR_PROPERTY
@@ -574,7 +617,10 @@ class TestPairSteps:
              rtol=1e-11, atol=1e-320)  # non-finite ratio
     @example(err=(1e-12 + 3e-12j, -2e-12), y=(0.6 + 0.1j, 0.3j),
              y_new=(0.6 + 0.2j, 0.31j), rtol=1e-11, atol=1e-11)
-    # all-float triples take Python's abs
+    @example(err=(1e-12, 2e-12), y=(0.6, 1.5e308 - 1.5e308j),
+             y_new=(0.6, 0.3j), rtol=1e-11,
+             atol=1e-11)  # a magnitude past the largest float
+    # all-float triples
     @example(err=(-1e-12, 2e-12), y=(0.3, -math.nan), y_new=(-0.31, 1.2),
              rtol=1e-11, atol=1e-11)  # NaN magnitude
     @example(err=(-0.0, 1e-12), y=(0.0, -0.0), y_new=(-0.0, 0.0),
@@ -586,9 +632,36 @@ class TestPairSteps:
              atol=1e-11)  # a float state with complex errors
     def test_pair_error_norm_is_the_generic_norm(self, err, y, y_new, rtol,
                                                  atol):
-        pair = integrate._error_norm((*y_new, 0.0, 0.0, *err), y, rtol, atol,
+        pair = integrate._float_norm((*y_new, 0.0, 0.0, *err), y, rtol, atol,
                                      1.0)
         assert bits([pair]) == bits([error_norm(err, y, y_new, rtol, atol)])
+
+    @PAIR_PROPERTY
+    @given(res=st.lists(_NEAR_MAX, min_size=8, max_size=8), y=_NEAR_MAX_PAIRS,
+           rtol=st.sampled_from([1e-11, 1e-3, 0.0]),
+           atol=st.sampled_from([1e-11, 1.0, 0.0]),
+           pair=st.sampled_from(["rk45", "dop853"]))
+    @example(res=[1.5e308 + 1.5e308j] + [0.0] * 7, y=(1.0, 1.0), rtol=1e-11,
+             atol=1e-11, pair="rk45")  # the new state
+    @example(res=[0.0] * 4 + [1e308 - 1.7e308j] + [0.0] * 3, y=(1.0, 1.0),
+             rtol=1e-11, atol=1e-11, pair="rk45")  # an error component
+    @example(res=[0.0] * 7 + [-1.3e308 - 1.4e308j], y=(1.0, 1.0),
+             rtol=1e-11, atol=1e-11, pair="dop853")  # the 3rd-order error
+    @example(res=[1e308] * 8, y=(1e308 + 1e308j, -1e308), rtol=1e-11,
+             atol=1e-11, pair="rk45")  # large, but no magnitude overflows
+    def test_norm_past_the_largest_float_is_inf(self, res, y, rtol, atol,
+                                                pair):
+        # Python's abs of a complex whose magnitude is past the largest
+        # float raises OverflowError, where numpy's gave inf: the norms
+        # read such a step as one of infinite norm, a rejected step
+        _, norm, _ = integrate._PAIRS[pair]
+        res = tuple(res[:6] if pair == "rk45" else res)
+        value = norm(res, y, rtol, atol, 1.0)
+        read = (*y, res[0], res[1], *res[4:])
+        if any(math.isinf(math.hypot(v.real, v.imag)) for v in read):
+            assert value == math.inf
+        else:
+            assert value == math.inf or 0.0 <= value < math.inf
 
     @PAIR_PROPERTY
     @given(err=st.tuples(_NORM_PAIRS, _NORM_PAIRS), y=_NORM_PAIRS,
@@ -671,7 +744,7 @@ class TestPairSteps:
         guarded = integrate._rk45_step(f, t, y, h, k1)
         written = integrate._reduced_rk45_step(c, omega, r, gamma)(
             None, t, y, h, k1)
-        norm = functools.partial(integrate._error_norm, y=y, h=h)
+        norm = functools.partial(integrate._float_norm, y=y, h=h)
         if written is None:
             assert (guarded is None
                     or norm(guarded, rtol=1e-11, atol=1e-11) == math.inf)
