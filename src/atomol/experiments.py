@@ -27,10 +27,12 @@ import numpy as np
 
 from .fixed_points import FixedPoint, all_fixed_points
 from .integrate import (
+    _PAIRS,
     IntegratorConfig,
     PoleEvent,
     ReducedTrajectory,
     _solve,
+    _sweep_dop853_step,
     evolve_reduced,
 )
 from .model import Params, ReducedParams, derived_quantities
@@ -127,7 +129,11 @@ def _unit_norm_f(c: float, omega: float, gamma: float, r_of_t):
     product is written complex-first, as the steps of atomol.integrate
     are.  It inlines unit_norm_deriv bit for bit
     (test_unit_norm_rhs_is_unit_norm_deriv), as integrate._guarded_reduced_f
-    does model.reduced_deriv.
+    does model.reduced_deriv.  Its sweep branch is written again into each
+    stage of integrate._sweep_dop853_step, to the same bits
+    (test_sweep_step_is_the_generic_step), so a sweep's 8(5,3) solve calls
+    f once, for the first step size; the rk45 and rk4 sweeps and trapping
+    runs call f at every stage.
     """
     sweep = isinstance(r_of_t, SweepProtocol)
     if sweep:
@@ -148,22 +154,6 @@ def _unit_norm_f(c: float, omega: float, gamma: float, r_of_t):
     return f
 
 
-def _run_unit_norm(a0: complex, b0: complex, c: float, omega: float,
-                   gamma: float, r_of_t, t_final: float,
-                   cfg: IntegratorConfig, end_state_only: bool = False):
-    """Integrate the unit-norm flow; returns (times, states).
-
-    r_of_t is a SweepProtocol or a constant R (see _unit_norm_f).
-    end_state_only tells integrate._solve that the caller reads the last
-    state only.
-    """
-    times, states, _ = _solve(_unit_norm_f(c, omega, gamma, r_of_t), 0.0,
-                              (complex(a0), complex(b0)),
-                              replace(cfg, t_final=t_final),
-                              end_state_only=end_state_only)
-    return times, states
-
-
 @functools.lru_cache(maxsize=1024)
 def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
                          gamma: float, cfg: IntegratorConfig) -> float:
@@ -171,10 +161,18 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
 
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.  Only the
-    end state is read, so method "adaptive" solves with the 8(5,3) pair.
+    end state is read, so method "adaptive" solves with the 8(5,3) pair,
+    whose step is integrate._sweep_dop853_step: _unit_norm_f written into
+    the stages, so f is called once, for the first step size.
     """
-    _, states = _run_unit_norm(1.0 + 0j, 0j, u, v, gamma, protocol,
-                               protocol.duration, cfg, end_state_only=True)
+    step = _sweep_dop853_step(u, v, gamma, protocol.beta,
+                              protocol._half_duration)
+    _, norm, exponent = _PAIRS["dop853"]
+    _, states, _ = _solve(_unit_norm_f(u, v, gamma, protocol), 0.0,
+                          (1.0 + 0j, 0j),
+                          replace(cfg, t_final=protocol.duration),
+                          end_state_only=True,
+                          pairs=dict(_PAIRS, dop853=(step, norm, exponent)))
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2
     return float(abs(b) ** 2 / n)
@@ -226,8 +224,8 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
         raise ValueError(f"a0_sq must be in [0, 1], got {a0_sq}")
     a0 = math.sqrt(a0_sq)
     b0 = math.sqrt((1.0 - a0_sq) / 2.0) * cmath.exp(-1j * theta0)
-    times, states = _run_unit_norm(a0 + 0j, b0, u, v, gamma_minus, r,
-                                   t_span, cfg)
+    times, states, _ = _solve(_unit_norm_f(u, v, gamma_minus, r), 0.0,
+                              (a0 + 0j, b0), replace(cfg, t_final=t_span))
     d = derived_quantities(states, v, u, r)
     p_atom = d["p_atom"]
     min_p = float(p_atom.min())

@@ -25,8 +25,9 @@ at or past S = 1.  The loop rejects a failed step as one of infinite
 norm.  The steps write the stages out for the two components in the
 operation order of the vector form (y + h * (a21 * k1) and so on), so
 the trajectories keep the bits they had when the states were numpy
-arrays.  The (S, theta) chart's own 4(5) step writes its right-hand
-side into the stages instead of calling f, with the same bits.
+arrays.  Two steps write their right-hand side into the stages instead
+of calling f, with the same bits: the (S, theta) chart's own 4(5) step
+and the sweep's own 8(5,3) step, _sweep_dop853_step.
 
 Every product of a float and a stage is written complex-first
 (y + k1 * a21 * h): on a float-first product CPython 3.11 first calls
@@ -47,7 +48,8 @@ The adaptive loop evaluates f once at the start state of each step:
 the derivative that the first step size is estimated from is the first
 step's first stage, each accepted step's last stage is the next step's
 first, and the pole-event bisection gives every trial step the event
-step's first stage k1: on the chart that is the solve's only call of f.
+step's first stage k1: on the chart and in a sweep's 8(5,3) solve that
+is the solve's only call of f, for the first step size.
 Its step-size control uses plain comparisons with the results of min
 and max: a tie keeps the first argument, and a NaN growth factor gives
 the lower clamp, _MIN_FACTOR.
@@ -735,6 +737,149 @@ def _reduced_rk45_step(c, omega, r, gamma):
                  + p0 * _E7) * h,
                 (a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6
                  + p1 * _E7) * h)
+
+    return step
+
+
+def _sweep_dop853_step(c, omega, gamma, beta, half):
+    """_dop853_step over experiments._unit_norm_f for the sweep
+    R(t) = beta (t - half), that right-hand side written into each stage:
+    the same bits, or None where that step fails
+    (test_sweep_step_is_the_generic_step).  f goes unused.
+    """
+    omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
+
+    def step(f, t, y, h, k1):
+        y0, y1 = y
+        u1, v1 = k1
+        # a ** 2 past the largest float raises OverflowError
+        try:
+            a = y0 + u1 * _DA2_1 * h
+            b = y1 + v1 * _DA2_1 * h
+            r = beta * (t + _DC2 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u2 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v2 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA3_1 + u2 * _DA3_2) * h
+            b = y1 + (v1 * _DA3_1 + v2 * _DA3_2) * h
+            r = beta * (t + _DC3 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u3 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v3 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA4_1 + u3 * _DA4_3) * h
+            b = y1 + (v1 * _DA4_1 + v3 * _DA4_3) * h
+            r = beta * (t + _DC4 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u4 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v4 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA5_1 + u3 * _DA5_3 + u4 * _DA5_4) * h
+            b = y1 + (v1 * _DA5_1 + v3 * _DA5_3 + v4 * _DA5_4) * h
+            r = beta * (t + _DC5 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u5 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v5 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA6_1 + u4 * _DA6_4 + u5 * _DA6_5) * h
+            b = y1 + (v1 * _DA6_1 + v4 * _DA6_4 + v5 * _DA6_5) * h
+            r = beta * (t + _DC6 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u6 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v6 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA7_1 + u4 * _DA7_4 + u5 * _DA7_5
+                      + u6 * _DA7_6) * h
+            b = y1 + (v1 * _DA7_1 + v4 * _DA7_4 + v5 * _DA7_5
+                      + v6 * _DA7_6) * h
+            r = beta * (t + _DC7 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u7 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v7 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA8_1 + u4 * _DA8_4 + u5 * _DA8_5 + u6 * _DA8_6
+                      + u7 * _DA8_7) * h
+            b = y1 + (v1 * _DA8_1 + v4 * _DA8_4 + v5 * _DA8_5 + v6 * _DA8_6
+                      + v7 * _DA8_7) * h
+            r = beta * (t + _DC8 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u8 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v8 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA9_1 + u4 * _DA9_4 + u5 * _DA9_5 + u6 * _DA9_6
+                      + u7 * _DA9_7 + u8 * _DA9_8) * h
+            b = y1 + (v1 * _DA9_1 + v4 * _DA9_4 + v5 * _DA9_5 + v6 * _DA9_6
+                      + v7 * _DA9_7 + v8 * _DA9_8) * h
+            r = beta * (t + _DC9 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u9 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            v9 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA10_1 + u4 * _DA10_4 + u5 * _DA10_5
+                      + u6 * _DA10_6 + u7 * _DA10_7 + u8 * _DA10_8
+                      + u9 * _DA10_9) * h
+            b = y1 + (v1 * _DA10_1 + v4 * _DA10_4 + v5 * _DA10_5
+                      + v6 * _DA10_6 + v7 * _DA10_7 + v8 * _DA10_8
+                      + v9 * _DA10_9) * h
+            r = beta * (t + _DC10 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u10 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                   - a * (gamma_half * (1.0 - s)))
+            v10 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                   + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA11_1 + u4 * _DA11_4 + u5 * _DA11_5
+                      + u6 * _DA11_6 + u7 * _DA11_7 + u8 * _DA11_8
+                      + u9 * _DA11_9 + u10 * _DA11_10) * h
+            b = y1 + (v1 * _DA11_1 + v4 * _DA11_4 + v5 * _DA11_5
+                      + v6 * _DA11_6 + v7 * _DA11_7 + v8 * _DA11_8
+                      + v9 * _DA11_9 + v10 * _DA11_10) * h
+            r = beta * (t + _DC11 * h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u11 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                   - a * (gamma_half * (1.0 - s)))
+            v11 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                   + b * (gamma_half * (1.0 + s)))
+            a = y0 + (u1 * _DA12_1 + u4 * _DA12_4 + u5 * _DA12_5
+                      + u6 * _DA12_6 + u7 * _DA12_7 + u8 * _DA12_8
+                      + u9 * _DA12_9 + u10 * _DA12_10 + u11 * _DA12_11) * h
+            b = y1 + (v1 * _DA12_1 + v4 * _DA12_4 + v5 * _DA12_5
+                      + v6 * _DA12_6 + v7 * _DA12_7 + v8 * _DA12_8
+                      + v9 * _DA12_9 + v10 * _DA12_10 + v11 * _DA12_11) * h
+            # the twelfth stage and the new state's derivative share t + h
+            r = beta * (t + h - half)
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            u12 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                   - a * (gamma_half * (1.0 - s)))
+            v12 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                   + b * (gamma_half * (1.0 + s)))
+            s0 = (u1 * _DB1 + u6 * _DB6 + u7 * _DB7 + u8 * _DB8 + u9 * _DB9
+                  + u10 * _DB10 + u11 * _DB11 + u12 * _DB12)
+            s1 = (v1 * _DB1 + v6 * _DB6 + v7 * _DB7 + v8 * _DB8 + v9 * _DB9
+                  + v10 * _DB10 + v11 * _DB11 + v12 * _DB12)
+            a, b = y0 + s0 * h, y1 + s1 * h
+            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+            p0 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                  - a * (gamma_half * (1.0 - s)))
+            p1 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                  + b * (gamma_half * (1.0 + s)))
+        except OverflowError:
+            return None
+        return (a, b, p0, p1,
+                (u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
+                 + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
+                (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
+                 + v10 * _DE10 + v11 * _DE11 + v12 * _DE12),
+                s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
+                s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
 
     return step
 

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,8 +156,13 @@ class TestSweepConversion:
                                     SweepProtocol(beta=-0.4, r_max=0.62)])
     def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
         # the sweep right-hand side writes R(t) = beta * (t - T/2)
-        # inline; every stage must see the bits of the public r_at
+        # inline; every stage must see the bits of the public r_at.  The
+        # solve takes the generic 8(5,3) step, which calls f at every
+        # stage: test_sweep_step_is_the_generic_step carries these bits
+        # on to the sweep's own step
         p = params_from_gamma(gamma_minus=0.3)
+        monkeypatch.setattr(experiments, "_sweep_dop853_step",
+                            lambda *q: integrate._dop853_step)
         solve = integrate.solve_adaptive
         stages = []
 
@@ -175,6 +181,53 @@ class TestSweepConversion:
         for t, (a, b), dy in stages:
             assert exact(dy) == exact(
                 unit_norm_deriv(a, b, p.u, p.v, pr.r_at(t), 0.3)), t
+
+    @pytest.mark.parametrize("beta, gamma, u, v, rtol, method", [
+        (0.7, 0.3, 0.5, 1.0, 1e-11, "adaptive"),
+        (-0.4, -0.5, 1.2, 0.8, 1e-9, "adaptive"),
+        (2.0, 0.0, 0.0, 1.0, 1e-7, "adaptive"),
+        (-1.5, 0.6, -0.8, 1.5, 1e-11, "adaptive"),
+        (0.7, 0.3, 0.5, 1.0, 1e-9, "rk45"),
+        (-1.5, -0.6, 0.5, 1.0, 1e-9, "rk4")])
+    def test_sweep_solve_is_the_generic_solve(self, monkeypatch, beta, gamma,
+                                              u, v, rtol, method):
+        # the sweep's solve gives the bits of a solve over _unit_norm_f
+        # with integrate._PAIRS; under "adaptive" f is called once, for
+        # the first step size, and every step is the sweep's own, while
+        # rk45 and rk4 take the generic steps over f
+        pr = SweepProtocol(beta=beta, r_max=5.0)
+        cfg = IntegratorConfig(method=method, rtol=rtol, atol=rtol, dt=1e-3)
+        unit_norm_f, sweep_step = (experiments._unit_norm_f,
+                                   experiments._sweep_dop853_step)
+        calls = {"f": 0, "step": 0}
+        solves = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        def recorded_solve(*args, **kwargs):
+            solves.append(integrate._solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(experiments, "_unit_norm_f",
+                            lambda *q: counted("f", unit_norm_f(*q)))
+        monkeypatch.setattr(experiments, "_sweep_dop853_step",
+                            lambda *q: counted("step", sweep_step(*q)))
+        monkeypatch.setattr(experiments, "_solve", recorded_solve)
+        experiments._terminal_efficiency.__wrapped__(pr, u, v, gamma, cfg)
+        times, states, _ = integrate._solve(
+            unit_norm_f(u, v, gamma, pr), 0.0, (1.0 + 0j, 0j),
+            replace(cfg, t_final=pr.duration), end_state_only=True)
+        assert len(times) > 20
+        assert solves[0][0].tobytes() == times.tobytes()
+        assert solves[0][1].tobytes() == states.tobytes()
+        if method == "adaptive":
+            assert calls["f"] == 1 and calls["step"] >= len(times) - 1
+        else:
+            assert calls["step"] == 0 and calls["f"] >= 4 * (len(times) - 1)
 
 
 def exact(values):

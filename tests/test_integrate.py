@@ -224,8 +224,8 @@ class TestReducedEvolve:
 
 
 # one solve of each kind: evolve and trap take the 4(5) pair on
-# amplitudes, a sweep the 8(5,3) pair, and the portrait the chart's step,
-# here from the pole-event start of the bench portrait
+# amplitudes, a sweep its own 8(5,3) step, and the portrait the chart's
+# step, here from the pole-event start of the bench portrait
 _ONE_SOLVE = {
     "evolve": lambda: evolve(Amplitudes(a=0.8 + 0.1j, b=0.3j),
                              Params(u=2.0, gamma_a=0.2),
@@ -266,6 +266,9 @@ def test_solves_call_no_numpy_between_start_and_results(monkeypatch, run):
     chart = integrate._reduced_rk45_step
     monkeypatch.setattr(integrate, "_reduced_rk45_step",
                         lambda *q: logged(chart(*q)))
+    sweep = experiments._sweep_dop853_step
+    monkeypatch.setattr(experiments, "_sweep_dop853_step",
+                        lambda *q: logged(sweep(*q)))
     _ONE_SOLVE[run]()
     steps = [i for i, entry in enumerate(log) if entry[0] == "step"]
     assert len(steps) > 20
@@ -527,6 +530,14 @@ _HUGE = st.builds(math.copysign,
 _NEAR_MAX = st.one_of(_HUGE, st.builds(complex, _HUGE, _HUGE),
                       st.builds(complex, _REALS, _HUGE), _REALS, _COMPLEXES)
 _NEAR_MAX_PAIRS = st.tuples(_NEAR_MAX, _NEAR_MAX)
+# amplitude parts for the sweep's step: mostly moderate; past 1e154,
+# products overflow to inf, and past about 1.3e154 a ** 2 overflows a
+# float power, which raises OverflowError
+_SWEEP_PARTS = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                         st.floats(min_value=-2.0, max_value=2.0),
+                         st.floats(min_value=-1e160, max_value=1e160))
+_SWEEP_AMPLITUDES = st.builds(complex, _SWEEP_PARTS, _SWEEP_PARTS)
+_SWEEP_PAIRS = st.tuples(_SWEEP_AMPLITUDES, _SWEEP_AMPLITUDES)
 PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
 
@@ -753,6 +764,52 @@ class TestPairSteps:
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._float_norm(written, y, rtol, atol, h)]) \
                 == bits([norm(guarded, rtol=rtol, atol=atol)])
+
+    @PAIR_PROPERTY
+    @given(y=_SWEEP_PAIRS, k1=st.one_of(st.none(), _SWEEP_PAIRS),
+           h=st.one_of(_STEPS, st.floats(min_value=-1e307, max_value=1e307)),
+           t=st.one_of(st.floats(min_value=0.0, max_value=20.0),
+                       st.floats(min_value=-1e3, max_value=1e3)),
+           c=_COEFFS, omega=_COEFFS, gamma=_COEFFS,
+           beta=_COEFFS.filter(lambda v: v != 0.0),
+           r_max=st.floats(min_value=0.1, max_value=10.0))
+    # a smooth step with every term at work, before T/2 at beta < 0 and
+    # after it at beta > 0
+    @example(y=(0.8 + 0.1j, 0.3j), k1=None, h=0.1, t=1.0, c=0.7, omega=1.1,
+             gamma=0.6, beta=-0.4, r_max=2.0)
+    @example(y=(0.6 - 0.3j, 0.2 + 0.4j), k1=None, h=-0.3, t=9.0, c=-1.2,
+             omega=0.8, gamma=-0.5, beta=0.7, r_max=1.3)
+    # a ** 2 overflows in the second stage, and in a later one
+    @example(y=(1e155 + 0j, 0j), k1=(0j, 0j), h=0.1, t=1.0, c=1.0,
+             omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
+    @example(y=(1.0 + 0j, 0j), k1=None, h=1e307, t=1.0, c=1.0, omega=1.0,
+             gamma=0.3, beta=1.0, r_max=5.0)
+    @example(y=(1.0 + 0j, 0j), k1=None, h=-1e307, t=1.0, c=1.0, omega=1.0,
+             gamma=0.3, beta=-1.0, r_max=5.0)
+    # inf products and NaN sums, with no float power past the largest
+    @example(y=(1e100 + 1e100j, 1e120j), k1=(0j, 0j), h=0.1, t=0.0, c=1.0,
+             omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
+    def test_sweep_step_is_the_generic_step(self, y, k1, h, t, c, omega,
+                                            gamma, beta, r_max):
+        # the sweep's step gives the bits of _dop853_step over
+        # experiments._unit_norm_f, and fails exactly where that step fails
+        pr = experiments.SweepProtocol(beta=beta, r_max=r_max)
+        f = experiments._unit_norm_f(c, omega, gamma, pr)
+        if k1 is None:  # the loop's k1, f at the start state
+            try:
+                k1 = f(t, y)
+            except OverflowError:  # the loop never steps from there
+                return
+        generic = integrate._dop853_step(f, t, y, h, k1)
+        written = integrate._sweep_dop853_step(
+            c, omega, gamma, beta, pr._half_duration)(None, t, y, h, k1)
+        assert (written is None) == (generic is None)
+        if generic is None:
+            return
+        assert bits(written) == bits(generic)
+        for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
+            assert bits([integrate._dop853_norm(written, y, rtol, atol, h)]) \
+                == bits([integrate._dop853_norm(generic, y, rtol, atol, h)])
 
     def test_dop853_one_step_error_is_ninth_order(self):
         # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less
