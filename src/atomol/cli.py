@@ -146,21 +146,51 @@ def _section(resolved, name, **override) -> dict:
 
 
 def _checked(resolved, key, ok, rule):
-    """resolved[key], a ConfigError naming the key unless ok(value)."""
+    """resolved[key], a ConfigError naming the key unless ok(value), or,
+    for a list, unless ok(item) for each item, naming the first bad one."""
     value = resolved[key]
-    if not ok(value):
-        section, name = key.split(".")
-        raise ConfigError(f"[{section}] {name} must be {rule}, got {value}")
+    for item in value if isinstance(value, list) else [value]:
+        if not ok(item):
+            section, name = key.split(".")
+            raise ConfigError(f"[{section}] {name} must be {rule}, got {item}")
     return value
+
+
+def _finite(resolved, *keys) -> list:
+    """The resolved values of keys, each checked finite, in order."""
+    return [_checked(resolved, key, math.isfinite, "finite") for key in keys]
+
+
+def _positive(resolved, *keys) -> list:
+    """The resolved values of keys, each checked finite and > 0."""
+    return [_checked(resolved, key, lambda v: 0 < v < math.inf,
+                     "finite and > 0") for key in keys]
 
 
 def _reduced(resolved) -> ReducedParams:
     """The [reduced] section, each key finite, in field order, and omega
     > 0 for the census."""
-    for key in aio.SCHEMA["reduced"]:
-        _checked(resolved, f"reduced.{key}", math.isfinite, "finite")
+    _finite(resolved, *_REDUCED_KEYS)
     _checked(resolved, "reduced.omega", lambda v: v > 0.0, "> 0")
     return ReducedParams(**_section(resolved, "reduced"))
+
+
+def _model(resolved, *keys) -> list:
+    """The resolved values of [model] keys, each checked finite, and v
+    checked >= 0, as Params takes it."""
+    values = _finite(resolved, *keys)
+    _checked(resolved, "model.v", lambda v: v >= 0.0, ">= 0")
+    return values
+
+
+def _integrator(resolved, **override) -> IntegratorConfig:
+    """The [integrator] section, with the given values in place of the
+    resolved ones, and the tolerances, dt and t_final that it takes from
+    the config each finite and > 0."""
+    _positive(resolved, *(f"integrator.{key}"
+                          for key in ("rtol", "atol", "dt", "t_final")
+                          if key not in override))
+    return IntegratorConfig(**_section(resolved, "integrator", **override))
 
 
 def _finish(command, resolved, derived, outdir, outputs):
@@ -174,13 +204,14 @@ def _finish(command, resolved, derived, outdir, outputs):
 
 
 def cmd_evolve(resolved, outdir, fmt):
+    _model(resolved, *_MODEL_KEYS)
     p = Params(**_section(resolved, "model"))
     a0_sq = _checked(resolved, "initial.a0_sq", lambda v: 0.0 <= v <= 1.0,
                      "in [0, 1]")
     theta0 = _checked(resolved, "initial.theta0", math.isfinite, "finite")
     x0 = amplitudes_from_canonical(
         CanonicalState(s=2.0 * a0_sq - 1.0, theta=theta0, n=1.0))
-    tr = evolve(x0, p, IntegratorConfig(**_section(resolved, "integrator")))
+    tr = evolve(x0, p, _integrator(resolved))
     header = ["t", "re_a", "im_a", "re_b", "im_b", "n", "s", "theta",
               "hx", "hy", "hz", "energy"]
     a, b = tr.states[:, 0], tr.states[:, 1]
@@ -273,14 +304,18 @@ def cmd_regimes(resolved, outdir, fmt):
 
 
 def cmd_sweep(resolved, outdir, fmt):
-    v, u = resolved["model.v"], resolved["model.u"]
-    cfg = IntegratorConfig(**_section(resolved, "integrator"))
+    # every key checked before the first solve
+    v, u = _model(resolved, "model.v", "model.u")
+    _finite(resolved, "sweep.betas", "sweep.gammas")
+    _checked(resolved, "sweep.betas", lambda beta: beta != 0.0, "nonzero")
+    _positive(resolved, "sweep.r_max")
+    cfg = _integrator(resolved)
     # w tops out at 1/2 (a pure molecular state has |b|^2 = n/2);
     # molecular_fraction = 2w rescales it to [0, 1] for readability
     header = ["beta", "gamma", "w", "m", "m_defined", "molecular_fraction"]
     protocols = [SweepProtocol(beta=beta, r_max=resolved["sweep.r_max"])
                  for beta in resolved["sweep.betas"]]
-    for pr in protocols:  # every one before the first solve
+    for pr in protocols:
         if not math.isfinite(pr.duration):
             raise ConfigError(f"[sweep] r_max and betas must give a finite "
                               f"2 r_max / |beta|, got {pr.r_max} and {pr.beta}")
@@ -301,17 +336,18 @@ def cmd_sweep(resolved, outdir, fmt):
 def _t_span(resolved, command):
     """[command] t_span, checked under its own name before it stands in
     for [integrator] t_final."""
-    return _checked(resolved, f"{command}.t_span", lambda v: 0 < v < math.inf,
-                    "finite and > 0")
+    return _positive(resolved, f"{command}.t_span")[0]
 
 
 def cmd_trap(resolved, outdir, fmt):
+    v, u, r, gamma, theta0 = _finite(resolved, "model.v", "model.u",
+                                     "model.r", "trap.gamma", "trap.theta0")
+    a0_sq = _checked(resolved, "trap.a0_sq", lambda v: 0.0 <= v <= 1.0,
+                     "in [0, 1]")
     t_span = _t_span(resolved, "trap")
-    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
-    run = self_trapping_run(
-        u=resolved["model.u"], v=resolved["model.v"], r=resolved["model.r"],
-        gamma_minus=resolved["trap.gamma"], a0_sq=resolved["trap.a0_sq"],
-        t_span=t_span, theta0=resolved["trap.theta0"], cfg=cfg)
+    cfg = _integrator(resolved, t_final=t_span)
+    run = self_trapping_run(u=u, v=v, r=r, gamma_minus=gamma, a0_sq=a0_sq,
+                            t_span=t_span, theta0=theta0, cfg=cfg)
     header = ["t", "p_atom", "s", "theta"]
     columns = [run.times.tolist(), run.p_atom.tolist(), run.s.tolist(),
                run.theta.tolist()]
@@ -343,7 +379,7 @@ def cmd_portrait(resolved, outdir, fmt):
                           f"orbits, got {n_s} * {n_theta}")
     q = _reduced(resolved)
     t_span = _t_span(resolved, "portrait")
-    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
+    cfg = _integrator(resolved, t_final=t_span)
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
     portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]

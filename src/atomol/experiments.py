@@ -33,6 +33,7 @@ from .integrate import (
     ReducedTrajectory,
     _solve,
     _sweep_dop853_step,
+    _unit_norm_flow,
     evolve_reduced,
 )
 from .model import Params, ReducedParams, derived_quantities
@@ -121,37 +122,23 @@ class PhasePortrait:
 
 
 def _unit_norm_f(c: float, omega: float, gamma: float, r_of_t):
-    """model.unit_norm_deriv as a right-hand side f(t, y).
+    """model.unit_norm_deriv as a right-hand side f(t, y):
+    integrate._unit_norm_flow for r_of_t, a SweepProtocol or a constant R.
 
-    r_of_t is a SweepProtocol, whose R(t) = beta (t - T/2) is its r_at
-    formula written inline, or a constant R.  The products 2 Omega,
-    Gamma / 2 and 2 C are formed once per solve, and every float-by-complex
-    product is written complex-first, as the steps of atomol.integrate
-    are.  It inlines unit_norm_deriv bit for bit
-    (test_unit_norm_rhs_is_unit_norm_deriv), as integrate._guarded_reduced_f
-    does model.reduced_deriv.  Its sweep branch is written again into each
-    stage of integrate._sweep_dop853_step, to the same bits
-    (test_sweep_step_is_the_generic_step), so a sweep's 8(5,3) solve calls
-    f once, for the first step size; the rk45 and rk4 sweeps and trapping
+    The sweep's 8(5,3) step, integrate._sweep_dop853_step, writes the
+    sweep's flow into its stages on the float parts Re a, Im a, Re b,
+    Im b, each in the operation order CPython takes for the complex
+    expression, to the same bits (test_sweep_step_is_the_generic_step).
+    Where a result part is zero or not finite, whose sign or NaN the
+    float parts may not share, or a float power overflows, it takes the
+    step again over the complex flow.  So a sweep's 8(5,3) solve calls f
+    once, for the first step size; the rk45 and rk4 sweeps and trapping
     runs call f at every stage.
     """
-    sweep = isinstance(r_of_t, SweepProtocol)
-    if sweep:
-        beta, half = r_of_t.beta, r_of_t._half_duration
-    else:
-        r_const = float(r_of_t)
-    omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
-
-    def f(t, y):
-        a, b = y
-        r = beta * (t - half) if sweep else r_const
-        s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-        return (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                - a * (gamma_half * (1.0 - s)),
-                -1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                + b * (gamma_half * (1.0 + s)))
-
-    return f
+    if isinstance(r_of_t, SweepProtocol):
+        return _unit_norm_flow(c, omega, gamma, r_of_t.beta,
+                               r_of_t._half_duration)
+    return _unit_norm_flow(c, omega, gamma, None, None, float(r_of_t))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -163,7 +150,10 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     integrated once per protocol however many rates share it.  Only the
     end state is read, so method "adaptive" solves with the 8(5,3) pair,
     whose step is integrate._sweep_dop853_step: _unit_norm_f written into
-    the stages, so f is called once, for the first step size.
+    the stages on the float parts of a and b, to the complex step's bits,
+    so f is called once, for the first step size.  A step with a zero or
+    non-finite part is taken again on complex numbers, which no step of
+    the default sweep needs (test_sweeps_take_no_fallback_step).
     """
     step = _sweep_dop853_step(u, v, gamma, protocol.beta,
                               protocol._half_duration)

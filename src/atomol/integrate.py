@@ -38,6 +38,22 @@ commute exactly, up to the sign or payload of a NaN, which no output
 shows; 3.14 uses one mixed rule for both orders.  On a float pair both
 orders are the same float product.
 
+The sweep's own step, _sweep_dop853_step, runs on the float parts
+Re a, Im a, Re b, Im b, which CPython 3.11 adds and multiplies with its
+specialized float operations and no complex object per operation.  Each
+float expression takes the operations CPython takes for the complex one
+it stands for: z * f is (x * f, y * f), z * w is (x u - y v, x v + y u),
+-1j * z is (y, -x) and z.conjugate() is (x, -y).  CPython forms z * f
+as (x * f - y * 0.0, x * 0.0 + y * f), and its extra terms are zeros,
+which leave a nonzero finite sum as it is, so each part keeps the
+complex step's bits unless it is a zero, whose sign may differ, or an
+inf or NaN.  Such a part passes the difference on only to parts that
+are zero or not finite themselves, so where one of the 16 result parts
+is zero or not finite, or a float power overflows, the step is taken
+again by _dop853_step over the complex flow.  |a|^2 stays
+a.real ** 2 + a.imag ** 2: libm's pow need not round as x * x does,
+and it raises OverflowError past the largest float.
+
 No numpy call runs between _as_state and the result arrays.  The norms
 that steer the step size take their magnitudes from Python's abs,
 libm's hypot on a complex, whose bits, unlike those of numpy's complex
@@ -259,32 +275,33 @@ def _rk45_step(f, t, y, h, k1=None):
              + p1 * _E7) * h)
 
 
-def _scaled_squares(res, y, rtol, atol, at):
-    """Sum of (|e| / (atol + rtol max(|y|, |y_new|)))^2 over the two error
-    components res[at], res[at + 1] of a flat step result.
-
-    The magnitudes come from Python's abs (see the module docstring).
-    inf where a magnitude is NaN, a scale is not positive, a ratio is
-    not finite, or a complex magnitude is past the largest float, where
-    abs raises.
+def _scales(res, y, rtol, atol):
+    """The error scales atol + rtol max(|y|, |y_new|) of the two
+    components of a flat step result, from Python's abs (see the module
+    docstring): NaN, which makes every ratio to it NaN, where a magnitude
+    of y is NaN or a scale is not positive.  abs raises OverflowError on
+    a complex magnitude past the largest float.
     """
-    try:
-        a0, a1, b0, b1 = abs(y[0]), abs(y[1]), abs(res[0]), abs(res[1])
-        scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
-        scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
-        if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
-            return math.inf
-        ratio0, ratio1 = abs(res[at]) / scale0, abs(res[at + 1]) / scale1
-    except OverflowError:
-        return math.inf
-    total = ratio0 * ratio0 + ratio1 * ratio1
-    return total if total == total else math.inf
+    a0, a1, b0, b1 = abs(y[0]), abs(y[1]), abs(res[0]), abs(res[1])
+    scale0 = atol + rtol * (a0 if a0 >= b0 else b0)
+    scale1 = atol + rtol * (a1 if a1 >= b1 else b1)
+    if a0 != a0 or a1 != a1 or not (scale0 > 0.0 and scale1 > 0.0):
+        return math.nan, math.nan
+    return scale0, scale1
 
 
 def _float_norm(res, y, rtol, atol, h):
-    """The one 4(5) error norm, the RMS of _scaled_squares; h is unused,
-    as the 4(5) error components already carry it."""
-    return math.sqrt(_scaled_squares(res, y, rtol, atol, 4) / 2)
+    """The one 4(5) error norm: the RMS of |e| / scale over the error
+    components res[4], res[5] (see _scales); h is unused, as they
+    already carry it.  inf where a ratio is not finite or abs raises.
+    """
+    try:
+        scale0, scale1 = _scales(res, y, rtol, atol)
+        ratio0, ratio1 = abs(res[4]) / scale0, abs(res[5]) / scale1
+    except OverflowError:
+        return math.inf
+    total = ratio0 * ratio0 + ratio1 * ratio1
+    return math.sqrt(total / 2) if total == total else math.inf
 
 
 def _dop853_step(f, t, y, h, k1=None):
@@ -366,12 +383,19 @@ def _dop853_step(f, t, y, h, k1=None):
 def _dop853_norm(res, y, rtol, atol, h):
     """|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) 2) for the 8(5,3) pair.
 
-    e5^2 and e3^2 are the _scaled_squares of the 5th- and 3rd-order
-    error components.  inf if anything is not finite; 0 when both errors
-    are 0.
+    e5^2 and e3^2 are the sums of (|e| / scale)^2 over the 5th- and
+    3rd-order error components, with the scales of _scales, taken once
+    for both.  inf if anything is not finite or abs raises; 0 when both
+    errors are 0.
     """
-    e5 = _scaled_squares(res, y, rtol, atol, 4)
-    denom = (e5 + 0.01 * _scaled_squares(res, y, rtol, atol, 6)) * 2.0
+    try:
+        scale0, scale1 = _scales(res, y, rtol, atol)
+        ratio0, ratio1 = abs(res[4]) / scale0, abs(res[5]) / scale1
+        ratio2, ratio3 = abs(res[6]) / scale0, abs(res[7]) / scale1
+    except OverflowError:
+        return math.inf
+    e5 = ratio0 * ratio0 + ratio1 * ratio1
+    denom = (e5 + 0.01 * (ratio2 * ratio2 + ratio3 * ratio3)) * 2.0
     if not math.isfinite(denom):
         return math.inf
     if denom == 0.0:
@@ -741,145 +765,260 @@ def _reduced_rk45_step(c, omega, r, gamma):
     return step
 
 
-def _sweep_dop853_step(c, omega, gamma, beta, half):
-    """_dop853_step over experiments._unit_norm_f for the sweep
-    R(t) = beta (t - half), that right-hand side written into each stage:
-    the same bits, or None where that step fails
-    (test_sweep_step_is_the_generic_step).  f goes unused.
+def _unit_norm_flow(c, omega, gamma, beta, half, r_const=0.0):
+    """model.unit_norm_deriv as a right-hand side f(t, y).
+
+    R is the sweep's R(t) = beta (t - half), SweepProtocol.r_at written
+    inline, or r_const where beta is None.  The products 2 Omega,
+    Gamma / 2 and 2 C are formed once per solve, and every
+    float-by-complex product is written complex-first, as the steps'
+    are.  It inlines unit_norm_deriv bit for bit
+    (test_unit_norm_rhs_is_unit_norm_deriv), as _guarded_reduced_f does
+    model.reduced_deriv.
     """
+    sweep = beta is not None
     omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
 
+    def f(t, y):
+        a, b = y
+        r = beta * (t - half) if sweep else r_const
+        s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+        return (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
+                - a * (gamma_half * (1.0 - s)),
+                -1j * (a * omega * a + b * (-2.0 * r + c2 * s))
+                + b * (gamma_half * (1.0 + s)))
+
+    return f
+
+
+def _sweep_dop853_step(c, omega, gamma, beta, half):
+    """_dop853_step over _unit_norm_flow for the sweep R(t) = beta (t -
+    half), that right-hand side written into each stage on the four
+    float parts Re a, Im a, Re b, Im b: the same bits, or None where that
+    step fails (test_sweep_step_is_the_generic_step).  f goes unused.
+
+    Each float expression takes the operations that CPython takes for
+    the complex one it stands for (see the module docstring), so the
+    parts agree with the complex step's except in the sign of a zero and
+    in an inf or NaN.  A result with a zero or non-finite part, and a
+    step whose float power overflows, is taken again by _dop853_step
+    over _unit_norm_flow.
+    """
+    omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
+    flow = _unit_norm_flow(c, omega, gamma, beta, half)
+    isfinite = math.isfinite
+
     def step(f, t, y, h, k1):
-        y0, y1 = y
-        u1, v1 = k1
-        # a ** 2 past the largest float raises OverflowError
+        y0r, y0i, y1r, y1i = y[0].real, y[0].imag, y[1].real, y[1].imag
+        u1r, u1i, v1r, v1i = k1[0].real, k1[0].imag, k1[1].real, k1[1].imag
         try:
-            a = y0 + u1 * _DA2_1 * h
-            b = y1 + v1 * _DA2_1 * h
+            ar = y0r + u1r * _DA2_1 * h
+            ai = y0i + u1i * _DA2_1 * h
+            br = y1r + v1r * _DA2_1 * h
+            bi = y1i + v1i * _DA2_1 * h
             r = beta * (t + _DC2 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u2 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v2 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA3_1 + u2 * _DA3_2) * h
-            b = y1 + (v1 * _DA3_1 + v2 * _DA3_2) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u2r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u2i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v2r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v2i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA3_1 + u2r * _DA3_2) * h
+            ai = y0i + (u1i * _DA3_1 + u2i * _DA3_2) * h
+            br = y1r + (v1r * _DA3_1 + v2r * _DA3_2) * h
+            bi = y1i + (v1i * _DA3_1 + v2i * _DA3_2) * h
             r = beta * (t + _DC3 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u3 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v3 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA4_1 + u3 * _DA4_3) * h
-            b = y1 + (v1 * _DA4_1 + v3 * _DA4_3) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u3r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u3i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v3r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v3i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA4_1 + u3r * _DA4_3) * h
+            ai = y0i + (u1i * _DA4_1 + u3i * _DA4_3) * h
+            br = y1r + (v1r * _DA4_1 + v3r * _DA4_3) * h
+            bi = y1i + (v1i * _DA4_1 + v3i * _DA4_3) * h
             r = beta * (t + _DC4 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u4 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v4 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA5_1 + u3 * _DA5_3 + u4 * _DA5_4) * h
-            b = y1 + (v1 * _DA5_1 + v3 * _DA5_3 + v4 * _DA5_4) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u4r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u4i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v4r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v4i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA5_1 + u3r * _DA5_3 + u4r * _DA5_4) * h
+            ai = y0i + (u1i * _DA5_1 + u3i * _DA5_3 + u4i * _DA5_4) * h
+            br = y1r + (v1r * _DA5_1 + v3r * _DA5_3 + v4r * _DA5_4) * h
+            bi = y1i + (v1i * _DA5_1 + v3i * _DA5_3 + v4i * _DA5_4) * h
             r = beta * (t + _DC5 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u5 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v5 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA6_1 + u4 * _DA6_4 + u5 * _DA6_5) * h
-            b = y1 + (v1 * _DA6_1 + v4 * _DA6_4 + v5 * _DA6_5) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u5r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u5i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v5r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v5i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA6_1 + u4r * _DA6_4 + u5r * _DA6_5) * h
+            ai = y0i + (u1i * _DA6_1 + u4i * _DA6_4 + u5i * _DA6_5) * h
+            br = y1r + (v1r * _DA6_1 + v4r * _DA6_4 + v5r * _DA6_5) * h
+            bi = y1i + (v1i * _DA6_1 + v4i * _DA6_4 + v5i * _DA6_5) * h
             r = beta * (t + _DC6 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u6 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v6 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA7_1 + u4 * _DA7_4 + u5 * _DA7_5
-                      + u6 * _DA7_6) * h
-            b = y1 + (v1 * _DA7_1 + v4 * _DA7_4 + v5 * _DA7_5
-                      + v6 * _DA7_6) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u6r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u6i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v6r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v6i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA7_1 + u4r * _DA7_4 + u5r * _DA7_5
+                  + u6r * _DA7_6) * h
+            ai = y0i + (u1i * _DA7_1 + u4i * _DA7_4 + u5i * _DA7_5
+                  + u6i * _DA7_6) * h
+            br = y1r + (v1r * _DA7_1 + v4r * _DA7_4 + v5r * _DA7_5
+                  + v6r * _DA7_6) * h
+            bi = y1i + (v1i * _DA7_1 + v4i * _DA7_4 + v5i * _DA7_5
+                  + v6i * _DA7_6) * h
             r = beta * (t + _DC7 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u7 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v7 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA8_1 + u4 * _DA8_4 + u5 * _DA8_5 + u6 * _DA8_6
-                      + u7 * _DA8_7) * h
-            b = y1 + (v1 * _DA8_1 + v4 * _DA8_4 + v5 * _DA8_5 + v6 * _DA8_6
-                      + v7 * _DA8_7) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u7r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u7i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v7r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v7i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA8_1 + u4r * _DA8_4 + u5r * _DA8_5
+                  + u6r * _DA8_6 + u7r * _DA8_7) * h
+            ai = y0i + (u1i * _DA8_1 + u4i * _DA8_4 + u5i * _DA8_5
+                  + u6i * _DA8_6 + u7i * _DA8_7) * h
+            br = y1r + (v1r * _DA8_1 + v4r * _DA8_4 + v5r * _DA8_5
+                  + v6r * _DA8_6 + v7r * _DA8_7) * h
+            bi = y1i + (v1i * _DA8_1 + v4i * _DA8_4 + v5i * _DA8_5
+                  + v6i * _DA8_6 + v7i * _DA8_7) * h
             r = beta * (t + _DC8 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u8 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v8 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA9_1 + u4 * _DA9_4 + u5 * _DA9_5 + u6 * _DA9_6
-                      + u7 * _DA9_7 + u8 * _DA9_8) * h
-            b = y1 + (v1 * _DA9_1 + v4 * _DA9_4 + v5 * _DA9_5 + v6 * _DA9_6
-                      + v7 * _DA9_7 + v8 * _DA9_8) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u8r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u8i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v8r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v8i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA9_1 + u4r * _DA9_4 + u5r * _DA9_5
+                  + u6r * _DA9_6 + u7r * _DA9_7 + u8r * _DA9_8) * h
+            ai = y0i + (u1i * _DA9_1 + u4i * _DA9_4 + u5i * _DA9_5
+                  + u6i * _DA9_6 + u7i * _DA9_7 + u8i * _DA9_8) * h
+            br = y1r + (v1r * _DA9_1 + v4r * _DA9_4 + v5r * _DA9_5
+                  + v6r * _DA9_6 + v7r * _DA9_7 + v8r * _DA9_8) * h
+            bi = y1i + (v1i * _DA9_1 + v4i * _DA9_4 + v5i * _DA9_5
+                  + v6i * _DA9_6 + v7i * _DA9_7 + v8i * _DA9_8) * h
             r = beta * (t + _DC9 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u9 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            v9 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA10_1 + u4 * _DA10_4 + u5 * _DA10_5
-                      + u6 * _DA10_6 + u7 * _DA10_7 + u8 * _DA10_8
-                      + u9 * _DA10_9) * h
-            b = y1 + (v1 * _DA10_1 + v4 * _DA10_4 + v5 * _DA10_5
-                      + v6 * _DA10_6 + v7 * _DA10_7 + v8 * _DA10_8
-                      + v9 * _DA10_9) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u9r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u9i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v9r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v9i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA10_1 + u4r * _DA10_4 + u5r * _DA10_5
+                  + u6r * _DA10_6 + u7r * _DA10_7 + u8r * _DA10_8
+                  + u9r * _DA10_9) * h
+            ai = y0i + (u1i * _DA10_1 + u4i * _DA10_4 + u5i * _DA10_5
+                  + u6i * _DA10_6 + u7i * _DA10_7 + u8i * _DA10_8
+                  + u9i * _DA10_9) * h
+            br = y1r + (v1r * _DA10_1 + v4r * _DA10_4 + v5r * _DA10_5
+                  + v6r * _DA10_6 + v7r * _DA10_7 + v8r * _DA10_8
+                  + v9r * _DA10_9) * h
+            bi = y1i + (v1i * _DA10_1 + v4i * _DA10_4 + v5i * _DA10_5
+                  + v6i * _DA10_6 + v7i * _DA10_7 + v8i * _DA10_8
+                  + v9i * _DA10_9) * h
             r = beta * (t + _DC10 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u10 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                   - a * (gamma_half * (1.0 - s)))
-            v10 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                   + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA11_1 + u4 * _DA11_4 + u5 * _DA11_5
-                      + u6 * _DA11_6 + u7 * _DA11_7 + u8 * _DA11_8
-                      + u9 * _DA11_9 + u10 * _DA11_10) * h
-            b = y1 + (v1 * _DA11_1 + v4 * _DA11_4 + v5 * _DA11_5
-                      + v6 * _DA11_6 + v7 * _DA11_7 + v8 * _DA11_8
-                      + v9 * _DA11_9 + v10 * _DA11_10) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u10r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u10i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v10r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v10i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA11_1 + u4r * _DA11_4 + u5r * _DA11_5
+                  + u6r * _DA11_6 + u7r * _DA11_7 + u8r * _DA11_8
+                  + u9r * _DA11_9 + u10r * _DA11_10) * h
+            ai = y0i + (u1i * _DA11_1 + u4i * _DA11_4 + u5i * _DA11_5
+                  + u6i * _DA11_6 + u7i * _DA11_7 + u8i * _DA11_8
+                  + u9i * _DA11_9 + u10i * _DA11_10) * h
+            br = y1r + (v1r * _DA11_1 + v4r * _DA11_4 + v5r * _DA11_5
+                  + v6r * _DA11_6 + v7r * _DA11_7 + v8r * _DA11_8
+                  + v9r * _DA11_9 + v10r * _DA11_10) * h
+            bi = y1i + (v1i * _DA11_1 + v4i * _DA11_4 + v5i * _DA11_5
+                  + v6i * _DA11_6 + v7i * _DA11_7 + v8i * _DA11_8
+                  + v9i * _DA11_9 + v10i * _DA11_10) * h
             r = beta * (t + _DC11 * h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u11 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                   - a * (gamma_half * (1.0 - s)))
-            v11 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                   + b * (gamma_half * (1.0 + s)))
-            a = y0 + (u1 * _DA12_1 + u4 * _DA12_4 + u5 * _DA12_5
-                      + u6 * _DA12_6 + u7 * _DA12_7 + u8 * _DA12_8
-                      + u9 * _DA12_9 + u10 * _DA12_10 + u11 * _DA12_11) * h
-            b = y1 + (v1 * _DA12_1 + v4 * _DA12_4 + v5 * _DA12_5
-                      + v6 * _DA12_6 + v7 * _DA12_7 + v8 * _DA12_8
-                      + v9 * _DA12_9 + v10 * _DA12_10 + v11 * _DA12_11) * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u11r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u11i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v11r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v11i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            ar = y0r + (u1r * _DA12_1 + u4r * _DA12_4 + u5r * _DA12_5
+                  + u6r * _DA12_6 + u7r * _DA12_7 + u8r * _DA12_8
+                  + u9r * _DA12_9 + u10r * _DA12_10 + u11r * _DA12_11) * h
+            ai = y0i + (u1i * _DA12_1 + u4i * _DA12_4 + u5i * _DA12_5
+                  + u6i * _DA12_6 + u7i * _DA12_7 + u8i * _DA12_8
+                  + u9i * _DA12_9 + u10i * _DA12_10 + u11i * _DA12_11) * h
+            br = y1r + (v1r * _DA12_1 + v4r * _DA12_4 + v5r * _DA12_5
+                  + v6r * _DA12_6 + v7r * _DA12_7 + v8r * _DA12_8
+                  + v9r * _DA12_9 + v10r * _DA12_10 + v11r * _DA12_11) * h
+            bi = y1i + (v1i * _DA12_1 + v4i * _DA12_4 + v5i * _DA12_5
+                  + v6i * _DA12_6 + v7i * _DA12_7 + v8i * _DA12_8
+                  + v9i * _DA12_9 + v10i * _DA12_10 + v11i * _DA12_11) * h
             # the twelfth stage and the new state's derivative share t + h
             r = beta * (t + h - half)
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            u12 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                   - a * (gamma_half * (1.0 - s)))
-            v12 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                   + b * (gamma_half * (1.0 + s)))
-            s0 = (u1 * _DB1 + u6 * _DB6 + u7 * _DB7 + u8 * _DB8 + u9 * _DB9
-                  + u10 * _DB10 + u11 * _DB11 + u12 * _DB12)
-            s1 = (v1 * _DB1 + v6 * _DB6 + v7 * _DB7 + v8 * _DB8 + v9 * _DB9
-                  + v10 * _DB10 + v11 * _DB11 + v12 * _DB12)
-            a, b = y0 + s0 * h, y1 + s1 * h
-            s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
-            p0 = (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                  - a * (gamma_half * (1.0 - s)))
-            p1 = (-1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                  + b * (gamma_half * (1.0 + s)))
-        except OverflowError:
-            return None
-        return (a, b, p0, p1,
-                (u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
-                 + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
-                (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
-                 + v10 * _DE10 + v11 * _DE11 + v12 * _DE12),
-                s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
-                s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            u12r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            u12i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            v12r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            v12i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+            s0r = (u1r * _DB1 + u6r * _DB6 + u7r * _DB7 + u8r * _DB8
+                  + u9r * _DB9 + u10r * _DB10 + u11r * _DB11 + u12r * _DB12)
+            s0i = (u1i * _DB1 + u6i * _DB6 + u7i * _DB7 + u8i * _DB8
+                  + u9i * _DB9 + u10i * _DB10 + u11i * _DB11 + u12i * _DB12)
+            s1r = (v1r * _DB1 + v6r * _DB6 + v7r * _DB7 + v8r * _DB8
+                  + v9r * _DB9 + v10r * _DB10 + v11r * _DB11 + v12r * _DB12)
+            s1i = (v1i * _DB1 + v6i * _DB6 + v7i * _DB7 + v8i * _DB8
+                  + v9i * _DB9 + v10i * _DB10 + v11i * _DB11 + v12i * _DB12)
+            ar, ai = y0r + s0r * h, y0i + s0i * h
+            br, bi = y1r + s1r * h, y1i + s1i * h
+            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
+            q, g = r - c * s, gamma_half * (1.0 - s)
+            p0r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+            p0i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+            p1r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+            p1i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        except OverflowError:  # a ** 2 past the largest float
+            return _dop853_step(flow, t, y, h, k1)
+        e0r = (u1r * _DE1 + u6r * _DE6 + u7r * _DE7 + u8r * _DE8 + u9r * _DE9
+               + u10r * _DE10 + u11r * _DE11 + u12r * _DE12)
+        e0i = (u1i * _DE1 + u6i * _DE6 + u7i * _DE7 + u8i * _DE8 + u9i * _DE9
+               + u10i * _DE10 + u11i * _DE11 + u12i * _DE12)
+        e1r = (v1r * _DE1 + v6r * _DE6 + v7r * _DE7 + v8r * _DE8 + v9r * _DE9
+               + v10r * _DE10 + v11r * _DE11 + v12r * _DE12)
+        e1i = (v1i * _DE1 + v6i * _DE6 + v7i * _DE7 + v8i * _DE8 + v9i * _DE9
+               + v10i * _DE10 + v11i * _DE11 + v12i * _DE12)
+        d0r, d0i = (s0r - u1r * _DBHH1 - u9r * _DBHH9 - u12r * _DBHH12,
+                    s0i - u1i * _DBHH1 - u9i * _DBHH9 - u12i * _DBHH12)
+        d1r, d1i = (s1r - v1r * _DBHH1 - v9r * _DBHH9 - v12r * _DBHH12,
+                    s1i - v1i * _DBHH1 - v9i * _DBHH9 - v12i * _DBHH12)
+        parts = (ar, ai, br, bi, p0r, p0i, p1r, p1i, e0r, e0i, e1r, e1i, d0r,
+                 d0i, d1r, d1i)
+        if 0.0 in parts or not isfinite(sum(parts)):
+            return _dop853_step(flow, t, y, h, k1)
+        return (complex(ar, ai), complex(br, bi), complex(p0r, p0i),
+                complex(p1r, p1i), complex(e0r, e0i), complex(e1r, e1i),
+                complex(d0r, d0i), complex(d1r, d1i))
 
     return step
 

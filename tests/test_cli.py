@@ -491,14 +491,14 @@ class TestExitCodes:
         (["evolve", "--rtol", "nan"], "rtol"),
         (["evolve", "--method", "rk4", "--dt", "inf"], "dt"),
         (["sweep", "--r-max", "inf"], "r_max"),
-        (["sweep", "--beta", "nan"], "beta"),
+        (["sweep", "--beta", "nan"], "[sweep] betas"),
         (["trap", "--atol", "inf"], "atol"),
         (["portrait", "--omega", "inf"], "omega"),
         (["regimes", "--omega", "nan"], "omega"),
         (["evolve", "--theta0", "nan"], "theta0"),
         (["trap", "--theta0", "inf"], "theta0"),
         (["trap", "--u", "nan"], "u"),
-        (["trap", "--gamma", "inf"], "gamma_minus"),
+        (["trap", "--gamma", "inf"], "[trap] gamma"),
         # t_span stands in for t_final, but is named as itself
         (["trap", "--t-span", "inf"], "[trap] t_span"),
         (["portrait", "--t-span", "nan"], "[portrait] t_span"),
@@ -516,6 +516,41 @@ class TestExitCodes:
         assert rc == 2
         assert f"{field} must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--gamma=nan"], "[sweep] gammas must be finite, got nan"),
+        (["sweep", "--gamma=0.3,inf"],
+         "[sweep] gammas must be finite, got inf"),
+        (["sweep", "--beta", "0.5,0"],
+         "[sweep] betas must be nonzero, got 0.0"),
+        (["sweep", "--r-max", "nan"],
+         "[sweep] r_max must be finite and > 0, got nan"),
+        (["sweep", "--r-max", "0"],
+         "[sweep] r_max must be finite and > 0, got 0.0"),
+        (["sweep", "--u", "nan"], "[model] u must be finite, got nan"),
+        (["sweep", "--v", "inf"], "[model] v must be finite, got inf"),
+        (["sweep", "--v=-1"], "[model] v must be >= 0, got -1.0"),
+        (["trap", "--gamma=nan"], "[trap] gamma must be finite, got nan"),
+        (["trap", "--u", "nan"], "[model] u must be finite, got nan"),
+        (["trap", "--a0-sq", "2"], "[trap] a0_sq must be in [0, 1], got 2.0"),
+        (["evolve", "--v", "inf"], "[model] v must be finite, got inf"),
+        (["evolve", "--gamma-b", "nan"],
+         "[model] gamma_b must be finite, got nan"),
+        (["evolve", "--rtol", "0"],
+         "[integrator] rtol must be finite and > 0, got 0.0"),
+    ])
+    def test_config_error_names_its_key(self, tmp_path, capsys, monkeypatch,
+                                        argv, message):
+        # each key is checked before the first solve, and the message
+        # names the key that the user set
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on bad input")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        monkeypatch.setattr(integrate, "solve_fixed", no_solve)
+        rc = main(argv + ["--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("argv", [["trap", "--t-span", "0"],
                                       ["portrait", "--t-span", "-1"]])

@@ -19,6 +19,7 @@ from atomol.experiments import (
 )
 from atomol.fixed_points import KIND_SADDLE
 from atomol.integrate import IntegratorConfig
+from atomol.io import default_config
 from atomol.model import (
     Params,
     ReducedParams,
@@ -228,6 +229,40 @@ class TestSweepConversion:
             assert calls["f"] == 1 and calls["step"] >= len(times) - 1
         else:
             assert calls["step"] == 0 and calls["f"] >= 4 * (len(times) - 1)
+
+
+    @pytest.mark.parametrize("gamma_draw", [None, 0.3, 0.7])
+    def test_sweeps_take_no_fallback_step(self, monkeypatch, gamma_draw):
+        # the default sweep, and the bench's sweeps at its Gamma draws
+        # 0.3 and 0.7, take every step on the sweep step's float parts,
+        # none on its complex fallback
+        defaults = default_config()
+        gammas = (defaults["sweep.gammas"] if gamma_draw is None
+                  else [-gamma_draw, 0.0, gamma_draw])
+        generic, calls = integrate._dop853_step, {"generic": 0, "step": 0}
+        sweep_step = experiments._sweep_dop853_step
+
+        def counted_generic(*args):
+            calls["generic"] += 1
+            return generic(*args)
+
+        def counted_step(*q):
+            step = sweep_step(*q)
+
+            def wrapper(*args):
+                calls["step"] += 1
+                return step(*args)
+            return wrapper
+
+        monkeypatch.setattr(integrate, "_dop853_step", counted_generic)
+        monkeypatch.setattr(experiments, "_sweep_dop853_step", counted_step)
+        for beta in defaults["sweep.betas"]:
+            pr = SweepProtocol(beta=beta, r_max=defaults["sweep.r_max"])
+            for gamma in gammas:
+                experiments._terminal_efficiency.__wrapped__(
+                    pr, defaults["model.u"], defaults["model.v"], gamma,
+                    IntegratorConfig())
+        assert calls["generic"] == 0 and calls["step"] > 5000
 
 
 def exact(values):

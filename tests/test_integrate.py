@@ -5,6 +5,7 @@ import collections
 import functools
 import hashlib
 import math
+import random
 import struct
 import sys
 from unittest import mock
@@ -810,6 +811,87 @@ class TestPairSteps:
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._dop853_norm(written, y, rtol, atol, h)]) \
                 == bits([integrate._dop853_norm(generic, y, rtol, atol, h)])
+
+    @PAIR_PROPERTY
+    @given(y=_SWEEP_PAIRS, k1=st.one_of(st.none(), _SWEEP_PAIRS),
+           h=st.one_of(_STEPS, st.floats(min_value=-1e307, max_value=1e307)),
+           t=st.floats(min_value=-1e3, max_value=1e3), c=_COEFFS,
+           omega=_COEFFS, gamma=_COEFFS,
+           beta=_COEFFS.filter(lambda v: v != 0.0))
+    def test_sweep_step_falls_back_only_where_it_must(self, y, k1, h, t, c,
+                                                      omega, gamma, beta):
+        # the sweep's step calls _dop853_step exactly when its result is
+        # None or has a zero or non-finite part: its float parts give
+        # every other result on their own
+        step = integrate._sweep_dop853_step(c, omega, gamma, beta, 3.0)
+        if k1 is None:
+            try:
+                k1 = integrate._unit_norm_flow(c, omega, gamma, beta,
+                                               3.0)(t, y)
+            except OverflowError:
+                return
+        with mock.patch.object(integrate, "_dop853_step",
+                               wraps=integrate._dop853_step) as generic:
+            written = step(None, t, y, h, k1)
+        own = written is not None and all(
+            x != 0.0 and math.isfinite(x)
+            for v in written for x in (v.real, v.imag))
+        assert generic.call_count == (0 if own else 1)
+
+    def test_sweep_step_is_the_generic_step_on_uniform_draws(self):
+        # hypothesis favours simple floats, whose products are often
+        # exact; on 300 uniform draws every float part must still round
+        # as the complex step's does, with no fallback
+        rng = random.Random(30)
+        for _ in range(300):
+            c, omega, gamma, beta = (rng.uniform(-3.0, 3.0) for _ in "1234")
+            y = tuple(complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                      for _ in "12")
+            pr = experiments.SweepProtocol(beta=beta, r_max=5.0)
+            t, h = rng.uniform(0.0, pr.duration), rng.uniform(-0.05, 0.05)
+            f = experiments._unit_norm_f(c, omega, gamma, pr)
+            k1 = f(t, y)
+            generic = integrate._dop853_step(f, t, y, h, k1)
+            with mock.patch.object(integrate, "_dop853_step") as fallback:
+                written = integrate._sweep_dop853_step(
+                    c, omega, gamma, beta, pr._half_duration)(None, t, y, h,
+                                                              k1)
+            assert fallback.call_count == 0
+            assert bits(written) == bits(generic)
+
+    @pytest.mark.parametrize("y, k1, c, omega, gamma, beta", [
+        # a = 0, the pure molecular mode, stays 0 in every stage; the
+        # float parts give -0.0 for Re p0 where the complex step gives 0.0
+        ((0j, 0.5 - 0.25j), None, 1.0, 0.8, 1.0, 0.5),
+        # a ** 2 past the largest float, in the second stage
+        ((1e155 + 0j, 0j), (0j, 0j), 1.0, 1.0, 0.3, 1.0),
+        # inf products and NaN sums, with no float power past the largest
+        ((1e100 + 1e100j, 1e120j), (0j, 0j), 1.0, 1.0, 0.3, 1.0)])
+    def test_sweep_step_fallback_is_the_generic_step(self, monkeypatch, y,
+                                                     k1, c, omega, gamma,
+                                                     beta):
+        # these steps are taken again by _dop853_step over the complex
+        # flow, to its bits, the sign of a zero included, or to None
+        generic, calls = integrate._dop853_step, []
+
+        def counted(*args):
+            calls.append(args)
+            return generic(*args)
+
+        pr = experiments.SweepProtocol(beta=beta, r_max=5.0)
+        f = experiments._unit_norm_f(c, omega, gamma, pr)
+        t, h, k1 = 2.5, 0.1, k1 or f(2.5, y)
+        expected = generic(f, t, y, h, k1)
+        monkeypatch.setattr(integrate, "_dop853_step", counted)
+        written = integrate._sweep_dop853_step(
+            c, omega, gamma, beta, pr._half_duration)(None, t, y, h, k1)
+        assert len(calls) == 1
+        if expected is None:
+            assert written is None
+        else:
+            assert bits(written) == bits(expected)
+            assert any(x == 0.0 or not math.isfinite(x)
+                       for v in expected for x in (v.real, v.imag))
 
     def test_dop853_one_step_error_is_ninth_order(self):
         # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less
