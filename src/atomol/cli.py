@@ -340,8 +340,8 @@ def _t_span(resolved, command):
 
 
 def cmd_trap(resolved, outdir, fmt):
-    v, u, r, gamma, theta0 = _finite(resolved, "model.v", "model.u",
-                                     "model.r", "trap.gamma", "trap.theta0")
+    v, u, r = _model(resolved, "model.v", "model.u", "model.r")
+    gamma, theta0 = _finite(resolved, "trap.gamma", "trap.theta0")
     a0_sq = _checked(resolved, "trap.a0_sq", lambda v: 0.0 <= v <= 1.0,
                      "in [0, 1]")
     t_span = _t_span(resolved, "trap")

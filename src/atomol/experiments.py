@@ -11,8 +11,9 @@ available through the integrator for comparison runs.
 
 Under the default integrator method "adaptive", a sweep reads only the
 end state of each solve and integrates with the Dormand-Prince 8(5,3)
-pair; trapping runs and portraits record every accepted step and keep
-the 4(5) pair (see atomol.integrate).
+pair, on the sweep's own float-part step; trapping runs and portraits
+record every accepted step and keep the 4(5) pair (see
+atomol.integrate).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .fixed_points import FixedPoint, all_fixed_points
 from .integrate import (
-    _PAIRS,
     IntegratorConfig,
     PoleEvent,
     ReducedTrajectory,
@@ -121,26 +121,6 @@ class PhasePortrait:
         return [tr.pole_event for tr in self.trajectories]
 
 
-def _unit_norm_f(c: float, omega: float, gamma: float, r_of_t):
-    """model.unit_norm_deriv as a right-hand side f(t, y):
-    integrate._unit_norm_flow for r_of_t, a SweepProtocol or a constant R.
-
-    The sweep's 8(5,3) step, integrate._sweep_dop853_step, writes the
-    sweep's flow into its stages on the float parts Re a, Im a, Re b,
-    Im b, each in the operation order CPython takes for the complex
-    expression, to the same bits (test_sweep_step_is_the_generic_step).
-    Where a result part is zero or not finite, whose sign or NaN the
-    float parts may not share, or a float power overflows, it takes the
-    step again over the complex flow.  So a sweep's 8(5,3) solve calls f
-    once, for the first step size; the rk45 and rk4 sweeps and trapping
-    runs call f at every stage.
-    """
-    if isinstance(r_of_t, SweepProtocol):
-        return _unit_norm_flow(c, omega, gamma, r_of_t.beta,
-                               r_of_t._half_duration)
-    return _unit_norm_flow(c, omega, gamma, None, None, float(r_of_t))
-
-
 @functools.lru_cache(maxsize=1024)
 def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
                          gamma: float, cfg: IntegratorConfig) -> float:
@@ -149,20 +129,16 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.  Only the
     end state is read, so method "adaptive" solves with the 8(5,3) pair,
-    whose step is integrate._sweep_dop853_step: _unit_norm_f written into
-    the stages on the float parts of a and b, to the complex step's bits,
-    so f is called once, for the first step size.  A step with a zero or
-    non-finite part is taken again on complex numbers, which no step of
-    the default sweep needs (test_sweeps_take_no_fallback_step).
+    whose step is integrate._sweep_dop853_step: the flow written into
+    the stages on the float parts of a and b (see atomol.integrate), so
+    f is called once, for the first step size.
     """
-    step = _sweep_dop853_step(u, v, gamma, protocol.beta,
-                              protocol._half_duration)
-    _, norm, exponent = _PAIRS["dop853"]
-    _, states, _ = _solve(_unit_norm_f(u, v, gamma, protocol), 0.0,
-                          (1.0 + 0j, 0j),
+    half = protocol._half_duration
+    _, states, _ = _solve(_unit_norm_flow(u, v, gamma, protocol.beta, half),
+                          0.0, (1.0 + 0j, 0j),
                           replace(cfg, t_final=protocol.duration),
-                          end_state_only=True,
-                          pairs=dict(_PAIRS, dop853=(step, norm, exponent)))
+                          dop853=_sweep_dop853_step(u, v, gamma,
+                                                    protocol.beta, half))
     a, b = states[-1]
     n = abs(a) ** 2 + 2.0 * abs(b) ** 2
     return float(abs(b) ** 2 / n)
@@ -214,8 +190,9 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
         raise ValueError(f"a0_sq must be in [0, 1], got {a0_sq}")
     a0 = math.sqrt(a0_sq)
     b0 = math.sqrt((1.0 - a0_sq) / 2.0) * cmath.exp(-1j * theta0)
-    times, states, _ = _solve(_unit_norm_f(u, v, gamma_minus, r), 0.0,
-                              (a0 + 0j, b0), replace(cfg, t_final=t_span))
+    times, states, _ = _solve(
+        _unit_norm_flow(u, v, gamma_minus, None, None, float(r)), 0.0,
+        (a0 + 0j, b0), replace(cfg, t_final=t_span))
     d = derived_quantities(states, v, u, r)
     p_atom = d["p_atom"]
     min_p = float(p_atom.min())

@@ -9,11 +9,13 @@ give bit-identical trajectories on the same build.
 The default method, "adaptive", picks the pair per solve.  A solve
 whose only output is its end state (a sweep's terminal efficiency)
 takes 8(5,3), which at the default tolerance of 1e-11 needs about four
-times fewer right-hand-side calls.  Every other solve takes 4(5): its
-accepted steps are the recorded samples, so the 4(5) pair keeps those
-outputs as they were, and on the reduced (S, theta) chart, whose
-right-hand side carries sqrt(1 - S), orbits that graze S = 1 cost the
-8(5,3) pair several times more.  "rk45" takes 4(5) for every solve.
+times fewer steps.  Its caller passes _solve the pair's step, and the
+one 8(5,3) step is the sweep's own, _sweep_dop853_step.  Every other
+solve takes 4(5): its accepted steps are the recorded samples, so the
+4(5) pair keeps those outputs as they were, and on the reduced
+(S, theta) chart, whose right-hand side carries sqrt(1 - S), orbits
+that graze S = 1 cost the 8(5,3) pair several times more.  "rk45"
+takes 4(5) for every solve.
 
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
@@ -26,8 +28,8 @@ norm.  The steps write the stages out for the two components in the
 operation order of the vector form (y + h * (a21 * k1) and so on), so
 the trajectories keep the bits they had when the states were numpy
 arrays.  Two steps write their right-hand side into the stages instead
-of calling f, with the same bits: the (S, theta) chart's own 4(5) step
-and the sweep's own 8(5,3) step, _sweep_dop853_step.
+of calling f: the (S, theta) chart's own 4(5) step and the sweep's
+8(5,3) step.
 
 Every product of a float and a stage is written complex-first
 (y + k1 * a21 * h): on a float-first product CPython 3.11 first calls
@@ -36,23 +38,23 @@ bits are the same either way.  CPython multiplies a float and a complex
 as two complex numbers, (ac - bd, ad + bc), and IEEE products and sums
 commute exactly, up to the sign or payload of a NaN, which no output
 shows; 3.14 uses one mixed rule for both orders.  On a float pair both
-orders are the same float product.
-
-The sweep's own step, _sweep_dop853_step, runs on the float parts
-Re a, Im a, Re b, Im b, which CPython 3.11 adds and multiplies with its
-specialized float operations and no complex object per operation.  Each
-float expression takes the operations CPython takes for the complex one
-it stands for: z * f is (x * f, y * f), z * w is (x u - y v, x v + y u),
--1j * z is (y, -x) and z.conjugate() is (x, -y).  CPython forms z * f
-as (x * f - y * 0.0, x * 0.0 + y * f), and its extra terms are zeros,
-which leave a nonzero finite sum as it is, so each part keeps the
-complex step's bits unless it is a zero, whose sign may differ, or an
-inf or NaN.  Such a part passes the difference on only to parts that
-are zero or not finite themselves, so where one of the 16 result parts
-is zero or not finite, or a float power overflows, the step is taken
-again by _dop853_step over the complex flow.  |a|^2 stays
+orders are the same float product.  The sweep's step runs instead on
+the float parts Re a, Im a, Re b, Im b, which CPython 3.11 adds and
+multiplies with its specialized float operations and no complex object
+per operation, and each float expression takes the operations CPython
+takes for the complex one it stands for: z * f is (x * f, y * f),
+z * w is (x u - y v, x v + y u), -1j * z is (y, -x) and z.conjugate()
+is (x, -y).  CPython forms z * f as (x * f - y * 0.0, x * 0.0 + y * f),
+and its extra terms are zeros, which leave a nonzero finite sum as it
+is.  So each part has the bits of the same step on complex numbers
+unless it is a zero, whose sign may differ, or an inf or NaN.  A zero
+keeps the sign its float expression gives, which no output sees: a
+sweep reads its amplitudes only through abs.  Where a part is inf or
+NaN, the two forms may differ in which parts are, and one may fail
+where the other gives a step of infinite norm, which the loop rejects
+alike (test_sweep_step_is_the_generic_step).  |a|^2 stays
 a.real ** 2 + a.imag ** 2: libm's pow need not round as x * x does,
-and it raises OverflowError past the largest float.
+and past the largest float it raises OverflowError, a failed step.
 
 No numpy call runs between _as_state and the result arrays.  The norms
 that steer the step size take their magnitudes from Python's abs,
@@ -304,82 +306,6 @@ def _float_norm(res, y, rtol, atol, h):
     return math.sqrt(total / 2) if total == total else math.inf
 
 
-def _dop853_step(f, t, y, h, k1=None):
-    """One Dormand-Prince 8(5,3) step, with the contract of _rk45_step.
-
-    The error part of the flat result is e5_0, e5_1, e3_0, e3_1: the
-    5th- and 3rd-order error components, not yet multiplied by h, which
-    _dop853_norm combines.
-    """
-    y0, y1 = y
-    try:
-        if k1 is None:
-            k1 = f(t, y)
-        u1, v1 = k1
-        u2, v2 = f(t + _DC2 * h, (
-            y0 + u1 * _DA2_1 * h,
-            y1 + v1 * _DA2_1 * h))
-        u3, v3 = f(t + _DC3 * h, (
-            y0 + (u1 * _DA3_1 + u2 * _DA3_2) * h,
-            y1 + (v1 * _DA3_1 + v2 * _DA3_2) * h))
-        u4, v4 = f(t + _DC4 * h, (
-            y0 + (u1 * _DA4_1 + u3 * _DA4_3) * h,
-            y1 + (v1 * _DA4_1 + v3 * _DA4_3) * h))
-        u5, v5 = f(t + _DC5 * h, (
-            y0 + (u1 * _DA5_1 + u3 * _DA5_3 + u4 * _DA5_4) * h,
-            y1 + (v1 * _DA5_1 + v3 * _DA5_3 + v4 * _DA5_4) * h))
-        u6, v6 = f(t + _DC6 * h, (
-            y0 + (u1 * _DA6_1 + u4 * _DA6_4 + u5 * _DA6_5) * h,
-            y1 + (v1 * _DA6_1 + v4 * _DA6_4 + v5 * _DA6_5) * h))
-        u7, v7 = f(t + _DC7 * h, (
-            y0 + (u1 * _DA7_1 + u4 * _DA7_4 + u5 * _DA7_5 + u6 * _DA7_6) * h,
-            y1 + (v1 * _DA7_1 + v4 * _DA7_4 + v5 * _DA7_5 + v6 * _DA7_6) * h))
-        u8, v8 = f(t + _DC8 * h, (
-            y0 + (u1 * _DA8_1 + u4 * _DA8_4 + u5 * _DA8_5 + u6 * _DA8_6
-                  + u7 * _DA8_7) * h,
-            y1 + (v1 * _DA8_1 + v4 * _DA8_4 + v5 * _DA8_5 + v6 * _DA8_6
-                  + v7 * _DA8_7) * h))
-        u9, v9 = f(t + _DC9 * h, (
-            y0 + (u1 * _DA9_1 + u4 * _DA9_4 + u5 * _DA9_5 + u6 * _DA9_6
-                  + u7 * _DA9_7 + u8 * _DA9_8) * h,
-            y1 + (v1 * _DA9_1 + v4 * _DA9_4 + v5 * _DA9_5 + v6 * _DA9_6
-                  + v7 * _DA9_7 + v8 * _DA9_8) * h))
-        u10, v10 = f(t + _DC10 * h, (
-            y0 + (u1 * _DA10_1 + u4 * _DA10_4 + u5 * _DA10_5 + u6 * _DA10_6
-                  + u7 * _DA10_7 + u8 * _DA10_8 + u9 * _DA10_9) * h,
-            y1 + (v1 * _DA10_1 + v4 * _DA10_4 + v5 * _DA10_5 + v6 * _DA10_6
-                  + v7 * _DA10_7 + v8 * _DA10_8 + v9 * _DA10_9) * h))
-        u11, v11 = f(t + _DC11 * h, (
-            y0 + (u1 * _DA11_1 + u4 * _DA11_4 + u5 * _DA11_5 + u6 * _DA11_6
-                  + u7 * _DA11_7 + u8 * _DA11_8 + u9 * _DA11_9
-                  + u10 * _DA11_10) * h,
-            y1 + (v1 * _DA11_1 + v4 * _DA11_4 + v5 * _DA11_5 + v6 * _DA11_6
-                  + v7 * _DA11_7 + v8 * _DA11_8 + v9 * _DA11_9
-                  + v10 * _DA11_10) * h))
-        u12, v12 = f(t + h, (
-            y0 + (u1 * _DA12_1 + u4 * _DA12_4 + u5 * _DA12_5 + u6 * _DA12_6
-                  + u7 * _DA12_7 + u8 * _DA12_8 + u9 * _DA12_9
-                  + u10 * _DA12_10 + u11 * _DA12_11) * h,
-            y1 + (v1 * _DA12_1 + v4 * _DA12_4 + v5 * _DA12_5 + v6 * _DA12_6
-                  + v7 * _DA12_7 + v8 * _DA12_8 + v9 * _DA12_9
-                  + v10 * _DA12_10 + v11 * _DA12_11) * h))
-        s0 = (u1 * _DB1 + u6 * _DB6 + u7 * _DB7 + u8 * _DB8 + u9 * _DB9
-              + u10 * _DB10 + u11 * _DB11 + u12 * _DB12)
-        s1 = (v1 * _DB1 + v6 * _DB6 + v7 * _DB7 + v8 * _DB8 + v9 * _DB9
-              + v10 * _DB10 + v11 * _DB11 + v12 * _DB12)
-        n0, n1 = y0 + s0 * h, y1 + s1 * h
-        p0, p1 = f(t + h, (n0, n1))
-    except (OverflowError, _PastEvent):
-        return None
-    return (n0, n1, p0, p1,
-            (u1 * _DE1 + u6 * _DE6 + u7 * _DE7 + u8 * _DE8 + u9 * _DE9
-             + u10 * _DE10 + u11 * _DE11 + u12 * _DE12),
-            (v1 * _DE1 + v6 * _DE6 + v7 * _DE7 + v8 * _DE8 + v9 * _DE9
-             + v10 * _DE10 + v11 * _DE11 + v12 * _DE12),
-            s0 - u1 * _DBHH1 - u9 * _DBHH9 - u12 * _DBHH12,
-            s1 - v1 * _DBHH1 - v9 * _DBHH9 - v12 * _DBHH12)
-
-
 def _dop853_norm(res, y, rtol, atol, h):
     """|h| e5^2 / sqrt((e5^2 + 0.01 e3^2) 2) for the 8(5,3) pair.
 
@@ -454,10 +380,10 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     step(f, t, y, h, k1) -> flat result or None (see the module
     docstring) and norm(res, y, rtol, atol, h) are the pair's step and
     error norm, and the step size scales with norm ** exponent:
-    _rk45_step, _float_norm and -1/5, or _dop853_step, _dop853_norm and
-    -1/8.  The first step's k1 is the derivative _initial_step took at
-    (t0, y0), and each bisection step takes the event step's k1; a
-    failed step is not below the event.  The growth factor
+    _rk45_step, _float_norm and -1/5, or a _sweep_dop853_step step,
+    _dop853_norm and -1/8.  The first step's k1 is the derivative
+    _initial_step took at (t0, y0), and each bisection step takes the
+    event step's k1; a failed step is not below the event.  The growth factor
     _SAFETY * norm ** exponent is clamped as
     min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) would clamp it: a NaN
     factor gives _MIN_FACTOR, and a tie keeps the first argument.
@@ -606,26 +532,21 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
     return np.array(times), _stacked(states), event_state
 
 
-# adaptive pair -> (step, error norm, step-size exponent)
-_PAIRS = {"rk45": (_rk45_step, _float_norm, -0.2),
-          "dop853": (_dop853_step, _dop853_norm, -0.125)}
-
-
-def _solve(f, t0, y0, cfg: IntegratorConfig, event=None,
-           end_state_only=False, pairs=_PAIRS):
+def _solve(f, t0, y0, cfg: IntegratorConfig, event=None, rk45=_rk45_step,
+           dop853=None):
     """Solve with cfg's method.
 
-    "adaptive" is the 8(5,3) pair when the caller reads only the end
-    state (end_state_only) and the 4(5) pair otherwise.  pairs maps the
-    pair names to (step, norm, exponent), as _PAIRS does.
+    rk45 is the 4(5) step, and dop853, when given, an 8(5,3) step, which
+    a caller that reads only the end state passes: "adaptive" takes it,
+    and otherwise the 4(5) step, as "rk45" always does.
     """
     if cfg.method == "rk4":
         return solve_fixed(f, t0, y0, cfg.t_final, cfg.dt,
                            record_every=cfg.record_every, event=event)
-    pair = cfg.method
-    if pair == "adaptive":
-        pair = "dop853" if end_state_only else "rk45"
-    step, norm, exponent = pairs[pair]
+    if cfg.method == "adaptive" and dop853 is not None:
+        step, norm, exponent = dop853, _dop853_norm, -0.125
+    else:
+        step, norm, exponent = rk45, _float_norm, -0.2
     return solve_adaptive(f, t0, y0, cfg.t_final, rtol=cfg.rtol,
                           atol=cfg.atol, record_every=cfg.record_every,
                           event=event, step=step, norm=norm,
@@ -774,7 +695,9 @@ def _unit_norm_flow(c, omega, gamma, beta, half, r_const=0.0):
     float-by-complex product is written complex-first, as the steps'
     are.  It inlines unit_norm_deriv bit for bit
     (test_unit_norm_rhs_is_unit_norm_deriv), as _guarded_reduced_f does
-    model.reduced_deriv.
+    model.reduced_deriv.  The sweep's 8(5,3) step, _sweep_dop853_step,
+    writes the sweep's flow into its stages on float parts (see the
+    module docstring).
     """
     sweep = beta is not None
     omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
@@ -792,21 +715,17 @@ def _unit_norm_flow(c, omega, gamma, beta, half, r_const=0.0):
 
 
 def _sweep_dop853_step(c, omega, gamma, beta, half):
-    """_dop853_step over _unit_norm_flow for the sweep R(t) = beta (t -
-    half), that right-hand side written into each stage on the four
-    float parts Re a, Im a, Re b, Im b: the same bits, or None where that
-    step fails (test_sweep_step_is_the_generic_step).  f goes unused.
-
-    Each float expression takes the operations that CPython takes for
-    the complex one it stands for (see the module docstring), so the
-    parts agree with the complex step's except in the sign of a zero and
-    in an inf or NaN.  A result with a zero or non-finite part, and a
-    step whose float power overflows, is taken again by _dop853_step
-    over _unit_norm_flow.
+    """The Dormand-Prince 8(5,3) step over _unit_norm_flow for the sweep
+    R(t) = beta (t - half), that right-hand side written into each stage
+    on the four float parts Re a, Im a, Re b, Im b (see the module
+    docstring), with the contract of _rk45_step: the error part of the
+    flat result is e5_a, e5_b, e3_a, e3_b, the 5th- and 3rd-order error
+    components, not yet multiplied by h, which _dop853_norm combines.
+    None where a float power overflows.  f goes unused
+    (test_sweep_step_is_the_generic_step pins it to the tableau loop of
+    the tests' oracle).
     """
     omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
-    flow = _unit_norm_flow(c, omega, gamma, beta, half)
-    isfinite = math.isfinite
 
     def step(f, t, y, h, k1):
         y0r, y0i, y1r, y1i = y[0].real, y[0].imag, y[1].real, y[1].imag
@@ -999,7 +918,7 @@ def _sweep_dop853_step(c, omega, gamma, beta, half):
             p1r = ar * omega * ai + ai * omega * ar + bi * q + br * g
             p1i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
         except OverflowError:  # a ** 2 past the largest float
-            return _dop853_step(flow, t, y, h, k1)
+            return None
         e0r = (u1r * _DE1 + u6r * _DE6 + u7r * _DE7 + u8r * _DE8 + u9r * _DE9
                + u10r * _DE10 + u11r * _DE11 + u12r * _DE12)
         e0i = (u1i * _DE1 + u6i * _DE6 + u7i * _DE7 + u8i * _DE8 + u9i * _DE9
@@ -1012,10 +931,6 @@ def _sweep_dop853_step(c, omega, gamma, beta, half):
                     s0i - u1i * _DBHH1 - u9i * _DBHH9 - u12i * _DBHH12)
         d1r, d1i = (s1r - v1r * _DBHH1 - v9r * _DBHH9 - v12r * _DBHH12,
                     s1i - v1i * _DBHH1 - v9i * _DBHH9 - v12i * _DBHH12)
-        parts = (ar, ai, br, bi, p0r, p0i, p1r, p1i, e0r, e0i, e1r, e1i, d0r,
-                 d0i, d1r, d1i)
-        if 0.0 in parts or not isfinite(sum(parts)):
-            return _dop853_step(flow, t, y, h, k1)
         return (complex(ar, ai), complex(br, bi), complex(p0r, p0i),
                 complex(p1r, p1i), complex(e0r, e0i), complex(e1r, e1i),
                 complex(d0r, d0i), complex(d1r, d1i))
@@ -1040,9 +955,9 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
         return y[0] - s_max
 
     f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
-    chart = _reduced_rk45_step(q.c, q.omega, q.r, q.gamma), _float_norm, -0.2
-    times, states, hit = _solve(f, 0.0, (s0, theta0), cfg, event=pole,
-                                pairs={"rk45": chart})
+    times, states, hit = _solve(
+        f, 0.0, (s0, theta0), cfg, event=pole,
+        rk45=_reduced_rk45_step(q.c, q.omega, q.r, q.gamma))
     event = None
     if hit is not None:
         t_ev, (s_ev, theta_ev) = hit

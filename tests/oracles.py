@@ -452,8 +452,9 @@ def _weighted_sum(weights, ks, m):
 def dop853_step(f, t, y, h, k1=None):
     """One Dormand-Prince 8(5,3) step on a tuple state of any length.
 
-    Returns (y_new, (err5, err3), k_last) or None, with the bits of
-    integrate._dop853_step, from a loop over the dense tableau.
+    Returns (y_new, (err5, err3), k_last) or None, from a loop over the
+    dense tableau: the reference that integrate._sweep_dop853_step keeps
+    the bits of, up to the sign of a zero and where a part is not finite.
     """
     c, a, b, e5, bhh = DOP853_TABLEAU
     n = range(len(y))
@@ -498,7 +499,19 @@ def dop853_norm(err, y, y_new, rtol, atol, h):
     return abs(h) * sq5 / math.sqrt(denom)
 
 
-# pair name -> (step, error norm, step-size exponent), as integrate._PAIRS
+def flat_dop853_step(f, t, y, h, k1=None):
+    """dop853_step with the flat result of integrate's steps, (*y_new,
+    *k_last, *err5, *err3), or None: an 8(5,3) step over any right-hand
+    side for integrate.solve_adaptive."""
+    res = dop853_step(f, t, y, h, k1)
+    if res is None:
+        return None
+    y_new, (err5, err3), k_last = res
+    return (*y_new, *k_last, *err5, *err3)
+
+
+# pair name -> (step, error norm, step-size exponent) of this module's
+# loop, as integrate._solve picks them
 PAIRS = {"rk45": (rk45_step, error_norm, -0.2),
          "dop853": (dop853_step, dop853_norm, -0.125)}
 

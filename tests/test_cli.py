@@ -532,6 +532,7 @@ class TestExitCodes:
         (["sweep", "--v=-1"], "[model] v must be >= 0, got -1.0"),
         (["trap", "--gamma=nan"], "[trap] gamma must be finite, got nan"),
         (["trap", "--u", "nan"], "[model] u must be finite, got nan"),
+        (["trap", "--v=-1"], "[model] v must be >= 0, got -1.0"),
         (["trap", "--a0-sq", "2"], "[trap] a0_sq must be in [0, 1], got 2.0"),
         (["evolve", "--v", "inf"], "[model] v must be finite, got inf"),
         (["evolve", "--gamma-b", "nan"],
@@ -551,6 +552,15 @@ class TestExitCodes:
         rc = main(argv + ["--output", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "trap"])
+    def test_negative_v_writes_nothing(self, tmp_path, capsys, command):
+        # V < 0 is a config error for each command that builds Params:
+        # exit 2 before the output directory is made
+        out = tmp_path / "o"
+        assert main([command, "--v=-1", "--output", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["trap", "--t-span", "0"],
                                       ["portrait", "--t-span", "-1"]])

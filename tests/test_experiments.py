@@ -28,7 +28,7 @@ from atomol.model import (
     unit_norm_deriv,
 )
 
-from oracles import params_from_gamma, zero_loss_s_range
+from oracles import flat_dop853_step, params_from_gamma, zero_loss_s_range
 
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
 
@@ -158,12 +158,12 @@ class TestSweepConversion:
     def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
         # the sweep right-hand side writes R(t) = beta * (t - T/2)
         # inline; every stage must see the bits of the public r_at.  The
-        # solve takes the generic 8(5,3) step, which calls f at every
+        # solve takes the oracle's 8(5,3) step, which calls f at every
         # stage: test_sweep_step_is_the_generic_step carries these bits
         # on to the sweep's own step
         p = params_from_gamma(gamma_minus=0.3)
         monkeypatch.setattr(experiments, "_sweep_dop853_step",
-                            lambda *q: integrate._dop853_step)
+                            lambda *q: flat_dop853_step)
         solve = integrate.solve_adaptive
         stages = []
 
@@ -192,14 +192,15 @@ class TestSweepConversion:
         (-1.5, -0.6, 0.5, 1.0, 1e-9, "rk4")])
     def test_sweep_solve_is_the_generic_solve(self, monkeypatch, beta, gamma,
                                               u, v, rtol, method):
-        # the sweep's solve gives the bits of a solve over _unit_norm_f
-        # with integrate._PAIRS; under "adaptive" f is called once, for
-        # the first step size, and every step is the sweep's own, while
-        # rk45 and rk4 take the generic steps over f
+        # the sweep's solve gives the bits of a solve over
+        # _unit_norm_flow whose 8(5,3) step is the oracle's; under
+        # "adaptive" f is called once, for the first step size, and every
+        # step is the sweep's own, while rk45 and rk4 take the generic
+        # steps over f
         pr = SweepProtocol(beta=beta, r_max=5.0)
         cfg = IntegratorConfig(method=method, rtol=rtol, atol=rtol, dt=1e-3)
-        unit_norm_f, sweep_step = (experiments._unit_norm_f,
-                                   experiments._sweep_dop853_step)
+        flow, sweep_step = (experiments._unit_norm_flow,
+                            experiments._sweep_dop853_step)
         calls = {"f": 0, "step": 0}
         solves = []
 
@@ -213,15 +214,15 @@ class TestSweepConversion:
             solves.append(integrate._solve(*args, **kwargs))
             return solves[-1]
 
-        monkeypatch.setattr(experiments, "_unit_norm_f",
-                            lambda *q: counted("f", unit_norm_f(*q)))
+        monkeypatch.setattr(experiments, "_unit_norm_flow",
+                            lambda *q: counted("f", flow(*q)))
         monkeypatch.setattr(experiments, "_sweep_dop853_step",
                             lambda *q: counted("step", sweep_step(*q)))
         monkeypatch.setattr(experiments, "_solve", recorded_solve)
         experiments._terminal_efficiency.__wrapped__(pr, u, v, gamma, cfg)
         times, states, _ = integrate._solve(
-            unit_norm_f(u, v, gamma, pr), 0.0, (1.0 + 0j, 0j),
-            replace(cfg, t_final=pr.duration), end_state_only=True)
+            flow(u, v, gamma, beta, pr._half_duration), 0.0, (1.0 + 0j, 0j),
+            replace(cfg, t_final=pr.duration), dop853=flat_dop853_step)
         assert len(times) > 20
         assert solves[0][0].tobytes() == times.tobytes()
         assert solves[0][1].tobytes() == states.tobytes()
@@ -230,39 +231,38 @@ class TestSweepConversion:
         else:
             assert calls["step"] == 0 and calls["f"] >= 4 * (len(times) - 1)
 
-
     @pytest.mark.parametrize("gamma_draw", [None, 0.3, 0.7])
-    def test_sweeps_take_no_fallback_step(self, monkeypatch, gamma_draw):
+    def test_sweeps_step_on_finite_nonzero_parts(self, monkeypatch,
+                                                 gamma_draw):
         # the default sweep, and the bench's sweeps at its Gamma draws
-        # 0.3 and 0.7, take every step on the sweep step's float parts,
-        # none on its complex fallback
+        # 0.3 and 0.7, give every step a result whose float parts are all
+        # finite and nonzero: there the sweep's step keeps every bit of
+        # the oracle's tableau loop over complex numbers
+        # (test_sweep_step_is_the_generic_step)
         defaults = default_config()
         gammas = (defaults["sweep.gammas"] if gamma_draw is None
                   else [-gamma_draw, 0.0, gamma_draw])
-        generic, calls = integrate._dop853_step, {"generic": 0, "step": 0}
-        sweep_step = experiments._sweep_dop853_step
+        sweep_step, results = experiments._sweep_dop853_step, []
 
-        def counted_generic(*args):
-            calls["generic"] += 1
-            return generic(*args)
-
-        def counted_step(*q):
+        def recorded_step(*q):
             step = sweep_step(*q)
 
             def wrapper(*args):
-                calls["step"] += 1
-                return step(*args)
+                results.append(step(*args))
+                return results[-1]
             return wrapper
 
-        monkeypatch.setattr(integrate, "_dop853_step", counted_generic)
-        monkeypatch.setattr(experiments, "_sweep_dop853_step", counted_step)
+        monkeypatch.setattr(experiments, "_sweep_dop853_step", recorded_step)
         for beta in defaults["sweep.betas"]:
             pr = SweepProtocol(beta=beta, r_max=defaults["sweep.r_max"])
             for gamma in gammas:
                 experiments._terminal_efficiency.__wrapped__(
                     pr, defaults["model.u"], defaults["model.v"], gamma,
                     IntegratorConfig())
-        assert calls["generic"] == 0 and calls["step"] > 5000
+        assert len(results) > 5000
+        assert all(res is not None and all(
+            x != 0.0 and math.isfinite(x)
+            for v in res for x in (v.real, v.imag)) for res in results)
 
 
 def exact(values):
@@ -308,8 +308,11 @@ class TestUnitNormRhs:
     def test_unit_norm_rhs_is_unit_norm_deriv(self, a, b, c, omega, gamma,
                                               r, beta, r_max, t):
         pr = SweepProtocol(beta=beta, r_max=r_max)
-        for r_of_t, r_t in ((pr, pr.r_at(t)), (r, r)):
-            f = experiments._unit_norm_f(c, omega, gamma, r_of_t)
+        for f, r_t in (
+                (integrate._unit_norm_flow(c, omega, gamma, beta,
+                                           pr._half_duration), pr.r_at(t)),
+                (integrate._unit_norm_flow(c, omega, gamma, None, None, r),
+                 r)):
             assert rhs_outcome(f, t, (a, b)) == rhs_outcome(
                 unit_norm_deriv, a, b, c, omega, r_t, gamma)
 

@@ -39,7 +39,8 @@ from atomol.model import (
     reduced_deriv,
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
-                     params_from_gamma, rk4_step, rk45_step)
+                     flat_dop853_step, params_from_gamma, rk4_step,
+                     rk45_step)
 import oracles
 from oracles import solve_adaptive as oracle_solve_adaptive
 
@@ -260,16 +261,13 @@ def test_solves_call_no_numpy_between_start_and_results(monkeypatch, run):
             return step(*args)
         return wrapper
 
+    solve = integrate.solve_adaptive
+
+    def logged_solve(*args, step, **kwargs):
+        return solve(*args, step=logged(step), **kwargs)
+
     monkeypatch.setattr(integrate, "np", Numpy())
-    for name, (step, norm, exponent) in list(integrate._PAIRS.items()):
-        monkeypatch.setitem(integrate._PAIRS, name,
-                            (logged(step), norm, exponent))
-    chart = integrate._reduced_rk45_step
-    monkeypatch.setattr(integrate, "_reduced_rk45_step",
-                        lambda *q: logged(chart(*q)))
-    sweep = experiments._sweep_dop853_step
-    monkeypatch.setattr(experiments, "_sweep_dop853_step",
-                        lambda *q: logged(sweep(*q)))
+    monkeypatch.setattr(integrate, "solve_adaptive", logged_solve)
     _ONE_SOLVE[run]()
     steps = [i for i, entry in enumerate(log) if entry[0] == "step"]
     assert len(steps) > 20
@@ -425,37 +423,40 @@ class TestGenericSolvers:
         integrate._solve(f, np.float64(0.0), (1.0, 0.0), cfg)
         assert seen == {(float, float)}
 
-    @pytest.mark.parametrize("method, end_state_only, step", [
-        ("adaptive", True, integrate._dop853_step),
-        ("adaptive", False, integrate._rk45_step),
-        ("rk45", True, integrate._rk45_step),
-        ("rk45", False, integrate._rk45_step)])
+    @pytest.mark.parametrize("method, dop853, pair", [
+        ("adaptive", flat_dop853_step, "dop853"),
+        ("adaptive", None, "rk45"),
+        ("rk45", flat_dop853_step, "rk45"),
+        ("rk45", None, "rk45")])
     def test_adaptive_method_takes_its_pair_from_the_call_site(
-            self, monkeypatch, method, end_state_only, step):
-        steps = []
+            self, monkeypatch, method, dop853, pair):
+        # "adaptive" takes the 8(5,3) step a caller passes, with its norm
+        # and exponent, and otherwise the 4(5) pair, as "rk45" always does
+        pairs = []
 
-        def recording_solve(*args, step, **kwargs):
-            steps.append(step)
-            return solve_adaptive(*args, step=step, **kwargs)
+        def recording_solve(*args, step, norm, exponent, **kwargs):
+            pairs.append((step, norm, exponent))
+            return solve_adaptive(*args, step=step, norm=norm,
+                                  exponent=exponent, **kwargs)
 
         monkeypatch.setattr(integrate, "solve_adaptive", recording_solve)
         cfg = IntegratorConfig(method=method, t_final=1.0)
         integrate._solve(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), cfg,
-                         end_state_only=end_state_only)
-        assert steps == [step]
+                         dop853=dop853)
+        assert pairs == [SOLVER_PAIRS[pair]]
 
     def test_dop853_solve_is_accurate_in_fewer_calls(self):
         # harmonic oscillator over ten periods at the default tolerance
         calls = {"rk45": 0, "dop853": 0}
         end = {}
-        for name, (step, norm, exponent) in integrate._PAIRS.items():
+        for name, (step, norm, exponent) in oracles.PAIRS.items():
             def f(t, y, name=name):
                 calls[name] += 1
                 return y[1], -y[0]
 
-            _, states, _ = solve_adaptive(f, 0.0, (1.0, 0.0), 20 * math.pi,
-                                          step=step, norm=norm,
-                                          exponent=exponent)
+            _, states, _ = oracle_solve_adaptive(
+                f, 0.0, (1.0, 0.0), 20 * math.pi, step=step, norm=norm,
+                exponent=exponent)
             end[name] = states[-1]
         for y in end.values():
             assert abs(y[0] - 1.0) < 1e-9 and abs(y[1]) < 1e-9
@@ -541,6 +542,11 @@ _SWEEP_AMPLITUDES = st.builds(complex, _SWEEP_PARTS, _SWEEP_PARTS)
 _SWEEP_PAIRS = st.tuples(_SWEEP_AMPLITUDES, _SWEEP_AMPLITUDES)
 PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
+# pair name -> (step, error norm, step-size exponent) that integrate._solve
+# hands solve_adaptive; the one 8(5,3) step of src is the sweep's, so the
+# loop's 8(5,3) checks step with the oracle's, in the flat form
+SOLVER_PAIRS = {"rk45": (integrate._rk45_step, integrate._float_norm, -0.2),
+                "dop853": (flat_dop853_step, integrate._dop853_norm, -0.125)}
 
 
 def pair_rhs(p, q, power, limit):
@@ -581,28 +587,6 @@ class TestPairSteps:
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._float_norm(pair, y, rtol, atol, h)]) == \
                 bits([error_norm(generic[1], y, generic[0], rtol, atol)])
-
-    @PAIR_PROPERTY
-    @given(y=_PAIRS, k1=st.one_of(st.none(), _PAIRS), h=_STEPS,
-           t=st.floats(min_value=-100.0, max_value=100.0),
-           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
-           limit=st.one_of(st.just(math.inf), _REALS))
-    @example(y=(1e110, 2.0), k1=None, h=1.0, t=0.0, p=1.0, q=1.0, power=3,
-             limit=math.inf)  # a stage overflows a float power
-    @example(y=(0.5j, 1 + 0j), k1=None, h=1.0, t=0.0, p=1.0, q=1.0,
-             power=1, limit=0.75)  # a later stage is past the event
-    def test_dop853_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
-                                                  power, limit):
-        f = pair_rhs(p, q, power, limit)
-        pair = integrate._dop853_step(f, t, y, h, k1)
-        generic = dop853_step(f, t, y, h, k1)
-        if generic is None:
-            assert pair is None
-            return
-        assert bits(pair) == bits(flat_result(generic))
-        for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
-            assert bits([integrate._dop853_norm(pair, y, rtol, atol, h)]) == \
-                bits([dop853_norm(generic[1], y, generic[0], rtol, atol, h)])
 
     @PAIR_PROPERTY
     @given(y=_PAIRS, h=_STEPS, t=st.floats(min_value=-100.0, max_value=100.0),
@@ -666,7 +650,7 @@ class TestPairSteps:
         # Python's abs of a complex whose magnitude is past the largest
         # float raises OverflowError, where numpy's gave inf: the norms
         # read such a step as one of infinite norm, a rejected step
-        _, norm, _ = integrate._PAIRS[pair]
+        _, norm, _ = SOLVER_PAIRS[pair]
         res = tuple(res[:6] if pair == "rk45" else res)
         value = norm(res, y, rtol, atol, 1.0)
         read = (*y, res[0], res[1], *res[4:])
@@ -780,6 +764,10 @@ class TestPairSteps:
              gamma=0.6, beta=-0.4, r_max=2.0)
     @example(y=(0.6 - 0.3j, 0.2 + 0.4j), k1=None, h=-0.3, t=9.0, c=-1.2,
              omega=0.8, gamma=-0.5, beta=0.7, r_max=1.3)
+    # a = 0, the pure molecular mode, stays 0 in every stage: the float
+    # parts give -0.0 for Re k_last_a where complex numbers give 0.0
+    @example(y=(0j, 0.5 - 0.25j), k1=None, h=0.1, t=2.5, c=1.0, omega=0.8,
+             gamma=1.0, beta=0.5, r_max=5.0)
     # a ** 2 overflows in the second stage, and in a later one
     @example(y=(1e155 + 0j, 0j), k1=(0j, 0j), h=0.1, t=1.0, c=1.0,
              omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
@@ -792,56 +780,80 @@ class TestPairSteps:
              omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
     def test_sweep_step_is_the_generic_step(self, y, k1, h, t, c, omega,
                                             gamma, beta, r_max):
-        # the sweep's step gives the bits of _dop853_step over
-        # experiments._unit_norm_f, and fails exactly where that step fails
-        pr = experiments.SweepProtocol(beta=beta, r_max=r_max)
-        f = experiments._unit_norm_f(c, omega, gamma, pr)
+        # the sweep's step gives the bits of the oracle's tableau loop
+        # over _unit_norm_flow where that step's parts are finite and
+        # nonzero, and its zeros up to their sign.  Where a part is not
+        # finite, each fails or gives a step of infinite norm, which the
+        # loop rejects alike: a part that is finite on the float parts
+        # may be NaN on complex numbers (inf * 0.0), so one step's a ** 2
+        # can overflow where the other's is NaN
+        half = experiments.SweepProtocol(beta=beta, r_max=r_max)._half_duration
+        f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
         if k1 is None:  # the loop's k1, f at the start state
             try:
                 k1 = f(t, y)
             except OverflowError:  # the loop never steps from there
                 return
-        generic = integrate._dop853_step(f, t, y, h, k1)
-        written = integrate._sweep_dop853_step(
-            c, omega, gamma, beta, pr._half_duration)(None, t, y, h, k1)
-        assert (written is None) == (generic is None)
-        if generic is None:
+        generic = dop853_step(f, t, y, h, k1)
+        written = integrate._sweep_dop853_step(c, omega, gamma, beta, half)(
+            None, t, y, h, k1)
+        oracle = flat_result(generic)
+        if oracle is None or not all(map(math.isfinite, flat_parts(oracle))):
+            for res in (written, oracle):
+                assert res is None or integrate._dop853_norm(
+                    res, y, 1e-11, 1e-11, h) == math.inf
             return
-        assert bits(written) == bits(generic)
+        unsigned = [x or 0.0 for x in flat_parts(written)]
+        assert bits(unsigned) == bits([x or 0.0 for x in flat_parts(oracle)])
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._dop853_norm(written, y, rtol, atol, h)]) \
-                == bits([integrate._dop853_norm(generic, y, rtol, atol, h)])
+                == bits([dop853_norm(generic[1], y, generic[0], rtol, atol,
+                                     h)])
 
-    @PAIR_PROPERTY
-    @given(y=_SWEEP_PAIRS, k1=st.one_of(st.none(), _SWEEP_PAIRS),
-           h=st.one_of(_STEPS, st.floats(min_value=-1e307, max_value=1e307)),
-           t=st.floats(min_value=-1e3, max_value=1e3), c=_COEFFS,
-           omega=_COEFFS, gamma=_COEFFS,
-           beta=_COEFFS.filter(lambda v: v != 0.0))
-    def test_sweep_step_falls_back_only_where_it_must(self, y, k1, h, t, c,
-                                                      omega, gamma, beta):
-        # the sweep's step calls _dop853_step exactly when its result is
-        # None or has a zero or non-finite part: its float parts give
-        # every other result on their own
-        step = integrate._sweep_dop853_step(c, omega, gamma, beta, 3.0)
-        if k1 is None:
-            try:
-                k1 = integrate._unit_norm_flow(c, omega, gamma, beta,
-                                               3.0)(t, y)
-            except OverflowError:
-                return
-        with mock.patch.object(integrate, "_dop853_step",
-                               wraps=integrate._dop853_step) as generic:
-            written = step(None, t, y, h, k1)
-        own = written is not None and all(
-            x != 0.0 and math.isfinite(x)
-            for v in written for x in (v.real, v.imag))
-        assert generic.call_count == (0 if own else 1)
+    @pytest.mark.parametrize("y, k1, c, omega, gamma, beta, outcome", [
+        # a = 0, the pure molecular mode, stays 0 in every stage; the
+        # float parts give -0.0 for Re k_last_a where complex numbers
+        # give 0.0, and every other bit of the oracle's
+        ((0j, 0.5 - 0.25j), None, 1.0, 0.8, 1.0, 0.5, "zero_sign"),
+        # a ** 2 past the largest float, in the second stage
+        ((1e155 + 0j, 0j), (0j, 0j), 1.0, 1.0, 0.3, 1.0, "none"),
+        # inf products and NaN sums, with no float power past the largest
+        ((1e100 + 1e100j, 1e120j), (0j, 0j), 1.0, 1.0, 0.3, 1.0, "nan")])
+    def test_sweep_step_on_zero_and_overflowing_parts(self, y, k1, c, omega,
+                                                      gamma, beta, outcome):
+        # the three kinds of step the sweep's float parts give where
+        # complex numbers would not give every bit: a zero's sign, None
+        # where a float power overflows, and NaN parts, which the norm
+        # reads as inf, as it does the oracle's
+        half = experiments.SweepProtocol(beta=beta, r_max=5.0)._half_duration
+        f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
+        t, h, k1 = 2.5, 0.1, k1 or f(2.5, y)
+        oracle = flat_dop853_step(f, t, y, h, k1)
+        written = integrate._sweep_dop853_step(c, omega, gamma, beta, half)(
+            None, t, y, h, k1)
+        if outcome == "none":
+            assert written is None and oracle is None
+        elif outcome == "nan":
+            assert all(map(math.isnan, flat_parts(written)))
+            assert all(map(math.isnan, flat_parts(oracle)))
+            for res in (written, oracle):
+                assert integrate._dop853_norm(res, y, 1e-11, 1e-11,
+                                              h) == math.inf
+        else:
+            changed = [k for k, (x, z) in enumerate(zip(
+                bits(flat_parts(written)), bits(flat_parts(oracle))))
+                if x != z]
+            assert changed == [4]  # Re k_last_a
+            assert flat_parts(written)[4] == flat_parts(oracle)[4] == 0.0
+            assert math.copysign(1.0, flat_parts(written)[4]) == -1.0
+            assert bits([integrate._dop853_norm(written, y, 1e-11, 1e-11,
+                                                h)]) == \
+                bits([integrate._dop853_norm(oracle, y, 1e-11, 1e-11, h)])
 
     def test_sweep_step_is_the_generic_step_on_uniform_draws(self):
         # hypothesis favours simple floats, whose products are often
         # exact; on 300 uniform draws every float part must still round
-        # as the complex step's does, with no fallback
+        # as the oracle's tableau loop over complex numbers does
         rng = random.Random(30)
         for _ in range(300):
             c, omega, gamma, beta = (rng.uniform(-3.0, 3.0) for _ in "1234")
@@ -849,61 +861,31 @@ class TestPairSteps:
                       for _ in "12")
             pr = experiments.SweepProtocol(beta=beta, r_max=5.0)
             t, h = rng.uniform(0.0, pr.duration), rng.uniform(-0.05, 0.05)
-            f = experiments._unit_norm_f(c, omega, gamma, pr)
+            f = integrate._unit_norm_flow(c, omega, gamma, beta,
+                                          pr._half_duration)
             k1 = f(t, y)
-            generic = integrate._dop853_step(f, t, y, h, k1)
-            with mock.patch.object(integrate, "_dop853_step") as fallback:
-                written = integrate._sweep_dop853_step(
-                    c, omega, gamma, beta, pr._half_duration)(None, t, y, h,
-                                                              k1)
-            assert fallback.call_count == 0
-            assert bits(written) == bits(generic)
-
-    @pytest.mark.parametrize("y, k1, c, omega, gamma, beta", [
-        # a = 0, the pure molecular mode, stays 0 in every stage; the
-        # float parts give -0.0 for Re p0 where the complex step gives 0.0
-        ((0j, 0.5 - 0.25j), None, 1.0, 0.8, 1.0, 0.5),
-        # a ** 2 past the largest float, in the second stage
-        ((1e155 + 0j, 0j), (0j, 0j), 1.0, 1.0, 0.3, 1.0),
-        # inf products and NaN sums, with no float power past the largest
-        ((1e100 + 1e100j, 1e120j), (0j, 0j), 1.0, 1.0, 0.3, 1.0)])
-    def test_sweep_step_fallback_is_the_generic_step(self, monkeypatch, y,
-                                                     k1, c, omega, gamma,
-                                                     beta):
-        # these steps are taken again by _dop853_step over the complex
-        # flow, to its bits, the sign of a zero included, or to None
-        generic, calls = integrate._dop853_step, []
-
-        def counted(*args):
-            calls.append(args)
-            return generic(*args)
-
-        pr = experiments.SweepProtocol(beta=beta, r_max=5.0)
-        f = experiments._unit_norm_f(c, omega, gamma, pr)
-        t, h, k1 = 2.5, 0.1, k1 or f(2.5, y)
-        expected = generic(f, t, y, h, k1)
-        monkeypatch.setattr(integrate, "_dop853_step", counted)
-        written = integrate._sweep_dop853_step(
-            c, omega, gamma, beta, pr._half_duration)(None, t, y, h, k1)
-        assert len(calls) == 1
-        if expected is None:
-            assert written is None
-        else:
-            assert bits(written) == bits(expected)
-            assert any(x == 0.0 or not math.isfinite(x)
-                       for v in expected for x in (v.real, v.imag))
+            written = integrate._sweep_dop853_step(
+                c, omega, gamma, beta, pr._half_duration)(None, t, y, h, k1)
+            assert bits(written) == bits(flat_dop853_step(f, t, y, h, k1))
 
     def test_dop853_one_step_error_is_ninth_order(self):
-        # y' = i y: an 8th-order step errs by O(h^9), 2^9 = 512 times less
-        # per halving of h, from h = 1 down to where rounding sets in
-        def f(t, y):
-            return 1j * y[0], -1j * y[1]
-
+        # at C = Omega = Gamma = 0 the sweep's flow is a = a0 e^(-i Phi),
+        # b = b0 e^(2i Phi), Phi = beta ((t - T/2)^2 - (t0 - T/2)^2) / 2:
+        # an 8th-order step errs by O(h^9), 2^9 = 512 times less per
+        # halving of h, from h = 0.5 down to where rounding sets in.  At
+        # t0 = 5, R = -2: the ratios are 2^9.04 and 2^8.99
+        pr = experiments.SweepProtocol(beta=0.1, r_max=2.5)
+        half = pr._half_duration
+        a0, b0, t0 = 0.6 + 0.8j, 0.3 - 0.4j, 5.0
+        step = integrate._sweep_dop853_step(0.0, 0.0, 0.0, pr.beta, half)
+        k1 = integrate._unit_norm_flow(0.0, 0.0, 0.0, pr.beta, half)(
+            t0, (a0, b0))
         errors = []
-        for h in (1.0, 0.5, 0.25):
-            y_new = integrate._dop853_step(f, 0.0, (1 + 0j, 1 + 0j), h)[:2]
-            errors.append(max(abs(y_new[0] - cmath.exp(1j * h)),
-                              abs(y_new[1] - cmath.exp(-1j * h))))
+        for h in (0.5, 0.25, 0.125):
+            a, b = step(None, t0, (a0, b0), h, k1)[:2]
+            phi = pr.beta * ((t0 + h - half) ** 2 - (t0 - half) ** 2) / 2.0
+            errors.append(max(abs(a - a0 * cmath.exp(-1j * phi)),
+                              abs(b - b0 * cmath.exp(2j * phi))))
         for coarse, fine in zip(errors, errors[1:]):
             assert abs(math.log2(coarse / fine) - 9.0) < 0.2
 
@@ -943,6 +925,11 @@ class TestPairSteps:
                 assert calls == []
 
 
+def flat_parts(res):
+    """The real and imaginary parts of a flat step result, in order."""
+    return [x for v in res for x in (v.real, v.imag)]
+
+
 def flat(parts):
     """The numbers of nested tuples and lists, in order."""
     if isinstance(parts, (tuple, list)):
@@ -952,7 +939,6 @@ def flat(parts):
 
 @pytest.mark.parametrize("pair_step, generic_step", [
     (integrate._rk45_step, rk45_step),
-    (integrate._dop853_step, dop853_step),
     (integrate._rk4_step, rk4_step)])
 def test_pair_steps_keep_the_bits_on_full_precision_states(pair_step,
                                                             generic_step):
@@ -979,7 +965,7 @@ def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     """A solve's times, states and event as exact bytes, or the type and
     message of what it raised.  level, when not None, is an event at
     y0.real = level."""
-    step, norm, exponent = (integrate._PAIRS if solve is solve_adaptive
+    step, norm, exponent = (SOLVER_PAIRS if solve is solve_adaptive
                             else oracles.PAIRS)[pair]
     event = None if level is None else (lambda t, y: y[0].real - level)
     try:
@@ -1103,7 +1089,7 @@ class TestSolveLoop:
             calls[t, y] += 1
             return y[1], -y[0]
 
-        step, norm, exponent = integrate._PAIRS[pair]
+        step, norm, exponent = SOLVER_PAIRS[pair]
         times, states, hit = solve_adaptive(
             f, 0.0, (0.0, 1.0), 10.0, rtol=1e-6, atol=1e-6,
             event=lambda t, y: y[0] - 0.9, step=step, norm=norm,

@@ -227,6 +227,25 @@ class TestRegimeCensus:
         rmap = scan_plane(resolution=(17, 23), omega=OMEGA, gamma=gamma)
         assert _mismatches(rmap) == []
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_c_star_bounds_regime_two_at_zero_loss(self, sign):
+        # at Gamma = 0 and Omega = 1, regime II needs |C| above
+        # C* = Omega / (2 sqrt 2): a line of fixed C = 0.9 C* holds no II
+        # cell, and one at 1.1 C* holds the II sliver R = 0.3182 ... 0.3224
+        # (mirrored to C, R < 0).  The R step, 1e-4 over [-1, 1], puts
+        # about 40 cells in the sliver
+        c_star = 1.0 / (2.0 * math.sqrt(2.0))
+        r = np.arange(-10000, 10001) * 1e-4
+        for factor in (0.9, 1.1):
+            codes, table = regime_census(sign * factor * c_star, r, 1.0, 0.0)
+            two = [k for k, lab in enumerate(table) if lab.label == "II"]
+            sliver = sign * r[np.isin(codes, two)]
+            if factor < 1.0:
+                assert sliver.size == 0
+            else:
+                assert sliver.size >= 30
+                assert 0.318 <= sliver.min() and sliver.max() <= 0.3225
+
     def test_extreme_points_keep_the_scalar_labels(self):
         values = (1e300, -1e300, 1e-300, -1e-300, 0.0, 0.7, -1.3)
         points = list(itertools.product(values, values, (1e300, 1e-300, 1.0),
