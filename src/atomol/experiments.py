@@ -139,9 +139,9 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
                           replace(cfg, t_final=protocol.duration),
                           dop853=_sweep_dop853_step(u, v, gamma,
                                                     protocol.beta, half))
-    a, b = states[-1]
-    n = abs(a) ** 2 + 2.0 * abs(b) ** 2
-    return float(abs(b) ** 2 / n)
+    mod_a, mod_b = map(abs, states[-1])
+    b_sq = mod_b * mod_b
+    return float(b_sq / (mod_a * mod_a + 2.0 * b_sq))
 
 
 def sweep_conversion(protocol: SweepProtocol, p: Params,

@@ -22,8 +22,9 @@ amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
 f(t, y) gets that tuple and returns a pair (the tuples of the model's
 *_deriv functions).  A step returns one flat tuple,
 (y_new0, y_new1, k_last0, k_last1, *err), or None where it fails: a
-right-hand side overflowed a float power, or a reduced-flow stage lay
-at or past S = 1.  The loop rejects a failed step as one of infinite
+reduced-flow stage lay at or past S = 1.  A right-hand side past the
+largest float gives inf or NaN parts, which the norms read as an
+infinite norm.  The loop rejects a failed step as one of infinite
 norm.  The steps write the stages out for the two components in the
 operation order of the vector form (y + h * (a21 * k1) and so on), so
 the trajectories keep the bits they had when the states were numpy
@@ -50,17 +51,27 @@ is.  So each part has the bits of the same step on complex numbers
 unless it is a zero, whose sign may differ, or an inf or NaN.  A zero
 keeps the sign its float expression gives, which no output sees: a
 sweep reads its amplitudes only through abs.  Where a part is inf or
-NaN, the two forms may differ in which parts are, and one may fail
-where the other gives a step of infinite norm, which the loop rejects
-alike (test_sweep_step_is_the_generic_step).  |a|^2 stays
-a.real ** 2 + a.imag ** 2: libm's pow need not round as x * x does,
-and past the largest float it raises OverflowError, a failed step.
+NaN, the two forms may differ in a NaN's sign, and a part that is
+finite on the floats may be NaN on complex numbers (inf * 0.0), but
+their error norms agree, so the loop accepts or rejects both alike
+(test_sweep_step_is_the_generic_step).  Every square of an
+amplitude part is a product, x * x, here and in the model's right-hand
+sides: CPython 3.11 hands x ** 2 to libm's pow, which takes about three
+times as long, need not round as x * x does, and raises OverflowError
+past the largest float.
 
 No numpy call runs between _as_state and the result arrays.  The norms
 that steer the step size take their magnitudes from Python's abs,
 libm's hypot on a complex, whose bits, unlike those of numpy's complex
 abs, do not depend on the CPU's SIMD dispatch target.  One 4(5) norm,
 _float_norm, serves the amplitude pairs and the (S, theta) chart.
+glibc picks FMA variants of sin, cos, atan2, exp, log and pow at load
+time by the CPU's features (GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2
+switches them off), and those variants round differently; hypot and
+sqrt gave the same bits either way.  So a sweep's 8(5,3) solve, whose
+step takes only products, sums and, in _dop853_growth, square roots,
+gives the same bits with those variants on or off, while the 4(5)
+pair's err ** -0.2 and the chart's sin and cos still follow them.
 
 The adaptive loop evaluates f once at the start state of each step:
 the derivative that the first step size is estimated from is the first
@@ -243,8 +254,8 @@ def _rk45_step(f, t, y, h, k1=None):
     Returns the flat result (y_new0, y_new1, k_last0, k_last1, err0,
     err1): the 5th-order state, the last stage derivative
     (first-same-as-last: the next step's k1) and the error components.
-    A right-hand side that overflows a float power or raises _PastEvent
-    gives None, a failed step, which the step controller rejects.
+    A right-hand side that raises _PastEvent gives None, a failed step,
+    which the step controller rejects.
     """
     y0, y1 = y
     try:
@@ -268,7 +279,7 @@ def _rk45_step(f, t, y, h, k1=None):
         n0 = y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h
         n1 = y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h
         p0, p1 = f(t + h, (n0, n1))
-    except (OverflowError, _PastEvent):
+    except _PastEvent:
         return None
     return (n0, n1, p0, p1,
             (a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
@@ -329,6 +340,21 @@ def _dop853_norm(res, y, rtol, atol, h):
     return abs(h) * e5 / math.sqrt(denom)
 
 
+def _rk45_growth(err_norm):
+    """err_norm ** -1/5, the 4(5) pair's step-size ratio."""
+    return err_norm ** -0.2
+
+
+def _dop853_growth(err_norm):
+    """err_norm ** -1/8, the 8(5,3) pair's step-size ratio, from three
+    square roots and a division: each is correctly rounded, so, unlike
+    libm's pow, their bits do not depend on glibc's FMA dispatch (see
+    the module docstring).  0.0 at inf and NaN at NaN, as the power
+    gives.
+    """
+    return 1.0 / math.sqrt(math.sqrt(math.sqrt(err_norm)))
+
+
 def _as_state(y0):
     """Initial state as a pair of Python floats or complex numbers."""
     y = tuple(np.asarray(y0).tolist())
@@ -367,7 +393,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    event: Optional[Callable] = None,
                    step: Callable = _rk45_step,
                    norm: Callable = _float_norm,
-                   exponent: float = -0.2):
+                   growth: Callable = _rk45_growth):
     """Integrate dy/dt = f(t, y) with an embedded pair, 4(5) by default.
 
     f(t, y) gets the state as a pair and returns a pair of its
@@ -378,15 +404,16 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     (t, y) pair at the halt.
 
     step(f, t, y, h, k1) -> flat result or None (see the module
-    docstring) and norm(res, y, rtol, atol, h) are the pair's step and
-    error norm, and the step size scales with norm ** exponent:
-    _rk45_step, _float_norm and -1/5, or a _sweep_dop853_step step,
-    _dop853_norm and -1/8.  The first step's k1 is the derivative
-    _initial_step took at (t0, y0), and each bisection step takes the
-    event step's k1; a failed step is not below the event.  The growth factor
-    _SAFETY * norm ** exponent is clamped as
+    docstring), norm(res, y, rtol, atol, h) and growth(norm) are the
+    pair's step, error norm and step-size ratio, norm ** -1/order:
+    _rk45_step, _float_norm and _rk45_growth, or a _sweep_dop853_step
+    step, _dop853_norm and _dop853_growth.  The first step's k1 is the
+    derivative _initial_step took at (t0, y0), and each bisection step
+    takes the event step's k1; a failed step is not below the event.
+    The growth factor _SAFETY * growth(norm) is clamped as
     min(_MAX_FACTOR, max(_MIN_FACTOR, factor)) would clamp it: a NaN
-    factor gives _MIN_FACTOR, and a tie keeps the first argument.
+    factor gives _MIN_FACTOR, and a tie keeps the first argument; a
+    norm of 0 grows the step by _MAX_FACTOR without a growth call.
 
     Raises ValueError when y0 is not a pair, StepUnderflowError when no
     acceptable step size remains and StepBudgetError after MAX_STEPS
@@ -417,7 +444,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         res = step(f, t, y, h, k1)
         err_norm = math.inf if res is None else norm(res, y, rtol, atol, h)
         if err_norm > 1.0:
-            factor = _SAFETY * err_norm ** exponent
+            factor = _SAFETY * growth(err_norm)
             h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
         # step accepted
@@ -436,7 +463,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             times.append(t)
             states.append(y)
         factor = (_MAX_FACTOR if err_norm == 0.0
-                  else _SAFETY * err_norm ** exponent)
+                  else _SAFETY * growth(err_norm))
         h *= (factor if factor < _MAX_FACTOR else _MAX_FACTOR) \
             if factor > _MIN_FACTOR else _MIN_FACTOR
 
@@ -466,15 +493,12 @@ def _locate_event(f, event, t, y, h, step, k1):
 
 
 def _rk4_step(f, t, y, h):
-    """One classical 4th-order step (NaN on overflow)."""
+    """One classical 4th-order step."""
     y0, y1 = y
-    try:
-        a0, a1 = f(t, y)
-        b0, b1 = f(t + 0.5 * h, (y0 + a0 * (0.5 * h), y1 + a1 * (0.5 * h)))
-        c0, c1 = f(t + 0.5 * h, (y0 + b0 * (0.5 * h), y1 + b1 * (0.5 * h)))
-        d0, d1 = f(t + h, (y0 + c0 * h, y1 + c1 * h))
-    except OverflowError:
-        return math.nan * y0, math.nan * y1
+    a0, a1 = f(t, y)
+    b0, b1 = f(t + 0.5 * h, (y0 + a0 * (0.5 * h), y1 + a1 * (0.5 * h)))
+    c0, c1 = f(t + 0.5 * h, (y0 + b0 * (0.5 * h), y1 + b1 * (0.5 * h)))
+    d0, d1 = f(t + h, (y0 + c0 * h, y1 + c1 * h))
     w = h / 6.0
     return (y0 + (a0 + b0 * 2.0 + c0 * 2.0 + d0) * w,
             y1 + (a1 + b1 * 2.0 + c1 * 2.0 + d1) * w)
@@ -544,13 +568,13 @@ def _solve(f, t0, y0, cfg: IntegratorConfig, event=None, rk45=_rk45_step,
         return solve_fixed(f, t0, y0, cfg.t_final, cfg.dt,
                            record_every=cfg.record_every, event=event)
     if cfg.method == "adaptive" and dop853 is not None:
-        step, norm, exponent = dop853, _dop853_norm, -0.125
+        step, norm, growth = dop853, _dop853_norm, _dop853_growth
     else:
-        step, norm, exponent = rk45, _float_norm, -0.2
+        step, norm, growth = rk45, _float_norm, _rk45_growth
     return solve_adaptive(f, t0, y0, cfg.t_final, rtol=cfg.rtol,
                           atol=cfg.atol, record_every=cfg.record_every,
                           event=event, step=step, norm=norm,
-                          exponent=exponent)
+                          growth=growth)
 
 
 @dataclass
@@ -705,7 +729,8 @@ def _unit_norm_flow(c, omega, gamma, beta, half, r_const=0.0):
     def f(t, y):
         a, b = y
         r = beta * (t - half) if sweep else r_const
-        s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
         return (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
                 - a * (gamma_half * (1.0 - s)),
                 -1j * (a * omega * a + b * (-2.0 * r + c2 * s))
@@ -721,7 +746,9 @@ def _sweep_dop853_step(c, omega, gamma, beta, half):
     docstring), with the contract of _rk45_step: the error part of the
     flat result is e5_a, e5_b, e3_a, e3_b, the 5th- and 3rd-order error
     components, not yet multiplied by h, which _dop853_norm combines.
-    None where a float power overflows.  f goes unused
+    It takes no float power and never returns None: a product past the
+    largest float gives inf or NaN parts, which _dop853_norm reads as an
+    infinite norm, and the loop rejects that step.  f goes unused
     (test_sweep_step_is_the_generic_step pins it to the tableau loop of
     the tests' oracle).
     """
@@ -730,195 +757,192 @@ def _sweep_dop853_step(c, omega, gamma, beta, half):
     def step(f, t, y, h, k1):
         y0r, y0i, y1r, y1i = y[0].real, y[0].imag, y[1].real, y[1].imag
         u1r, u1i, v1r, v1i = k1[0].real, k1[0].imag, k1[1].real, k1[1].imag
-        try:
-            ar = y0r + u1r * _DA2_1 * h
-            ai = y0i + u1i * _DA2_1 * h
-            br = y1r + v1r * _DA2_1 * h
-            bi = y1i + v1i * _DA2_1 * h
-            r = beta * (t + _DC2 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u2r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u2i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v2r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v2i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA3_1 + u2r * _DA3_2) * h
-            ai = y0i + (u1i * _DA3_1 + u2i * _DA3_2) * h
-            br = y1r + (v1r * _DA3_1 + v2r * _DA3_2) * h
-            bi = y1i + (v1i * _DA3_1 + v2i * _DA3_2) * h
-            r = beta * (t + _DC3 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u3r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u3i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v3r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v3i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA4_1 + u3r * _DA4_3) * h
-            ai = y0i + (u1i * _DA4_1 + u3i * _DA4_3) * h
-            br = y1r + (v1r * _DA4_1 + v3r * _DA4_3) * h
-            bi = y1i + (v1i * _DA4_1 + v3i * _DA4_3) * h
-            r = beta * (t + _DC4 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u4r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u4i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v4r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v4i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA5_1 + u3r * _DA5_3 + u4r * _DA5_4) * h
-            ai = y0i + (u1i * _DA5_1 + u3i * _DA5_3 + u4i * _DA5_4) * h
-            br = y1r + (v1r * _DA5_1 + v3r * _DA5_3 + v4r * _DA5_4) * h
-            bi = y1i + (v1i * _DA5_1 + v3i * _DA5_3 + v4i * _DA5_4) * h
-            r = beta * (t + _DC5 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u5r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u5i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v5r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v5i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA6_1 + u4r * _DA6_4 + u5r * _DA6_5) * h
-            ai = y0i + (u1i * _DA6_1 + u4i * _DA6_4 + u5i * _DA6_5) * h
-            br = y1r + (v1r * _DA6_1 + v4r * _DA6_4 + v5r * _DA6_5) * h
-            bi = y1i + (v1i * _DA6_1 + v4i * _DA6_4 + v5i * _DA6_5) * h
-            r = beta * (t + _DC6 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u6r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u6i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v6r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v6i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA7_1 + u4r * _DA7_4 + u5r * _DA7_5
-                  + u6r * _DA7_6) * h
-            ai = y0i + (u1i * _DA7_1 + u4i * _DA7_4 + u5i * _DA7_5
-                  + u6i * _DA7_6) * h
-            br = y1r + (v1r * _DA7_1 + v4r * _DA7_4 + v5r * _DA7_5
-                  + v6r * _DA7_6) * h
-            bi = y1i + (v1i * _DA7_1 + v4i * _DA7_4 + v5i * _DA7_5
-                  + v6i * _DA7_6) * h
-            r = beta * (t + _DC7 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u7r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u7i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v7r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v7i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA8_1 + u4r * _DA8_4 + u5r * _DA8_5
-                  + u6r * _DA8_6 + u7r * _DA8_7) * h
-            ai = y0i + (u1i * _DA8_1 + u4i * _DA8_4 + u5i * _DA8_5
-                  + u6i * _DA8_6 + u7i * _DA8_7) * h
-            br = y1r + (v1r * _DA8_1 + v4r * _DA8_4 + v5r * _DA8_5
-                  + v6r * _DA8_6 + v7r * _DA8_7) * h
-            bi = y1i + (v1i * _DA8_1 + v4i * _DA8_4 + v5i * _DA8_5
-                  + v6i * _DA8_6 + v7i * _DA8_7) * h
-            r = beta * (t + _DC8 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u8r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u8i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v8r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v8i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA9_1 + u4r * _DA9_4 + u5r * _DA9_5
-                  + u6r * _DA9_6 + u7r * _DA9_7 + u8r * _DA9_8) * h
-            ai = y0i + (u1i * _DA9_1 + u4i * _DA9_4 + u5i * _DA9_5
-                  + u6i * _DA9_6 + u7i * _DA9_7 + u8i * _DA9_8) * h
-            br = y1r + (v1r * _DA9_1 + v4r * _DA9_4 + v5r * _DA9_5
-                  + v6r * _DA9_6 + v7r * _DA9_7 + v8r * _DA9_8) * h
-            bi = y1i + (v1i * _DA9_1 + v4i * _DA9_4 + v5i * _DA9_5
-                  + v6i * _DA9_6 + v7i * _DA9_7 + v8i * _DA9_8) * h
-            r = beta * (t + _DC9 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u9r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u9i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v9r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v9i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA10_1 + u4r * _DA10_4 + u5r * _DA10_5
-                  + u6r * _DA10_6 + u7r * _DA10_7 + u8r * _DA10_8
-                  + u9r * _DA10_9) * h
-            ai = y0i + (u1i * _DA10_1 + u4i * _DA10_4 + u5i * _DA10_5
-                  + u6i * _DA10_6 + u7i * _DA10_7 + u8i * _DA10_8
-                  + u9i * _DA10_9) * h
-            br = y1r + (v1r * _DA10_1 + v4r * _DA10_4 + v5r * _DA10_5
-                  + v6r * _DA10_6 + v7r * _DA10_7 + v8r * _DA10_8
-                  + v9r * _DA10_9) * h
-            bi = y1i + (v1i * _DA10_1 + v4i * _DA10_4 + v5i * _DA10_5
-                  + v6i * _DA10_6 + v7i * _DA10_7 + v8i * _DA10_8
-                  + v9i * _DA10_9) * h
-            r = beta * (t + _DC10 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u10r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u10i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v10r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v10i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA11_1 + u4r * _DA11_4 + u5r * _DA11_5
-                  + u6r * _DA11_6 + u7r * _DA11_7 + u8r * _DA11_8
-                  + u9r * _DA11_9 + u10r * _DA11_10) * h
-            ai = y0i + (u1i * _DA11_1 + u4i * _DA11_4 + u5i * _DA11_5
-                  + u6i * _DA11_6 + u7i * _DA11_7 + u8i * _DA11_8
-                  + u9i * _DA11_9 + u10i * _DA11_10) * h
-            br = y1r + (v1r * _DA11_1 + v4r * _DA11_4 + v5r * _DA11_5
-                  + v6r * _DA11_6 + v7r * _DA11_7 + v8r * _DA11_8
-                  + v9r * _DA11_9 + v10r * _DA11_10) * h
-            bi = y1i + (v1i * _DA11_1 + v4i * _DA11_4 + v5i * _DA11_5
-                  + v6i * _DA11_6 + v7i * _DA11_7 + v8i * _DA11_8
-                  + v9i * _DA11_9 + v10i * _DA11_10) * h
-            r = beta * (t + _DC11 * h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u11r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u11i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v11r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v11i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            ar = y0r + (u1r * _DA12_1 + u4r * _DA12_4 + u5r * _DA12_5
-                  + u6r * _DA12_6 + u7r * _DA12_7 + u8r * _DA12_8
-                  + u9r * _DA12_9 + u10r * _DA12_10 + u11r * _DA12_11) * h
-            ai = y0i + (u1i * _DA12_1 + u4i * _DA12_4 + u5i * _DA12_5
-                  + u6i * _DA12_6 + u7i * _DA12_7 + u8i * _DA12_8
-                  + u9i * _DA12_9 + u10i * _DA12_10 + u11i * _DA12_11) * h
-            br = y1r + (v1r * _DA12_1 + v4r * _DA12_4 + v5r * _DA12_5
-                  + v6r * _DA12_6 + v7r * _DA12_7 + v8r * _DA12_8
-                  + v9r * _DA12_9 + v10r * _DA12_10 + v11r * _DA12_11) * h
-            bi = y1i + (v1i * _DA12_1 + v4i * _DA12_4 + v5i * _DA12_5
-                  + v6i * _DA12_6 + v7i * _DA12_7 + v8i * _DA12_8
-                  + v9i * _DA12_9 + v10i * _DA12_10 + v11i * _DA12_11) * h
-            # the twelfth stage and the new state's derivative share t + h
-            r = beta * (t + h - half)
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            u12r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            u12i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            v12r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            v12i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-            s0r = (u1r * _DB1 + u6r * _DB6 + u7r * _DB7 + u8r * _DB8
-                  + u9r * _DB9 + u10r * _DB10 + u11r * _DB11 + u12r * _DB12)
-            s0i = (u1i * _DB1 + u6i * _DB6 + u7i * _DB7 + u8i * _DB8
-                  + u9i * _DB9 + u10i * _DB10 + u11i * _DB11 + u12i * _DB12)
-            s1r = (v1r * _DB1 + v6r * _DB6 + v7r * _DB7 + v8r * _DB8
-                  + v9r * _DB9 + v10r * _DB10 + v11r * _DB11 + v12r * _DB12)
-            s1i = (v1i * _DB1 + v6i * _DB6 + v7i * _DB7 + v8i * _DB8
-                  + v9i * _DB9 + v10i * _DB10 + v11i * _DB11 + v12i * _DB12)
-            ar, ai = y0r + s0r * h, y0i + s0i * h
-            br, bi = y1r + s1r * h, y1i + s1i * h
-            s = (ar ** 2 + ai ** 2) - 2.0 * (br ** 2 + bi ** 2)
-            q, g = r - c * s, gamma_half * (1.0 - s)
-            p0r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
-            p0i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
-            q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
-            p1r = ar * omega * ai + ai * omega * ar + bi * q + br * g
-            p1i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
-        except OverflowError:  # a ** 2 past the largest float
-            return None
+        ar = y0r + u1r * _DA2_1 * h
+        ai = y0i + u1i * _DA2_1 * h
+        br = y1r + v1r * _DA2_1 * h
+        bi = y1i + v1i * _DA2_1 * h
+        r = beta * (t + _DC2 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u2r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u2i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v2r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v2i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA3_1 + u2r * _DA3_2) * h
+        ai = y0i + (u1i * _DA3_1 + u2i * _DA3_2) * h
+        br = y1r + (v1r * _DA3_1 + v2r * _DA3_2) * h
+        bi = y1i + (v1i * _DA3_1 + v2i * _DA3_2) * h
+        r = beta * (t + _DC3 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u3r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u3i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v3r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v3i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA4_1 + u3r * _DA4_3) * h
+        ai = y0i + (u1i * _DA4_1 + u3i * _DA4_3) * h
+        br = y1r + (v1r * _DA4_1 + v3r * _DA4_3) * h
+        bi = y1i + (v1i * _DA4_1 + v3i * _DA4_3) * h
+        r = beta * (t + _DC4 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u4r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u4i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v4r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v4i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA5_1 + u3r * _DA5_3 + u4r * _DA5_4) * h
+        ai = y0i + (u1i * _DA5_1 + u3i * _DA5_3 + u4i * _DA5_4) * h
+        br = y1r + (v1r * _DA5_1 + v3r * _DA5_3 + v4r * _DA5_4) * h
+        bi = y1i + (v1i * _DA5_1 + v3i * _DA5_3 + v4i * _DA5_4) * h
+        r = beta * (t + _DC5 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u5r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u5i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v5r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v5i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA6_1 + u4r * _DA6_4 + u5r * _DA6_5) * h
+        ai = y0i + (u1i * _DA6_1 + u4i * _DA6_4 + u5i * _DA6_5) * h
+        br = y1r + (v1r * _DA6_1 + v4r * _DA6_4 + v5r * _DA6_5) * h
+        bi = y1i + (v1i * _DA6_1 + v4i * _DA6_4 + v5i * _DA6_5) * h
+        r = beta * (t + _DC6 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u6r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u6i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v6r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v6i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA7_1 + u4r * _DA7_4 + u5r * _DA7_5
+              + u6r * _DA7_6) * h
+        ai = y0i + (u1i * _DA7_1 + u4i * _DA7_4 + u5i * _DA7_5
+              + u6i * _DA7_6) * h
+        br = y1r + (v1r * _DA7_1 + v4r * _DA7_4 + v5r * _DA7_5
+              + v6r * _DA7_6) * h
+        bi = y1i + (v1i * _DA7_1 + v4i * _DA7_4 + v5i * _DA7_5
+              + v6i * _DA7_6) * h
+        r = beta * (t + _DC7 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u7r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u7i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v7r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v7i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA8_1 + u4r * _DA8_4 + u5r * _DA8_5
+              + u6r * _DA8_6 + u7r * _DA8_7) * h
+        ai = y0i + (u1i * _DA8_1 + u4i * _DA8_4 + u5i * _DA8_5
+              + u6i * _DA8_6 + u7i * _DA8_7) * h
+        br = y1r + (v1r * _DA8_1 + v4r * _DA8_4 + v5r * _DA8_5
+              + v6r * _DA8_6 + v7r * _DA8_7) * h
+        bi = y1i + (v1i * _DA8_1 + v4i * _DA8_4 + v5i * _DA8_5
+              + v6i * _DA8_6 + v7i * _DA8_7) * h
+        r = beta * (t + _DC8 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u8r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u8i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v8r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v8i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA9_1 + u4r * _DA9_4 + u5r * _DA9_5
+              + u6r * _DA9_6 + u7r * _DA9_7 + u8r * _DA9_8) * h
+        ai = y0i + (u1i * _DA9_1 + u4i * _DA9_4 + u5i * _DA9_5
+              + u6i * _DA9_6 + u7i * _DA9_7 + u8i * _DA9_8) * h
+        br = y1r + (v1r * _DA9_1 + v4r * _DA9_4 + v5r * _DA9_5
+              + v6r * _DA9_6 + v7r * _DA9_7 + v8r * _DA9_8) * h
+        bi = y1i + (v1i * _DA9_1 + v4i * _DA9_4 + v5i * _DA9_5
+              + v6i * _DA9_6 + v7i * _DA9_7 + v8i * _DA9_8) * h
+        r = beta * (t + _DC9 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u9r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u9i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v9r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v9i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA10_1 + u4r * _DA10_4 + u5r * _DA10_5
+              + u6r * _DA10_6 + u7r * _DA10_7 + u8r * _DA10_8
+              + u9r * _DA10_9) * h
+        ai = y0i + (u1i * _DA10_1 + u4i * _DA10_4 + u5i * _DA10_5
+              + u6i * _DA10_6 + u7i * _DA10_7 + u8i * _DA10_8
+              + u9i * _DA10_9) * h
+        br = y1r + (v1r * _DA10_1 + v4r * _DA10_4 + v5r * _DA10_5
+              + v6r * _DA10_6 + v7r * _DA10_7 + v8r * _DA10_8
+              + v9r * _DA10_9) * h
+        bi = y1i + (v1i * _DA10_1 + v4i * _DA10_4 + v5i * _DA10_5
+              + v6i * _DA10_6 + v7i * _DA10_7 + v8i * _DA10_8
+              + v9i * _DA10_9) * h
+        r = beta * (t + _DC10 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u10r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u10i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v10r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v10i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA11_1 + u4r * _DA11_4 + u5r * _DA11_5
+              + u6r * _DA11_6 + u7r * _DA11_7 + u8r * _DA11_8
+              + u9r * _DA11_9 + u10r * _DA11_10) * h
+        ai = y0i + (u1i * _DA11_1 + u4i * _DA11_4 + u5i * _DA11_5
+              + u6i * _DA11_6 + u7i * _DA11_7 + u8i * _DA11_8
+              + u9i * _DA11_9 + u10i * _DA11_10) * h
+        br = y1r + (v1r * _DA11_1 + v4r * _DA11_4 + v5r * _DA11_5
+              + v6r * _DA11_6 + v7r * _DA11_7 + v8r * _DA11_8
+              + v9r * _DA11_9 + v10r * _DA11_10) * h
+        bi = y1i + (v1i * _DA11_1 + v4i * _DA11_4 + v5i * _DA11_5
+              + v6i * _DA11_6 + v7i * _DA11_7 + v8i * _DA11_8
+              + v9i * _DA11_9 + v10i * _DA11_10) * h
+        r = beta * (t + _DC11 * h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u11r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u11i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v11r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v11i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        ar = y0r + (u1r * _DA12_1 + u4r * _DA12_4 + u5r * _DA12_5
+              + u6r * _DA12_6 + u7r * _DA12_7 + u8r * _DA12_8
+              + u9r * _DA12_9 + u10r * _DA12_10 + u11r * _DA12_11) * h
+        ai = y0i + (u1i * _DA12_1 + u4i * _DA12_4 + u5i * _DA12_5
+              + u6i * _DA12_6 + u7i * _DA12_7 + u8i * _DA12_8
+              + u9i * _DA12_9 + u10i * _DA12_10 + u11i * _DA12_11) * h
+        br = y1r + (v1r * _DA12_1 + v4r * _DA12_4 + v5r * _DA12_5
+              + v6r * _DA12_6 + v7r * _DA12_7 + v8r * _DA12_8
+              + v9r * _DA12_9 + v10r * _DA12_10 + v11r * _DA12_11) * h
+        bi = y1i + (v1i * _DA12_1 + v4i * _DA12_4 + v5i * _DA12_5
+              + v6i * _DA12_6 + v7i * _DA12_7 + v8i * _DA12_8
+              + v9i * _DA12_9 + v10i * _DA12_10 + v11i * _DA12_11) * h
+        # the twelfth stage and the new state's derivative share t + h
+        r = beta * (t + h - half)
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        u12r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        u12i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        v12r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        v12i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
+        s0r = (u1r * _DB1 + u6r * _DB6 + u7r * _DB7 + u8r * _DB8
+              + u9r * _DB9 + u10r * _DB10 + u11r * _DB11 + u12r * _DB12)
+        s0i = (u1i * _DB1 + u6i * _DB6 + u7i * _DB7 + u8i * _DB8
+              + u9i * _DB9 + u10i * _DB10 + u11i * _DB11 + u12i * _DB12)
+        s1r = (v1r * _DB1 + v6r * _DB6 + v7r * _DB7 + v8r * _DB8
+              + v9r * _DB9 + v10r * _DB10 + v11r * _DB11 + v12r * _DB12)
+        s1i = (v1i * _DB1 + v6i * _DB6 + v7i * _DB7 + v8i * _DB8
+              + v9i * _DB9 + v10i * _DB10 + v11i * _DB11 + v12i * _DB12)
+        ar, ai = y0r + s0r * h, y0i + s0i * h
+        br, bi = y1r + s1r * h, y1i + s1i * h
+        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+        q, g = r - c * s, gamma_half * (1.0 - s)
+        p0r = ai * q + (ar * omega2 * bi - ai * omega2 * br) - ar * g
+        p0i = -(ar * q + (ar * omega2 * br + ai * omega2 * bi)) - ai * g
+        q, g = -2.0 * r + c2 * s, gamma_half * (1.0 + s)
+        p1r = ar * omega * ai + ai * omega * ar + bi * q + br * g
+        p1i = -(ar * omega * ar - ai * omega * ai + br * q) + bi * g
         e0r = (u1r * _DE1 + u6r * _DE6 + u7r * _DE7 + u8r * _DE8 + u9r * _DE9
                + u10r * _DE10 + u11r * _DE11 + u12r * _DE12)
         e0i = (u1i * _DE1 + u6i * _DE6 + u7i * _DE7 + u8i * _DE8 + u9i * _DE9

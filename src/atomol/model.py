@@ -205,7 +205,8 @@ def gp_deriv(a, b, v, u, r, gamma_a, gamma_b):
 
     Regular everywhere, including the pure-mode poles.
     """
-    z = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    z = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
     da = -1j * ((r - u * z - 0.5j * gamma_a) * a + 2.0 * v * a.conjugate() * b)
     db = -1j * (v * a * a + (-2.0 * r + 2.0 * u * z - 0.5j * gamma_b) * b)
     return da, db
@@ -229,7 +230,8 @@ def unit_norm_deriv(a, b, c, omega, r, gamma):
     autonomous reduced equations with constant C, Omega and relative rate
     gamma.  Regular at both poles, unlike the (S, theta) chart.
     """
-    s = (a.real ** 2 + a.imag ** 2) - 2.0 * (b.real ** 2 + b.imag ** 2)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
     da = -1j * ((r - c * s) * a + 2.0 * omega * a.conjugate() * b) \
         - 0.5 * gamma * (1.0 - s) * a
     db = -1j * (omega * a * a + (-2.0 * r + 2.0 * c * s) * b) \

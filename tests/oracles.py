@@ -356,8 +356,8 @@ def rk45_step(f, t, y, h, k1=None):
     """One Dormand-Prince step on a tuple state of any length.
 
     Returns (y_new, err, k_last), or None where a right-hand side
-    overflows a float power or raises _PastEvent: the bits of
-    integrate._rk45_step in the nesting of the vector form.
+    raises _PastEvent: the bits of integrate._rk45_step in the nesting
+    of the vector form.
     """
     try:
         if k1 is None:
@@ -378,7 +378,7 @@ def rk45_step(f, t, y, h, k1=None):
             yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
         k7 = f(t + h, y_new)
-    except (OverflowError, _PastEvent):
+    except _PastEvent:
         return None
     err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
            for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
@@ -409,14 +409,11 @@ def error_norm(err, y, y_new, rtol, atol, h=None):
 
 
 def rk4_step(f, t, y, h):
-    """One classical 4th-order step on a tuple state (NaN on overflow)."""
-    try:
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
-        k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
-        k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
-    except OverflowError:
-        return tuple([math.nan * yi for yi in y])
+    """One classical 4th-order step on a tuple state."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, tuple([yi + 0.5 * h * a for yi, a in zip(y, k1)]))
+    k3 = f(t + 0.5 * h, tuple([yi + 0.5 * h * b for yi, b in zip(y, k2)]))
+    k4 = f(t + h, tuple([yi + h * c for yi, c in zip(y, k3)]))
     return tuple([yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
@@ -466,7 +463,7 @@ def dop853_step(f, t, y, h, k1=None):
         sums = [_weighted_sum(b, ks, m) for m in n]
         y_new = tuple([y[m] + h * sums[m] for m in n])
         k_last = f(t + h, y_new)
-    except (OverflowError, _PastEvent):
+    except _PastEvent:
         return None
     err3 = []
     for m in n:
@@ -510,10 +507,21 @@ def flat_dop853_step(f, t, y, h, k1=None):
     return (*y_new, *k_last, *err5, *err3)
 
 
-# pair name -> (step, error norm, step-size exponent) of this module's
+def rk45_growth(err_norm):
+    """The 4(5) pair's step-size ratio, err_norm ** -1/5."""
+    return err_norm ** -0.2
+
+
+def dop853_growth(err_norm):
+    """The 8(5,3) pair's step-size ratio, err_norm ** -1/8 as the
+    reciprocal of the square root of the fourth root."""
+    return 1.0 / math.sqrt(math.sqrt(math.sqrt(err_norm)))
+
+
+# pair name -> (step, error norm, step-size ratio) of this module's
 # loop, as integrate._solve picks them
-PAIRS = {"rk45": (rk45_step, error_norm, -0.2),
-         "dop853": (dop853_step, dop853_norm, -0.125)}
+PAIRS = {"rk45": (rk45_step, error_norm, rk45_growth),
+         "dop853": (dop853_step, dop853_norm, dop853_growth)}
 
 
 def _rms(values, scales):
@@ -551,7 +559,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    event: Optional[Callable] = None,
                    step: Callable = rk45_step,
                    norm: Callable = error_norm,
-                   exponent: float = -0.2):
+                   growth: Callable = rk45_growth):
     """integrate.solve_adaptive with builtin min/max step control, a
     fresh first stage on the first step and on each bisection step, and
     steps that return (y_new, err, k_last), or None for a failed step
@@ -584,7 +592,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             y_new, err, k_last = res
             err_norm = norm(err, y, y_new, rtol, atol, h)
         if err_norm > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
+            h *= max(_MIN_FACTOR, _SAFETY * growth(err_norm))
             continue
         # step accepted
         if event is not None and event(t + h, y_new) >= 0.0:
@@ -604,7 +612,7 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
             factor = _MAX_FACTOR
         else:
             factor = min(_MAX_FACTOR,
-                         max(_MIN_FACTOR, _SAFETY * err_norm ** exponent))
+                         max(_MIN_FACTOR, _SAFETY * growth(err_norm)))
         h *= factor
 
     if times[-1] != t:

@@ -4,14 +4,23 @@ Refactors must leave every data file byte-identical.  The recorded
 digests live in fingerprints.json next to this file; manifest.json is
 left out because it carries a timestamp.
 
-The bytes depend on the numpy version, so both checks are skipped when
+The bytes depend on the numpy version, so every check is skipped when
 the installed numpy differs from the recorded one, and on the
-platform's libm (atan2, hypot, sin, cos), which no check here can vary.
-They do not depend on the SIMD loops numpy dispatches to on this CPU
-(AVX-512, AVX2): every magnitude and phase whose numpy loops differ
-from libm in the last bit is taken in Python, and
+platform's libm (atan2, hypot, sin, cos, exp, pow).  They do not depend
+on the SIMD loops numpy dispatches to on this CPU (AVX-512, AVX2):
+every magnitude and phase whose numpy loops differ from libm in the
+last bit is taken in Python, and
 test_data_files_do_not_depend_on_simd_dispatch reruns every run in a
 child whose numpy has those targets switched off.
+
+glibc picks FMA variants of sin, cos, atan2, exp and pow at load time,
+and they round differently; GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2
+switches them off (hypot and sqrt gave the same bits either way).  The
+sweep runs of FMA_FREE_RUNS call none of them, and
+test_sweep_files_do_not_depend_on_fma_dispatch reruns them in a child
+with the tunable set.  The portrait runs (the chart's sin and cos, and
+err ** -0.2 in the 4(5) step size) and evolve's energy column (numpy's
+cos, which calls libm's) still change under it.
 
 Re-record (only when an output change is intended and explained):
 
@@ -22,7 +31,10 @@ which prints every run/file whose digest differs from the old record.
 
 import hashlib
 import json
+import math
 import os
+import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -91,17 +103,18 @@ RUNS = {
 }
 
 
-def fingerprints(workdir: Path) -> dict:
-    """Run every entry of RUNS under workdir; {run: {file: sha256}}."""
+def fingerprints(workdir: Path, names=RUNS) -> dict:
+    """Run the named entries of RUNS (all by default) under workdir;
+    {run: {file: sha256}}."""
     inis = {}
     for name, text in CONFIGS.items():
         ini = workdir / f"{name}.ini"
         ini.write_text(text)
         inis["{" + name + "}"] = str(ini)
     out = {}
-    for name, args in RUNS.items():
+    for name in names:
         outdir = workdir / name
-        argv = [inis.get(a, a) for a in args]
+        argv = [inis.get(a, a) for a in RUNS[name]]
         assert main(argv + ["--output", str(outdir)]) == 0, name
         out[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(outdir.iterdir())
@@ -113,13 +126,45 @@ def fingerprints(workdir: Path) -> dict:
 # complex abs and arctan2 loops differed from libm in the last bit
 SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 
-# the child: fingerprints() of every run, as JSON to the file argv[2]
+# the runs whose data files take no libm function that glibc dispatches
+# on FMA: the sweep's 8(5,3) solves step with products, sums and square
+# roots only, and its efficiencies read abs, libm's hypot
+FMA_FREE_RUNS = ("sweep", "sweep-bench", "sweep-json")
+
+# the child: fingerprints() of the runs named in argv[3:] (every run
+# when none is named) and libm_probe(), as JSON to the file argv[2]
 CHILD = """
 import json, sys
 from pathlib import Path
-from test_fingerprints import fingerprints
-Path(sys.argv[2]).write_text(json.dumps(fingerprints(Path(sys.argv[1]))))
+from test_fingerprints import RUNS, fingerprints, libm_probe
+runs = fingerprints(Path(sys.argv[1]), sys.argv[3:] or RUNS)
+Path(sys.argv[2]).write_text(json.dumps({"runs": runs,
+                                         "libm": libm_probe()}))
 """
+
+
+def libm_probe() -> str:
+    """sha256 of x ** -0.2 and sin(x) on 20,000 fixed x in (0, 10]: on
+    glibc 2.36 and an x86-64 CPU with FMA, 13 and 17 of them differed
+    with glibc's FMA variants on and off."""
+    rng = random.Random(0)
+    xs = [rng.uniform(0.001, 10.0) for _ in range(20000)]
+    text = " ".join([(x ** -0.2).hex() for x in xs]
+                    + [math.sin(x).hex() for x in xs])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_child(tmp_path, env: dict, names=()) -> dict:
+    """The CHILD's JSON, run under os.environ updated by env, with this
+    checkout's src/ and tests/ on its path."""
+    src = Path(atomol.__file__).resolve().parents[1]
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([str(src), str(RECORD.parent)]))
+    out = tmp_path / "digests.json"
+    subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), str(out),
+                    *names], env=env, check=True, stdout=subprocess.DEVNULL,
+                   timeout=600)
+    return json.loads(out.read_text())
 
 
 def recorded_runs() -> dict:
@@ -143,14 +188,24 @@ def test_data_files_do_not_depend_on_simd_dispatch(tmp_path):
     targets = [t for t in SIMD_TARGETS if t in __cpu_dispatch__]
     if not targets:
         pytest.skip(f"numpy dispatches to none of {SIMD_TARGETS}")
-    src = Path(atomol.__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-               PYTHONPATH=os.pathsep.join([str(src), str(RECORD.parent)]))
-    out = tmp_path / "digests.json"
-    subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), str(out)],
-                   env=env, check=True, stdout=subprocess.DEVNULL,
-                   timeout=600)
-    assert json.loads(out.read_text()) == runs
+    child = run_child(tmp_path, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    assert child["runs"] == runs
+
+
+def test_sweep_files_do_not_depend_on_fma_dispatch(tmp_path):
+    # glibc picks FMA variants of pow, sin, cos, exp and atan2 at load
+    # time; the tunable switches them off in the child only
+    if (platform.machine() not in ("x86_64", "AMD64")
+            or platform.libc_ver()[0] != "glibc"):
+        pytest.skip("glibc's FMA dispatch is an x86-64 glibc feature")
+    runs = recorded_runs()
+    child = run_child(tmp_path,
+                      {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2"},
+                      FMA_FREE_RUNS)
+    if child["libm"] == libm_probe():
+        pytest.skip("the tunable changed no libm result: this CPU or "
+                    "glibc has no FMA variants to switch off")
+    assert child["runs"] == {name: runs[name] for name in FMA_FREE_RUNS}
 
 
 if __name__ == "__main__":

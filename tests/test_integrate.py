@@ -333,18 +333,19 @@ class TestGenericSolvers:
                            atol=1e-10)
         assert 0.99 < err.value.time <= 1.01
 
-    def test_overflowing_rhs_is_a_nan_step(self):
-        # a float power raises OverflowError where a numpy scalar gave
-        # inf: the adaptive trial step is rejected and the fixed-step
-        # state turns NaN, as before, instead of the error escaping
+    def test_rhs_past_the_largest_float_is_a_rejected_step(self):
+        # products past the largest float give inf: the adaptive trial
+        # step has an infinite norm and is rejected, and the fixed-step
+        # state is carried on as inf
         def f(t, y):
-            return (y[0] ** 9, 0.0)
+            y4 = y[0] * y[0] * y[0] * y[0]
+            return (y4 * y4 * y[0], 0.0)
 
         with pytest.raises(StepUnderflowError):
             solve_adaptive(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-3, atol=1e-3)
-        _, states, _ = solve_fixed(lambda t, y: (y[0] ** 3, 0.0), 0.0,
-                                   (1.0, 0.0), 5.0, 1.0)
-        assert np.isnan(states[-1, 0])
+        _, states, _ = solve_fixed(lambda t, y: (y[0] * y[0] * y[0], 0.0),
+                                   0.0, (1.0, 0.0), 5.0, 1.0)
+        assert states[-1, 0] == math.inf
 
     def test_fixed_step_stage_past_the_event_is_the_crossing(self):
         # the last stage of the step from t = 2 lies past the surface:
@@ -369,15 +370,19 @@ class TestGenericSolvers:
             solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
                         event=lambda t, y: y[0] - 100.0)
 
-    def test_value_error_in_rhs_is_not_masked(self):
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_error_in_rhs_is_not_masked(self, error):
+        # no right-hand side of the package raises OverflowError since
+        # they take their squares as products, so the steps no longer
+        # catch it: a float power in a caller's f raises out of the solve
         def f(t, y):
             if t > 0.0:
-                raise ValueError("bad argument")
+                raise error("bad argument")
             return (1.0, 0.0)
 
-        with pytest.raises(ValueError, match="bad argument"):
+        with pytest.raises(error, match="bad argument"):
             solve_adaptive(f, 0.0, (0.0, 0.0), 1.0)
-        with pytest.raises(ValueError, match="bad argument"):
+        with pytest.raises(error, match="bad argument"):
             solve_fixed(f, 0.0, (0.0, 0.0), 1.0, 0.1)
 
     def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
@@ -431,13 +436,13 @@ class TestGenericSolvers:
     def test_adaptive_method_takes_its_pair_from_the_call_site(
             self, monkeypatch, method, dop853, pair):
         # "adaptive" takes the 8(5,3) step a caller passes, with its norm
-        # and exponent, and otherwise the 4(5) pair, as "rk45" always does
+        # and growth, and otherwise the 4(5) pair, as "rk45" always does
         pairs = []
 
-        def recording_solve(*args, step, norm, exponent, **kwargs):
-            pairs.append((step, norm, exponent))
+        def recording_solve(*args, step, norm, growth, **kwargs):
+            pairs.append((step, norm, growth))
             return solve_adaptive(*args, step=step, norm=norm,
-                                  exponent=exponent, **kwargs)
+                                  growth=growth, **kwargs)
 
         monkeypatch.setattr(integrate, "solve_adaptive", recording_solve)
         cfg = IntegratorConfig(method=method, t_final=1.0)
@@ -449,14 +454,14 @@ class TestGenericSolvers:
         # harmonic oscillator over ten periods at the default tolerance
         calls = {"rk45": 0, "dop853": 0}
         end = {}
-        for name, (step, norm, exponent) in oracles.PAIRS.items():
+        for name, (step, norm, growth) in oracles.PAIRS.items():
             def f(t, y, name=name):
                 calls[name] += 1
                 return y[1], -y[0]
 
             _, states, _ = oracle_solve_adaptive(
                 f, 0.0, (1.0, 0.0), 20 * math.pi, step=step, norm=norm,
-                exponent=exponent)
+                growth=growth)
             end[name] = states[-1]
         for y in end.values():
             assert abs(y[0] - 1.0) < 1e-9 and abs(y[1]) < 1e-9
@@ -508,8 +513,7 @@ def outcome(step, *args):
 
 
 # mostly moderate values, whose rounding the operation order decides;
-# magnitudes up to 1e120 make the cube in pair_rhs overflow a float
-# power, which raises OverflowError instead of giving inf
+# magnitudes up to 1e120 make the cube in pair_rhs overflow to inf
 _REALS = st.one_of(
     st.floats(min_value=-4.0, max_value=4.0),
     st.floats(min_value=-4.0, max_value=4.0),
@@ -533,29 +537,41 @@ _NEAR_MAX = st.one_of(_HUGE, st.builds(complex, _HUGE, _HUGE),
                       st.builds(complex, _REALS, _HUGE), _REALS, _COMPLEXES)
 _NEAR_MAX_PAIRS = st.tuples(_NEAR_MAX, _NEAR_MAX)
 # amplitude parts for the sweep's step: mostly moderate; past 1e154,
-# products overflow to inf, and past about 1.3e154 a ** 2 overflows a
-# float power, which raises OverflowError
+# products overflow to inf
 _SWEEP_PARTS = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
                          st.floats(min_value=-2.0, max_value=2.0),
                          st.floats(min_value=-1e160, max_value=1e160))
 _SWEEP_AMPLITUDES = st.builds(complex, _SWEEP_PARTS, _SWEEP_PARTS)
 _SWEEP_PAIRS = st.tuples(_SWEEP_AMPLITUDES, _SWEEP_AMPLITUDES)
+# parts up to 1e300, where squares and their products overflow
+_HUGE_SWEEP_PARTS = st.one_of(_SWEEP_PARTS,
+                              st.floats(min_value=-1e300, max_value=1e300))
+_HUGE_SWEEP_PAIRS = st.tuples(
+    st.builds(complex, _HUGE_SWEEP_PARTS, _HUGE_SWEEP_PARTS),
+    st.builds(complex, _HUGE_SWEEP_PARTS, _HUGE_SWEEP_PARTS))
 PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
-# pair name -> (step, error norm, step-size exponent) that integrate._solve
+# pair name -> (step, error norm, step-size ratio) that integrate._solve
 # hands solve_adaptive; the one 8(5,3) step of src is the sweep's, so the
 # loop's 8(5,3) checks step with the oracle's, in the flat form
-SOLVER_PAIRS = {"rk45": (integrate._rk45_step, integrate._float_norm, -0.2),
-                "dop853": (flat_dop853_step, integrate._dop853_norm, -0.125)}
+SOLVER_PAIRS = {"rk45": (integrate._rk45_step, integrate._float_norm,
+                         integrate._rk45_growth),
+                "dop853": (flat_dop853_step, integrate._dop853_norm,
+                           integrate._dop853_growth)}
 
 
 def pair_rhs(p, q, power, limit):
-    """Two-component test RHS; past y0.real = limit it raises _PastEvent."""
+    """Two-component test RHS, p y1^power + t y0 and q y0 y1 - y1, with
+    the power written as products, as the package's right-hand sides
+    write their squares; past y0.real = limit it raises _PastEvent."""
     def f(t, y):
         y0, y1 = y
         if y0.real > limit:
             raise integrate._PastEvent
-        return p * y1 ** power + t * y0, q * y0 * y1 - y1
+        y1_power = y1
+        for _ in range(power - 1):
+            y1_power = y1_power * y1
+        return p * y1_power + t * y0, q * y0 * y1 - y1
 
     return f
 
@@ -570,7 +586,7 @@ class TestPairSteps:
            p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
            limit=st.one_of(st.just(math.inf), _REALS))
     @example(y=(1e110, 2.0), k1=None, h=1.0, t=0.0, p=1.0, q=1.0, power=3,
-             limit=math.inf)  # a stage overflows a float power
+             limit=math.inf)  # a stage overflows to inf
     @example(y=(0.5j, 1 + 0j), k1=None, h=1.0, t=0.0, p=1.0, q=1.0,
              power=1, limit=0.75)  # a later stage is past the event
     @example(y=(0.0, 1.0), k1=(0j, 0.5j), h=1.0, t=0.0, p=1.0, q=1.0,
@@ -768,43 +784,36 @@ class TestPairSteps:
     # parts give -0.0 for Re k_last_a where complex numbers give 0.0
     @example(y=(0j, 0.5 - 0.25j), k1=None, h=0.1, t=2.5, c=1.0, omega=0.8,
              gamma=1.0, beta=0.5, r_max=5.0)
-    # a ** 2 overflows in the second stage, and in a later one
+    # a * a overflows to inf in the second stage, and in a later one
     @example(y=(1e155 + 0j, 0j), k1=(0j, 0j), h=0.1, t=1.0, c=1.0,
              omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
     @example(y=(1.0 + 0j, 0j), k1=None, h=1e307, t=1.0, c=1.0, omega=1.0,
              gamma=0.3, beta=1.0, r_max=5.0)
     @example(y=(1.0 + 0j, 0j), k1=None, h=-1e307, t=1.0, c=1.0, omega=1.0,
              gamma=0.3, beta=-1.0, r_max=5.0)
-    # inf products and NaN sums, with no float power past the largest
+    # inf products and NaN sums from moderate squares
     @example(y=(1e100 + 1e100j, 1e120j), k1=(0j, 0j), h=0.1, t=0.0, c=1.0,
              omega=1.0, gamma=0.3, beta=1.0, r_max=5.0)
     def test_sweep_step_is_the_generic_step(self, y, k1, h, t, c, omega,
                                             gamma, beta, r_max):
         # the sweep's step gives the bits of the oracle's tableau loop
-        # over _unit_norm_flow where that step's parts are finite and
-        # nonzero, and its zeros up to their sign.  Where a part is not
-        # finite, each fails or gives a step of infinite norm, which the
-        # loop rejects alike: a part that is finite on the float parts
-        # may be NaN on complex numbers (inf * 0.0), so one step's a ** 2
-        # can overflow where the other's is NaN
+        # over _unit_norm_flow in every part that step gives finite, a
+        # zero up to its sign, and the bits of its error norm.  Where a
+        # part is not finite, the two may differ in a NaN's sign, and a
+        # part that is finite on the float parts may be NaN on complex
+        # numbers (inf * 0.0); the equal norms make the loop accept or
+        # reject both alike
         half = experiments.SweepProtocol(beta=beta, r_max=r_max)._half_duration
         f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
         if k1 is None:  # the loop's k1, f at the start state
-            try:
-                k1 = f(t, y)
-            except OverflowError:  # the loop never steps from there
-                return
+            k1 = f(t, y)
         generic = dop853_step(f, t, y, h, k1)
         written = integrate._sweep_dop853_step(c, omega, gamma, beta, half)(
             None, t, y, h, k1)
         oracle = flat_result(generic)
-        if oracle is None or not all(map(math.isfinite, flat_parts(oracle))):
-            for res in (written, oracle):
-                assert res is None or integrate._dop853_norm(
-                    res, y, 1e-11, 1e-11, h) == math.inf
-            return
-        unsigned = [x or 0.0 for x in flat_parts(written)]
-        assert bits(unsigned) == bits([x or 0.0 for x in flat_parts(oracle)])
+        for x, z in zip(flat_parts(written), flat_parts(oracle)):
+            if math.isfinite(z):
+                assert bits([x or 0.0]) == bits([z or 0.0])
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._dop853_norm(written, y, rtol, atol, h)]) \
                 == bits([dop853_norm(generic[1], y, generic[0], rtol, atol,
@@ -815,24 +824,27 @@ class TestPairSteps:
         # float parts give -0.0 for Re k_last_a where complex numbers
         # give 0.0, and every other bit of the oracle's
         ((0j, 0.5 - 0.25j), None, 1.0, 0.8, 1.0, 0.5, "zero_sign"),
-        # a ** 2 past the largest float, in the second stage
-        ((1e155 + 0j, 0j), (0j, 0j), 1.0, 1.0, 0.3, 1.0, "none"),
-        # inf products and NaN sums, with no float power past the largest
+        # a * a past the largest float, in the second stage
+        ((1e155 + 0j, 0j), (0j, 0j), 1.0, 1.0, 0.3, 1.0, "overflow"),
+        # inf products and NaN sums from moderate squares
         ((1e100 + 1e100j, 1e120j), (0j, 0j), 1.0, 1.0, 0.3, 1.0, "nan")])
     def test_sweep_step_on_zero_and_overflowing_parts(self, y, k1, c, omega,
                                                       gamma, beta, outcome):
-        # the three kinds of step the sweep's float parts give where
-        # complex numbers would not give every bit: a zero's sign, None
-        # where a float power overflows, and NaN parts, which the norm
-        # reads as inf, as it does the oracle's
+        # the kinds of step the sweep's float parts give where complex
+        # numbers would not give every bit: a zero's sign, and parts
+        # that are not finite, which the norm reads as inf, as it does
+        # the oracle's
         half = experiments.SweepProtocol(beta=beta, r_max=5.0)._half_duration
         f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
         t, h, k1 = 2.5, 0.1, k1 or f(2.5, y)
         oracle = flat_dop853_step(f, t, y, h, k1)
         written = integrate._sweep_dop853_step(c, omega, gamma, beta, half)(
             None, t, y, h, k1)
-        if outcome == "none":
-            assert written is None and oracle is None
+        if outcome == "overflow":
+            for res in (written, oracle):
+                assert not all(map(math.isfinite, flat_parts(res)))
+                assert integrate._dop853_norm(res, y, 1e-11, 1e-11,
+                                              h) == math.inf
         elif outcome == "nan":
             assert all(map(math.isnan, flat_parts(written)))
             assert all(map(math.isnan, flat_parts(oracle)))
@@ -849,6 +861,26 @@ class TestPairSteps:
             assert bits([integrate._dop853_norm(written, y, 1e-11, 1e-11,
                                                 h)]) == \
                 bits([integrate._dop853_norm(oracle, y, 1e-11, 1e-11, h)])
+
+    @PAIR_PROPERTY
+    @given(y=_HUGE_SWEEP_PAIRS, k1=st.one_of(st.none(), _HUGE_SWEEP_PAIRS),
+           h=st.one_of(_STEPS, st.floats(min_value=-1e300, max_value=1e300)),
+           t=st.floats(min_value=-1e300, max_value=1e300),
+           c=_COEFFS, omega=_COEFFS, gamma=_COEFFS,
+           beta=_COEFFS.filter(lambda v: v != 0.0))
+    @example(y=(1e300 + 1e300j, -1e300j), k1=None, h=1e300, t=1e300, c=3.0,
+             omega=3.0, gamma=3.0, beta=3.0)
+    def test_sweep_step_never_fails(self, y, k1, h, t, c, omega, gamma, beta):
+        # the step takes no float power, so no part up to 1e300 makes it
+        # raise or return None: a step past the largest float has inf or
+        # NaN parts instead, and a norm the loop can compare with 1
+        if k1 is None:
+            k1 = integrate._unit_norm_flow(c, omega, gamma, beta, 0.0)(t, y)
+        res = integrate._sweep_dop853_step(c, omega, gamma, beta, 0.0)(
+            None, t, y, h, k1)
+        assert isinstance(res, tuple) and len(res) == 8
+        norm = integrate._dop853_norm(res, y, 1e-11, 1e-11, h)
+        assert norm == norm  # never NaN: the loop compares it with 1
 
     def test_sweep_step_is_the_generic_step_on_uniform_draws(self):
         # hypothesis favours simple floats, whose products are often
@@ -888,6 +920,26 @@ class TestPairSteps:
                               abs(b - b0 * cmath.exp(2j * phi))))
         for coarse, fine in zip(errors, errors[1:]):
             assert abs(math.log2(coarse / fine) - 9.0) < 0.2
+
+    @PAIR_PROPERTY
+    @given(e=st.one_of(st.floats(min_value=1e-30, max_value=1.0),
+                       st.floats(min_value=0.0, exclude_min=True)))
+    @example(e=math.inf)
+    @example(e=5e-324)
+    @example(e=256.0)
+    def test_dop853_growth_is_the_eighth_root(self, e):
+        # three correctly rounded square roots and a division stay within
+        # 3 ulp of libm's e ** -0.125 (a power of 2 exactly), and inf
+        # gives 0.0, the _MIN_FACTOR clamp, as the power does
+        growth, power = integrate._dop853_growth(e), e ** -0.125
+        assert abs(growth - power) <= 3.0 * math.ulp(power)
+        if e == 256.0 or math.isinf(e):
+            assert growth == power
+
+    def test_growth_is_nan_at_nan(self):
+        # a NaN factor takes the _MIN_FACTOR clamp, as a NaN power did
+        for growth in (integrate._rk45_growth, integrate._dop853_growth):
+            assert math.isnan(growth(math.nan))
 
     def test_dop853_tableau_is_scipys(self):
         coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
@@ -965,14 +1017,14 @@ def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     """A solve's times, states and event as exact bytes, or the type and
     message of what it raised.  level, when not None, is an event at
     y0.real = level."""
-    step, norm, exponent = (SOLVER_PAIRS if solve is solve_adaptive
-                            else oracles.PAIRS)[pair]
+    step, norm, growth = (SOLVER_PAIRS if solve is solve_adaptive
+                          else oracles.PAIRS)[pair]
     event = None if level is None else (lambda t, y: y[0].real - level)
     try:
         times, states, hit = solve(f, t0, y0, t0 + span, rtol=tols[0],
                                    atol=tols[1], record_every=record_every,
                                    event=event, step=step, norm=norm,
-                                   exponent=exponent)
+                                   growth=growth)
     except Exception as exc:  # compared with the oracle's
         return type(exc), str(exc)
     return (times.tobytes(), states.dtype.str, states.tobytes(),
@@ -1029,12 +1081,13 @@ class TestSolveLoop:
     @example(y0=(0.5 + 0.1j, 1.0 - 0.2j), t0=-2.0, span=3.0,
              tols=(1e-9, 1e-9), record_every=3, p=1.0, q=-1.0, power=2,
              gap=math.inf, rise=None, pair="dop853")
-    # stages overflow a float power: NaN steps, rejected down to a step
+    # stages overflow to inf: NaN steps, rejected down to a step
     # underflow
     @example(y0=(1e100, 1e100), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
              record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
              pair="dop853")
-    # the derivative at the start overflows: the solve raises it
+    # the derivative at the start overflows to inf: every step from
+    # there is rejected, down to a step underflow
     @example(y0=(2.0, 1e110), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
              record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
              pair="rk45")
@@ -1089,11 +1142,11 @@ class TestSolveLoop:
             calls[t, y] += 1
             return y[1], -y[0]
 
-        step, norm, exponent = SOLVER_PAIRS[pair]
+        step, norm, growth = SOLVER_PAIRS[pair]
         times, states, hit = solve_adaptive(
             f, 0.0, (0.0, 1.0), 10.0, rtol=1e-6, atol=1e-6,
             event=lambda t, y: y[0] - 0.9, step=step, norm=norm,
-            exponent=exponent)
+            growth=growth)
         assert hit is not None and 1.0 < hit[0] < 1.2
         event_step_start = (float(times[-2]), tuple(states[-2].tolist()))
         assert hit[0] > event_step_start[0]  # the bisection moved
