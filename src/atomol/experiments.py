@@ -9,11 +9,14 @@ the pure-mode poles; normalized observables like |b|^2/n are read off
 directly.  Raw amplitude evolution with number-floating couplings is
 available through the integrator for comparison runs.
 
-Under the default integrator method "adaptive", a sweep reads only the
-end state of each solve and integrates with the Dormand-Prince 8(5,3)
-pair, on the sweep's own float-part step; trapping runs and portraits
-record every accepted step and keep the 4(5) pair (see
-atomol.integrate).
+The sweep and trapping solves call model.unit_norm_deriv through a
+closure, at R(t) = beta (t - T/2) for a sweep and at a constant R for a
+trapping run.  Under the default integrator method "adaptive", a sweep
+reads only the end state of each solve and integrates with the
+Dormand-Prince 8(5,3) pair, on the sweep's own float-part step, which
+writes that flow into its stages and calls f once per solve; trapping
+runs and portraits record every accepted step and keep the 4(5) pair
+(see atomol.integrate).
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .integrate import (
     ReducedTrajectory,
     _solve,
     _sweep_dop853_step,
-    _unit_norm_flow,
     evolve_reduced,
 )
-from .model import Params, ReducedParams, derived_quantities
+from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
 
 # Below this, a baseline conversion efficiency cannot normalize the
 # relative efficiency and m is reported as undefined.
@@ -127,18 +129,21 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     """w = |b(T)|^2 / n(T) of one sweep from the pure atomic mode.
 
     Memoised on its frozen arguments, so the zero-loss baseline is
-    integrated once per protocol however many rates share it.  Only the
-    end state is read, so method "adaptive" solves with the 8(5,3) pair,
-    whose step is integrate._sweep_dop853_step: the flow written into
-    the stages on the float parts of a and b (see atomol.integrate), so
-    f is called once, for the first step size.
+    integrated once per protocol however many rates share it.  f is
+    unit_norm_deriv at R(t) = beta (t - T/2), SweepProtocol.r_at written
+    inline.  Only the end state is read, so method "adaptive" solves
+    with the 8(5,3) pair, whose step is integrate._sweep_dop853_step:
+    the flow written into the stages on the float parts of a and b (see
+    atomol.integrate), so f is called once, for the first step size.
     """
-    half = protocol._half_duration
-    _, states, _ = _solve(_unit_norm_flow(u, v, gamma, protocol.beta, half),
-                          0.0, (1.0 + 0j, 0j),
+    beta, half = protocol.beta, protocol._half_duration
+
+    def f(t, y):
+        return unit_norm_deriv(y[0], y[1], u, v, beta * (t - half), gamma)
+
+    _, states, _ = _solve(f, 0.0, (1.0 + 0j, 0j),
                           replace(cfg, t_final=protocol.duration),
-                          dop853=_sweep_dop853_step(u, v, gamma,
-                                                    protocol.beta, half))
+                          dop853=_sweep_dop853_step(u, v, gamma, beta, half))
     mod_a, mod_b = map(abs, states[-1])
     b_sq = mod_b * mod_b
     return float(b_sq / (mod_a * mod_a + 2.0 * b_sq))
@@ -190,9 +195,13 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
         raise ValueError(f"a0_sq must be in [0, 1], got {a0_sq}")
     a0 = math.sqrt(a0_sq)
     b0 = math.sqrt((1.0 - a0_sq) / 2.0) * cmath.exp(-1j * theta0)
-    times, states, _ = _solve(
-        _unit_norm_flow(u, v, gamma_minus, None, None, float(r)), 0.0,
-        (a0 + 0j, b0), replace(cfg, t_final=t_span))
+    r = float(r)
+
+    def f(t, y):
+        return unit_norm_deriv(y[0], y[1], u, v, r, gamma_minus)
+
+    times, states, _ = _solve(f, 0.0, (a0 + 0j, b0),
+                              replace(cfg, t_final=t_span))
     d = derived_quantities(states, v, u, r)
     p_atom = d["p_atom"]
     min_p = float(p_atom.min())

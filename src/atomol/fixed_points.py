@@ -39,11 +39,14 @@ points:
   labels (regimes.regime_census).  The loops are masked: they iterate
   until every element has stopped, by the scalar code's branch rules,
   with its expressions in its order.  By the rule of model._mapped for
-  Python's bits over an array, the phase (atan2) and the cubes and
-  squares of real_cubic_roots and of the polish Jacobian go through
-  Python, one call per element.  A point where the scalar census
-  raises (a polish step to an infinite phase, a point within EPS_POLE of
-  the pole, a non-finite one) is marked, to be handed to it.
+  Python's bits over an array, the phase (atan2) goes through Python,
+  one call per element.  The cubes and squares of real_cubic_roots and
+  of the polish Jacobian are products (x * x * x) in both forms, which
+  numpy and Python round alike, so neither form takes them from libm's
+  pow, whose bits glibc picks by the CPU's FMA support.  A point where
+  the scalar census raises (a polish step to an infinite phase, a point
+  within EPS_POLE of the pole, a non-finite one) is marked, to be
+  handed to it.
 """
 
 from __future__ import annotations
@@ -198,7 +201,8 @@ def real_cubic_roots(cc: CubicCoefficients) -> list[tuple[float, int]]:
     ps = [((c3 * x + c2) * x + c1) * x + c0 for x in xs]
     for k in range(1, len(xs) - 1):
         x = xs[k]
-        local = max(abs(c3 * x ** 3), abs(c2 * x ** 2), abs(c1 * x), abs(c0))
+        local = max(abs(c3 * (x * x * x)), abs(c2 * (x * x)), abs(c1 * x),
+                    abs(c0))
         if abs(ps[k]) <= DOUBLE_ROOT_TOL * local:
             ps[k] = 0.0  # double root at a critical point
     roots: list[tuple[float, int]] = []
@@ -222,8 +226,8 @@ def _jacobian_entries(s: float, theta: float, q: ReducedParams,
     """Entries (j11, j12, j21, j22) of the Jacobian; j11 + j22 = 2 Gamma S."""
     _check_pole(s, eps_pole)
     root = math.sqrt(1.0 - s)
-    return _jacobian_terms(s, math.sin(theta), math.cos(theta), root, root ** 3,
-                           q.c, q.omega, q.gamma)
+    return _jacobian_terms(s, math.sin(theta), math.cos(theta), root,
+                           root * root * root, q.c, q.omega, q.gamma)
 
 
 def _jacobian_terms(s, sin_t, cos_t, root, root3, c, omega, gamma):
@@ -299,8 +303,9 @@ def _polish_point(s: float, theta: float, q: ReducedParams):
         best_s, best_t, best_res = s, theta, res
         if k == 20 or res < 1e-14 or s >= 1.0 - 1e-14:
             break  # the last step, the floor, or the Jacobian's pole guard
-        j11, j12, j21, j22 = _jacobian_terms(s, sin_t, cos_t, root, root ** 3,
-                                             c, omega, gamma)
+        j11, j12, j21, j22 = _jacobian_terms(s, sin_t, cos_t, root,
+                                             root * root * root, c, omega,
+                                             gamma)
         det = j11 * j22 - j12 * j21
         norm = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-300)
         if abs(det) < 1e-12 * norm * norm:
@@ -465,8 +470,8 @@ def _census_arrays(c, r, omega, gamma):
     cos(theta) of the first (read for one point only) and a mask of the
     points where the scalar census raises.  Every stage is the scalar
     code's expressions in its order on the points still open; numpy's
-    sqrt, sin, cos and mod give the bits of math's, but atan2 and pow
-    are mapped through Python (see the module docstring).
+    sqrt, sin, cos and mod give the bits of math's, but atan2 is mapped
+    through Python (see the module docstring).
     """
     n = len(c)
     c3, c2, c1, c0 = _coefficients(c, omega, r, gamma)
@@ -585,8 +590,8 @@ def _real_cubic_roots_array(c3, c2, c1, c0):
     for k in (1, 2):  # a critical point where p vanishes is a double root
         at = np.flatnonzero(n_crit >= k)
         x = xs[at, k]
-        local = _first_max(np.abs(c3[at] * _mapped(lambda v: v ** 3, x)),
-                           np.abs(c2[at] * _mapped(lambda v: v ** 2, x)),
+        local = _first_max(np.abs(c3[at] * (x * x * x)),
+                           np.abs(c2[at] * (x * x)),
                            np.abs(c1[at] * x), np.abs(c0[at]))
         ps[at[np.abs(ps[at, k]) <= DOUBLE_ROOT_TOL * local], k] = 0.0
 
@@ -671,7 +676,7 @@ def _polish_points(s, theta, c, omega, r, gamma):
             break
         root = np.sqrt(1.0 - s)
         j11, j12, j21, j22 = _jacobian_terms(
-            s, np.sin(theta), np.cos(theta), root, _mapped(lambda v: v ** 3, root),
+            s, np.sin(theta), np.cos(theta), root, root * root * root,
             c, omega, gamma)
         det = j11 * j22 - j12 * j21
         norm = _first_max(np.abs(j11), np.abs(j12), np.abs(j21), np.abs(j22), 1e-300)

@@ -19,18 +19,21 @@ takes 4(5) for every solve.
 
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
-f(t, y) gets that tuple and returns a pair (the tuples of the model's
-*_deriv functions).  A step returns one flat tuple,
-(y_new0, y_new1, k_last0, k_last1, *err), or None where it fails: a
-reduced-flow stage lay at or past S = 1.  A right-hand side past the
-largest float gives inf or NaN parts, which the norms read as an
-infinite norm.  The loop rejects a failed step as one of infinite
-norm.  The steps write the stages out for the two components in the
-operation order of the vector form (y + h * (a21 * k1) and so on), so
-the trajectories keep the bits they had when the states were numpy
-arrays.  Two steps write their right-hand side into the stages instead
-of calling f: the (S, theta) chart's own 4(5) step and the sweep's
-8(5,3) step.
+f(t, y) gets that tuple and returns a pair.  Every solve's f is a
+closure over one of the model's *_deriv functions: gp_deriv for
+evolve, reduced_deriv for evolve_reduced, and unit_norm_deriv for the
+sweep and trap runs of atomol.experiments.  A step returns one flat
+tuple, (y_new0, y_new1, k_last0, k_last1, *err), or None where it
+fails: a stage of the chart's step lay at or past S = 1.  A right-hand
+side past the largest float gives inf or NaN parts, which the norms
+read as an infinite norm.  The loop rejects a failed step as one of
+infinite norm.  The steps write the stages out for the two components
+in the operation order of the vector form (y + h * (a21 * k1) and so
+on), so the trajectories keep the bits they had when the states were
+numpy arrays.  Two steps write their right-hand side into the stages
+instead of calling f: the (S, theta) chart's own 4(5) step and the
+sweep's 8(5,3) step.  Property tests pin each to the generic step over
+its solve's f, bit for bit.
 
 Every product of a float and a stage is written complex-first
 (y + k1 * a21 * h): on a float-first product CPython 3.11 first calls
@@ -85,7 +88,10 @@ the lower clamp, _MIN_FACTOR.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
-over the singularity.
+over the singularity.  A trial stage at or past S = 1 raises
+model.PoleError in evolve_reduced's right-hand side: the chart's own
+step fails there, a rejected step, and a fixed step takes it as the
+crossing.
 """
 
 from __future__ import annotations
@@ -103,9 +109,11 @@ from .model import (
     Amplitudes,
     NumericalError,
     Params,
+    PoleError,
     ReducedParams,
     derived_quantities,
     gp_deriv,
+    reduced_deriv,
 )
 
 # Dormand-Prince 5(4) tableau: seven stages with first-same-as-last,
@@ -193,14 +201,6 @@ class StepBudgetError(NumericalError):
     """A solve needs more than MAX_STEPS steps."""
 
 
-class _PastEvent(NumericalError):
-    """Raised by a right-hand side at a trial state past the event surface.
-
-    The adaptive solver rejects such a trial step; the fixed-step solver,
-    which cannot reject one, takes it as the event crossing.
-    """
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step control and recording settings.
@@ -254,33 +254,27 @@ def _rk45_step(f, t, y, h, k1=None):
     Returns the flat result (y_new0, y_new1, k_last0, k_last1, err0,
     err1): the 5th-order state, the last stage derivative
     (first-same-as-last: the next step's k1) and the error components.
-    A right-hand side that raises _PastEvent gives None, a failed step,
-    which the step controller rejects.
+    It never returns None: what f raises, the step raises.
     """
     y0, y1 = y
-    try:
-        if k1 is None:
-            k1 = f(t, y)
-        a0, a1 = k1
-        b0, b1 = f(t + _C2 * h, (y0 + a0 * _A21 * h, y1 + a1 * _A21 * h))
-        c0, c1 = f(t + _C3 * h, (y0 + (a0 * _A31 + b0 * _A32) * h,
-                                 y1 + (a1 * _A31 + b1 * _A32) * h))
-        d0, d1 = f(t + _C4 * h, (
-            y0 + (a0 * _A41 + b0 * _A42 + c0 * _A43) * h,
-            y1 + (a1 * _A41 + b1 * _A42 + c1 * _A43) * h))
-        e0, e1 = f(t + _C5 * h, (
-            y0 + (a0 * _A51 + b0 * _A52 + c0 * _A53 + d0 * _A54) * h,
-            y1 + (a1 * _A51 + b1 * _A52 + c1 * _A53 + d1 * _A54) * h))
-        g0, g1 = f(t + h, (
-            y0 + (a0 * _A61 + b0 * _A62 + c0 * _A63 + d0 * _A64
-                  + e0 * _A65) * h,
-            y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64
-                  + e1 * _A65) * h))
-        n0 = y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h
-        n1 = y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h
-        p0, p1 = f(t + h, (n0, n1))
-    except _PastEvent:
-        return None
+    if k1 is None:
+        k1 = f(t, y)
+    a0, a1 = k1
+    b0, b1 = f(t + _C2 * h, (y0 + a0 * _A21 * h, y1 + a1 * _A21 * h))
+    c0, c1 = f(t + _C3 * h, (y0 + (a0 * _A31 + b0 * _A32) * h,
+                             y1 + (a1 * _A31 + b1 * _A32) * h))
+    d0, d1 = f(t + _C4 * h, (
+        y0 + (a0 * _A41 + b0 * _A42 + c0 * _A43) * h,
+        y1 + (a1 * _A41 + b1 * _A42 + c1 * _A43) * h))
+    e0, e1 = f(t + _C5 * h, (
+        y0 + (a0 * _A51 + b0 * _A52 + c0 * _A53 + d0 * _A54) * h,
+        y1 + (a1 * _A51 + b1 * _A52 + c1 * _A53 + d1 * _A54) * h))
+    g0, g1 = f(t + h, (
+        y0 + (a0 * _A61 + b0 * _A62 + c0 * _A63 + d0 * _A64 + e0 * _A65) * h,
+        y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64 + e1 * _A65) * h))
+    n0 = y0 + (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6) * h
+    n1 = y1 + (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6) * h
+    p0, p1 = f(t + h, (n0, n1))
     return (n0, n1, p0, p1,
             (a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6
              + p0 * _E7) * h,
@@ -511,9 +505,10 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
 
     f follows the solve_adaptive contract.  A fixed step cannot be
     rejected, so with an event a step whose stage f answers with
-    _PastEvent is the crossing, and a step to a state where the event
-    function is NaN, so the crossing cannot be told, raises
-    NumericalError.  Without an event a NaN state is carried on.
+    PoleError (a stage at or past the S = 1 pole) is the crossing, and a
+    step to a state where the event function is NaN, so the crossing
+    cannot be told, raises NumericalError.  Without an event a NaN state
+    is carried on.
 
     Raises ValueError when y0 is not a pair and StepBudgetError, before
     any step, when the grid would need more than MAX_STEPS steps.
@@ -533,7 +528,7 @@ def solve_fixed(f: Callable, t0: float, y0, t_final: float,
         t_next = t0 + (i + 1) * (t_final - t0) / n_steps
         try:
             y_new = _rk4_step(f, t, y, t_next - t)
-        except _PastEvent:
+        except PoleError:
             if event is None:
                 raise
             y_new = None
@@ -623,40 +618,12 @@ def evolve(x0: Amplitudes, p: Params,
     return Trajectory(times=times, states=states, params=p)
 
 
-def _guarded_reduced_f(c, omega, r, gamma):
-    """Reduced RHS safe for trial stages that overshoot the pole.
-
-    Values at or past S = 1 raise _PastEvent, a rejected step for the
-    adaptive solver and the crossing for the fixed-step one; the event
-    guard halts before the pole itself.  A phase that overflowed to inf
-    gives NaN, as the overflow itself would in numpy.  It inlines
-    model.reduced_deriv bit for bit (test_guarded_rhs_is_reduced_deriv).
-    """
-    # the products each expression forms first, and the math functions,
-    # bound once per solve
-    m2omega, c4, r4 = -2.0 * omega, 4.0 * c, 4.0 * r
-    sqrt, sin, cos = math.sqrt, math.sin, math.cos
-
-    def f(t, y):
-        s, theta = y
-        if s >= 1.0:
-            raise _PastEvent
-        try:
-            root = sqrt(1.0 - s)
-            return (m2omega * (1.0 + s) * root * sin(theta)
-                    - gamma * (1.0 - s * s),
-                    c4 * s - r4 - omega * (1.0 - 3.0 * s) / root * cos(theta))
-        except ValueError:  # math.sin(inf)
-            return math.nan, math.nan
-
-    return f
-
-
 def _reduced_rk45_step(c, omega, r, gamma):
-    """_rk45_step over _guarded_reduced_f, that right-hand side written
-    into each stage: the same bits, or None where that step fails or a
-    phase overflowed to inf (test_reduced_step_is_the_guarded_step).
-    The flow is autonomous; the stage times and f go unused.
+    """_rk45_step over evolve_reduced's right-hand side, that right-hand
+    side written into each stage: the same bits, or None where that step
+    raises PoleError (a stage at or past S = 1) or a phase overflowed to
+    inf (test_reduced_step_is_the_generic_step).  The flow is
+    autonomous; the stage times and f go unused.
     """
     m2omega, c4, r4 = -2.0 * omega, 4.0 * c, 4.0 * r
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
@@ -710,39 +677,10 @@ def _reduced_rk45_step(c, omega, r, gamma):
     return step
 
 
-def _unit_norm_flow(c, omega, gamma, beta, half, r_const=0.0):
-    """model.unit_norm_deriv as a right-hand side f(t, y).
-
-    R is the sweep's R(t) = beta (t - half), SweepProtocol.r_at written
-    inline, or r_const where beta is None.  The products 2 Omega,
-    Gamma / 2 and 2 C are formed once per solve, and every
-    float-by-complex product is written complex-first, as the steps'
-    are.  It inlines unit_norm_deriv bit for bit
-    (test_unit_norm_rhs_is_unit_norm_deriv), as _guarded_reduced_f does
-    model.reduced_deriv.  The sweep's 8(5,3) step, _sweep_dop853_step,
-    writes the sweep's flow into its stages on float parts (see the
-    module docstring).
-    """
-    sweep = beta is not None
-    omega2, gamma_half, c2 = 2.0 * omega, 0.5 * gamma, 2.0 * c
-
-    def f(t, y):
-        a, b = y
-        r = beta * (t - half) if sweep else r_const
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
-        return (-1j * (a * (r - c * s) + a.conjugate() * omega2 * b)
-                - a * (gamma_half * (1.0 - s)),
-                -1j * (a * omega * a + b * (-2.0 * r + c2 * s))
-                + b * (gamma_half * (1.0 + s)))
-
-    return f
-
-
 def _sweep_dop853_step(c, omega, gamma, beta, half):
-    """The Dormand-Prince 8(5,3) step over _unit_norm_flow for the sweep
-    R(t) = beta (t - half), that right-hand side written into each stage
-    on the four float parts Re a, Im a, Re b, Im b (see the module
+    """The Dormand-Prince 8(5,3) step over model.unit_norm_deriv for the
+    sweep R(t) = beta (t - half), that right-hand side written into each
+    stage on the four float parts Re a, Im a, Re b, Im b (see the module
     docstring), with the contract of _rk45_step: the error part of the
     flat result is e5_a, e5_b, e3_a, e3_b, the 5th- and 3rd-order error
     components, not yet multiplied by h, which _dop853_norm combines.
@@ -968,20 +906,30 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     """Propagate the autonomous reduced flow from (s0, theta0).
 
     Halts with a pole event (recorded, not fatal) if S reaches
-    1 - eps_pole.
+    1 - eps_pole.  The right-hand side is model.reduced_deriv with
+    eps_pole = 0: a trial stage at or past S = 1 raises PoleError, the
+    crossing of a fixed step (solve_fixed), and a phase that overflowed
+    to inf gives NaN, as the overflow itself would in numpy.  The
+    adaptive methods step with _reduced_rk45_step, which calls f once.
     """
     s0, theta0 = float(s0), float(theta0)
     s_max = 1.0 - eps_pole
     if not abs(s0) <= s_max:
         raise ValueError(f"|s0| must be <= 1 - eps_pole, got {s0}")
+    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
+
+    def f(t, y):
+        try:
+            return reduced_deriv(y[0], y[1], c, omega, r, gamma, 0.0)
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
 
     def pole(t, y):
         return y[0] - s_max
 
-    f = _guarded_reduced_f(q.c, q.omega, q.r, q.gamma)
     times, states, hit = _solve(
         f, 0.0, (s0, theta0), cfg, event=pole,
-        rk45=_reduced_rk45_step(q.c, q.omega, q.r, q.gamma))
+        rk45=_reduced_rk45_step(c, omega, r, gamma))
     event = None
     if hit is not None:
         t_ev, (s_ev, theta_ev) = hit

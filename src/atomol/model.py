@@ -29,6 +29,13 @@ degenerates at S = -1, so their canonical quantities are derived from
 amplitudes after the fact.  Phase portraits integrate the (S, theta)
 chart itself (evolve_reduced), and an orbit that reaches the pole ends
 there with a pole event.
+
+gp_deriv, reduced_deriv and unit_norm_deriv are the one copy of each
+right-hand side: every solve calls one of them through a closure.  Three
+places write a flow inline instead, for speed, and tests pin each to
+these functions bit for bit: the (S, theta) chart's 4(5) step and the
+sweep's 8(5,3) step in atomol.integrate, and the Newton polish of
+fixed_points._polish_point.
 """
 
 from __future__ import annotations
@@ -229,13 +236,18 @@ def unit_norm_deriv(a, b, c, omega, r, gamma):
     |a|^2 + 2|b|^2 = 1 is preserved exactly while (S, theta) follow the
     autonomous reduced equations with constant C, Omega and relative rate
     gamma.  Regular at both poles, unlike the (S, theta) chart.
+
+    The right-hand side of the sweep's and the trap's solves.  Every
+    float-by-complex product is written complex-first, as the steps'
+    stages are (see atomol.integrate): the bits of the float-first form,
+    without the float.__mul__ call that declines a complex.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
-    da = -1j * ((r - c * s) * a + 2.0 * omega * a.conjugate() * b) \
-        - 0.5 * gamma * (1.0 - s) * a
-    db = -1j * (omega * a * a + (-2.0 * r + 2.0 * c * s) * b) \
-        + 0.5 * gamma * (1.0 + s) * b
+    da = -1j * (a * (r - c * s) + a.conjugate() * (2.0 * omega) * b) \
+        - a * (0.5 * gamma * (1.0 - s))
+    db = -1j * (a * omega * a + b * (-2.0 * r + 2.0 * c * s)) \
+        + b * (0.5 * gamma * (1.0 + s))
     return da, db
 
 
@@ -274,8 +286,12 @@ def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
     where either mode is empty, P(a) = |a|^2/n, the Bloch components
     (2*sqrt2 Re[(a*)^2 b], 2*sqrt2 Im[(a*)^2 b], |a|^2 - 2|b|^2), and
     the energy at the instantaneous effective couplings C = U*n,
-    Omega = V*sqrt(n).  S and P(a) are 0 where n = 0.  The squares and
-    (a*)^2 b are real arithmetic, and the phases math.atan2 (_mapped).
+    Omega = V*sqrt(n).  S, P(a) and the energy are 0 where n = 0.  The
+    squares and (a*)^2 b are real arithmetic, and the phases math.atan2
+    (_mapped).  The energy takes no cosine: with |a|^2 = n(1+S)/2 and
+    |b|^2 = n(1-S)/4, its term 2 Omega (1+S) sqrt(1-S) cos(theta) is
+    8 V Re[(a*)^2 b] / n, so it calls no libm function that glibc
+    dispatches on the CPU's FMA support.
     """
     x, y = states[:, 0].real, states[:, 0].imag
     bx, by = states[:, 1].real, states[:, 1].imag
@@ -290,8 +306,9 @@ def derived_quantities(states: np.ndarray, v: float, u: float, r: float):
     theta = np.where(degenerate, 0.0, theta)
     # (a*)^2 = (x^2 - y^2) - 2ixy, times b = bx + i by
     wr, wi = x * x - y * y, -2.0 * x * y
+    re = wr * bx - wi * by
     f = 2.0 * math.sqrt(2.0)
-    energy = _energy(s, theta, u * n, v * np.sqrt(n), r)
+    energy = 8.0 * v * re / safe_n - 2.0 * (u * n) * s * s + 4.0 * r * s
     return {"s": s, "theta": theta, "n": n, "p_atom": pa / safe_n,
-            "hx": f * (wr * bx - wi * by), "hy": f * (wr * by + wi * bx),
+            "hx": f * re, "hy": f * (wr * by + wi * bx),
             "hz": pa - pb, "energy": energy}

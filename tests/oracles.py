@@ -18,14 +18,15 @@ adaptive solve loop keeps its builtin min/max step control, evaluates
 each solve's and each bisection step's first stage afresh and steps
 with the generic steps, whose results nest (solve_adaptive,
 _initial_step and _locate_event as they were before their first stages
-were shared and their steps' results were flat), CSV and
+were shared and their steps' results were flat), the unit-norm lift
+in the float-first order of its products, CSV and
 JSON tables are built row by row instead of per column, and the cells
 table of a regime map from one row per cell instead of from its axes
 and label codes (write_cells is the regimes command's cells writer).
 
-The test-only helpers at the end (serialize_config, params_from_gamma,
-ATTRACTOR_KINDS and REPELLER_KINDS, cubic_derivative) are named here
-because the program itself never needs them.
+The test-only helpers at the end (sweep_rhs, serialize_config,
+params_from_gamma, ATTRACTOR_KINDS and REPELLER_KINDS, cubic_derivative)
+are named here because the program itself never needs them.
 """
 
 import json
@@ -45,9 +46,9 @@ from atomol.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62,
     _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3,
     _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, MAX_STEPS,
-    StepBudgetError, StepUnderflowError, _as_state, _PastEvent)
+    StepBudgetError, StepUnderflowError, _as_state)
 from atomol.model import (EPS_POLE, Params, PoleError, ReducedParams,
-                          reduced_deriv)
+                          reduced_deriv, unit_norm_deriv)
 from atomol.regimes import REGIME_LABELS, classify_regime
 
 
@@ -356,8 +357,9 @@ def rk45_step(f, t, y, h, k1=None):
     """One Dormand-Prince step on a tuple state of any length.
 
     Returns (y_new, err, k_last), or None where a right-hand side
-    raises _PastEvent: the bits of integrate._rk45_step in the nesting
-    of the vector form.
+    raises PoleError, a stage past the S = 1 pole of the chart: the bits
+    of integrate._rk45_step in the nesting of the vector form, where
+    that step raises, and of the chart's own step, which gives None.
     """
     try:
         if k1 is None:
@@ -378,7 +380,7 @@ def rk45_step(f, t, y, h, k1=None):
             yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
             for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)])
         k7 = f(t + h, y_new)
-    except _PastEvent:
+    except PoleError:
         return None
     err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
            for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)]
@@ -463,7 +465,7 @@ def dop853_step(f, t, y, h, k1=None):
         sums = [_weighted_sum(b, ks, m) for m in n]
         y_new = tuple([y[m] + h * sums[m] for m in n])
         k_last = f(t + h, y_new)
-    except _PastEvent:
+    except PoleError:
         return None
     err3 = []
     for m in n:
@@ -522,6 +524,19 @@ def dop853_growth(err_norm):
 # loop, as integrate._solve picks them
 PAIRS = {"rk45": (rk45_step, error_norm, rk45_growth),
          "dop853": (dop853_step, dop853_norm, dop853_growth)}
+
+
+def float_first_unit_norm_deriv(a, b, c, omega, r, gamma):
+    """model.unit_norm_deriv with every float-by-complex product written
+    float-first (2 Omega conj(a) b, Gamma/2 (1 - S) a), as the model
+    wrote it: the reference its complex-first form keeps the bits of."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    s = (ar * ar + ai * ai) - 2.0 * (br * br + bi * bi)
+    da = -1j * ((r - c * s) * a + 2.0 * omega * a.conjugate() * b) \
+        - 0.5 * gamma * (1.0 - s) * a
+    db = -1j * (omega * a * a + (-2.0 * r + 2.0 * c * s) * b) \
+        + 0.5 * gamma * (1.0 + s) * b
+    return da, db
 
 
 def _rms(values, scales):
@@ -714,6 +729,18 @@ def cell_rows(rmap):
     """The cells table's rows of a map, one list per cell."""
     return [[c, r, lab.label, lab.n_interior, lab.has_boundary_fp]
             for c, r, lab in map_cells(rmap)]
+
+
+def sweep_rhs(c, omega, gamma, beta, half):
+    """The sweep's right-hand side f(t, y), model.unit_norm_deriv at
+    R(t) = beta (t - half), as experiments._terminal_efficiency builds
+    it: the f of the generic steps that the sweep's own step is pinned
+    to."""
+    def f(t, y):
+        return unit_norm_deriv(y[0], y[1], c, omega, beta * (t - half),
+                               gamma)
+
+    return f
 
 
 def serialize_config(values: dict) -> str:

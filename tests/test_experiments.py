@@ -28,7 +28,8 @@ from atomol.model import (
     unit_norm_deriv,
 )
 
-from oracles import flat_dop853_step, params_from_gamma, zero_loss_s_range
+from oracles import (flat_dop853_step, float_first_unit_norm_deriv,
+                     params_from_gamma, sweep_rhs, zero_loss_s_range)
 
 FAST = IntegratorConfig(rtol=1e-9, atol=1e-9)
 
@@ -153,6 +154,28 @@ class TestSweepConversion:
         w1 = first_order_efficiency(beta, gamma, pr.duration)
         assert abs(w - w1) <= 3.0 * w1 * w1
 
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0, 2.0])
+    def test_slow_sweep_deficit_stalls_above_the_fold(self, c):
+        # at zero loss and Omega = 1 the line R in [-r_max, r_max] meets
+        # regime II iff C > C* = Omega / (2 sqrt 2) ~ 0.354: there the
+        # fixed point a slow sweep follows meets a fold
+        # (test_c_star_bounds_regime_two_at_zero_loss).  From beta = 0.1
+        # to 0.025 the unconverted fraction 1 - 2w falls 4.52x at C = 0
+        # and 2.88x at C = 0.3, so a bound of 2.5x leaves a factor of
+        # 1.15; at C = 1 and 2 it stalls, 1.21x and 1.05x, so a bound of
+        # 1.5x leaves a factor of 1.24.  A tolerance of 1e-8 moves these
+        # ratios by under 0.2% from the default 1e-11 and keeps the two
+        # solves near 1 s; r_max = 20, as at r_max = 10 the ends of the
+        # window shake the ratio at C = 0 down to 1.9x
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+        fast, slow = (1.0 - 2.0 * sweep_conversion(
+            SweepProtocol(beta=beta, r_max=20.0), Params(v=1.0, u=c), cfg).w
+            for beta in (0.1, 0.025))
+        if c < 1.0 / (2.0 * math.sqrt(2.0)):
+            assert fast / slow > 2.5
+        else:
+            assert fast / slow < 1.5
+
     @pytest.mark.parametrize("pr", [SweepProtocol(beta=0.7, r_max=1.3),
                                     SweepProtocol(beta=-0.4, r_max=0.62)])
     def test_rhs_detuning_is_r_at_bit_for_bit(self, monkeypatch, pr):
@@ -193,14 +216,13 @@ class TestSweepConversion:
     def test_sweep_solve_is_the_generic_solve(self, monkeypatch, beta, gamma,
                                               u, v, rtol, method):
         # the sweep's solve gives the bits of a solve over
-        # _unit_norm_flow whose 8(5,3) step is the oracle's; under
+        # unit_norm_deriv at R(t) whose 8(5,3) step is the oracle's; under
         # "adaptive" f is called once, for the first step size, and every
         # step is the sweep's own, while rk45 and rk4 take the generic
         # steps over f
         pr = SweepProtocol(beta=beta, r_max=5.0)
         cfg = IntegratorConfig(method=method, rtol=rtol, atol=rtol, dt=1e-3)
-        flow, sweep_step = (experiments._unit_norm_flow,
-                            experiments._sweep_dop853_step)
+        sweep_step = experiments._sweep_dop853_step
         calls = {"f": 0, "step": 0}
         solves = []
 
@@ -214,15 +236,16 @@ class TestSweepConversion:
             solves.append(integrate._solve(*args, **kwargs))
             return solves[-1]
 
-        monkeypatch.setattr(experiments, "_unit_norm_flow",
-                            lambda *q: counted("f", flow(*q)))
+        monkeypatch.setattr(experiments, "unit_norm_deriv",
+                            counted("f", experiments.unit_norm_deriv))
         monkeypatch.setattr(experiments, "_sweep_dop853_step",
                             lambda *q: counted("step", sweep_step(*q)))
         monkeypatch.setattr(experiments, "_solve", recorded_solve)
         experiments._terminal_efficiency.__wrapped__(pr, u, v, gamma, cfg)
         times, states, _ = integrate._solve(
-            flow(u, v, gamma, beta, pr._half_duration), 0.0, (1.0 + 0j, 0j),
-            replace(cfg, t_final=pr.duration), dop853=flat_dop853_step)
+            sweep_rhs(u, v, gamma, beta, pr._half_duration), 0.0,
+            (1.0 + 0j, 0j), replace(cfg, t_final=pr.duration),
+            dop853=flat_dop853_step)
         assert len(times) > 20
         assert solves[0][0].tobytes() == times.tobytes()
         assert solves[0][1].tobytes() == states.tobytes()
@@ -296,15 +319,14 @@ class TestUnitNormRhs:
              r=0.0, beta=1.0, r_max=5.0, t=0.0)  # inf products, NaN sums
     def test_unit_norm_rhs_is_unit_norm_deriv(self, a, b, c, omega, gamma,
                                               r, beta, r_max, t):
+        # the complex-first products give the bits of the float-first
+        # ones, at a sweep's R(t) and at a trap run's constant R; neither
+        # form takes a float power, so neither raises
         pr = SweepProtocol(beta=beta, r_max=r_max)
-        for f, r_t in (
-                (integrate._unit_norm_flow(c, omega, gamma, beta,
-                                           pr._half_duration), pr.r_at(t)),
-                (integrate._unit_norm_flow(c, omega, gamma, None, None, r),
-                 r)):
-            # neither takes a float power, so neither raises
-            assert exact(f(t, (a, b))) == exact(
-                unit_norm_deriv(a, b, c, omega, r_t, gamma))
+        for r_t in (pr.r_at(t), r):
+            assert exact(unit_norm_deriv(a, b, c, omega, r_t, gamma)) == \
+                exact(float_first_unit_norm_deriv(a, b, c, omega, r_t,
+                                                  gamma))
 
 
 class TestSelfTrapping:

@@ -15,12 +15,14 @@ child whose numpy has those targets switched off.
 
 glibc picks FMA variants of sin, cos, atan2, exp and pow at load time,
 and they round differently; GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2
-switches them off (hypot and sqrt gave the same bits either way).  The
-sweep runs of FMA_FREE_RUNS call none of them, and
-test_sweep_files_do_not_depend_on_fma_dispatch reruns them in a child
-with the tunable set.  The portrait runs (the chart's sin and cos, and
-err ** -0.2 in the 4(5) step size) and evolve's energy column (numpy's
-cos, which calls libm's) still change under it.
+switches them off (hypot and sqrt gave the same bits either way).
+test_data_files_but_the_portraits_do_not_depend_on_fma_dispatch reruns
+the runs of FMA_FREE_RUNS, every run but the portraits, in a child with
+the tunable set.  Only the 8(5,3) sweeps (sweep, sweep-bench,
+sweep-json) call none of those functions; the other runs call atan2,
+pow (err ** -0.2 in the 4(5) step size), sin, cos or exp, and were only
+seen to keep their bits.  The portrait runs (the chart's sin and cos,
+and err ** -0.2) change under the tunable.
 
 Re-record (only when an output change is intended and explained):
 
@@ -126,10 +128,13 @@ def fingerprints(workdir: Path, names=RUNS) -> dict:
 # complex abs and arctan2 loops differed from libm in the last bit
 SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 
-# the runs whose data files take no libm function that glibc dispatches
-# on FMA: the sweep's 8(5,3) solves step with products, sums and square
-# roots only, and its efficiencies read abs, libm's hypot
-FMA_FREE_RUNS = ("sweep", "sweep-bench", "sweep-json")
+# the runs whose data files kept their bits with glibc's FMA variants
+# switched off: every run but the portraits.  Of them only the 8(5,3)
+# sweeps (sweep, sweep-bench, sweep-json) take no libm function that
+# glibc dispatches on FMA: their solves step with products, sums and
+# square roots only, and their efficiencies read abs, libm's hypot
+FMA_FREE_RUNS = tuple(name for name in RUNS
+                      if not name.startswith("portrait"))
 
 # the child: fingerprints() of the runs named in argv[3:] (every run
 # when none is named) and libm_probe(), as JSON to the file argv[2]
@@ -192,7 +197,8 @@ def test_data_files_do_not_depend_on_simd_dispatch(tmp_path):
     assert child["runs"] == runs
 
 
-def test_sweep_files_do_not_depend_on_fma_dispatch(tmp_path):
+def test_data_files_but_the_portraits_do_not_depend_on_fma_dispatch(
+        tmp_path):
     # glibc picks FMA variants of pow, sin, cos, exp and atan2 at load
     # time; the tunable switches them off in the child only
     if (platform.machine() not in ("x86_64", "AMD64")

@@ -8,6 +8,7 @@ import math
 import random
 import struct
 import sys
+import types
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from atomol.model import (
     CanonicalState,
     NumericalError,
     Params,
+    PoleError,
     ReducedParams,
     amplitudes_from_canonical,
     angle_distance,
@@ -40,7 +42,7 @@ from atomol.model import (
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
                      flat_dop853_step, params_from_gamma, rk4_step,
-                     rk45_step)
+                     rk45_step, sweep_rhs)
 import oracles
 from oracles import solve_adaptive as oracle_solve_adaptive
 
@@ -211,8 +213,9 @@ class TestReducedEvolve:
             evolve_reduced(1.0, 0.0, q)
 
     def test_fixed_step_pole_event_matches_adaptive(self):
-        # an rk4 stage past S = 1 raises in the guarded right-hand side;
-        # the fixed stepper cannot reject it, so it stops with a pole event
+        # an rk4 stage past S = 1 raises PoleError in the chart's
+        # right-hand side; the fixed stepper cannot reject it, so it stops
+        # with a pole event
         q = ReducedParams()
         dt = 1e-3
         rk4 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
@@ -352,7 +355,7 @@ class TestGenericSolvers:
         # the solve ends at the last grid state
         def f(t, y):
             if y[0] > 2.5:
-                raise integrate._PastEvent
+                raise PoleError("past the surface")
             return (1.0, 0.0)
 
         times, states, hit = solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
@@ -505,11 +508,38 @@ def flat_result(nested):
 
 
 def outcome(step, *args):
-    """A step's state as exact bytes, or _PastEvent if it raised that."""
+    """A step's state as exact bytes, or PoleError if it raised that."""
     try:
         return bits(step(*args))
-    except integrate._PastEvent:
-        return integrate._PastEvent
+    except PoleError:
+        return PoleError
+
+
+def failing_rk45_step(f, t, y, h, k1):
+    """integrate._rk45_step with a stage's PoleError as a failed step,
+    None, as the chart's own step fails: the loop's 4(5) step where f
+    raises past an event surface."""
+    try:
+        return integrate._rk45_step(f, t, y, h, k1)
+    except PoleError:
+        return None
+
+
+class _Captured(Exception):
+    """Carries the right-hand side a solve was handed."""
+
+
+def chart_rhs(c, omega, r, gamma):
+    """The right-hand side that evolve_reduced hands integrate._solve,
+    for any coefficients (ReducedParams rejects a negative omega)."""
+    def capture(f, *args, **kwargs):
+        raise _Captured(f)
+
+    q = types.SimpleNamespace(c=c, omega=omega, r=r, gamma=gamma)
+    with mock.patch.object(integrate, "_solve", capture), \
+            pytest.raises(_Captured) as caught:
+        evolve_reduced(0.0, 0.0, q)
+    return caught.value.args[0]
 
 
 # mostly moderate values, whose rounding the operation order decides;
@@ -563,11 +593,12 @@ SOLVER_PAIRS = {"rk45": (integrate._rk45_step, integrate._float_norm,
 def pair_rhs(p, q, power, limit):
     """Two-component test RHS, p y1^power + t y0 and q y0 y1 - y1, with
     the power written as products, as the package's right-hand sides
-    write their squares; past y0.real = limit it raises _PastEvent."""
+    write their squares; past y0.real = limit it raises PoleError, as
+    the chart's right-hand side does past S = 1."""
     def f(t, y):
         y0, y1 = y
         if y0.real > limit:
-            raise integrate._PastEvent
+            raise PoleError("past the limit")
         y1_power = y1
         for _ in range(power - 1):
             y1_power = y1_power * y1
@@ -593,12 +624,14 @@ class TestPairSteps:
              power=1, limit=math.inf)  # a float state with complex stages
     def test_dp45_pair_step_is_the_generic_step(self, y, k1, h, t, p, q,
                                                 power, limit):
+        # a stage past the limit raises out of the step, where the
+        # oracle's step gives None
         f = pair_rhs(p, q, power, limit)
-        pair = integrate._rk45_step(f, t, y, h, k1)
         generic = rk45_step(f, t, y, h, k1)
         if generic is None:
-            assert pair is None
+            assert outcome(integrate._rk45_step, f, t, y, h, k1) is PoleError
             return
+        pair = integrate._rk45_step(f, t, y, h, k1)
         assert bits(pair) == bits(flat_result(generic))
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._float_norm(pair, y, rtol, atol, h)]) == \
@@ -711,11 +744,14 @@ class TestPairSteps:
     @example(s=2.0, theta=0.5, c=1.0, omega=1.0, r=0.0, gamma=0.3)
     @example(s=0.5, theta=math.inf, c=1.0, omega=1.0, r=0.0, gamma=0.3)
     @example(s=0.5, theta=-math.inf, c=1.0, omega=1.0, r=0.0, gamma=0.3)
-    def test_guarded_rhs_is_reduced_deriv(self, s, theta, c, omega, r,
-                                          gamma):
-        f = integrate._guarded_reduced_f(c, omega, r, gamma)
+    def test_chart_rhs_guards_the_pole_and_an_infinite_phase(
+            self, s, theta, c, omega, r, gamma):
+        # evolve_reduced's right-hand side is reduced_deriv with
+        # eps_pole = 0: PoleError at or past S = 1 and no nearer, and a
+        # NaN pair where math.sin rejects an infinite phase
+        f = chart_rhs(c, omega, r, gamma)
         if s >= 1.0:
-            with pytest.raises(integrate._PastEvent):
+            with pytest.raises(PoleError):
                 f(0.0, (s, theta))
         elif math.isinf(theta):
             assert all(math.isnan(v) for v in f(0.0, (s, theta)))
@@ -745,26 +781,27 @@ class TestPairSteps:
     # a smooth step with every term of both components at work
     @example(s=-0.3, theta=2.0, h=0.1, c=0.7, omega=1.1, r=-0.4,
              gamma=0.6)
-    def test_reduced_step_is_the_guarded_step(self, s, theta, h, c, omega,
+    def test_reduced_step_is_the_generic_step(self, s, theta, h, c, omega,
                                               r, gamma):
-        # the chart's step gives the bits of _rk45_step over the guarded
-        # right-hand side, or it fails where that step fails or gives a
-        # state or error of infinite norm, which the loop rejects alike
-        f = integrate._guarded_reduced_f(c, omega, r, gamma)
+        # the chart's step gives the bits of _rk45_step over
+        # evolve_reduced's right-hand side, or it fails where that step
+        # raises PoleError or gives a state or error of infinite norm,
+        # which the loop rejects alike
+        f = chart_rhs(c, omega, r, gamma)
         y, t = (s, theta), 0.25
         k1 = f(t, y)
-        guarded = integrate._rk45_step(f, t, y, h, k1)
+        generic = failing_rk45_step(f, t, y, h, k1)
         written = integrate._reduced_rk45_step(c, omega, r, gamma)(
             None, t, y, h, k1)
         norm = functools.partial(integrate._float_norm, y=y, h=h)
         if written is None:
-            assert (guarded is None
-                    or norm(guarded, rtol=1e-11, atol=1e-11) == math.inf)
+            assert (generic is None
+                    or norm(generic, rtol=1e-11, atol=1e-11) == math.inf)
             return
-        assert bits(written) == bits(guarded)
+        assert bits(written) == bits(generic)
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._float_norm(written, y, rtol, atol, h)]) \
-                == bits([norm(guarded, rtol=rtol, atol=atol)])
+                == bits([norm(generic, rtol=rtol, atol=atol)])
 
     @PAIR_PROPERTY
     @given(y=_SWEEP_PAIRS, k1=st.one_of(st.none(), _SWEEP_PAIRS),
@@ -797,14 +834,14 @@ class TestPairSteps:
     def test_sweep_step_is_the_generic_step(self, y, k1, h, t, c, omega,
                                             gamma, beta, r_max):
         # the sweep's step gives the bits of the oracle's tableau loop
-        # over _unit_norm_flow in every part that step gives finite, a
-        # zero up to its sign, and the bits of its error norm.  Where a
-        # part is not finite, the two may differ in a NaN's sign, and a
-        # part that is finite on the float parts may be NaN on complex
-        # numbers (inf * 0.0); the equal norms make the loop accept or
-        # reject both alike
+        # over the sweep's unit_norm_deriv in every part that step gives
+        # finite, a zero up to its sign, and the bits of its error norm.
+        # Where a part is not finite, the two may differ in a NaN's sign,
+        # and a part that is finite on the float parts may be NaN on
+        # complex numbers (inf * 0.0); the equal norms make the loop
+        # accept or reject both alike
         half = experiments.SweepProtocol(beta=beta, r_max=r_max)._half_duration
-        f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
+        f = sweep_rhs(c, omega, gamma, beta, half)
         if k1 is None:  # the loop's k1, f at the start state
             k1 = f(t, y)
         generic = dop853_step(f, t, y, h, k1)
@@ -835,7 +872,7 @@ class TestPairSteps:
         # that are not finite, which the norm reads as inf, as it does
         # the oracle's
         half = experiments.SweepProtocol(beta=beta, r_max=5.0)._half_duration
-        f = integrate._unit_norm_flow(c, omega, gamma, beta, half)
+        f = sweep_rhs(c, omega, gamma, beta, half)
         t, h, k1 = 2.5, 0.1, k1 or f(2.5, y)
         oracle = flat_dop853_step(f, t, y, h, k1)
         written = integrate._sweep_dop853_step(c, omega, gamma, beta, half)(
@@ -875,7 +912,7 @@ class TestPairSteps:
         # raise or return None: a step past the largest float has inf or
         # NaN parts instead, and a norm the loop can compare with 1
         if k1 is None:
-            k1 = integrate._unit_norm_flow(c, omega, gamma, beta, 0.0)(t, y)
+            k1 = sweep_rhs(c, omega, gamma, beta, 0.0)(t, y)
         res = integrate._sweep_dop853_step(c, omega, gamma, beta, 0.0)(
             None, t, y, h, k1)
         assert isinstance(res, tuple) and len(res) == 8
@@ -893,7 +930,7 @@ class TestPairSteps:
                       for _ in "12")
             pr = experiments.SweepProtocol(beta=beta, r_max=5.0)
             t, h = rng.uniform(0.0, pr.duration), rng.uniform(-0.05, 0.05)
-            f = integrate._unit_norm_flow(c, omega, gamma, beta,
+            f = sweep_rhs(c, omega, gamma, beta,
                                           pr._half_duration)
             k1 = f(t, y)
             written = integrate._sweep_dop853_step(
@@ -910,7 +947,7 @@ class TestPairSteps:
         half = pr._half_duration
         a0, b0, t0 = 0.6 + 0.8j, 0.3 - 0.4j, 5.0
         step = integrate._sweep_dop853_step(0.0, 0.0, 0.0, pr.beta, half)
-        k1 = integrate._unit_norm_flow(0.0, 0.0, 0.0, pr.beta, half)(
+        k1 = sweep_rhs(0.0, 0.0, 0.0, pr.beta, half)(
             t0, (a0, b0))
         errors = []
         for h in (0.5, 0.25, 0.125):
@@ -1019,6 +1056,10 @@ def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     y0.real = level."""
     step, norm, growth = (SOLVER_PAIRS if solve is solve_adaptive
                           else oracles.PAIRS)[pair]
+    if step is integrate._rk45_step:
+        # a stage past the limit is a failed step, as in the chart's own
+        # step, where _rk45_step would raise
+        step = failing_rk45_step
     event = None if level is None else (lambda t, y: y[0].real - level)
     try:
         times, states, hit = solve(f, t0, y0, t0 + span, rtol=tols[0],
@@ -1053,7 +1094,7 @@ class TestSolveLoop:
            gap=st.one_of(st.just(math.inf), st.floats(0.0, 2.0)),
            rise=st.one_of(st.none(), st.floats(-0.5, 2.0)),
            pair=st.sampled_from(["rk45", "dop853"]))
-    # stages past y0.real = limit raise _PastEvent: rejected steps at
+    # stages past y0.real = limit raise PoleError: rejected steps at
     # the _MIN_FACTOR clamp, and a bisection of the event step
     @example(y0=(0.5, 1.0), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
              record_every=1, p=1.0, q=1.0, power=1, gap=0.25, rise=0.2,
@@ -1117,11 +1158,12 @@ class TestSolveLoop:
          IntegratorConfig(method="rk45", t_final=10.0))])
     def test_reduced_solve_is_the_oracle_loop(self, s0, theta0, q, cfg):
         # evolve_reduced steps with the chart's own step; the oracle loop
-        # steps the guarded right-hand side with the generic 4(5) step
+        # steps evolve_reduced's right-hand side with the generic 4(5)
+        # step, which gives None where a stage raises PoleError
         tr = evolve_reduced(s0, theta0, q, cfg)
         s_max = 1.0 - EPS_POLE
         times, states, hit = oracle_solve_adaptive(
-            integrate._guarded_reduced_f(q.c, q.omega, q.r, q.gamma), 0.0,
+            chart_rhs(q.c, q.omega, q.r, q.gamma), 0.0,
             (s0, theta0), cfg.t_final, rtol=cfg.rtol, atol=cfg.atol,
             record_every=cfg.record_every, event=lambda t, y: y[0] - s_max)
         assert tr.times.tobytes() == times.tobytes()
