@@ -7,8 +7,11 @@ data files byte for byte.  Flags mirror config keys and override the
 config file: a flag is its key's name with - for _ (--t-final sets
 [integrator] t_final), except --output, --beta and sweep's --gamma
 (_FLAG_NAMES), and regimes' --window and --resolution, which split
-into the [scan] keys.  Flag values are parsed and reported like
-config-file values (io._parse_value).
+into the [scan] keys.  Flag values are parsed, checked against their
+key's rules and reported like config-file values (io._parse_value), so
+every bad value fails before the output directory is made; the
+commands check only what reads two keys (a scan window's span, a
+sweep's 2 r_max / |beta|, a portrait's orbit count).
 
 Exit codes: 0 success, 2 config error (bad input only, a portrait of
 more than MAX_ORBITS starts included), 3 numerical failure
@@ -41,8 +44,7 @@ from .integrate import IntegratorConfig, evolve
 from .io import ConfigError
 from .model import CanonicalState, NumericalError, Params, ReducedParams, \
     amplitudes_from_canonical
-from .regimes import (_check_refine_tol, boundary_fp_existence_curve,
-                      scan_plane, trace_boundaries)
+from .regimes import boundary_fp_existence_curve, scan_plane, trace_boundaries
 
 # per-command config keys; a key's flag is --name with - for _, where
 # name is the key within its section, save the few in _FLAG_NAMES
@@ -145,54 +147,6 @@ def _section(resolved, name, **override) -> dict:
             **override}
 
 
-def _checked(resolved, key, ok, rule):
-    """resolved[key], a ConfigError naming the key unless ok(value), or,
-    for a list, unless ok(item) for each item, naming the first bad one."""
-    value = resolved[key]
-    for item in value if isinstance(value, list) else [value]:
-        if not ok(item):
-            section, name = key.split(".")
-            raise ConfigError(f"[{section}] {name} must be {rule}, got {item}")
-    return value
-
-
-def _finite(resolved, *keys) -> list:
-    """The resolved values of keys, each checked finite, in order."""
-    return [_checked(resolved, key, math.isfinite, "finite") for key in keys]
-
-
-def _positive(resolved, *keys) -> list:
-    """The resolved values of keys, each checked finite and > 0."""
-    return [_checked(resolved, key, lambda v: 0 < v < math.inf,
-                     "finite and > 0") for key in keys]
-
-
-def _reduced(resolved) -> ReducedParams:
-    """The [reduced] section, each key finite, in field order, and omega
-    > 0 for the census."""
-    _finite(resolved, *_REDUCED_KEYS)
-    _checked(resolved, "reduced.omega", lambda v: v > 0.0, "> 0")
-    return ReducedParams(**_section(resolved, "reduced"))
-
-
-def _model(resolved, *keys) -> list:
-    """The resolved values of [model] keys, each checked finite, and v
-    checked >= 0, as Params takes it."""
-    values = _finite(resolved, *keys)
-    _checked(resolved, "model.v", lambda v: v >= 0.0, ">= 0")
-    return values
-
-
-def _integrator(resolved, **override) -> IntegratorConfig:
-    """The [integrator] section, with the given values in place of the
-    resolved ones, and the tolerances, dt and t_final that it takes from
-    the config each finite and > 0."""
-    _positive(resolved, *(f"integrator.{key}"
-                          for key in ("rtol", "atol", "dt", "t_final")
-                          if key not in override))
-    return IntegratorConfig(**_section(resolved, "integrator", **override))
-
-
 def _finish(command, resolved, derived, outdir, outputs):
     manifest = aio.build_manifest(command, resolved, derived,
                                   [p.name for p in outputs])
@@ -204,14 +158,11 @@ def _finish(command, resolved, derived, outdir, outputs):
 
 
 def cmd_evolve(resolved, outdir, fmt):
-    _model(resolved, *_MODEL_KEYS)
     p = Params(**_section(resolved, "model"))
-    a0_sq = _checked(resolved, "initial.a0_sq", lambda v: 0.0 <= v <= 1.0,
-                     "in [0, 1]")
-    theta0 = _checked(resolved, "initial.theta0", math.isfinite, "finite")
-    x0 = amplitudes_from_canonical(
-        CanonicalState(s=2.0 * a0_sq - 1.0, theta=theta0, n=1.0))
-    tr = evolve(x0, p, _integrator(resolved))
+    x0 = amplitudes_from_canonical(CanonicalState(
+        s=2.0 * resolved["initial.a0_sq"] - 1.0,
+        theta=resolved["initial.theta0"], n=1.0))
+    tr = evolve(x0, p, IntegratorConfig(**_section(resolved, "integrator")))
     header = ["t", "re_a", "im_a", "re_b", "im_b", "n", "s", "theta",
               "hx", "hy", "hz", "energy"]
     a, b = tr.states[:, 0], tr.states[:, 1]
@@ -239,7 +190,7 @@ def _fixed_point_columns(points):
 
 
 def cmd_fixed_points(resolved, outdir, fmt):
-    q = _reduced(resolved)
+    q = ReducedParams(**_section(resolved, "reduced"))
     points = all_fixed_points(q)
     out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                           _fixed_point_columns(points), fmt)
@@ -264,19 +215,14 @@ def _write_cells(outdir, rmap, fmt):
 
 
 def cmd_regimes(resolved, outdir, fmt):
-    # checked before the scan allocates its grid, not in its census
-    q = _reduced(resolved)
-    omega, gamma = q.omega, q.gamma
+    omega, gamma = resolved["reduced.omega"], resolved["reduced.gamma"]
     c_range = (resolved["scan.c_min"], resolved["scan.c_max"])
     r_range = (resolved["scan.r_min"], resolved["scan.r_max"])
     for axis, (lo, hi) in (("c", c_range), ("r", r_range)):
         if not math.isfinite(hi - lo):  # or np.linspace overflows
             raise ConfigError(f"[scan] {axis}_min and {axis}_max must be finite "
                               f"with a finite span, got {lo} and {hi}")
-    resolution = [_checked(resolved, key, lambda v: v >= 2, ">= 2")
-                  for key in ("scan.resolution_c", "scan.resolution_r")]
-    # the scan takes seconds; a bad refine_tol must fail before it
-    _check_refine_tol(resolved["scan.refine_tol"])
+    resolution = [resolved["scan.resolution_c"], resolved["scan.resolution_r"]]
     rmap = scan_plane(c_range=c_range, r_range=r_range, resolution=resolution,
                       omega=omega, gamma=gamma)
     cells_out = _write_cells(outdir, rmap, fmt)
@@ -304,12 +250,8 @@ def cmd_regimes(resolved, outdir, fmt):
 
 
 def cmd_sweep(resolved, outdir, fmt):
-    # every key checked before the first solve
-    v, u = _model(resolved, "model.v", "model.u")
-    _finite(resolved, "sweep.betas", "sweep.gammas")
-    _checked(resolved, "sweep.betas", lambda beta: beta != 0.0, "nonzero")
-    _positive(resolved, "sweep.r_max")
-    cfg = _integrator(resolved)
+    v, u = resolved["model.v"], resolved["model.u"]
+    cfg = IntegratorConfig(**_section(resolved, "integrator"))
     # w tops out at 1/2 (a pure molecular state has |b|^2 = n/2);
     # molecular_fraction = 2w rescales it to [0, 1] for readability
     header = ["beta", "gamma", "w", "m", "m_defined", "molecular_fraction"]
@@ -333,21 +275,14 @@ def cmd_sweep(resolved, outdir, fmt):
     return _finish("sweep", resolved, derived, outdir, [out])
 
 
-def _t_span(resolved, command):
-    """[command] t_span, checked under its own name before it stands in
-    for [integrator] t_final."""
-    return _positive(resolved, f"{command}.t_span")[0]
-
-
 def cmd_trap(resolved, outdir, fmt):
-    v, u, r = _model(resolved, "model.v", "model.u", "model.r")
-    gamma, theta0 = _finite(resolved, "trap.gamma", "trap.theta0")
-    a0_sq = _checked(resolved, "trap.a0_sq", lambda v: 0.0 <= v <= 1.0,
-                     "in [0, 1]")
-    t_span = _t_span(resolved, "trap")
-    cfg = _integrator(resolved, t_final=t_span)
-    run = self_trapping_run(u=u, v=v, r=r, gamma_minus=gamma, a0_sq=a0_sq,
-                            t_span=t_span, theta0=theta0, cfg=cfg)
+    trap = _section(resolved, "trap")
+    cfg = IntegratorConfig(**_section(resolved, "integrator",
+                                      t_final=trap["t_span"]))
+    run = self_trapping_run(u=resolved["model.u"], v=resolved["model.v"],
+                            r=resolved["model.r"], gamma_minus=trap["gamma"],
+                            a0_sq=trap["a0_sq"], t_span=trap["t_span"],
+                            theta0=trap["theta0"], cfg=cfg)
     header = ["t", "p_atom", "s", "theta"]
     columns = [run.times.tolist(), run.p_atom.tolist(), run.s.tolist(),
                run.theta.tolist()]
@@ -372,14 +307,13 @@ MAX_ORBITS = 10 ** 5
 
 
 def cmd_portrait(resolved, outdir, fmt):
-    n_s, n_theta = [_checked(resolved, key, lambda v: v >= 1, ">= 1")
-                    for key in ("portrait.n_s", "portrait.n_theta")]
+    n_s, n_theta = resolved["portrait.n_s"], resolved["portrait.n_theta"]
     if n_s * n_theta > MAX_ORBITS:
         raise ConfigError(f"[portrait] n_s * n_theta must be <= {MAX_ORBITS} "
                           f"orbits, got {n_s} * {n_theta}")
-    q = _reduced(resolved)
-    t_span = _t_span(resolved, "portrait")
-    cfg = _integrator(resolved, t_final=t_span)
+    q = ReducedParams(**_section(resolved, "reduced"))
+    t_span = resolved["portrait.t_span"]
+    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
     portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]
@@ -417,8 +351,6 @@ _HANDLERS = {
 def run(args) -> int:
     resolved = _resolve(args)
     fmt = resolved["output.format"]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")
     outdir = Path(resolved["output.path"])
     made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,6 +2,10 @@
 
 Configs are flat INI files with one section per concern; unknown
 sections or keys are errors, missing keys take the documented defaults.
+Each key's rules (finite, > 0, in [0, 1], one of a few names, ...) sit
+in SCHEMA next to its type and default, and _parse_value checks them
+on every value it parses, from a config file, a flag or a manifest, so
+a bad value fails under its [section] key before any command runs.
 All floating-point output uses the shortest round-trip representation
 (repr), so emitted files are reproducible and diffable; manifests carry
 the full resolved parameter set so any run can be replayed
@@ -67,50 +71,74 @@ _PARSERS = {
 }
 
 
-def _dataclass_section(cls) -> dict:
+# rule -> the test a value (each item of a list) must pass; the rule's
+# text is the "must be" of its error message
+_RULES = {
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: 0.0 < v < math.inf,
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "nonzero": lambda v: v != 0.0,
+    "adaptive, rk45 or rk4": ("adaptive", "rk45", "rk4").__contains__,
+    "csv or json": ("csv", "json").__contains__,
+}
+_FINITE, _POSITIVE = ("finite",), ("finite and > 0",)
+
+
+def _dataclass_section(cls, **rules) -> dict:
     # the annotations are strings (postponed evaluation), so a field's
-    # annotation is its type name
-    return {f.name: (f.type, f.default) for f in fields(cls)}
+    # annotation is its type name; rules gives each field's rules
+    return {f.name: (f.type, f.default, rules[f.name]) for f in fields(cls)}
 
 
-# section -> key -> (type name, default); the sections that build a
-# dataclass take its fields, names, types and defaults
+# section -> key -> (type name, default, rules); the sections that build
+# a dataclass take its fields, names, types and defaults.  A rule reads
+# one key; the checks that read two are the CLI's
 SCHEMA = {
-    "model": _dataclass_section(Params),
-    "reduced": _dataclass_section(ReducedParams),
-    "integrator": _dataclass_section(IntegratorConfig),
+    "model": _dataclass_section(Params, v=("finite", ">= 0"), u=_FINITE,
+                                r=_FINITE, gamma_a=_FINITE, gamma_b=_FINITE),
+    "reduced": _dataclass_section(ReducedParams, c=_FINITE,
+                                  omega=("finite", "> 0"), r=_FINITE,
+                                  gamma=_FINITE),
+    "integrator": _dataclass_section(
+        IntegratorConfig, method=("adaptive, rk45 or rk4",), rtol=_POSITIVE,
+        atol=_POSITIVE, dt=_POSITIVE, t_final=_POSITIVE,
+        record_every=(">= 1",)),
     "initial": {
-        "a0_sq": ("float", 1.0),
-        "theta0": ("float", 0.0),
+        "a0_sq": ("float", 1.0, ("in [0, 1]",)),
+        "theta0": ("float", 0.0, _FINITE),
     },
     "scan": {
-        "c_min": ("float", 0.0),
-        "c_max": ("float", 3.0),
-        "r_min": ("float", -2.0),
-        "r_max": ("float", 2.0),
-        "resolution_c": ("int", 200),
-        "resolution_r": ("int", 200),
-        "refine_tol": ("float", 1e-3),
+        "c_min": ("float", 0.0, ()),
+        "c_max": ("float", 3.0, ()),
+        "r_min": ("float", -2.0, ()),
+        "r_max": ("float", 2.0, ()),
+        "resolution_c": ("int", 200, (">= 2",)),
+        "resolution_r": ("int", 200, (">= 2",)),
+        "refine_tol": ("float", 1e-3, _POSITIVE),
     },
     "sweep": {
-        "betas": ("floatlist", [0.1, 0.2, 0.5, 1.0]),
-        "gammas": ("floatlist", [-0.5, 0.0, 0.5]),
-        "r_max": ("float", 5.0),
+        "betas": ("floatlist", [0.1, 0.2, 0.5, 1.0], ("finite", "nonzero")),
+        "gammas": ("floatlist", [-0.5, 0.0, 0.5], _FINITE),
+        "r_max": ("float", 5.0, _POSITIVE),
     },
     "trap": {
-        "gamma": ("float", -0.5),
-        "a0_sq": ("float", 0.9),
-        "theta0": ("float", math.pi),
-        "t_span": ("float", 20.0),
+        "gamma": ("float", -0.5, _FINITE),
+        "a0_sq": ("float", 0.9, ("in [0, 1]",)),
+        "theta0": ("float", math.pi, _FINITE),
+        "t_span": ("float", 20.0, _POSITIVE),
     },
     "portrait": {
-        "n_s": ("int", 5),
-        "n_theta": ("int", 8),
-        "t_span": ("float", 20.0),
+        "n_s": ("int", 5, (">= 1",)),
+        "n_theta": ("int", 8, (">= 1",)),
+        "t_span": ("float", 20.0, _POSITIVE),
     },
     "output": {
-        "path": ("str", "out"),
-        "format": ("str", "csv"),
+        "path": ("str", "out", ()),
+        "format": ("str", "csv", ("csv or json",)),
     },
 }
 
@@ -119,19 +147,28 @@ def default_config() -> dict:
     """Fully populated config with every documented default."""
     return {f"{sec}.{key}": default
             for sec, keys in SCHEMA.items()
-            for key, (_type, default) in keys.items()}
+            for key, (_type, default, _rules) in keys.items()}
 
 
 def _parse_value(section: str, key: str, raw):
+    """raw as a value of [section] key: parsed as its type, then checked
+    against each of its rules in turn (a list item by item), the first
+    failure a ConfigError naming the key, the rule and the bad value."""
     try:
-        type_name, _ = SCHEMA[section][key]
+        type_name, _, rules = SCHEMA[section][key]
     except KeyError:
         raise ConfigError(f"unknown config key [{section}] {key}") from None
     try:
-        return _PARSERS[type_name](raw)
+        value = _PARSERS[type_name](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
+    for rule in rules:
+        for item in value if isinstance(value, list) else (value,):
+            if not _RULES[rule](item):
+                raise ConfigError(
+                    f"[{section}] {key} must be {rule}, got {item!r}")
+    return value
 
 
 def load_config(path) -> dict:

@@ -539,6 +539,26 @@ class TestExitCodes:
          "[model] gamma_b must be finite, got nan"),
         (["evolve", "--rtol", "0"],
          "[integrator] rtol must be finite and > 0, got 0.0"),
+        (["evolve", "--method", "bogus"],
+         "[integrator] method must be adaptive, rk45 or rk4, got 'bogus'"),
+        (["evolve", "--record-every", "0"],
+         "[integrator] record_every must be >= 1, got 0"),
+        (["regimes", "--refine-tol", "0"],
+         "[scan] refine_tol must be finite and > 0, got 0.0"),
+        # the text after --config is the config file's
+        (["sweep", "--config", "[integrator]\nmethod = bogus\n"],
+         "[integrator] method must be adaptive, rk45 or rk4, got 'bogus'"),
+        # a value is checked whichever command runs: in a section the
+        # command does not read, or where a flag or a key overrides it
+        (["fixed-points", "--config", "[sweep]\nr_max = 0\n"],
+         "[sweep] r_max must be finite and > 0, got 0.0"),
+        (["evolve", "--config", "[portrait]\nn_s = 0\n"],
+         "[portrait] n_s must be >= 1, got 0"),
+        (["evolve", "--rtol", "1e-9", "--config",
+          "[integrator]\nrtol = nan\n"],
+         "[integrator] rtol must be finite and > 0, got nan"),
+        (["trap", "--config", "[integrator]\nt_final = 0\n"],
+         "[integrator] t_final must be finite and > 0, got 0.0"),
     ])
     def test_config_error_names_its_key(self, tmp_path, capsys, monkeypatch,
                                         argv, message):
@@ -549,9 +569,31 @@ class TestExitCodes:
 
         monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
         monkeypatch.setattr(integrate, "solve_fixed", no_solve)
+        if "--config" in argv:
+            k = argv.index("--config") + 1
+            ini = tmp_path / "run.ini"
+            ini.write_text(argv[k])
+            argv = argv[:k] + [str(ini)] + argv[k + 1:]
         rc = main(argv + ["--output", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_bad_manifest_value_is_2_before_any_directory(self, tmp_path,
+                                                          capsys):
+        # a fixed-points manifest records every key, [integrator] too
+        assert main(["fixed-points", "--output", str(tmp_path / "a")]) == 0
+        path = tmp_path / "a" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"]["integrator.rtol"] = 0.0
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "new" / "b"
+        rc = main(["fixed-points", "--from-manifest", str(path),
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("config error: [integrator] rtol "
+                                           "must be finite and > 0, got 0.0\n")
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", ["evolve", "sweep", "trap"])
     def test_negative_v_writes_nothing(self, tmp_path, capsys, command):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from atomol import io
 from atomol.io import (
     _PARSERS,
+    _RULES,
     SCHEMA,
     Coded,
     ConfigError,
@@ -20,6 +21,7 @@ from atomol.io import (
     config_digest,
     default_config,
     format_value,
+    _parse_value,
     load_manifest,
     write_json,
     write_table,
@@ -32,9 +34,18 @@ from oracles import (CELL_HEADER, cell_rows, write_cells, write_csv_rows,
 def test_every_schema_type_has_a_parser():
     # the dataclass sections take their type names from annotations
     for section, keys in SCHEMA.items():
-        for key, (type_name, default) in keys.items():
+        for key, (type_name, default, _rules) in keys.items():
             assert type_name in _PARSERS, (section, key)
             assert _PARSERS[type_name](default) == default, (section, key)
+
+
+def test_every_default_passes_its_own_rules():
+    # defaults are not parsed: each must parse to itself, rules and all
+    for section, keys in SCHEMA.items():
+        for key, (_type, default, rules) in keys.items():
+            assert all(rule in _RULES for rule in rules), (section, key)
+            assert _parse_value(section, key, default) == default, \
+                (section, key)
 
 
 class TestFormatValue:
