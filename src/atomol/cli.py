@@ -63,8 +63,9 @@ _FLAGS = {
               "sweep.gammas"] + _TOL_KEYS,
     "trap": ["model.v", "model.u", "model.r", "trap.gamma", "trap.a0_sq",
              "trap.theta0", "trap.t_span"] + _TOL_KEYS,
-    "portrait": _REDUCED_KEYS + ["portrait.t_span", "portrait.n_s",
-                                 "portrait.n_theta"] + _TOL_KEYS,
+    "portrait": (_REDUCED_KEYS + ["portrait.t_span", "portrait.n_s",
+                                  "portrait.n_theta", "portrait.n_t"]
+                 + _TOL_KEYS),
 }
 _FLAG_NAMES = {"output.path": "--output", "sweep.betas": "--beta",
                "sweep.gammas": "--gamma"}
@@ -301,8 +302,8 @@ def cmd_trap(resolved, outdir, fmt):
     return _finish("trap", resolved, derived, outdir, [out, sum_out])
 
 
-# most orbits one portrait may take: every trajectory is held until
-# the table is written, about 30 kB each at the default t_span
+# most orbits one portrait may take: every orbit's samples are held
+# until the table is written, about 5 kB each at the default n_t
 MAX_ORBITS = 10 ** 5
 
 
@@ -315,14 +316,17 @@ def cmd_portrait(resolved, outdir, fmt):
     t_span = resolved["portrait.t_span"]
     cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
-    portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
+    portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg,
+                              n_t=resolved["portrait.n_t"])
     header = ["traj_id", "t", "s", "theta"]
-    trajectories = portrait.trajectories
-    ids = np.repeat(np.arange(len(trajectories)),
-                    [len(tr.times) for tr in trajectories])
-    columns = [aio.Coded(list(range(len(trajectories))), ids)]
-    columns += [np.concatenate([getattr(tr, name) for tr in trajectories]).tolist()
-                for name in ("times", "s", "theta")]
+    ids, t, s, theta = [], [], [], []
+    for k, tr in enumerate(portrait.trajectories):
+        ids += [k] * len(tr.times)
+        t += tr.times.tolist()
+        s += tr.s.tolist()
+        theta += tr.theta.tolist()
+    columns = [aio.Coded(list(range(len(portrait.trajectories))), ids),
+               t, s, theta]
     out = aio.write_table(outdir, "portrait", header, columns, fmt)
     fp_out = aio.write_table(outdir, "fixed_points", _FIXED_POINT_HEADER,
                              _fixed_point_columns(portrait.fixed_points), fmt)

@@ -16,7 +16,10 @@ reads only the end state of each solve and integrates with the
 Dormand-Prince 8(5,3) pair, on the sweep's own float-part step, which
 writes that flow into its stages and calls f once per solve; trapping
 runs and portraits record every accepted step and keep the 4(5) pair
-(see atomol.integrate).
+(see atomol.integrate).  A trapping run writes its accepted steps.  A
+portrait writes each orbit at n_t evenly spaced times, each the
+solve's own step from the last accepted state at or before it, so the
+rows keep the solver's accuracy and their number is bounded.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .integrate import (
     IntegratorConfig,
     PoleEvent,
     ReducedTrajectory,
+    _on_time_grid,
     _solve,
     _sweep_dop853_step,
     evolve_reduced,
@@ -226,16 +230,22 @@ def default_ic_grid(n_s: int = 5, n_theta: int = 8):
 
 
 def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
-                   cfg: Optional[IntegratorConfig] = None) -> PhasePortrait:
+                   cfg: Optional[IntegratorConfig] = None,
+                   n_t: int = 201) -> PhasePortrait:
     """Reduced-flow trajectories from a grid of starts, plus fixed points.
 
-    Pole events terminate individual trajectories cleanly and are kept
-    on the returned trajectories.
+    Each orbit is solved by evolve_reduced, recording every accepted
+    step (cfg's record_every does not apply), and is returned at the
+    n_t evenly spaced times t_span k / (n_t - 1), each the solve's own
+    step from the last accepted state at or before it
+    (integrate._on_time_grid).  Pole events terminate individual
+    trajectories cleanly and are kept on the returned trajectories, the
+    event state as the last sample.
     """
     if ic_grid is None:
         ic_grid = default_ic_grid()
-    cfg = replace(cfg or IntegratorConfig(), t_final=t_span)
-    trajectories = [evolve_reduced(s0, theta0, q, cfg)
+    cfg = replace(cfg or IntegratorConfig(), t_final=t_span, record_every=1)
+    trajectories = [_on_time_grid(evolve_reduced(s0, theta0, q, cfg), cfg, n_t)
                     for s0, theta0 in ic_grid]
     return PhasePortrait(trajectories=trajectories,
                          fixed_points=all_fixed_points(q), params=q)

@@ -92,12 +92,20 @@ over the singularity.  A trial stage at or past S = 1 raises
 model.PoleError in evolve_reduced's right-hand side: the chart's own
 step fails there, a rejected step, and a fixed step takes it as the
 crossing.
+
+A portrait orbit is written on a fixed time grid after its solve
+(_on_time_grid, called by experiments.phase_portrait): each grid time
+takes the solve's own step, the chart's 4(5) step or the rk4 step, from
+the last recorded state at or before it, so a sample at an accepted
+time is that state, and the solve, its accepted steps and its pole
+event keep their bits.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
@@ -936,3 +944,65 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
         event = PoleEvent(time=t_ev, s=float(s_ev), theta=float(theta_ev))
     return ReducedTrajectory(times=times, s=states[:, 0], theta=states[:, 1],
                              params=q, pole_event=event)
+
+
+def _on_time_grid(tr: ReducedTrajectory, cfg: IntegratorConfig,
+                  n_t: int) -> ReducedTrajectory:
+    """tr, an evolve_reduced solve under cfg that recorded every
+    accepted step, sampled at t_k = t_final k / (n_t - 1), k = 0 .. n_t - 1,
+    the last time t_final exactly.
+
+    Row k is the solve's own step from the last recorded state at or
+    before t_k to t_k: under the adaptive methods the chart's
+    _reduced_rk45_step, with k1 = reduced_deriv at that state, and
+    under rk4 _rk4_step; a row at a recorded time is that state, and a
+    row whose step fails (a stage at or past S = 1) is left out.  An
+    orbit with a pole event keeps its event state as its last row and
+    has no row past its last accepted step: the adaptive methods record
+    the event state after it, rk4 records it as that step.
+    """
+    q = tr.params
+    c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
+
+    def f(t, y):  # evolve_reduced's right-hand side
+        try:
+            return reduced_deriv(y[0], y[1], c, omega, r, gamma, 0.0)
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
+
+    rk4 = cfg.method == "rk4"
+    step = None if rk4 else _reduced_rk45_step(c, omega, r, gamma)
+    times, s, theta = tr.times.tolist(), tr.s.tolist(), tr.theta.tolist()
+    t_final = cfg.t_final
+    grid = [t_final * k / (n_t - 1) for k in range(n_t - 1)] + [t_final]
+    event = tr.pole_event
+    n_base = len(times)
+    if event is not None:
+        if not rk4:
+            n_base -= 1
+        grid = [t for t in grid if t <= times[n_base - 1] and t < event.time]
+    rows_t, rows_s, rows_theta = [], [], []
+    for t_k in grid:
+        j = bisect_right(times, t_k, 0, n_base) - 1
+        t_j, y = times[j], (s[j], theta[j])
+        if t_k != t_j:
+            if rk4:
+                try:
+                    y = _rk4_step(f, t_j, y, t_k - t_j)
+                except PoleError:
+                    continue
+            else:
+                res = step(f, t_j, y, t_k - t_j, f(t_j, y))
+                if res is None:
+                    continue
+                y = res[0], res[1]
+        rows_t.append(t_k)
+        rows_s.append(y[0])
+        rows_theta.append(y[1])
+    if event is not None:
+        rows_t.append(event.time)
+        rows_s.append(event.s)
+        rows_theta.append(event.theta)
+    return ReducedTrajectory(times=np.array(rows_t), s=np.array(rows_s),
+                             theta=np.array(rows_theta), params=q,
+                             pole_event=event)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from atomol import cli, integrate
 from atomol.cli import main
 from atomol.io import (
+    MAX_N_T,
     SCHEMA,
     ConfigError,
     default_config,
@@ -100,7 +101,8 @@ OPTION_STRINGS = {
              "--atol", "--output", "--format"],
     "portrait": ["-h", "--help", "--config", "--from-manifest", "--c",
                  "--omega", "--r", "--gamma", "--t-span", "--n-s",
-                 "--n-theta", "--rtol", "--atol", "--output", "--format"],
+                 "--n-theta", "--n-t", "--rtol", "--atol", "--output",
+                 "--format"],
 }
 
 
@@ -379,6 +381,38 @@ class TestPortraitCommand:
         assert len(events) == 3
         assert all(e["s"] > 0.999 for e in events)
 
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_each_orbit_is_written_on_the_time_grid(self, tmp_path, method):
+        # every orbit's t column is the grid t_span k / (n_t - 1) up to
+        # its end, and an orbit with a pole event ends on its event row
+        ini = tmp_path / "method.ini"
+        ini.write_text(f"[integrator]\nmethod = {method}\ndt = 0.01\n")
+        out = tmp_path / "out"
+        n_t, t_span = 41, 5.0
+        rc = main(["portrait", "--n-s", "3", "--n-theta", "4",
+                   "--t-span", repr(t_span), "--n-t", str(n_t),
+                   "--config", str(ini), "--output", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out / "portrait.csv")
+        assert header == ["traj_id", "t", "s", "theta"]
+        assert all(abs(float(row[2])) <= 1.0 for row in rows)
+        events = json.loads(
+            (out / "portrait_summary.json").read_text())["pole_events"]
+        assert len(events) == 12 and sum(ev is not None for ev in events) == 3
+        grid = [t_span * k / (n_t - 1) for k in range(n_t - 1)] + [t_span]
+        orbits = {}
+        for row in rows:
+            orbits.setdefault(int(row[0]), []).append(
+                [float(x) for x in row[1:]])
+        assert sorted(orbits) == list(range(12))
+        for k, ev in enumerate(events):
+            t = [row[0] for row in orbits[k]]
+            if ev is None:
+                assert t == grid
+            else:
+                assert t[:-1] == [g for g in grid if g < ev["time"]]
+                assert orbits[k][-1] == [ev["time"], ev["s"], ev["theta"]]
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -559,6 +593,9 @@ class TestExitCodes:
          "[integrator] rtol must be finite and > 0, got nan"),
         (["trap", "--config", "[integrator]\nt_final = 0\n"],
          "[integrator] t_final must be finite and > 0, got 0.0"),
+        (["portrait", "--n-t", "1"], "[portrait] n_t must be >= 2, got 1"),
+        (["portrait", "--n-t", str(MAX_N_T + 1)],
+         f"[portrait] n_t must be <= {MAX_N_T}, got {MAX_N_T + 1}"),
     ])
     def test_config_error_names_its_key(self, tmp_path, capsys, monkeypatch,
                                         argv, message):
@@ -577,6 +614,7 @@ class TestExitCodes:
         rc = main(argv + ["--output", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_manifest_value_is_2_before_any_directory(self, tmp_path,
                                                           capsys):
@@ -894,7 +932,8 @@ class TestFrozenExit:
 # CLI fuzz: each example runs one subcommand with a random subset of its
 # flags, finite values mixed with extremes.  The flags that set the
 # amount of work are always given, and kept small or just over their
-# cap, which must exit 2 before any work; the step budget is patched
+# cap, which must exit 2 before any work (a portrait's n_t is also
+# drawn at its cap, over a few orbits); the step budget is patched
 # down, so every run is bounded, and a longer solve must exit 3.
 FUZZ_FLOAT = st.one_of(
     st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]),
@@ -903,7 +942,9 @@ FUZZ_WORK = {  # flag -> strategy, always given
     "regimes": {"--resolution": st.integers(1, 12)},
     "portrait": {"--n-s": st.one_of(st.integers(0, 3),
                                     st.just(cli.MAX_ORBITS + 1)),
-                 "--n-theta": st.integers(0, 3)},
+                 "--n-theta": st.integers(0, 3),
+                 "--n-t": st.one_of(st.integers(1, 12),
+                                    st.just(MAX_N_T), st.just(MAX_N_T + 1))},
     "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
 }
 FUZZ_CHOICES = {"--method": ["adaptive", "rk45", "rk4", "euler"],

@@ -9,6 +9,7 @@ import random
 import struct
 import sys
 import types
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -1194,3 +1195,127 @@ class TestSolveLoop:
         assert hit[0] > event_step_start[0]  # the bisection moved
         assert calls[0.0, (0.0, 1.0)] == 1
         assert calls[event_step_start] == 1
+
+
+def grid_rows(tr, method, t_span, n_t):
+    """The rows of a portrait orbit on its time grid, from evolve_reduced's
+    solve tr that recorded every accepted step: at each t_k = t_span k /
+    (n_t - 1), the last t_span exactly, the accepted state there, or the
+    generic step (_rk45_step over evolve_reduced's right-hand side, or
+    the oracle's rk4 step) from the last accepted state before t_k, left
+    out where that step fails.  A pole-event orbit ends on its event
+    state, with no row past its last accepted state (the event state
+    itself under rk4)."""
+    q = tr.params
+    f = chart_rhs(q.c, q.omega, q.r, q.gamma)
+    times = tr.times.tolist()
+    states = list(zip(tr.s.tolist(), tr.theta.tolist()))
+    ev = tr.pole_event
+    n = len(times) - (ev is not None and method != "rk4")
+    rows = []
+    for k in range(n_t):
+        t_k = t_span if k == n_t - 1 else t_span * k / (n_t - 1)
+        if ev is not None and not (t_k <= times[n - 1] and t_k < ev.time):
+            break
+        j = max(i for i in range(n) if times[i] <= t_k)
+        y, h = states[j], t_k - times[j]
+        if h == 0.0:
+            rows.append((t_k, *y))
+            continue
+        if method == "rk4":
+            try:
+                new = oracles.rk4_step(f, times[j], y, h)
+            except PoleError:
+                continue
+        else:
+            res = failing_rk45_step(f, times[j], y, h, f(times[j], y))
+            if res is None:
+                continue
+            new = res[:2]
+        rows.append((t_k, *new))
+    if ev is not None:
+        rows.append((ev.time, ev.s, ev.theta))
+    return rows
+
+
+class TestPortraitTimeGrid:
+    """phase_portrait writes each orbit on a fixed time grid of the
+    solve's own steps (integrate._on_time_grid)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(s0=st.floats(min_value=-0.95, max_value=0.95),
+           theta0=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+           c=st.floats(min_value=-1.5, max_value=1.5),
+           r=st.floats(min_value=-1.5, max_value=1.5),
+           omega=st.floats(min_value=0.3, max_value=1.5),
+           gamma=st.one_of(st.floats(min_value=-0.8, max_value=-0.05),
+                           st.just(0.0),
+                           st.floats(min_value=0.05, max_value=0.8)),
+           method=st.sampled_from(["adaptive", "rk45", "rk4"]),
+           t_span=st.floats(min_value=0.5, max_value=4.0),
+           n_t=st.integers(min_value=2, max_value=60),
+           record_every=st.sampled_from([1, 3]))
+    # the pole-event start of the bench portrait, under both steps
+    @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
+             gamma=0.0, method="adaptive", t_span=3.0, n_t=41,
+             record_every=1)
+    @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
+             gamma=0.4, method="rk4", t_span=3.0, n_t=41, record_every=3)
+    def test_grid_rows_are_steps_from_the_accepted_states(
+            self, s0, theta0, c, r, omega, gamma, method, t_span, n_t,
+            record_every):
+        # each row has the bits of the step from the accepted state
+        # before it, a row at an accepted time is that state, and the
+        # portrait's record_every does not thin the states stepped from
+        q = ReducedParams(c=c, omega=omega, r=r, gamma=gamma)
+        cfg = IntegratorConfig(method=method, rtol=1e-8, atol=1e-8, dt=0.01)
+        got = experiments.phase_portrait(
+            q, ic_grid=[(s0, theta0)], t_span=t_span,
+            cfg=replace(cfg, record_every=record_every),
+            n_t=n_t).trajectories[0]
+        solve = evolve_reduced(s0, theta0, q, replace(cfg, t_final=t_span))
+        want = grid_rows(solve, method, t_span, n_t)
+        assert got.pole_event == solve.pole_event
+        assert len(got.times) <= n_t + (solve.pole_event is not None)
+        assert bits(got.times) == bits([row[0] for row in want])
+        assert bits(got.s) == bits([row[1] for row in want])
+        assert bits(got.theta) == bits([row[2] for row in want])
+        accepted = dict(zip(solve.times.tolist(),
+                            zip(solve.s.tolist(), solve.theta.tolist())))
+        for t, s, theta in zip(got.times, got.s, got.theta):
+            if t in accepted:
+                assert bits(accepted[t]) == bits([s, theta])
+
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_a_row_whose_step_fails_is_left_out(self, method):
+        # from S = 1 - 1e-9 heading up, every step of length 1 has a
+        # stage past S = 1: the row at t = 1 is dropped, and the rows at
+        # the recorded times 0 and 2 are the recorded states
+        q = ReducedParams()
+        tr = integrate.ReducedTrajectory(
+            times=np.array([0.0, 2.0]), s=np.array([1.0 - 1e-9, 0.25]),
+            theta=np.array([3.0 * math.pi / 2.0, 1.0]), params=q)
+        cfg = IntegratorConfig(method=method, t_final=2.0)
+        got = integrate._on_time_grid(tr, cfg, 3)
+        assert bits(got.times) == bits([0.0, 2.0])
+        assert bits(got.s) == bits([1.0 - 1e-9, 0.25])
+        assert bits(got.theta) == bits([3.0 * math.pi / 2.0, 1.0])
+
+    @pytest.mark.parametrize("method, last", [("adaptive", 1.0),
+                                              ("rk4", 1.25)])
+    def test_no_row_past_the_last_accepted_step(self, method, last):
+        # a hand-made pole-event orbit, accepted at t = 0 and 1 and
+        # halted at 1.5: the adaptive methods record the event state
+        # after the last accepted step, so the grid time 1.25 has no
+        # row; rk4 records it as that step, so 1.25 steps from t = 1
+        q = ReducedParams()
+        tr = integrate.ReducedTrajectory(
+            times=np.array([0.0, 1.0, 1.5]), s=np.array([0.1, 0.2, 0.3]),
+            theta=np.array([1.0, 2.0, 3.0]), params=q,
+            pole_event=integrate.PoleEvent(time=1.5, s=0.3, theta=3.0))
+        cfg = IntegratorConfig(method=method, t_final=2.0)
+        got = integrate._on_time_grid(tr, cfg, 9)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+        assert got.times.tolist() == [t for t in grid if t <= last] + [1.5]
+        assert got.s.tolist()[-1] == 0.3 and got.theta.tolist()[-1] == 3.0
