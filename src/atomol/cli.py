@@ -63,9 +63,8 @@ _FLAGS = {
               "sweep.gammas"] + _TOL_KEYS,
     "trap": ["model.v", "model.u", "model.r", "trap.gamma", "trap.a0_sq",
              "trap.theta0", "trap.t_span"] + _TOL_KEYS,
-    "portrait": (_REDUCED_KEYS + ["portrait.t_span", "portrait.n_s",
-                                  "portrait.n_theta", "portrait.n_t"]
-                 + _TOL_KEYS),
+    "portrait": _REDUCED_KEYS + ["portrait.t_span", "portrait.n_s",
+                                 "portrait.n_theta"] + _TOL_KEYS,
 }
 _FLAG_NAMES = {"output.path": "--output", "sweep.betas": "--beta",
                "sweep.gammas": "--gamma"}
@@ -302,8 +301,8 @@ def cmd_trap(resolved, outdir, fmt):
     return _finish("trap", resolved, derived, outdir, [out, sum_out])
 
 
-# most orbits one portrait may take: every orbit's samples are held
-# until the table is written, about 5 kB each at the default n_t
+# most orbits one portrait may take: every orbit's solve is held until
+# its grid is sampled, and its grid until the table is written
 MAX_ORBITS = 10 ** 5
 
 
@@ -316,8 +315,11 @@ def cmd_portrait(resolved, outdir, fmt):
     t_span = resolved["portrait.t_span"]
     cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
-    portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg,
-                              n_t=resolved["portrait.n_t"])
+    if cfg.record_every != 1:
+        print(f"note: [integrator] record_every = {cfg.record_every} does "
+              "not apply to portrait, which writes each orbit on its time "
+              "grid", file=sys.stderr)
+    portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]
     ids, t, s, theta = [], [], [], []
     for k, tr in enumerate(portrait.trajectories):

@@ -19,7 +19,11 @@ runs and portraits record every accepted step and keep the 4(5) pair
 (see atomol.integrate).  A trapping run writes its accepted steps.  A
 portrait writes each orbit at n_t evenly spaced times, each the
 solve's own step from the last accepted state at or before it, so the
-rows keep the solver's accuracy and their number is bounded.
+rows keep the solver's accuracy.  n_t is at most PORTRAIT_N_T and at
+most the solves' mean recorded states per orbit over
+PORTRAIT_THINNING, so a portrait writes about a quarter of the rows,
+or fewer, that one per accepted step would, and its grid steps cost
+less than the rows they save.
 """
 
 from __future__ import annotations
@@ -47,6 +51,17 @@ from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
 # Below this, a baseline conversion efficiency cannot normalize the
 # relative efficiency and m is reported as undefined.
 MIN_BASELINE_W = 1e-12
+
+# A portrait orbit is written at n_t evenly spaced times: at most
+# PORTRAIT_N_T, and at most the solves' mean recorded states per orbit
+# over PORTRAIT_THINNING.  A grid row costs a 4(5) step and a written
+# row, up to 2.7 times what writing an accepted state costs (2.8 us a
+# step, 1.4 to 6 us a row; CPython 3.11, x86-64), so a grid of a
+# quarter of the states costs less than the rows it replaces, on short
+# and loose-tolerance portraits too.  The bench portrait's solves
+# average about 1,250 states per orbit, so it takes the cap.
+PORTRAIT_N_T = 201
+PORTRAIT_THINNING = 4
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,7 @@ class PhasePortrait:
     trajectories: list[ReducedTrajectory]
     fixed_points: list[FixedPoint]
     params: ReducedParams
+    n_t: int  # the number of times on each orbit's grid
 
     @property
     def pole_events(self) -> list[Optional[PoleEvent]]:
@@ -231,21 +247,26 @@ def default_ic_grid(n_s: int = 5, n_theta: int = 8):
 
 def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
                    cfg: Optional[IntegratorConfig] = None,
-                   n_t: int = 201) -> PhasePortrait:
+                   n_t: Optional[int] = None) -> PhasePortrait:
     """Reduced-flow trajectories from a grid of starts, plus fixed points.
 
     Each orbit is solved by evolve_reduced, recording every accepted
     step (cfg's record_every does not apply), and is returned at the
     n_t evenly spaced times t_span k / (n_t - 1), each the solve's own
     step from the last accepted state at or before it
-    (integrate._on_time_grid).  Pole events terminate individual
-    trajectories cleanly and are kept on the returned trajectories, the
-    event state as the last sample.
+    (integrate._on_time_grid).  n_t defaults to the smaller of
+    PORTRAIT_N_T and the solves' mean recorded states per orbit over
+    PORTRAIT_THINNING, and at least 2.  Pole events terminate
+    individual trajectories cleanly and are kept on the returned
+    trajectories, the event state as the last sample.
     """
     if ic_grid is None:
         ic_grid = default_ic_grid()
     cfg = replace(cfg or IntegratorConfig(), t_final=t_span, record_every=1)
-    trajectories = [_on_time_grid(evolve_reduced(s0, theta0, q, cfg), cfg, n_t)
-                    for s0, theta0 in ic_grid]
-    return PhasePortrait(trajectories=trajectories,
-                         fixed_points=all_fixed_points(q), params=q)
+    solves = [evolve_reduced(s0, theta0, q, cfg) for s0, theta0 in ic_grid]
+    if n_t is None:
+        states = sum(len(tr.times) for tr in solves) // max(len(solves), 1)
+        n_t = min(PORTRAIT_N_T, max(2, states // PORTRAIT_THINNING))
+    return PhasePortrait(
+        trajectories=[_on_time_grid(tr, cfg, n_t) for tr in solves],
+        fixed_points=all_fixed_points(q), params=q, n_t=n_t)

@@ -908,6 +908,20 @@ def _sweep_dop853_step(c, omega, gamma, beta, half):
     return step
 
 
+def _reduced_f(c, omega, r, gamma):
+    """evolve_reduced's right-hand side f(t, y) at (C, Omega, R, Gamma):
+    model.reduced_deriv with eps_pole = 0, so a state at or past S = 1
+    raises PoleError, and NaN for a phase that overflowed to inf."""
+
+    def f(t, y):
+        try:
+            return reduced_deriv(y[0], y[1], c, omega, r, gamma, 0.0)
+        except ValueError:  # math.sin(inf)
+            return math.nan, math.nan
+
+    return f
+
+
 def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    eps_pole: float = EPS_POLE) -> ReducedTrajectory:
@@ -925,12 +939,7 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     if not abs(s0) <= s_max:
         raise ValueError(f"|s0| must be <= 1 - eps_pole, got {s0}")
     c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
-
-    def f(t, y):
-        try:
-            return reduced_deriv(y[0], y[1], c, omega, r, gamma, 0.0)
-        except ValueError:  # math.sin(inf)
-            return math.nan, math.nan
+    f = _reduced_f(c, omega, r, gamma)
 
     def pole(t, y):
         return y[0] - s_max
@@ -963,13 +972,7 @@ def _on_time_grid(tr: ReducedTrajectory, cfg: IntegratorConfig,
     """
     q = tr.params
     c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
-
-    def f(t, y):  # evolve_reduced's right-hand side
-        try:
-            return reduced_deriv(y[0], y[1], c, omega, r, gamma, 0.0)
-        except ValueError:  # math.sin(inf)
-            return math.nan, math.nan
-
+    f = _reduced_f(c, omega, r, gamma)
     rk4 = cfg.method == "rk4"
     step = None if rk4 else _reduced_rk45_step(c, omega, r, gamma)
     times, s, theta = tr.times.tolist(), tr.s.tolist(), tr.theta.tolist()

@@ -71,9 +71,6 @@ _PARSERS = {
 }
 
 
-# most times one portrait orbit may be sampled at ([portrait] n_t)
-MAX_N_T = 10 ** 5
-
 # rule -> the test a value (each item of a list) must pass; the rule's
 # text is the "must be" of its error message
 _RULES = {
@@ -83,7 +80,6 @@ _RULES = {
     ">= 0": lambda v: v >= 0.0,
     ">= 1": lambda v: v >= 1,
     ">= 2": lambda v: v >= 2,
-    f"<= {MAX_N_T}": lambda v: v <= MAX_N_T,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     "nonzero": lambda v: v != 0.0,
     "adaptive, rk45 or rk4": ("adaptive", "rk45", "rk4").__contains__,
@@ -139,7 +135,6 @@ SCHEMA = {
         "n_s": ("int", 5, (">= 1",)),
         "n_theta": ("int", 8, (">= 1",)),
         "t_span": ("float", 20.0, _POSITIVE),
-        "n_t": ("int", 201, (">= 2", f"<= {MAX_N_T}")),
     },
     "output": {
         "path": ("str", "out", ()),

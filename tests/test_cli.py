@@ -21,15 +21,19 @@ from hypothesis import strategies as st
 
 from atomol import cli, integrate
 from atomol.cli import main
+from atomol.experiments import (
+    PORTRAIT_N_T,
+    PORTRAIT_THINNING,
+    default_ic_grid,
+)
 from atomol.io import (
-    MAX_N_T,
     SCHEMA,
     ConfigError,
     default_config,
     load_config,
     resolve_config,
 )
-from atomol.model import NumericalError
+from atomol.model import NumericalError, ReducedParams
 
 from oracles import serialize_config
 
@@ -101,8 +105,7 @@ OPTION_STRINGS = {
              "--atol", "--output", "--format"],
     "portrait": ["-h", "--help", "--config", "--from-manifest", "--c",
                  "--omega", "--r", "--gamma", "--t-span", "--n-s",
-                 "--n-theta", "--n-t", "--rtol", "--atol", "--output",
-                 "--format"],
+                 "--n-theta", "--rtol", "--atol", "--output", "--format"],
 }
 
 
@@ -384,15 +387,22 @@ class TestPortraitCommand:
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
     def test_each_orbit_is_written_on_the_time_grid(self, tmp_path, method):
         # every orbit's t column is the grid t_span k / (n_t - 1) up to
-        # its end, and an orbit with a pole event ends on its event row
+        # its end, n_t the cap or a quarter of the solves' mean states
+        # per orbit, and an orbit with a pole event ends on its event row
         ini = tmp_path / "method.ini"
         ini.write_text(f"[integrator]\nmethod = {method}\ndt = 0.01\n")
         out = tmp_path / "out"
-        n_t, t_span = 41, 5.0
+        t_span = 5.0
         rc = main(["portrait", "--n-s", "3", "--n-theta", "4",
-                   "--t-span", repr(t_span), "--n-t", str(n_t),
-                   "--config", str(ini), "--output", str(out)])
+                   "--t-span", repr(t_span), "--config", str(ini),
+                   "--output", str(out)])
         assert rc == 0
+        cfg = integrate.IntegratorConfig(method=method, dt=0.01,
+                                         t_final=t_span)
+        q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
+        states = sum(len(integrate.evolve_reduced(s0, theta0, q, cfg).times)
+                     for s0, theta0 in default_ic_grid(3, 4))
+        n_t = min(PORTRAIT_N_T, max(2, states // 12 // PORTRAIT_THINNING))
         header, rows = read_csv(out / "portrait.csv")
         assert header == ["traj_id", "t", "s", "theta"]
         assert all(abs(float(row[2])) <= 1.0 for row in rows)
@@ -412,6 +422,26 @@ class TestPortraitCommand:
             else:
                 assert t[:-1] == [g for g in grid if g < ev["time"]]
                 assert orbits[k][-1] == [ev["time"], ev["s"], ev["theta"]]
+        assert len(rows) <= states // PORTRAIT_THINNING + 3
+
+    def test_record_every_is_named_and_does_not_thin_the_rows(self, tmp_path,
+                                                              capsys):
+        # the portrait solves with record_every = 1 whatever the config
+        # says, and says so on stderr
+        argv = ["portrait", "--n-s", "2", "--n-theta", "3", "--t-span", "3"]
+        assert main(argv + ["--output", str(tmp_path / "one")]) == 0
+        assert capsys.readouterr().err == ""
+        ini = tmp_path / "thin.ini"
+        ini.write_text("[integrator]\nrecord_every = 5\n")
+        assert main(argv + ["--config", str(ini),
+                            "--output", str(tmp_path / "five")]) == 0
+        assert capsys.readouterr().err == (
+            "note: [integrator] record_every = 5 does not apply to "
+            "portrait, which writes each orbit on its time grid\n")
+        for name in ("portrait.csv", "fixed_points.csv",
+                     "portrait_summary.json"):
+            assert ((tmp_path / "five" / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes())
 
 
 class TestExitCodes:
@@ -593,9 +623,6 @@ class TestExitCodes:
          "[integrator] rtol must be finite and > 0, got nan"),
         (["trap", "--config", "[integrator]\nt_final = 0\n"],
          "[integrator] t_final must be finite and > 0, got 0.0"),
-        (["portrait", "--n-t", "1"], "[portrait] n_t must be >= 2, got 1"),
-        (["portrait", "--n-t", str(MAX_N_T + 1)],
-         f"[portrait] n_t must be <= {MAX_N_T}, got {MAX_N_T + 1}"),
     ])
     def test_config_error_names_its_key(self, tmp_path, capsys, monkeypatch,
                                         argv, message):
@@ -932,8 +959,7 @@ class TestFrozenExit:
 # CLI fuzz: each example runs one subcommand with a random subset of its
 # flags, finite values mixed with extremes.  The flags that set the
 # amount of work are always given, and kept small or just over their
-# cap, which must exit 2 before any work (a portrait's n_t is also
-# drawn at its cap, over a few orbits); the step budget is patched
+# cap, which must exit 2 before any work; the step budget is patched
 # down, so every run is bounded, and a longer solve must exit 3.
 FUZZ_FLOAT = st.one_of(
     st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]),
@@ -942,9 +968,7 @@ FUZZ_WORK = {  # flag -> strategy, always given
     "regimes": {"--resolution": st.integers(1, 12)},
     "portrait": {"--n-s": st.one_of(st.integers(0, 3),
                                     st.just(cli.MAX_ORBITS + 1)),
-                 "--n-theta": st.integers(0, 3),
-                 "--n-t": st.one_of(st.integers(1, 12),
-                                    st.just(MAX_N_T), st.just(MAX_N_T + 1))},
+                 "--n-theta": st.integers(0, 3)},
     "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
 }
 FUZZ_CHOICES = {"--method": ["adaptive", "rk45", "rk4", "euler"],

@@ -1287,6 +1287,36 @@ class TestPortraitTimeGrid:
             if t in accepted:
                 assert bits(accepted[t]) == bits([s, theta])
 
+    @pytest.mark.parametrize("method, t_span, tol, dt, capped", [
+        ("adaptive", 2.0, 1e-8, 0.01, False),  # short and loose
+        ("adaptive", 20.0, 1e-11, 0.01, True),  # the bench's length
+        ("rk4", 2.0, 1e-11, 2.0, False),  # one step: the floor of 2
+    ])
+    def test_default_grid_is_a_quarter_of_the_mean_states(
+            self, method, t_span, tol, dt, capped):
+        # n_t is the cap, or the solves' mean recorded states per orbit
+        # over four and at least 2, so the grid writes at most a quarter
+        # of the accepted states and the pole-event rows
+        q = ReducedParams(gamma=0.2)
+        starts = [(0.5, 0.0), (-0.3, 2.0), (0.9, 3.0 * math.pi / 2.0)]
+        cfg = IntegratorConfig(method=method, rtol=tol, atol=tol, dt=dt,
+                               t_final=t_span)
+        solves = [evolve_reduced(s0, theta0, q, cfg)
+                  for s0, theta0 in starts]
+        states = sum(len(tr.times) for tr in solves)
+        portrait = experiments.phase_portrait(q, ic_grid=starts,
+                                              t_span=t_span, cfg=cfg)
+        mean = states // len(starts) // experiments.PORTRAIT_THINNING
+        assert portrait.n_t == min(experiments.PORTRAIT_N_T, max(2, mean))
+        assert (portrait.n_t == experiments.PORTRAIT_N_T) is capped
+        rows = sum(len(tr.times) for tr in portrait.trajectories)
+        events = sum(tr.pole_event is not None for tr in solves)
+        assert rows <= max(states // experiments.PORTRAIT_THINNING,
+                           2 * len(starts)) + events
+        assert bits(portrait.trajectories[0].times) == bits(
+            [t_span * k / (portrait.n_t - 1)
+             for k in range(portrait.n_t - 1)] + [t_span])
+
     @pytest.mark.parametrize("method", ["adaptive", "rk4"])
     def test_a_row_whose_step_fails_is_left_out(self, method):
         # from S = 1 - 1e-9 heading up, every step of length 1 has a
