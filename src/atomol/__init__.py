@@ -3,7 +3,7 @@
 Library layout:
 
     model         state representations and right-hand sides
-    integrate     adaptive/fixed-step propagation with pole guards
+    integrate     one adaptive solve loop, its embedded pairs, pole guards
     fixed_points  fixed-point enumeration, Jacobian, stability
     regimes       (C, R) parameter-plane cartography
     experiments   portraits, conversion sweeps, self-trapping runs

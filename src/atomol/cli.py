@@ -34,7 +34,6 @@ from . import io as aio
 from .experiments import (
     SweepProtocol,
     default_ic_grid,
-    oscillation_amplitude,
     phase_portrait,
     self_trapping_run,
     sweep_conversion,
@@ -131,10 +130,7 @@ def _resolve(args) -> dict:
             raise ConfigError(
                 f"manifest records command {manifest['command']!r}, "
                 f"not {args.command!r}")
-        file_values = {}
-        for flat_key, raw in manifest["parameters"].items():
-            section, _, key = flat_key.partition(".")
-            file_values[flat_key] = aio._parse_value(section, key, raw)
+        file_values = aio.parse_values(manifest["parameters"].items())
     elif args.config:
         file_values = aio.load_config(args.config)
     return aio.resolve_config(file_values, _collect_overrides(args))
@@ -290,7 +286,7 @@ def cmd_trap(resolved, outdir, fmt):
     summary = {
         "trapped": run.trapped,
         "min_p_atom": run.min_p_atom,
-        "oscillation_amplitude": oscillation_amplitude(run.p_atom),
+        "oscillation_amplitude": run.oscillation_amplitude,
         "gamma_minus": run.gamma,
         "u": run.u,
     }

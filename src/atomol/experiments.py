@@ -11,19 +11,19 @@ available through the integrator for comparison runs.
 
 The sweep and trapping solves call model.unit_norm_deriv through a
 closure, at R(t) = beta (t - T/2) for a sweep and at a constant R for a
-trapping run.  Under the default integrator method "adaptive", a sweep
-reads only the end state of each solve and integrates with the
-Dormand-Prince 8(5,3) pair, on the sweep's own float-part step, which
-writes that flow into its stages and calls f once per solve; trapping
-runs and portraits record every accepted step and keep the 4(5) pair
-(see atomol.integrate).  A trapping run writes its accepted steps.  A
-portrait writes each orbit at n_t evenly spaced times, each the
-solve's own step from the last accepted state at or before it, so the
-rows keep the solver's accuracy.  n_t is at most PORTRAIT_N_T and at
-most the solves' mean recorded states per orbit over
-PORTRAIT_THINNING, so a portrait writes about a quarter of the rows,
-or fewer, that one per accepted step would, and its grid steps cost
-less than the rows they save.
+trapping run.  A sweep reads only the end state of each solve and
+integrates with the Dormand-Prince 8(5,3) pair, on the sweep's own
+float-part step, which writes that flow into its stages and calls f
+once per solve; trapping runs and portraits record every accepted step
+and take the 4(5) pair (see atomol.integrate).  A trapping run's
+summary reads every accepted step, and its rows are every
+record_every-th of them.  A portrait writes each orbit at n_t evenly
+spaced times, each the chart's 4(5) step from the last accepted state
+at or before it, so the rows keep the solver's accuracy.  n_t is at
+most PORTRAIT_N_T and at most the solves' mean recorded states per
+orbit over PORTRAIT_THINNING, so a portrait writes about a quarter of
+the rows, or fewer, that one per accepted step would, and its grid
+steps cost less than the rows they save.
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from .integrate import (
     IntegratorConfig,
     PoleEvent,
     ReducedTrajectory,
+    _dop853_growth,
+    _dop853_norm,
     _on_time_grid,
     _solve,
     _sweep_dop853_step,
+    _thinned,
     evolve_reduced,
 )
 from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
@@ -117,7 +120,12 @@ class EfficiencyReport:
 
 @dataclass
 class TrapRun:
-    """Normalized atomic population P(a) = |a|^2/n along one run."""
+    """Normalized atomic population P(a) = |a|^2/n along one run.
+
+    The rows are every record_every-th accepted state and the last; the
+    summary (trapped, min_p_atom, oscillation_amplitude) reads every
+    accepted state.
+    """
 
     times: np.ndarray
     p_atom: np.ndarray
@@ -125,6 +133,7 @@ class TrapRun:
     theta: np.ndarray
     trapped: bool
     min_p_atom: float
+    oscillation_amplitude: float
     gamma: float
     u: float
 
@@ -151,9 +160,9 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     Memoised on its frozen arguments, so the zero-loss baseline is
     integrated once per protocol however many rates share it.  f is
     unit_norm_deriv at R(t) = beta (t - T/2), SweepProtocol.r_at written
-    inline.  Only the end state is read, so method "adaptive" solves
-    with the 8(5,3) pair, whose step is integrate._sweep_dop853_step:
-    the flow written into the stages on the float parts of a and b (see
+    inline.  Only the end state is read, so the solve takes the 8(5,3)
+    pair, whose step is integrate._sweep_dop853_step: the flow written
+    into the stages on the float parts of a and b (see
     atomol.integrate), so f is called once, for the first step size.
     """
     beta, half = protocol.beta, protocol._half_duration
@@ -161,9 +170,10 @@ def _terminal_efficiency(protocol: SweepProtocol, u: float, v: float,
     def f(t, y):
         return unit_norm_deriv(y[0], y[1], u, v, beta * (t - half), gamma)
 
-    _, states, _ = _solve(f, 0.0, (1.0 + 0j, 0j),
+    _, states, _ = _solve(f, (1.0 + 0j, 0j),
                           replace(cfg, t_final=protocol.duration),
-                          dop853=_sweep_dop853_step(u, v, gamma, beta, half))
+                          step=_sweep_dop853_step(u, v, gamma, beta, half),
+                          norm=_dop853_norm, growth=_dop853_growth)
     mod_a, mod_b = map(abs, states[-1])
     b_sq = mod_b * mod_b
     return float(b_sq / (mod_a * mod_a + 2.0 * b_sq))
@@ -205,7 +215,8 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
     zero, so the effective couplings are pinned at C = u, Omega = v and
     only the relative rate gamma_minus acts on (S, theta).  The run is
     trapped when the normalized atomic population P(a) = |a|^2/n stays
-    above 1/2 throughout.
+    above 1/2 at every accepted step; cfg.record_every thins the
+    returned rows only.
     """
     for name, value in (("u", u), ("v", v), ("r", r),
                         ("gamma_minus", gamma_minus), ("theta0", theta0)):
@@ -220,14 +231,15 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
     def f(t, y):
         return unit_norm_deriv(y[0], y[1], u, v, r, gamma_minus)
 
-    times, states, _ = _solve(f, 0.0, (a0 + 0j, b0),
-                              replace(cfg, t_final=t_span))
+    times, states, _ = _solve(f, (a0 + 0j, b0), replace(cfg, t_final=t_span))
     d = derived_quantities(states, v, u, r)
-    p_atom = d["p_atom"]
-    min_p = float(p_atom.min())
-    return TrapRun(times=times, p_atom=p_atom, s=d["s"], theta=d["theta"],
+    min_p = float(d["p_atom"].min())
+    amplitude = oscillation_amplitude(d["p_atom"])
+    times, p_atom, s, theta = _thinned(cfg.record_every, times, d["p_atom"],
+                                       d["s"], d["theta"])
+    return TrapRun(times=times, p_atom=p_atom, s=s, theta=theta,
                    trapped=min_p > 0.5, min_p_atom=min_p,
-                   gamma=gamma_minus, u=u)
+                   oscillation_amplitude=amplitude, gamma=gamma_minus, u=u)
 
 
 def oscillation_amplitude(series) -> float:
@@ -252,8 +264,8 @@ def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
 
     Each orbit is solved by evolve_reduced, recording every accepted
     step (cfg's record_every does not apply), and is returned at the
-    n_t evenly spaced times t_span k / (n_t - 1), each the solve's own
-    step from the last accepted state at or before it
+    n_t evenly spaced times t_span k / (n_t - 1), each the chart's step
+    from the last accepted state at or before it
     (integrate._on_time_grid).  n_t defaults to the smaller of
     PORTRAIT_N_T and the solves' mean recorded states per orbit over
     PORTRAIT_THINNING, and at least 2.  Pole events terminate
@@ -262,11 +274,11 @@ def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
     """
     if ic_grid is None:
         ic_grid = default_ic_grid()
-    cfg = replace(cfg or IntegratorConfig(), t_final=t_span, record_every=1)
+    cfg = replace(cfg or IntegratorConfig(), t_final=t_span)
     solves = [evolve_reduced(s0, theta0, q, cfg) for s0, theta0 in ic_grid]
     if n_t is None:
         states = sum(len(tr.times) for tr in solves) // max(len(solves), 1)
         n_t = min(PORTRAIT_N_T, max(2, states // PORTRAIT_THINNING))
     return PhasePortrait(
-        trajectories=[_on_time_grid(tr, cfg, n_t) for tr in solves],
+        trajectories=[_on_time_grid(tr, t_span, n_t) for tr in solves],
         fixed_points=all_fixed_points(q), params=q, n_t=n_t)

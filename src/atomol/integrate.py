@@ -1,21 +1,20 @@
 """Deterministic ODE propagation for the conversion model.
 
-Three steppers are provided: two embedded Dormand-Prince pairs with
-proportional step-size control, 4(5) and 8(5,3), and a fixed-step
-classical 4th-order method kept for reproducibility experiments.  All
-are plain float arithmetic with no hidden state, so identical inputs
-give bit-identical trajectories on the same build.
+One adaptive loop, solve_adaptive, steps every solve with an embedded
+Dormand-Prince pair under proportional step-size control: 4(5) or
+8(5,3).  All arithmetic is plain floats with no hidden state, so
+identical inputs give bit-identical trajectories on the same build.
 
-The default method, "adaptive", picks the pair per solve.  A solve
-whose only output is its end state (a sweep's terminal efficiency)
-takes 8(5,3), which at the default tolerance of 1e-11 needs about four
-times fewer steps.  Its caller passes _solve the pair's step, and the
-one 8(5,3) step is the sweep's own, _sweep_dop853_step.  Every other
-solve takes 4(5): its accepted steps are the recorded samples, so the
-4(5) pair keeps those outputs as they were, and on the reduced
-(S, theta) chart, whose right-hand side carries sqrt(1 - S), orbits
-that graze S = 1 cost the 8(5,3) pair several times more.  "rk45"
-takes 4(5) for every solve.
+Each caller names its pair.  A solve whose only output is its end state
+(a sweep's terminal efficiency) takes 8(5,3), which at the default
+tolerance of 1e-11 needs about four times fewer steps; its step is the
+sweep's own, _sweep_dop853_step.  Every other solve takes 4(5): its
+accepted steps are the recorded samples, so the 4(5) pair keeps those
+outputs as they were, and on the reduced (S, theta) chart, whose
+right-hand side carries sqrt(1 - S), orbits that graze S = 1 cost the
+8(5,3) pair several times more.  The loop records every accepted step;
+evolve and the trap runs of atomol.experiments thin the recorded rows
+to every record_every-th afterwards (_thinned).
 
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
@@ -89,16 +88,14 @@ the lower clamp, _MIN_FACTOR.
 The reduced (S, theta) flow is singular at S = 1; its integration halts
 cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
 over the singularity.  A trial stage at or past S = 1 raises
-model.PoleError in evolve_reduced's right-hand side: the chart's own
-step fails there, a rejected step, and a fixed step takes it as the
-crossing.
+model.PoleError in evolve_reduced's right-hand side, and the chart's own
+step fails there: a rejected step.
 
 A portrait orbit is written on a fixed time grid after its solve
 (_on_time_grid, called by experiments.phase_portrait): each grid time
-takes the solve's own step, the chart's 4(5) step or the rk4 step, from
-the last recorded state at or before it, so a sample at an accepted
-time is that state, and the solve, its accepted steps and its pole
-event keep their bits.
+takes the chart's 4(5) step from the last accepted state at or before
+it, so a sample at an accepted time is that state, and the solve, its
+accepted steps and its pole event keep their bits.
 """
 
 from __future__ import annotations
@@ -117,7 +114,6 @@ from .model import (
     Amplitudes,
     NumericalError,
     Params,
-    PoleError,
     ReducedParams,
     derived_quantities,
     gp_deriv,
@@ -213,34 +209,27 @@ class StepBudgetError(NumericalError):
 class IntegratorConfig:
     """Step control and recording settings.
 
-    method: "adaptive" (default: an embedded pair chosen per solve, see
-    the module docstring), "rk45" (the embedded 4(5) pair for every
-    solve) or "rk4" (fixed step).  rtol/atol apply to the adaptive
-    methods, dt to rk4.  record_every decimates the recorded samples
-    only; internal steps are never coarsened.
+    rtol/atol are the embedded pairs' tolerances.  record_every thins
+    the rows that evolve and the trap runs return to every
+    record_every-th accepted state, the last kept; the steps, and the
+    trap summary, read every accepted state.
 
     The default tolerance of 1e-11 keeps zero-loss drift of the
     conserved quantities below 1e-8 over spans of order 100 even on
     strongly nonlinear orbits.
     """
 
-    method: str = "adaptive"
     rtol: float = 1e-11
     atol: float = 1e-11
-    dt: float = 1e-3
     t_final: float = 10.0
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("adaptive", "rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for name in ("rtol", "atol", "dt", "t_final"):
+        for name in ("rtol", "atol", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("rtol and atol must be > 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
         if not self.t_final > 0:
             raise ValueError("t_final must be > 0")
         if self.record_every < 1:
@@ -391,7 +380,6 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
 
 def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    rtol: float = 1e-11, atol: float = 1e-11,
-                   record_every: int = 1,
                    event: Optional[Callable] = None,
                    step: Callable = _rk45_step,
                    norm: Callable = _float_norm,
@@ -402,8 +390,9 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     derivatives.  event, when given, is a scalar function g(t, y);
     integration halts at the first accepted step with g >= 0, with the
     crossing localized by bisection on the step size.  Returns
-    (times, states, event_state) where event_state is None or the
-    (t, y) pair at the halt.
+    (times, states, event_state): the start and every accepted step,
+    then the halt, where event_state is None or the (t, y) pair at the
+    halt.
 
     step(f, t, y, h, k1) -> flat result or None (see the module
     docstring), norm(res, y, rtol, atol, h) and growth(norm) are the
@@ -429,7 +418,6 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     states = [y]
     h, k1 = _initial_step(f, t0, y, rtol, atol, t_final)
     attempted = 0
-    accepted = 0
     event_state = None
     tiny = 16.0 * sys.float_info.epsilon
 
@@ -460,18 +448,13 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         t += h
         y = y_new
         k1 = res[2], res[3]
-        accepted += 1
-        if accepted % record_every == 0 or t >= t_final:
-            times.append(t)
-            states.append(y)
+        times.append(t)
+        states.append(y)
         factor = (_MAX_FACTOR if err_norm == 0.0
                   else _SAFETY * growth(err_norm))
         h *= (factor if factor < _MAX_FACTOR else _MAX_FACTOR) \
             if factor > _MIN_FACTOR else _MIN_FACTOR
 
-    if times[-1] != t:
-        times.append(t)
-        states.append(y)
     return np.array(times), _stacked(states), event_state
 
 
@@ -494,90 +477,23 @@ def _locate_event(f, event, t, y, h, step, k1):
     return t + lo, y_lo
 
 
-def _rk4_step(f, t, y, h):
-    """One classical 4th-order step."""
-    y0, y1 = y
-    a0, a1 = f(t, y)
-    b0, b1 = f(t + 0.5 * h, (y0 + a0 * (0.5 * h), y1 + a1 * (0.5 * h)))
-    c0, c1 = f(t + 0.5 * h, (y0 + b0 * (0.5 * h), y1 + b1 * (0.5 * h)))
-    d0, d1 = f(t + h, (y0 + c0 * h, y1 + c1 * h))
-    w = h / 6.0
-    return (y0 + (a0 + b0 * 2.0 + c0 * 2.0 + d0) * w,
-            y1 + (a1 + b1 * 2.0 + c1 * 2.0 + d1) * w)
+def _solve(f, y0, cfg: IntegratorConfig, **pair):
+    """solve_adaptive from t = 0 to cfg.t_final at cfg's tolerances.
 
-
-def solve_fixed(f: Callable, t0: float, y0, t_final: float,
-                dt: float, record_every: int = 1,
-                event: Optional[Callable] = None):
-    """Classical fixed-step 4th-order integration on a uniform grid.
-
-    f follows the solve_adaptive contract.  A fixed step cannot be
-    rejected, so with an event a step whose stage f answers with
-    PoleError (a stage at or past the S = 1 pole) is the crossing, and a
-    step to a state where the event function is NaN, so the crossing
-    cannot be told, raises NumericalError.  Without an event a NaN state
-    is carried on.
-
-    Raises ValueError when y0 is not a pair and StepBudgetError, before
-    any step, when the grid would need more than MAX_STEPS steps.
+    pair holds what the caller names in place of the 4(5) defaults: its
+    step, norm and growth, and its event.
     """
-    y = _as_state(y0)
-    t0, t_final, dt = float(t0), float(t_final), float(dt)
-    span = (t_final - t0) / dt - 1e-12
-    if not span <= MAX_STEPS:
-        raise StepBudgetError(f"step budget of {MAX_STEPS} steps exceeded: "
-                              f"t_final/dt needs {span:.6g} steps")
-    n_steps = max(1, int(math.ceil(span)))
-    times = [t0]
-    states = [y]
-    event_state = None
-    t = t0
-    for i in range(n_steps):
-        t_next = t0 + (i + 1) * (t_final - t0) / n_steps
-        try:
-            y_new = _rk4_step(f, t, y, t_next - t)
-        except PoleError:
-            if event is None:
-                raise
-            y_new = None
-        if event is not None:
-            g = 0.0 if y_new is None else event(t_next, y_new)
-            if g >= 0.0:
-                event_state = (t, y)
-                break
-            if math.isnan(g):
-                raise NumericalError(
-                    f"fixed step to t = {t_next!r} gave a non-finite state")
-        t = t_next
-        y = y_new
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            times.append(t)
-            states.append(y)
-    if times[-1] != t:
-        times.append(t)
-        states.append(y)
-    return np.array(times), _stacked(states), event_state
+    return solve_adaptive(f, 0.0, y0, cfg.t_final, rtol=cfg.rtol,
+                          atol=cfg.atol, **pair)
 
 
-def _solve(f, t0, y0, cfg: IntegratorConfig, event=None, rk45=_rk45_step,
-           dop853=None):
-    """Solve with cfg's method.
-
-    rk45 is the 4(5) step, and dop853, when given, an 8(5,3) step, which
-    a caller that reads only the end state passes: "adaptive" takes it,
-    and otherwise the 4(5) step, as "rk45" always does.
-    """
-    if cfg.method == "rk4":
-        return solve_fixed(f, t0, y0, cfg.t_final, cfg.dt,
-                           record_every=cfg.record_every, event=event)
-    if cfg.method == "adaptive" and dop853 is not None:
-        step, norm, growth = dop853, _dop853_norm, _dop853_growth
-    else:
-        step, norm, growth = rk45, _float_norm, _rk45_growth
-    return solve_adaptive(f, t0, y0, cfg.t_final, rtol=cfg.rtol,
-                          atol=cfg.atol, record_every=cfg.record_every,
-                          event=event, step=step, norm=norm,
-                          growth=growth)
+def _thinned(record_every, times, *columns):
+    """times and each column at every record_every-th accepted state
+    from the start, and at the last: the rows of a solve that
+    record_every keeps."""
+    last = len(times) - 1
+    keep = [*range(0, last, record_every), last]
+    return [times[keep]] + [column[keep] for column in columns]
 
 
 @dataclass
@@ -622,7 +538,8 @@ def evolve(x0: Amplitudes, p: Params,
     def f(t, y):
         return gp_deriv(y[0], y[1], v, u, r, ga, gb)
 
-    times, states, _ = _solve(f, 0.0, (complex(x0.a), complex(x0.b)), cfg)
+    times, states, _ = _solve(f, (complex(x0.a), complex(x0.b)), cfg)
+    times, states = _thinned(cfg.record_every, times, states)
     return Trajectory(times=times, states=states, params=p)
 
 
@@ -929,10 +846,11 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
 
     Halts with a pole event (recorded, not fatal) if S reaches
     1 - eps_pole.  The right-hand side is model.reduced_deriv with
-    eps_pole = 0: a trial stage at or past S = 1 raises PoleError, the
-    crossing of a fixed step (solve_fixed), and a phase that overflowed
-    to inf gives NaN, as the overflow itself would in numpy.  The
-    adaptive methods step with _reduced_rk45_step, which calls f once.
+    eps_pole = 0: a trial stage at or past S = 1 raises PoleError, and
+    a phase that overflowed to inf gives NaN, as the overflow itself
+    would in numpy.  The solve steps with _reduced_rk45_step, which
+    calls f once, and records every accepted step: cfg.record_every
+    does not apply.
     """
     s0, theta0 = float(s0), float(theta0)
     s_max = 1.0 - eps_pole
@@ -944,9 +862,8 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
     def pole(t, y):
         return y[0] - s_max
 
-    times, states, hit = _solve(
-        f, 0.0, (s0, theta0), cfg, event=pole,
-        rk45=_reduced_rk45_step(c, omega, r, gamma))
+    times, states, hit = _solve(f, (s0, theta0), cfg, event=pole,
+                                step=_reduced_rk45_step(c, omega, r, gamma))
     event = None
     if hit is not None:
         t_ev, (s_ev, theta_ev) = hit
@@ -955,50 +872,39 @@ def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
                              params=q, pole_event=event)
 
 
-def _on_time_grid(tr: ReducedTrajectory, cfg: IntegratorConfig,
+def _on_time_grid(tr: ReducedTrajectory, t_final: float,
                   n_t: int) -> ReducedTrajectory:
-    """tr, an evolve_reduced solve under cfg that recorded every
-    accepted step, sampled at t_k = t_final k / (n_t - 1), k = 0 .. n_t - 1,
-    the last time t_final exactly.
+    """tr, an evolve_reduced solve to t_final, sampled at
+    t_k = t_final k / (n_t - 1), k = 0 .. n_t - 1, the last time
+    t_final exactly.
 
-    Row k is the solve's own step from the last recorded state at or
-    before t_k to t_k: under the adaptive methods the chart's
-    _reduced_rk45_step, with k1 = reduced_deriv at that state, and
-    under rk4 _rk4_step; a row at a recorded time is that state, and a
-    row whose step fails (a stage at or past S = 1) is left out.  An
-    orbit with a pole event keeps its event state as its last row and
-    has no row past its last accepted step: the adaptive methods record
-    the event state after it, rk4 records it as that step.
+    Row k is the chart's _reduced_rk45_step from the last accepted
+    state at or before t_k to t_k, with k1 = reduced_deriv at that
+    state; a row at an accepted time is that state, and a row whose
+    step fails (a stage at or past S = 1) is left out.  An orbit with a
+    pole event keeps its event state as its last row and has no row
+    past its last accepted step, which the event state follows.
     """
     q = tr.params
     c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
     f = _reduced_f(c, omega, r, gamma)
-    rk4 = cfg.method == "rk4"
-    step = None if rk4 else _reduced_rk45_step(c, omega, r, gamma)
+    step = _reduced_rk45_step(c, omega, r, gamma)
     times, s, theta = tr.times.tolist(), tr.s.tolist(), tr.theta.tolist()
-    t_final = cfg.t_final
     grid = [t_final * k / (n_t - 1) for k in range(n_t - 1)] + [t_final]
     event = tr.pole_event
     n_base = len(times)
     if event is not None:
-        if not rk4:
-            n_base -= 1
+        n_base -= 1
         grid = [t for t in grid if t <= times[n_base - 1] and t < event.time]
     rows_t, rows_s, rows_theta = [], [], []
     for t_k in grid:
         j = bisect_right(times, t_k, 0, n_base) - 1
         t_j, y = times[j], (s[j], theta[j])
         if t_k != t_j:
-            if rk4:
-                try:
-                    y = _rk4_step(f, t_j, y, t_k - t_j)
-                except PoleError:
-                    continue
-            else:
-                res = step(f, t_j, y, t_k - t_j, f(t_j, y))
-                if res is None:
-                    continue
-                y = res[0], res[1]
+            res = step(f, t_j, y, t_k - t_j, f(t_j, y))
+            if res is None:
+                continue
+            y = res[0], res[1]
         rows_t.append(t_k)
         rows_s.append(y[0])
         rows_theta.append(y[1])

@@ -6,6 +6,9 @@ Each key's rules (finite, > 0, in [0, 1], one of a few names, ...) sit
 in SCHEMA next to its type and default, and _parse_value checks them
 on every value it parses, from a config file, a flag or a manifest, so
 a bad value fails under its [section] key before any command runs.
+A retired key (_RETIRED) is dropped from a config file or manifest at
+the value that never changed a run's bytes, and is an error at any
+other.
 All floating-point output uses the shortest round-trip representation
 (repr), so emitted files are reproducible and diffable; manifests carry
 the full resolved parameter set so any run can be replayed
@@ -82,7 +85,6 @@ _RULES = {
     ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     "nonzero": lambda v: v != 0.0,
-    "adaptive, rk45 or rk4": ("adaptive", "rk45", "rk4").__contains__,
     "csv or json": ("csv", "json").__contains__,
 }
 _FINITE, _POSITIVE = ("finite",), ("finite and > 0",)
@@ -104,8 +106,7 @@ SCHEMA = {
                                   omega=("finite", "> 0"), r=_FINITE,
                                   gamma=_FINITE),
     "integrator": _dataclass_section(
-        IntegratorConfig, method=("adaptive, rk45 or rk4",), rtol=_POSITIVE,
-        atol=_POSITIVE, dt=_POSITIVE, t_final=_POSITIVE,
+        IntegratorConfig, rtol=_POSITIVE, atol=_POSITIVE, t_final=_POSITIVE,
         record_every=(">= 1",)),
     "initial": {
         "a0_sq": ("float", 1.0, ("in [0, 1]",)),
@@ -141,6 +142,29 @@ SCHEMA = {
         "format": ("str", "csv", ("csv or json",)),
     },
 }
+
+
+# retired key -> the one value it may still hold (None: any).  Those
+# values never changed a run's bytes, so a config file or manifest that
+# holds one reads as if the key were absent; any other value is an error
+_RETIRED = {"integrator.method": "adaptive", "integrator.dt": None}
+
+
+def parse_values(items) -> dict:
+    """(flat key, raw value) pairs, from a config file or a manifest, as
+    parsed values by flat key (_parse_value), the retired keys dropped
+    (_RETIRED)."""
+    values = {}
+    for flat_key, raw in items:
+        section, _, key = flat_key.partition(".")
+        if flat_key in _RETIRED:
+            kept = _RETIRED[flat_key]
+            if kept is not None and raw != kept:
+                raise ConfigError(f"[{section}] {key} was retired: it may "
+                                  f"only be {kept}, got {raw!r}")
+            continue
+        values[flat_key] = _parse_value(section, key, raw)
+    return values
 
 
 def default_config() -> dict:
@@ -182,13 +206,12 @@ def load_config(path) -> dict:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
-    values = {}
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            values[f"{section}.{key}"] = _parse_value(section, key, raw)
-    return values
+    return parse_values((f"{section}.{key}", raw)
+                        for section in parser.sections()
+                        for key, raw in parser[section].items())
 
 
 def resolve_config(file_values: dict | None = None,

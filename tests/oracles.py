@@ -23,6 +23,9 @@ in the float-first order of its products, CSV and
 JSON tables are built row by row instead of per column, and the cells
 table of a regime map from one row per cell instead of from its axes
 and label codes (write_cells is the regimes command's cells writer).
+rk4_solve is a fixed-step loop the package does not have, for dense
+samples and for two flows compared at shared times (rk4_trajectory
+runs it on the amplitude equations).
 
 The test-only helpers at the end (sweep_rhs, serialize_config,
 params_from_gamma, ATTRACTOR_KINDS and REPELLER_KINDS, cubic_derivative)
@@ -48,7 +51,7 @@ from atomol.integrate import (
     _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, MAX_STEPS,
     StepBudgetError, StepUnderflowError, _as_state)
 from atomol.model import (EPS_POLE, Params, PoleError, ReducedParams,
-                          reduced_deriv, unit_norm_deriv)
+                          gp_deriv, reduced_deriv, unit_norm_deriv)
 from atomol.regimes import REGIME_LABELS, classify_regime
 
 
@@ -420,6 +423,35 @@ def rk4_step(f, t, y, h):
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
+def rk4_solve(f, y0, t_final, dt):
+    """Fixed rk4 steps from t = 0 to t_final on the uniform grid of the
+    fewest steps no longer than dt: (times, states) as arrays, one row
+    per grid time.  The reference for checks that compare two flows at
+    shared times or need dense samples."""
+    # a numpy scalar here would make every step numpy-scalar arithmetic
+    t_final, dt = float(t_final), float(dt)
+    n = max(1, math.ceil(t_final / dt - 1e-12))
+    t, y = 0.0, tuple(y0)
+    times, states = [t], [y]
+    for i in range(1, n + 1):
+        t_next = t_final * i / n
+        y = rk4_step(f, t, y, t_next - t)
+        t = t_next
+        times.append(t)
+        states.append(y)
+    return np.array(times), np.array(states)
+
+
+def rk4_trajectory(x0, p, t_final, dt):
+    """The Trajectory of rk4_solve over the amplitude equations,
+    model.gp_deriv at p, from the Amplitudes x0."""
+    times, states = rk4_solve(
+        lambda t, y: gp_deriv(y[0], y[1], p.v, p.u, p.r, p.gamma_a,
+                              p.gamma_b),
+        (complex(x0.a), complex(x0.b)), t_final, dt)
+    return integrate.Trajectory(times=times, states=states, params=p)
+
+
 def _dop853_tableau():
     """(c, a, b, e5, bhh) of the 8(5,3) pair as dense lists, 12 stages.
 
@@ -521,7 +553,7 @@ def dop853_growth(err_norm):
 
 
 # pair name -> (step, error norm, step-size ratio) of this module's
-# loop, as integrate._solve picks them
+# loop, as integrate's callers name them
 PAIRS = {"rk45": (rk45_step, error_norm, rk45_growth),
          "dop853": (dop853_step, dop853_norm, dop853_growth)}
 
@@ -570,7 +602,6 @@ def _initial_step(f, t0, y0, rtol, atol, t_final):
 
 def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                    rtol: float = 1e-11, atol: float = 1e-11,
-                   record_every: int = 1,
                    event: Optional[Callable] = None,
                    step: Callable = rk45_step,
                    norm: Callable = error_norm,
@@ -587,7 +618,6 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
     states = [y]
     h = _initial_step(f, t0, y, rtol, atol, t_final)
     attempted = 0
-    accepted = 0
     event_state = None
     k1 = None
     tiny = 16.0 * np.finfo(float).eps
@@ -619,10 +649,8 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
         t += h
         y = y_new
         k1 = k_last
-        accepted += 1
-        if accepted % record_every == 0 or t >= t_final:
-            times.append(t)
-            states.append(y)
+        times.append(t)
+        states.append(y)
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -630,9 +658,6 @@ def solve_adaptive(f: Callable, t0: float, y0, t_final: float,
                          max(_MIN_FACTOR, _SAFETY * growth(err_norm)))
         h *= factor
 
-    if times[-1] != t:
-        times.append(t)
-        states.append(y)
     return np.array(times), np.array(states), event_state
 
 

@@ -28,7 +28,7 @@ from atomol.fixed_points import (
     residual,
     threshold_gamma,
 )
-from atomol.integrate import IntegratorConfig, evolve, evolve_reduced
+from atomol.integrate import IntegratorConfig, evolve
 from atomol.model import (
     CanonicalState,
     Params,
@@ -41,7 +41,8 @@ from atomol.regimes import classify_regime, scan_plane
 
 from oracles import (ATTRACTOR_KINDS, REPELLER_KINDS, bisect_roots,
                      cubic_derivative, jacobian, newton_survey,
-                     params_from_gamma, threshold_by_bisection)
+                     params_from_gamma, rk4_solve, rk4_trajectory,
+                     threshold_by_bisection)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -125,13 +126,18 @@ def test_criterion_05_conservation_and_cross_representation():
         tr = evolve(x0, p, cfg)
         assert np.abs(tr.n - tr.n[0]).max() < 1e-8
         assert np.abs(tr.energy - tr.energy[0]).max() < 1e-8
+    # the two flows on one fixed-step grid, so that they share times
     p = Params(v=1.0, u=1.2, r=0.4)
-    grid = IntegratorConfig(method="rk4", dt=1e-3, t_final=20.0)
-    amp = evolve(amplitudes_from_canonical(CanonicalState(0.5, 2.2, 1.0)),
-                 p, grid)
-    red = evolve_reduced(0.5, 2.2, p.reduced(1.0), grid)
-    assert np.abs(amp.s - red.s).max() < 1e-6
-    assert np.max(angle_distance(amp.theta, red.theta)) < 1e-6
+    q = p.reduced(1.0)
+    amp = rk4_trajectory(
+        amplitudes_from_canonical(CanonicalState(0.5, 2.2, 1.0)), p, 20.0,
+        1e-3)
+    times, red = rk4_solve(
+        lambda t, y: reduced_deriv(y[0], y[1], q.c, q.omega, q.r, q.gamma),
+        (0.5, 2.2), 20.0, 1e-3)
+    assert np.array_equal(amp.times, times)
+    assert np.abs(amp.s - red[:, 0]).max() < 1e-6
+    assert np.max(angle_distance(amp.theta, red[:, 1])) < 1e-6
     report(5, "n and E conserved to 1e-8 over t in [0, 100] at default "
               "tolerances; amplitude vs reduced agree to 1e-6 over [0, 20]")
 

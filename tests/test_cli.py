@@ -24,6 +24,7 @@ from atomol.cli import main
 from atomol.experiments import (
     PORTRAIT_N_T,
     PORTRAIT_THINNING,
+    SweepProtocol,
     default_ic_grid,
 )
 from atomol.io import (
@@ -35,7 +36,7 @@ from atomol.io import (
 )
 from atomol.model import NumericalError, ReducedParams
 
-from oracles import serialize_config
+from oracles import serialize_config, solve_adaptive, sweep_rhs
 
 SQRT6 = math.sqrt(6.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -89,9 +90,9 @@ class TestConfigRoundTrip:
 # saved command lines use them
 OPTION_STRINGS = {
     "evolve": ["-h", "--help", "--config", "--from-manifest", "--v", "--u",
-               "--r", "--gamma-a", "--gamma-b", "--method", "--rtol",
-               "--atol", "--dt", "--t-final", "--record-every", "--a0-sq",
-               "--theta0", "--output", "--format"],
+               "--r", "--gamma-a", "--gamma-b", "--rtol", "--atol",
+               "--t-final", "--record-every", "--a0-sq", "--theta0",
+               "--output", "--format"],
     "fixed-points": ["-h", "--help", "--config", "--from-manifest", "--c",
                      "--omega", "--r", "--gamma", "--output", "--format"],
     "regimes": ["-h", "--help", "--config", "--from-manifest", "--omega",
@@ -310,19 +311,26 @@ class TestSweepCommand:
         assert rows[0][header.index("m_defined")] == "false"
 
     def test_default_sweep_pairs_agree(self, tmp_path):
-        # the default method solves the sweep with the 8(5,3) pair; the
-        # 4(5) pair gives w within 1e-9 at the default tolerance
-        ini = tmp_path / "rk45.ini"
-        ini.write_text("[integrator]\nmethod = rk45\n")
-        w = {}
-        for name, extra in (("adaptive", []), ("rk45", ["--config", str(ini)])):
-            out = tmp_path / name
-            assert main(["sweep", "--output", str(out)] + extra) == 0
-            header, rows = read_csv(out / "efficiency.csv")
-            w[name] = [float(r[header.index("w")]) for r in rows]
-        assert len(w["adaptive"]) == 12
-        assert w["adaptive"] != w["rk45"]
-        assert max(abs(a - b) for a, b in zip(w["adaptive"], w["rk45"])) < 1e-9
+        # the sweep solves with the 8(5,3) pair; the oracle loop's 4(5)
+        # pair gives w within 1e-9 at the default tolerance
+        out = tmp_path / "sw"
+        assert main(["sweep", "--output", str(out)]) == 0
+        header, rows = read_csv(out / "efficiency.csv")
+        w = [float(r[header.index("w")]) for r in rows]
+        cfg, w45 = default_config(), []
+        for beta in cfg["sweep.betas"]:
+            pr = SweepProtocol(beta=beta, r_max=cfg["sweep.r_max"])
+            for gamma in cfg["sweep.gammas"]:
+                f = sweep_rhs(cfg["model.u"], cfg["model.v"], gamma, beta,
+                              pr._half_duration)
+                _, states, _ = solve_adaptive(f, 0.0, (1.0 + 0j, 0j),
+                                              pr.duration)
+                mod_a, mod_b = map(abs, states[-1])
+                w45.append(mod_b * mod_b / (mod_a * mod_a
+                                            + 2.0 * mod_b * mod_b))
+        assert len(w) == 12
+        assert w != w45
+        assert max(abs(a - b) for a, b in zip(w, w45)) < 1e-9
 
     def test_rerun_matches(self, tmp_path):
         out1 = tmp_path / "a"
@@ -352,6 +360,25 @@ class TestTrapCommand:
         assert flags["-0.5"] is True
         assert flags["0.5"] is False
 
+    def test_summary_does_not_depend_on_record_every(self, tmp_path):
+        # the summary reads every accepted state, and record_every keeps
+        # every record_every-th population row and the last
+        runs = {}
+        for every in (1, 7, 50):
+            ini = tmp_path / f"every{every}.ini"
+            ini.write_text(f"[integrator]\nrecord_every = {every}\n")
+            out = tmp_path / f"trap{every}"
+            assert main(["trap", "--config", str(ini),
+                         "--output", str(out)]) == 0
+            runs[every] = ((out / "summary.json").read_bytes(),
+                           read_csv(out / "population.csv")[1])
+        summary, rows = runs[1]
+        assert len(rows) > 1000
+        for every in (7, 50):
+            assert runs[every][0] == summary
+            last = [] if (len(rows) - 1) % every == 0 else rows[-1:]
+            assert runs[every][1] == rows[::every] + last
+
 
 class TestPortraitCommand:
     def test_portrait_files(self, tmp_path):
@@ -369,36 +396,16 @@ class TestPortraitCommand:
         fp_header, fp_rows = read_csv(out / "fixed_points.csv")
         assert len(fp_rows) >= 2
 
-    def test_rk4_portrait_stops_at_the_pole(self, tmp_path):
-        ini = tmp_path / "rk4.ini"
-        ini.write_text("[integrator]\nmethod = rk4\n")
-        out = tmp_path / "out"
-        rc = main(["portrait", "--n-s", "3", "--n-theta", "4", "--t-span", "5",
-                   "--config", str(ini), "--output", str(out)])
-        assert rc == 0
-        header, rows = read_csv(out / "portrait.csv")
-        assert rows and all(math.isfinite(x) for row in rows
-                            for x in map(float, row))
-        summary = json.loads((out / "portrait_summary.json").read_text())
-        events = [e for e in summary["pole_events"] if e is not None]
-        assert len(events) == 3
-        assert all(e["s"] > 0.999 for e in events)
-
-    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
-    def test_each_orbit_is_written_on_the_time_grid(self, tmp_path, method):
+    def test_each_orbit_is_written_on_the_time_grid(self, tmp_path):
         # every orbit's t column is the grid t_span k / (n_t - 1) up to
         # its end, n_t the cap or a quarter of the solves' mean states
         # per orbit, and an orbit with a pole event ends on its event row
-        ini = tmp_path / "method.ini"
-        ini.write_text(f"[integrator]\nmethod = {method}\ndt = 0.01\n")
         out = tmp_path / "out"
         t_span = 5.0
         rc = main(["portrait", "--n-s", "3", "--n-theta", "4",
-                   "--t-span", repr(t_span), "--config", str(ini),
-                   "--output", str(out)])
+                   "--t-span", repr(t_span), "--output", str(out)])
         assert rc == 0
-        cfg = integrate.IntegratorConfig(method=method, dt=0.01,
-                                         t_final=t_span)
+        cfg = integrate.IntegratorConfig(t_final=t_span)
         q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
         states = sum(len(integrate.evolve_reduced(s0, theta0, q, cfg).times)
                      for s0, theta0 in default_ic_grid(3, 4))
@@ -468,16 +475,12 @@ class TestExitCodes:
         assert rc == 3
         assert "step size underflow" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_overflow_mid_solve_is_3(self, tmp_path, capsys, method):
+    def test_overflow_mid_solve_is_3(self, tmp_path, capsys):
         # the phase overflows inside a solve and math.sin raises a
         # domain error: a numerical failure, not a config error and
         # not a pole event
-        ini = tmp_path / "method.ini"
-        ini.write_text(f"[integrator]\nmethod = {method}\n")
         rc = main(["portrait", "--omega", "1e300", "--r", "1e300",
-                   "--gamma", "1e-12", "--config", str(ini),
-                   "--output", str(tmp_path / "o")])
+                   "--gamma", "1e-12", "--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 3
         assert "numerical failure" in err and "config error" not in err
@@ -553,7 +556,6 @@ class TestExitCodes:
         (["portrait", "--r=-inf"], "r"),
         (["evolve", "--t-final", "inf"], "t_final"),
         (["evolve", "--rtol", "nan"], "rtol"),
-        (["evolve", "--method", "rk4", "--dt", "inf"], "dt"),
         (["sweep", "--r-max", "inf"], "r_max"),
         (["sweep", "--beta", "nan"], "[sweep] betas"),
         (["trap", "--atol", "inf"], "atol"),
@@ -574,7 +576,6 @@ class TestExitCodes:
             raise AssertionError("a solve started on non-finite input")
 
         monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
-        monkeypatch.setattr(integrate, "solve_fixed", no_solve)
         rc = main(argv + ["--output", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -603,15 +604,14 @@ class TestExitCodes:
          "[model] gamma_b must be finite, got nan"),
         (["evolve", "--rtol", "0"],
          "[integrator] rtol must be finite and > 0, got 0.0"),
-        (["evolve", "--method", "bogus"],
-         "[integrator] method must be adaptive, rk45 or rk4, got 'bogus'"),
         (["evolve", "--record-every", "0"],
          "[integrator] record_every must be >= 1, got 0"),
         (["regimes", "--refine-tol", "0"],
          "[scan] refine_tol must be finite and > 0, got 0.0"),
         # the text after --config is the config file's
         (["sweep", "--config", "[integrator]\nmethod = bogus\n"],
-         "[integrator] method must be adaptive, rk45 or rk4, got 'bogus'"),
+         "[integrator] method was retired: it may only be adaptive, "
+         "got 'bogus'"),
         # a value is checked whichever command runs: in a section the
         # command does not read, or where a flag or a key overrides it
         (["fixed-points", "--config", "[sweep]\nr_max = 0\n"],
@@ -632,7 +632,6 @@ class TestExitCodes:
             raise AssertionError("a solve started on bad input")
 
         monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
-        monkeypatch.setattr(integrate, "solve_fixed", no_solve)
         if "--config" in argv:
             k = argv.index("--config") + 1
             ini = tmp_path / "run.ini"
@@ -866,16 +865,6 @@ class TestExitCodes:
         assert err[0].startswith("config error: [sweep] r_max and betas must ")
 
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--method", "rk4", "--dt", "1e-3", "--t-final", "1e9"],
-        ["evolve", "--method", "rk4", "--dt", "1e-300", "--t-final", "1e300"],
-    ])
-    def test_fixed_step_budget_is_3(self, tmp_path, capsys, argv):
-        rc = main(argv + ["--output", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert rc == 3
-        assert "step budget" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("argv", [
         ["evolve", "--t-final", "1e9"],
         ["sweep", "--beta", "1e-300"],
     ])
@@ -886,6 +875,83 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert "step budget" in err and "Traceback" not in err
+
+
+class TestRetiredKeys:
+    """[integrator] method and dt are retired: a config file or manifest
+    that holds method = adaptive or any dt reads as one without them,
+    and any other method exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--u", "2", "--t-final", "1"],
+        ["sweep", "--beta", "1.0", "--gamma", "0.5", "--r-max", "2"],
+        ["trap", "--u", "1.5", "--t-span", "2"],
+        ["portrait", "--n-s", "2", "--n-theta", "3", "--t-span", "2"],
+    ])
+    def test_an_older_manifest_replays_byte_for_byte(self, tmp_path, argv):
+        # manifests written while the keys were read hold both
+        first = tmp_path / "first"
+        assert main(argv + ["--output", str(first)]) == 0
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["parameters"].update({"integrator.method": "adaptive",
+                                       "integrator.dt": 0.001})
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        again = tmp_path / "again"
+        assert main([argv[0], "--from-manifest", str(path),
+                     "--output", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert ((first / name).read_bytes()
+                        == (again / name).read_bytes()), name
+        replayed = json.loads((again / "manifest.json").read_text())
+        assert "integrator.method" not in replayed["parameters"]
+        assert "integrator.dt" not in replayed["parameters"]
+
+    def test_a_config_file_with_them_runs_as_one_without(self, tmp_path):
+        ini = tmp_path / "old.ini"
+        ini.write_text("[integrator]\nmethod = adaptive\ndt = 0.5\n")
+        argv = ["trap", "--u", "1.5", "--t-span", "2"]
+        assert main(argv + ["--output", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--config", str(ini),
+                            "--output", str(tmp_path / "b")]) == 0
+        for name in ("population.csv", "summary.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("source", ["--from-manifest", "--config"])
+    def test_another_method_is_2(self, tmp_path, capsys, monkeypatch, method,
+                                 source):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started under a retired method")
+
+        monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
+        if source == "--from-manifest":
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps({"command": "evolve", "parameters": {
+                "integrator.method": method, "integrator.dt": 0.01}}))
+        else:
+            path = tmp_path / "run.ini"
+            path.write_text(f"[integrator]\nmethod = {method}\ndt = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["evolve", source, str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [integrator] method was retired: it may only "
+            f"be adaptive, got '{method}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--method=rk4", "--dt=0.01"])
+    def test_their_flags_are_gone(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", flag, "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestFrozenExit:
@@ -960,19 +1026,26 @@ class TestFrozenExit:
 # flags, finite values mixed with extremes.  The flags that set the
 # amount of work are always given, and kept small or just over their
 # cap, which must exit 2 before any work; the step budget is patched
-# down, so every run is bounded, and a longer solve must exit 3.
+# down, so every run is bounded, and a longer solve must exit 3.  The
+# portrait's grid sizes are mostly legal, so that its solves and time
+# grid are fuzzed too.
 FUZZ_FLOAT = st.one_of(
     st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]),
     st.floats(1e-3, 5.0), st.floats(-5.0, 5.0))
+
+
+def mostly_legal(bad):
+    """A portrait grid size: 1 to 3, or bad in one draw of six."""
+    return st.integers(0, 5).map(lambda k: bad if k == 5 else 1 + k % 3)
+
+
 FUZZ_WORK = {  # flag -> strategy, always given
     "regimes": {"--resolution": st.integers(1, 12)},
-    "portrait": {"--n-s": st.one_of(st.integers(0, 3),
-                                    st.just(cli.MAX_ORBITS + 1)),
-                 "--n-theta": st.integers(0, 3)},
+    "portrait": {"--n-s": mostly_legal(cli.MAX_ORBITS + 1),
+                 "--n-theta": mostly_legal(0)},
     "sweep": {"--beta": FUZZ_FLOAT, "--gamma": FUZZ_FLOAT},
 }
-FUZZ_CHOICES = {"--method": ["adaptive", "rk45", "rk4", "euler"],
-                "--format": ["csv", "json", "xml"]}
+FUZZ_CHOICES = {"--format": ["csv", "json", "xml"]}
 
 
 @st.composite

@@ -2,7 +2,6 @@
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,22 +205,19 @@ class TestSweepConversion:
             assert exact(dy) == exact(
                 unit_norm_deriv(a, b, p.u, p.v, pr.r_at(t), 0.3)), t
 
-    @pytest.mark.parametrize("beta, gamma, u, v, rtol, method", [
-        (0.7, 0.3, 0.5, 1.0, 1e-11, "adaptive"),
-        (-0.4, -0.5, 1.2, 0.8, 1e-9, "adaptive"),
-        (2.0, 0.0, 0.0, 1.0, 1e-7, "adaptive"),
-        (-1.5, 0.6, -0.8, 1.5, 1e-11, "adaptive"),
-        (0.7, 0.3, 0.5, 1.0, 1e-9, "rk45"),
-        (-1.5, -0.6, 0.5, 1.0, 1e-9, "rk4")])
+    @pytest.mark.parametrize("beta, gamma, u, v, rtol", [
+        (0.7, 0.3, 0.5, 1.0, 1e-11),
+        (-0.4, -0.5, 1.2, 0.8, 1e-9),
+        (2.0, 0.0, 0.0, 1.0, 1e-7),
+        (-1.5, 0.6, -0.8, 1.5, 1e-11)])
     def test_sweep_solve_is_the_generic_solve(self, monkeypatch, beta, gamma,
-                                              u, v, rtol, method):
+                                              u, v, rtol):
         # the sweep's solve gives the bits of a solve over
-        # unit_norm_deriv at R(t) whose 8(5,3) step is the oracle's; under
-        # "adaptive" f is called once, for the first step size, and every
-        # step is the sweep's own, while rk45 and rk4 take the generic
-        # steps over f
+        # unit_norm_deriv at R(t) whose 8(5,3) step is the oracle's; f is
+        # called once, for the first step size, and every step is the
+        # sweep's own
         pr = SweepProtocol(beta=beta, r_max=5.0)
-        cfg = IntegratorConfig(method=method, rtol=rtol, atol=rtol, dt=1e-3)
+        cfg = IntegratorConfig(rtol=rtol, atol=rtol)
         sweep_step = experiments._sweep_dop853_step
         calls = {"f": 0, "step": 0}
         solves = []
@@ -242,17 +238,15 @@ class TestSweepConversion:
                             lambda *q: counted("step", sweep_step(*q)))
         monkeypatch.setattr(experiments, "_solve", recorded_solve)
         experiments._terminal_efficiency.__wrapped__(pr, u, v, gamma, cfg)
-        times, states, _ = integrate._solve(
+        times, states, _ = integrate.solve_adaptive(
             sweep_rhs(u, v, gamma, beta, pr._half_duration), 0.0,
-            (1.0 + 0j, 0j), replace(cfg, t_final=pr.duration),
-            dop853=flat_dop853_step)
+            (1.0 + 0j, 0j), pr.duration, rtol=rtol, atol=rtol,
+            step=flat_dop853_step, norm=integrate._dop853_norm,
+            growth=integrate._dop853_growth)
         assert len(times) > 20
         assert solves[0][0].tobytes() == times.tobytes()
         assert solves[0][1].tobytes() == states.tobytes()
-        if method == "adaptive":
-            assert calls["f"] == 1 and calls["step"] >= len(times) - 1
-        else:
-            assert calls["step"] == 0 and calls["f"] >= 4 * (len(times) - 1)
+        assert calls["f"] == 1 and calls["step"] >= len(times) - 1
 
     @pytest.mark.parametrize("gamma_draw", [None, 0.3, 0.7])
     def test_sweeps_step_on_finite_nonzero_parts(self, monkeypatch,

@@ -17,11 +17,11 @@ glibc picks FMA variants of sin, cos, atan2, exp and pow at load time,
 and they round differently; GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2
 switches them off (hypot and sqrt gave the same bits either way).
 test_data_files_but_the_portraits_do_not_depend_on_fma_dispatch reruns
-the runs of FMA_FREE_RUNS, every run but the portraits, in a child with
-the tunable set.  Only the 8(5,3) sweeps (sweep, sweep-bench,
-sweep-json) call none of those functions; the other runs call atan2,
-pow (err ** -0.2 in the 4(5) step size), sin, cos or exp, and were only
-seen to keep their bits.  The portrait runs (the chart's sin and cos,
+the runs of FMA_FREE_RUNS, the 16 of the 19 runs that are not
+portraits, in a child with the tunable set.  Only the 8(5,3) sweeps
+(sweep, sweep-bench, sweep-json) call none of those functions; the
+other runs call atan2, pow (err ** -0.2 in the 4(5) step size), sin,
+cos or exp, and were only seen to keep their bits.  The portrait runs (the chart's sin and cos,
 and err ** -0.2) change under the tunable.
 
 Re-record (only when an output change is intended and explained):
@@ -49,14 +49,6 @@ import atomol
 from atomol.cli import main
 
 RECORD = Path(__file__).with_name("fingerprints.json")
-
-# config files of the runs: "{name}" in RUNS is replaced by the path of
-# an INI file holding CONFIGS[name]
-CONFIGS = {
-    "rk4": "[integrator]\nmethod = rk4\ndt = 0.01\n",
-    # sweep has no --method flag; rk45 pins the pre-"adaptive" outputs
-    "rk45": "[integrator]\nmethod = rk45\n",
-}
 
 # run name -> CLI arguments
 RUNS = {
@@ -86,11 +78,6 @@ RUNS = {
                     "--gamma=-0.5,0,0.5"],
     "trap": ["trap", "--u", "1.5", "--t-span", "5"],
     "evolve": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "3"],
-    "evolve-rk4": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",
-                   "--method", "rk4", "--dt", "0.01"],
-    "trap-rk4": ["trap", "--u", "1.5", "--t-span", "3", "--config", "{rk4}"],
-    "sweep-rk45": ["sweep", "--beta", "1.0", "--gamma=-0.5,0,0.5",
-                   "--r-max", "2", "--config", "{rk45}"],
     # the JSON table of each table-writing command; at v = 0 the sweep's
     # m is undefined for Gamma != 0, an empty-string cell
     "evolve-json": ["evolve", "--u", "2", "--a0-sq", "0.7", "--t-final", "1",
@@ -108,16 +95,10 @@ RUNS = {
 def fingerprints(workdir: Path, names=RUNS) -> dict:
     """Run the named entries of RUNS (all by default) under workdir;
     {run: {file: sha256}}."""
-    inis = {}
-    for name, text in CONFIGS.items():
-        ini = workdir / f"{name}.ini"
-        ini.write_text(text)
-        inis["{" + name + "}"] = str(ini)
     out = {}
     for name in names:
         outdir = workdir / name
-        argv = [inis.get(a, a) for a in RUNS[name]]
-        assert main(argv + ["--output", str(outdir)]) == 0, name
+        assert main(RUNS[name] + ["--output", str(outdir)]) == 0, name
         out[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                      for p in sorted(outdir.iterdir())
                      if p.name != "manifest.json"}

@@ -3,13 +3,12 @@
 import cmath
 import collections
 import functools
-import hashlib
 import math
 import random
 import struct
 import sys
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -25,13 +24,11 @@ from atomol.integrate import (
     evolve,
     evolve_reduced,
     solve_adaptive,
-    solve_fixed,
 )
 from atomol.model import (
     EPS_POLE,
     Amplitudes,
     CanonicalState,
-    NumericalError,
     Params,
     PoleError,
     ReducedParams,
@@ -42,25 +39,10 @@ from atomol.model import (
     reduced_deriv,
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
-                     flat_dop853_step, params_from_gamma, rk4_step,
+                     flat_dop853_step, params_from_gamma, rk4_trajectory,
                      rk45_step, sweep_rhs)
 import oracles
 from oracles import solve_adaptive as oracle_solve_adaptive
-
-
-# sha256 of the recorded arrays (and the pole event, when one fires),
-# recorded with this numpy; see digest()
-DIGEST_NUMPY = "2.4.6"
-
-
-def digest(tr, names):
-    h = hashlib.sha256()
-    for name in names:
-        h.update(np.ascontiguousarray(getattr(tr, name)).tobytes())
-    ev = tr.pole_event
-    if ev is not None:
-        h.update(np.array([ev.time, ev.s, ev.theta]).tobytes())
-    return h.hexdigest()
 
 
 def state_on_shell(s, theta):
@@ -100,9 +82,8 @@ class TestAmplitudeEvolve:
         late = tr.times > 1.0
         t_close = tr.times[late][np.argmin(d[late])]
         # refine around the approximate recurrence with dense fixed steps
-        cfg = IntegratorConfig(method="rk4", dt=(t_close + 0.02) / 400000,
-                               t_final=t_close + 0.02)
-        tr2 = evolve(state_on_shell(s0, th0), p, cfg)
+        tr2 = rk4_trajectory(state_on_shell(s0, th0), p, t_close + 0.02,
+                             (t_close + 0.02) / 400000)
         d2 = np.hypot(tr2.s - s0, angle_distance(tr2.theta, th0))
         window = tr2.times > t_close - 0.02
         assert d2[window].min() < 1e-4
@@ -148,20 +129,6 @@ class TestAmplitudeEvolve:
         d_tight = np.abs(finals[1e-9] - finals[1e-10]).max()
         assert d_loose < 10.0 * (10.0 * d_tight + 1e-9)
         assert d_loose < 1e-6
-
-    def test_convergence_contract_fixed_step(self):
-        p = Params(v=1.0, u=2.0, r=0.0)
-        x0 = state_on_shell(0.6, 1.0)
-        finals = {}
-        for dt in (2e-3, 1e-3, 5e-4):
-            cfg = IntegratorConfig(method="rk4", dt=dt, t_final=10.0)
-            finals[dt] = evolve(x0, p, cfg).states[-1]
-        d1 = np.abs(finals[2e-3] - finals[1e-3]).max()
-        d2 = np.abs(finals[1e-3] - finals[5e-4]).max()
-        # 4th order: halving dt shrinks the refinement difference ~16x
-        assert d1 / d2 > 8.0
-        assert d1 < 1e-8
-
 
 class TestReducedEvolve:
     def test_stationary_at_analytic_fixed_point(self):
@@ -213,22 +180,6 @@ class TestReducedEvolve:
         with pytest.raises(ValueError):
             evolve_reduced(1.0, 0.0, q)
 
-    def test_fixed_step_pole_event_matches_adaptive(self):
-        # an rk4 stage past S = 1 raises PoleError in the chart's
-        # right-hand side; the fixed stepper cannot reject it, so it stops
-        # with a pole event
-        q = ReducedParams()
-        dt = 1e-3
-        rk4 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
-                             IntegratorConfig(method="rk4", dt=dt, t_final=2.0))
-        rk45 = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
-                              IntegratorConfig(t_final=2.0))
-        assert rk4.pole_event is not None and rk45.pole_event is not None
-        assert np.all(np.isfinite(rk4.s)) and np.all(np.isfinite(rk4.theta))
-        assert abs(rk4.pole_event.time - rk45.pole_event.time) <= dt
-        assert rk4.times[-1] == rk4.pole_event.time
-
-
 # one solve of each kind: evolve and trap take the 4(5) pair on
 # amplitudes, a sweep its own 8(5,3) step, and the portrait the chart's
 # step, here from the pole-event start of the bench portrait
@@ -243,7 +194,7 @@ _ONE_SOLVE = {
         IntegratorConfig()),
     "evolve_reduced": lambda: evolve_reduced(
         0.9, 3.0 * math.pi / 2.0, ReducedParams(),
-        IntegratorConfig(t_final=5.0, record_every=3)),
+        IntegratorConfig(t_final=5.0)),
 }
 
 
@@ -267,7 +218,7 @@ def test_solves_call_no_numpy_between_start_and_results(monkeypatch, run):
 
     solve = integrate.solve_adaptive
 
-    def logged_solve(*args, step, **kwargs):
+    def logged_solve(*args, step=integrate._rk45_step, **kwargs):
         return solve(*args, step=logged(step), **kwargs)
 
     monkeypatch.setattr(integrate, "np", Numpy())
@@ -281,45 +232,26 @@ def test_solves_call_no_numpy_between_start_and_results(monkeypatch, run):
                                         ("_stacked", "array")}
 
 
-class TestTrajectoryDigests:
-    """Bit-for-bit guards of the paths no CLI fingerprint covers."""
-
-    @pytest.fixture(autouse=True)
-    def same_numpy(self):
-        if np.__version__ != DIGEST_NUMPY:
-            pytest.skip(f"digests recorded with numpy {DIGEST_NUMPY}, "
-                        f"installed {np.__version__}")
-
-    def test_reduced_rk4_pole_event(self):
-        q = ReducedParams(c=0.0, omega=1.0, r=0.0, gamma=0.0)
-        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=2.0)
-        tr = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q, cfg, eps_pole=1e-3)
-        assert tr.pole_event is not None and tr.pole_event.time == 0.145
-        assert len(tr.times) == 146
-        assert digest(tr, ("times", "s", "theta")) == (
-            "223dbd20b4799e883446d5cf0510c61c2a72b0d51e64bb312d91aa22d154a42e")
-
-
 class TestCrossRepresentation:
     def test_zero_loss_amplitude_vs_reduced(self):
-        # common fixed-step grid so the trajectories share sample times
+        # each solve ends at t_final exactly, a time the two share
         p = Params(v=1.0, u=1.2, r=0.4)
         s0, th0 = 0.5, 2.2
-        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=20.0)
-        amp = evolve(state_on_shell(s0, th0), p, cfg)
-        red = evolve_reduced(s0, th0, p.reduced(1.0), cfg)
-        assert np.array_equal(amp.times, red.times)
-        assert np.abs(amp.s - red.s).max() < 1e-6
-        assert np.max(angle_distance(amp.theta, red.theta)) < 1e-6
+        for t_final in (7.0, 20.0):
+            cfg = IntegratorConfig(t_final=t_final)
+            amp = evolve(state_on_shell(s0, th0), p, cfg)
+            red = evolve_reduced(s0, th0, p.reduced(1.0), cfg)
+            assert amp.times[-1] == red.times[-1] == t_final
+            assert abs(amp.s[-1] - red.s[-1]) < 1e-6
+            assert angle_distance(amp.theta[-1], red.theta[-1]) < 1e-6
 
     @pytest.mark.parametrize("gamma_plus", [0.0, 0.2])
-    def test_norm_law_along_evolve(self, gamma_plus):
+    def test_norm_law_of_the_amplitude_flow(self, gamma_plus):
         # n(t) = n0 exp(-int (G+ + G- S) dt), the integral by the trapezoid
-        # rule on the recorded samples
+        # rule on dense fixed steps of the amplitude equations
         p = params_from_gamma(v=1.0, u=0.8, r=0.1, gamma_minus=0.3,
                               gamma_plus=gamma_plus)
-        cfg = IntegratorConfig(method="rk4", dt=5e-4, t_final=20.0)
-        amp = evolve(state_on_shell(0.4, 1.0), p, cfg)
+        amp = rk4_trajectory(state_on_shell(0.4, 1.0), p, 20.0, 5e-4)
         rate = p.gamma_plus + p.gamma_minus * amp.s
         decay = np.concatenate(
             ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(amp.times))))
@@ -338,41 +270,14 @@ class TestGenericSolvers:
         assert 0.99 < err.value.time <= 1.01
 
     def test_rhs_past_the_largest_float_is_a_rejected_step(self):
-        # products past the largest float give inf: the adaptive trial
-        # step has an infinite norm and is rejected, and the fixed-step
-        # state is carried on as inf
+        # products past the largest float give inf: the trial step has
+        # an infinite norm and is rejected
         def f(t, y):
             y4 = y[0] * y[0] * y[0] * y[0]
             return (y4 * y4 * y[0], 0.0)
 
         with pytest.raises(StepUnderflowError):
             solve_adaptive(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-3, atol=1e-3)
-        _, states, _ = solve_fixed(lambda t, y: (y[0] * y[0] * y[0], 0.0),
-                                   0.0, (1.0, 0.0), 5.0, 1.0)
-        assert states[-1, 0] == math.inf
-
-    def test_fixed_step_stage_past_the_event_is_the_crossing(self):
-        # the last stage of the step from t = 2 lies past the surface:
-        # the solve ends at the last grid state
-        def f(t, y):
-            if y[0] > 2.5:
-                raise PoleError("past the surface")
-            return (1.0, 0.0)
-
-        times, states, hit = solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
-                                         event=lambda t, y: y[0] - 100.0)
-        assert hit == (2.0, (2.0, 0.0))
-        assert times[-1] == 2.0 and np.all(np.isfinite(states))
-
-    def test_fixed_step_non_finite_state_under_an_event_raises(self):
-        # a NaN state cannot tell whether the event was crossed: a
-        # failure, not an event (without an event it is carried on)
-        def f(t, y):
-            return (math.nan, 0.0) if y[0] > 2.5 else (1.0, 0.0)
-
-        with pytest.raises(NumericalError, match="t = 3.0"):
-            solve_fixed(f, 0.0, (0.0, 0.0), 10.0, 1.0,
-                        event=lambda t, y: y[0] - 100.0)
 
     @pytest.mark.parametrize("error", [ValueError, OverflowError])
     def test_error_in_rhs_is_not_masked(self, error):
@@ -386,23 +291,6 @@ class TestGenericSolvers:
 
         with pytest.raises(error, match="bad argument"):
             solve_adaptive(f, 0.0, (0.0, 0.0), 1.0)
-        with pytest.raises(error, match="bad argument"):
-            solve_fixed(f, 0.0, (0.0, 0.0), 1.0, 0.1)
-
-    def test_fixed_step_budget_is_checked_before_stepping(self, monkeypatch):
-        def f(t, y):
-            raise AssertionError("a step was taken over the budget")
-
-        # the step count overflows an int: rejected, not an OverflowError
-        with pytest.raises(StepBudgetError):
-            solve_fixed(f, 0.0, np.array([1.0, 0.0]), 1e300, 1e-300)
-        monkeypatch.setattr(integrate, "MAX_STEPS", 10)
-        with pytest.raises(StepBudgetError):
-            solve_fixed(f, 0.0, np.array([1.0, 0.0]), 1.0, 0.09)
-        # exactly MAX_STEPS steps is within the budget
-        times, _, _ = solve_fixed(lambda t, y: (-y[0], 0.0), 0.0,
-                                  np.array([1.0, 0.0]), 1.0, 0.1)
-        assert len(times) == 11
 
     def test_adaptive_budget_counts_attempted_steps(self, monkeypatch):
         calls = []
@@ -417,8 +305,7 @@ class TestGenericSolvers:
         # one initial-step evaluation, then at most 7 per attempted step
         assert len(calls) <= 1 + 7 * 50
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_numpy_scalar_times_step_on_python_floats(self, method):
+    def test_numpy_scalar_times_step_on_python_floats(self):
         # a span read off a numpy array must not turn every step into
         # numpy-scalar arithmetic
         seen = set()
@@ -427,32 +314,31 @@ class TestGenericSolvers:
             seen.add((type(t), type(y[0])))
             return (y[1], -y[0])
 
-        cfg = IntegratorConfig(method=method, rtol=1e-6, atol=1e-6,
-                               dt=np.float64(0.1), t_final=np.float64(1.0))
-        integrate._solve(f, np.float64(0.0), (1.0, 0.0), cfg)
+        solve_adaptive(f, np.float64(0.0), (1.0, 0.0), np.float64(1.0),
+                       rtol=1e-6, atol=1e-6)
+        integrate._solve(f, (1.0, 0.0), IntegratorConfig(
+            rtol=1e-6, atol=1e-6, t_final=np.float64(1.0)))
         assert seen == {(float, float)}
 
-    @pytest.mark.parametrize("method, dop853, pair", [
-        ("adaptive", flat_dop853_step, "dop853"),
-        ("adaptive", None, "rk45"),
-        ("rk45", flat_dop853_step, "rk45"),
-        ("rk45", None, "rk45")])
-    def test_adaptive_method_takes_its_pair_from_the_call_site(
-            self, monkeypatch, method, dop853, pair):
-        # "adaptive" takes the 8(5,3) step a caller passes, with its norm
-        # and growth, and otherwise the 4(5) pair, as "rk45" always does
+    @pytest.mark.parametrize("run, pair", [
+        ("evolve", "rk45"), ("trap", "rk45"), ("sweep", "dop853"),
+        ("evolve_reduced", "rk45")])
+    def test_each_solve_takes_the_pair_its_caller_names(
+            self, monkeypatch, run, pair):
+        # the sweep, which reads only its end state, takes the 8(5,3)
+        # norm and growth, and every other solve the 4(5) pair's
         pairs = []
 
-        def recording_solve(*args, step, norm, growth, **kwargs):
-            pairs.append((step, norm, growth))
+        def recording_solve(*args, step=integrate._rk45_step,
+                            norm=integrate._float_norm,
+                            growth=integrate._rk45_growth, **kwargs):
+            pairs.append((norm, growth))
             return solve_adaptive(*args, step=step, norm=norm,
                                   growth=growth, **kwargs)
 
         monkeypatch.setattr(integrate, "solve_adaptive", recording_solve)
-        cfg = IntegratorConfig(method=method, t_final=1.0)
-        integrate._solve(lambda t, y: (y[1], -y[0]), 0.0, (1.0, 0.0), cfg,
-                         dop853=dop853)
-        assert pairs == [SOLVER_PAIRS[pair]]
+        _ONE_SOLVE[run]()
+        assert pairs == [SOLVER_PAIRS[pair][1:]]
 
     def test_dop853_solve_is_accurate_in_fewer_calls(self):
         # harmonic oscillator over ten periods at the default tolerance
@@ -471,16 +357,9 @@ class TestGenericSolvers:
             assert abs(y[0] - 1.0) < 1e-9 and abs(y[1]) < 1e-9
         assert calls["dop853"] * 3 < calls["rk45"]
 
-    def test_fixed_step_grid(self):
-        times, states, _ = solve_fixed(lambda t, y: (-y[0], 0.0), 0.0,
-                                       np.array([1.0, 0.0]), 1.0, 0.1)
-        assert times[-1] == 1.0
-        assert len(times) == 11
-        assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(method="euler")
+        assert [f.name for f in fields(IntegratorConfig)] == [
+            "rtol", "atol", "t_final", "record_every"]
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=-1.0)
         with pytest.raises(ValueError):
@@ -582,9 +461,10 @@ _HUGE_SWEEP_PAIRS = st.tuples(
     st.builds(complex, _HUGE_SWEEP_PARTS, _HUGE_SWEEP_PARTS))
 PAIR_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True,
                          database=None)
-# pair name -> (step, error norm, step-size ratio) that integrate._solve
-# hands solve_adaptive; the one 8(5,3) step of src is the sweep's, so the
-# loop's 8(5,3) checks step with the oracle's, in the flat form
+# pair name -> (step, error norm, step-size ratio) that integrate's
+# callers hand solve_adaptive; the one 8(5,3) step of src is the
+# sweep's, so the loop's 8(5,3) checks step with the oracle's, in the
+# flat form
 SOLVER_PAIRS = {"rk45": (integrate._rk45_step, integrate._float_norm,
                          integrate._rk45_growth),
                 "dop853": (flat_dop853_step, integrate._dop853_norm,
@@ -637,19 +517,6 @@ class TestPairSteps:
         for rtol, atol in ((1e-11, 1e-11), (1e-3, 0.0)):
             assert bits([integrate._float_norm(pair, y, rtol, atol, h)]) == \
                 bits([error_norm(generic[1], y, generic[0], rtol, atol)])
-
-    @PAIR_PROPERTY
-    @given(y=_PAIRS, h=_STEPS, t=st.floats(min_value=-100.0, max_value=100.0),
-           p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
-           limit=st.one_of(st.just(math.inf), _REALS))
-    @example(y=(1e110, 2.0), h=1.0, t=0.0, p=1.0, q=1.0, power=3,
-             limit=math.inf)
-    @example(y=(0.5, 1.0), h=1.0, t=0.0, p=1.0, q=1.0, power=1, limit=0.75)
-    def test_rk4_pair_step_is_the_generic_step(self, y, h, t, p, q, power,
-                                               limit):
-        f = pair_rhs(p, q, power, limit)
-        assert (outcome(integrate._rk4_step, f, t, y, h)
-                == outcome(rk4_step, f, t, y, h))
 
     @PAIR_PROPERTY
     @given(err=_NORM_PAIRS, y=_NORM_PAIRS, y_new=_NORM_PAIRS,
@@ -1005,14 +872,13 @@ class TestPairSteps:
         def event(t, y):
             return t - 0.5
 
-        for solve in (lambda: solve_adaptive(f, 0.0, y0, 1.0, event=event),
-                      lambda: solve_fixed(f, 0.0, y0, 1.0, 0.1)):
-            if pair:
-                assert solve()[1].shape[1] == 2
-            else:
-                with pytest.raises(ValueError, match=f"got {len(y0)} comp"):
-                    solve()
-                assert calls == []
+        if pair:
+            _, states, _ = solve_adaptive(f, 0.0, y0, 1.0, event=event)
+            assert states.shape[1] == 2
+        else:
+            with pytest.raises(ValueError, match=f"got {len(y0)} comp"):
+                solve_adaptive(f, 0.0, y0, 1.0, event=event)
+            assert calls == []
 
 
 def flat_parts(res):
@@ -1027,11 +893,7 @@ def flat(parts):
     return [parts]
 
 
-@pytest.mark.parametrize("pair_step, generic_step", [
-    (integrate._rk45_step, rk45_step),
-    (integrate._rk4_step, rk4_step)])
-def test_pair_steps_keep_the_bits_on_full_precision_states(pair_step,
-                                                            generic_step):
+def test_pair_steps_keep_the_bits_on_full_precision_states():
     # hypothesis favours short floats, whose products and sums are
     # often exact, so a regrouped stage sum can pass the properties of
     # TestPairSteps; one regrouped 8(5,3) stage changed about one step
@@ -1043,15 +905,14 @@ def test_pair_steps_keep_the_bits_on_full_precision_states(pair_step,
              if rng.random() < 0.5 else tuple(parts[:2]))
         p, q, h, t = rng.uniform(-2.0, 2.0, 4).tolist()
         f = pair_rhs(p, q, int(rng.integers(1, 4)), math.inf)
-        pair, generic = pair_step(f, t, y, h), generic_step(f, t, y, h)
-        if generic_step is not rk4_step:
-            generic = flat_result(generic)
+        pair = integrate._rk45_step(f, t, y, h)
+        generic = flat_result(rk45_step(f, t, y, h))
         assert (pair is None) == (generic is None)
         if pair is not None:
             assert bits(pair) == bits(generic)
 
 
-def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
+def solve_outcome(solve, f, y0, t0, span, tols, level, pair):
     """A solve's times, states and event as exact bytes, or the type and
     message of what it raised.  level, when not None, is an event at
     y0.real = level."""
@@ -1064,9 +925,8 @@ def solve_outcome(solve, f, y0, t0, span, tols, record_every, level, pair):
     event = None if level is None else (lambda t, y: y[0].real - level)
     try:
         times, states, hit = solve(f, t0, y0, t0 + span, rtol=tols[0],
-                                   atol=tols[1], record_every=record_every,
-                                   event=event, step=step, norm=norm,
-                                   growth=growth)
+                                   atol=tols[1], event=event, step=step,
+                                   norm=norm, growth=growth)
     except Exception as exc:  # compared with the oracle's
         return type(exc), str(exc)
     return (times.tobytes(), states.dtype.str, states.tobytes(),
@@ -1090,7 +950,6 @@ class TestSolveLoop:
            span=st.floats(min_value=1e-3, max_value=3.0),
            tols=st.tuples(st.sampled_from([1e-3, 1e-6, 1e-9]),
                           st.sampled_from([1e-3, 1e-6, 1e-9])),
-           record_every=st.sampled_from([1, 3]),
            p=_COEFFS, q=_COEFFS, power=st.sampled_from([1, 2, 3]),
            gap=st.one_of(st.just(math.inf), st.floats(0.0, 2.0)),
            rise=st.one_of(st.none(), st.floats(-0.5, 2.0)),
@@ -1098,46 +957,46 @@ class TestSolveLoop:
     # stages past y0.real = limit raise PoleError: rejected steps at
     # the _MIN_FACTOR clamp, and a bisection of the event step
     @example(y0=(0.5, 1.0), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=1, gap=0.25, rise=0.2,
+             p=1.0, q=1.0, power=1, gap=0.25, rise=0.2,
              pair="rk45")
     @example(y0=(0.5j, 1 + 0j), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
-             record_every=3, p=1.0, q=1.0, power=1, gap=0.75, rise=0.7,
+             p=1.0, q=1.0, power=1, gap=0.75, rise=0.7,
              pair="dop853")
     # no event below the limit: every step is rejected, step underflow
     @example(y0=(0.5, 1.0), t0=0.0, span=2.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=1, gap=0.25, rise=None,
+             p=1.0, q=1.0, power=1, gap=0.25, rise=None,
              pair="rk45")
     # f = 0: err_norm == 0 and the _MAX_FACTOR growth, then the last
     # step cut to t_final
     @example(y0=(0.0, 0.0), t0=0.0, span=3.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
+             p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
              pair="rk45")
     @example(y0=(0j, 0j), t0=1.0, span=3.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
+             p=1.0, q=1.0, power=2, gap=math.inf, rise=None,
              pair="dop853")
     # a smooth orbit: accepted steps at the _MAX_FACTOR clamp and below
     # it, rejected steps, the last step cut to t_final
     @example(y0=(0.5, 1.0), t0=0.0, span=3.0, tols=(1e-3, 1e-9),
-             record_every=1, p=1.0, q=-1.0, power=1, gap=math.inf,
+             p=1.0, q=-1.0, power=1, gap=math.inf,
              rise=None, pair="rk45")
     @example(y0=(0.5 + 0.1j, 1.0 - 0.2j), t0=-2.0, span=3.0,
-             tols=(1e-9, 1e-9), record_every=3, p=1.0, q=-1.0, power=2,
+             tols=(1e-9, 1e-9), p=1.0, q=-1.0, power=2,
              gap=math.inf, rise=None, pair="dop853")
     # stages overflow to inf: NaN steps, rejected down to a step
     # underflow
     @example(y0=(1e100, 1e100), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
+             p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
              pair="dop853")
     # the derivative at the start overflows to inf: every step from
     # there is rejected, down to a step underflow
     @example(y0=(2.0, 1e110), t0=0.0, span=1.0, tols=(1e-6, 1e-6),
-             record_every=1, p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
+             p=1.0, q=1.0, power=3, gap=math.inf, rise=None,
              pair="rk45")
-    def test_solve_is_the_oracle_loop(self, y0, t0, span, tols, record_every,
-                                      p, q, power, gap, rise, pair):
+    def test_solve_is_the_oracle_loop(self, y0, t0, span, tols, p, q, power,
+                                      gap, rise, pair):
         f = pair_rhs(p, q, power, y0[0].real + gap)
         level = None if rise is None else y0[0].real + rise
-        args = (f, y0, t0, span, tols, record_every, level, pair)
+        args = (f, y0, t0, span, tols, level, pair)
         # a small step budget bounds the solves that blow up slowly; its
         # StepBudgetError is compared too
         with mock.patch.object(integrate, "MAX_STEPS", 1000), \
@@ -1146,8 +1005,8 @@ class TestSolveLoop:
                 solve_outcome(oracle_solve_adaptive, *args)
 
     @pytest.mark.parametrize("s0, theta0, q, cfg", [
-        # the pole-event start of the bench portrait, recording every 3rd
-        # step
+        # the pole-event start of the bench portrait; record_every does
+        # not apply to the chart's solve
         (0.9, 3.0 * math.pi / 2.0, ReducedParams(),
          IntegratorConfig(t_final=5.0, record_every=3)),
         (-0.6, 3.0 * math.pi / 2.0, ReducedParams(gamma=-0.4),
@@ -1156,7 +1015,7 @@ class TestSolveLoop:
          IntegratorConfig(t_final=10.0, rtol=1e-8, atol=1e-9,
                           record_every=3)),
         (0.6, 2.0, ReducedParams(gamma=0.6),
-         IntegratorConfig(method="rk45", t_final=10.0))])
+         IntegratorConfig(t_final=10.0))])
     def test_reduced_solve_is_the_oracle_loop(self, s0, theta0, q, cfg):
         # evolve_reduced steps with the chart's own step; the oracle loop
         # steps evolve_reduced's right-hand side with the generic 4(5)
@@ -1166,7 +1025,7 @@ class TestSolveLoop:
         times, states, hit = oracle_solve_adaptive(
             chart_rhs(q.c, q.omega, q.r, q.gamma), 0.0,
             (s0, theta0), cfg.t_final, rtol=cfg.rtol, atol=cfg.atol,
-            record_every=cfg.record_every, event=lambda t, y: y[0] - s_max)
+            event=lambda t, y: y[0] - s_max)
         assert tr.times.tobytes() == times.tobytes()
         assert tr.s.tobytes() == states[:, 0].tobytes()
         assert tr.theta.tobytes() == states[:, 1].tobytes()
@@ -1197,21 +1056,19 @@ class TestSolveLoop:
         assert calls[event_step_start] == 1
 
 
-def grid_rows(tr, method, t_span, n_t):
+def grid_rows(tr, t_span, n_t):
     """The rows of a portrait orbit on its time grid, from evolve_reduced's
-    solve tr that recorded every accepted step: at each t_k = t_span k /
-    (n_t - 1), the last t_span exactly, the accepted state there, or the
-    generic step (_rk45_step over evolve_reduced's right-hand side, or
-    the oracle's rk4 step) from the last accepted state before t_k, left
-    out where that step fails.  A pole-event orbit ends on its event
-    state, with no row past its last accepted state (the event state
-    itself under rk4)."""
+    solve tr: at each t_k = t_span k / (n_t - 1), the last t_span
+    exactly, the accepted state there, or the generic step (_rk45_step
+    over evolve_reduced's right-hand side) from the last accepted state
+    before t_k, left out where that step fails.  A pole-event orbit ends
+    on its event state, with no row past its last accepted state."""
     q = tr.params
     f = chart_rhs(q.c, q.omega, q.r, q.gamma)
     times = tr.times.tolist()
     states = list(zip(tr.s.tolist(), tr.theta.tolist()))
     ev = tr.pole_event
-    n = len(times) - (ev is not None and method != "rk4")
+    n = len(times) - (ev is not None)
     rows = []
     for k in range(n_t):
         t_k = t_span if k == n_t - 1 else t_span * k / (n_t - 1)
@@ -1222,17 +1079,10 @@ def grid_rows(tr, method, t_span, n_t):
         if h == 0.0:
             rows.append((t_k, *y))
             continue
-        if method == "rk4":
-            try:
-                new = oracles.rk4_step(f, times[j], y, h)
-            except PoleError:
-                continue
-        else:
-            res = failing_rk45_step(f, times[j], y, h, f(times[j], y))
-            if res is None:
-                continue
-            new = res[:2]
-        rows.append((t_k, *new))
+        res = failing_rk45_step(f, times[j], y, h, f(times[j], y))
+        if res is None:
+            continue
+        rows.append((t_k, *res[:2]))
     if ev is not None:
         rows.append((ev.time, ev.s, ev.theta))
     return rows
@@ -1252,30 +1102,28 @@ class TestPortraitTimeGrid:
            gamma=st.one_of(st.floats(min_value=-0.8, max_value=-0.05),
                            st.just(0.0),
                            st.floats(min_value=0.05, max_value=0.8)),
-           method=st.sampled_from(["adaptive", "rk45", "rk4"]),
            t_span=st.floats(min_value=0.5, max_value=4.0),
            n_t=st.integers(min_value=2, max_value=60),
            record_every=st.sampled_from([1, 3]))
-    # the pole-event start of the bench portrait, under both steps
+    # the pole-event start of the bench portrait
     @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
-             gamma=0.0, method="adaptive", t_span=3.0, n_t=41,
-             record_every=1)
+             gamma=0.0, t_span=3.0, n_t=41, record_every=1)
     @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
-             gamma=0.4, method="rk4", t_span=3.0, n_t=41, record_every=3)
+             gamma=0.4, t_span=3.0, n_t=41, record_every=3)
     def test_grid_rows_are_steps_from_the_accepted_states(
-            self, s0, theta0, c, r, omega, gamma, method, t_span, n_t,
+            self, s0, theta0, c, r, omega, gamma, t_span, n_t,
             record_every):
         # each row has the bits of the step from the accepted state
         # before it, a row at an accepted time is that state, and the
         # portrait's record_every does not thin the states stepped from
         q = ReducedParams(c=c, omega=omega, r=r, gamma=gamma)
-        cfg = IntegratorConfig(method=method, rtol=1e-8, atol=1e-8, dt=0.01)
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
         got = experiments.phase_portrait(
             q, ic_grid=[(s0, theta0)], t_span=t_span,
             cfg=replace(cfg, record_every=record_every),
             n_t=n_t).trajectories[0]
         solve = evolve_reduced(s0, theta0, q, replace(cfg, t_final=t_span))
-        want = grid_rows(solve, method, t_span, n_t)
+        want = grid_rows(solve, t_span, n_t)
         assert got.pole_event == solve.pole_event
         assert len(got.times) <= n_t + (solve.pole_event is not None)
         assert bits(got.times) == bits([row[0] for row in want])
@@ -1287,20 +1135,19 @@ class TestPortraitTimeGrid:
             if t in accepted:
                 assert bits(accepted[t]) == bits([s, theta])
 
-    @pytest.mark.parametrize("method, t_span, tol, dt, capped", [
-        ("adaptive", 2.0, 1e-8, 0.01, False),  # short and loose
-        ("adaptive", 20.0, 1e-11, 0.01, True),  # the bench's length
-        ("rk4", 2.0, 1e-11, 2.0, False),  # one step: the floor of 2
+    @pytest.mark.parametrize("t_span, tol, capped", [
+        (2.0, 1e-8, False),  # short and loose
+        (20.0, 1e-11, True),  # the bench's length
+        (0.1, 1e-3, False),  # four states an orbit: the floor of 2
     ])
     def test_default_grid_is_a_quarter_of_the_mean_states(
-            self, method, t_span, tol, dt, capped):
+            self, t_span, tol, capped):
         # n_t is the cap, or the solves' mean recorded states per orbit
         # over four and at least 2, so the grid writes at most a quarter
         # of the accepted states and the pole-event rows
         q = ReducedParams(gamma=0.2)
         starts = [(0.5, 0.0), (-0.3, 2.0), (0.9, 3.0 * math.pi / 2.0)]
-        cfg = IntegratorConfig(method=method, rtol=tol, atol=tol, dt=dt,
-                               t_final=t_span)
+        cfg = IntegratorConfig(rtol=tol, atol=tol, t_final=t_span)
         solves = [evolve_reduced(s0, theta0, q, cfg)
                   for s0, theta0 in starts]
         states = sum(len(tr.times) for tr in solves)
@@ -1317,8 +1164,7 @@ class TestPortraitTimeGrid:
             [t_span * k / (portrait.n_t - 1)
              for k in range(portrait.n_t - 1)] + [t_span])
 
-    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
-    def test_a_row_whose_step_fails_is_left_out(self, method):
+    def test_a_row_whose_step_fails_is_left_out(self):
         # from S = 1 - 1e-9 heading up, every step of length 1 has a
         # stage past S = 1: the row at t = 1 is dropped, and the rows at
         # the recorded times 0 and 2 are the recorded states
@@ -1326,26 +1172,20 @@ class TestPortraitTimeGrid:
         tr = integrate.ReducedTrajectory(
             times=np.array([0.0, 2.0]), s=np.array([1.0 - 1e-9, 0.25]),
             theta=np.array([3.0 * math.pi / 2.0, 1.0]), params=q)
-        cfg = IntegratorConfig(method=method, t_final=2.0)
-        got = integrate._on_time_grid(tr, cfg, 3)
+        got = integrate._on_time_grid(tr, 2.0, 3)
         assert bits(got.times) == bits([0.0, 2.0])
         assert bits(got.s) == bits([1.0 - 1e-9, 0.25])
         assert bits(got.theta) == bits([3.0 * math.pi / 2.0, 1.0])
 
-    @pytest.mark.parametrize("method, last", [("adaptive", 1.0),
-                                              ("rk4", 1.25)])
-    def test_no_row_past_the_last_accepted_step(self, method, last):
+    def test_no_row_past_the_last_accepted_step(self):
         # a hand-made pole-event orbit, accepted at t = 0 and 1 and
-        # halted at 1.5: the adaptive methods record the event state
-        # after the last accepted step, so the grid time 1.25 has no
-        # row; rk4 records it as that step, so 1.25 steps from t = 1
+        # halted at 1.5: the solve records the event state after the
+        # last accepted step, so the grid time 1.25 has no row
         q = ReducedParams()
         tr = integrate.ReducedTrajectory(
             times=np.array([0.0, 1.0, 1.5]), s=np.array([0.1, 0.2, 0.3]),
             theta=np.array([1.0, 2.0, 3.0]), params=q,
             pole_event=integrate.PoleEvent(time=1.5, s=0.3, theta=3.0))
-        cfg = IntegratorConfig(method=method, t_final=2.0)
-        got = integrate._on_time_grid(tr, cfg, 9)
-        grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
-        assert got.times.tolist() == [t for t in grid if t <= last] + [1.5]
+        got = integrate._on_time_grid(tr, 2.0, 9)
+        assert got.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.5]
         assert got.s.tolist()[-1] == 0.3 and got.theta.tolist()[-1] == 3.0

@@ -17,8 +17,11 @@ apart: END_TOL = 1e-3 leaves a margin of 60 or more.
 
 Not every cell of Gamma > 0 has a fixed-point end: at Gamma = 0.6,
 C = 1.3077, R = -0.0513 (a II cell whose census has no attractor and no
-S = -1 point) the orbits settle on a cycle.  Gamma = 1.0 is chosen as a
-loss rate whose drawn cells all end at a point.
+S = -1 point) the orbits settle on a cycle.  Gamma = 1.0 has such cells
+too: on a 20x20 default map, 18 of 400 cells, all on the rows nearest
+R = 0, still had an orbit cycling at t = 600.  The cells drawn here at
+Gamma = 1.0 are not among them: every one of their orbits ends at a
+point.
 """
 
 import math
