@@ -396,6 +396,22 @@ class TestPortraitCommand:
         fp_header, fp_rows = read_csv(out / "fixed_points.csv")
         assert len(fp_rows) >= 2
 
+    def test_portrait_stops_at_the_pole(self, tmp_path):
+        # the three starts on the S = 1 side of the grid reach the pole
+        # guard: each orbit halts with a pole event there, and every row
+        # written is finite
+        out = tmp_path / "out"
+        rc = main(["portrait", "--n-s", "3", "--n-theta", "4", "--t-span", "5",
+                   "--output", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out / "portrait.csv")
+        assert rows and all(math.isfinite(x) for row in rows
+                            for x in map(float, row))
+        summary = json.loads((out / "portrait_summary.json").read_text())
+        events = [e for e in summary["pole_events"] if e is not None]
+        assert len(events) == 3
+        assert all(1.0 - 1e-9 < e["s"] < 1.0 for e in events)
+
     def test_each_orbit_is_written_on_the_time_grid(self, tmp_path):
         # every orbit's t column is the grid t_span k / (n_t - 1) up to
         # its end, n_t the cap or a quarter of the solves' mean states
@@ -867,6 +883,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--t-final", "1e9"],
         ["sweep", "--beta", "1e-300"],
+        ["trap", "--t-span", "1e9"],
+        ["portrait", "--n-s", "2", "--n-theta", "3", "--t-span", "1e9"],
     ])
     def test_adaptive_step_budget_is_3(self, tmp_path, capsys, monkeypatch,
                                        argv):

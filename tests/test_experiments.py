@@ -209,7 +209,9 @@ class TestSweepConversion:
         (0.7, 0.3, 0.5, 1.0, 1e-11),
         (-0.4, -0.5, 1.2, 0.8, 1e-9),
         (2.0, 0.0, 0.0, 1.0, 1e-7),
-        (-1.5, 0.6, -0.8, 1.5, 1e-11)])
+        (-1.5, 0.6, -0.8, 1.5, 1e-11),
+        (0.7, 0.3, 0.5, 1.0, 1e-9),
+        (-1.5, -0.6, 0.5, 1.0, 1e-9)])
     def test_sweep_solve_is_the_generic_solve(self, monkeypatch, beta, gamma,
                                               u, v, rtol):
         # the sweep's solve gives the bits of a solve over

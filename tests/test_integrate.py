@@ -130,6 +130,22 @@ class TestAmplitudeEvolve:
         assert d_loose < 10.0 * (10.0 * d_tight + 1e-9)
         assert d_loose < 1e-6
 
+    def test_fixed_step_reference_converges_at_fourth_order(self):
+        # the dense fixed-step loop that the recurrence and norm-law
+        # checks take as their reference: halving dt shrinks the
+        # refinement difference ~16x, and it meets the adaptive solve
+        p = Params(v=1.0, u=2.0, r=0.0)
+        x0 = state_on_shell(0.6, 1.0)
+        finals = {dt: rk4_trajectory(x0, p, 10.0, dt).states[-1]
+                  for dt in (2e-3, 1e-3, 5e-4)}
+        d1 = np.abs(finals[2e-3] - finals[1e-3]).max()
+        d2 = np.abs(finals[1e-3] - finals[5e-4]).max()
+        assert d1 / d2 > 8.0
+        assert d1 < 1e-8
+        cfg = IntegratorConfig(t_final=10.0, rtol=1e-12, atol=1e-12)
+        assert np.abs(finals[5e-4] - evolve(x0, p, cfg).states[-1]).max() \
+            < 1e-9
+
 class TestReducedEvolve:
     def test_stationary_at_analytic_fixed_point(self):
         gamma = 0.9
@@ -179,6 +195,29 @@ class TestReducedEvolve:
         q = ReducedParams()
         with pytest.raises(ValueError):
             evolve_reduced(1.0, 0.0, q)
+
+    def test_pole_event_matches_the_fixed_step_reference(self):
+        # fixed rk4 steps of the chart's right-hand side run until a
+        # stage past S = 1 raises PoleError or a step ends past the
+        # guard; the adaptive solve's event lies within that last step
+        q = ReducedParams()
+        dt = 1e-3
+        f = chart_rhs(q.c, q.omega, q.r, q.gamma)
+        t, y = 0.0, (0.9, 3.0 * math.pi / 2.0)
+        while True:
+            try:
+                y_next = oracles.rk4_step(f, t, y, dt)
+            except PoleError:
+                break
+            if y_next[0] >= 1.0 - EPS_POLE:
+                break
+            t, y = t + dt, y_next
+        tr = evolve_reduced(0.9, 3.0 * math.pi / 2.0, q,
+                            IntegratorConfig(t_final=2.0))
+        ev = tr.pole_event
+        assert ev is not None and tr.times[-1] == ev.time
+        assert t <= ev.time <= t + dt
+        assert y[0] < ev.s <= 1.0 - EPS_POLE
 
 # one solve of each kind: evolve and trap take the 4(5) pair on
 # amplitudes, a sweep its own 8(5,3) step, and the portrait the chart's
@@ -291,6 +330,44 @@ class TestGenericSolvers:
 
         with pytest.raises(error, match="bad argument"):
             solve_adaptive(f, 0.0, (0.0, 0.0), 1.0)
+
+    def test_non_finite_derivative_under_an_event_is_a_rejected_step(self):
+        # a NaN stage cannot tell whether the event was crossed: its step
+        # is rejected, not taken as the crossing, and the steps shrink to
+        # an underflow at the surface where f turns NaN
+        def f(t, y):
+            return (math.nan, 0.0) if y[0] > 2.5 else (1.0, 0.0)
+
+        with pytest.raises(StepUnderflowError) as err:
+            solve_adaptive(f, 0.0, (0.0, 0.0), 10.0,
+                           event=lambda t, y: y[0] - 3.0)
+        assert 2.5 - 1e-9 < err.value.time <= 2.5
+
+    def test_exactly_max_steps_attempts_are_within_the_budget(
+            self, monkeypatch):
+        attempts = []
+
+        def counted(*args):
+            attempts.append(args[1])
+            return integrate._rk45_step(*args)
+
+        def solve():
+            # a chirp, whose quickening forcing rejects steps
+            attempts.clear()
+            return solve_adaptive(lambda t, y: (math.cos(10.0 * t * t), 0.0),
+                                  0.0, (1.0, 0.0), 3.0, rtol=1e-6, atol=1e-6,
+                                  step=counted)
+
+        times, states, _ = solve()
+        n = len(attempts)
+        assert n > len(times) - 1  # some steps were rejected
+        monkeypatch.setattr(integrate, "MAX_STEPS", n)
+        again, _, _ = solve()
+        assert again.tobytes() == times.tobytes()
+        monkeypatch.setattr(integrate, "MAX_STEPS", n - 1)
+        with pytest.raises(StepBudgetError,
+                           match=f"at t = {attempts[-1]!r}"):
+            solve()
 
     def test_adaptive_budget_counts_attempted_steps(self, monkeypatch):
         calls = []
@@ -910,6 +987,30 @@ def test_pair_steps_keep_the_bits_on_full_precision_states():
         assert (pair is None) == (generic is None)
         if pair is not None:
             assert bits(pair) == bits(generic)
+
+
+def test_chart_step_keeps_the_bits_on_full_precision_states():
+    # as above, for the chart's own 4(5) step: full-precision states,
+    # coefficients and steps, away from the pole and the phase overflow
+    # that test_reduced_step_is_the_generic_step draws
+    rng = np.random.default_rng(21)
+    failed = 0
+    for _ in range(300):
+        y = (rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2.0 * math.pi))
+        c, omega, r, gamma = rng.uniform(-2.0, 2.0, 4).tolist()
+        h, t = rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0)
+        f = chart_rhs(c, omega, r, gamma)
+        k1 = f(t, y)
+        written = integrate._reduced_rk45_step(c, omega, r, gamma)(
+            None, t, y, h, k1)
+        generic = failing_rk45_step(f, t, y, h, k1)
+        if written is None:
+            failed += 1
+            assert (generic is None or integrate._float_norm(
+                generic, y, 1e-11, 1e-11, h) == math.inf)
+        else:
+            assert bits(written) == bits(generic)
+    assert failed < 100
 
 
 def solve_outcome(solve, f, y0, t0, span, tols, level, pair):
