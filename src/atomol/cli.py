@@ -136,11 +136,9 @@ def _resolve(args) -> dict:
     return aio.resolve_config(file_values, _collect_overrides(args))
 
 
-def _section(resolved, name, **override) -> dict:
-    """The resolved keys of one config section, by key name, with the
-    given values in place of the resolved ones."""
-    return {**{key: resolved[f"{name}.{key}"] for key in aio.SCHEMA[name]},
-            **override}
+def _section(resolved, name) -> dict:
+    """The resolved keys of one config section, by key name."""
+    return {key: resolved[f"{name}.{key}"] for key in aio.SCHEMA[name]}
 
 
 def _finish(command, resolved, derived, outdir, outputs):
@@ -273,8 +271,7 @@ def cmd_sweep(resolved, outdir, fmt):
 
 def cmd_trap(resolved, outdir, fmt):
     trap = _section(resolved, "trap")
-    cfg = IntegratorConfig(**_section(resolved, "integrator",
-                                      t_final=trap["t_span"]))
+    cfg = IntegratorConfig(**_section(resolved, "integrator"))
     run = self_trapping_run(u=resolved["model.u"], v=resolved["model.v"],
                             r=resolved["model.r"], gamma_minus=trap["gamma"],
                             a0_sq=trap["a0_sq"], t_span=trap["t_span"],
@@ -309,12 +306,8 @@ def cmd_portrait(resolved, outdir, fmt):
                           f"orbits, got {n_s} * {n_theta}")
     q = ReducedParams(**_section(resolved, "reduced"))
     t_span = resolved["portrait.t_span"]
-    cfg = IntegratorConfig(**_section(resolved, "integrator", t_final=t_span))
+    cfg = IntegratorConfig(**_section(resolved, "integrator"))
     grid = default_ic_grid(n_s=n_s, n_theta=n_theta)
-    if cfg.record_every != 1:
-        print(f"note: [integrator] record_every = {cfg.record_every} does "
-              "not apply to portrait, which writes each orbit on its time "
-              "grid", file=sys.stderr)
     portrait = phase_portrait(q, ic_grid=grid, t_span=t_span, cfg=cfg)
     header = ["traj_id", "t", "s", "theta"]
     ids, t, s, theta = [], [], [], []

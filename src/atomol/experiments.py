@@ -16,14 +16,13 @@ integrates with the Dormand-Prince 8(5,3) pair, on the sweep's own
 float-part step, which writes that flow into its stages and calls f
 once per solve; trapping runs and portraits record every accepted step
 and take the 4(5) pair (see atomol.integrate).  A trapping run's
-summary reads every accepted step, and its rows are every
-record_every-th of them.  A portrait writes each orbit at n_t evenly
-spaced times, each the chart's 4(5) step from the last accepted state
-at or before it, so the rows keep the solver's accuracy.  n_t is at
-most PORTRAIT_N_T and at most the solves' mean recorded states per
-orbit over PORTRAIT_THINNING, so a portrait writes about a quarter of
-the rows, or fewer, that one per accepted step would, and its grid
-steps cost less than the rows they save.
+rows and summary are its accepted steps.  A portrait writes each orbit
+at n_t evenly spaced times, each the chart's 4(5) step from the last
+accepted state at or before it, so the rows keep the solver's accuracy.
+n_t is at most PORTRAIT_N_T and at most the solves' mean recorded
+states per orbit over PORTRAIT_THINNING, so a portrait writes about a
+quarter of the rows, or fewer, that one per accepted step would, and
+its grid steps cost less than the rows they save.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .integrate import (
     _on_time_grid,
     _solve,
     _sweep_dop853_step,
-    _thinned,
     evolve_reduced,
 )
 from .model import Params, ReducedParams, derived_quantities, unit_norm_deriv
@@ -122,9 +120,8 @@ class EfficiencyReport:
 class TrapRun:
     """Normalized atomic population P(a) = |a|^2/n along one run.
 
-    The rows are every record_every-th accepted state and the last; the
-    summary (trapped, min_p_atom, oscillation_amplitude) reads every
-    accepted state.
+    The rows, and the summary (trapped, min_p_atom,
+    oscillation_amplitude), are the solve's accepted states.
     """
 
     times: np.ndarray
@@ -215,8 +212,8 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
     zero, so the effective couplings are pinned at C = u, Omega = v and
     only the relative rate gamma_minus acts on (S, theta).  The run is
     trapped when the normalized atomic population P(a) = |a|^2/n stays
-    above 1/2 at every accepted step; cfg.record_every thins the
-    returned rows only.
+    above 1/2 at every accepted step, each of which is a returned row.
+    The solve runs to t_span, whatever cfg.t_final holds.
     """
     for name, value in (("u", u), ("v", v), ("r", r),
                         ("gamma_minus", gamma_minus), ("theta0", theta0)):
@@ -233,13 +230,12 @@ def self_trapping_run(u: float, v: float, r: float, gamma_minus: float,
 
     times, states, _ = _solve(f, (a0 + 0j, b0), replace(cfg, t_final=t_span))
     d = derived_quantities(states, v, u, r)
-    min_p = float(d["p_atom"].min())
-    amplitude = oscillation_amplitude(d["p_atom"])
-    times, p_atom, s, theta = _thinned(cfg.record_every, times, d["p_atom"],
-                                       d["s"], d["theta"])
-    return TrapRun(times=times, p_atom=p_atom, s=s, theta=theta,
+    p_atom = d["p_atom"]
+    min_p = float(p_atom.min())
+    return TrapRun(times=times, p_atom=p_atom, s=d["s"], theta=d["theta"],
                    trapped=min_p > 0.5, min_p_atom=min_p,
-                   oscillation_amplitude=amplitude, gamma=gamma_minus, u=u)
+                   oscillation_amplitude=oscillation_amplitude(p_atom),
+                   gamma=gamma_minus, u=u)
 
 
 def oscillation_amplitude(series) -> float:
@@ -258,27 +254,25 @@ def default_ic_grid(n_s: int = 5, n_theta: int = 8):
 
 
 def phase_portrait(q: ReducedParams, ic_grid=None, t_span: float = 20.0,
-                   cfg: Optional[IntegratorConfig] = None,
-                   n_t: Optional[int] = None) -> PhasePortrait:
+                   cfg: Optional[IntegratorConfig] = None) -> PhasePortrait:
     """Reduced-flow trajectories from a grid of starts, plus fixed points.
 
-    Each orbit is solved by evolve_reduced, recording every accepted
-    step (cfg's record_every does not apply), and is returned at the
-    n_t evenly spaced times t_span k / (n_t - 1), each the chart's step
-    from the last accepted state at or before it
-    (integrate._on_time_grid).  n_t defaults to the smaller of
-    PORTRAIT_N_T and the solves' mean recorded states per orbit over
-    PORTRAIT_THINNING, and at least 2.  Pole events terminate
-    individual trajectories cleanly and are kept on the returned
-    trajectories, the event state as the last sample.
+    Each orbit is solved by evolve_reduced to t_span, whatever
+    cfg.t_final holds, recording every accepted step, and is returned
+    at the n_t evenly spaced times t_span k / (n_t - 1), each the
+    chart's step from the last accepted state at or before it
+    (integrate._on_time_grid).  n_t is the smaller of PORTRAIT_N_T and
+    the solves' mean recorded states per orbit over PORTRAIT_THINNING,
+    and at least 2.  Pole events terminate individual trajectories
+    cleanly and are kept on the returned trajectories, the event state
+    as the last sample.
     """
     if ic_grid is None:
         ic_grid = default_ic_grid()
     cfg = replace(cfg or IntegratorConfig(), t_final=t_span)
     solves = [evolve_reduced(s0, theta0, q, cfg) for s0, theta0 in ic_grid]
-    if n_t is None:
-        states = sum(len(tr.times) for tr in solves) // max(len(solves), 1)
-        n_t = min(PORTRAIT_N_T, max(2, states // PORTRAIT_THINNING))
+    states = sum(len(tr.times) for tr in solves) // max(len(solves), 1)
+    n_t = min(PORTRAIT_N_T, max(2, states // PORTRAIT_THINNING))
     return PhasePortrait(
         trajectories=[_on_time_grid(tr, t_span, n_t) for tr in solves],
         fixed_points=all_fixed_points(q), params=q, n_t=n_t)

@@ -12,9 +12,8 @@ sweep's own, _sweep_dop853_step.  Every other solve takes 4(5): its
 accepted steps are the recorded samples, so the 4(5) pair keeps those
 outputs as they were, and on the reduced (S, theta) chart, whose
 right-hand side carries sqrt(1 - S), orbits that graze S = 1 cost the
-8(5,3) pair several times more.  The loop records every accepted step;
-evolve and the trap runs of atomol.experiments thin the recorded rows
-to every record_every-th afterwards (_thinned).
+8(5,3) pair several times more.  The loop records every accepted step,
+and evolve and the trap runs of atomol.experiments return them all.
 
 A state is a pair (y0, y1) of Python floats or complex numbers: the
 amplitude pair (a, b) or the reduced (S, theta).  A right-hand side
@@ -86,7 +85,7 @@ and max: a tie keeps the first argument, and a NaN growth factor gives
 the lower clamp, _MIN_FACTOR.
 
 The reduced (S, theta) flow is singular at S = 1; its integration halts
-cleanly with a pole event when S reaches 1 - eps_pole instead of stepping
+cleanly with a pole event when S reaches 1 - EPS_POLE instead of stepping
 over the singularity.  A trial stage at or past S = 1 raises
 model.PoleError in evolve_reduced's right-hand side, and the chart's own
 step fails there: a rejected step.
@@ -207,12 +206,10 @@ class StepBudgetError(NumericalError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step control and recording settings.
+    """Step control settings.
 
-    rtol/atol are the embedded pairs' tolerances.  record_every thins
-    the rows that evolve and the trap runs return to every
-    record_every-th accepted state, the last kept; the steps, and the
-    trap summary, read every accepted state.
+    rtol/atol are the embedded pairs' tolerances; a solve runs from
+    t = 0 to t_final.
 
     The default tolerance of 1e-11 keeps zero-loss drift of the
     conserved quantities below 1e-8 over spans of order 100 even on
@@ -222,7 +219,6 @@ class IntegratorConfig:
     rtol: float = 1e-11
     atol: float = 1e-11
     t_final: float = 10.0
-    record_every: int = 1
 
     def __post_init__(self):
         for name in ("rtol", "atol", "t_final"):
@@ -232,8 +228,6 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be > 0")
         if not self.t_final > 0:
             raise ValueError("t_final must be > 0")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -487,15 +481,6 @@ def _solve(f, y0, cfg: IntegratorConfig, **pair):
                           atol=cfg.atol, **pair)
 
 
-def _thinned(record_every, times, *columns):
-    """times and each column at every record_every-th accepted state
-    from the start, and at the last: the rows of a solve that
-    record_every keeps."""
-    last = len(times) - 1
-    keep = [*range(0, last, record_every), last]
-    return [times[keep]] + [column[keep] for column in columns]
-
-
 @dataclass
 class Trajectory:
     """Recorded amplitude trajectory with per-sample observables."""
@@ -539,7 +524,6 @@ def evolve(x0: Amplitudes, p: Params,
         return gp_deriv(y[0], y[1], v, u, r, ga, gb)
 
     times, states, _ = _solve(f, (complex(x0.a), complex(x0.b)), cfg)
-    times, states = _thinned(cfg.record_every, times, states)
     return Trajectory(times=times, states=states, params=p)
 
 
@@ -839,23 +823,22 @@ def _reduced_f(c, omega, r, gamma):
     return f
 
 
-def evolve_reduced(s0: float, theta0: float, q: ReducedParams,
-                   cfg: IntegratorConfig = IntegratorConfig(),
-                   eps_pole: float = EPS_POLE) -> ReducedTrajectory:
+def evolve_reduced(
+        s0: float, theta0: float, q: ReducedParams,
+        cfg: IntegratorConfig = IntegratorConfig()) -> ReducedTrajectory:
     """Propagate the autonomous reduced flow from (s0, theta0).
 
     Halts with a pole event (recorded, not fatal) if S reaches
-    1 - eps_pole.  The right-hand side is model.reduced_deriv with
+    1 - EPS_POLE.  The right-hand side is model.reduced_deriv with
     eps_pole = 0: a trial stage at or past S = 1 raises PoleError, and
     a phase that overflowed to inf gives NaN, as the overflow itself
     would in numpy.  The solve steps with _reduced_rk45_step, which
-    calls f once, and records every accepted step: cfg.record_every
-    does not apply.
+    calls f once, and records every accepted step.
     """
     s0, theta0 = float(s0), float(theta0)
-    s_max = 1.0 - eps_pole
+    s_max = 1.0 - EPS_POLE
     if not abs(s0) <= s_max:
-        raise ValueError(f"|s0| must be <= 1 - eps_pole, got {s0}")
+        raise ValueError(f"|s0| must be <= 1 - EPS_POLE, got {s0}")
     c, omega, r, gamma = q.c, q.omega, q.r, q.gamma
     f = _reduced_f(c, omega, r, gamma)
 

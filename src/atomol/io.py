@@ -106,8 +106,7 @@ SCHEMA = {
                                   omega=("finite", "> 0"), r=_FINITE,
                                   gamma=_FINITE),
     "integrator": _dataclass_section(
-        IntegratorConfig, rtol=_POSITIVE, atol=_POSITIVE, t_final=_POSITIVE,
-        record_every=(">= 1",)),
+        IntegratorConfig, rtol=_POSITIVE, atol=_POSITIVE, t_final=_POSITIVE),
     "initial": {
         "a0_sq": ("float", 1.0, ("in [0, 1]",)),
         "theta0": ("float", 0.0, _FINITE),
@@ -144,10 +143,12 @@ SCHEMA = {
 }
 
 
-# retired key -> the one value it may still hold (None: any).  Those
-# values never changed a run's bytes, so a config file or manifest that
-# holds one reads as if the key were absent; any other value is an error
-_RETIRED = {"integrator.method": "adaptive", "integrator.dt": None}
+# retired key -> (type name, the one value it may still hold), or None
+# where it may hold any.  Those values never changed a run's bytes, so a
+# config file or manifest that holds one, parsed as the key's type was,
+# reads as if the key were absent; any other value is an error
+_RETIRED = {"integrator.method": ("str", "adaptive"), "integrator.dt": None,
+            "integrator.record_every": ("int", 1)}
 
 
 def parse_values(items) -> dict:
@@ -158,10 +159,15 @@ def parse_values(items) -> dict:
     for flat_key, raw in items:
         section, _, key = flat_key.partition(".")
         if flat_key in _RETIRED:
-            kept = _RETIRED[flat_key]
-            if kept is not None and raw != kept:
-                raise ConfigError(f"[{section}] {key} was retired: it may "
-                                  f"only be {kept}, got {raw!r}")
+            if _RETIRED[flat_key] is not None:
+                type_name, kept = _RETIRED[flat_key]
+                try:  # "1" from a config file, 1 from a manifest
+                    value = _PARSERS[type_name](raw)
+                except (TypeError, ValueError):
+                    value = None
+                if value != kept:
+                    raise ConfigError(f"[{section}] {key} was retired: it "
+                                      f"may only be {kept}, got {raw!r}")
             continue
         values[flat_key] = _parse_value(section, key, raw)
     return values

@@ -91,8 +91,7 @@ class TestConfigRoundTrip:
 OPTION_STRINGS = {
     "evolve": ["-h", "--help", "--config", "--from-manifest", "--v", "--u",
                "--r", "--gamma-a", "--gamma-b", "--rtol", "--atol",
-               "--t-final", "--record-every", "--a0-sq", "--theta0",
-               "--output", "--format"],
+               "--t-final", "--a0-sq", "--theta0", "--output", "--format"],
     "fixed-points": ["-h", "--help", "--config", "--from-manifest", "--c",
                      "--omega", "--r", "--gamma", "--output", "--format"],
     "regimes": ["-h", "--help", "--config", "--from-manifest", "--omega",
@@ -360,25 +359,6 @@ class TestTrapCommand:
         assert flags["-0.5"] is True
         assert flags["0.5"] is False
 
-    def test_summary_does_not_depend_on_record_every(self, tmp_path):
-        # the summary reads every accepted state, and record_every keeps
-        # every record_every-th population row and the last
-        runs = {}
-        for every in (1, 7, 50):
-            ini = tmp_path / f"every{every}.ini"
-            ini.write_text(f"[integrator]\nrecord_every = {every}\n")
-            out = tmp_path / f"trap{every}"
-            assert main(["trap", "--config", str(ini),
-                         "--output", str(out)]) == 0
-            runs[every] = ((out / "summary.json").read_bytes(),
-                           read_csv(out / "population.csv")[1])
-        summary, rows = runs[1]
-        assert len(rows) > 1000
-        for every in (7, 50):
-            assert runs[every][0] == summary
-            last = [] if (len(rows) - 1) % every == 0 else rows[-1:]
-            assert runs[every][1] == rows[::every] + last
-
 
 class TestPortraitCommand:
     def test_portrait_files(self, tmp_path):
@@ -446,25 +426,6 @@ class TestPortraitCommand:
                 assert t[:-1] == [g for g in grid if g < ev["time"]]
                 assert orbits[k][-1] == [ev["time"], ev["s"], ev["theta"]]
         assert len(rows) <= states // PORTRAIT_THINNING + 3
-
-    def test_record_every_is_named_and_does_not_thin_the_rows(self, tmp_path,
-                                                              capsys):
-        # the portrait solves with record_every = 1 whatever the config
-        # says, and says so on stderr
-        argv = ["portrait", "--n-s", "2", "--n-theta", "3", "--t-span", "3"]
-        assert main(argv + ["--output", str(tmp_path / "one")]) == 0
-        assert capsys.readouterr().err == ""
-        ini = tmp_path / "thin.ini"
-        ini.write_text("[integrator]\nrecord_every = 5\n")
-        assert main(argv + ["--config", str(ini),
-                            "--output", str(tmp_path / "five")]) == 0
-        assert capsys.readouterr().err == (
-            "note: [integrator] record_every = 5 does not apply to "
-            "portrait, which writes each orbit on its time grid\n")
-        for name in ("portrait.csv", "fixed_points.csv",
-                     "portrait_summary.json"):
-            assert ((tmp_path / "five" / name).read_bytes()
-                    == (tmp_path / "one" / name).read_bytes())
 
 
 class TestExitCodes:
@@ -551,7 +512,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, field", [
         (["evolve", "--v", "abc"], "[model] v"),
-        (["evolve", "--record-every", "1.5"], "[integrator] record_every"),
         (["portrait", "--n-s", "x"], "[portrait] n_s"),
         (["sweep", "--beta", "0.1,abc"], "[sweep] betas"),
         (["regimes", "--window", "0,3,x,2"], "[scan] r_min"),
@@ -620,14 +580,15 @@ class TestExitCodes:
          "[model] gamma_b must be finite, got nan"),
         (["evolve", "--rtol", "0"],
          "[integrator] rtol must be finite and > 0, got 0.0"),
-        (["evolve", "--record-every", "0"],
-         "[integrator] record_every must be >= 1, got 0"),
         (["regimes", "--refine-tol", "0"],
          "[scan] refine_tol must be finite and > 0, got 0.0"),
         # the text after --config is the config file's
         (["sweep", "--config", "[integrator]\nmethod = bogus\n"],
          "[integrator] method was retired: it may only be adaptive, "
          "got 'bogus'"),
+        (["trap", "--config", "[integrator]\nrecord_every = 0\n"],
+         "[integrator] record_every was retired: it may only be 1, "
+         "got '0'"),
         # a value is checked whichever command runs: in a section the
         # command does not read, or where a flag or a key overrides it
         (["fixed-points", "--config", "[sweep]\nr_max = 0\n"],
@@ -896,9 +857,10 @@ class TestExitCodes:
 
 
 class TestRetiredKeys:
-    """[integrator] method and dt are retired: a config file or manifest
-    that holds method = adaptive or any dt reads as one without them,
-    and any other method exits 2."""
+    """[integrator] method, dt and record_every are retired: a config
+    file or manifest that holds method = adaptive, any dt or
+    record_every = 1 reads as one without them, and any other method or
+    record_every exits 2."""
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--u", "2", "--t-final", "1"],
@@ -907,13 +869,15 @@ class TestRetiredKeys:
         ["portrait", "--n-s", "2", "--n-theta", "3", "--t-span", "2"],
     ])
     def test_an_older_manifest_replays_byte_for_byte(self, tmp_path, argv):
-        # manifests written while the keys were read hold both
+        # manifests written while the keys were read hold them, the
+        # record_every of the last of them as the int 1
         first = tmp_path / "first"
         assert main(argv + ["--output", str(first)]) == 0
         path = first / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["parameters"].update({"integrator.method": "adaptive",
-                                       "integrator.dt": 0.001})
+                                       "integrator.dt": 0.001,
+                                       "integrator.record_every": 1})
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         again = tmp_path / "again"
         assert main([argv[0], "--from-manifest", str(path),
@@ -925,50 +889,62 @@ class TestRetiredKeys:
                 assert ((first / name).read_bytes()
                         == (again / name).read_bytes()), name
         replayed = json.loads((again / "manifest.json").read_text())
-        assert "integrator.method" not in replayed["parameters"]
-        assert "integrator.dt" not in replayed["parameters"]
+        for key in ("method", "dt", "record_every"):
+            assert f"integrator.{key}" not in replayed["parameters"]
 
-    def test_a_config_file_with_them_runs_as_one_without(self, tmp_path):
+    @pytest.mark.parametrize("argv, names", [
+        (["evolve", "--u", "2", "--t-final", "2"], ["trajectory.csv"]),
+        (["trap", "--u", "1.5", "--t-span", "2"],
+         ["population.csv", "summary.json"]),
+    ])
+    def test_a_config_file_with_them_runs_as_one_without(self, tmp_path,
+                                                         argv, names):
+        # record_every = 1 is the text "1" in a config file
         ini = tmp_path / "old.ini"
-        ini.write_text("[integrator]\nmethod = adaptive\ndt = 0.5\n")
-        argv = ["trap", "--u", "1.5", "--t-span", "2"]
+        ini.write_text("[integrator]\nmethod = adaptive\ndt = 0.5\n"
+                       "record_every = 1\n")
         assert main(argv + ["--output", str(tmp_path / "a")]) == 0
         assert main(argv + ["--config", str(ini),
                             "--output", str(tmp_path / "b")]) == 0
-        for name in ("population.csv", "summary.json"):
+        for name in names:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
-    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    @pytest.mark.parametrize("key, value, kept", [
+        ("method", "rk4", "adaptive"), ("method", "rk45", "adaptive"),
+        ("record_every", 7, 1)])
     @pytest.mark.parametrize("source", ["--from-manifest", "--config"])
-    def test_another_method_is_2(self, tmp_path, capsys, monkeypatch, method,
-                                 source):
+    def test_another_value_is_2(self, tmp_path, capsys, monkeypatch, key,
+                                value, kept, source):
         def no_solve(*args, **kwargs):
-            raise AssertionError("a solve started under a retired method")
+            raise AssertionError("a solve started under a retired value")
 
         monkeypatch.setattr(integrate, "solve_adaptive", no_solve)
         if source == "--from-manifest":
             path = tmp_path / "manifest.json"
             path.write_text(json.dumps({"command": "evolve", "parameters": {
-                "integrator.method": method, "integrator.dt": 0.01}}))
+                f"integrator.{key}": value, "integrator.dt": 0.01}}))
+            raw = value  # a manifest's 7 is the int 7
         else:
             path = tmp_path / "run.ini"
-            path.write_text(f"[integrator]\nmethod = {method}\ndt = 0.01\n")
+            path.write_text(f"[integrator]\n{key} = {value}\ndt = 0.01\n")
+            raw = str(value)
         out = tmp_path / "o"
         assert main(["evolve", source, str(path), "--output", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"config error: [integrator] method was retired: it may only "
-            f"be adaptive, got '{method}'\n")
+            f"config error: [integrator] {key} was retired: it may only "
+            f"be {kept}, got {raw!r}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--method=rk4", "--dt=0.01"])
-    def test_their_flags_are_gone(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flags", [
+        ["--method=rk4"], ["--dt=0.01"], ["--record-every", "1"]])
+    def test_their_flags_are_gone(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main(["evolve", flag, "--output", str(out)])
+            main(["evolve", *flags, "--output", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"unrecognized arguments: {flag}" in err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
         assert "Traceback" not in err and not out.exists()
 
 
@@ -1041,7 +1017,9 @@ class TestFrozenExit:
 
 
 # CLI fuzz: each example runs one subcommand with a random subset of its
-# flags, finite values mixed with extremes.  The flags that set the
+# flags, finite values mixed with extremes; each subcommand gets its own
+# examples, so that a change of another's flags leaves its draws as
+# they were.  The flags that set the
 # amount of work are always given, and kept small or just over their
 # cap, which must exit 2 before any work; the step budget is patched
 # down, so every run is bounded, and a longer solve must exit 3.  The
@@ -1067,8 +1045,7 @@ FUZZ_CHOICES = {"--format": ["csv", "json", "xml"]}
 
 
 @st.composite
-def cli_argv(draw):
-    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+def cli_argv(draw, command):
     work = FUZZ_WORK.get(command, {})
     flags = []
     for key in cli._FLAGS[command] + cli._COMMON_KEYS:
@@ -1092,9 +1069,11 @@ def cli_argv(draw):
 
 
 class TestCliFuzz:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(argv=cli_argv())
-    def test_any_flags_exit_cleanly(self, argv):
+    @pytest.mark.parametrize("command", sorted(cli._FLAGS))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_flags_exit_cleanly(self, command, data):
+        argv = data.draw(cli_argv(command))
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(integrate, "MAX_STEPS", 10 ** 4), \

@@ -8,7 +8,7 @@ import random
 import struct
 import sys
 import types
-from dataclasses import fields, replace
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -36,6 +36,7 @@ from atomol.model import (
     angle_distance,
     derived_quantities,
     effective_energy,
+    gp_deriv,
     reduced_deriv,
 )
 from oracles import (DOP853_TABLEAU, dop853_norm, dop853_step, error_norm,
@@ -77,18 +78,29 @@ class TestAmplitudeEvolve:
         # zero-loss oscillation regime orbit returns to its start
         p = Params(v=1.0, u=0.0, r=0.0)
         s0, th0 = 0.9, math.pi
-        tr = evolve(state_on_shell(s0, th0), p, IntegratorConfig(t_final=20.0))
+        x0 = state_on_shell(s0, th0)
+        tr = evolve(x0, p, IntegratorConfig(t_final=20.0))
         d = np.hypot(tr.s - s0, angle_distance(tr.theta, th0))
         late = tr.times > 1.0
-        t_close = tr.times[late][np.argmin(d[late])]
-        # refine around the approximate recurrence with dense fixed steps
-        tr2 = rk4_trajectory(state_on_shell(s0, th0), p, t_close + 0.02,
-                             (t_close + 0.02) / 400000)
-        d2 = np.hypot(tr2.s - s0, angle_distance(tr2.theta, th0))
-        window = tr2.times > t_close - 0.02
-        assert d2[window].min() < 1e-4
+        t_close = float(tr.times[late][np.argmin(d[late])])
+        # refine around the approximate recurrence with fixed rk4 steps:
+        # coarse ones up to the window, dense ones across it (the flow is
+        # autonomous, so the window's solve starts its clock at 0)
+
+        def f(t, y):
+            return gp_deriv(y[0], y[1], p.v, p.u, p.r, p.gamma_a, p.gamma_b)
+
+        _, coarse = oracles.rk4_solve(f, (complex(x0.a), complex(x0.b)),
+                                      t_close - 0.02, 1e-3)
+        _, fine = oracles.rk4_solve(f, tuple(map(complex, coarse[-1])),
+                                    0.04, (t_close + 0.02) / 400000)
+        d2 = derived_quantities(fine, p.v, p.u, p.r)
+        assert np.hypot(d2["s"] - s0,
+                        angle_distance(d2["theta"], th0)).min() < 1e-4
         # energy oracle: recurrence happens on the conserved-energy orbit
-        assert np.abs(tr2.energy - tr2.energy[0]).max() < 1e-7
+        energy = derived_quantities(np.concatenate([coarse, fine]), p.v,
+                                    p.u, p.r)["energy"]
+        assert np.abs(energy - energy[0]).max() < 1e-7
 
     def test_trajectory_samples_and_derived(self):
         p = Params(v=1.0, u=2.0, r=0.5, gamma_a=0.1, gamma_b=-0.05)
@@ -97,16 +109,6 @@ class TestAmplitudeEvolve:
         recomputed = derived_quantities(tr.states, p.v, p.u, p.r)
         for key in ("s", "theta", "n", "p_atom", "hx", "hy", "hz", "energy"):
             assert np.array_equal(getattr(tr, key), recomputed[key])
-
-    def test_record_every_decimates_output_only(self):
-        p = Params(v=1.0)
-        x0 = state_on_shell(0.4, 2.0)
-        full = evolve(x0, p, IntegratorConfig(t_final=5.0))
-        thin = evolve(x0, p, IntegratorConfig(t_final=5.0, record_every=7))
-        assert len(thin.times) < len(full.times)
-        assert thin.times[-1] == full.times[-1]
-        # decimation does not change the solution
-        assert np.abs(thin.states[-1] - full.states[-1]).max() == 0.0
 
     def test_determinism(self):
         p = Params(v=1.0, u=1.5, r=-0.3, gamma_a=0.2, gamma_b=0.1)
@@ -436,13 +438,11 @@ class TestGenericSolvers:
 
     def test_config_validation(self):
         assert [f.name for f in fields(IntegratorConfig)] == [
-            "rtol", "atol", "t_final", "record_every"]
+            "rtol", "atol", "t_final"]
         with pytest.raises(ValueError):
             IntegratorConfig(rtol=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_final=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(record_every=0)
 
 
 def bits(values):
@@ -1106,15 +1106,13 @@ class TestSolveLoop:
                 solve_outcome(oracle_solve_adaptive, *args)
 
     @pytest.mark.parametrize("s0, theta0, q, cfg", [
-        # the pole-event start of the bench portrait; record_every does
-        # not apply to the chart's solve
+        # the pole-event start of the bench portrait
         (0.9, 3.0 * math.pi / 2.0, ReducedParams(),
-         IntegratorConfig(t_final=5.0, record_every=3)),
+         IntegratorConfig(t_final=5.0)),
         (-0.6, 3.0 * math.pi / 2.0, ReducedParams(gamma=-0.4),
          IntegratorConfig(t_final=10.0)),
         (0.2, 1.0, ReducedParams(c=1.3, omega=0.8, r=0.3, gamma=-0.4),
-         IntegratorConfig(t_final=10.0, rtol=1e-8, atol=1e-9,
-                          record_every=3)),
+         IntegratorConfig(t_final=10.0, rtol=1e-8, atol=1e-9)),
         (0.6, 2.0, ReducedParams(gamma=0.6),
          IntegratorConfig(t_final=10.0))])
     def test_reduced_solve_is_the_oracle_loop(self, s0, theta0, q, cfg):
@@ -1204,26 +1202,20 @@ class TestPortraitTimeGrid:
                            st.just(0.0),
                            st.floats(min_value=0.05, max_value=0.8)),
            t_span=st.floats(min_value=0.5, max_value=4.0),
-           n_t=st.integers(min_value=2, max_value=60),
-           record_every=st.sampled_from([1, 3]))
+           n_t=st.integers(min_value=2, max_value=60))
     # the pole-event start of the bench portrait
     @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
-             gamma=0.0, t_span=3.0, n_t=41, record_every=1)
+             gamma=0.0, t_span=3.0, n_t=41)
     @example(s0=0.9, theta0=3.0 * math.pi / 2.0, c=0.0, r=0.0, omega=1.0,
-             gamma=0.4, t_span=3.0, n_t=41, record_every=3)
+             gamma=0.4, t_span=3.0, n_t=41)
     def test_grid_rows_are_steps_from_the_accepted_states(
-            self, s0, theta0, c, r, omega, gamma, t_span, n_t,
-            record_every):
+            self, s0, theta0, c, r, omega, gamma, t_span, n_t):
         # each row has the bits of the step from the accepted state
-        # before it, a row at an accepted time is that state, and the
-        # portrait's record_every does not thin the states stepped from
+        # before it, and a row at an accepted time is that state
         q = ReducedParams(c=c, omega=omega, r=r, gamma=gamma)
-        cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
-        got = experiments.phase_portrait(
-            q, ic_grid=[(s0, theta0)], t_span=t_span,
-            cfg=replace(cfg, record_every=record_every),
-            n_t=n_t).trajectories[0]
-        solve = evolve_reduced(s0, theta0, q, replace(cfg, t_final=t_span))
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-8, t_final=t_span)
+        solve = evolve_reduced(s0, theta0, q, cfg)
+        got = integrate._on_time_grid(solve, t_span, n_t)
         want = grid_rows(solve, t_span, n_t)
         assert got.pole_event == solve.pole_event
         assert len(got.times) <= n_t + (solve.pole_event is not None)
